@@ -11,7 +11,7 @@ from .grid import (ComplexField, Form1, Grid2D, antiderivative,
 from .exactpoly import (BiPoly, C, CBAR, ONE, RMat2, RationalFn, T, Z, ZBAR,
                         heat_extend, heat_residual, poly_equal,
                         rational_wirtinger)
-from .dirac import (Mat2Field, PotentialPair, QuatField, SpinorField, apply_D,
+from .dirac import (Mat2Field, PotentialPair, SpinorField, apply_D,
                     apply_Dvee, dirac_residual_norm, gauge_transform,
                     quaternionize, save_spinorfield_csv, sigma)
 from .surface import (GaussMapResult, MetricData, SurfaceMap,

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -21,7 +19,7 @@ from . import verify as verify_mod
 from .dirac import SpinorField
 from .dsii import catalog, l2_norm_sq, singular_times
 from .evolve import evolve, grid_norm_sq, write_trajectory
-from .grid import (ComplexField, Grid2D, constant_field, field_from_function,
+from .grid import (Grid2D, constant_field, field_from_function,
                    make_grid, save_complexfield_csv)
 from .meshio import export_mesh
 from .moutard import heat_datum_fields, heat_smatrix_values
@@ -75,9 +73,6 @@ def _add_common(p):
     p.add_argument("--tol", type=float, default=None,
                    help="residual tolerance (command-specific default)")
     p.add_argument("--out", type=Path, default=Path("out"))
-    p.add_argument("--threads", type=int, default=0,
-                   help="advisory thread cap for the BLAS/FFT backends")
-    p.add_argument("--seed", type=int, default=12345)
     p.add_argument("--config", type=Path, default=None,
                    help="JSON defaults, overridden by explicit flags")
 
@@ -120,7 +115,6 @@ def cmd_gen_surface(args) -> int:
     RunConfig("gen-surface", _options(args)).write(outdir)
     if args.tol is None:
         args.tol = 1e-3
-    t0 = time.time()
     if args.from_dsii:
         sol = catalog(args.from_dsii, c=args.c)
         psi0, phi0 = heat_datum_fields(sol.f, grid, args.t, None)
@@ -147,7 +141,6 @@ def cmd_gen_surface(args) -> int:
         "conformality_residual": gm.rel_residual,
         "curvature_abs_mean": float(np.mean(np.abs(Hf))) if Hf.size else None,
         "curvature_abs_max": float(np.max(np.abs(Hf))) if Hf.size else None,
-        "runtime_s": round(time.time() - t0, 3),
     }
     stats = export_mesh(S, outdir / f"surface.{args.format}", fmt=args.format,
                         metadata=meta)
@@ -197,9 +190,10 @@ def cmd_evolve(args) -> int:
         exact = None
     elif args.source == "ozawa":
         oz = catalog("ozawa", a=args.a, b=args.b)
-        U0 = oz.U0_field(grid)
+        U0 = oz.U0_zside(grid)
         exact = None
-        print(f"ozawa blow-up time T = {oz.blowup_time:g}; resolution loss expected near T")
+        print(f"ozawa z-side blow-up time t = T/2 = {oz.blowup_time / 2:g}; "
+              "resolution loss expected near it")
     else:
         sol = catalog(args.source, c=args.c)
         U0 = sol.U_field(grid, 0.0)
@@ -211,10 +205,8 @@ def cmd_evolve(args) -> int:
                "aborted": traj.aborted}
     if exact is not None and not traj.aborted:
         Uex = exact.U_field(grid, traj.times[-1])
-        num = grid_norm_sq(ComplexField(grid, traj.snapshots[-1][1].values - Uex.values)) \
-            if traj.snapshots else None
-        if num is not None:
-            summary["rel_l2_error_vs_exact"] = float(np.sqrt(num / grid_norm_sq(Uex)))
+        num = grid_norm_sq(traj.final - Uex)
+        summary["rel_l2_error_vs_exact"] = float(np.sqrt(num / grid_norm_sq(Uex)))
     with open(outdir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=1)
     print(json.dumps(summary))
@@ -236,7 +228,7 @@ def cmd_willmore_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = verify_mod.run_suite(args.suite, seed=args.seed)
+    results = verify_mod.run_suite(args.suite)
     outdir = args.out
     RunConfig("verify", _options(args)).write(outdir)
     verify_mod.print_table(results)
@@ -316,9 +308,6 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(args.threads))
     args = _apply_config_file(args, ap, argv)
     return args.func(args)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (ComplexField, Grid2D, GridConfigError, constant_field,
+from .grid import (ComplexField, Grid2D, GridConfigError, _merge_masks,
                    wirtinger_derivative)
 
 
@@ -63,118 +63,116 @@ class PotentialPair:
         return self.U.grid
 
 
+def _empty(grid: Grid2D) -> np.ndarray:
+    return np.empty((2, 2, grid.ny, grid.nx), dtype=np.complex128)
+
+
 @dataclass
 class Mat2Field:
-    """2x2 complex matrix per node: [[e11, e12],[e21, e22]] of ComplexFields."""
+    """2x2 complex matrix per node: values[i, j] is entry (i, j), shape (2, 2, ny, nx).
 
-    e11: ComplexField
-    e12: ComplexField
-    e21: ComplexField
-    e22: ComplexField
+    One mask covers all four entries: the union of the masks of the fields the
+    matrix was built from.  values may be a read-only broadcast view (see
+    constant), so operations always write into fresh arrays.
+    """
+
+    grid: Grid2D
+    values: np.ndarray
+    mask: np.ndarray | None = None
 
     def __post_init__(self):
-        g = self.e11.grid
-        if any(e.grid != g for e in (self.e12, self.e21, self.e22)):
-            raise GridConfigError("matrix entries must share the grid")
+        if self.values.shape != (2, 2, self.grid.ny, self.grid.nx):
+            raise GridConfigError(f"matrix values shape {self.values.shape} does not fit the grid")
 
-    @property
-    def grid(self) -> Grid2D:
-        return self.e11.grid
+    def _mask_with(self, other: "Mat2Field"):
+        if other.grid != self.grid:
+            raise GridConfigError("grid mismatch")
+        return _merge_masks(self.mask, other.mask)
 
-    def entries(self):
-        return (self.e11, self.e12, self.e21, self.e22)
+    def entry(self, i: int, j: int) -> ComplexField:
+        return ComplexField(self.grid, self.values[i, j], self.mask)
 
     @classmethod
     def from_values(cls, grid: Grid2D, v11, v12, v21, v22, mask=None) -> "Mat2Field":
-        return cls(ComplexField(grid, v11, mask), ComplexField(grid, v12, mask),
-                   ComplexField(grid, v21, mask), ComplexField(grid, v22, mask))
+        vals = _empty(grid)
+        vals[0, 0], vals[0, 1], vals[1, 0], vals[1, 1] = v11, v12, v21, v22
+        return cls(grid, vals, mask)
 
     @classmethod
     def constant(cls, grid: Grid2D, m) -> "Mat2Field":
-        m = np.asarray(m, dtype=complex)
-        return cls(constant_field(grid, m[0, 0]), constant_field(grid, m[0, 1]),
-                   constant_field(grid, m[1, 0]), constant_field(grid, m[1, 1]))
+        """The same matrix at every node, as a zero-stride view of m."""
+        m = np.asarray(m, dtype=np.complex128)
+        return cls(grid, np.broadcast_to(m[:, :, None, None], (2, 2, grid.ny, grid.nx)))
 
     def __matmul__(self, other: "Mat2Field") -> "Mat2Field":
-        a, b, c, d = self.entries()
-        e, f, g, h = other.entries()
-        return Mat2Field(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+        mask = self._mask_with(other)
+        A, B = self.values, other.values
+        out = _empty(self.grid)
+        for i in range(2):
+            for k in range(2):
+                np.multiply(A[i, 0], B[0, k], out=out[i, k])
+                out[i, k] += A[i, 1] * B[1, k]
+        return Mat2Field(self.grid, out, mask)
 
     def __add__(self, other: "Mat2Field") -> "Mat2Field":
-        return Mat2Field(*(x + y for x, y in zip(self.entries(), other.entries())))
+        return Mat2Field(self.grid, self.values + other.values, self._mask_with(other))
 
     def __sub__(self, other: "Mat2Field") -> "Mat2Field":
-        return Mat2Field(*(x - y for x, y in zip(self.entries(), other.entries())))
-
-    def __neg__(self) -> "Mat2Field":
-        return Mat2Field(*(-x for x in self.entries()))
+        return Mat2Field(self.grid, self.values - other.values, self._mask_with(other))
 
     def scale(self, s) -> "Mat2Field":
-        return Mat2Field(*(x * s for x in self.entries()))
+        return Mat2Field(self.grid, self.values * s, self.mask)
 
     def transpose(self) -> "Mat2Field":
-        return Mat2Field(self.e11, self.e21, self.e12, self.e22)
-
-    def conj_entries(self) -> "Mat2Field":
-        return Mat2Field(*(x.conj() for x in self.entries()))
+        return Mat2Field(self.grid, self.values.transpose(1, 0, 2, 3), self.mask)
 
     def det(self) -> ComplexField:
-        return self.e11 * self.e22 - self.e12 * self.e21
+        v = self.values
+        return ComplexField(self.grid, v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0], self.mask)
 
     def inv(self, min_det: float = 0.0) -> "Mat2Field":
-        d = self.det()
-        mask = None
-        dv = d.values
+        """Adjugate over determinant; nodes with |det| < min_det join the mask
+        and are divided by 1 instead."""
+        dv = self.det().values
+        mask = self.mask
         if min_det > 0.0:
             bad = np.abs(dv) < min_det
             if bad.any():
-                mask = bad
-                dv = dv.copy()
+                mask = _merge_masks(mask, bad)
                 dv[bad] = 1.0
-        dfield = ComplexField(self.grid, dv, _merge(d.mask, mask))
-        return Mat2Field(self.e22 / dfield, -self.e12 / dfield,
-                         -self.e21 / dfield, self.e11 / dfield)
+        v, out = self.values, _empty(self.grid)
+        np.divide(v[1, 1], dv, out=out[0, 0])
+        np.divide(v[0, 0], dv, out=out[1, 1])
+        np.negative(dv, out=dv)
+        np.divide(v[0, 1], dv, out=out[0, 1])
+        np.divide(v[1, 0], dv, out=out[1, 0])
+        return Mat2Field(self.grid, out, mask)
 
     def wirtinger(self, direction: str, scheme: str = "central2") -> "Mat2Field":
-        return Mat2Field(*(wirtinger_derivative(e, direction, scheme) for e in self.entries()))
+        out = _empty(self.grid)
+        for i in range(2):
+            for j in range(2):
+                out[i, j] = wirtinger_derivative(self.entry(i, j), direction, scheme).values
+        return Mat2Field(self.grid, out, self.mask)
 
     def at(self, ix: int, iy: int) -> np.ndarray:
-        return np.array([[self.e11.values[iy, ix], self.e12.values[iy, ix]],
-                         [self.e21.values[iy, ix], self.e22.values[iy, ix]]])
+        return np.array(self.values[:, :, iy, ix])
 
     def max_abs(self) -> float:
-        return max(e.max_abs() for e in self.entries())
+        return max(self.entry(i, j).max_abs() for i in range(2) for j in range(2))
 
     def column_spinor(self, col: int = 0) -> SpinorField:
-        if col == 0:
-            return SpinorField(self.e11, self.e21)
-        return SpinorField(self.e12, self.e22)
+        """Column col as a spinor; its entries are copies, so the matrix can be freed."""
+        v = self.values
+        return SpinorField(ComplexField(self.grid, v[0, col].copy(), self.mask),
+                           ComplexField(self.grid, v[1, col].copy(), self.mask))
 
 
-def _merge(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a | b
-
-
-class QuatField(Mat2Field):
-    """Mat2Field constrained to the quaternion pattern [[a, -conj(b)],[b, conj(a)]]."""
-
-    @classmethod
-    def from_components(cls, a: ComplexField, b: ComplexField) -> "QuatField":
-        return cls(a, -b.conj(), b, a.conj())
-
-    def pattern_residual(self) -> float:
-        r1 = (self.e22 - self.e11.conj()).max_abs()
-        r2 = (self.e12 + self.e21.conj()).max_abs()
-        return max(r1, r2)
-
-
-def quaternionize(psi: SpinorField) -> QuatField:
+def quaternionize(psi: SpinorField) -> Mat2Field:
     """Psi = [[psi1, -conj(psi2)],[psi2, conj(psi1)]] per node."""
-    return QuatField.from_components(psi.psi1, psi.psi2)
+    a, b = psi.psi1.values, psi.psi2.values
+    return Mat2Field.from_values(psi.grid, a, -np.conj(b), b, np.conj(a),
+                                 _merge_masks(psi.psi1.mask, psi.psi2.mask))
 
 
 GAMMA = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -207,7 +205,7 @@ def dirac_residual_norm(U, psi, scheme: str = "central2", interior: int = 0,
     """max |D psi| over the grid, optionally skipping a boundary margin."""
     r = (apply_Dvee if vee else apply_D)(U, psi, scheme)
     v = np.maximum(np.abs(r.psi1.values), np.abs(r.psi2.values))
-    mask = _merge(r.psi1.mask, r.psi2.mask)
+    mask = _merge_masks(r.psi1.mask, r.psi2.mask)
     if mask is not None:
         v = np.where(mask, 0.0, v)
     if interior:

@@ -25,7 +25,8 @@ import numpy as np
 from .exactpoly import (BiPoly, C, RationalFn, T, Z, ZBAR, heat_extend,
                         heat_residual)
 from .grid import (ComplexField, Grid2D, SchemeError, integrate2d,
-                   spectral_wavenumbers, wirtinger_derivative)
+                   neighbor_mean_patched, quadrature_sum, spectral_wavenumbers,
+                   wirtinger_derivative)
 
 
 class InvalidDatumError(ValueError):
@@ -139,6 +140,12 @@ class OzawaData:
         vals = np.exp(-1j * b / (4 * a) * (X**2 - Y**2)) \
             / (a * (1 + ((X / a) ** 2 + (Y / a) ** 2) / 2))
         return ComplexField(grid, vals)
+
+    def U0_zside(self, grid: Grid2D) -> ComplexField:
+        """The datum in the evolver's z-side variables on a z-plane grid:
+        U(x, y) = sqrt(2) W(2y, 2x), sampled through physical_grid_of."""
+        W = self.U0_field(physical_grid_of(grid))
+        return ComplexField(grid, np.sqrt(2) * _swap_scale(W.values))
 
 
 def catalog(name: str, c=1.0, a: float = 1.0, b: float = -1.0):
@@ -375,15 +382,11 @@ def l2_norm_sq(U: ComplexField, inner_frac: float = 0.7, decay_tol: float = 10.0
     Masked (singular) nodes are patched with the 8-neighbour mean; |U|^2 stays
     bounded at the catalog singularities, so the patch is O(h^2) accurate."""
     g = U.grid
-    u2 = U.abs2()
+    u2vals = U.abs2().values
     if U.mask is not None and U.mask.any():
         # patch once so the full-box and sub-box quadratures see the same field
-        patched = ComplexField(g, u2.values, U.mask)
-        raw = integrate2d(patched, mask_policy="neighbor_mean").real
-        u2vals = _neighbor_patched(u2.values, U.mask)
-    else:
-        raw = integrate2d(u2).real
-        u2vals = u2.values
+        u2vals = neighbor_mean_patched(u2vals, U.mask)
+    raw = integrate2d(ComplexField(g, u2vals)).real
 
     v = np.abs(U.values)
     ring = np.concatenate([v[0, :], v[-1, :], v[:, 0], v[:, -1]])
@@ -404,37 +407,12 @@ def l2_norm_sq(U: ComplexField, inner_frac: float = 0.7, decay_tol: float = 10.0
     sely = np.abs(ys) <= R2
     if selx.sum() >= 8 and sely.sum() >= 8:
         sub = u2vals[np.ix_(sely, selx)]
-        I1, I2 = raw, _trapz2(sub, g.hx, g.hy)
+        I1, I2 = raw, float(quadrature_sum(sub.real, g.hx, g.hy))
         value = (I1 * R1**2 - I2 * R2**2) / (R1**2 - R2**2)
     else:
         value = raw
     tail = np.pi * Cdec**2 / R1**2
     return NormResult(float(value), float(raw), float(tail), bool(decay_ok))
-
-
-def _neighbor_patched(vals: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    out = vals.copy()
-    ny, nx = vals.shape
-    for iy, ix in zip(*np.nonzero(mask)):
-        acc, cnt = 0.0, 0
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                jy, jx = iy + dy, ix + dx
-                if (dy == 0 and dx == 0) or not (0 <= jy < ny and 0 <= jx < nx):
-                    continue
-                if not mask[jy, jx]:
-                    acc += vals[jy, jx]
-                    cnt += 1
-        out[iy, ix] = acc / cnt if cnt else 0.0
-    return out
-
-
-def _trapz2(vals: np.ndarray, hx: float, hy: float) -> float:
-    wx = np.full(vals.shape[1], hx)
-    wx[0] = wx[-1] = hx / 2
-    wy = np.full(vals.shape[0], hy)
-    wy[0] = wy[-1] = hy / 2
-    return float(np.sum((vals.real * wx[None, :]) * wy[:, None]))
 
 
 # ---------------------------------------------------------------------------

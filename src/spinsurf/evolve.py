@@ -74,7 +74,7 @@ class DsiiEvolver:
         if not np.all(np.isfinite(vals)):
             raise BlowupAbort(f"non-finite field at t={state.t + self.dt:g}", state)
         return EvolverState(ComplexField(self.grid, vals), state.t + self.dt,
-                            self.dt, state.n_steps + 1, state.history)
+                            self.dt, state.n_steps + 1, list(state.history))
 
 
 def dsii_step(state: EvolverState, evolver: DsiiEvolver | None = None) -> EvolverState:
@@ -90,6 +90,7 @@ class Trajectory:
     times: list
     norms: list
     snapshots: list          # (t, ComplexField) pairs when requested
+    final: ComplexField      # field at times[-1]
     aborted: bool = False
     abort_reason: str = ""
 
@@ -114,10 +115,10 @@ def evolve(U0: ComplexField, t_end: float, dt: float, t0: float = 0.0,
                 callback(state)
     except BlowupAbort as exc:
         warnings.warn(str(exc))
-        return Trajectory(times, norms, snaps, aborted=True, abort_reason=str(exc))
+        return Trajectory(times, norms, snaps, state.U, aborted=True, abort_reason=str(exc))
     if snapshot_every and snaps[-1][0] != state.t:
         snaps.append((state.t, state.U))
-    return Trajectory(times, norms, snaps)
+    return Trajectory(times, norms, snaps, state.U)
 
 
 def write_trajectory(traj: Trajectory, outdir) -> dict:

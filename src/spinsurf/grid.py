@@ -284,6 +284,33 @@ def _axis_weights(n: int, h: float, periodic: bool) -> np.ndarray:
     return w
 
 
+def quadrature_sum(vals: np.ndarray, hx: float, hy: float, periodic_x: bool = False,
+                   periodic_y: bool = False):
+    """Trapezoid sum of a (ny, nx) array; rectangle rule along periodic axes."""
+    wx = _axis_weights(vals.shape[1], hx, periodic_x)
+    wy = _axis_weights(vals.shape[0], hy, periodic_y)
+    return np.sum((vals * wx[None, :]) * wy[:, None])
+
+
+def neighbor_mean_patched(vals: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Copy of vals with each masked node set to the mean over its unmasked
+    8-neighbours (0 when it has none)."""
+    out = vals.copy()
+    ny, nx = vals.shape
+    for iy, ix in zip(*np.nonzero(mask)):
+        acc, cnt = 0.0, 0
+        for dy in (-1, 0, 1):
+            for dx in (-1, 0, 1):
+                jy, jx = iy + dy, ix + dx
+                if (dy == 0 and dx == 0) or not (0 <= jy < ny and 0 <= jx < nx):
+                    continue
+                if not mask[jy, jx]:
+                    acc += vals[jy, jx]
+                    cnt += 1
+        out[iy, ix] = acc / cnt if cnt else 0.0
+    return out
+
+
 def integrate2d(f: ComplexField, mask_policy: str = "reject") -> complex:
     """Trapezoid (non-periodic) / rectangle (periodic) quadrature of f over the grid.
 
@@ -294,26 +321,14 @@ def integrate2d(f: ComplexField, mask_policy: str = "reject") -> complex:
     if f.mask is not None and f.mask.any():
         if mask_policy == "reject":
             raise MaskError("field has masked nodes; choose a mask policy")
-        vals = vals.copy()
         if mask_policy == "zero":
-            vals[f.mask] = 0.0
+            vals = np.where(f.mask, 0.0, vals)
         elif mask_policy == "neighbor_mean":
-            for iy, ix in zip(*np.nonzero(f.mask)):
-                acc, cnt = 0.0, 0
-                for dy2 in (-1, 0, 1):
-                    for dx2 in (-1, 0, 1):
-                        jy, jx = iy + dy2, ix + dx2
-                        if (dy2 == 0 and dx2 == 0) or not (0 <= jy < f.grid.ny and 0 <= jx < f.grid.nx):
-                            continue
-                        if not f.mask[jy, jx]:
-                            acc += vals[jy, jx]
-                            cnt += 1
-                vals[iy, ix] = acc / cnt if cnt else 0.0
+            vals = neighbor_mean_patched(vals, f.mask)
         else:
             raise MaskError(f"unknown mask policy {mask_policy!r}")
-    wx = _axis_weights(f.grid.nx, f.grid.hx, f.grid.periodic_x)
-    wy = _axis_weights(f.grid.ny, f.grid.hy, f.grid.periodic_y)
-    return complex(np.sum((vals * wx[None, :]) * wy[:, None]))
+    g = f.grid
+    return complex(quadrature_sum(vals, g.hx, g.hy, g.periodic_x, g.periodic_y))
 
 
 # ---------------------------------------------------------------------------

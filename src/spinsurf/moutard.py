@@ -4,11 +4,12 @@ matrix S, the K matrix, transformed spinors and DSII potential updates.
 Fixed conventions (selected by requiring closedness of omega and the recovery
 of the heat-polynomial potentials, see tests):
 
-    Gamma = [[0, 1], [-1, 0]]
+    Gamma = [[0, 1], [-1, 0]],  P1 = diag(1, 0),  P2 = diag(0, 1)
     X^T   = plain matrix transpose inside omega and K (the conjugate-transpose
-            candidate fails closedness and is kept only behind the switch)
+            candidate fails closedness; omega keeps it behind a switch)
     omega(Phi,Psi)  = -(i/2)(Phi^T s3 Psi + Phi^T Psi) dz
                       -(i/2)(Phi^T s3 Psi - Phi^T Psi) dzbar
+                    = -i Phi^T P1 Psi dz + i Phi^T P2 Psi dzbar
     S(Phi,Psi)      = Gamma * int omega  (+ Gamma * int omega1 dt when
                       time-augmented), + integration constant
     K(Phi,Psi)      = Psi S^-1 Gamma Phi^T Gamma^-1 = [[i conj(W), a],
@@ -30,7 +31,7 @@ import numpy as np
 from .dirac import GAMMA, Mat2Field, SpinorField, quaternionize
 from .exactpoly import (BiPoly, GAMMA_EXACT, RMat2, RationalFn, T, Z, ZBAR,
                         heat_extend)
-from .grid import (ComplexField, Form1, Grid2D, antiderivative,
+from .grid import (ComplexField, Form1, Grid2D, _merge_masks, antiderivative,
                    closedness_defect, constant_field, wirtinger_derivative)
 
 
@@ -42,7 +43,6 @@ class NormalizationError(RuntimeError):
     pass
 
 
-_SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]])
 _P1 = np.array([[1.0, 0.0], [0.0, 0.0]])
 _P2 = np.array([[0.0, 0.0], [0.0, 1.0]])
 
@@ -55,55 +55,36 @@ class MatForm1:
     dzb: Mat2Field
 
     def form1(self, i: int, j: int) -> Form1:
-        return Form1(self.dz.entries()[2 * i + j], self.dzb.entries()[2 * i + j])
+        return Form1(self.dz.entry(i, j), self.dzb.entry(i, j))
 
     def max_closedness_defect(self, scheme: str = "central2") -> float:
         return max(closedness_defect(self.form1(i, j), scheme)
                    for i in range(2) for j in range(2))
 
 
-def _const_mat(grid: Grid2D, m) -> Mat2Field:
-    return Mat2Field.constant(grid, np.asarray(m, dtype=complex))
-
-
 def omega(Phi: Mat2Field, Psi: Mat2Field, convention: str = "transpose") -> MatForm1:
     """The closed matrix 1-form pairing Phi and Psi."""
     if Phi.grid != Psi.grid:
         raise ValueError("grid mismatch")
-    if convention == "transpose":
-        Pt = Phi.transpose()
-    elif convention == "conj_transpose":
-        Pt = Phi.transpose().conj_entries()
-    else:
+    Pt = Phi.transpose()
+    if convention == "conj_transpose":
+        Pt = Mat2Field(Pt.grid, np.conj(Pt.values), Pt.mask)
+    elif convention != "transpose":
         raise ValueError(f"unknown convention {convention!r}")
-    s3 = _const_mat(Phi.grid, _SIGMA3)
-    A = Pt @ (s3 @ Psi)
-    B = Pt @ Psi
-    dz = (A + B).scale(-0.5j)
-    dzb = (A - B).scale(-0.5j)
+    g = Phi.grid
+    dz = Pt @ (Mat2Field.constant(g, -1j * _P1) @ Psi)
+    dzb = Pt @ (Mat2Field.constant(g, 1j * _P2) @ Psi)
     return MatForm1(dz, dzb)
 
 
-def omega1(Phi: Mat2Field, Psi: Mat2Field, scheme: str = "central2",
-           derivatives=None, convention: str = "transpose") -> Mat2Field:
-    """dt coefficient of the time augmentation of S(Phi, Psi).
-
-    derivatives may supply (Phi_z, Phi_zb, Psi_z, Psi_zb) as Mat2Fields; they
-    are computed with the given scheme otherwise.
-    """
-    if derivatives is None:
-        Phz = Phi.wirtinger("z", scheme)
-        Phzb = Phi.wirtinger("zbar", scheme)
-        Psz = Psi.wirtinger("z", scheme)
-        Pszb = Psi.wirtinger("zbar", scheme)
-    else:
-        Phz, Phzb, Psz, Pszb = derivatives
-    tr = (lambda M: M.transpose()) if convention == "transpose" \
-        else (lambda M: M.transpose().conj_entries())
-    P1 = _const_mat(Phi.grid, _P1)
-    P2 = _const_mat(Phi.grid, _P2)
-    left = (tr(Phz) @ P1 + tr(Phzb) @ P2) @ Psi
-    right = tr(Phi) @ (P1 @ Psz + P2 @ Pszb)
+def omega1(Phi: Mat2Field, Psi: Mat2Field, scheme: str = "central2") -> Mat2Field:
+    """dt coefficient of the time augmentation of S(Phi, Psi)."""
+    P1 = Mat2Field.constant(Phi.grid, _P1)
+    P2 = Mat2Field.constant(Phi.grid, _P2)
+    left = (Phi.wirtinger("z", scheme).transpose() @ P1
+            + Phi.wirtinger("zbar", scheme).transpose() @ P2) @ Psi
+    right = Phi.transpose() @ (P1 @ Psi.wirtinger("z", scheme)
+                               + P2 @ Psi.wirtinger("zbar", scheme))
     return left - right
 
 
@@ -123,7 +104,7 @@ class SMatrix:
 
     def with_constant_added(self, C: np.ndarray) -> "SMatrix":
         C = np.asarray(C, dtype=complex)
-        Sm = self.S + _const_mat(self.grid, C)
+        Sm = self.S + Mat2Field.constant(self.grid, C)
         return SMatrix(Sm, self.constant + C, self.base_node, self.time_augmented,
                        self.loop_defect)
 
@@ -138,8 +119,9 @@ class SMatrix:
             "constant": [[_c2l(self.constant[i, j]) for j in range(2)] for i in range(2)],
             "time_augmented": self.time_augmented,
             "loop_defect": self.loop_defect,
-            "entries": {name: [e.values.real.tolist(), e.values.imag.tolist()]
-                        for name, e in zip(("e11", "e12", "e21", "e22"), self.S.entries())},
+            "entries": {f"e{i + 1}{j + 1}": [self.S.values[i, j].real.tolist(),
+                                             self.S.values[i, j].imag.tolist()]
+                        for i in range(2) for j in range(2)},
         }
         return json.dumps(payload)
 
@@ -150,7 +132,7 @@ def _c2l(v):
 
 def build_S(Phi: Mat2Field, Psi: Mat2Field, base_node=None, constant=None,
             time_offset: np.ndarray | None = None, scheme: str = "central2",
-            convention: str = "transpose", defect_tol: float | None = None) -> SMatrix:
+            defect_tol: float | None = None) -> SMatrix:
     """Spatial integration of Gamma * omega(Phi, Psi) along L-paths.
 
     `constant` is the value added after anchoring the integral to zero at the
@@ -160,27 +142,26 @@ def build_S(Phi: Mat2Field, Psi: Mat2Field, base_node=None, constant=None,
     grid = Phi.grid
     if base_node is None:
         base_node = (grid.nx // 2, grid.ny // 2)
-    w = omega(Phi, Psi, convention)
-    gdz = _const_mat(grid, GAMMA) @ w.dz
-    gdzb = _const_mat(grid, GAMMA) @ w.dzb
+    w = omega(Phi, Psi)
+    gamma = Mat2Field.constant(grid, GAMMA)
+    gdz, gdzb = gamma @ w.dz, gamma @ w.dzb
+    del w
     defect = MatForm1(gdz, gdzb).max_closedness_defect(scheme)
     scale = max(gdz.max_abs(), gdzb.max_abs(), 1.0)
     if defect_tol is None:
         defect_tol = 100.0 * max(grid.hx, grid.hy) ** 2
     if defect > defect_tol * scale:
         raise ClosednessError(f"omega not closed: defect {defect:.3g} (tol {defect_tol * scale:.3g})")
-    entries = []
-    for k in range(4):
-        p = gdz.entries()[k]
-        q = gdzb.entries()[k]
-        entries.append(antiderivative(Form1(p, q), base_node).values)
     C = np.zeros((2, 2), dtype=complex) if constant is None else np.asarray(constant, complex)
     if time_offset is not None:
         C = C + np.asarray(time_offset, dtype=complex)
-    vals = [entries[k] + C[k // 2, k % 2] for k in range(4)]
-    S = Mat2Field.from_values(grid, *vals)
-    return SMatrix(S, C, tuple(base_node), time_augmented=time_offset is not None,
-                   loop_defect=defect)
+    vals = np.empty_like(gdz.values)
+    for i in range(2):
+        for j in range(2):
+            form = Form1(gdz.entry(i, j), gdzb.entry(i, j))
+            vals[i, j] = antiderivative(form, base_node).values + C[i, j]
+    return SMatrix(Mat2Field(grid, vals), C, tuple(base_node),
+                   time_augmented=time_offset is not None, loop_defect=defect)
 
 
 def time_offset_integral(phi_of_t, psi_of_t, t_grid, base_node, grid: Grid2D,
@@ -190,15 +171,8 @@ def time_offset_integral(phi_of_t, psi_of_t, t_grid, base_node, grid: Grid2D,
     phi_of_t / psi_of_t map a time to the Mat2Field spinor extensions.
     """
     ix, iy = base_node
-    vals = []
-    for t in t_grid:
-        w1 = omega1(phi_of_t(t), psi_of_t(t), scheme)
-        vals.append(GAMMA @ w1.at(ix, iy))
-    vals = np.array(vals)
-    out = np.zeros((2, 2), dtype=complex)
-    for k in range(len(t_grid) - 1):
-        out += (vals[k] + vals[k + 1]) / 2 * (t_grid[k + 1] - t_grid[k])
-    return out
+    vals = [GAMMA @ omega1(phi_of_t(t), psi_of_t(t), scheme).at(ix, iy) for t in t_grid]
+    return np.trapezoid(vals, t_grid, axis=0)
 
 
 def normalize_S_pair(SA: SMatrix, SB: SMatrix, tol: float = 1e-8):
@@ -209,8 +183,7 @@ def normalize_S_pair(SA: SMatrix, SB: SMatrix, tol: float = 1e-8):
     """
     target = _gamma_T_gamma(SA.S)
     diff = target - SB.S
-    C = np.array([[np.mean(e.values) for e in diff.entries()[:2]],
-                  [np.mean(e.values) for e in diff.entries()[2:]]])
+    C = diff.values.mean(axis=(2, 3))
     SBn = SB.with_constant_added(C)
     res = (target - SBn.S).max_abs()
     scale = max(SA.S.max_abs(), 1.0)
@@ -220,7 +193,7 @@ def normalize_S_pair(SA: SMatrix, SB: SMatrix, tol: float = 1e-8):
 
 
 def _gamma_T_gamma(M: Mat2Field) -> Mat2Field:
-    g = _const_mat(M.grid, GAMMA)
+    g = Mat2Field.constant(M.grid, GAMMA)
     return g @ M.transpose() @ g
 
 
@@ -234,21 +207,19 @@ class KData:
 
 
 def k_matrix(Psi: Mat2Field, S: SMatrix | Mat2Field, Phi: Mat2Field,
-             min_det: float = 1e-12, convention: str = "transpose",
-             pattern_tol: float = 1e-8) -> KData:
+             min_det: float = 1e-12, pattern_tol: float = 1e-8) -> KData:
     """Extract (W, a) from the K matrix; block-pattern consistency is asserted."""
     Sm = S.S if isinstance(S, SMatrix) else S
     Sinv = Sm.inv(min_det=min_det * max(Sm.max_abs(), 1.0) ** 2)
-    g = _const_mat(Sm.grid, GAMMA)
-    ginv = _const_mat(Sm.grid, -GAMMA)
-    Pt = Phi.transpose() if convention == "transpose" else Phi.transpose().conj_entries()
-    K = Psi @ Sinv @ g @ Pt @ ginv
-    W = ComplexField(Sm.grid, 1j * K.e22.values, K.e22.mask)
-    a = K.e12
+    g = Mat2Field.constant(Sm.grid, GAMMA)
+    ginv = Mat2Field.constant(Sm.grid, -GAMMA)
+    K = Psi @ Sinv @ g @ Phi.transpose() @ ginv
+    Kv, mask = K.values, K.mask
+    W = ComplexField(Sm.grid, 1j * Kv[1, 1], mask)
+    a = ComplexField(Sm.grid, Kv[0, 1].copy(), mask)     # a copy does not keep K alive
     scale = max(W.max_abs(), a.max_abs(), 1.0)
-    r1 = np.abs(K.e11.values - 1j * np.conj(W.values))
-    r2 = np.abs(K.e21.values + np.conj(a.values))
-    mask = K.e11.mask
+    r1 = np.abs(Kv[0, 0] - 1j * np.conj(W.values))
+    r2 = np.abs(Kv[1, 0] + np.conj(a.values))
     if mask is not None:
         r1, r2 = np.where(mask, 0, r1), np.where(mask, 0, r2)
     residual = float(max(r1.max(), r2.max()))
@@ -319,14 +290,11 @@ class MoutardTransform:
         """Spinors representing the inverted surface S^-1 with potential U + W."""
         eps = 1e-12 * max(self.S0.S.max_abs(), 1.0) ** 2
         Psis = self.Psi0 @ self.S0.S.inv(min_det=eps)
-        det = self.S0.det()
-        dv = det.values
+        dv = self.S0.det().values
         bad = np.abs(dv) < eps
-        mask = (det.mask | bad) if det.mask is not None else (bad if bad.any() else None)
-        dv = np.where(bad, 1.0, dv)
-        inv_det = ComplexField(det.grid, 1.0 / dv, mask)
-        Phis = (self.Phi0 @ self.S0.S).scale(-1.0)
-        Phis = Mat2Field(*(e * inv_det for e in Phis.entries()))
+        Phis = (self.Phi0 @ self.S0.S).scale(-1.0 / np.where(bad, 1.0, dv))
+        if bad.any():
+            Phis.mask = _merge_masks(Phis.mask, bad)
         return Psis.column_spinor(0), Phis.column_spinor(0)
 
 

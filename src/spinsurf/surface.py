@@ -329,11 +329,10 @@ def surface_to_smatrix(S: SurfaceMap) -> Mat2Field:
 
 
 def smatrix_to_surface(M: Mat2Field, basepoint=None) -> SurfaceMap:
-    coords = smatrix_values_to_coords(M.e11.values, M.e12.values,
-                                      M.e21.values, M.e22.values)
+    v = M.values
+    coords = smatrix_values_to_coords(v[0, 0], v[0, 1], v[1, 0], v[1, 1])
     bp = coords[:, M.grid.ny // 2, M.grid.nx // 2] if basepoint is None else np.asarray(basepoint)
-    mask = M.e11.mask
-    return SurfaceMap(M.grid, coords, bp, mask)
+    return SurfaceMap(M.grid, coords, bp, M.mask)
 
 
 def invert_surface(S: SurfaceMap, eps_rel: float = 1e-9) -> SurfaceMap:

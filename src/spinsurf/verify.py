@@ -75,7 +75,7 @@ def _abs_check(name, value, tol, detail="") -> CheckResult:
 
 
 @_timed
-def suite_symbolic(seed: int = 0) -> list[CheckResult]:
+def suite_symbolic() -> list[CheckResult]:
     out = []
     t0 = time.time()
     for name in ("s1", "s2"):
@@ -103,7 +103,7 @@ def suite_symbolic(seed: int = 0) -> list[CheckResult]:
 
 
 @_timed
-def suite_norms(seed: int = 0) -> list[CheckResult]:
+def suite_norms() -> list[CheckResult]:
     out = []
     g30 = square_grid(30.0, 769)
     s1 = catalog("s1", c=1.0)
@@ -134,7 +134,7 @@ def suite_norms(seed: int = 0) -> list[CheckResult]:
 
 
 @_timed
-def suite_singularities(seed: int = 0) -> list[CheckResult]:
+def suite_singularities() -> list[CheckResult]:
     out = []
     for tau in (1.0, -0.6):
         sol = catalog("s1", c=1j * tau)
@@ -167,7 +167,7 @@ def suite_singularities(seed: int = 0) -> list[CheckResult]:
 
 
 @_timed
-def suite_willmore(seed: int = 0) -> list[CheckResult]:
+def suite_willmore() -> list[CheckResult]:
     out = []
     for N in (1, 2, 3):
         chk = willmore_bound_check(soliton_potential(N), N)
@@ -193,7 +193,7 @@ def suite_willmore(seed: int = 0) -> list[CheckResult]:
 
 
 @_timed
-def suite_dirac(seed: int = 0) -> list[CheckResult]:
+def suite_dirac() -> list[CheckResult]:
     out = []
     from .moutard import moutard_exact
     sol = catalog("s1", c=1.0)
@@ -240,7 +240,7 @@ def _graph_data(grid, t=0.3, c=1.0):
 
 
 @_timed
-def suite_weierstrass(seed: int = 0) -> list[CheckResult]:
+def suite_weierstrass() -> list[CheckResult]:
     out = []
     res = {}
     for n in (128, 256):
@@ -295,7 +295,7 @@ def _plane_background(n: int):
 
 
 @_timed
-def suite_moutard(seed: int = 0) -> list[CheckResult]:
+def suite_moutard() -> list[CheckResult]:
     out = []
     # exact rational identities: K-matrix recovers the heat-polynomial data
     for name in ("s1", "s2"):
@@ -367,18 +367,16 @@ def suite_moutard(seed: int = 0) -> list[CheckResult]:
 
 
 @_timed
-def suite_evolver(seed: int = 0, n: int = 256, t_end: float = 0.1,
-                  dt: float = 1e-4) -> list[CheckResult]:
+def suite_evolver(n: int = 256, t_end: float = 0.1, dt: float = 1e-4) -> list[CheckResult]:
     out = []
     g = square_grid(30.0, n, periodic=True)
     sol = catalog("s1", c=1.0)
     U0 = sol.U_field(g, 0.0)
     t0 = time.time()
-    traj = evolve(U0, t_end, dt, snapshot_every=10**9)   # keep initial + final only
+    traj = evolve(U0, t_end, dt)
     elapsed = time.time() - t0
     Uex = sol.U_field(g, traj.times[-1])
-    U_final = traj.snapshots[-1][1]
-    err = np.sqrt(grid_norm_sq(ComplexField(g, U_final.values - Uex.values)))
+    err = np.sqrt(grid_norm_sq(traj.final - Uex))
     rel = float(err / np.sqrt(grid_norm_sq(Uex)))
     drift = abs(traj.norms[-1] - traj.norms[0]) / traj.norms[0]
     out.append(_abs_check(f"evolver rel L2 error vs exact ({n}^2, dt={dt:g})", rel, 1e-2))
@@ -393,7 +391,7 @@ def suite_evolver(seed: int = 0, n: int = 256, t_end: float = 0.1,
 
 
 @_timed
-def suite_reduction(seed: int = 0) -> list[CheckResult]:
+def suite_reduction() -> list[CheckResult]:
     out = []
     profiles = {
         "sech": lambda x: 1.0 / np.cosh(x),
@@ -425,15 +423,15 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int = 12345) -> list[CheckResult]:
+def run_suite(name: str) -> list[CheckResult]:
     if name == "all":
         out = []
         for key in SUITES:
-            out.extend(SUITES[key](seed))
+            out.extend(SUITES[key]())
         return out
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
-    return SUITES[name](seed)
+    return SUITES[name]()
 
 
 def print_table(results) -> None:

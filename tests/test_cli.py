@@ -81,6 +81,25 @@ def test_evolve_s1_summary(tmp_path):
     assert summary["norm_drift_rel"] < 1e-6
 
 
+def test_evolve_s1_error_without_snapshots(tmp_path):
+    out = tmp_path / "evs"
+    rc = main(["evolve", "--from", "s1", "--c", "1", "--grid", "64x64",
+               "--box=-20:20:-20:20", "--t-end", "0.005", "--dt", "5e-4",
+               "--out", str(out)])
+    assert rc == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["rel_l2_error_vs_exact"] < 0.05
+
+
+def test_gen_surface_outputs_are_reproducible(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        main(["gen-surface", "--spinor", "enneper", "--grid", "24x24",
+              "--format", "ply", "--out", str(out)])
+    for name in ("surface.ply", "surface.ply.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
 def test_gen_surface_catenoid_periodic_axis(tmp_path):
     out = tmp_path / "cat"
     rc = main(["gen-surface", "--spinor", "catenoid", "--periodic", "y",
@@ -99,7 +118,7 @@ def test_evolve_ozawa_short(tmp_path, capsys):
                "--dt", "1e-3", "--out", str(out)])
     assert rc == 0
     text = capsys.readouterr().out
-    assert "blow-up time T = 1" in text
+    assert "z-side blow-up time t = T/2 = 0.5" in text
 
 
 def test_willmore_check_cli(capsys):

@@ -129,8 +129,7 @@ def test_quaternionize_respects_multiplication(grid):
     c1 = a.psi1.values * b.psi1.values - np.conj(a.psi2.values) * b.psi2.values
     c2 = a.psi2.values * b.psi1.values + np.conj(a.psi1.values) * b.psi2.values
     direct = quaternionize(SpinorField(ComplexField(grid, c1), ComplexField(grid, c2)))
-    for e1, e2 in zip(prod.entries(), direct.entries()):
-        assert np.max(np.abs(e1.values - e2.values)) < 1e-12
+    assert np.max(np.abs(prod.values - direct.values)) < 1e-12
 
 
 def test_gauge_identity(grid):
@@ -201,8 +200,36 @@ def test_mat2field_inverse(grid):
     zm = grid.zmesh()
     M = Mat2Field.from_values(grid, zm, 0 * zm, 0 * zm, np.conj(zm))
     prod = M @ M.inv(min_det=1e-6)
-    vals = prod.e11.values[np.abs(zm) > 0.1]
+    vals = prod.values[0, 0][np.abs(zm) > 0.1]
     assert np.max(np.abs(vals - 1.0)) < 1e-10
+
+
+def test_mat2field_ops_match_per_node_linalg():
+    g = make_grid((-1, 1, -1, 1), (12, 10))
+    rng = np.random.default_rng(11)
+
+    def rand(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    A = Mat2Field(g, rand(2, 2, g.ny, g.nx), rng.random((g.ny, g.nx)) < 0.2)
+    B = Mat2Field(g, rand(2, 2, g.ny, g.nx), rng.random((g.ny, g.nx)) < 0.2)
+    C = Mat2Field.constant(g, rand(2, 2))
+    assert C.values.strides[2:] == (0, 0) and C.mask is None
+
+    def nodes(M):                       # (ny, nx, 2, 2) stack for np.linalg
+        return np.moveaxis(M.values, (0, 1), (2, 3))
+
+    for X, Y in ((A, B), (A, C), (C, B)):
+        prod, total = X @ Y, X + Y
+        np.testing.assert_allclose(nodes(prod), nodes(X) @ nodes(Y), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(nodes(total), nodes(X) + nodes(Y), rtol=0, atol=0)
+        union = (X.mask if X.mask is not None else False) | (Y.mask if Y.mask is not None else False)
+        assert np.array_equal(prod.mask, union) and np.array_equal(total.mask, union)
+    for X in (A, C):
+        np.testing.assert_allclose(nodes(X.inv()), np.linalg.inv(nodes(X)), rtol=1e-9)
+    assert np.array_equal(A.inv().mask, A.mask)
+    small = np.abs(A.det().values) < 1.0
+    assert small.any() and np.array_equal(A.inv(min_det=1.0).mask, A.mask | small)
 
 
 def test_spinor_csv(tmp_path, grid):

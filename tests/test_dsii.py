@@ -59,6 +59,19 @@ def test_catalog_ozawa_norm():
     assert oz.blowup_time == pytest.approx(1.0)
 
 
+def test_ozawa_zside_datum_maps_the_physical_one():
+    # U(x, y) = sqrt(2) W(2y, 2x), so the z-side norm is half the physical 2 pi
+    oz = catalog("ozawa", a=1.0, b=-1.0)
+    g = make_grid((-20.0, 20.0, -16.0, 16.0), (321, 257))
+    U = oz.U0_zside(g)
+    for ix, iy in ((3, 7), (200, 31), (160, 128)):
+        z = g.node_z(ix, iy)
+        X, Y = 2 * z.imag, 2 * z.real
+        W = np.exp(0.25j * (X**2 - Y**2)) / (1 + (X**2 + Y**2) / 2)
+        assert U.values[iy, ix] == pytest.approx(np.sqrt(2) * W, abs=1e-14)
+    assert l2_norm_sq(oz.U0_zside(square_grid(20.0, 513))).value == pytest.approx(np.pi, rel=1e-2)
+
+
 def test_catalog_unknown_name():
     with pytest.raises(KeyError):
         catalog("s3")

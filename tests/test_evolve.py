@@ -114,6 +114,15 @@ def test_dsii_step_records_history():
     assert len(state.history) == 1
 
 
+def test_dsii_step_gives_each_state_its_own_history():
+    g = square_grid(5.0, 32, periodic=True)
+    state0 = EvolverState(constant_field(g, 0.1), 0.0, 1e-3)
+    state1 = dsii_step(state0)
+    state2 = dsii_step(state1)
+    assert state0.history == []
+    assert len(state1.history) == 1 and len(state2.history) == 2
+
+
 def test_write_trajectory(tmp_path):
     g = square_grid(5.0, 32, periodic=True)
     U0 = field_from_function(g, lambda z: np.exp(-np.abs(z) ** 2))

@@ -225,8 +225,7 @@ def test_smatrix_surface_roundtrip():
     M = heat_smatrix_values(sol.f, g, 0.2)
     S = smatrix_to_surface(M)
     M2 = surface_to_smatrix(S)
-    for e1, e2 in zip(M.entries(), M2.entries()):
-        assert np.max(np.abs(e1.values - e2.values)) < 1e-12
+    assert np.max(np.abs(M.values - M2.values)) < 1e-12
 
 
 def test_path_independence_defect_small():
