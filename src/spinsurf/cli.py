@@ -82,10 +82,13 @@ def _apply_config_file(args, parser, argv):
         return args
     with open(args.config) as fh:
         defaults = json.load(fh)
+    unknown = sorted(set(defaults) - (set(vars(args)) - {"func", "subcommand"}))
+    if unknown:
+        parser.error(f"unknown config key(s) in {args.config}: {', '.join(unknown)}")
     explicit = {a.split("=")[0].lstrip("-").replace("-", "_")
                 for a in argv if a.startswith("--")}
     for key, val in defaults.items():
-        if key in explicit or not hasattr(args, key):
+        if key in explicit:
             continue
         cur = getattr(args, key)
         if isinstance(cur, tuple) and isinstance(val, list):

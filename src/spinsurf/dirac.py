@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (ComplexField, Grid2D, GridConfigError, _merge_masks,
-                   wirtinger_derivative)
+                   save_nodes_csv, wirtinger_derivative)
 
 
 class GaugeError(ValueError):
@@ -242,14 +242,5 @@ def gauge_transform(psi: SpinorField, phi: SpinorField, U: ComplexField,
 
 def save_spinorfield_csv(psi: SpinorField, csv_path, meta_path=None):
     """CSV columns ix, iy, re1, im1, re2, im2 with a JSON grid sidecar."""
-    import json
-    g = psi.grid
-    ix = np.tile(np.arange(g.nx), g.ny)
-    iy = np.repeat(np.arange(g.ny), g.nx)
-    a = psi.psi1.values.ravel()
-    b = psi.psi2.values.ravel()
-    data = np.column_stack([ix, iy, a.real, a.imag, b.real, b.imag])
-    np.savetxt(csv_path, data, delimiter=",", header="ix,iy,re1,im1,re2,im2",
-               comments="", fmt=["%d", "%d"] + ["%.17g"] * 4)
-    with open(meta_path or str(csv_path) + ".json", "w") as fh:
-        json.dump(g.meta(), fh, indent=1, sort_keys=True)
+    save_nodes_csv(csv_path, psi.grid, "ix,iy,re1,im1,re2,im2", psi.psi1.values,
+                   psi.psi2.values, meta=psi.grid.meta(), meta_path=meta_path)

@@ -24,9 +24,8 @@ import numpy as np
 
 from .exactpoly import (BiPoly, C, RationalFn, T, Z, ZBAR, heat_extend,
                         heat_residual)
-from .grid import (ComplexField, Grid2D, SchemeError, integrate2d,
-                   neighbor_mean_patched, quadrature_sum, spectral_wavenumbers,
-                   wirtinger_derivative)
+from .grid import (ComplexField, Grid2D, integrate2d, neighbor_mean_patched,
+                   quadrature_sum, wirtinger_derivative)
 
 
 class InvalidDatumError(ValueError):
@@ -253,36 +252,28 @@ def dsii_exact_identity_holds(sol: ExactSolution, rel: float = 1e-12) -> bool:
 # the nonlocal constraint
 
 
-def _dz_dzb_multipliers(grid: Grid2D):
-    kx, ky = spectral_wavenumbers(grid)
-    mz = (1j * kx + ky) / 2.0
-    mzb = (1j * kx - ky) / 2.0
-    return mz, mzb
-
-
 def v_from_u(U: ComplexField) -> ComplexField:
     """Spectral inversion of V_zb = 2 (|U|^2)_z on a periodic grid, zero-mean gauge."""
-    if not U.grid.periodic:
-        raise SchemeError("v_from_u needs a doubly periodic grid")
-    mz, mzb = _dz_dzb_multipliers(U.grid)
     n_hat = np.fft.fft2(np.abs(U.values) ** 2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        V_hat = 2.0 * mz / mzb * n_hat
-    V_hat[0, 0] = 0.0
-    return ComplexField(U.grid, np.fft.ifft2(V_hat))
+    return ComplexField(U.grid, np.fft.ifft2(U.grid.spectral.v_of_n * n_hat))
 
 
 def re_v_from_u(U: ComplexField) -> np.ndarray:
     """Re V directly: multiplier 2 (kx^2 - ky^2)/k^2 on |U|^2 (zero-mean gauge)."""
-    if not U.grid.periodic:
-        raise SchemeError("re_v_from_u needs a doubly periodic grid")
-    kx, ky = spectral_wavenumbers(U.grid)
-    k2 = kx**2 + ky**2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mult = 2.0 * (kx**2 - ky**2) / k2
-    mult[0, 0] = 0.0
-    n_hat = np.fft.fft2(np.abs(U.values) ** 2)
-    return np.fft.ifft2(mult * n_hat).real
+    ny, nx = U.values.shape
+    return re_v_into(U.values, U.grid.spectral, np.empty((ny, nx // 2 + 1), complex),
+                     np.empty((ny, nx)))
+
+
+def re_v_into(u: np.ndarray, sp, n_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """re_v_from_u on the array u into the real array out, through the scratch
+    array n_hat (rfft2 layout); irfft2 runs as two in-place passes (its out is ignored)."""
+    n = np.multiply(u.real, u.real, out=out)
+    n += u.imag**2
+    np.fft.rfftn(n, out=n_hat)
+    n_hat *= sp.re_v
+    np.fft.ifft(n_hat, axis=0, out=n_hat)
+    return np.fft.irfft(n_hat, n=u.shape[1], axis=1, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -320,21 +311,15 @@ def physical_form(U: ComplexField, V: ComplexField, U_stencil=None, dt=None):
 
     is also evaluated (phi' = phi / 2).
     """
-    if not U.grid.periodic:
-        raise SchemeError("physical_form needs a doubly periodic grid for the Poisson solve")
     gp = physical_grid_of(U.grid)
     Uz_phys = ComplexField(gp, _swap_scale(U.values))
     n = Uz_phys.abs2()
-    kx, ky = spectral_wavenumbers(gp)
-    k2 = kx**2 + ky**2
+    sp = gp.spectral
     # RHS is d_X of a periodic field, so its mean vanishes and the Poisson
     # problem is always solvable in the zero-mean gauge.
-    rhs_hat = np.fft.fft2(n.values.real)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi_hat = (1j * kx) * rhs_hat / (-k2)
-    phi_hat[0, 0] = 0.0
+    phi_hat = sp.ikx * np.fft.fft2(n.values.real) * sp.lap_inv
     phi = np.fft.ifft2(phi_hat).real
-    phi_X = np.fft.ifft2(1j * kx * np.fft.fft2(phi)).real
+    phi_X = np.fft.ifft2(sp.ikx * np.fft.fft2(phi)).real
     ReV_phys = _swap_scale(V.values).real
     ReV_phys = ReV_phys - ReV_phys.mean()        # match the zero-mean spectral gauge
     target = 2 * n.values.real - 4 * phi_X

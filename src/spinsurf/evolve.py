@@ -19,9 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsii import re_v_from_u
-from .grid import (ComplexField, Grid2D, SchemeError, integrate2d,
-                   save_complexfield_csv, spectral_wavenumbers,
+from .dsii import re_v_into
+from .grid import (ComplexField, Grid2D, integrate2d, save_complexfield_csv,
                    wirtinger_derivative)
 from .dirac import SpinorField
 
@@ -42,39 +41,56 @@ class EvolverState:
 
 
 def grid_norm_sq(U: ComplexField) -> float:
+    g = U.grid
+    if g.periodic and (U.mask is None or not U.mask.any()):    # rectangle rule, no mask
+        return g.hx * g.hy * np.vdot(U.values, U.values).real
     return integrate2d(U.abs2()).real
 
 
 class DsiiEvolver:
-    """Caches the Fourier multipliers for a fixed grid and dt."""
+    """Strang steps on a fixed grid and dt, with the dt-dependent Fourier phase."""
 
     def __init__(self, grid: Grid2D, dt: float, cfl_kappa: float | None = None):
-        if not grid.periodic:
-            raise SchemeError("DSII evolver needs a doubly periodic grid")
         if dt <= 0:
             raise ValueError("dt must be positive")
         h2 = min(grid.hx, grid.hy) ** 2
         if cfl_kappa is not None and dt > cfl_kappa * h2:
             raise ValueError(f"dt {dt:g} violates dt <= {cfl_kappa:g} h^2 = {cfl_kappa * h2:g}")
-        self.grid = grid
-        self.dt = dt
-        kx, ky = spectral_wavenumbers(grid)
-        self.half_phase = np.exp(1j * (ky**2 - kx**2) * dt / 4.0)
+        self.grid, self.dt = grid, dt
+        sp = grid.spectral
+        self.half_phase = np.exp(1j * (sp.ky[:, None] ** 2 - sp.kx**2) * dt / 4.0)
 
     def _linear_half(self, vals: np.ndarray) -> np.ndarray:
         return np.fft.ifft2(self.half_phase * np.fft.fft2(vals))
 
+    def run(self, state: EvolverState, n_steps: int):
+        """Yield the n_steps states after state (BlowupAbort, with the last finite
+        state, on a non-finite field); w_hat is the spectrum of U a half step on."""
+        g, dt = self.grid, self.dt
+        w, theta = np.empty((g.ny, g.nx), dtype=complex), np.empty((g.ny, g.nx))
+        n_hat = np.empty((g.ny, g.nx // 2 + 1), dtype=complex)
+        w_hat = self.half_phase * np.fft.fft2(state.U.values)
+        for _ in range(n_steps):
+            # non-finite intermediates are tolerated here; the guard below aborts
+            with np.errstate(all="ignore"):
+                np.fft.ifftn(w_hat, out=w)                # np.fft.ifft2 ignores out
+                re_v_into(w, g.spectral, n_hat, theta)
+                theta *= 2 * dt
+                np.cos(theta, out=w_hat.real)             # w_hat, free until the fftn
+                np.sin(theta, out=w_hat.imag)             # below, holds exp(i theta)
+                w *= w_hat
+                np.fft.fftn(w, out=w_hat)
+                w_hat *= self.half_phase
+                vals = np.fft.ifftn(w_hat, out=np.empty_like(w))
+            if not np.all(np.isfinite(vals)):
+                raise BlowupAbort(f"non-finite field at t={state.t + dt:g}", state)
+            state = EvolverState(ComplexField(g, vals), state.t + dt, dt,
+                                 state.n_steps + 1, list(state.history))
+            yield state
+            w_hat *= self.half_phase
+
     def step(self, state: EvolverState) -> EvolverState:
-        # non-finite intermediates are tolerated here; the guard below aborts
-        with np.errstate(all="ignore"):
-            vals = self._linear_half(state.U.values)
-            rev = re_v_from_u(ComplexField(self.grid, vals))
-            vals = np.exp(2j * self.dt * rev) * vals
-            vals = self._linear_half(vals)
-        if not np.all(np.isfinite(vals)):
-            raise BlowupAbort(f"non-finite field at t={state.t + self.dt:g}", state)
-        return EvolverState(ComplexField(self.grid, vals), state.t + self.dt,
-                            self.dt, state.n_steps + 1, list(state.history))
+        return next(self.run(state, 1))
 
 
 def dsii_step(state: EvolverState, evolver: DsiiEvolver | None = None) -> EvolverState:
@@ -100,13 +116,11 @@ def evolve(U0: ComplexField, t_end: float, dt: float, t0: float = 0.0,
     """Repeated Strang stepping with norm monitoring."""
     ev = DsiiEvolver(U0.grid, dt)
     state = EvolverState(U0, t0, dt)
-    times = [t0]
-    norms = [grid_norm_sq(U0)]
+    times, norms = [t0], [grid_norm_sq(U0)]
     snaps = [(t0, U0)] if snapshot_every else []
     n_total = int(round((t_end - t0) / dt))
     try:
-        for k in range(n_total):
-            state = ev.step(state)
+        for k, state in enumerate(ev.run(state, n_total)):
             times.append(state.t)
             norms.append(grid_norm_sq(state.U))
             if snapshot_every and (k + 1) % snapshot_every == 0:
@@ -130,19 +144,12 @@ def write_trajectory(traj: Trajectory, outdir) -> dict:
         name = f"snapshot_{i:04d}.csv"
         save_complexfield_csv(fld, outdir / name)
         files.append({"t": t, "file": name})
-    norm_csv = outdir / "norms.csv"
-    with open(norm_csv, "w", newline="") as fh:
+    with open(outdir / "norms.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["t", "norm_sq"])
-        for t, n in zip(traj.times, traj.norms):
-            wr.writerow([f"{t:.17g}", f"{n:.17g}"])
-    manifest = {
-        "times": traj.times,
-        "norms": traj.norms,
-        "snapshots": files,
-        "aborted": traj.aborted,
-        "abort_reason": traj.abort_reason,
-    }
+        wr.writerows([f"{t:.17g}", f"{n:.17g}"] for t, n in zip(traj.times, traj.norms))
+    manifest = {"times": traj.times, "norms": traj.norms, "snapshots": files,
+                "aborted": traj.aborted, "abort_reason": traj.abort_reason}
     with open(outdir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=1)
     return manifest

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +27,44 @@ class PathError(ValueError):
 
 class MaskError(ValueError):
     pass
+
+
+class Spectral:
+    """Read-only wavenumbers and dt-independent multipliers of a doubly periodic
+    grid, for fft2 arrays [iy, ix] (re_v: rfft2); the 2-D ones are built on first
+    use.  ikx, iky are the symbols of d/dx, d/dy; v_of_n = 2 m_z / m_zb solves
+    V_zb = 2 n_z, re_v = 2 (kx^2 - ky^2) / k^2 is its real part, lap_inv = -1/k^2."""
+
+    def __init__(self, grid: Grid2D):
+        if not grid.periodic:
+            raise SchemeError("spectral operators need a doubly periodic grid")
+        self.kx = 2 * np.pi * np.fft.fftfreq(grid.nx, d=grid.hx)
+        self.ky = 2 * np.pi * np.fft.fftfreq(grid.ny, d=grid.hy)
+        self.ikx, self.iky = 1j * self.kx, 1j * self.ky[:, None]
+        for a in vars(self).values():
+            a.flags.writeable = False
+
+    @cached_property
+    def v_of_n(self) -> np.ndarray:
+        kx, ky = self.kx, self.ky[:, None]
+        return _zero_mean_ratio(2.0 * ((1j * kx + ky) / 2.0), (1j * kx - ky) / 2.0)
+
+    @cached_property
+    def re_v(self) -> np.ndarray:
+        kr, ky = self.kx[: self.kx.size // 2 + 1], self.ky[:, None]   # rfft2 columns, up to sign
+        return _zero_mean_ratio(2.0 * (kr**2 - ky**2), kr**2 + ky**2)
+
+    @cached_property
+    def lap_inv(self) -> np.ndarray:
+        return _zero_mean_ratio(1.0, -(self.kx**2 + self.ky[:, None] ** 2))
+
+
+def _zero_mean_ratio(num, den) -> np.ndarray:      # read-only, mean mode (0 / 0) set to 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = num / den
+    out[0, 0] = 0.0
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -76,6 +115,8 @@ class Grid2D:
 
     def node_count(self) -> int:
         return self.nx * self.ny
+
+    spectral = cached_property(Spectral)      # built on first use, then cached
 
     def meta(self) -> dict:
         return {
@@ -232,20 +273,6 @@ def _ddy(values: np.ndarray, h: float, periodic: bool) -> np.ndarray:
     return out
 
 
-def spectral_wavenumbers(grid: Grid2D):
-    kx = 2 * np.pi * np.fft.fftfreq(grid.nx, d=grid.hx)
-    ky = 2 * np.pi * np.fft.fftfreq(grid.ny, d=grid.hy)
-    return kx[None, :], ky[:, None]
-
-
-def _spectral_dx_dy(f: ComplexField):
-    kx, ky = spectral_wavenumbers(f.grid)
-    fh = np.fft.fft2(f.values)
-    fx = np.fft.ifft2(1j * kx * fh)
-    fy = np.fft.ifft2(1j * ky * fh)
-    return fx, fy
-
-
 def wirtinger_derivative(f: ComplexField, direction: str = "z",
                          scheme: str = "central2") -> ComplexField:
     """d f / dz or d f / dzbar with central-difference or spectral scheme."""
@@ -255,22 +282,13 @@ def wirtinger_derivative(f: ComplexField, direction: str = "z",
         fx = _ddx(f.values, f.grid.hx, f.grid.periodic_x)
         fy = _ddy(f.values, f.grid.hy, f.grid.periodic_y)
     elif scheme == "spectral":
-        if not f.grid.periodic:
-            raise SchemeError("spectral scheme requires a periodic grid")
-        fx, fy = _spectral_dx_dy(f)
+        sp, fh = f.grid.spectral, np.fft.fft2(f.values)
+        fx, fy = np.fft.ifft2(sp.ikx * fh), np.fft.ifft2(sp.iky * fh)
     else:
         raise SchemeError(f"unknown scheme {scheme!r}")
     if direction == "z":
         return f.like((fx - 1j * fy) / 2)
     return f.like((fx + 1j * fy) / 2)
-
-
-def dz(f: ComplexField, scheme: str = "central2") -> ComplexField:
-    return wirtinger_derivative(f, "z", scheme)
-
-
-def dzbar(f: ComplexField, scheme: str = "central2") -> ComplexField:
-    return wirtinger_derivative(f, "zbar", scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -432,20 +450,27 @@ def closedness_defect(form: Form1, scheme: str = "central2") -> float:
 # serialization
 
 
+def save_nodes_csv(csv_path, grid: Grid2D, header: str, *columns, meta=None, meta_path=None):
+    """Per node: ix, iy, then re and im of each (ny, nx) column, printed as np.savetxt
+    does with "%d" and "%.17g"; meta, if given, goes to csv_path + ".json" or meta_path."""
+    ix, iy = np.tile(np.arange(grid.nx), grid.ny), np.repeat(np.arange(grid.ny), grid.nx)
+    cols = [ix, iy] + [p for c in columns for p in (c.ravel().real, c.ravel().imag)]
+    row = ",".join(["%d", "%d"] + ["%.17g"] * (len(cols) - 2)) + "\n"
+    with open(csv_path, "w") as fh:
+        fh.write(header + "\n")
+        for s in range(0, ix.size, 4096):        # blocks keep the Python lists small
+            fh.writelines(row % r for r in zip(*(c[s:s + 4096].tolist() for c in cols)))
+    if meta is not None:
+        with open(meta_path or str(csv_path) + ".json", "w") as fh:
+            json.dump(meta, fh, indent=1, sort_keys=True)
+
+
 def save_complexfield_csv(f: ComplexField, csv_path, meta_path=None):
     """CSV columns ix, iy, re, im plus a JSON sidecar with grid metadata."""
-    ny, nx = f.grid.ny, f.grid.nx
-    ix = np.tile(np.arange(nx), ny)
-    iy = np.repeat(np.arange(ny), nx)
-    flat = f.values.ravel()
-    data = np.column_stack([ix, iy, flat.real, flat.imag])
-    np.savetxt(csv_path, data, delimiter=",", header="ix,iy,re,im",
-               comments="", fmt=["%d", "%d", "%.17g", "%.17g"])
     meta = dict(f.grid.meta())
     if f.mask is not None:
         meta["masked_nodes"] = [[int(a), int(b)] for b, a in zip(*np.nonzero(f.mask))]
-    with open(meta_path or str(csv_path) + ".json", "w") as fh:
-        json.dump(meta, fh, indent=1, sort_keys=True)
+    save_nodes_csv(csv_path, f.grid, "ix,iy,re,im", f.values, meta=meta, meta_path=meta_path)
 
 
 def load_complexfield_csv(csv_path, meta_path=None) -> ComplexField:

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (ComplexField, Grid2D, SchemeError, make_grid,
-                   spectral_wavenumbers, wirtinger_derivative)
+from .grid import ComplexField, Grid2D, make_grid, wirtinger_derivative
 
 
 @dataclass
@@ -87,14 +86,10 @@ def nv_rhs(U: ComplexField, V: ComplexField, scheme: str = "central2") -> Comple
 def _constraint_invert(rhs: ComplexField) -> ComplexField:
     """Spectral solve of V_zb = rhs on a periodic grid (zero-mean gauge)."""
     g = rhs.grid
-    if not g.periodic:
-        raise SchemeError("constraint inversion needs a doubly periodic grid")
-    kx, ky = spectral_wavenumbers(g)
-    mzb = (1j * kx - ky) / 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        V_hat = np.fft.fft2(rhs.values) / mzb
-    V_hat[0, 0] = 0.0
-    return ComplexField(g, np.fft.ifft2(V_hat))
+    sp = g.spectral
+    # 1 / m_zb = 4 m_z / (4 m_z m_zb) = 2 (i kx + ky) * (-1 / k^2)
+    inv_mzb = 2.0 * (sp.ikx + sp.ky[:, None]) * sp.lap_inv
+    return ComplexField(g, np.fft.ifft2(inv_mzb * np.fft.fft2(rhs.values)))
 
 
 def v_from_constraint_mnv(U: ComplexField, scheme: str = "spectral") -> ComplexField:

@@ -32,7 +32,7 @@ from .dirac import GAMMA, Mat2Field, SpinorField, quaternionize
 from .exactpoly import (BiPoly, GAMMA_EXACT, RMat2, RationalFn, T, Z, ZBAR,
                         heat_extend)
 from .grid import (ComplexField, Form1, Grid2D, _merge_masks, antiderivative,
-                   closedness_defect, constant_field, wirtinger_derivative)
+                   closedness_defect, constant_field, save_nodes_csv, wirtinger_derivative)
 
 
 class ClosednessError(RuntimeError):
@@ -247,7 +247,7 @@ class MoutardTransform:
                         base_node=None, scheme: str = "central2",
                         time_offset=None) -> "MoutardTransform":
         Psi0 = quaternionize(psi0)
-        Phi0 = quaternionize(phi0)
+        Phi0 = Psi0 if phi0 is psi0 else quaternionize(phi0)    # nothing writes into them
         S0 = build_S(Phi0, Psi0, base_node=base_node, constant=constant0,
                      time_offset=time_offset, scheme=scheme)
         SB_raw = build_S(Psi0, Phi0, base_node=S0.base_node, scheme=scheme)
@@ -317,13 +317,7 @@ def moutard_dsii(U: ComplexField | None, V: ComplexField | None, kdata: KData,
 
 
 def save_kdata_csv(kd: KData, csv_path):
-    g = kd.W.grid
-    ix = np.tile(np.arange(g.nx), g.ny)
-    iy = np.repeat(np.arange(g.ny), g.nx)
-    Wv, av = kd.W.values.ravel(), kd.a.values.ravel()
-    data = np.column_stack([ix, iy, Wv.real, Wv.imag, av.real, av.imag])
-    np.savetxt(csv_path, data, delimiter=",", header="ix,iy,reW,imW,rea,ima",
-               comments="", fmt=["%d", "%d"] + ["%.17g"] * 4)
+    save_nodes_csv(csv_path, kd.W.grid, "ix,iy,reW,imW,rea,ima", kd.W.values, kd.a.values)
 
 
 # ---------------------------------------------------------------------------

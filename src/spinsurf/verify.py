@@ -51,9 +51,9 @@ class CheckResult:
 
 def _timed(fn):
     def wrapper(*a, **kw):
-        t0 = time.time()
+        t0 = time.perf_counter()
         out = fn(*a, **kw)
-        dt = time.time() - t0
+        dt = time.perf_counter() - t0
         for r in out:
             if r.runtime_s == 0.0:
                 r.runtime_s = dt / max(len(out), 1)
@@ -77,7 +77,7 @@ def _abs_check(name, value, tol, detail="") -> CheckResult:
 @_timed
 def suite_symbolic() -> list[CheckResult]:
     out = []
-    t0 = time.time()
+    t0 = time.perf_counter()
     for name in ("s1", "s2"):
         sol = catalog(name, c="symbolic")
         ok = dsii_exact_identity_holds(sol)
@@ -92,7 +92,7 @@ def suite_symbolic() -> list[CheckResult]:
                            1.0, 0.0, poly_equal(f1, ref1)))
     out.append(CheckResult("heat_extend quartic datum", 1.0 if poly_equal(f2, ref2) else 0.0,
                            1.0, 0.0, poly_equal(f2, ref2)))
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     out.append(CheckResult("symbolic suite runtime < 10 s", elapsed, 10.0, 0.0,
                            elapsed < 10.0))
     return out
@@ -372,9 +372,9 @@ def suite_evolver(n: int = 256, t_end: float = 0.1, dt: float = 1e-4) -> list[Ch
     g = square_grid(30.0, n, periodic=True)
     sol = catalog("s1", c=1.0)
     U0 = sol.U_field(g, 0.0)
-    t0 = time.time()
+    t0 = time.perf_counter()
     traj = evolve(U0, t_end, dt)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     Uex = sol.U_field(g, traj.times[-1])
     err = np.sqrt(grid_norm_sq(traj.final - Uex))
     rel = float(err / np.sqrt(grid_norm_sq(Uex)))

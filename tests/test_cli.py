@@ -145,6 +145,18 @@ def test_reproducible_outputs(tmp_path):
     assert (a / "V.csv").read_bytes() == (b / "V.csv").read_bytes()
 
 
+def test_config_file_unknown_keys_rejected(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gird": [24, 24], "t": 0.3, "seed": 3}))
+    out = tmp_path / "c"
+    with pytest.raises(SystemExit) as exc:
+        main(["solution", "--solution", "s1", "--config", str(cfg), "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unknown config key(s)" in err and "gird, seed" in err
+    assert not out.exists()
+
+
 def test_config_file_merge(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"grid": [24, 24], "box": [-2, 2, -2, 2],

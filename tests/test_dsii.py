@@ -6,7 +6,8 @@ from spinsurf import (BiPoly, ComplexField, Z, catalog,
                       field_from_function, heat_extend, l2_norm_sq, make_grid,
                       physical_form, poly_equal, s1_displayed_V, singular_times,
                       square_grid, to_halved_v_form, v_from_u)
-from spinsurf.dsii import DecayError, InvalidDatumError, radial_limit_coefficient
+from spinsurf.dsii import (DecayError, InvalidDatumError, radial_limit_coefficient,
+                           re_v_from_u)
 
 
 def test_exact_solution_linear_datum_trivial():
@@ -180,6 +181,65 @@ def test_v_from_u_requires_periodic():
     U = ComplexField(g, np.zeros((32, 32), complex))
     with pytest.raises(SchemeError):
         v_from_u(U)
+
+
+def test_grid_spectral_is_cached_and_read_only():
+    from spinsurf.grid import SchemeError
+    g = make_grid((-3, 5, -2, 2), (48, 32), True)
+    sp = g.spectral
+    assert g.spectral is sp
+    assert sp.kx.shape == (48,) and sp.ky.shape == (32,)
+    assert "re_v" not in vars(sp)            # 2-D multipliers are built on first use
+    assert sp.re_v.shape == (32, 25) and sp.v_of_n.shape == sp.lap_inv.shape == (32, 48)
+    for name in ("kx", "ky", "ikx", "iky", "v_of_n", "re_v", "lap_inv"):
+        arr = getattr(sp, name)
+        assert getattr(sp, name) is arr
+        assert not arr.flags.writeable, name
+        with pytest.raises(ValueError):
+            arr.flat[0] = 1.0
+    with pytest.raises(SchemeError):
+        square_grid(5.0, 32).spectral
+
+
+def test_spectral_consumers_match_inline_formulas():
+    # the wavenumber and multiplier formulas each consumer used to build for
+    # itself, written out here; non-square, off-centre grid
+    sol = catalog("s1", c=1.0 + 0.5j)
+    g = make_grid((-20, 24, -18, 18), (96, 80), True)
+    U, V = sol.U_field(g, 0.2), sol.V_field(g, 0.2)
+
+    def wavenumbers(grid):
+        kx = 2 * np.pi * np.fft.fftfreq(grid.nx, d=grid.hx)
+        ky = 2 * np.pi * np.fft.fftfreq(grid.ny, d=grid.hy)
+        return kx[None, :], ky[:, None]
+
+    def close(a, b):
+        return np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+    kx, ky = wavenumbers(g)
+    n_hat = np.fft.fft2(np.abs(U.values) ** 2)
+    mz, mzb = (1j * kx + ky) / 2.0, (1j * kx - ky) / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        V_hat = 2.0 * mz / mzb * n_hat
+        mult = 2.0 * (kx**2 - ky**2) / (kx**2 + ky**2)
+    V_hat[0, 0] = 0.0
+    mult[0, 0] = 0.0
+    assert close(v_from_u(U).values, np.fft.ifft2(V_hat))
+    assert close(re_v_from_u(U), np.fft.ifft2(mult * n_hat).real)
+
+    pf = physical_form(U, V)
+    kx, ky = wavenumbers(pf.grid_phys)
+    n = np.abs(U.values.T) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi_hat = (1j * kx) * np.fft.fft2(n) / (-(kx**2 + ky**2))
+    phi_hat[0, 0] = 0.0
+    phi = np.fft.ifft2(phi_hat).real
+    assert close(pf.phi.values, phi)
+    phi_X = np.fft.ifft2(1j * kx * np.fft.fft2(phi)).real
+    rev = V.values.T.real - V.values.real.mean()
+    target = 2 * n - 4 * phi_X
+    target -= target.mean()
+    assert abs(pf.rev_residual - np.max(np.abs(rev - target))) <= 1e-13 * np.max(np.abs(rev))
 
 
 def test_physical_form_zero():

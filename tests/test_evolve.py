@@ -185,3 +185,62 @@ def test_spinor_evolution_moutard_family(which):
         res[n] = spinor_evolution_residual([at(0.2 - dt), at(0.2), at(0.2 + dt)],
                                            U, V, dt, which=which)
     assert res[96] / res[192] >= 3.3
+
+
+def _unfused_strang(U0, dt, n_steps):
+    """Textbook Strang splitting: half linear, nonlinear, half linear, each step."""
+    g = U0.grid
+    kx = 2 * np.pi * np.fft.fftfreq(g.nx, d=g.hx)[None, :]
+    ky = 2 * np.pi * np.fft.fftfreq(g.ny, d=g.hy)[:, None]
+    half = np.exp(1j * (ky**2 - kx**2) * dt / 4.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mult = 2.0 * (kx**2 - ky**2) / (kx**2 + ky**2)
+    mult[0, 0] = 0.0
+    u = U0.values
+    norms = [g.hx * g.hy * np.sum(np.abs(u) ** 2)]
+    for _ in range(n_steps):
+        u = np.fft.ifft2(half * np.fft.fft2(u))
+        rev = np.fft.ifft2(mult * np.fft.fft2(np.abs(u) ** 2)).real
+        u = np.exp(2j * dt * rev) * u
+        u = np.fft.ifft2(half * np.fft.fft2(u))
+        norms.append(g.hx * g.hy * np.sum(np.abs(u) ** 2))
+    return u, np.array(norms)
+
+
+def test_evolve_matches_unfused_strang_reference():
+    g = square_grid(30.0, 128, periodic=True)
+    U0 = catalog("s1", c=1.0).U_field(g, 0.0)
+    dt, n_steps = 1e-4, 50
+    traj = evolve(U0, n_steps * dt, dt)
+    ref, ref_norms = _unfused_strang(U0, dt, n_steps)
+    assert np.max(np.abs(traj.final.values - ref)) / np.max(np.abs(ref)) <= 1e-12
+    assert np.max(np.abs(np.array(traj.norms) - ref_norms)) / ref_norms.max() <= 1e-12
+
+
+def test_repeated_step_matches_evolve():
+    g = square_grid(30.0, 64, periodic=True)
+    U0 = catalog("s1", c=1.0).U_field(g, 0.0)
+    dt, n_steps = 2e-4, 20
+    ev = DsiiEvolver(g, dt)
+    state = EvolverState(U0, 0.0, dt)
+    for _ in range(n_steps):
+        state = ev.step(state)
+    final = evolve(U0, n_steps * dt, dt).final.values
+    assert state.n_steps == n_steps
+    assert np.max(np.abs(state.U.values - final)) / np.max(np.abs(final)) <= 1e-12
+
+
+def test_callback_states_do_not_share_arrays():
+    g = square_grid(30.0, 64, periodic=True)
+    U0 = catalog("s1", c=1.0).U_field(g, 0.0)
+    seen = []
+    traj = evolve(U0, 5e-3, 1e-3, callback=lambda s: seen.append((s.U, s.U.values.copy())))
+    assert len(seen) == 5
+    arrays = [U0.values] + [U.values for U, _ in seen]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+    # no later step wrote into a state handed out earlier
+    for U, copy in seen:
+        assert np.array_equal(U.values, copy)
+    assert traj.final is seen[-1][0]

@@ -6,7 +6,7 @@ from spinsurf import (ComplexField, Form1, constant_field, field_from_function,
                       path_integrate, rect_loop, save_complexfield_csv,
                       wirtinger_derivative)
 from spinsurf.grid import (GridConfigError, MaskError, PathError, SchemeError,
-                           antiderivative)
+                           antiderivative, save_nodes_csv)
 
 
 def test_make_grid_corner_node():
@@ -180,3 +180,32 @@ def test_complexfield_csv_roundtrip(tmp_path):
     back = load_complexfield_csv(path)
     assert back.grid == g
     assert np.max(np.abs(back.values - f.values)) < 1e-15
+
+
+def _savetxt_bytes(path, header, fmt, data):
+    np.savetxt(path, data, delimiter=",", header=header, comments="", fmt=fmt)
+    return path.read_bytes()
+
+
+def test_node_csv_writer_matches_savetxt(tmp_path):
+    g = make_grid((-1, 1, -1, 1), (9, 7))
+    vals = field_from_function(g, lambda z: z ** 3 + 1j / 3).values
+    vals.flat[:8] = [0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0), np.nan,
+                     complex(1e300, -2.5e-308), complex(-7.3e17, np.nan), np.inf]
+    mask = np.zeros((7, 9), dtype=bool)
+    mask[3, 4] = mask[0, 8] = True
+    other = field_from_function(g, lambda z: 1e-200 / (z + 5)).values
+    ix = np.tile(np.arange(9), 7)
+    iy = np.repeat(np.arange(7), 9)
+    a, b = vals.ravel(), other.ravel()
+
+    save_complexfield_csv(ComplexField(g, vals, mask), tmp_path / "f.csv")
+    expect = _savetxt_bytes(tmp_path / "ref1.csv", "ix,iy,re,im", ["%d", "%d", "%.17g", "%.17g"],
+                            np.column_stack([ix, iy, a.real, a.imag]))
+    assert (tmp_path / "f.csv").read_bytes() == expect
+
+    save_nodes_csv(tmp_path / "two.csv", g, "ix,iy,re1,im1,re2,im2", vals, other)
+    expect = _savetxt_bytes(tmp_path / "ref2.csv", "ix,iy,re1,im1,re2,im2",
+                            ["%d", "%d"] + ["%.17g"] * 4,
+                            np.column_stack([ix, iy, a.real, a.imag, b.real, b.imag]))
+    assert (tmp_path / "two.csv").read_bytes() == expect

@@ -314,6 +314,28 @@ def test_time_offset_integral_matches_closed_form():
     assert np.max(np.abs(off - expect)) < 1e-6
 
 
+def test_plane_background_shares_one_quaternion_field():
+    g, psi0, ctx = _plane_ctx(32)
+    assert ctx.Phi0 is ctx.Psi0
+    # the same background given as two distinct objects builds two fields
+    phi0 = SpinorField(psi0.psi1.like(psi0.psi1.values.copy()),
+                       psi0.psi2.like(psi0.psi2.values.copy()))
+    bx, by = g.nx // 2, g.ny // 2
+    zb = g.node_z(bx, by)
+    C0 = np.array([[0, 1j * np.conj(zb)], [1j * zb, 0]])
+    apart = MoutardTransform.from_background(psi0, phi0, C0)
+    assert apart.Phi0 is not apart.Psi0
+    zero = constant_field(g, 0.0)
+    psi = SpinorField(field_from_function(g, lambda z: np.exp(0.3 * z)), zero)
+    phi = SpinorField(field_from_function(g, lambda z: np.exp(0.4 * z)), zero)
+    ctx.Psi0.values.flags.writeable = False      # any in-place write would raise
+    shared, separate = ctx.transform(psi, phi), apart.transform(psi, phi)
+    for s_out, a_out in zip(shared, separate):
+        assert np.array_equal(s_out.psi1.values, a_out.psi1.values)
+        assert np.array_equal(s_out.psi2.values, a_out.psi2.values)
+    assert np.array_equal(ctx.kdata.W.values, apart.kdata.W.values)
+
+
 def test_kdata_csv_and_smatrix_json(tmp_path):
     from spinsurf.moutard import save_kdata_csv
     import json
