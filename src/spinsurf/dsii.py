@@ -24,7 +24,7 @@ import numpy as np
 
 from .exactpoly import (BiPoly, C, RationalFn, T, Z, ZBAR, heat_extend,
                         heat_residual)
-from .grid import (ComplexField, Grid2D, integrate2d, neighbor_mean_patched,
+from .grid import (ComplexField, Grid2D, neighbor_mean_patched,
                    quadrature_sum, wirtinger_derivative)
 
 
@@ -69,24 +69,17 @@ class ExactSolution:
     def V_field(self, grid: Grid2D, t: float, cval=None) -> ComplexField:
         return self._field(self.V, grid, t, cval)
 
-    def a_field(self, grid: Grid2D, t: float, cval=None) -> ComplexField:
-        return self._field(self.a, grid, t, cval)
-
     def _field(self, rf: RationalFn, grid: Grid2D, t: float, cval=None) -> ComplexField:
         zm = grid.zmesh()
         kw = self._subs(t, cval)
         num = rf.num.eval(z=zm, **kw)
         den = rf.den.eval(z=zm, **kw)
-        den = np.asarray(den, dtype=complex) + np.zeros_like(zm)
-        num = np.asarray(num, dtype=complex) + np.zeros_like(zm)
-        bad = np.abs(den) == 0.0
-        if bad.any():
-            den = den.copy()
-            den[bad] = 1.0
-            vals = num / den
-            vals[bad] = 0.0
-            return ComplexField(grid, vals, bad)
-        return ComplexField(grid, num / den)
+        bad = den == 0
+        if not bad.any():
+            return ComplexField(grid, np.divide(num, den, out=num))
+        den[bad] = 1.0
+        num[bad] = 0.0
+        return ComplexField(grid, np.divide(num, den, out=num), bad)
 
 
 def exact_solution(f: BiPoly, name: str = "custom", c=None) -> ExactSolution:
@@ -367,19 +360,18 @@ def l2_norm_sq(U: ComplexField, inner_frac: float = 0.7, decay_tol: float = 10.0
     Masked (singular) nodes are patched with the 8-neighbour mean; |U|^2 stays
     bounded at the catalog singularities, so the patch is O(h^2) accurate."""
     g = U.grid
-    u2vals = U.abs2().values
+    u2 = U.values.real**2 + U.values.imag**2
+    peak = float(np.sqrt(np.max(u2)))
+    ring = np.sqrt(np.concatenate([u2[0, :], u2[-1, :], u2[:, 0], u2[:, -1]]))
+    xs, ys = g.xs(), g.ys()
+    rb2 = np.concatenate([xs**2 + ys[0]**2, xs**2 + ys[-1]**2,
+                          xs[0]**2 + ys**2, xs[-1]**2 + ys**2])
     if U.mask is not None and U.mask.any():
         # patch once so the full-box and sub-box quadratures see the same field
-        u2vals = neighbor_mean_patched(u2vals, U.mask)
-    raw = integrate2d(ComplexField(g, u2vals)).real
+        u2 = neighbor_mean_patched(u2, U.mask)
+    raw = float(quadrature_sum(u2, g.hx, g.hy, g.periodic_x, g.periodic_y))
 
-    v = np.abs(U.values)
-    ring = np.concatenate([v[0, :], v[-1, :], v[:, 0], v[:, -1]])
-    zm = g.zmesh()
-    zb = np.concatenate([zm[0, :], zm[-1, :], zm[:, 0], zm[:, -1]])
-    rb = np.abs(zb)
-    Cdec = float(np.max(ring * rb**2))          # |U| <= C / r^2 on the boundary
-    peak = float(np.max(v))
+    Cdec = float(np.max(ring * rb2))            # |U| <= C / r^2 on the boundary
     decay_ok = peak == 0.0 or float(np.max(ring)) <= peak / decay_tol
     if require_decay and not decay_ok:
         raise DecayError(f"no O(1/r^2) boundary decay: boundary max {np.max(ring):.3g} "
@@ -387,12 +379,11 @@ def l2_norm_sq(U: ComplexField, inner_frac: float = 0.7, decay_tol: float = 10.0
 
     R1 = min(g.x_max, -g.x_min, g.y_max, -g.y_min) if g.x_min < 0 else min(g.x_max, g.y_max)
     R2 = inner_frac * R1
-    xs, ys = g.xs(), g.ys()
     selx = np.abs(xs) <= R2
     sely = np.abs(ys) <= R2
     if selx.sum() >= 8 and sely.sum() >= 8:
-        sub = u2vals[np.ix_(sely, selx)]
-        I1, I2 = raw, float(quadrature_sum(sub.real, g.hx, g.hy))
+        sub = u2[np.ix_(sely, selx)]
+        I1, I2 = raw, float(quadrature_sum(sub, g.hx, g.hy))
         value = (I1 * R1**2 - I2 * R2**2) / (R1**2 - R2**2)
     else:
         value = raw
@@ -481,16 +472,12 @@ def radial_limit_coefficient(sol: ExactSolution, t_sing: float, cval=None,
     """lim_{r->0} U(r e^{i phi}, t) e^{-2 i phi}, Richardson-extrapolated in r^2.
 
     Returns (coefficient, max deviation across phi samples)."""
-    kw = {"t": float(t_sing)}
-    if cval is not None:
-        kw["c"] = complex(cval)
-    elif isinstance(sol.c, complex):
-        kw["c"] = sol.c
+    kw = sol._subs(t_sing, cval)
     phis = np.arange(n_phi) * (2 * np.pi / n_phi) + 0.123
     ests = []
     for r in radii:
         zs = r * np.exp(1j * phis)
-        vals = np.array([complex(sol.U.eval(z=zv, **kw)) for zv in zs])
+        vals = sol.U.eval(z=zs, **kw)
         ests.append(vals * np.exp(-2j * phis))
     r1, r2 = radii[0], radii[1]
     w = (r1 / r2) ** 2

@@ -4,6 +4,10 @@ z and zbar are independent formal variables; the formal conjugate swaps
 z <-> zbar and c <-> cbar and conjugates coefficients (t stays real).
 Coefficients are complex numbers; the catalog data are Gaussian integers,
 for which all arithmetic here is exact.
+
+BiPoly.eval specialises the scalars t, c, cbar first, then evaluates the
+remaining (z, zbar) coefficient table by nested Horner, outer in zbar and
+inner in z.
 """
 from __future__ import annotations
 
@@ -156,37 +160,37 @@ class BiPoly:
     # -- queries -----------------------------------------------------------
 
     def eval(self, z=0.0, zbar=None, t=0.0, c=0.0, cbar=None):
-        """Evaluate; zbar/cbar default to the complex conjugates of z/c."""
-        z = np.asarray(z, dtype=np.complex128) if not np.isscalar(z) else z
-        zb = np.conj(z) if zbar is None else zbar
+        """Evaluate; zbar/cbar default to the complex conjugates of z/c.
+
+        Specialise the scalars first: each term becomes v t^dt c^dc cbar^dcb, summed
+        in storage order into one coefficient per (z, zbar) exponent pair, so a
+        constant term that cancels at a singular instant is exactly 0.  Then nested
+        Horner, outer in zbar and inner in z, in place in two cache-sized buffers.
+        Returns an array of z's shape, or a complex for scalar z."""
         cb = np.conjugate(c) if cbar is None else cbar
-        vals = (z, zb, t, c, cb)
-        powers = [dict() for _ in range(5)]
-
-        def pw(i, e):
-            if e == 0:
-                return 1.0
-            cache = powers[i]
-            if e not in cache:
-                cache[e] = vals[i] ** e
-            return cache[e]
-
-        acc = 0.0
-        for k, v in self.coef.items():
-            term = v
-            for i in range(5):
-                if k[i]:
-                    term = term * pw(i, k[i])
-            acc = acc + term
-        return acc
-
-    def degree(self, var=None):
-        if not self.coef:
-            return -1
-        if var is None:
-            return max(sum(k) for k in self.coef)
-        i = _VAR_INDEX[var]
-        return max(k[i] for k in self.coef)
+        rows = {}                      # zbar exponent -> {z exponent: coefficient}
+        for (dz, dzb, dt, dc, dcb), v in self.coef.items():
+            for x, e in ((t, dt), (c, dc), (cb, dcb)):
+                if e:
+                    v = v * x ** e
+            row = rows.setdefault(dzb, {})
+            row[dz] = row.get(dz, 0.0) + v
+        rows = rows or {0: {0: 0j}}
+        z = np.asarray(z, dtype=np.complex128)
+        out = np.empty(z.shape, dtype=np.complex128)
+        flat, acc_flat = z.reshape(-1), out.reshape(-1)
+        zbar = None if zbar is None else np.broadcast_to(zbar, z.shape).reshape(-1)
+        part, zb = np.empty((2, min(_BLOCK, z.size)), dtype=np.complex128)
+        top = max(rows)
+        for s in range(0, z.size, _BLOCK):         # one cache-sized block at a time
+            zk = flat[s:s + _BLOCK]
+            zbk = np.conj(zk, out=zb[:zk.size]) if zbar is None else zbar[s:s + _BLOCK]
+            acc = _horner(rows[top], zk, acc_flat[s:s + _BLOCK])
+            for b in range(top - 1, -1, -1):
+                acc *= zbk
+                if b in rows:
+                    acc += _horner(rows[b], zk, part[:zk.size])
+        return out if out.ndim else complex(out)
 
     def depends_on(self, var) -> bool:
         i = _VAR_INDEX[var]
@@ -236,6 +240,24 @@ class BiPoly:
             parts = tuple(int(p) for p in key.split(","))
             coef[parts] = complex(re, im)
         return cls(coef)
+
+
+_BLOCK = 8192        # nodes per Horner pass: a block's z, zbar and buffers stay in cache
+
+
+def _horner(row: dict, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sum_k row[k] z^k by Horner's rule, in place into out."""
+    n = max(row)
+    if n:
+        np.multiply(z, row[n], out=out)
+    else:
+        out.fill(row[0])
+    for k in range(n - 1, -1, -1):
+        if k in row:
+            out += row[k]
+        if k:
+            out *= z
+    return out
 
 
 def _as_poly(x) -> BiPoly:
@@ -332,10 +354,6 @@ def _as_rational(x) -> RationalFn:
     return RationalFn(_as_poly(x))
 
 
-def rational_wirtinger(r: RationalFn, var: str) -> RationalFn:
-    return r.wirtinger(var)
-
-
 def heat_extend(initial: BiPoly) -> BiPoly:
     """Extend a z-polynomial to f(z, t) with f(z, 0) = initial and f_t = i f_zz.
 
@@ -366,10 +384,6 @@ class RMat2:
 
     def __init__(self, entries):
         self.a = [[_as_rational(entries[i][j]) for j in range(2)] for i in range(2)]
-
-    @classmethod
-    def from_scalars(cls, e11, e12, e21, e22):
-        return cls([[e11, e12], [e21, e22]])
 
     def __getitem__(self, ij):
         return self.a[ij[0]][ij[1]]

@@ -414,9 +414,7 @@ def heat_datum_fields(f: BiPoly, grid: Grid2D, t: float, cval=None):
     kw = {"t": float(t)}
     if cval is not None:
         kw["c"] = complex(cval)
-    zm = grid.zmesh()
-    fp = f.wirtinger("z")
-    phi1 = np.asarray(fp.eval(z=zm, **kw), dtype=complex) + np.zeros_like(zm)
+    phi1 = f.wirtinger("z").eval(z=grid.zmesh(), **kw)
     psi0 = SpinorField(constant_field(grid, 0.0), constant_field(grid, 1.0))
     phi0 = SpinorField(ComplexField(grid, phi1), constant_field(grid, 1j))
     return psi0, phi0
@@ -428,5 +426,5 @@ def heat_smatrix_values(f: BiPoly, grid: Grid2D, t: float, cval=None) -> Mat2Fie
     if cval is not None:
         kw["c"] = complex(cval)
     zm = grid.zmesh()
-    fv = np.asarray(f.eval(z=zm, **kw), dtype=complex) + np.zeros_like(zm)
+    fv = f.eval(z=zm, **kw)
     return Mat2Field.from_values(grid, 1j * np.conj(fv), -zm, np.conj(zm), -1j * fv)

@@ -328,6 +328,23 @@ def test_singular_times_s2():
         assert abs(e.coefficient - (-12 * e.t_sing)) < 1e-3
 
 
+@pytest.mark.parametrize("name, c, t_sing", [("s1", 0.5j, -0.25), ("s1", 0.75j, -0.375),
+                                             ("s1", 1.25j, -0.625), ("s2", 12.0, -1.0),
+                                             ("s2", 12.0, 1.0)])
+def test_singular_instant_masks_exactly_the_origin(name, c, t_sing):
+    # |z|^2 + |f|^2 vanishes only at z = 0, where its value must cancel to exactly 0
+    sol = catalog(name, c=c)
+    g = square_grid(3.0, 65)
+    assert g.node_z(32, 32) == 0
+    U = sol.U_field(g, t_sing)
+    origin = np.zeros((65, 65), bool)
+    origin[32, 32] = True
+    assert U.mask is not None and np.array_equal(U.mask, origin)
+    assert U.values[32, 32] == 0 and np.all(np.isfinite(U.values))
+    for t in (t_sing - 0.1, t_sing + 0.05):
+        assert sol.U_field(g, t).mask is None
+
+
 def test_singular_times_persistent_rejected():
     sol = exact_solution(heat_extend(Z * Z))    # f(0, t) == 0 for all t
     with pytest.raises(InvalidDatumError):

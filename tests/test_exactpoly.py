@@ -2,10 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinsurf import (BiPoly, C, RMat2, RationalFn, T, Z, ZBAR, heat_extend,
-                      heat_residual, poly_equal, rational_wirtinger,
-                      s1_displayed_V)
+                      heat_residual, poly_equal, s1_displayed_V)
 from spinsurf.exactpoly import HeatDatumError
 
 
@@ -36,15 +36,87 @@ def test_eval_defaults_conjugates():
     assert p.eval(z=3 + 4j) == pytest.approx(25.0)
 
 
+_exponents = st.tuples(*[st.integers(0, 8)] * 5)
+_gaussian = st.builds(complex, st.integers(-9, 9), st.integers(-9, 9))
+_polys = st.dictionaries(_exponents, _gaussian, max_size=12).map(BiPoly)
+_points = st.builds(complex, st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
+_point_arrays = st.lists(_points, min_size=1, max_size=8).map(np.array)
+_eval_settings = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def _per_monomial(p, z, zbar, t, c, cbar):
+    """sum_k v_k z^a zbar^b t^dt c^dc cbar^dcb term by term, and the largest |term|."""
+    total, largest = 0j, 0.0
+    for (a, b, dt, dc, dcb), v in p.coef.items():
+        term = v * z**a * zbar**b * t**dt * c**dc * cbar**dcb
+        total = total + term
+        largest = np.maximum(largest, np.abs(term))
+    return total, largest
+
+
+def _assert_close(got, ref, largest):
+    assert np.all(np.abs(got - ref) <= 1e-12 * largest + 1e-300)
+
+
+@_eval_settings
+@given(p=_polys, z=_point_arrays, t=st.floats(-1.5, 1.5), c=_points)
+def test_eval_matches_per_monomial_sum(p, z, t, c):
+    got = p.eval(z=z, t=t, c=c)
+    assert isinstance(got, np.ndarray) and got.shape == z.shape
+    _assert_close(got, *_per_monomial(p, z, np.conj(z), t, c, np.conj(c)))
+
+
+@_eval_settings
+@given(p=_polys, z=_points, t=st.floats(-1.5, 1.5), c=_points)
+def test_eval_scalar_z_matches_per_monomial_sum(p, z, t, c):
+    got = p.eval(z=z, t=t, c=c)
+    assert type(got) is complex
+    _assert_close(got, *_per_monomial(p, z, z.conjugate(), t, c, c.conjugate()))
+
+
+@_eval_settings
+@given(p=_polys, zz=st.lists(st.tuples(_points, _points), min_size=1, max_size=8),
+       t=st.floats(-1.5, 1.5), c=_points, cbar=_points)
+def test_eval_explicit_zbar_matches_per_monomial_sum(p, zz, t, c, cbar):
+    z, zbar = np.array(zz).T          # independent zbar, read through a strided view
+    got = p.eval(z=z, zbar=zbar, t=t, c=c, cbar=cbar)
+    assert got.shape == z.shape
+    _assert_close(got, *_per_monomial(p, z, zbar, t, c, cbar))
+
+
+def test_eval_across_blocks_matches_per_monomial_sum():
+    # more nodes than one Horner pass takes, in a shape that leaves a partial block
+    from spinsurf import catalog
+    from spinsurf.exactpoly import _BLOCK
+    p = catalog("s2", c="symbolic").V.den
+    rng = np.random.default_rng(5)
+    shape = (2 * _BLOCK // 13 + 3, 13)
+    z = rng.uniform(-1.5, 1.5, shape) + 1j * rng.uniform(-1.5, 1.5, shape)
+    assert z.size > 2 * _BLOCK and z.size % _BLOCK
+    zbar = z[::-1].conj() + 0.25
+    for zb in (None, zbar):
+        ref = _per_monomial(p, z, np.conj(z) if zb is None else zb, 0.3, 2 - 1j, 2 + 1j)
+        _assert_close(p.eval(z=z, zbar=zb, t=0.3, c=2 - 1j), *ref)
+
+
+def test_eval_zero_and_constant_have_the_shape_of_z():
+    z = np.linspace(-1, 1, 12).reshape(3, 4) * (1 + 0.5j)
+    for p, value in ((BiPoly.zero(), 0), (BiPoly.const(2 - 3j), 2 - 3j)):
+        got = p.eval(z=z, t=0.4, c=1j)
+        assert got.shape == z.shape and np.all(got == value)
+        assert p.eval(z=0.5, t=0.4) == value
+    assert p.eval(z=z, zbar=0.0).shape == z.shape
+
+
 def test_rational_wirtinger_quotient_rule():
     r = RationalFn(BiPoly.const(1.0), Z)
-    d = rational_wirtinger(r, "z")
+    d = r.wirtinger("z")
     assert d.equals(RationalFn(BiPoly.const(-1.0), Z * Z))
 
 
 def test_rational_wirtinger_zbar_of_abs2():
     r = RationalFn(Z * ZBAR)
-    assert rational_wirtinger(r, "zbar").equals(RationalFn(Z))
+    assert r.wirtinger("zbar").equals(RationalFn(Z))
 
 
 def test_displayed_V_matches_2i_daz():
