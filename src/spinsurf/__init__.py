@@ -5,9 +5,8 @@ from heat polynomials, with symbolic and numerical verification tooling.
 
 from .grid import (ComplexField, Form1, Grid2D, antiderivative,
                    closedness_defect, constant_field, field_from_function,
-                   integrate2d, lpath, make_grid, path_integrate, rect_loop,
-                   save_complexfield_csv, load_complexfield_csv, square_grid,
-                   wirtinger_derivative)
+                   integrate2d, make_grid, save_complexfield_csv,
+                   load_complexfield_csv, square_grid, wirtinger_derivative)
 from .exactpoly import (BiPoly, C, CBAR, ONE, RMat2, RationalFn, T, Z, ZBAR,
                         heat_extend, heat_residual, poly_equal)
 from .dirac import (Mat2Field, PotentialPair, SpinorField, apply_D,
@@ -18,7 +17,7 @@ from .surface import (GaussMapResult, MetricData, SurfaceMap,
                       integrate_surface_r4, invert_surface, measured_e2alpha,
                       smatrix_to_surface, spinor_metric, surface_to_smatrix,
                       weier_derivatives, willmore)
-from .meshio import MeshStats, euler_characteristic, export_mesh
+from .meshio import MeshStats, export_mesh
 from .moutard import (KData, MatForm1, MoutardTransform, SMatrix, build_S,
                       heat_antiderivative, heat_datum_fields,
                       heat_datum_spinors, heat_smatrix_values, k_matrix,

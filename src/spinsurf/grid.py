@@ -21,10 +21,6 @@ class SchemeError(ValueError):
     pass
 
 
-class PathError(ValueError):
-    pass
-
-
 class MaskError(ValueError):
     pass
 
@@ -351,58 +347,6 @@ def integrate2d(f: ComplexField, mask_policy: str = "reject") -> complex:
 
 # ---------------------------------------------------------------------------
 # path integration
-
-
-def lpath(grid: Grid2D, start, end, order: str = "x_first"):
-    """Axis-aligned L-shaped node path between two (ix, iy) nodes."""
-    ix0, iy0 = start
-    ix1, iy1 = end
-    path = [(ix0, iy0)]
-    def walk_x(iy):
-        step = 1 if ix1 >= ix0 else -1
-        for ix in range(ix0 + step, ix1 + step, step):
-            path.append((ix, iy))
-    def walk_y(ix):
-        step = 1 if iy1 >= iy0 else -1
-        for iy in range(iy0 + step, iy1 + step, step):
-            path.append((ix, iy))
-    if order == "x_first":
-        walk_x(iy0)
-        walk_y(ix1)
-    elif order == "y_first":
-        walk_y(ix0)
-        walk_x(iy1)
-    else:
-        raise ValueError(f"unknown order {order!r}")
-    return path
-
-
-def rect_loop(ix0, iy0, ix1, iy1):
-    """Closed rectangular loop through the four corner nodes."""
-    p = [(ix, iy0) for ix in range(ix0, ix1 + 1)]
-    p += [(ix1, iy) for iy in range(iy0 + 1, iy1 + 1)]
-    p += [(ix, iy1) for ix in range(ix1 - 1, ix0 - 1, -1)]
-    p += [(ix0, iy) for iy in range(iy1 - 1, iy0 - 1, -1)]
-    return p
-
-
-def path_integrate(form: Form1, path) -> complex:
-    """Trapezoidal line integral of p dz + q dzbar along a grid node path."""
-    grid = form.grid
-    path = list(path)
-    if len(path) < 2:
-        return 0.0 + 0.0j
-    p, q = form.p.values, form.q.values
-    total = 0.0 + 0.0j
-    for (ixa, iya), (ixb, iyb) in zip(path[:-1], path[1:]):
-        if abs(ixb - ixa) + abs(iyb - iya) != 1:
-            raise PathError(f"non-adjacent nodes {(ixa, iya)} -> {(ixb, iyb)}")
-        za, zb = grid.node_z(ixa, iya), grid.node_z(ixb, iyb)
-        dzseg = zb - za
-        pm = (p[iya, ixa] + p[iyb, ixb]) / 2
-        qm = (q[iya, ixa] + q[iyb, ixb]) / 2
-        total += pm * dzseg + qm * np.conj(dzseg)
-    return complex(total)
 
 
 def antiderivative(form: Form1, basepoint=(0, 0), order: str = "x_first") -> ComplexField:

@@ -152,18 +152,6 @@ def nv_residual(U_stencil, dt: float, V: ComplexField | None = None,
 # x-only reduction
 
 
-def _x_stencil_d(u: np.ndarray, h: float, order: int) -> np.ndarray:
-    """Periodic-free central differences with one-sided ends, 2nd order."""
-    out = u
-    for _ in range(order):
-        nxt = np.empty_like(out)
-        nxt[1:-1] = (out[2:] - out[:-2]) / (2 * h)
-        nxt[0] = (-3 * out[0] + 4 * out[1] - out[2]) / (2 * h)
-        nxt[-1] = (3 * out[-1] - 4 * out[-2] + out[-3]) / (2 * h)
-        out = nxt
-    return out
-
-
 def mkdv_rhs_1d(u: np.ndarray, h: float) -> np.ndarray:
     """(1/4) u_xxx + 6 u_x u^2 with direct stencils."""
     ux = np.gradient(u, h, edge_order=2)
@@ -176,9 +164,9 @@ def mkdv_rhs_1d(u: np.ndarray, h: float) -> np.ndarray:
 
 def mnv_rhs_xonly(u: np.ndarray, h: float) -> np.ndarray:
     """mNV right-hand side on x-only data with V = U^2 and d = (1/2) d/dx."""
-    dx = lambda a: _x_stencil_d(a, h, 1)
+    dx = lambda a: np.gradient(a, h, edge_order=2)
     v = u * u
-    half = 0.125 * _x_stencil_d(u, h, 3) + 3 * (0.5 * dx(u)) * v + 1.5 * u * (0.5 * dx(v))
+    half = 0.125 * dx(dx(dx(u))) + 3 * (0.5 * dx(u)) * v + 1.5 * u * (0.5 * dx(v))
     return 2 * half
 
 

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,34 +40,28 @@ def _project(S: SurfaceMap, r4_projection: str):
 
 def grid_triangles(nx: int, ny: int, good: np.ndarray, stitch_x: bool = False,
                    stitch_y: bool = False):
-    """Two triangles per grid quad; quads touching a bad node are skipped.
+    """Two triangles per grid quad, (a, b, c) and (a, c, d) with a = (ix, iy),
+    b = (ix + 1, iy), c = (ix + 1, iy + 1), d = (ix, iy + 1), quads row by row;
+    quads touching a bad node are skipped and counted as holes.
 
     Periodic stitching closes the last column/row back to the first.
     """
-    def vid(ix, iy):
-        return iy * nx + ix
-
-    tris = []
-    holes = 0
-    mx = nx if stitch_x else nx - 1
-    my = ny if stitch_y else ny - 1
-    for iy in range(my):
-        iy1 = (iy + 1) % ny
-        for ix in range(mx):
-            ix1 = (ix + 1) % nx
-            quad_ok = good[iy, ix] and good[iy, ix1] and good[iy1, ix] and good[iy1, ix1]
-            if not quad_ok:
-                holes += 1
-                continue
-            a, b, c, d = vid(ix, iy), vid(ix1, iy), vid(ix1, iy1), vid(ix, iy1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    return np.asarray(tris, dtype=np.int64).reshape(-1, 3), holes
+    ix = np.arange(nx if stitch_x else nx - 1)
+    iy = np.arange(ny if stitch_y else ny - 1)[:, None]
+    ix1, iy1 = (ix + 1) % nx, (iy + 1) % ny
+    ok = good[iy, ix] & good[iy, ix1] & good[iy1, ix] & good[iy1, ix1]
+    a, b, c, d = (v[ok] for v in (iy * nx + ix, iy * nx + ix1, iy1 * nx + ix1, iy1 * nx + ix))
+    tris = np.stack([a, b, c, a, c, d], axis=1).astype(np.int64, copy=False)
+    return tris.reshape(-1, 3), int(ok.size - np.count_nonzero(ok))
 
 
 def export_mesh(S: SurfaceMap, path, fmt: str = "obj", r4_projection: str = "drop4",
                 stitch_periodic: bool = True, metadata: dict | None = None) -> MeshStats:
-    """Write the surface as a triangulated OBJ or PLY file plus a JSON sidecar."""
+    """Write the surface as a triangulated OBJ or PLY file plus a JSON sidecar.
+
+    Nodes that are masked or not finite leave holes.  The files are built from
+    whole arrays and match the per-element writers kept in the tests byte for byte.
+    """
     if fmt not in ("obj", "ply"):
         raise MeshFormatError(f"unsupported format {fmt!r}")
     verts3, extra = _project(S, r4_projection)
@@ -118,10 +111,10 @@ def _jsonable(obj):
 
 def _write_obj(path, pts, tris):
     with open(path, "w") as fh:
-        for x, y, z in pts:
-            fh.write(f"v {x:.9g} {y:.9g} {z:.9g}\n")
-        for a, b, c in tris:
-            fh.write(f"f {a + 1} {b + 1} {c + 1}\n")
+        for line, rows in (("v %.9g %.9g %.9g\n", pts), ("f %d %d %d\n", tris + 1)):
+            for s in range(0, len(rows), 4096):     # one format string per block
+                block = rows[s:s + 4096]
+                fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def _write_ply(path, pts, tris):
@@ -134,30 +127,10 @@ def _write_ply(path, pts, tris):
         "property list uchar int vertex_indices\n"
         "end_header\n"
     )
+    faces = np.empty(len(tris), dtype=[("n", "u1"), ("v", "<i4", (3,))])   # packed, 13 bytes
+    faces["n"] = 3
+    faces["v"] = tris
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         fh.write(pts.astype("<f4").tobytes())
-        for a, b, c in tris:
-            fh.write(struct.pack("<B3i", 3, a, b, c))
-
-
-def read_obj_counts(path):
-    nv = nf = 0
-    with open(path) as fh:
-        for line in fh:
-            if line.startswith("v "):
-                nv += 1
-            elif line.startswith("f "):
-                nf += 1
-    return nv, nf
-
-
-def euler_characteristic(tris: np.ndarray, n_vertices: int | None = None) -> int:
-    """V - E + F over referenced vertices with unique undirected edges."""
-    used = np.unique(tris)
-    v = len(used) if n_vertices is None else n_vertices
-    edges = set()
-    for a, b, c in tris:
-        for e in ((a, b), (b, c), (c, a)):
-            edges.add((min(e), max(e)))
-    return v - len(edges) + tris.shape[0]
+        fh.write(faces.tobytes())

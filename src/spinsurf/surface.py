@@ -218,89 +218,39 @@ def willmore(U: ComplexField, decay_warn: float = 1e-3) -> float:
 # discrete mean curvature
 
 
-def _frame(Sx, Sy):
-    e1 = Sx / np.linalg.norm(Sx, axis=0, keepdims=True)
-    proj = np.sum(Sy * e1, axis=0, keepdims=True)
-    e2 = Sy - proj * e1
-    e2 = e2 / np.linalg.norm(e2, axis=0, keepdims=True)
-    return e1, e2
+def discrete_mean_curvature(S: SurfaceMap) -> np.ndarray:
+    """Mean curvature from the map alone, through its fundamental forms.
 
-
-def discrete_mean_curvature(S: SurfaceMap, window: int = 2) -> np.ndarray:
-    """Mean curvature oracle from the map alone.
-
-    R^3: local quadratic least-squares height fit over a (2w+1)^2 window in the
-    normal frame, H = (w_uu + w_vv)/2.  R^4: |H| from the mean curvature vector
-    Delta S / (2 e^{2 alpha}).  Boundary margin and degenerate fits are NaN.
+    With P_x, P_y, P_xx, P_xy, P_yy from np.gradient (second order), E, F, G the
+    first fundamental form and W = EG - F^2, the mean curvature vector is the
+    normal part of A = (G P_xx - 2F P_xy + E P_yy) / (2W); the tangent part
+    a P_x + b P_y solves [[E, F], [F, G]] (a, b) = (A.P_x, A.P_y).  No conformal
+    parametrization is assumed.  R^3: the signed H.n with n = P_x x P_y / sqrt(W);
+    R^4: |H|.  NaN on a 2-node border (its stencils reach the one-sided edge
+    differences), at masked nodes and where W <= 1e-12 max W.
     """
-    if S.ambient_dim == 4:
-        return _mean_curvature_r4(S)
-    g = S.grid
-    hx, hy = g.hx, g.hy
-    P = S.coords
-    Sx = np.gradient(P, hx, axis=2, edge_order=2)
-    Sy = np.gradient(P, hy, axis=1, edge_order=2)
-    e1, e2 = _frame(Sx, Sy)
-    n = np.cross(e1, e2, axis=0)
-
-    w = window
-    ny, nx = g.ny, g.nx
-    H = np.full((ny, nx), np.nan)
-    core = np.s_[w:ny - w, w:nx - w]
-    offsets = [(dy, dx) for dy in range(-w, w + 1) for dx in range(-w, w + 1)]
-    m = len(offsets)
-    c0 = P[:, core[0], core[1]]
-    shape = c0.shape[1:]
-    A = np.empty(shape + (m, 6))
-    b = np.empty(shape + (m,))
-    e1c = np.moveaxis(e1[:, core[0], core[1]], 0, -1)
-    e2c = np.moveaxis(e2[:, core[0], core[1]], 0, -1)
-    nc = np.moveaxis(n[:, core[0], core[1]], 0, -1)
-    P0 = np.moveaxis(c0, 0, -1)
-    for k, (dy, dx) in enumerate(offsets):
-        Pk = np.moveaxis(P[:, w + dy:ny - w + dy, w + dx:nx - w + dx], 0, -1)
-        d = Pk - P0
-        u = np.sum(d * e1c, axis=-1)
-        v = np.sum(d * e2c, axis=-1)
-        hgt = np.sum(d * nc, axis=-1)
-        A[..., k, 0] = 1.0
-        A[..., k, 1] = u
-        A[..., k, 2] = v
-        A[..., k, 3] = u * u / 2
-        A[..., k, 4] = u * v
-        A[..., k, 5] = v * v / 2
-        b[..., k] = hgt
-    G = np.einsum("...ka,...kb->...ab", A, A)
-    rhs = np.einsum("...ka,...k->...a", A, b)
-    ok = np.linalg.cond(G) < 1e12
-    beta = np.full(shape + (6,), np.nan)
-    if ok.any():
-        beta[ok] = np.linalg.solve(G[ok], rhs[ok][..., None])[..., 0]
-    H[core] = (beta[..., 3] + beta[..., 5]) / 2
+    g, P = S.grid, S.coords
+    Px = np.gradient(P, g.hx, axis=2, edge_order=2)
+    Py = np.gradient(P, g.hy, axis=1, edge_order=2)
+    Pxx = np.gradient(Px, g.hx, axis=2, edge_order=2)
+    Pxy = np.gradient(Px, g.hy, axis=1, edge_order=2)
+    Pyy = np.gradient(Py, g.hy, axis=1, edge_order=2)
+    E, F, G = np.sum(Px * Px, axis=0), np.sum(Px * Py, axis=0), np.sum(Py * Py, axis=0)
+    W = E * G - F * F
+    bad = ~(W > 1e-12 * np.max(W, initial=0.0, where=np.isfinite(W)))
+    W[bad] = 1.0
+    A = (G * Pxx - 2 * F * Pxy + E * Pyy) / (2 * W)
+    ax, ay = np.sum(A * Px, axis=0), np.sum(A * Py, axis=0)
+    Hvec = A - (G * ax - F * ay) / W * Px - (E * ay - F * ax) / W * Py
+    if S.ambient_dim == 3:
+        H = np.sum(Hvec * np.cross(Px, Py, axis=0), axis=0) / np.sqrt(W)
+    else:
+        H = np.linalg.norm(Hvec, axis=0)
+    H[bad] = np.nan
+    H[:2, :] = H[-2:, :] = H[:, :2] = H[:, -2:] = np.nan
     if S.mask is not None:
         H[S.mask] = np.nan
     return H
-
-
-def _mean_curvature_r4(S: SurfaceMap) -> np.ndarray:
-    g = S.grid
-    P = S.coords
-    Sx = np.gradient(P, g.hx, axis=2, edge_order=2)
-    Sy = np.gradient(P, g.hy, axis=1, edge_order=2)
-    e2a = (np.sum(Sx * Sx, axis=0) + np.sum(Sy * Sy, axis=0)) / 2
-    lap = np.empty_like(P)
-    for k in range(4):
-        lap[k] = (np.gradient(np.gradient(P[k], g.hx, axis=1, edge_order=2), g.hx, axis=1, edge_order=2)
-                  + np.gradient(np.gradient(P[k], g.hy, axis=0, edge_order=2), g.hy, axis=0, edge_order=2))
-    Hvec = lap / (2 * e2a)
-    Habs = np.linalg.norm(Hvec, axis=0)
-    Habs[:2, :] = np.nan
-    Habs[-2:, :] = np.nan
-    Habs[:, :2] = np.nan
-    Habs[:, -2:] = np.nan
-    if S.mask is not None:
-        Habs[S.mask] = np.nan
-    return Habs
 
 
 # ---------------------------------------------------------------------------

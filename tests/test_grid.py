@@ -2,11 +2,69 @@ import numpy as np
 import pytest
 
 from spinsurf import (ComplexField, Form1, constant_field, field_from_function,
-                      integrate2d, load_complexfield_csv, lpath, make_grid,
-                      path_integrate, rect_loop, save_complexfield_csv,
-                      wirtinger_derivative)
-from spinsurf.grid import (GridConfigError, MaskError, PathError, SchemeError,
-                           antiderivative, save_nodes_csv)
+                      integrate2d, load_complexfield_csv, make_grid,
+                      save_complexfield_csv, wirtinger_derivative)
+from spinsurf.grid import (GridConfigError, MaskError, SchemeError, antiderivative,
+                           save_nodes_csv)
+
+
+# Node paths and a trapezoidal line integral along them: the reference that
+# antiderivative's vectorised L-path sums are compared against.
+
+class PathError(ValueError):
+    pass
+
+
+def lpath(grid, start, end, order="x_first"):
+    """Axis-aligned L-shaped node path between two (ix, iy) nodes."""
+    ix0, iy0 = start
+    ix1, iy1 = end
+    path = [(ix0, iy0)]
+    def walk_x(iy):
+        step = 1 if ix1 >= ix0 else -1
+        for ix in range(ix0 + step, ix1 + step, step):
+            path.append((ix, iy))
+    def walk_y(ix):
+        step = 1 if iy1 >= iy0 else -1
+        for iy in range(iy0 + step, iy1 + step, step):
+            path.append((ix, iy))
+    if order == "x_first":
+        walk_x(iy0)
+        walk_y(ix1)
+    elif order == "y_first":
+        walk_y(ix0)
+        walk_x(iy1)
+    else:
+        raise ValueError(f"unknown order {order!r}")
+    return path
+
+
+def rect_loop(ix0, iy0, ix1, iy1):
+    """Closed rectangular loop through the four corner nodes."""
+    p = [(ix, iy0) for ix in range(ix0, ix1 + 1)]
+    p += [(ix1, iy) for iy in range(iy0 + 1, iy1 + 1)]
+    p += [(ix, iy1) for ix in range(ix1 - 1, ix0 - 1, -1)]
+    p += [(ix0, iy) for iy in range(iy1 - 1, iy0 - 1, -1)]
+    return p
+
+
+def path_integrate(form, path) -> complex:
+    """Trapezoidal line integral of p dz + q dzbar along a grid node path."""
+    grid = form.grid
+    path = list(path)
+    if len(path) < 2:
+        return 0.0 + 0.0j
+    p, q = form.p.values, form.q.values
+    total = 0.0 + 0.0j
+    for (ixa, iya), (ixb, iyb) in zip(path[:-1], path[1:]):
+        if abs(ixb - ixa) + abs(iyb - iya) != 1:
+            raise PathError(f"non-adjacent nodes {(ixa, iya)} -> {(ixb, iyb)}")
+        za, zb = grid.node_z(ixa, iya), grid.node_z(ixb, iyb)
+        dzseg = zb - za
+        pm = (p[iya, ixa] + p[iyb, ixb]) / 2
+        qm = (q[iya, ixa] + q[iyb, ixb]) / 2
+        total += pm * dzseg + qm * np.conj(dzseg)
+    return complex(total)
 
 
 def test_make_grid_corner_node():
@@ -170,6 +228,20 @@ def test_antiderivative_path_independence():
     a1 = antiderivative(Form1(p, q), (20, 20), "x_first")
     a2 = antiderivative(Form1(p, q), (20, 20), "y_first")
     assert np.max(np.abs(a1.values - a2.values)) < 1e-12
+
+
+@pytest.mark.parametrize("order", ["x_first", "y_first"])
+def test_antiderivative_matches_lpath_integral(order):
+    # a form that is not closed, so the two path orders differ: each node of the
+    # vectorised antiderivative equals the line integral along its own L-path
+    g = make_grid((-1, 1.5, -0.5, 1), (23, 17))
+    p = field_from_function(g, lambda z: np.exp(0.8 * z) + np.abs(z) ** 2)
+    q = field_from_function(g, lambda z: np.sin(np.conj(z)) * z)
+    form, base = Form1(p, q), (7, 11)
+    F = antiderivative(form, base, order)
+    for node in [(0, 0), (22, 16), (7, 0), (0, 11), (15, 3), (7, 11)]:
+        ref = path_integrate(form, lpath(g, base, node, order))
+        assert abs(F.values[node[1], node[0]] - ref) < 1e-13
 
 
 def test_complexfield_csv_roundtrip(tmp_path):

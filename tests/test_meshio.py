@@ -4,12 +4,77 @@ import struct
 import numpy as np
 import pytest
 
-from spinsurf import (SpinorField, catalog, constant_field,
+from spinsurf import (SpinorField, SurfaceMap, catalog, constant_field,
                       export_mesh, field_from_function, integrate_surface_r3,
                       invert_surface, make_grid, smatrix_to_surface)
-from spinsurf.meshio import (MeshFormatError, euler_characteristic,
-                             grid_triangles, read_obj_counts)
+from spinsurf.meshio import MeshFormatError, grid_triangles
 from spinsurf.moutard import heat_smatrix_values
+
+
+# Per-element loop versions of the triangulation and the writers: the reference
+# the array-built ones must match index for index and byte for byte.
+
+def loop_grid_triangles(nx, ny, good, stitch_x=False, stitch_y=False):
+    tris = []
+    holes = 0
+    mx = nx if stitch_x else nx - 1
+    my = ny if stitch_y else ny - 1
+    for iy in range(my):
+        iy1 = (iy + 1) % ny
+        for ix in range(mx):
+            ix1 = (ix + 1) % nx
+            if not (good[iy, ix] and good[iy, ix1] and good[iy1, ix] and good[iy1, ix1]):
+                holes += 1
+                continue
+            a, b, c, d = iy * nx + ix, iy * nx + ix1, iy1 * nx + ix1, iy1 * nx + ix
+            tris.append((a, b, c))
+            tris.append((a, c, d))
+    return np.asarray(tris, dtype=np.int64).reshape(-1, 3), holes
+
+
+def loop_write_obj(path, pts, tris):
+    with open(path, "w") as fh:
+        for x, y, z in pts:
+            fh.write(f"v {x:.9g} {y:.9g} {z:.9g}\n")
+        for a, b, c in tris:
+            fh.write(f"f {a + 1} {b + 1} {c + 1}\n")
+
+
+def loop_write_ply(path, pts, tris):
+    header = (
+        "ply\n"
+        "format binary_little_endian 1.0\n"
+        f"element vertex {pts.shape[0]}\n"
+        "property float x\nproperty float y\nproperty float z\n"
+        f"element face {tris.shape[0]}\n"
+        "property list uchar int vertex_indices\n"
+        "end_header\n"
+    )
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        fh.write(pts.astype("<f4").tobytes())
+        for a, b, c in tris:
+            fh.write(struct.pack("<B3i", 3, a, b, c))
+
+
+def read_obj_counts(path):
+    nv = nf = 0
+    with open(path) as fh:
+        for line in fh:
+            if line.startswith("v "):
+                nv += 1
+            elif line.startswith("f "):
+                nf += 1
+    return nv, nf
+
+
+def euler_characteristic(tris: np.ndarray) -> int:
+    """V - E + F over referenced vertices with unique undirected edges."""
+    edges = set()
+    for a, b, c in tris:
+        for e in ((a, b), (b, c), (c, a)):
+            edges.add((min(e), max(e)))
+    return len(np.unique(tris)) - len(edges) + tris.shape[0]
 
 
 def _plane(n=5):
@@ -79,6 +144,13 @@ def test_inverted_singular_surface_has_hole(tmp_path):
     assert st.n_holes == 4                      # the four quads at the node
     meta = json.loads((tmp_path / "inv.obj.json").read_text())
     assert meta["holes"] == 4
+    export_mesh(inv, tmp_path / "inv.ply", fmt="ply")
+    tris, _ = loop_grid_triangles(17, 17, ~inv.mask)
+    pts = inv.coords[:3].reshape(3, -1).T
+    loop_write_obj(tmp_path / "ref.obj", pts, tris)
+    loop_write_ply(tmp_path / "ref.ply", pts, tris)
+    for ext in ("obj", "ply"):
+        assert (tmp_path / f"inv.{ext}").read_bytes() == (tmp_path / f"ref.{ext}").read_bytes()
 
 
 def test_unknown_format_rejected(tmp_path):
@@ -103,3 +175,42 @@ def test_r4_stereographic_projection(tmp_path):
     assert st.n_triangles == 2 * 8 * 8
     meta = json.loads((tmp_path / "g.obj.json").read_text())
     assert meta["projection"] == "stereographic"
+
+
+@pytest.mark.parametrize("nx,ny", [(7, 5), (4, 9), (13, 11)])
+@pytest.mark.parametrize("stitch_x", [False, True])
+@pytest.mark.parametrize("stitch_y", [False, True])
+def test_grid_triangles_match_loop_oracle(nx, ny, stitch_x, stitch_y):
+    rng = np.random.default_rng(nx * 100 + ny)
+    for p_bad in (0.0, 0.05, 0.3, 1.0):
+        good = rng.random((ny, nx)) >= p_bad
+        tris, holes = grid_triangles(nx, ny, good, stitch_x, stitch_y)
+        ref, ref_holes = loop_grid_triangles(nx, ny, good, stitch_x, stitch_y)
+        assert tris.dtype == ref.dtype and tris.shape == ref.shape
+        assert np.array_equal(tris, ref)
+        assert holes == ref_holes and type(holes) is int
+
+
+@pytest.mark.parametrize("fmt", ["obj", "ply"])
+def test_export_bytes_match_loop_writers(tmp_path, fmt):
+    # awkward values: NaN (a hole), signed zero, huge (inf as float32), tiny;
+    # 4,402 vertices and about 8,500 faces span several 4,096-row blocks
+    g = make_grid((-1, 1, -0.5, 0.5), (71, 62))
+    rng = np.random.default_rng(5)
+    coords = rng.normal(size=(3, 62, 71)) * np.array([1.0, 1e3, 1e-3])[:, None, None]
+    coords[0, 2, 3] = np.nan
+    coords[1, 0, 0] = -0.0
+    coords[2, 5, 7] = 1e300
+    coords[0, 6, 1] = 1e-7
+    coords[2, 4, 4] = -1e-7
+    mask = np.zeros((62, 71), bool)
+    mask[6, 9] = mask[0, 5] = mask[61, 70] = True
+    S = SurfaceMap(g, coords, np.zeros(3), mask)
+    with np.errstate(over="ignore"):         # 1e300 does not fit a float32
+        st = export_mesh(S, tmp_path / f"s.{fmt}", fmt=fmt)
+        pts = coords.reshape(3, -1).T
+        good = np.isfinite(coords).all(axis=0) & ~mask
+        tris, holes = loop_grid_triangles(71, 62, good)
+        (loop_write_obj if fmt == "obj" else loop_write_ply)(tmp_path / f"ref.{fmt}", pts, tris)
+    assert (st.n_triangles, st.n_holes) == (len(tris), holes) and holes > 0
+    assert (tmp_path / f"s.{fmt}").read_bytes() == (tmp_path / f"ref.{fmt}").read_bytes()

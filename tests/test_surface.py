@@ -191,6 +191,63 @@ def test_curvature_r4_norm():
     assert np.nanmax(H) < 1e-10
 
 
+
+def _sphere(g, R=2.0):
+    """Stereographic radius-R sphere: not minimal, signed H = +1/R."""
+    zm = g.zmesh()
+    r2 = np.abs(zm) ** 2
+    coords = np.stack([2 * zm.real, 2 * zm.imag, r2 - 1]) * (R / (1 + r2))
+    return coords, np.full(r2.shape, 1 / R)
+
+
+def _paraboloid(g, reparam=True):
+    """z = (x^2 + y^2)/2 over (x, y) = (sinh u + v/2, sinh v): neither conformal
+    (F != 0, P_uv != 0) nor polynomial in the grid coordinates; reparam=False is
+    the plain graph."""
+    zm = g.zmesh()
+    u, v = zm.real, zm.imag
+    x, y = (np.sinh(u) + v / 2, np.sinh(v)) if reparam else (u, v)
+    r2 = x * x + y * y
+    return np.stack([x, y, r2 / 2]), (2 + r2) / (2 * (1 + r2) ** 1.5)
+
+
+_EMBED = {"r3": lambda c: c,
+          "r4_x4_zero": lambda c: np.stack([c[0], c[1], c[2], 0 * c[0]]),
+          "r4_x124": lambda c: np.stack([c[0], c[1], 0 * c[0], c[2]])}
+
+
+def _embedded(g, coords, embedding):
+    c = _EMBED[embedding](coords)
+    return SurfaceMap(g, c, np.zeros(len(c)))
+
+
+@pytest.mark.parametrize("embedding", sorted(_EMBED))
+@pytest.mark.parametrize("surface,box", [(_sphere, 1.5), (_paraboloid, 1.0)],
+                         ids=["sphere", "paraboloid"])
+def test_curvature_nonminimal_order(surface, box, embedding):
+    # R^3: signed H; R^4 (the same surface in a 3-space): |H|
+    errs = []
+    for n in (48, 96, 192):
+        g = make_grid((-box, box, -box, box), (n, n))
+        coords, exact = surface(g)
+        H = discrete_mean_curvature(_embedded(g, coords, embedding))
+        errs.append(np.nanmax(np.abs(H - exact)))
+    assert errs[0] / errs[1] >= 3.5 and errs[1] / errs[2] >= 3.5
+    assert errs[2] < 1e-3
+
+
+@pytest.mark.parametrize("embedding", sorted(_EMBED))
+def test_curvature_plain_paraboloid_graph_exact(embedding):
+    # quadratic coordinates: the differences are exact, so only rounding is left
+    for n in (48, 96, 192):
+        g = make_grid((-1, 1, -1, 1), (n, n))
+        coords, exact = _paraboloid(g, reparam=False)
+        H = discrete_mean_curvature(_embedded(g, coords, embedding))
+        assert np.isnan(H[:2]).all() and np.isnan(H[:, -2:]).all()
+        assert np.isfinite(H[2:-2, 2:-2]).all()
+        assert np.max(np.abs(H[2:-2, 2:-2] - exact[2:-2, 2:-2])) < 1e-11
+
+
 def test_invert_point_examples():
     g = make_grid((0, 1, 0, 1), (4, 4))
     mk = lambda p: SurfaceMap(g, np.tile(np.asarray(p, float)[:, None, None], (1, 4, 4)),
