@@ -9,7 +9,7 @@ from .grid import (ComplexField, Form1, Grid2D, antiderivative,
                    load_complexfield_csv, square_grid, wirtinger_derivative)
 from .exactpoly import (BiPoly, C, CBAR, ONE, RMat2, RationalFn, T, Z, ZBAR,
                         heat_extend, heat_residual, poly_equal)
-from .dirac import (Mat2Field, PotentialPair, SpinorField, apply_D,
+from .dirac import (Mat2Field, PotentialPair, QuatField, SpinorField, apply_D,
                     apply_Dvee, dirac_residual_norm, gauge_transform,
                     quaternionize, save_spinorfield_csv, sigma)
 from .surface import (GaussMapResult, MetricData, SurfaceMap,

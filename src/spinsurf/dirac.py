@@ -71,6 +71,9 @@ def _empty(grid: Grid2D) -> np.ndarray:
 class Mat2Field:
     """2x2 complex matrix per node: values[i, j] is entry (i, j), shape (2, 2, ny, nx).
 
+    For general values, such as the dz and dzbar parts of the Moutard form
+    omega; fields that are quaternions throughout are held as QuatField.
+
     One mask covers all four entries: the union of the masks of the fields the
     matrix was built from.  values may be a read-only broadcast view (see
     constant), so operations always write into fresh arrays.
@@ -120,9 +123,6 @@ class Mat2Field:
     def __sub__(self, other: "Mat2Field") -> "Mat2Field":
         return Mat2Field(self.grid, self.values - other.values, self._mask_with(other))
 
-    def scale(self, s) -> "Mat2Field":
-        return Mat2Field(self.grid, self.values * s, self.mask)
-
     def transpose(self) -> "Mat2Field":
         return Mat2Field(self.grid, self.values.transpose(1, 0, 2, 3), self.mask)
 
@@ -161,18 +161,112 @@ class Mat2Field:
     def max_abs(self) -> float:
         return max(self.entry(i, j).max_abs() for i in range(2) for j in range(2))
 
-    def column_spinor(self, col: int = 0) -> SpinorField:
-        """Column col as a spinor; its entries are copies, so the matrix can be freed."""
+
+def quaternion_defect(m: np.ndarray, mask=None) -> float:
+    """max(|m11 - conj(m00)|, |m01 + conj(m10)|) over the 2x2 matrices m[i, j] (one
+    matrix, or one per node with mask nodes skipped): 0 exactly when every
+    matrix is a quaternion [[a, -conj(b)], [b, conj(a)]]."""
+    r = np.maximum(np.abs(m[1, 1] - np.conj(m[0, 0])), np.abs(m[0, 1] + np.conj(m[1, 0])))
+    if mask is not None:
+        r = np.where(mask, 0.0, r)
+    return float(np.max(r))
+
+
+@dataclass
+class QuatField:
+    """A quaternion [[a, -conj(b)], [b, conj(a)]] per node, stored as values = (a, b)
+    of shape (2, ny, nx): column 0 of the 2x2 matrix, which fixes the rest.
+
+    Products, differences, conjugates and inverses of quaternions are
+    quaternions, so they are formed on (a, b) alone: a product takes four complex
+    multiplies, and the inverse is exact, the conjugate (conj(a), -b) over
+    |a|^2 + |b|^2 = det.  The mask is handled as in Mat2Field, and operations
+    write into fresh arrays, so fields may share values.
+    """
+
+    grid: Grid2D
+    values: np.ndarray
+    mask: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.values.shape != (2, self.grid.ny, self.grid.nx):
+            raise GridConfigError(f"quaternion values shape {self.values.shape} does not fit the grid")
+
+    def _mask_with(self, other: "QuatField"):
+        if other.grid != self.grid:
+            raise GridConfigError("grid mismatch")
+        return _merge_masks(self.mask, other.mask)
+
+    def __matmul__(self, other: "QuatField") -> "QuatField":
+        """(a, b)(c, d) = (a c - conj(b) d, b c + conj(a) d)."""
+        mask = self._mask_with(other)
+        (a, b), (c, d) = self.values, other.values
+        out = np.empty_like(self.values)
+        tmp = np.conj(b)
+        tmp *= d
+        np.multiply(a, c, out=out[0])
+        out[0] -= tmp
+        np.conj(a, out=tmp)
+        tmp *= d
+        np.multiply(b, c, out=out[1])
+        out[1] += tmp
+        return QuatField(self.grid, out, mask)
+
+    def __sub__(self, other: "QuatField") -> "QuatField":
+        return QuatField(self.grid, self.values - other.values, self._mask_with(other))
+
+    def conj(self) -> "QuatField":
+        """The quaternion conjugate (conj(a), -b): the conjugate transpose of the
+        matrix, and Gamma Q^T Gamma^-1."""
+        a, b = self.values
+        return QuatField(self.grid, np.stack([np.conj(a), -b]), self.mask)
+
+    def norm2(self) -> np.ndarray:
+        """|a|^2 + |b|^2 per node, the determinant (real)."""
         v = self.values
-        return SpinorField(ComplexField(self.grid, v[0, col].copy(), self.mask),
-                           ComplexField(self.grid, v[1, col].copy(), self.mask))
+        return (v.real ** 2 + v.imag ** 2).sum(axis=0)
+
+    def det(self) -> ComplexField:
+        return ComplexField(self.grid, self.norm2(), self.mask)
+
+    def inv(self, min_det: float = 0.0) -> "QuatField":
+        """conj() / (|a|^2 + |b|^2); nodes with det < min_det join the mask
+        and are divided by 1 instead."""
+        n2 = self.norm2()
+        mask = self.mask
+        if min_det > 0.0:
+            bad = n2 < min_det
+            if bad.any():
+                mask = _merge_masks(mask, bad)
+                n2[bad] = 1.0
+        out = self.conj()
+        out.values /= n2
+        out.mask = mask
+        return out
+
+    def mat(self) -> Mat2Field:
+        """The general 2x2 matrix field [[a, -conj(b)], [b, conj(a)]]."""
+        a, b = self.values
+        return Mat2Field.from_values(self.grid, a, -np.conj(b), b, np.conj(a), self.mask)
+
+    def at(self, ix: int, iy: int) -> np.ndarray:
+        a, b = self.values[:, iy, ix]
+        return np.array([[a, -np.conj(b)], [b, np.conj(a)]])
+
+    def max_abs(self) -> float:
+        return max(ComplexField(self.grid, v, self.mask).max_abs() for v in self.values)
+
+    def spinor(self) -> SpinorField:
+        """(a, b) as a spinor; its entries are copies, so the field can be freed."""
+        a, b = self.values
+        return SpinorField(ComplexField(self.grid, a.copy(), self.mask),
+                           ComplexField(self.grid, b.copy(), self.mask))
 
 
-def quaternionize(psi: SpinorField) -> Mat2Field:
-    """Psi = [[psi1, -conj(psi2)],[psi2, conj(psi1)]] per node."""
-    a, b = psi.psi1.values, psi.psi2.values
-    return Mat2Field.from_values(psi.grid, a, -np.conj(b), b, np.conj(a),
-                                 _merge_masks(psi.psi1.mask, psi.psi2.mask))
+def quaternionize(psi: SpinorField) -> QuatField:
+    """Psi = [[psi1, -conj(psi2)],[psi2, conj(psi1)]] per node, stored as (psi1, psi2)."""
+    return QuatField(psi.grid, np.stack([psi.psi1.values, psi.psi2.values]),
+                     _merge_masks(psi.psi1.mask, psi.psi2.mask))
 
 
 GAMMA = np.array([[0.0, 1.0], [-1.0, 0.0]])

@@ -12,14 +12,24 @@ of the heat-polynomial potentials, see tests):
                     = -i Phi^T P1 Psi dz + i Phi^T P2 Psi dzbar
     S(Phi,Psi)      = Gamma * int omega  (+ Gamma * int omega1 dt when
                       time-augmented), + integration constant
-    K(Phi,Psi)      = Psi S^-1 Gamma Phi^T Gamma^-1 = [[i conj(W), a],
-                                                       [-conj(a), -i W]]
+    K(Phi,Psi)      = Psi S^-1 Gamma Phi^T Gamma^-1 = Psi S^-1 Phi^*
+                    = [[i conj(W), a], [-conj(a), -i W]]
     U~ = U + W,  V~ = V + 2 i a_z.
+
+Storage: the spinor extensions Psi, Phi, the matrices S, S^-1 and K and the
+transformed spinors are quaternions [[a, -conj(b)], [b, conj(a)]] per node and
+are held as QuatField (a, b).  The x and y parts of Gamma omega, dz + dzbar and
+i(dz - dzbar), are quaternions too, so build_S forms and integrates column 0
+of Gamma omega only; the dz and dzbar parts alone are not quaternions, so
+omega, omega1 and MatForm1 stay general Mat2Field.  A general 2x2 value
+entering quaternion storage (an integration constant, or an S sampled as a
+Mat2Field) is checked for the quaternion pattern there, and a violation raises
+NormalizationError.
 
 Swapped-order time term: omega1 is antisymmetric under argument swap combined
 with transposition, so the augmented partner matrix is S(Psi,Phi) =
-Gamma S(Phi,Psi)^T Gamma, which is exactly the normalization condition
-required of the pair.
+Gamma S(Phi,Psi)^T Gamma = -S(Phi,Psi)^*, which is exactly the
+normalization condition required of the pair.
 """
 from __future__ import annotations
 
@@ -28,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirac import GAMMA, Mat2Field, SpinorField, quaternionize
+from .dirac import GAMMA, Mat2Field, QuatField, SpinorField, quaternion_defect, quaternionize
 from .exactpoly import (BiPoly, GAMMA_EXACT, RMat2, RationalFn, T, Z, ZBAR,
                         heat_extend)
 from .grid import (ComplexField, Form1, Grid2D, _merge_masks, antiderivative,
@@ -45,6 +55,20 @@ class NormalizationError(RuntimeError):
 
 _P1 = np.array([[1.0, 0.0], [0.0, 0.0]])
 _P2 = np.array([[0.0, 0.0], [0.0, 1.0]])
+PATTERN_TOL = 1e-8        # quaternion-pattern defect allowed, relative to max(|value|, 1)
+
+
+def _check_quaternion(m: np.ndarray, what: str, pattern_tol: float, mask=None) -> float:
+    """The quaternion-pattern defect of a general 2x2 value (one matrix, or one per
+    node) about to be stored as its column 0; NormalizationError above tolerance."""
+    defect = quaternion_defect(m, mask)
+    if mask is not None:
+        m = np.where(mask, 0.0, m)
+    scale = max(float(np.max(np.abs(m))), 1.0)
+    if not defect <= pattern_tol * scale:             # NaN fails too
+        raise NormalizationError(f"{what} is not a quaternion [[a, -conj(b)], [b, conj(a)]]: "
+                                 f"defect {defect:.3g} (tol {pattern_tol * scale:.3g})")
+    return defect
 
 
 @dataclass
@@ -62,23 +86,24 @@ class MatForm1:
                    for i in range(2) for j in range(2))
 
 
-def omega(Phi: Mat2Field, Psi: Mat2Field, convention: str = "transpose") -> MatForm1:
-    """The closed matrix 1-form pairing Phi and Psi."""
+def omega(Phi: QuatField, Psi: QuatField, convention: str = "transpose") -> MatForm1:
+    """The closed matrix 1-form pairing Phi and Psi, as general matrices."""
     if Phi.grid != Psi.grid:
         raise ValueError("grid mismatch")
-    Pt = Phi.transpose()
+    Pt = Phi.mat().transpose()
     if convention == "conj_transpose":
         Pt = Mat2Field(Pt.grid, np.conj(Pt.values), Pt.mask)
     elif convention != "transpose":
         raise ValueError(f"unknown convention {convention!r}")
-    g = Phi.grid
+    g, Psi = Phi.grid, Psi.mat()
     dz = Pt @ (Mat2Field.constant(g, -1j * _P1) @ Psi)
     dzb = Pt @ (Mat2Field.constant(g, 1j * _P2) @ Psi)
     return MatForm1(dz, dzb)
 
 
-def omega1(Phi: Mat2Field, Psi: Mat2Field, scheme: str = "central2") -> Mat2Field:
+def omega1(Phi: QuatField, Psi: QuatField, scheme: str = "central2") -> Mat2Field:
     """dt coefficient of the time augmentation of S(Phi, Psi)."""
+    Phi, Psi = Phi.mat(), Psi.mat()
     P1 = Mat2Field.constant(Phi.grid, _P1)
     P2 = Mat2Field.constant(Phi.grid, _P2)
     left = (Phi.wirtinger("z", scheme).transpose() @ P1
@@ -92,7 +117,7 @@ def omega1(Phi: Mat2Field, Psi: Mat2Field, scheme: str = "central2") -> Mat2Fiel
 class SMatrix:
     """Integrated surface matrix S = Gamma * int(omega [+ omega1 dt]) + constant."""
 
-    S: Mat2Field
+    S: QuatField
     constant: np.ndarray
     base_node: tuple
     time_augmented: bool = False
@@ -102,25 +127,19 @@ class SMatrix:
     def grid(self) -> Grid2D:
         return self.S.grid
 
-    def with_constant_added(self, C: np.ndarray) -> "SMatrix":
-        C = np.asarray(C, dtype=complex)
-        Sm = self.S + Mat2Field.constant(self.grid, C)
-        return SMatrix(Sm, self.constant + C, self.base_node, self.time_augmented,
-                       self.loop_defect)
-
     def det(self) -> ComplexField:
         return self.S.det()
 
     def to_json(self) -> str:
-        g = self.grid
+        g, S = self.grid, self.S.mat()
         payload = {
             "grid": g.meta(),
             "base_node": list(self.base_node),
             "constant": [[_c2l(self.constant[i, j]) for j in range(2)] for i in range(2)],
             "time_augmented": self.time_augmented,
             "loop_defect": self.loop_defect,
-            "entries": {f"e{i + 1}{j + 1}": [self.S.values[i, j].real.tolist(),
-                                             self.S.values[i, j].imag.tolist()]
+            "entries": {f"e{i + 1}{j + 1}": [S.values[i, j].real.tolist(),
+                                             S.values[i, j].imag.tolist()]
                         for i in range(2) for j in range(2)},
         }
         return json.dumps(payload)
@@ -130,37 +149,45 @@ def _c2l(v):
     return [float(np.real(v)), float(np.imag(v))]
 
 
-def build_S(Phi: Mat2Field, Psi: Mat2Field, base_node=None, constant=None,
+def build_S(Phi: QuatField, Psi: QuatField, base_node=None, constant=None,
             time_offset: np.ndarray | None = None, scheme: str = "central2",
             defect_tol: float | None = None) -> SMatrix:
     """Spatial integration of Gamma * omega(Phi, Psi) along L-paths.
 
     `constant` is the value added after anchoring the integral to zero at the
     base node; `time_offset` adds the accumulated Gamma * int omega1 dt
-    contribution when assembling a time-augmented S at fixed t.
+    contribution when assembling a time-augmented S at fixed t.  Their sum must
+    be a quaternion (NormalizationError otherwise).
+
+    Only column 0 of Gamma omega is formed and integrated: with
+    Phi = (pa, pb), Psi = (sa, sb) it is (i conj(pb) sa dz + i conj(pa) sb dzbar,
+    i pa sa dz - i pb sb dzbar).  Column 1 is (-conj, conj) of it as a 1-form, so
+    its closedness defect and integral are those of column 0 by symmetry.
     """
     grid = Phi.grid
+    if Psi.grid != grid:
+        raise ValueError("grid mismatch")
     if base_node is None:
         base_node = (grid.nx // 2, grid.ny // 2)
-    w = omega(Phi, Psi)
-    gamma = Mat2Field.constant(grid, GAMMA)
-    gdz, gdzb = gamma @ w.dz, gamma @ w.dzb
-    del w
-    defect = MatForm1(gdz, gdzb).max_closedness_defect(scheme)
-    scale = max(gdz.max_abs(), gdzb.max_abs(), 1.0)
+    C = np.zeros((2, 2), dtype=complex) if constant is None else np.asarray(constant, complex)
+    if time_offset is not None:
+        C = C + np.asarray(time_offset, dtype=complex)
+    _check_quaternion(C, "S constant", PATTERN_TOL)
+    mask = _merge_masks(Phi.mask, Psi.mask)
+    (pa, pb), (sa, sb) = Phi.values, Psi.values
+    forms = [Form1(ComplexField(grid, dz, mask), ComplexField(grid, dzb, mask))
+             for dz, dzb in ((1j * np.conj(pb) * sa, 1j * np.conj(pa) * sb),
+                             (1j * pa * sa, -1j * pb * sb))]
+    defect = max(closedness_defect(f, scheme) for f in forms)
+    scale = max([1.0] + [c.max_abs() for f in forms for c in (f.p, f.q)])
     if defect_tol is None:
         defect_tol = 100.0 * max(grid.hx, grid.hy) ** 2
     if defect > defect_tol * scale:
         raise ClosednessError(f"omega not closed: defect {defect:.3g} (tol {defect_tol * scale:.3g})")
-    C = np.zeros((2, 2), dtype=complex) if constant is None else np.asarray(constant, complex)
-    if time_offset is not None:
-        C = C + np.asarray(time_offset, dtype=complex)
-    vals = np.empty_like(gdz.values)
-    for i in range(2):
-        for j in range(2):
-            form = Form1(gdz.entry(i, j), gdzb.entry(i, j))
-            vals[i, j] = antiderivative(form, base_node).values + C[i, j]
-    return SMatrix(Mat2Field(grid, vals), C, tuple(base_node),
+    vals = np.empty((2, grid.ny, grid.nx), dtype=complex)
+    for k, form in enumerate(forms):
+        vals[k] = antiderivative(form, base_node).values + C[k, 0]
+    return SMatrix(QuatField(grid, vals), C, tuple(base_node),
                    time_augmented=time_offset is not None, loop_defect=defect)
 
 
@@ -168,7 +195,7 @@ def time_offset_integral(phi_of_t, psi_of_t, t_grid, base_node, grid: Grid2D,
                          scheme: str = "central2") -> np.ndarray:
     """Gamma * int_0^T omega1 dt at the base node, trapezoid over the t samples.
 
-    phi_of_t / psi_of_t map a time to the Mat2Field spinor extensions.
+    phi_of_t / psi_of_t map a time to the quaternion spinor extensions.
     """
     ix, iy = base_node
     vals = [GAMMA @ omega1(phi_of_t(t), psi_of_t(t), scheme).at(ix, iy) for t in t_grid]
@@ -176,55 +203,53 @@ def time_offset_integral(phi_of_t, psi_of_t, t_grid, base_node, grid: Grid2D,
 
 
 def normalize_S_pair(SA: SMatrix, SB: SMatrix, tol: float = 1e-8):
-    """Adjust SB's constant so Gamma SA^-1 Gamma = (SB^-1)^T, i.e. SB = Gamma SA^T Gamma.
+    """Adjust SB's constant so Gamma SA^-1 Gamma = (SB^-1)^T, i.e.
+    SB = Gamma SA^T Gamma = -SA^* (the quaternion conjugate).
 
     Returns (SB_adjusted, C, residual).  The optimal constant is the mean of
-    Gamma SA^T Gamma - SB over the grid (closed-form least squares).
+    -SA^* - SB over the grid (closed-form least squares).
     """
-    target = _gamma_T_gamma(SA.S)
-    diff = target - SB.S
-    C = diff.values.mean(axis=(2, 3))
-    SBn = SB.with_constant_added(C)
-    res = (target - SBn.S).max_abs()
+    target = QuatField(SA.grid, -SA.S.conj().values, SA.S.mask)
+    ca, cb = (target - SB.S).values.mean(axis=(1, 2))
+    C = np.array([[ca, -np.conj(cb)], [cb, np.conj(ca)]])
+    S = QuatField(SB.grid, SB.S.values + np.array([ca, cb])[:, None, None], SB.S.mask)
+    SBn = SMatrix(S, SB.constant + C, SB.base_node, SB.time_augmented, SB.loop_defect)
+    res = (target - S).max_abs()
     scale = max(SA.S.max_abs(), 1.0)
     if res > tol * scale:
         raise NormalizationError(f"normalization residual {res:.3g} exceeds {tol:.3g} x scale")
     return SBn, C, res
 
 
-def _gamma_T_gamma(M: Mat2Field) -> Mat2Field:
-    g = Mat2Field.constant(M.grid, GAMMA)
-    return g @ M.transpose() @ g
-
-
 @dataclass
 class KData:
-    """W and a extracted from K = Psi S^-1 Gamma Phi^T Gamma^-1."""
+    """W and a extracted from K = Psi S^-1 Gamma Phi^T Gamma^-1.
+
+    pattern_residual is the quaternion-pattern defect of S where it entered
+    quaternion storage: 0 for an S built by build_S."""
 
     W: ComplexField
     a: ComplexField
     pattern_residual: float
 
 
-def k_matrix(Psi: Mat2Field, S: SMatrix | Mat2Field, Phi: Mat2Field,
-             min_det: float = 1e-12, pattern_tol: float = 1e-8) -> KData:
-    """Extract (W, a) from the K matrix; block-pattern consistency is asserted."""
+def k_matrix(Psi: QuatField, S: SMatrix | QuatField | Mat2Field, Phi: QuatField,
+             min_det: float = 1e-12, pattern_tol: float = PATTERN_TOL) -> KData:
+    """Extract (W, a) from K = Psi S^-1 Phi^* = [[i conj(W), a], [-conj(a), -i W]].
+
+    A general S (a Mat2Field, e.g. from heat_smatrix_values) must have the
+    quaternion pattern to pattern_tol x max(|S|, 1); NormalizationError otherwise.
+    """
     Sm = S.S if isinstance(S, SMatrix) else S
+    residual = 0.0
+    if isinstance(Sm, Mat2Field):
+        residual = _check_quaternion(Sm.values, "S", pattern_tol, Sm.mask)
+        Sm = QuatField(Sm.grid, Sm.values[:, 0].copy(), Sm.mask)
     Sinv = Sm.inv(min_det=min_det * max(Sm.max_abs(), 1.0) ** 2)
-    g = Mat2Field.constant(Sm.grid, GAMMA)
-    ginv = Mat2Field.constant(Sm.grid, -GAMMA)
-    K = Psi @ Sinv @ g @ Phi.transpose() @ ginv
-    Kv, mask = K.values, K.mask
-    W = ComplexField(Sm.grid, 1j * Kv[1, 1], mask)
-    a = ComplexField(Sm.grid, Kv[0, 1].copy(), mask)     # a copy does not keep K alive
-    scale = max(W.max_abs(), a.max_abs(), 1.0)
-    r1 = np.abs(Kv[0, 0] - 1j * np.conj(W.values))
-    r2 = np.abs(Kv[1, 0] + np.conj(a.values))
-    if mask is not None:
-        r1, r2 = np.where(mask, 0, r1), np.where(mask, 0, r2)
-    residual = float(max(r1.max(), r2.max()))
-    if residual > pattern_tol * scale:
-        raise NormalizationError(f"K block pattern violated: residual {residual:.3g}")
+    K = Psi @ Sinv @ Phi.conj()
+    ka, kb = K.values
+    W = ComplexField(Sm.grid, 1j * np.conj(ka), K.mask)
+    a = ComplexField(Sm.grid, -np.conj(kb), K.mask)
     return KData(W, a, residual)
 
 
@@ -236,8 +261,8 @@ def k_matrix(Psi: Mat2Field, S: SMatrix | Mat2Field, Phi: Mat2Field,
 class MoutardTransform:
     """Context for transforming solutions on a fixed background (Psi0, Phi0)."""
 
-    Psi0: Mat2Field
-    Phi0: Mat2Field
+    Psi0: QuatField
+    Phi0: QuatField
     S0: SMatrix                        # S(Phi0, Psi0), invertible where used
     SB0: SMatrix                       # S(Psi0, Phi0), normalized partner
     kdata: KData
@@ -280,22 +305,11 @@ class MoutardTransform:
         eps = 1e-12 * max(self.S0.S.max_abs(), 1.0) ** 2
         Psit = Psi - self.Psi0 @ self.S0.S.inv(min_det=eps) @ SP.S
         Phit = Phi - self.Phi0 @ self.SB0.S.inv(min_det=eps) @ SBP.S
-        return Psit.column_spinor(0), Phit.column_spinor(0)
+        return Psit.spinor(), Phit.spinor()
 
     def transformed_potentials(self, U: ComplexField, V: ComplexField | None = None,
                                scheme: str = "central2"):
         return moutard_dsii(U, V, self.kdata, scheme)
-
-    def inverted_surface_spinors(self) -> tuple[SpinorField, SpinorField]:
-        """Spinors representing the inverted surface S^-1 with potential U + W."""
-        eps = 1e-12 * max(self.S0.S.max_abs(), 1.0) ** 2
-        Psis = self.Psi0 @ self.S0.S.inv(min_det=eps)
-        dv = self.S0.det().values
-        bad = np.abs(dv) < eps
-        Phis = (self.Phi0 @ self.S0.S).scale(-1.0 / np.where(bad, 1.0, dv))
-        if bad.any():
-            Phis.mask = _merge_masks(Phis.mask, bad)
-        return Psis.column_spinor(0), Phis.column_spinor(0)
 
 
 def moutard_spinors(psi0: SpinorField, phi0: SpinorField, psi: SpinorField,

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinsurf import (ComplexField, PotentialPair, SpinorField, apply_D,
                       apply_Dvee, catalog, constant_field, dirac_residual_norm,
                       field_from_function, gauge_transform, make_grid,
                       quaternionize, save_spinorfield_csv, sigma)
-from spinsurf.dirac import GaugeError, Mat2Field
+from spinsurf.dirac import GAMMA, GaugeError, Mat2Field, QuatField
 from spinsurf.moutard import moutard_exact
 
 
@@ -239,3 +240,72 @@ def test_spinor_csv(tmp_path, grid):
     header = path.read_text().splitlines()[0]
     assert header == "ix,iy,re1,im1,re2,im2"
     assert (tmp_path / "psi.csv.json").exists()
+
+
+# quaternion storage against the general 2x2 matrix field
+
+_QG = make_grid((-1, 1, -1, 1), (5, 4))
+
+
+def _random_quat(seed, exponent, zero_share, mask_share):
+    rng = np.random.default_rng(seed)
+    shape = (2, _QG.ny, _QG.nx)
+    v = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * 10.0 ** exponent
+    v[rng.random(shape) < zero_share] = 0.0
+    mask = rng.random(shape[1:]) < mask_share
+    return QuatField(_QG, v, mask if mask.any() else None)
+
+
+_quats = st.builds(_random_quat, st.integers(0, 2 ** 32 - 1), st.integers(-3, 3),
+                   st.sampled_from([0.0, 0.3]), st.sampled_from([0.0, 0.2]))
+_quat_settings = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+def _size(*qs):
+    return np.prod([np.max(np.abs(q.values)) for q in qs])
+
+
+@_quat_settings
+@given(p=_quats, q=_quats)
+def test_quat_product_matches_mat2field(p, q):
+    pq, general = p @ q, p.mat() @ q.mat()
+    assert np.max(np.abs(pq.mat().values - general.values)) <= 1e-15 * _size(p, q)
+    assert np.array_equal(pq.mask, general.mask)
+
+
+@_quat_settings
+@given(p=_quats, q=_quats, r=_quats)
+def test_quat_product_is_associative(p, q, r):
+    assert np.max(np.abs(((p @ q) @ r).values - (p @ (q @ r)).values)) <= 1e-14 * _size(p, q, r)
+
+
+@_quat_settings
+@given(q=_quats)
+def test_quat_inverse_is_exact(q):
+    n2 = q.norm2()
+    ok = n2 > 0
+    with np.errstate(invalid="ignore"):               # 0 / 0 at zero quaternions
+        qinv, general = q.inv(), q.mat().inv()
+    one = (q @ qinv).values
+    assert np.max(np.abs(one[0][ok] - 1.0), initial=0.0) <= 1e-15
+    assert np.max(np.abs(one[1][ok]), initial=0.0) <= 1e-15
+    np.testing.assert_allclose(qinv.mat().values[..., ok], general.values[..., ok], rtol=1e-13)
+    small = n2 < 10.0 ** -6
+    want = q.mask if not small.any() else small if q.mask is None else q.mask | small
+    got = q.inv(min_det=10.0 ** -6).mask
+    assert got is want is None or np.array_equal(got, want)
+
+
+@_quat_settings
+@given(p=_quats, q=_quats)
+def test_quat_norm_is_multiplicative(p, q):
+    np.testing.assert_allclose((p @ q).norm2(), p.norm2() * q.norm2(), rtol=1e-13, atol=0)
+    np.testing.assert_allclose(p.det().values, p.mat().det().values, rtol=1e-13, atol=0)
+
+
+@_quat_settings
+@given(q=_quats)
+def test_gamma_transpose_is_quaternion_conjugate(q):
+    # Gamma Q^T Gamma^-1 = Q^*, exactly: what lets k_matrix drop its Gamma products
+    g, ginv = Mat2Field.constant(_QG, GAMMA), Mat2Field.constant(_QG, -GAMMA)
+    assert np.array_equal((g @ q.mat().transpose() @ ginv).values, q.conj().mat().values)

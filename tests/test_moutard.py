@@ -1,11 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 from spinsurf import (ComplexField, SpinorField, catalog, constant_field,
                       dirac_residual_norm, field_from_function, make_grid,
                       quaternionize)
-from spinsurf.moutard import (ClosednessError,
-                              MoutardTransform, build_S, heat_antiderivative,
+from spinsurf.moutard import (ClosednessError, MoutardTransform,
+                              NormalizationError, SMatrix, build_S, heat_antiderivative,
                               heat_datum_fields, heat_smatrix_values, k_matrix,
                               moutard_dsii, moutard_exact, moutard_spinors,
                               normalize_S_pair, omega, omega1,
@@ -83,7 +85,7 @@ def test_omega1_vanishes_for_constants():
 def test_build_S_plane_closed_form():
     g, psi0, ctx = _plane_ctx()
     zm = g.zmesh()
-    S = ctx.S0.S.values
+    S = ctx.S0.S.mat().values
     assert np.max(np.abs(S[0, 0])) < 1e-12
     assert np.max(np.abs(S[0, 1] - 1j * np.conj(zm))) < 1e-12
     assert np.max(np.abs(S[1, 0] - 1j * zm)) < 1e-12
@@ -93,7 +95,7 @@ def test_build_S_plane_closed_form():
 def test_plane_S_reads_as_plane_surface():
     from spinsurf import smatrix_to_surface
     g, psi0, ctx = _plane_ctx()
-    S = smatrix_to_surface(ctx.S0.S)
+    S = smatrix_to_surface(ctx.S0.S.mat())
     zm = g.zmesh()
     assert np.max(np.abs(S.coords[0] + zm.imag)) < 1e-12    # x1 = -y
     assert np.max(np.abs(S.coords[1] + zm.real)) < 1e-12    # x2 = -x
@@ -123,8 +125,8 @@ def test_normalize_pair_symmetric_case():
     # symmetric background: the normalized partner equals Gamma S^T Gamma
     from spinsurf.dirac import GAMMA, Mat2Field
     gm = Mat2Field.constant(g, GAMMA)
-    target = gm @ ctx.S0.S.transpose() @ gm
-    assert (target - ctx.SB0.S).max_abs() < 1e-10
+    target = gm @ ctx.S0.S.mat().transpose() @ gm
+    assert (target - ctx.SB0.S.mat()).max_abs() < 1e-10
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -161,6 +163,62 @@ def test_k_matrix_pattern_residual_property():
     kd = k_matrix(quaternionize(psi0), SMatrix(Sm, np.zeros((2, 2)), (0, 0)),
                   quaternionize(phi0))
     assert kd.pattern_residual < 1e-10
+
+
+def test_k_matrix_rejects_a_non_quaternion_S():
+    # an S given as a general matrix field is checked where it enters quaternion
+    # storage, which keeps column 0 only: a defect in column 1 is not dropped silently
+    g = make_grid((-2, -0.5, 0.5, 2), (40, 40))
+    sol = catalog("s1", c=1.0)
+    psi0, phi0 = heat_datum_fields(sol.f, g, 0.15)
+    Psi0, Phi0 = quaternionize(psi0), quaternionize(phi0)
+    Sm = heat_smatrix_values(sol.f, g, 0.15)
+    Sm.values[1, 1, 7, 9] += 1e-12
+    kd = k_matrix(Psi0, SMatrix(Sm, np.zeros((2, 2)), (0, 0)), Phi0)
+    assert 0.5e-12 < kd.pattern_residual < 2e-12
+    Sm.values[0, 1, 30, 4] += 1e-3
+    with pytest.raises(NormalizationError):
+        k_matrix(Psi0, SMatrix(Sm, np.zeros((2, 2)), (0, 0)), Phi0)
+    with pytest.raises(NormalizationError):
+        k_matrix(Psi0, Sm, Phi0)
+    Sm = heat_smatrix_values(sol.f, g, 0.15)
+    Sm.values[1, 0, 3, 3] = np.nan
+    with pytest.raises(NormalizationError):
+        k_matrix(Psi0, Sm, Phi0)
+
+
+def test_build_S_rejects_a_non_quaternion_constant():
+    g, psi0, ctx = _plane_ctx(32)
+    with pytest.raises(NormalizationError):
+        build_S(ctx.Phi0, ctx.Psi0, constant=np.diag([1.0, 2.0]))
+    C0 = ctx.S0.constant
+    build_S(ctx.Phi0, ctx.Psi0, constant=C0, time_offset=np.diag([1j, -1j]))
+    with pytest.raises(NormalizationError):
+        build_S(ctx.Phi0, ctx.Psi0, constant=C0, time_offset=np.diag([1j, 1j]))
+
+
+def _gamma_omega(Phi, Psi):
+    """dz and dzbar parts of Gamma omega(Phi, Psi), as general matrix fields."""
+    from spinsurf.dirac import GAMMA, Mat2Field
+    w = omega(Phi, Psi)
+    gm = Mat2Field.constant(Phi.grid, GAMMA)
+    return gm @ w.dz, gm @ w.dzb
+
+
+@pytest.mark.parametrize("name", ["s1", "plane"])
+def test_x_and_y_parts_of_gamma_omega_are_quaternions(name):
+    # what lets build_S integrate column 0 only: the x and y parts of Gamma omega
+    # are quaternions to the last bit, while the dz and dzbar parts are not
+    from spinsurf.dirac import quaternion_defect
+    g, psi0, phi0, _ = next((g, p, f, c) for n, g, p, f, c in _backgrounds() if n == name)
+    Psi0, Phi0 = quaternionize(psi0), quaternionize(phi0)
+    for pair in ((Phi0, Psi0), (Psi0, Phi0)):
+        gdz, gdzb = (m.values for m in _gamma_omega(*pair))
+        parts = {"dz": gdz, "dzbar": gdzb, "x": gdz + gdzb, "y": 1j * (gdz - gdzb)}
+        assert quaternion_defect(parts["x"]) == 0.0
+        assert quaternion_defect(parts["y"]) == 0.0
+        for key in ("dz", "dzbar"):
+            assert quaternion_defect(parts[key]) > 0.5 * np.max(np.abs(parts[key]))
 
 
 def test_moutard_dsii_plane():
@@ -367,3 +425,128 @@ def test_inverted_surface_spinors_and_surface():
     scale = np.max(np.abs(S_inv.coords))
     # quadrature tolerance: trapezoid error of the rational integrands at this h
     assert np.max(np.abs(S_til.coords - S_inv.coords)) / scale < 5e-4
+
+
+# ---------------------------------------------------------------------------
+# the general-matrix pipeline that quaternion storage replaced, kept as oracle
+
+
+def _oracle_build_S(Phi, Psi, base_node, constant=None):
+    """All four entries of Gamma omega(Phi, Psi) integrated as general matrices."""
+    from spinsurf import Form1, antiderivative
+    from spinsurf.dirac import Mat2Field
+    from spinsurf.moutard import MatForm1
+    gdz, gdzb = _gamma_omega(Phi, Psi)
+    defect = MatForm1(gdz, gdzb).max_closedness_defect()
+    C = np.zeros((2, 2), dtype=complex) if constant is None else np.asarray(constant, complex)
+    vals = np.empty_like(gdz.values)
+    for i in range(2):
+        for j in range(2):
+            form = Form1(gdz.entry(i, j), gdzb.entry(i, j))
+            vals[i, j] = antiderivative(form, base_node).values + C[i, j]
+    return Mat2Field(Phi.grid, vals), C, defect
+
+
+def _oracle_json(S, C, base_node, defect):
+    """SMatrix.to_json's layout, written from a general matrix field."""
+    import json
+
+    def c2l(v):
+        return [float(np.real(v)), float(np.imag(v))]
+    return json.dumps({
+        "grid": S.grid.meta(),
+        "base_node": list(base_node),
+        "constant": [[c2l(C[i, j]) for j in range(2)] for i in range(2)],
+        "time_augmented": False,
+        "loop_defect": defect,
+        "entries": {f"e{i + 1}{j + 1}": [S.values[i, j].real.tolist(),
+                                         S.values[i, j].imag.tolist()]
+                    for i in range(2) for j in range(2)},
+    })
+
+
+def _oracle_moutard(psi0, phi0, C0, psi, phi):
+    """from_background, k_matrix and transform on general 2x2 matrix fields."""
+    from spinsurf.dirac import GAMMA, Mat2Field
+    Psi0q, Phi0q = quaternionize(psi0), quaternionize(phi0)
+    Psi0, Phi0 = Psi0q.mat(), Phi0q.mat()
+    g = Psi0.grid
+    b = (g.nx // 2, g.ny // 2)
+    gm = Mat2Field.constant(g, GAMMA)
+    S0, C0, d0 = _oracle_build_S(Phi0q, Psi0q, b, C0)
+    SB, _, _ = _oracle_build_S(Psi0q, Phi0q, b)
+    target = gm @ S0.transpose() @ gm
+    CB = (target - SB).values.mean(axis=(2, 3))
+    SB0 = SB + Mat2Field.constant(g, CB)
+    eps = 1e-12 * max(S0.max_abs(), 1.0) ** 2
+    K = Psi0 @ S0.inv(min_det=eps) @ gm @ Phi0.transpose() @ Mat2Field.constant(g, -GAMMA)
+    Psiq, Phiq = quaternionize(psi), quaternionize(phi)
+    Psi, Phi = Psiq.mat(), Phiq.mat()
+    constP = C0 @ np.linalg.solve(Psi0.at(*b), Psi.at(*b))
+    constBP = CB @ np.linalg.solve(Phi0.at(*b), Phi.at(*b))
+    SP, _, _ = _oracle_build_S(Phi0q, Psiq, b, constP)
+    SBP, _, _ = _oracle_build_S(Psi0q, Phiq, b, constBP)
+    Psit = Psi - Psi0 @ S0.inv(min_det=eps) @ SP
+    Phit = Phi - Phi0 @ SB0.inv(min_det=eps) @ SBP
+    return {"json": _oracle_json(S0, C0, b, d0), "S": S0.values,
+            "W": 1j * K.values[1, 1], "a": K.values[0, 1],
+            "psit": Psit.values[:, 0], "phit": Phit.values[:, 0]}
+
+
+def _backgrounds(n=64):
+    sol = catalog("s1", c=1.0)
+    gs = make_grid((-1.5, 1.5, -1.2, 1.8), (n, n))
+    zb = gs.node_z(n // 2, n // 2)
+    fb = complex(sol.f.eval(z=zb, t=0.2, c=1.0))
+    psi0, phi0 = heat_datum_fields(sol.f, gs, 0.2)
+    yield "s1", gs, psi0, phi0, np.array([[1j * np.conj(fb), -zb], [np.conj(zb), -1j * fb]])
+    gp = make_grid((0.4, 2.4, 0.3, 2.3), (n, n))
+    psi0 = SpinorField(constant_field(gp, 1.0), constant_field(gp, 0.0))
+    zb = gp.node_z(n // 2, n // 2)
+    yield "plane", gp, psi0, psi0, np.array([[0, 1j * np.conj(zb)], [1j * zb, 0]])
+
+
+def _rel(x, ref, scale=None):
+    return np.max(np.abs(x - ref)) / (np.max(np.abs(ref)) if scale is None else scale)
+
+
+def _unsigned_zeros(text):
+    return re.sub(r"-0\.0(?=[,\]])", "0.0", text)
+
+
+@pytest.mark.parametrize("name", ["s1", "plane"])
+def test_quaternion_pipeline_matches_general_matrix_oracle(name):
+    g, psi0, phi0, C0 = next((g, p, f, c) for n, g, p, f, c in _backgrounds() if n == name)
+    zero = constant_field(g, 0.0)
+    psi = SpinorField(field_from_function(g, lambda z: np.exp(0.4 * z)), zero)
+    phi = SpinorField(field_from_function(g, lambda z: np.exp(0.3 * z)), zero)
+    ref = _oracle_moutard(psi0, phi0, C0, psi, phi)
+    ctx = MoutardTransform.from_background(psi0, phi0, C0)
+    psit, phit = ctx.transform(psi, phi)
+    assert np.array_equal(ctx.S0.S.mat().values, ref["S"])      # bitwise, up to the sign of 0
+    if name == "s1":
+        assert ctx.S0.to_json() == ref["json"]
+    else:
+        # e22 = conj(a) with a = 0 exactly: its imaginary part now reads -0.0, not 0.0
+        assert ctx.S0.to_json() != ref["json"]
+        assert _unsigned_zeros(ctx.S0.to_json()) == _unsigned_zeros(ref["json"])
+    k_scale = max(np.max(np.abs(ref["W"])), np.max(np.abs(ref["a"])))
+    assert _rel(ctx.kdata.W.values, ref["W"], k_scale) < 1e-13
+    assert _rel(ctx.kdata.a.values, ref["a"], k_scale) < 1e-13
+    for out, want in ((psit, ref["psit"]), (phit, ref["phit"])):
+        assert _rel(np.stack([out.psi1.values, out.psi2.values]), want) < 1e-13
+
+
+def test_traced_moutard_benchmark_run():
+    # the benchmark's tracer looks up Mat2Field.__matmul__/.inv, build_S, k_matrix
+    # and MoutardTransform.from_background/.transform by name
+    import json
+    import subprocess
+    import sys
+    from pathlib import Path
+    root = Path(__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "moutard",
+                          "--seconds", "1", "--trace", "1"],
+                         cwd=root, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert json.loads(run.stdout.strip().splitlines()[-1])["correct"] is True
