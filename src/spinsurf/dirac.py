@@ -218,8 +218,10 @@ class QuatField:
     def conj(self) -> "QuatField":
         """The quaternion conjugate (conj(a), -b): the conjugate transpose of the
         matrix, and Gamma Q^T Gamma^-1."""
-        a, b = self.values
-        return QuatField(self.grid, np.stack([np.conj(a), -b]), self.mask)
+        out = np.empty_like(self.values)
+        np.conj(self.values[0], out=out[0])
+        np.negative(self.values[1], out=out[1])
+        return QuatField(self.grid, out, self.mask)
 
     def norm2(self) -> np.ndarray:
         """|a|^2 + |b|^2 per node, the determinant (real)."""

@@ -176,19 +176,26 @@ def build_S(Phi: QuatField, Psi: QuatField, base_node=None, constant=None,
     mask = _merge_masks(Phi.mask, Psi.mask)
     (pa, pb), (sa, sb) = Phi.values, Psi.values
     forms = [Form1(ComplexField(grid, dz, mask), ComplexField(grid, dzb, mask))
-             for dz, dzb in ((1j * np.conj(pb) * sa, 1j * np.conj(pa) * sb),
-                             (1j * pa * sa, -1j * pb * sb))]
+             for dz, dzb in ((_product(1j, np.conj(pb), sa), _product(1j, np.conj(pa), sb)),
+                             (_product(1j, pa, sa), _product(-1j, pb, sb)))]
     defect = max(closedness_defect(f, scheme) for f in forms)
     scale = max([1.0] + [c.max_abs() for f in forms for c in (f.p, f.q)])
     if defect_tol is None:
         defect_tol = 100.0 * max(grid.hx, grid.hy) ** 2
-    if defect > defect_tol * scale:
+    if not defect <= defect_tol * scale:              # NaN fails too
         raise ClosednessError(f"omega not closed: defect {defect:.3g} (tol {defect_tol * scale:.3g})")
     vals = np.empty((2, grid.ny, grid.nx), dtype=complex)
     for k, form in enumerate(forms):
-        vals[k] = antiderivative(form, base_node).values + C[k, 0]
-    return SMatrix(QuatField(grid, vals), C, tuple(base_node),
+        np.add(antiderivative(form, base_node).values, C[k, 0], out=vals[k])
+    return SMatrix(QuatField(grid, vals, mask), C, tuple(base_node),
                    time_augmented=time_offset is not None, loop_defect=defect)
+
+
+def _product(c: complex, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """c * x * y, left to right, in one buffer."""
+    out = c * x
+    out *= y
+    return out
 
 
 def time_offset_integral(phi_of_t, psi_of_t, t_grid, base_node, grid: Grid2D,
@@ -245,11 +252,15 @@ def k_matrix(Psi: QuatField, S: SMatrix | QuatField | Mat2Field, Phi: QuatField,
     if isinstance(Sm, Mat2Field):
         residual = _check_quaternion(Sm.values, "S", pattern_tol, Sm.mask)
         Sm = QuatField(Sm.grid, Sm.values[:, 0].copy(), Sm.mask)
-    Sinv = Sm.inv(min_det=min_det * max(Sm.max_abs(), 1.0) ** 2)
+    return _kdata(Psi, Sm.inv(min_det=min_det * max(Sm.max_abs(), 1.0) ** 2), Phi, residual)
+
+
+def _kdata(Psi: QuatField, Sinv: QuatField, Phi: QuatField, residual: float) -> KData:
+    """(W, a) of K = Psi S^-1 Phi^* from S^-1."""
     K = Psi @ Sinv @ Phi.conj()
     ka, kb = K.values
-    W = ComplexField(Sm.grid, 1j * np.conj(ka), K.mask)
-    a = ComplexField(Sm.grid, -np.conj(kb), K.mask)
+    W = ComplexField(Sinv.grid, 1j * np.conj(ka), K.mask)
+    a = ComplexField(Sinv.grid, -np.conj(kb), K.mask)
     return KData(W, a, residual)
 
 
@@ -266,6 +277,8 @@ class MoutardTransform:
     S0: SMatrix                        # S(Phi0, Psi0), invertible where used
     SB0: SMatrix                       # S(Psi0, Phi0), normalized partner
     kdata: KData
+    S0_inv: QuatField                  # S0^-1 and SB0^-1, nodes with det below
+    SB0_inv: QuatField                 # 1e-12 max(|S0|, 1)^2 masked
 
     @classmethod
     def from_background(cls, psi0: SpinorField, phi0: SpinorField, constant0,
@@ -275,10 +288,12 @@ class MoutardTransform:
         Phi0 = Psi0 if phi0 is psi0 else quaternionize(phi0)    # nothing writes into them
         S0 = build_S(Phi0, Psi0, base_node=base_node, constant=constant0,
                      time_offset=time_offset, scheme=scheme)
-        SB_raw = build_S(Psi0, Phi0, base_node=S0.base_node, scheme=scheme)
-        SB0, _, _ = normalize_S_pair(S0, SB_raw)
-        kd = k_matrix(Psi0, S0, Phi0)
-        return cls(Psi0, Phi0, S0, SB0, kd)
+        SB0, _, _ = normalize_S_pair(S0, build_S(Psi0, Phi0, base_node=S0.base_node,
+                                                 scheme=scheme))
+        eps = 1e-12 * max(S0.S.max_abs(), 1.0) ** 2       # k_matrix's default min_det
+        S0_inv = S0.S.inv(min_det=eps)
+        kdata = _kdata(Psi0, S0_inv, Phi0, 0.0)
+        return cls(Psi0, Phi0, S0, SB0, kdata, S0_inv, SB0.S.inv(min_det=eps))
 
     def transform(self, psi: SpinorField, phi: SpinorField, constP=None,
                   constBP=None, scheme: str = "central2") -> tuple[SpinorField, SpinorField]:
@@ -289,27 +304,25 @@ class MoutardTransform:
         linear in (Psi, Phi) and annihilates the background pair exactly;
         any other quaternion constant shifts the output by another solution.
         """
-        Psi = quaternionize(psi)
-        Phi = quaternionize(phi)
-        bx, by = self.S0.base_node
-        if constP is None:
-            q = np.linalg.solve(self.Psi0.at(bx, by), Psi.at(bx, by))
-            constP = self.S0.constant @ q
-        if constBP is None:
-            p = np.linalg.solve(self.Phi0.at(bx, by), Phi.at(bx, by))
-            constBP = self.SB0.constant @ p
-        SP = build_S(self.Phi0, Psi, base_node=self.S0.base_node,
-                     constant=constP, scheme=scheme)
-        SBP = build_S(self.Psi0, Phi, base_node=self.S0.base_node,
-                      constant=constBP, scheme=scheme)
-        eps = 1e-12 * max(self.S0.S.max_abs(), 1.0) ** 2
-        Psit = Psi - self.Psi0 @ self.S0.S.inv(min_det=eps) @ SP.S
-        Phit = Phi - self.Phi0 @ self.SB0.S.inv(min_det=eps) @ SBP.S
-        return Psit.spinor(), Phit.spinor()
+        return (_transform_side(self.Phi0, self.Psi0, self.S0, self.S0_inv, psi, constP, scheme),
+                _transform_side(self.Psi0, self.Phi0, self.SB0, self.SB0_inv, phi, constBP, scheme))
 
     def transformed_potentials(self, U: ComplexField, V: ComplexField | None = None,
                                scheme: str = "central2"):
         return moutard_dsii(U, V, self.kdata, scheme)
+
+
+def _transform_side(A0: QuatField, B0: QuatField, S: SMatrix, S_inv: QuatField,
+                    chi: SpinorField, const, scheme: str) -> SpinorField:
+    """X - B0 S^-1 S(A0, X) for X = quaternionize(chi): Psi~ from (Phi0, Psi0, S0)
+    and Phi~ from (Psi0, Phi0, SB0).  One side at a time, so that the two sides'
+    temporaries are never alive together."""
+    X = quaternionize(chi)
+    if const is None:
+        bx, by = S.base_node
+        const = S.constant @ np.linalg.solve(B0.at(bx, by), X.at(bx, by))
+    SX = build_S(A0, X, base_node=S.base_node, constant=const, scheme=scheme)
+    return (X - B0 @ S_inv @ SX.S).spinor()
 
 
 def moutard_spinors(psi0: SpinorField, phi0: SpinorField, psi: SpinorField,

@@ -5,7 +5,7 @@ from spinsurf import (ComplexField, Form1, constant_field, field_from_function,
                       integrate2d, load_complexfield_csv, make_grid,
                       save_complexfield_csv, wirtinger_derivative)
 from spinsurf.grid import (GridConfigError, MaskError, SchemeError, antiderivative,
-                           save_nodes_csv)
+                           closedness_defect, quadrature_sum, save_nodes_csv)
 
 
 # Node paths and a trapezoidal line integral along them: the reference that
@@ -128,6 +128,133 @@ def test_wirtinger_rejects_spectral_on_nonperiodic():
     f = constant_field(g, 1.0)
     with pytest.raises(SchemeError):
         wirtinger_derivative(f, "z", "spectral")
+
+
+# ---------------------------------------------------------------------------
+# oracles: the derivative, closedness and L-path formulas written out plainly
+
+
+def _ref_d(v, h, periodic, axis):
+    """Central difference along axis; one-sided second order at open edges."""
+    if periodic:
+        return (np.roll(v, -1, axis) - np.roll(v, 1, axis)) / (2 * h)
+    v = np.moveaxis(v, axis, 0)
+    out = np.empty_like(v)
+    out[1:-1] = (v[2:] - v[:-2]) / (2 * h)
+    out[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * h)
+    out[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h)
+    return np.moveaxis(out, 0, axis)
+
+
+def _ref_fx_fy(g, v, scheme):
+    if scheme == "spectral":
+        kx = 2 * np.pi * np.fft.fftfreq(g.nx, d=g.hx)
+        ky = 2 * np.pi * np.fft.fftfreq(g.ny, d=g.hy)
+        vh = np.fft.fft2(v)
+        return np.fft.ifft2(1j * kx * vh), np.fft.ifft2(1j * ky[:, None] * vh)
+    return _ref_d(v, g.hx, g.periodic_x, 1), _ref_d(v, g.hy, g.periodic_y, 0)
+
+
+def _ref_wirtinger(g, v, direction, scheme="central2"):
+    fx, fy = _ref_fx_fy(g, v, scheme)
+    return (fx - 1j * fy) / 2 if direction == "z" else (fx + 1j * fy) / 2
+
+
+def _random_form(g, seed, mask=None):
+    rng = np.random.default_rng(seed)
+    p, q = rng.normal(size=(2, g.ny, g.nx)) + 1j * rng.normal(size=(2, g.ny, g.nx))
+    return Form1(ComplexField(g, p, mask), ComplexField(g, q, mask))
+
+
+_ORACLE_GRIDS = {
+    "open": make_grid((-1, 1.5, -0.5, 1), (37, 23)),
+    "periodic": make_grid((0, 2 * np.pi, 0, 2 * np.pi), (32, 32), True),
+    "periodic_x": make_grid((-1, 2, 0, 1), (16, 40), (True, False)),
+    "periodic_y": make_grid((-1, 2, 0, 1), (24, 12), (False, True)),
+}
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_GRIDS))
+@pytest.mark.parametrize("direction", ["z", "zbar"])
+def test_wirtinger_matches_oracle_bitwise(name, direction):
+    g = _ORACLE_GRIDS[name]
+    f = _random_form(g, 1).p
+    for scheme in ("central2", "spectral") if g.periodic else ("central2",):
+        got = wirtinger_derivative(f, direction, scheme).values
+        assert np.array_equal(got, _ref_wirtinger(g, f.values, direction, scheme))
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_GRIDS) + ["masked", "spectral"])
+def test_closedness_defect_matches_four_derivative_oracle(name):
+    # d_zbar p - d_z q from four Wirtinger derivatives, max over unmasked nodes
+    g = _ORACLE_GRIDS["periodic" if name == "spectral" else "open" if name == "masked" else name]
+    scheme = "spectral" if name == "spectral" else "central2"
+    mask = None
+    if name == "masked":
+        mask = np.zeros((g.ny, g.nx), dtype=bool)
+        mask[4, 8:11] = mask[3:6, 9] = True
+    form = _random_form(g, 2, mask)
+    if name == "masked":
+        form.p.values[4, 9] = 1e6          # enters the defect at the four masked neighbours
+    p, q = form.p.values, form.q.values
+    r = np.abs(_ref_wirtinger(g, p, "zbar", scheme) - _ref_wirtinger(g, q, "z", scheme))
+    ref = np.max(r if mask is None else r[~mask])
+    scale = max(np.max(np.abs(p)), np.max(np.abs(q))) / min(g.hx, g.hy)
+    assert abs(closedness_defect(form, scheme) - ref) <= 1e-14 * scale
+    if name == "masked":
+        assert np.max(r) > 2 * ref          # the mask decides the answer
+
+
+def test_closedness_defect_spectral_needs_a_periodic_grid():
+    with pytest.raises(SchemeError):
+        closedness_defect(_random_form(_ORACLE_GRIDS["periodic_x"], 3), "spectral")
+    with pytest.raises(SchemeError):
+        closedness_defect(_random_form(_ORACLE_GRIDS["open"], 3), "upwind")
+
+
+def _ref_cumtrapz_from(vals, h, i0, axis=-1):
+    moved = np.moveaxis(vals, axis, -1)
+    seg = (moved[..., :-1] + moved[..., 1:]) * (h / 2)
+    cum = np.zeros_like(moved)
+    cum[..., 1:] = np.cumsum(seg, axis=-1)
+    cum = cum - cum[..., i0:i0 + 1]
+    return np.moveaxis(cum, -1, axis)
+
+
+def _ref_antiderivative(g, p, q, base, order):
+    ix0, iy0 = base
+    gx, gy = p + q, 1j * (p - q)
+    if order == "x_first":
+        row = _ref_cumtrapz_from(gx[iy0, :], g.hx, ix0)
+        return row[None, :] + _ref_cumtrapz_from(gy, g.hy, iy0, 0)
+    col = _ref_cumtrapz_from(gy[:, ix0], g.hy, iy0)
+    return col[:, None] + _ref_cumtrapz_from(gx, g.hx, ix0, 1)
+
+
+@pytest.mark.parametrize("order", ["x_first", "y_first"])
+@pytest.mark.parametrize("base", [(0, 0), (9, 4), (36, 22), (30, 11)])
+def test_antiderivative_matches_oracle_bitwise(order, base):
+    g = _ORACLE_GRIDS["open"]
+    form = _random_form(g, 4)
+    got = antiderivative(form, base, order).values
+    assert np.array_equal(got, _ref_antiderivative(g, form.p.values, form.q.values, base, order))
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_GRIDS))
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_quadrature_sum_matches_two_temporary_form_bitwise(name, dtype):
+    g = _ORACLE_GRIDS[name]
+    vals = _random_form(g, 5).p.values
+    vals = np.abs(vals) ** 2 if dtype is float else vals
+    wx = np.full(g.nx, g.hx)
+    wy = np.full(g.ny, g.hy)
+    if not g.periodic_x:
+        wx[0] = wx[-1] = g.hx / 2
+    if not g.periodic_y:
+        wy[0] = wy[-1] = g.hy / 2
+    ref = np.sum((vals * wx[None, :]) * wy[:, None])
+    got = quadrature_sum(vals, g.hx, g.hy, g.periodic_x, g.periodic_y)
+    assert got == ref and type(got) is type(ref)
 
 
 def test_integrate2d_constant():

@@ -120,6 +120,34 @@ def test_build_S_rejects_non_solution():
         build_S(I2, quaternionize(bad))
 
 
+def _plane_spinor_masked_at(g, node, value):
+    one = constant_field(g, 1.0)
+    one.values[node[1], node[0]] = value
+    one.mask = np.zeros((g.ny, g.nx), dtype=bool)
+    one.mask[node[1], node[0]] = True
+    return SpinorField(one, constant_field(g, 0.0))
+
+
+def test_build_S_rejects_a_masked_nan_node():
+    # the masked node is skipped, but its unmasked neighbours' defect is NaN
+    g = make_grid((0.4, 2.4, 0.3, 2.3), (32, 32))
+    Psi = quaternionize(_plane_spinor_masked_at(g, (5, 7), np.nan))
+    I2 = quaternionize(SpinorField(constant_field(g, 1.0), constant_field(g, 0.0)))
+    with pytest.raises(ClosednessError, match="nan"):
+        build_S(I2, Psi)
+
+
+def test_build_S_carries_the_merged_input_mask():
+    g = make_grid((0.4, 2.4, 0.3, 2.3), (32, 32))
+    Phi = quaternionize(_plane_spinor_masked_at(g, (5, 7), 1.0))
+    Psi = quaternionize(_plane_spinor_masked_at(g, (20, 3), 1.0))
+    S = build_S(Phi, Psi)
+    want = np.zeros((g.ny, g.nx), dtype=bool)
+    want[7, 5] = want[3, 20] = True
+    assert np.array_equal(S.S.mask, want)
+    assert np.all(np.isfinite(S.S.values))
+
+
 def test_normalize_pair_symmetric_case():
     g, psi0, ctx = _plane_ctx()
     # symmetric background: the normalized partner equals Gamma S^T Gamma
@@ -258,6 +286,28 @@ def test_moutard_real_reduction_keeps_U_real():
     g, psi0, ctx = _plane_ctx()
     Ut, _ = ctx.transformed_potentials(constant_field(g, 0.0))
     assert np.max(np.abs(Ut.values.imag)) < 1e-12
+
+
+def test_context_inverts_S0_and_SB0_once(monkeypatch):
+    # from_background forms S0^-1 (also used for K) and SB0^-1; transform reuses them
+    from spinsurf.dirac import QuatField
+    calls = []
+    inv = QuatField.inv
+    monkeypatch.setattr(QuatField, "inv",
+                        lambda self, *a, **k: calls.append(1) or inv(self, *a, **k))
+    g, psi0, ctx = _plane_ctx(32)
+    assert len(calls) == 2
+    psi = SpinorField(field_from_function(g, lambda z: np.exp(0.4 * z)), constant_field(g, 0.0))
+    ctx.transform(psi, psi)
+    ctx.transform(psi, psi)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    eps = 1e-12 * max(ctx.S0.S.max_abs(), 1.0) ** 2
+    assert np.array_equal(ctx.S0_inv.values, ctx.S0.S.inv(min_det=eps).values)
+    assert np.array_equal(ctx.SB0_inv.values, ctx.SB0.S.inv(min_det=eps).values)
+    kd = k_matrix(ctx.Psi0, ctx.S0, ctx.Phi0)
+    assert np.array_equal(kd.W.values, ctx.kdata.W.values)
+    assert np.array_equal(kd.a.values, ctx.kdata.a.values)
 
 
 def test_moutard_spinors_wrapper():
