@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactpoly import (BiPoly, C, RationalFn, T, Z, ZBAR, heat_extend,
+from .exactpoly import (BiPoly, C, RationalFn, T, Z, ZBAR, _sample_mesh, heat_extend,
                         heat_residual)
 from .grid import (ComplexField, Grid2D, neighbor_mean_patched,
                    quadrature_sum, wirtinger_derivative)
@@ -70,16 +70,9 @@ class ExactSolution:
         return self._field(self.V, grid, t, cval)
 
     def _field(self, rf: RationalFn, grid: Grid2D, t: float, cval=None) -> ComplexField:
-        zm = grid.zmesh()
         kw = self._subs(t, cval)
-        num = rf.num.eval(z=zm, **kw)
-        den = rf.den.eval(z=zm, **kw)
-        bad = den == 0
-        if not bad.any():
-            return ComplexField(grid, np.divide(num, den, out=num))
-        den[bad] = 1.0
-        num[bad] = 0.0
-        return ComplexField(grid, np.divide(num, den, out=num), bad)
+        return ComplexField(grid, *_sample_mesh(grid.xs(), grid.ys(), rf.num._specialise(**kw),
+                                                rf.den._specialise(**kw)))
 
 
 def exact_solution(f: BiPoly, name: str = "custom", c=None) -> ExactSolution:

@@ -25,6 +25,10 @@ class HeatDatumError(ValueError):
     pass
 
 
+class PoleError(ZeroDivisionError):
+    """A RationalFn evaluated where its denominator is exactly 0."""
+
+
 class BiPoly:
     """Polynomial with complex coefficients, exponent keys (dz, dzbar, dt, dc, dcbar)."""
 
@@ -160,37 +164,33 @@ class BiPoly:
     # -- queries -----------------------------------------------------------
 
     def eval(self, z=0.0, zbar=None, t=0.0, c=0.0, cbar=None):
-        """Evaluate; zbar/cbar default to the complex conjugates of z/c.
-
-        Specialise the scalars first: each term becomes v t^dt c^dc cbar^dcb, summed
-        in storage order into one coefficient per (z, zbar) exponent pair, so a
-        constant term that cancels at a singular instant is exactly 0.  Then nested
-        Horner, outer in zbar and inner in z, in place in two cache-sized buffers.
+        """Evaluate; zbar/cbar default to the complex conjugates of z/c.  Specialises t, c,
+        cbar once, then runs nested Horner over cache-sized blocks of the flattened z.
         Returns an array of z's shape, or a complex for scalar z."""
-        cb = np.conjugate(c) if cbar is None else cbar
-        rows = {}                      # zbar exponent -> {z exponent: coefficient}
-        for (dz, dzb, dt, dc, dcb), v in self.coef.items():
-            for x, e in ((t, dt), (c, dc), (cb, dcb)):
-                if e:
-                    v = v * x ** e
-            row = rows.setdefault(dzb, {})
-            row[dz] = row.get(dz, 0.0) + v
-        rows = rows or {0: {0: 0j}}
+        table = self._specialise(t, c, cbar)
         z = np.asarray(z, dtype=np.complex128)
         out = np.empty(z.shape, dtype=np.complex128)
         flat, acc_flat = z.reshape(-1), out.reshape(-1)
         zbar = None if zbar is None else np.broadcast_to(zbar, z.shape).reshape(-1)
         part, zb = np.empty((2, min(_BLOCK, z.size)), dtype=np.complex128)
-        top = max(rows)
         for s in range(0, z.size, _BLOCK):         # one cache-sized block at a time
             zk = flat[s:s + _BLOCK]
             zbk = np.conj(zk, out=zb[:zk.size]) if zbar is None else zbar[s:s + _BLOCK]
-            acc = _horner(rows[top], zk, acc_flat[s:s + _BLOCK])
-            for b in range(top - 1, -1, -1):
-                acc *= zbk
-                if b in rows:
-                    acc += _horner(rows[b], zk, part[:zk.size])
+            _horner_block(table, zk, zbk, acc_flat[s:s + _BLOCK], part[:zk.size])
         return out if out.ndim else complex(out)
+
+    def _specialise(self, t=0.0, c=0.0, cbar=None) -> dict:
+        """{zbar exponent: {z exponent: coefficient}} at fixed t, c, cbar; summed in storage
+        order, so a constant term that cancels at a singular instant is exactly 0."""
+        cb = np.conjugate(c) if cbar is None else cbar
+        table = {}
+        for (dz, dzb, dt, dc, dcb), v in self.coef.items():
+            for x, e in ((t, dt), (c, dc), (cb, dcb)):
+                if e:
+                    v = v * x ** e
+            row = table.setdefault(dzb, {})
+            row[dz] = row.get(dz, 0.0) + v
+        return table or {0: {0: 0j}}
 
     def depends_on(self, var) -> bool:
         i = _VAR_INDEX[var]
@@ -258,6 +258,40 @@ def _horner(row: dict, z: np.ndarray, out: np.ndarray) -> np.ndarray:
         if k:
             out *= z
     return out
+
+
+def _horner_block(table: dict, z, zbar, out, part) -> np.ndarray:
+    """A table by nested Horner, outer in zbar, inner in z, into out; part is scratch."""
+    top = max(table)
+    _horner(table[top], z, out)
+    for b in range(top - 1, -1, -1):
+        out *= zbar
+        if b in table:
+            out += _horner(table[b], z, part)
+    return out
+
+
+def _sample_mesh(xs, ys, num: dict, den: dict | None = None):
+    """Tables num (over den) on the mesh xs[None, :] + 1j * ys[:, None], in blocks of
+    whole rows of about _BLOCK nodes: no full-size mesh or denominator exists.  Returns
+    (values, mask); nodes where den is exactly 0 read 0 and form the mask, or None."""
+    step = max(1, _BLOCK // xs.size)
+    out = np.empty((ys.size, xs.size), dtype=np.complex128)
+    buf = np.empty((4, min(step, ys.size) * xs.size), dtype=np.complex128)
+    mask = None
+    for r in range(0, ys.size, step):
+        rows = out[r:r + step]
+        z, zbar, d, part = buf[:, :rows.size]
+        np.add(xs[None, :], 1j * ys[r:r + step, None], out=z.reshape(rows.shape))
+        acc = _horner_block(num, z, np.conj(z, out=zbar), rows.reshape(-1), part)
+        if den is not None:
+            pole = _horner_block(den, z, zbar, d, part) == 0
+            if pole.any():
+                mask = np.zeros(out.shape, dtype=bool) if mask is None else mask
+                mask[r:r + step] = pole.reshape(rows.shape)
+                d[pole], acc[pole] = 1.0, 0.0
+            np.divide(acc, d, out=acc)
+    return out, mask
 
 
 def _as_poly(x) -> BiPoly:
@@ -333,7 +367,10 @@ class RationalFn:
         return RationalFn(self.num.conj(), self.den.conj())
 
     def eval(self, **kw):
-        return self.num.eval(**kw) / self.den.eval(**kw)
+        den = self.den.eval(**kw)
+        if poles := np.count_nonzero(den == 0):
+            raise PoleError(f"denominator is 0 at {poles} of {np.size(den)} point(s)")
+        return self.num.eval(**kw) / den
 
     def equals(self, other, rel: float = 1e-12) -> bool:
         other = _as_rational(other)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dirac import GAMMA, Mat2Field, QuatField, SpinorField, quaternion_defect, quaternionize
-from .exactpoly import (BiPoly, GAMMA_EXACT, RMat2, RationalFn, T, Z, ZBAR,
+from .exactpoly import (BiPoly, GAMMA_EXACT, RMat2, RationalFn, T, Z, ZBAR, _sample_mesh,
                         heat_extend)
 from .grid import (ComplexField, Form1, Grid2D, _merge_masks, antiderivative,
                    closedness_defect, constant_field, save_nodes_csv, wirtinger_derivative)
@@ -441,7 +441,7 @@ def heat_datum_fields(f: BiPoly, grid: Grid2D, t: float, cval=None):
     kw = {"t": float(t)}
     if cval is not None:
         kw["c"] = complex(cval)
-    phi1 = f.wirtinger("z").eval(z=grid.zmesh(), **kw)
+    phi1, _ = _sample_mesh(grid.xs(), grid.ys(), f.wirtinger("z")._specialise(**kw))
     psi0 = SpinorField(constant_field(grid, 0.0), constant_field(grid, 1.0))
     phi0 = SpinorField(ComplexField(grid, phi1), constant_field(grid, 1j))
     return psi0, phi0

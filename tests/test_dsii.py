@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,9 @@ from spinsurf import (BiPoly, ComplexField, Z, catalog,
                       field_from_function, heat_extend, l2_norm_sq, make_grid,
                       physical_form, poly_equal, s1_displayed_V, singular_times,
                       square_grid, to_halved_v_form, v_from_u)
-from spinsurf.dsii import (DecayError, InvalidDatumError, radial_limit_coefficient,
-                           re_v_from_u)
+from spinsurf.dsii import (DecayError, ExactSolution, InvalidDatumError,
+                           radial_limit_coefficient, re_v_from_u)
+from spinsurf.exactpoly import _BLOCK, ZBAR, RationalFn
 
 
 def test_exact_solution_linear_datum_trivial():
@@ -365,3 +368,74 @@ def test_den_positive_away_from_origin():
     den = sol.U.den.eval(z=g.zmesh(), t=-0.5, c=1j)
     zm = g.zmesh()
     assert np.all(den.real[np.abs(zm) > 1e-12] > 0)
+
+
+def _field_oracle(rf, grid, kw):
+    """The full-mesh path: z-mesh, two BiPoly.eval calls, mask exact zeros, divide."""
+    zm = grid.zmesh()
+    num, den = rf.num.eval(z=zm, **kw), rf.den.eval(z=zm, **kw)
+    bad = den == 0
+    if not bad.any():
+        return num / den, None
+    den[bad] = 1.0
+    num[bad] = 0.0
+    return num / den, bad
+
+
+def _assert_fields_match_oracle(sol, g, t):
+    kw = {"t": t, "c": sol.c}
+    for field, rf in ((sol.U_field(g, t), sol.U), (sol.V_field(g, t), sol.V)):
+        values, mask = _field_oracle(rf, g, kw)
+        assert np.array_equal(field.values.view(np.uint64), values.view(np.uint64))
+        assert (field.mask is None) == (mask is None)
+        assert mask is None or np.array_equal(field.mask, mask)
+
+
+@pytest.mark.parametrize("name, c, t, bounds, nx, ny, periodic, partial", [
+    ("s1", 0.7 - 0.4j, 0.2, (-1.3, 2.1, -0.4, 0.9), 397, 61, False, True),
+    ("s1", 1.1 + 0.3j, 0.45, (-30, 30, -30, 30), 769, 769, False, True),
+    ("s2", 9 + 1j, -0.3, (-2, 2, -1, 1), None, 5, False, False),       # nx > _BLOCK
+    ("s1", 1.0, 0.1, (-30, 30, -30, 30), 256, 256, True, False),       # the evolver grid
+], ids=["off-centre", "769", "wide", "periodic-256"])
+def test_fields_bitwise_equal_to_full_mesh_oracle(name, c, t, bounds, nx, ny, periodic,
+                                                  partial):
+    g = make_grid(bounds, (nx or _BLOCK + 9, ny), periodic)
+    rows = max(1, _BLOCK // g.nx)          # rows per block of the row walk
+    assert g.ny > rows and bool(g.ny % rows) == partial    # several blocks
+    _assert_fields_match_oracle(catalog(name, c=c), g, t)
+
+
+@pytest.mark.parametrize("name, c, t", [("s1", 0.8j, -0.4), ("s2", 12.0, 1.0),
+                                        ("s2", 12.0, -1.0)])
+def test_singular_fields_bitwise_equal_to_oracle_past_the_first_block(name, c, t):
+    g = make_grid((-3, 3, -3, 3), (257, 129))
+    assert g.node_z(128, 64) == 0 and 64 >= 2 * (_BLOCK // 257)
+    sol = catalog(name, c=c)
+    _assert_fields_match_oracle(sol, g, t)
+    U = sol.U_field(g, t)
+    assert U.mask is not None and U.mask.sum() == 1 and U.mask[64, 128]
+
+
+def test_masked_node_reads_zero_where_the_numerator_does_not_vanish():
+    one = BiPoly.const(1.0)
+    sol = ExactSolution(one, RationalFn(one + Z, Z * ZBAR), RationalFn(one, ZBAR), None, c=0j)
+    g = make_grid((-3, 3, -3, 3), (257, 129))
+    U = sol.U_field(g, 0.0)
+    assert U.mask.sum() == 1 and U.mask[64, 128] and U.values[64, 128] == 0
+    values, mask = _field_oracle(sol.U, g, {"t": 0.0, "c": 0j})
+    assert np.array_equal(U.values.view(np.uint64), values.view(np.uint64))
+    assert np.array_equal(U.mask, mask)
+
+
+def test_field_peak_memory_stays_near_the_output():
+    # no full-size mesh, numerator or denominator beside the output
+    sol, g = catalog("s2", c=12), square_grid(10.0, 1025)
+    for t in (0.3, 1.0):
+        tracemalloc.start()
+        try:
+            U = sol.U_field(g, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * U.values.nbytes
+        del U

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from spinsurf import (BiPoly, C, RMat2, RationalFn, T, Z, ZBAR, heat_extend,
                       heat_residual, poly_equal, s1_displayed_V)
-from spinsurf.exactpoly import HeatDatumError
+from spinsurf.exactpoly import HeatDatumError, PoleError
 
 
 def test_wirtinger_formal_derivative():
@@ -97,6 +97,60 @@ def test_eval_across_blocks_matches_per_monomial_sum():
     for zb in (None, zbar):
         ref = _per_monomial(p, z, np.conj(z) if zb is None else zb, 0.3, 2 - 1j, 2 + 1j)
         _assert_close(p.eval(z=z, zbar=zb, t=0.3, c=2 - 1j), *ref)
+
+
+_ring_polys = st.dictionaries(st.tuples(*[st.integers(0, 4)] * 5), _gaussian,
+                              max_size=6).map(BiPoly)
+
+
+@_eval_settings
+@given(p=_ring_polys, q=_ring_polys, r=_ring_polys)
+def test_ring_axioms_hold_exactly(p, q, r):
+    # Gaussian-integer coefficients: every product and sum is exact in floats
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert (q + r) * p == q * p + r * p
+
+
+@_eval_settings
+@given(p=_polys, q=_polys)
+def test_conj_is_an_involution_and_multiplicative(p, q):
+    assert p.conj().conj() == p
+    assert (p * q).conj() == p.conj() * q.conj()
+
+
+def _abs_sum(p, z, t, c, cbar):
+    """sum |v| |z|^(a+b) |t|^dt max(|c|, |cbar|)^(dc+dcb): bounds every partial sum."""
+    az, ac = np.abs(z), max(abs(c), abs(cbar))
+    return sum((abs(v) * az ** (a + b) * abs(t) ** dt * ac ** (dc + dcb)
+                for (a, b, dt, dc, dcb), v in p.coef.items()), np.zeros(np.shape(z)))
+
+
+def _assert_eval_respects_product_and_conj(p, q, z, t, c, cbar):
+    kw = {"z": z, "t": t, "c": c, "cbar": cbar}
+    scale = _abs_sum(p, z, t, c, cbar)
+    err = np.abs((p * q).eval(**kw) - p.eval(**kw) * q.eval(**kw))
+    assert np.all(err <= 1e-12 * scale * _abs_sum(q, z, t, c, cbar) + 1e-300)
+    # the formal conjugate swaps c and cbar: conj(p)(z, c, cbar) = conj(p(z, conj cbar, conj c))
+    ref = np.conj(p.eval(z=z, t=t, c=np.conj(cbar), cbar=np.conj(c)))
+    assert np.all(np.abs(p.conj().eval(**kw) - ref) <= 1e-12 * scale + 1e-300)
+
+
+@_eval_settings
+@given(p=_polys, q=_polys, z=_point_arrays, t=st.floats(-1.5, 1.5), c=_points, cbar=_points)
+def test_eval_respects_product_and_conj(p, q, z, t, c, cbar):
+    _assert_eval_respects_product_and_conj(p, q, z, t, c, cbar)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(p=_polys, q=_polys, seed=st.integers(0, 2**32 - 1), t=st.floats(-1.5, 1.5),
+       c=_points, cbar=_points)
+def test_eval_respects_product_and_conj_across_blocks(p, q, seed, t, c, cbar):
+    from spinsurf.exactpoly import _BLOCK
+    rng = np.random.default_rng(seed)
+    n = 2 * _BLOCK + 37                    # three blocks, the last a partial one
+    z = rng.uniform(-1.5, 1.5, n) + 1j * rng.uniform(-1.5, 1.5, n)
+    _assert_eval_respects_product_and_conj(p, q, z, t, c, cbar)
 
 
 def test_eval_zero_and_constant_have_the_shape_of_z():
@@ -191,6 +245,18 @@ def test_rationalfn_arithmetic():
 def test_rationalfn_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
         RationalFn(Z, BiPoly.zero())
+
+
+def test_rationalfn_eval_at_a_pole_raises_pole_error():
+    from spinsurf import catalog
+    U = catalog("s1", c=1j).U                  # |z|^2 + |f|^2 vanishes at z = 0, t = -1/2
+    with pytest.raises(PoleError, match="at 1 of 1 point"):
+        U.eval(z=0.0, t=-0.5)
+    with pytest.raises(PoleError, match="at 2 of 4 point") as err:
+        U.eval(z=np.array([0.0, 0.5, 1 + 1j, 0.0]), t=-0.5)
+    assert isinstance(err.value, ZeroDivisionError)
+    assert np.all(np.isfinite(U.eval(z=np.array([0.5, 1 + 1j]), t=-0.5)))
+    assert np.isfinite(U.eval(z=0.0, t=-0.4))
 
 
 def test_rmat2_inverse():

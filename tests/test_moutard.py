@@ -75,6 +75,20 @@ def test_conj_transpose_convention_fails_closedness():
     assert defects["conj_transpose"] > 0.5
 
 
+@pytest.mark.parametrize("bounds, n, cval", [((-1.5, 1.5, -1.2, 1.8), (256, 256), None),
+                                             ((-2, 2, -1, 1), (8200, 4), 0.3 - 2j),
+                                             ((0.4, 2.4, 0.3, 2.3), (300, 97), 1j)])
+def test_heat_datum_fields_bitwise_equal_to_full_mesh_eval(bounds, n, cval):
+    # the row-block walk gives f_z exactly as BiPoly.eval over the full z-mesh does
+    g = make_grid(bounds, n)
+    sol = catalog("s2", c="symbolic") if cval is not None else catalog("s1", c=1.0 + 0.2j)
+    kw = {"t": 0.2} if cval is None else {"t": 0.2, "c": cval}
+    ref = sol.f.wirtinger("z").eval(z=g.zmesh(), **kw)
+    psi0, phi0 = heat_datum_fields(sol.f, g, 0.2, cval)
+    assert np.array_equal(phi0.psi1.values.view(np.uint64), ref.view(np.uint64))
+    assert np.all(psi0.psi2.values == 1) and np.all(phi0.psi2.values == 1j)
+
+
 def test_omega1_vanishes_for_constants():
     g = make_grid((-1, 1, -1, 1), (16, 16))
     I2 = quaternionize(SpinorField(constant_field(g, 1.0), constant_field(g, 0.0)))
