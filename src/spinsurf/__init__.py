@@ -30,8 +30,8 @@ from .dsii import (ExactSolution, NormResult, OzawaData, SingularEvent,
                    l2_norm_sq, physical_form, radial_limit_coefficient,
                    re_v_from_u, s1_displayed_V, singular_times,
                    to_halved_v_form, v_from_u)
-from .evolve import (DsiiEvolver, EvolverState, Trajectory, dsii_step, evolve,
-                     grid_norm_sq, spinor_evolution_residual, write_trajectory)
+from .evolve import (DsiiEvolver, EvolverState, Trajectory, evolve, grid_norm_sq,
+                     spinor_evolution_residual, write_trajectory)
 from .hierarchy import (Potential1D, clifford_potential, mkdv_reduction_identity,
                         mkdv_rhs_1d, mkdv_soliton, mnv_residual, mnv_rhs,
                         nv_residual, nv_rhs, soliton_potential,

@@ -1,9 +1,11 @@
 """Command-line interface: surface generation/export, exact-solution dumps,
 DSII evolution and named verification suites.
 
-A JSON config supplied via --config is merged under explicit flags (flags win).
-Every run writes its resolved configuration into the output directory, and all
-outputs are deterministic for a fixed configuration.
+Each subcommand takes only the options it reads.  A JSON config supplied via
+--config is merged under explicit flags (flags win).  gen-surface, solution,
+evolve and verify write their resolved configuration into the output
+directory; willmore-check only prints.  All outputs are deterministic for a
+fixed configuration.
 """
 from __future__ import annotations
 
@@ -62,17 +64,20 @@ def _grid_from_args(args) -> Grid2D:
     return make_grid(args.box, (nx, ny), per)
 
 
-def _add_common(p):
-    p.add_argument("--grid", type=_parse_gridspec, default=(128, 128),
-                   help="NXxNY nodes")
-    p.add_argument("--box", type=_parse_box, default=(-3.0, 3.0, -3.0, 3.0),
-                   help="XMIN:XMAX:YMIN:YMAX")
-    p.add_argument("--periodic", nargs="?", const="both", default=None,
-                   choices=("both", "x", "y"),
-                   help="periodic axes (bare flag means both)")
-    p.add_argument("--tol", type=float, default=None,
-                   help="residual tolerance (command-specific default)")
-    p.add_argument("--out", type=Path, default=Path("out"))
+_SHARED = {
+    "grid": dict(type=_parse_gridspec, default=(128, 128), help="NXxNY nodes"),
+    "box": dict(type=_parse_box, default=(-3.0, 3.0, -3.0, 3.0),
+                help="XMIN:XMAX:YMIN:YMAX"),
+    "periodic": dict(nargs="?", const="both", default=None, choices=("both", "x", "y"),
+                     help="periodic axes (bare flag means both)"),
+    "out": dict(type=Path, default=Path("out")),
+}
+
+
+def _add_shared(p, *names):
+    """The shared options a subcommand reads, by name, then --config."""
+    for name in names:
+        p.add_argument(f"--{name}", **_SHARED[name])
     p.add_argument("--config", type=Path, default=None,
                    help="JSON defaults, overridden by explicit flags")
 
@@ -93,7 +98,7 @@ def _apply_config_file(args, parser, argv):
         cur = getattr(args, key)
         if isinstance(cur, tuple) and isinstance(val, list):
             val = tuple(val)
-        if isinstance(cur, Path) or (cur is None and key == "out"):
+        if isinstance(cur, Path):
             val = Path(val)
         setattr(args, key, val)
     return args
@@ -262,7 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     g = sub.add_parser("gen-surface", help="integrate spinor data and export a mesh")
-    _add_common(g)
+    _add_shared(g, "grid", "box", "periodic", "out")
+    g.add_argument("--tol", type=float, default=None,
+                   help="relative Dirac residual that warns (default 1e-3)")
     g.add_argument("--spinor", default="plane",
                    choices=("plane", "enneper", "catenoid"))
     g.add_argument("--from-dsii", choices=("s1", "s2"), default=None)
@@ -273,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_gen_surface)
 
     s = sub.add_parser("solution", help="dump an exact DSII solution")
-    _add_common(s)
+    _add_shared(s, "grid", "box", "periodic", "out")
     s.add_argument("--solution", required=True, choices=("s1", "s2", "ozawa"))
     s.add_argument("--c", type=_parse_complex, default=1 + 0j)
     s.add_argument("--t", type=float, default=0.0)
@@ -281,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--b", type=float, default=-1.0)
     s.set_defaults(func=cmd_solution)
 
-    e = sub.add_parser("evolve", help="split-step DSII evolution")
-    _add_common(e)
+    e = sub.add_parser("evolve", help="split-step DSII evolution on a doubly periodic grid")
+    _add_shared(e, "grid", "box", "out")
     e.add_argument("--from", dest="source", default="s1",
                    choices=("s1", "s2", "zero", "ozawa"))
     e.add_argument("--c", type=_parse_complex, default=1 + 0j)
@@ -293,14 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--snapshot-every", type=int, default=0)
     e.set_defaults(func=cmd_evolve)
 
-    w = sub.add_parser("willmore-check", help="sphere-bound check for 1-D potentials")
-    _add_common(w)
+    w = sub.add_parser("willmore-check", help="sphere-bound check for 1-D potentials (prints only)")
+    _add_shared(w)
     w.add_argument("--potential", required=True, choices=("soliton", "clifford"))
     w.add_argument("--n", type=int, default=1)
     w.set_defaults(func=cmd_willmore_check)
 
     v = sub.add_parser("verify", help="run a named verification suite")
-    _add_common(v)
+    _add_shared(v, "out")
     v.add_argument("--suite", default="all",
                    choices=sorted(verify_mod.SUITES) + ["all"])
     v.set_defaults(func=cmd_verify)

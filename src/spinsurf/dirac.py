@@ -49,13 +49,12 @@ class PotentialPair:
     U: ComplexField
     V: ComplexField | None = None
     real_u: bool = False
-    real_tol: float = 1e-10
 
     def __post_init__(self):
         if self.real_u:
             im = float(np.max(np.abs(self.U.values.imag)))
             scale = max(self.U.max_abs(), 1.0)
-            if im > self.real_tol * scale:
+            if im > 1e-10 * scale:
                 raise ValueError(f"R3 mode requires real U; max|Im U| = {im:g}")
 
     @property
@@ -148,11 +147,11 @@ class Mat2Field:
         np.divide(v[1, 0], dv, out=out[1, 0])
         return Mat2Field(self.grid, out, mask)
 
-    def wirtinger(self, direction: str, scheme: str = "central2") -> "Mat2Field":
+    def wirtinger(self, direction: str) -> "Mat2Field":
         out = _empty(self.grid)
         for i in range(2):
             for j in range(2):
-                out[i, j] = wirtinger_derivative(self.entry(i, j), direction, scheme).values
+                out[i, j] = wirtinger_derivative(self.entry(i, j), direction).values
         return Mat2Field(self.grid, out, self.mask)
 
     def at(self, ix: int, iy: int) -> np.ndarray:
@@ -274,32 +273,29 @@ def quaternionize(psi: SpinorField) -> QuatField:
 GAMMA = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
-def apply_D(U: PotentialPair | ComplexField, psi: SpinorField,
-            scheme: str = "central2") -> SpinorField:
+def apply_D(U: PotentialPair | ComplexField, psi: SpinorField) -> SpinorField:
     """Residual of the Dirac operator: (d psi2 + U psi1, -db psi1 + conj(U) psi2)."""
     Uf = U.U if isinstance(U, PotentialPair) else U
     if Uf.grid != psi.grid:
         raise GridConfigError("potential and spinor grids differ")
-    r1 = wirtinger_derivative(psi.psi2, "z", scheme) + Uf * psi.psi1
-    r2 = -wirtinger_derivative(psi.psi1, "zbar", scheme) + Uf.conj() * psi.psi2
+    r1 = wirtinger_derivative(psi.psi2, "z") + Uf * psi.psi1
+    r2 = -wirtinger_derivative(psi.psi1, "zbar") + Uf.conj() * psi.psi2
     return SpinorField(r1, r2)
 
 
-def apply_Dvee(U: PotentialPair | ComplexField, phi: SpinorField,
-               scheme: str = "central2") -> SpinorField:
+def apply_Dvee(U: PotentialPair | ComplexField, phi: SpinorField) -> SpinorField:
     """Residual of the formally conjugate operator (conj(U) and U on the diagonal)."""
     Uf = U.U if isinstance(U, PotentialPair) else U
     if Uf.grid != phi.grid:
         raise GridConfigError("potential and spinor grids differ")
-    r1 = wirtinger_derivative(phi.psi2, "z", scheme) + Uf.conj() * phi.psi1
-    r2 = -wirtinger_derivative(phi.psi1, "zbar", scheme) + Uf * phi.psi2
+    r1 = wirtinger_derivative(phi.psi2, "z") + Uf.conj() * phi.psi1
+    r2 = -wirtinger_derivative(phi.psi1, "zbar") + Uf * phi.psi2
     return SpinorField(r1, r2)
 
 
-def dirac_residual_norm(U, psi, scheme: str = "central2", interior: int = 0,
-                        vee: bool = False) -> float:
+def dirac_residual_norm(U, psi, interior: int = 0, vee: bool = False) -> float:
     """max |D psi| over the grid, optionally skipping a boundary margin."""
-    r = (apply_Dvee if vee else apply_D)(U, psi, scheme)
+    r = (apply_Dvee if vee else apply_D)(U, psi)
     v = np.maximum(np.abs(r.psi1.values), np.abs(r.psi2.values))
     mask = _merge_masks(r.psi1.mask, r.psi2.mask)
     if mask is not None:
@@ -315,15 +311,14 @@ def sigma(psi: SpinorField) -> SpinorField:
 
 
 def gauge_transform(psi: SpinorField, phi: SpinorField, U: ComplexField,
-                    h: ComplexField, scheme: str = "central2",
-                    holomorphy_tol: float = 1e-6):
+                    h: ComplexField):
     """Gauge move by a holomorphic h: psi1 -> e^h psi1, psi2 -> e^conj(h) psi2,
     phi1 -> e^-h phi1, phi2 -> e^-conj(h) phi2, U -> e^(conj(h)-h) U."""
-    dbh = wirtinger_derivative(h, "zbar", scheme)
+    dbh = wirtinger_derivative(h, "zbar")
     hscale = max(h.max_abs(), 1.0)
     interior = dbh.values[1:-1, 1:-1] if not h.grid.periodic else dbh.values
     defect = float(np.max(np.abs(interior)))
-    if defect > holomorphy_tol * hscale:
+    if defect > 1e-6 * hscale:
         raise GaugeError(f"h is not holomorphic: max|db h| = {defect:g}")
     eh = np.exp(h.values)
     ehb = np.exp(np.conj(h.values))

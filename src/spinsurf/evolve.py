@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,9 +35,7 @@ class BlowupAbort(RuntimeError):
 class EvolverState:
     U: ComplexField
     t: float
-    dt: float
     n_steps: int = 0
-    history: list = field(default_factory=list)   # (t, ||U||^2) samples
 
 
 def grid_norm_sq(U: ComplexField) -> float:
@@ -50,12 +48,9 @@ def grid_norm_sq(U: ComplexField) -> float:
 class DsiiEvolver:
     """Strang steps on a fixed grid and dt, with the dt-dependent Fourier phase."""
 
-    def __init__(self, grid: Grid2D, dt: float, cfl_kappa: float | None = None):
+    def __init__(self, grid: Grid2D, dt: float):
         if dt <= 0:
             raise ValueError("dt must be positive")
-        h2 = min(grid.hx, grid.hy) ** 2
-        if cfl_kappa is not None and dt > cfl_kappa * h2:
-            raise ValueError(f"dt {dt:g} violates dt <= {cfl_kappa:g} h^2 = {cfl_kappa * h2:g}")
         self.grid, self.dt = grid, dt
         sp = grid.spectral
         self.half_phase = np.exp(1j * (sp.ky[:, None] ** 2 - sp.kx**2) * dt / 4.0)
@@ -84,21 +79,13 @@ class DsiiEvolver:
                 vals = np.fft.ifftn(w_hat, out=np.empty_like(w))
             if not np.all(np.isfinite(vals)):
                 raise BlowupAbort(f"non-finite field at t={state.t + dt:g}", state)
-            state = EvolverState(ComplexField(g, vals), state.t + dt, dt,
-                                 state.n_steps + 1, list(state.history))
+            state = EvolverState(ComplexField(g, vals), state.t + dt, state.n_steps + 1)
             yield state
             w_hat *= self.half_phase
 
+    # one step of run; perfbench/spans.py traces the evolver by this name
     def step(self, state: EvolverState) -> EvolverState:
         return next(self.run(state, 1))
-
-
-def dsii_step(state: EvolverState, evolver: DsiiEvolver | None = None) -> EvolverState:
-    """Advance one Strang step; records the norm in the state history."""
-    ev = evolver or DsiiEvolver(state.U.grid, state.dt)
-    new = ev.step(state)
-    new.history.append((new.t, grid_norm_sq(new.U)))
-    return new
 
 
 @dataclass
@@ -115,7 +102,7 @@ def evolve(U0: ComplexField, t_end: float, dt: float, t0: float = 0.0,
            snapshot_every: int = 0, callback=None) -> Trajectory:
     """Repeated Strang stepping with norm monitoring."""
     ev = DsiiEvolver(U0.grid, dt)
-    state = EvolverState(U0, t0, dt)
+    state = EvolverState(U0, t0)
     times, norms = [t0], [grid_norm_sq(U0)]
     snaps = [(t0, U0)] if snapshot_every else []
     n_total = int(round((t_end - t0) / dt))

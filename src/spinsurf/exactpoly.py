@@ -271,10 +271,14 @@ def _horner_block(table: dict, z, zbar, out, part) -> np.ndarray:
     return out
 
 
-def _sample_mesh(xs, ys, num: dict, den: dict | None = None):
-    """Tables num (over den) on the mesh xs[None, :] + 1j * ys[:, None], in blocks of
-    whole rows of about _BLOCK nodes: no full-size mesh or denominator exists.  Returns
-    (values, mask); nodes where den is exactly 0 read 0 and form the mask, or None."""
+def _sample_mesh(xs, ys, num: dict, *dens: dict):
+    """Table num, over the table dens[0] if given, on the mesh xs[None, :] + 1j * ys[:, None],
+    in blocks of whole rows of about _BLOCK nodes: no full-size mesh or denominator
+    exists.  Returns (values, mask): nodes where a table of dens is exactly 0 read 0
+    and form the mask, or None.  A second table of dens only adds poles, for a
+    denominator that can miss an exact zero by rounding."""
+    den = dens[0] if dens else None
+    rho = dens[1] if len(dens) > 1 else None
     step = max(1, _BLOCK // xs.size)
     out = np.empty((ys.size, xs.size), dtype=np.complex128)
     buf = np.empty((4, min(step, ys.size) * xs.size), dtype=np.complex128)
@@ -282,10 +286,16 @@ def _sample_mesh(xs, ys, num: dict, den: dict | None = None):
     for r in range(0, ys.size, step):
         rows = out[r:r + step]
         z, zbar, d, part = buf[:, :rows.size]
+        acc = rows.reshape(-1)
         np.add(xs[None, :], 1j * ys[r:r + step, None], out=z.reshape(rows.shape))
-        acc = _horner_block(num, z, np.conj(z, out=zbar), rows.reshape(-1), part)
+        np.conj(z, out=zbar)
+        if rho is not None:                         # acc is free until num is formed
+            rho_zero = _horner_block(rho, z, zbar, acc, part) == 0
+        _horner_block(num, z, zbar, acc, part)
         if den is not None:
             pole = _horner_block(den, z, zbar, d, part) == 0
+            if rho is not None:
+                pole |= rho_zero
             if pole.any():
                 mask = np.zeros(out.shape, dtype=bool) if mask is None else mask
                 mask[r:r + step] = pole.reshape(rows.shape)
@@ -372,11 +382,11 @@ class RationalFn:
             raise PoleError(f"denominator is 0 at {poles} of {np.size(den)} point(s)")
         return self.num.eval(**kw) / den
 
-    def equals(self, other, rel: float = 1e-12) -> bool:
+    def equals(self, other) -> bool:
         other = _as_rational(other)
         lhs = self.num * other.den
         rhs = other.num * self.den
-        return poly_equal(lhs, rhs, rel)
+        return poly_equal(lhs, rhs)
 
     def is_zero(self, rel: float = 1e-12, ref: float = 1.0) -> bool:
         return self.num.is_zero(rel, ref)

@@ -170,12 +170,13 @@ def mnv_rhs_xonly(u: np.ndarray, h: float) -> np.ndarray:
     return 2 * half
 
 
-def mkdv_reduction_identity(U: Potential1D, margin: int = 4) -> float:
-    """max |RHS_mNV(U, V=U^2) - RHS_mKdV(U)|; vanishes up to scheme error."""
+def mkdv_reduction_identity(U: Potential1D) -> float:
+    """max |RHS_mNV(U, V=U^2) - RHS_mKdV(U)| off 4 nodes at each end; vanishes up
+    to scheme error."""
     a = mnv_rhs_xonly(U.u, U.h)
     b = mkdv_rhs_1d(U.u, U.h)
     d = np.abs(a - b)
-    return float(np.max(d[margin:-margin]))
+    return float(np.max(d[4:-4]))
 
 
 # ---------------------------------------------------------------------------
@@ -207,15 +208,15 @@ def willmore_value_1d(U: Potential1D, y_span: float = 2 * np.pi,
     return 4.0 * ix * y_span
 
 
-def willmore_bound_check(U: Potential1D, N: int | None = None,
-                         tol: float = 1e-9) -> WillmoreCheck:
-    """Check 4 int U^2 >= 4 pi N^2 (sphere bound; equality at soliton potentials)."""
+def willmore_bound_check(U: Potential1D, N: int | None = None) -> WillmoreCheck:
+    """Check 4 int U^2 >= 4 pi N^2 (sphere bound; equality at soliton potentials),
+    up to 1e-9 x max(bound, 1)."""
     periodic = U.tag == "clifford"
     value = willmore_value_1d(U, periodic_x=periodic)
     if N is None:
         return WillmoreCheck(value, 0.0, True, None)
     bound = 4 * np.pi * N * N
-    return WillmoreCheck(value, bound, value >= bound - tol * max(bound, 1.0), N)
+    return WillmoreCheck(value, bound, value >= bound - 1e-9 * max(bound, 1.0), N)
 
 
 def strip_grid(half_width: float = 25.0, nx: int = 2001, ny: int = 64) -> Grid2D:

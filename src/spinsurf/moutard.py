@@ -56,18 +56,19 @@ class NormalizationError(RuntimeError):
 _P1 = np.array([[1.0, 0.0], [0.0, 0.0]])
 _P2 = np.array([[0.0, 0.0], [0.0, 1.0]])
 PATTERN_TOL = 1e-8        # quaternion-pattern defect allowed, relative to max(|value|, 1)
+_MIN_DET = 1e-12          # S^-1 masks nodes with det S below this x max(|S|, 1)^2
 
 
-def _check_quaternion(m: np.ndarray, what: str, pattern_tol: float, mask=None) -> float:
+def _check_quaternion(m: np.ndarray, what: str, mask=None) -> float:
     """The quaternion-pattern defect of a general 2x2 value (one matrix, or one per
     node) about to be stored as its column 0; NormalizationError above tolerance."""
     defect = quaternion_defect(m, mask)
     if mask is not None:
         m = np.where(mask, 0.0, m)
     scale = max(float(np.max(np.abs(m))), 1.0)
-    if not defect <= pattern_tol * scale:             # NaN fails too
+    if not defect <= PATTERN_TOL * scale:             # NaN fails too
         raise NormalizationError(f"{what} is not a quaternion [[a, -conj(b)], [b, conj(a)]]: "
-                                 f"defect {defect:.3g} (tol {pattern_tol * scale:.3g})")
+                                 f"defect {defect:.3g} (tol {PATTERN_TOL * scale:.3g})")
     return defect
 
 
@@ -81,8 +82,8 @@ class MatForm1:
     def form1(self, i: int, j: int) -> Form1:
         return Form1(self.dz.entry(i, j), self.dzb.entry(i, j))
 
-    def max_closedness_defect(self, scheme: str = "central2") -> float:
-        return max(closedness_defect(self.form1(i, j), scheme)
+    def max_closedness_defect(self) -> float:
+        return max(closedness_defect(self.form1(i, j))
                    for i in range(2) for j in range(2))
 
 
@@ -101,15 +102,15 @@ def omega(Phi: QuatField, Psi: QuatField, convention: str = "transpose") -> MatF
     return MatForm1(dz, dzb)
 
 
-def omega1(Phi: QuatField, Psi: QuatField, scheme: str = "central2") -> Mat2Field:
+def omega1(Phi: QuatField, Psi: QuatField) -> Mat2Field:
     """dt coefficient of the time augmentation of S(Phi, Psi)."""
     Phi, Psi = Phi.mat(), Psi.mat()
     P1 = Mat2Field.constant(Phi.grid, _P1)
     P2 = Mat2Field.constant(Phi.grid, _P2)
-    left = (Phi.wirtinger("z", scheme).transpose() @ P1
-            + Phi.wirtinger("zbar", scheme).transpose() @ P2) @ Psi
-    right = Phi.transpose() @ (P1 @ Psi.wirtinger("z", scheme)
-                               + P2 @ Psi.wirtinger("zbar", scheme))
+    left = (Phi.wirtinger("z").transpose() @ P1
+            + Phi.wirtinger("zbar").transpose() @ P2) @ Psi
+    right = Phi.transpose() @ (P1 @ Psi.wirtinger("z")
+                               + P2 @ Psi.wirtinger("zbar"))
     return left - right
 
 
@@ -150,8 +151,7 @@ def _c2l(v):
 
 
 def build_S(Phi: QuatField, Psi: QuatField, base_node=None, constant=None,
-            time_offset: np.ndarray | None = None, scheme: str = "central2",
-            defect_tol: float | None = None) -> SMatrix:
+            time_offset: np.ndarray | None = None) -> SMatrix:
     """Spatial integration of Gamma * omega(Phi, Psi) along L-paths.
 
     `constant` is the value added after anchoring the integral to zero at the
@@ -172,16 +172,15 @@ def build_S(Phi: QuatField, Psi: QuatField, base_node=None, constant=None,
     C = np.zeros((2, 2), dtype=complex) if constant is None else np.asarray(constant, complex)
     if time_offset is not None:
         C = C + np.asarray(time_offset, dtype=complex)
-    _check_quaternion(C, "S constant", PATTERN_TOL)
+    _check_quaternion(C, "S constant")
     mask = _merge_masks(Phi.mask, Psi.mask)
     (pa, pb), (sa, sb) = Phi.values, Psi.values
     forms = [Form1(ComplexField(grid, dz, mask), ComplexField(grid, dzb, mask))
              for dz, dzb in ((_product(1j, np.conj(pb), sa), _product(1j, np.conj(pa), sb)),
                              (_product(1j, pa, sa), _product(-1j, pb, sb)))]
-    defect = max(closedness_defect(f, scheme) for f in forms)
+    defect = max(closedness_defect(f) for f in forms)
     scale = max([1.0] + [c.max_abs() for f in forms for c in (f.p, f.q)])
-    if defect_tol is None:
-        defect_tol = 100.0 * max(grid.hx, grid.hy) ** 2
+    defect_tol = 100.0 * max(grid.hx, grid.hy) ** 2
     if not defect <= defect_tol * scale:              # NaN fails too
         raise ClosednessError(f"omega not closed: defect {defect:.3g} (tol {defect_tol * scale:.3g})")
     vals = np.empty((2, grid.ny, grid.nx), dtype=complex)
@@ -198,18 +197,17 @@ def _product(c: complex, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def time_offset_integral(phi_of_t, psi_of_t, t_grid, base_node, grid: Grid2D,
-                         scheme: str = "central2") -> np.ndarray:
+def time_offset_integral(phi_of_t, psi_of_t, t_grid, base_node) -> np.ndarray:
     """Gamma * int_0^T omega1 dt at the base node, trapezoid over the t samples.
 
     phi_of_t / psi_of_t map a time to the quaternion spinor extensions.
     """
     ix, iy = base_node
-    vals = [GAMMA @ omega1(phi_of_t(t), psi_of_t(t), scheme).at(ix, iy) for t in t_grid]
+    vals = [GAMMA @ omega1(phi_of_t(t), psi_of_t(t)).at(ix, iy) for t in t_grid]
     return np.trapezoid(vals, t_grid, axis=0)
 
 
-def normalize_S_pair(SA: SMatrix, SB: SMatrix, tol: float = 1e-8):
+def normalize_S_pair(SA: SMatrix, SB: SMatrix):
     """Adjust SB's constant so Gamma SA^-1 Gamma = (SB^-1)^T, i.e.
     SB = Gamma SA^T Gamma = -SA^* (the quaternion conjugate).
 
@@ -223,8 +221,8 @@ def normalize_S_pair(SA: SMatrix, SB: SMatrix, tol: float = 1e-8):
     SBn = SMatrix(S, SB.constant + C, SB.base_node, SB.time_augmented, SB.loop_defect)
     res = (target - S).max_abs()
     scale = max(SA.S.max_abs(), 1.0)
-    if res > tol * scale:
-        raise NormalizationError(f"normalization residual {res:.3g} exceeds {tol:.3g} x scale")
+    if res > 1e-8 * scale:
+        raise NormalizationError(f"normalization residual {res:.3g} exceeds 1e-08 x scale")
     return SBn, C, res
 
 
@@ -240,19 +238,18 @@ class KData:
     pattern_residual: float
 
 
-def k_matrix(Psi: QuatField, S: SMatrix | QuatField | Mat2Field, Phi: QuatField,
-             min_det: float = 1e-12, pattern_tol: float = PATTERN_TOL) -> KData:
+def k_matrix(Psi: QuatField, S: SMatrix | QuatField | Mat2Field, Phi: QuatField) -> KData:
     """Extract (W, a) from K = Psi S^-1 Phi^* = [[i conj(W), a], [-conj(a), -i W]].
 
     A general S (a Mat2Field, e.g. from heat_smatrix_values) must have the
-    quaternion pattern to pattern_tol x max(|S|, 1); NormalizationError otherwise.
+    quaternion pattern to PATTERN_TOL x max(|S|, 1); NormalizationError otherwise.
     """
     Sm = S.S if isinstance(S, SMatrix) else S
     residual = 0.0
     if isinstance(Sm, Mat2Field):
-        residual = _check_quaternion(Sm.values, "S", pattern_tol, Sm.mask)
+        residual = _check_quaternion(Sm.values, "S", Sm.mask)
         Sm = QuatField(Sm.grid, Sm.values[:, 0].copy(), Sm.mask)
-    return _kdata(Psi, Sm.inv(min_det=min_det * max(Sm.max_abs(), 1.0) ** 2), Phi, residual)
+    return _kdata(Psi, Sm.inv(min_det=_MIN_DET * max(Sm.max_abs(), 1.0) ** 2), Phi, residual)
 
 
 def _kdata(Psi: QuatField, Sinv: QuatField, Phi: QuatField, residual: float) -> KData:
@@ -278,25 +275,23 @@ class MoutardTransform:
     SB0: SMatrix                       # S(Psi0, Phi0), normalized partner
     kdata: KData
     S0_inv: QuatField                  # S0^-1 and SB0^-1, nodes with det below
-    SB0_inv: QuatField                 # 1e-12 max(|S0|, 1)^2 masked
+    SB0_inv: QuatField                 # _MIN_DET max(|S0|, 1)^2 masked
 
     @classmethod
     def from_background(cls, psi0: SpinorField, phi0: SpinorField, constant0,
-                        base_node=None, scheme: str = "central2",
-                        time_offset=None) -> "MoutardTransform":
+                        base_node=None, time_offset=None) -> "MoutardTransform":
         Psi0 = quaternionize(psi0)
         Phi0 = Psi0 if phi0 is psi0 else quaternionize(phi0)    # nothing writes into them
         S0 = build_S(Phi0, Psi0, base_node=base_node, constant=constant0,
-                     time_offset=time_offset, scheme=scheme)
-        SB0, _, _ = normalize_S_pair(S0, build_S(Psi0, Phi0, base_node=S0.base_node,
-                                                 scheme=scheme))
-        eps = 1e-12 * max(S0.S.max_abs(), 1.0) ** 2       # k_matrix's default min_det
+                     time_offset=time_offset)
+        SB0, _, _ = normalize_S_pair(S0, build_S(Psi0, Phi0, base_node=S0.base_node))
+        eps = _MIN_DET * max(S0.S.max_abs(), 1.0) ** 2      # as in k_matrix
         S0_inv = S0.S.inv(min_det=eps)
         kdata = _kdata(Psi0, S0_inv, Phi0, 0.0)
         return cls(Psi0, Phi0, S0, SB0, kdata, S0_inv, SB0.S.inv(min_det=eps))
 
     def transform(self, psi: SpinorField, phi: SpinorField, constP=None,
-                  constBP=None, scheme: str = "central2") -> tuple[SpinorField, SpinorField]:
+                  constBP=None) -> tuple[SpinorField, SpinorField]:
         """Moutard-transform another solution pair of the same background.
 
         The integration constants of S(Phi0, Psi) / S(Psi0, Phi) default to the
@@ -304,16 +299,15 @@ class MoutardTransform:
         linear in (Psi, Phi) and annihilates the background pair exactly;
         any other quaternion constant shifts the output by another solution.
         """
-        return (_transform_side(self.Phi0, self.Psi0, self.S0, self.S0_inv, psi, constP, scheme),
-                _transform_side(self.Psi0, self.Phi0, self.SB0, self.SB0_inv, phi, constBP, scheme))
+        return (_transform_side(self.Phi0, self.Psi0, self.S0, self.S0_inv, psi, constP),
+                _transform_side(self.Psi0, self.Phi0, self.SB0, self.SB0_inv, phi, constBP))
 
-    def transformed_potentials(self, U: ComplexField, V: ComplexField | None = None,
-                               scheme: str = "central2"):
-        return moutard_dsii(U, V, self.kdata, scheme)
+    def transformed_potentials(self, U: ComplexField, V: ComplexField | None = None):
+        return moutard_dsii(U, V, self.kdata)
 
 
 def _transform_side(A0: QuatField, B0: QuatField, S: SMatrix, S_inv: QuatField,
-                    chi: SpinorField, const, scheme: str) -> SpinorField:
+                    chi: SpinorField, const) -> SpinorField:
     """X - B0 S^-1 S(A0, X) for X = quaternionize(chi): Psi~ from (Phi0, Psi0, S0)
     and Phi~ from (Psi0, Phi0, SB0).  One side at a time, so that the two sides'
     temporaries are never alive together."""
@@ -321,24 +315,22 @@ def _transform_side(A0: QuatField, B0: QuatField, S: SMatrix, S_inv: QuatField,
     if const is None:
         bx, by = S.base_node
         const = S.constant @ np.linalg.solve(B0.at(bx, by), X.at(bx, by))
-    SX = build_S(A0, X, base_node=S.base_node, constant=const, scheme=scheme)
+    SX = build_S(A0, X, base_node=S.base_node, constant=const)
     return (X - B0 @ S_inv @ SX.S).spinor()
 
 
 def moutard_spinors(psi0: SpinorField, phi0: SpinorField, psi: SpinorField,
-                    phi: SpinorField, constant0, base_node=None,
-                    scheme: str = "central2"):
+                    phi: SpinorField, constant0, base_node=None):
     """One-shot wrapper: background + pair in, transformed pair out."""
-    ctx = MoutardTransform.from_background(psi0, phi0, constant0, base_node, scheme)
-    return ctx.transform(psi, phi, scheme=scheme)
+    ctx = MoutardTransform.from_background(psi0, phi0, constant0, base_node)
+    return ctx.transform(psi, phi)
 
 
-def moutard_dsii(U: ComplexField | None, V: ComplexField | None, kdata: KData,
-                 scheme: str = "central2"):
+def moutard_dsii(U: ComplexField | None, V: ComplexField | None, kdata: KData):
     """Potential update: U~ = U + W, V~ = V + 2 i a_z."""
     W, a = kdata.W, kdata.a
     Ut = W if U is None else U + W
-    az = wirtinger_derivative(a, "z", scheme)
+    az = wirtinger_derivative(a, "z")
     Vt = 2j * az if V is None else V + 2j * az
     return Ut, Vt
 

@@ -87,20 +87,19 @@ def _integrate_coordinate(grid: Grid2D, xz: np.ndarray, base_node, defect_out: l
 
 def integrate_surface_r4(psi: SpinorField, phi: SpinorField, basepoint=(0, 0, 0, 0),
                          base_node=None, U: ComplexField | None = None,
-                         scheme: str = "central2", residual_tol: float = 1e-3,
-                         defect_tol: float | None = None) -> SurfaceMap:
+                         residual_tol: float = 1e-3) -> SurfaceMap:
     """Integrate the four closed forms to a surface in R^4.
 
     If U is supplied the Dirac residuals of psi (for D) and phi (for Dvee) are
     measured and a warning issued above residual_tol.  The L-path defect
-    (x-first vs y-first) is recorded; above defect_tol it is an error.
+    (x-first vs y-first) is recorded; above 0.02 max|x^k_z| it is an error.
     """
     grid = psi.grid
     if base_node is None:
         base_node = (grid.nx // 2, grid.ny // 2)
     if U is not None:
-        rd = dirac_residual_norm(U, psi, scheme, interior=1)
-        rv = dirac_residual_norm(U, phi, scheme, interior=1, vee=True)
+        rd = dirac_residual_norm(U, psi, interior=1)
+        rv = dirac_residual_norm(U, phi, interior=1, vee=True)
         scale = max(psi.max_abs(), phi.max_abs(), 1.0)
         if max(rd, rv) > residual_tol * scale:
             warnings.warn(f"Dirac residuals large before integration: D {rd:.3g}, Dvee {rv:.3g}")
@@ -109,9 +108,8 @@ def integrate_surface_r4(psi: SpinorField, phi: SpinorField, basepoint=(0, 0, 0,
     coords = np.stack([_integrate_coordinate(grid, xz[k], base_node, defects)
                        for k in range(4)])
     maxdef = max(defects)
-    if defect_tol is None:
-        # valid spinor data sit orders of magnitude below this (O(h^2) defect)
-        defect_tol = 0.02 * max(float(np.max(np.abs(xz))), 1e-300)
+    # valid spinor data sit orders of magnitude below this (O(h^2) defect)
+    defect_tol = 0.02 * max(float(np.max(np.abs(xz))), 1e-300)
     if maxdef > defect_tol:
         raise SurfaceIntegrationError(
             f"path-dependence defect {maxdef:.3g} exceeds {defect_tol:.3g}; form not closed")
@@ -122,39 +120,38 @@ def integrate_surface_r4(psi: SpinorField, phi: SpinorField, basepoint=(0, 0, 0,
 
 
 def integrate_surface_r3(psi: SpinorField, basepoint=(0, 0, 0), base_node=None,
-                         U: ComplexField | None = None, scheme: str = "central2",
+                         U: ComplexField | None = None,
                          residual_tol: float = 1e-3) -> SurfaceMap:
     """R^3 Weierstrass representation: the phi = psi reduction (x^4 is constant)."""
     s4 = integrate_surface_r4(psi, psi, tuple(basepoint) + (0.0,), base_node,
-                              U=U, scheme=scheme, residual_tol=residual_tol)
+                              U=U, residual_tol=residual_tol)
     x4span = float(np.ptp(s4.coords[3]))
     diag = dict(s4.diagnostics, x4_span=x4span)
     return SurfaceMap(s4.grid, s4.coords[:3], np.asarray(basepoint, float),
                       s4.mask, diag)
 
 
-def spinor_metric(psi: SpinorField, phi: SpinorField | None = None,
-                  branch_tol: float = 1e-12) -> MetricData:
+def spinor_metric(psi: SpinorField, phi: SpinorField | None = None) -> MetricData:
     """e^{2 alpha} from the spinors: (|psi1|^2+|psi2|^2) (|phi1|^2+|phi2|^2)."""
     a = np.abs(psi.psi1.values) ** 2 + np.abs(psi.psi2.values) ** 2
     b = a if phi is None else np.abs(phi.psi1.values) ** 2 + np.abs(phi.psi2.values) ** 2
     e2a = a * b
-    branch = e2a <= branch_tol * max(float(e2a.max()), 1.0)
+    branch = e2a <= 1e-12 * max(float(e2a.max()), 1.0)
     return MetricData(e2a, branch_mask=branch if branch.any() else None)
 
 
-def surface_dz(S: SurfaceMap, scheme: str = "central2") -> np.ndarray:
+def surface_dz(S: SurfaceMap) -> np.ndarray:
     """(dim, ny, nx) array of x^k_z by numerical differentiation of the map."""
     out = []
     for k in range(S.ambient_dim):
         f = ComplexField(S.grid, S.coords[k].astype(complex))
-        out.append(wirtinger_derivative(f, "z", scheme).values)
+        out.append(wirtinger_derivative(f, "z").values)
     return np.stack(out)
 
 
-def measured_e2alpha(S: SurfaceMap, scheme: str = "central2") -> np.ndarray:
+def measured_e2alpha(S: SurfaceMap) -> np.ndarray:
     """Conformal factor from the map itself: 2 sum_k |x^k_z|^2."""
-    xz = surface_dz(S, scheme)
+    xz = surface_dz(S)
     return 2.0 * np.sum(np.abs(xz) ** 2, axis=0)
 
 
@@ -167,13 +164,12 @@ class GaussMapResult:
     spinor_ratio: np.ndarray | None = None  # (2, ny, nx) projective (a : b), dim 3 only
 
 
-def gauss_map(S: SurfaceMap, scheme: str = "central2",
-              degeneracy_tol: float = 1e-12) -> GaussMapResult:
+def gauss_map(S: SurfaceMap) -> GaussMapResult:
     """Per-node projective point (x^1_z : ... : x^n_z) with quadric residual."""
-    xz = surface_dz(S, scheme)
+    xz = surface_dz(S)
     norm2 = np.sum(np.abs(xz) ** 2, axis=0)
     scale = float(norm2.max())
-    degenerate = norm2 <= degeneracy_tol * max(scale, 1.0)
+    degenerate = norm2 <= 1e-12 * max(scale, 1.0)
     amp = np.sqrt(np.where(degenerate, 1.0, norm2))
     points = xz / amp
     quad = np.sum(xz * xz, axis=0)
@@ -191,7 +187,7 @@ def gauss_map(S: SurfaceMap, scheme: str = "central2",
     return GaussMapResult(points, quad, rel, degenerate, spinor)
 
 
-def willmore(U: ComplexField, decay_warn: float = 1e-3) -> float:
+def willmore(U: ComplexField) -> float:
     """Willmore value 4 * int |U|^2 dx dy over the grid.
 
     A truncation warning with a |U| ~ C/r^2 tail estimate is issued when the
@@ -206,7 +202,7 @@ def willmore(U: ComplexField, decay_warn: float = 1e-3) -> float:
         edges += [v[:, 0].max(), v[:, -1].max()]
     boundary = max(edges) if edges else 0.0
     interior = v.max()
-    if interior > 0 and boundary > decay_warn * interior:
+    if interior > 0 and boundary > 1e-3 * interior:
         gr = U.grid
         r2 = max(gr.x_max - gr.x_min, gr.y_max - gr.y_min) / 2
         tail = 4 * np.pi * boundary**2 * r2**2
@@ -264,8 +260,9 @@ def coords_to_smatrix_values(coords: np.ndarray):
     return (1j * x3 + x4, -x1 - 1j * x2, x1 - 1j * x2, -1j * x3 + x4)
 
 
-def smatrix_values_to_coords(e11, e12, e21, e22) -> np.ndarray:
-    """Inverse of the dictionary above; returns (4, ny, nx) real coordinates."""
+def smatrix_values_to_coords(e11, e21) -> np.ndarray:
+    """Inverse of the dictionary above from the first column, which fixes the
+    rest; returns (4, ny, nx) real coordinates."""
     x1 = e21.real
     x2 = -e21.imag
     x3 = e11.imag
@@ -280,18 +277,18 @@ def surface_to_smatrix(S: SurfaceMap) -> Mat2Field:
 
 def smatrix_to_surface(M: Mat2Field, basepoint=None) -> SurfaceMap:
     v = M.values
-    coords = smatrix_values_to_coords(v[0, 0], v[0, 1], v[1, 0], v[1, 1])
+    coords = smatrix_values_to_coords(v[0, 0], v[1, 0])
     bp = coords[:, M.grid.ny // 2, M.grid.nx // 2] if basepoint is None else np.asarray(basepoint)
     return SurfaceMap(M.grid, coords, bp, M.mask)
 
 
-def invert_surface(S: SurfaceMap, eps_rel: float = 1e-9) -> SurfaceMap:
+def invert_surface(S: SurfaceMap) -> SurfaceMap:
     """Quaternionic inversion x -> reflection(x) / |x|^2, i.e. the matrix inverse
     of the S-matrix; equals inversion composed with (x1,x2,x3,x4)->(-x1,-x2,-x3,x4)."""
     dim = S.ambient_dim
     c = S.coords
     norm2 = np.sum(c * c, axis=0)
-    eps = eps_rel * max(S.diameter(), 1e-300)
+    eps = 1e-9 * max(S.diameter(), 1e-300)
     bad = norm2 < eps * eps
     safe = np.where(bad, 1.0, norm2)
     out = np.empty_like(c)

@@ -38,6 +38,12 @@ class CheckResult:
     detail: str = ""
     runtime_s: float = 0.0
 
+    def __post_init__(self):
+        # plain Python types, whatever numpy scalars the checks hand in, so that
+        # as_dict() always serialises
+        self.value, self.target, self.tol = float(self.value), float(self.target), float(self.tol)
+        self.passed = bool(self.passed)
+
     def as_dict(self):
         return {"name": self.name, "value": self.value, "target": self.target,
                 "tol": self.tol, "pass": self.passed, "detail": self.detail,
@@ -63,11 +69,11 @@ def _timed(fn):
 
 def _rel_check(name, value, target, tol, detail="") -> CheckResult:
     err = abs(value - target) / max(abs(target), 1e-300)
-    return CheckResult(name, float(value), float(target), tol, err <= tol, detail)
+    return CheckResult(name, value, target, tol, err <= tol, detail)
 
 
 def _abs_check(name, value, tol, detail="") -> CheckResult:
-    return CheckResult(name, float(value), 0.0, tol, abs(value) <= tol, detail)
+    return CheckResult(name, value, 0.0, tol, abs(value) <= tol, detail)
 
 
 # ---------------------------------------------------------------------------

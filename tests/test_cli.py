@@ -168,3 +168,83 @@ def test_config_file_merge(tmp_path):
     resolved = json.loads((out / "resolved_config.json").read_text())
     assert resolved["options"]["grid"] == [24, 24]
     assert resolved["options"]["t"] == 0.3
+
+
+def test_check_results_hold_python_types():
+    # numpy scalars from a check (e.g. the evolver's norm drift) must not reach
+    # verify.json: json cannot serialise numpy.bool_
+    from spinsurf.verify import CheckResult, _abs_check, _rel_check
+    for r in (_abs_check("x", np.float64(1e-4), 1e-3),
+              _rel_check("y", np.float64(2.0), np.float64(2.0), 1e-2),
+              CheckResult("z", np.float64(5.0), 4.0, np.float64(0.25), np.float64(5.0) >= 3.0)):
+        d = r.as_dict()
+        assert type(d["pass"]) is bool and d["pass"] is True
+        assert all(type(d[k]) is float for k in ("value", "target", "tol"))
+        json.dumps(d)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solution", "--solution", "s1", "--tol", "1"],
+    ["evolve", "--tol", "1"],
+    ["evolve", "--periodic", "x"],
+    ["willmore-check", "--potential", "soliton", "--tol", "1"],
+    ["willmore-check", "--potential", "soliton", "--grid", "64x64"],
+    ["willmore-check", "--potential", "soliton", "--box=-1:1:-1:1"],
+    ["willmore-check", "--potential", "soliton", "--periodic"],
+    ["willmore-check", "--potential", "soliton", "--out", "w"],
+    ["verify", "--suite", "reduction", "--tol", "1"],
+    ["verify", "--suite", "reduction", "--grid", "64x64"],
+    ["verify", "--suite", "reduction", "--box=-1:1:-1:1"],
+    ["verify", "--suite", "reduction", "--periodic", "y"],
+])
+def test_flags_a_command_does_not_read_are_rejected(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["evolve"], "tol"),
+    (["evolve"], "periodic"),
+    (["solution", "--solution", "s1"], "tol"),
+    (["verify", "--suite", "reduction"], "grid"),
+    (["willmore-check", "--potential", "soliton"], "out"),
+])
+def test_config_file_with_a_removed_key_is_rejected(argv, key, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: "x"}))
+    out = tmp_path / "c"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", str(cfg)] + (["--out", str(out)] if key != "out" else []))
+    assert exc.value.code == 2
+    assert f"unknown config key(s) in {cfg}: {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["gen-surface", "--grid", "16x16"],
+     "box c format from_dsii grid invert out periodic spinor subcommand t tol"),
+    (["solution", "--solution", "s1", "--grid", "16x16"],
+     "a b box c grid out periodic solution subcommand t"),
+    (["evolve", "--from", "zero", "--grid", "16x16", "--t-end", "2e-3", "--dt", "1e-3"],
+     "a b box c dt grid out snapshot_every source subcommand t_end"),
+    (["verify", "--suite", "reduction"], "out subcommand suite"),
+])
+def test_resolved_config_lists_only_the_options_read(argv, keys, tmp_path):
+    out = tmp_path / "r"
+    assert main(argv + ["--out", str(out)]) == 0
+    resolved = json.loads((out / "resolved_config.json").read_text())
+    assert sorted(resolved["options"]) == keys.split()
+
+
+def test_gen_surface_keeps_periodic_and_tol(tmp_path):
+    out = tmp_path / "cat"
+    rc = main(["gen-surface", "--spinor", "catenoid", "--periodic", "y", "--tol", "1e-2",
+               "--grid", "16x32", "--box=-1.2:1.2:0:6.2831853", "--out", str(out)])
+    assert rc == 0
+    opts = json.loads((out / "resolved_config.json").read_text())["options"]
+    assert opts["periodic"] == "y" and opts["tol"] == 1e-2
+    assert json.loads((out / "surface.obj.json").read_text())["n_triangles"] == 2 * 15 * 32

@@ -6,7 +6,7 @@ import pytest
 from spinsurf import (ComplexField, SpinorField, catalog, constant_field,
                       evolve, field_from_function, grid_norm_sq, make_grid,
                       spinor_evolution_residual, square_grid, write_trajectory)
-from spinsurf.evolve import BlowupAbort, DsiiEvolver, EvolverState, dsii_step
+from spinsurf.evolve import BlowupAbort, DsiiEvolver, EvolverState
 from spinsurf.grid import SchemeError
 from spinsurf.moutard import moutard_exact
 
@@ -90,37 +90,14 @@ def test_evolver_rejects_nonperiodic():
         DsiiEvolver(g, 1e-3)
 
 
-def test_cfl_guard():
-    g = square_grid(5.0, 64, periodic=True)
-    with pytest.raises(ValueError):
-        DsiiEvolver(g, dt=1.0, cfl_kappa=1.0)
-
-
 def test_blowup_abort():
     g = square_grid(5.0, 32, periodic=True)
     U0 = constant_field(g, 1e300)       # overflow in the nonlinear phase
-    state = EvolverState(U0, 0.0, 1e-3)
+    state = EvolverState(U0, 0.0)
     ev = DsiiEvolver(g, 1e-3)
     with pytest.raises(BlowupAbort):
         for _ in range(5):
             state = ev.step(state)
-
-
-def test_dsii_step_records_history():
-    g = square_grid(5.0, 32, periodic=True)
-    state = EvolverState(constant_field(g, 0.1), 0.0, 1e-3)
-    state = dsii_step(state)
-    assert state.n_steps == 1
-    assert len(state.history) == 1
-
-
-def test_dsii_step_gives_each_state_its_own_history():
-    g = square_grid(5.0, 32, periodic=True)
-    state0 = EvolverState(constant_field(g, 0.1), 0.0, 1e-3)
-    state1 = dsii_step(state0)
-    state2 = dsii_step(state1)
-    assert state0.history == []
-    assert len(state1.history) == 1 and len(state2.history) == 2
 
 
 def test_write_trajectory(tmp_path):
@@ -222,7 +199,7 @@ def test_repeated_step_matches_evolve():
     U0 = catalog("s1", c=1.0).U_field(g, 0.0)
     dt, n_steps = 2e-4, 20
     ev = DsiiEvolver(g, dt)
-    state = EvolverState(U0, 0.0, dt)
+    state = EvolverState(U0, 0.0)
     for _ in range(n_steps):
         state = ev.step(state)
     final = evolve(U0, n_steps * dt, dt).final.values

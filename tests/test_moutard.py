@@ -429,7 +429,7 @@ def test_time_offset_integral_matches_closed_form():
         return quaternionize(heat_datum_fields(sol.f, g, t)[0])
 
     tgrid = np.linspace(0.0, 0.4, 161)
-    off = time_offset_integral(phi_of, psi_of, tgrid, (bx, by), g)
+    off = time_offset_integral(phi_of, psi_of, tgrid, (bx, by))
     f0 = complex(sol.f.eval(z=zb, t=0.0, c=1.0))
     f1 = complex(sol.f.eval(z=zb, t=0.4, c=1.0))
     expect = np.array([[1j * np.conj(f1 - f0), 0], [0, -1j * (f1 - f0)]])
