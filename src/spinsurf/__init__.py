@@ -9,9 +9,9 @@ from .grid import (ComplexField, Form1, Grid2D, antiderivative,
                    load_complexfield_csv, square_grid, wirtinger_derivative)
 from .exactpoly import (BiPoly, C, CBAR, ONE, RMat2, RationalFn, T, Z, ZBAR,
                         heat_extend, heat_residual, poly_equal)
-from .dirac import (Mat2Field, PotentialPair, QuatField, SpinorField, apply_D,
-                    apply_Dvee, dirac_residual_norm, gauge_transform,
-                    quaternionize, save_spinorfield_csv, sigma)
+from .dirac import (PotentialPair, SpinorField, apply_D, apply_Dvee,
+                    dirac_residual_norm, gauge_transform, save_spinorfield_csv,
+                    sigma)
 from .surface import (GaussMapResult, MetricData, SurfaceMap,
                       discrete_mean_curvature, gauss_map, integrate_surface_r3,
                       integrate_surface_r4, invert_surface, measured_e2alpha,

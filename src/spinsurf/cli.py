@@ -90,8 +90,7 @@ def _apply_config_file(args, parser, argv):
     unknown = sorted(set(defaults) - (set(vars(args)) - {"func", "subcommand"}))
     if unknown:
         parser.error(f"unknown config key(s) in {args.config}: {', '.join(unknown)}")
-    explicit = {a.split("=")[0].lstrip("-").replace("-", "_")
-                for a in argv if a.startswith("--")}
+    explicit = _explicit_keys(args.subcommand, argv, defaults)
     for key, val in defaults.items():
         if key in explicit:
             continue
@@ -102,6 +101,17 @@ def _apply_config_file(args, parser, argv):
             val = Path(val)
         setattr(args, key, val)
     return args
+
+
+def _explicit_keys(subcommand: str, argv, keys) -> set:
+    """The keys whose option argv sets, however the flag is spelled (--from sets
+    source): argv parsed again with those options' defaults set to a marker."""
+    probe = build_parser()
+    sub = next(a for a in probe._actions if isinstance(a, argparse._SubParsersAction))
+    marker = object()
+    sub.choices[subcommand].set_defaults(**dict.fromkeys(keys, marker))
+    again = vars(probe.parse_args(argv))
+    return {k for k in keys if again[k] is not marker}
 
 
 def _spinor_source(name: str, grid: Grid2D) -> SpinorField:

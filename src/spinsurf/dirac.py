@@ -4,7 +4,7 @@ Operator conventions (component form, rows fixed):
 
     D   = [[0, d],[-db, 0]] + [[U, 0],[0, conj(U)]]
     D psi  = ( d psi2 + U psi1,  -db psi1 + conj(U) psi2 )
-    Dvee   : U and conj(U) swapped on the diagonal.
+    Dvee   : U and conj(U) swapped on the diagonal, i.e. D with conj(U).
 
 The row expansion is validated against the metric / conformality identities of
 the Weierstrass representation in the test suite rather than assumed.
@@ -21,25 +21,6 @@ from .grid import (ComplexField, Grid2D, GridConfigError, _merge_masks,
 
 class GaugeError(ValueError):
     pass
-
-
-@dataclass
-class SpinorField:
-    """Pair (psi1, psi2) on a shared grid."""
-
-    psi1: ComplexField
-    psi2: ComplexField
-
-    def __post_init__(self):
-        if self.psi1.grid != self.psi2.grid:
-            raise GridConfigError("spinor components must share the grid")
-
-    @property
-    def grid(self) -> Grid2D:
-        return self.psi1.grid
-
-    def max_abs(self) -> float:
-        return max(self.psi1.max_abs(), self.psi2.max_abs())
 
 
 @dataclass
@@ -70,8 +51,8 @@ def _empty(grid: Grid2D) -> np.ndarray:
 class Mat2Field:
     """2x2 complex matrix per node: values[i, j] is entry (i, j), shape (2, 2, ny, nx).
 
-    For general values, such as the dz and dzbar parts of the Moutard form
-    omega; fields that are quaternions throughout are held as QuatField.
+    For general values: the dz and dzbar parts of the Moutard forms omega and
+    omega1, and SpinorField.mat(); quaternion fields are held as SpinorField.
 
     One mask covers all four entries: the union of the masks of the fields the
     matrix was built from.  values may be a read-only broadcast view (see
@@ -161,42 +142,59 @@ class Mat2Field:
         return max(self.entry(i, j).max_abs() for i in range(2) for j in range(2))
 
 
-def quaternion_defect(m: np.ndarray, mask=None) -> float:
+def quaternion_defect(m: np.ndarray) -> float:
     """max(|m11 - conj(m00)|, |m01 + conj(m10)|) over the 2x2 matrices m[i, j] (one
-    matrix, or one per node with mask nodes skipped): 0 exactly when every
-    matrix is a quaternion [[a, -conj(b)], [b, conj(a)]]."""
+    matrix, or one per node): 0 exactly when every matrix is a quaternion
+    [[a, -conj(b)], [b, conj(a)]]."""
     r = np.maximum(np.abs(m[1, 1] - np.conj(m[0, 0])), np.abs(m[0, 1] + np.conj(m[1, 0])))
-    if mask is not None:
-        r = np.where(mask, 0.0, r)
     return float(np.max(r))
 
 
-@dataclass
-class QuatField:
-    """A quaternion [[a, -conj(b)], [b, conj(a)]] per node, stored as values = (a, b)
-    of shape (2, ny, nx): column 0 of the 2x2 matrix, which fixes the rest.
+class SpinorField:
+    """A spinor psi = (psi1, psi2) on a grid, which is also its quaternionic extension
+    Psi = [[psi1, -conj(psi2)], [psi2, conj(psi1)]] per node: values (psi1, psi2) of
+    shape (2, ny, nx) are column 0 of the 2x2 matrix, which fixes the rest.  The
+    Moutard pipeline's S-matrices, their inverses and K are held the same way.
 
-    Products, differences, conjugates and inverses of quaternions are
-    quaternions, so they are formed on (a, b) alone: a product takes four complex
-    multiplies, and the inverse is exact, the conjugate (conj(a), -b) over
-    |a|^2 + |b|^2 = det.  The mask is handled as in Mat2Field, and operations
-    write into fresh arrays, so fields may share values.
+    One mask covers both components: the union of the masks they were built from.
+    Products, differences, conjugates and inverses of quaternions are quaternions,
+    so they are formed on (psi1, psi2) alone: a product takes four complex
+    multiplies, and the inverse is exact, the conjugate (conj(psi1), -psi2) over
+    |psi1|^2 + |psi2|^2 = det.  Operations write into fresh arrays, so fields may
+    share values.
     """
 
-    grid: Grid2D
-    values: np.ndarray
-    mask: np.ndarray | None = None
+    def __init__(self, psi1: ComplexField, psi2: ComplexField):
+        if psi1.grid != psi2.grid:
+            raise GridConfigError("spinor components must share the grid")
+        self.grid = psi1.grid
+        self.values = np.stack([psi1.values, psi2.values])
+        self.mask = _merge_masks(psi1.mask, psi2.mask)
 
-    def __post_init__(self):
-        if self.values.shape != (2, self.grid.ny, self.grid.nx):
-            raise GridConfigError(f"quaternion values shape {self.values.shape} does not fit the grid")
+    @classmethod
+    def from_values(cls, grid: Grid2D, values: np.ndarray,
+                    mask: np.ndarray | None) -> "SpinorField":
+        """The field with values (psi1, psi2) of shape (2, ny, nx), not copied."""
+        if values.shape != (2, grid.ny, grid.nx):
+            raise GridConfigError(f"spinor values shape {values.shape} does not fit the grid")
+        out = cls.__new__(cls)
+        out.grid, out.values, out.mask = grid, values, mask
+        return out
 
-    def _mask_with(self, other: "QuatField"):
+    @property
+    def psi1(self) -> ComplexField:
+        return ComplexField(self.grid, self.values[0], self.mask)
+
+    @property
+    def psi2(self) -> ComplexField:
+        return ComplexField(self.grid, self.values[1], self.mask)
+
+    def _mask_with(self, other: "SpinorField"):
         if other.grid != self.grid:
             raise GridConfigError("grid mismatch")
         return _merge_masks(self.mask, other.mask)
 
-    def __matmul__(self, other: "QuatField") -> "QuatField":
+    def __matmul__(self, other: "SpinorField") -> "SpinorField":
         """(a, b)(c, d) = (a c - conj(b) d, b c + conj(a) d)."""
         mask = self._mask_with(other)
         (a, b), (c, d) = self.values, other.values
@@ -209,18 +207,18 @@ class QuatField:
         tmp *= d
         np.multiply(b, c, out=out[1])
         out[1] += tmp
-        return QuatField(self.grid, out, mask)
+        return SpinorField.from_values(self.grid, out, mask)
 
-    def __sub__(self, other: "QuatField") -> "QuatField":
-        return QuatField(self.grid, self.values - other.values, self._mask_with(other))
+    def __sub__(self, other: "SpinorField") -> "SpinorField":
+        return SpinorField.from_values(self.grid, self.values - other.values, self._mask_with(other))
 
-    def conj(self) -> "QuatField":
+    def conj(self) -> "SpinorField":
         """The quaternion conjugate (conj(a), -b): the conjugate transpose of the
         matrix, and Gamma Q^T Gamma^-1."""
         out = np.empty_like(self.values)
         np.conj(self.values[0], out=out[0])
         np.negative(self.values[1], out=out[1])
-        return QuatField(self.grid, out, self.mask)
+        return SpinorField.from_values(self.grid, out, self.mask)
 
     def norm2(self) -> np.ndarray:
         """|a|^2 + |b|^2 per node, the determinant (real)."""
@@ -230,7 +228,7 @@ class QuatField:
     def det(self) -> ComplexField:
         return ComplexField(self.grid, self.norm2(), self.mask)
 
-    def inv(self, min_det: float = 0.0) -> "QuatField":
+    def inv(self, min_det: float = 0.0) -> "SpinorField":
         """conj() / (|a|^2 + |b|^2); nodes with det < min_det join the mask
         and are divided by 1 instead."""
         n2 = self.norm2()
@@ -257,18 +255,6 @@ class QuatField:
     def max_abs(self) -> float:
         return max(ComplexField(self.grid, v, self.mask).max_abs() for v in self.values)
 
-    def spinor(self) -> SpinorField:
-        """(a, b) as a spinor; its entries are copies, so the field can be freed."""
-        a, b = self.values
-        return SpinorField(ComplexField(self.grid, a.copy(), self.mask),
-                           ComplexField(self.grid, b.copy(), self.mask))
-
-
-def quaternionize(psi: SpinorField) -> QuatField:
-    """Psi = [[psi1, -conj(psi2)],[psi2, conj(psi1)]] per node, stored as (psi1, psi2)."""
-    return QuatField(psi.grid, np.stack([psi.psi1.values, psi.psi2.values]),
-                     _merge_masks(psi.psi1.mask, psi.psi2.mask))
-
 
 GAMMA = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -284,22 +270,16 @@ def apply_D(U: PotentialPair | ComplexField, psi: SpinorField) -> SpinorField:
 
 
 def apply_Dvee(U: PotentialPair | ComplexField, phi: SpinorField) -> SpinorField:
-    """Residual of the formally conjugate operator (conj(U) and U on the diagonal)."""
-    Uf = U.U if isinstance(U, PotentialPair) else U
-    if Uf.grid != phi.grid:
-        raise GridConfigError("potential and spinor grids differ")
-    r1 = wirtinger_derivative(phi.psi2, "z") + Uf.conj() * phi.psi1
-    r2 = -wirtinger_derivative(phi.psi1, "zbar") + Uf * phi.psi2
-    return SpinorField(r1, r2)
+    """Residual of the formally conjugate operator: D with conj(U) for U."""
+    return apply_D((U.U if isinstance(U, PotentialPair) else U).conj(), phi)
 
 
 def dirac_residual_norm(U, psi, interior: int = 0, vee: bool = False) -> float:
     """max |D psi| over the grid, optionally skipping a boundary margin."""
     r = (apply_Dvee if vee else apply_D)(U, psi)
-    v = np.maximum(np.abs(r.psi1.values), np.abs(r.psi2.values))
-    mask = _merge_masks(r.psi1.mask, r.psi2.mask)
-    if mask is not None:
-        v = np.where(mask, 0.0, v)
+    v = np.abs(r.values).max(axis=0)
+    if r.mask is not None:
+        v = np.where(r.mask, 0.0, v)
     if interior:
         v = v[interior:-interior, interior:-interior]
     return float(np.max(v))
@@ -333,5 +313,5 @@ def gauge_transform(psi: SpinorField, phi: SpinorField, U: ComplexField,
 
 def save_spinorfield_csv(psi: SpinorField, csv_path, meta_path=None):
     """CSV columns ix, iy, re1, im1, re2, im2 with a JSON grid sidecar."""
-    save_nodes_csv(csv_path, psi.grid, "ix,iy,re1,im1,re2,im2", psi.psi1.values,
-                   psi.psi2.values, meta=psi.grid.meta(), meta_path=meta_path)
+    save_nodes_csv(csv_path, psi.grid, "ix,iy,re1,im1,re2,im2", *psi.values,
+                   meta=psi.grid.meta(), meta_path=meta_path)

@@ -174,9 +174,7 @@ def spinor_evolution_residual(psi_stencil, U: ComplexField, V: ComplexField,
         raise ValueError("need slices (t-dt, t, t+dt)")
     pm, p0, pp = psi_stencil
     Ap = _apply_A(p0, U, V, scheme, vee=(which == "Avee"))
-    r1 = (pp.psi1.values - pm.psi1.values) / (2 * dt) - Ap.psi1.values
-    r2 = (pp.psi2.values - pm.psi2.values) / (2 * dt) - Ap.psi2.values
-    r = np.maximum(np.abs(r1), np.abs(r2))
+    r = np.abs((pp.values - pm.values) / (2 * dt) - Ap.values).max(axis=0)
     if interior:
         r = r[interior:-interior, interior:-interior]
     return float(np.max(r))

@@ -353,15 +353,13 @@ def integrate2d(f: ComplexField, mask_policy: str = "reject") -> complex:
     """Trapezoid (non-periodic) / rectangle (periodic) quadrature of f over the grid.
 
     Masked nodes require an explicit policy: 'neighbor_mean' patches the value
-    with the mean over unmasked 8-neighbours, 'zero' drops it, 'reject' raises.
+    with the mean over unmasked 8-neighbours, 'reject' raises.
     """
     vals = f.values
     if f.mask is not None and f.mask.any():
         if mask_policy == "reject":
             raise MaskError("field has masked nodes; choose a mask policy")
-        if mask_policy == "zero":
-            vals = np.where(f.mask, 0.0, vals)
-        elif mask_policy == "neighbor_mean":
+        if mask_policy == "neighbor_mean":
             vals = neighbor_mean_patched(vals, f.mask)
         else:
             raise MaskError(f"unknown mask policy {mask_policy!r}")

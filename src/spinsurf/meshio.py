@@ -56,11 +56,12 @@ def grid_triangles(nx: int, ny: int, good: np.ndarray, stitch_x: bool = False,
 
 
 def export_mesh(S: SurfaceMap, path, fmt: str = "obj", r4_projection: str = "drop4",
-                stitch_periodic: bool = True, metadata: dict | None = None) -> MeshStats:
+                metadata: dict | None = None) -> MeshStats:
     """Write the surface as a triangulated OBJ or PLY file plus a JSON sidecar.
 
-    Nodes that are masked or not finite leave holes.  The files are built from
-    whole arrays and match the per-element writers kept in the tests byte for byte.
+    Periodic axes of the grid are stitched.  Nodes that are masked or not finite
+    leave holes.  The files are built from whole arrays and match the
+    per-element writers kept in the tests byte for byte.
     """
     if fmt not in ("obj", "ply"):
         raise MeshFormatError(f"unsupported format {fmt!r}")
@@ -71,9 +72,7 @@ def export_mesh(S: SurfaceMap, path, fmt: str = "obj", r4_projection: str = "dro
         good &= ~S.mask
     finite = np.isfinite(verts3).all(axis=0)
     good &= finite
-    tris, holes = grid_triangles(g.nx, g.ny, good,
-                                 stitch_x=g.periodic_x and stitch_periodic,
-                                 stitch_y=g.periodic_y and stitch_periodic)
+    tris, holes = grid_triangles(g.nx, g.ny, good, g.periodic_x, g.periodic_y)
     pts = verts3.reshape(3, -1).T
     path = str(path)
     if fmt == "obj":

@@ -16,14 +16,14 @@ of the heat-polynomial potentials, see tests):
                     = [[i conj(W), a], [-conj(a), -i W]]
     U~ = U + W,  V~ = V + 2 i a_z.
 
-Storage: the spinor extensions Psi, Phi, the matrices S, S^-1 and K and the
-transformed spinors are quaternions [[a, -conj(b)], [b, conj(a)]] per node and
-are held as QuatField (a, b).  The x and y parts of Gamma omega, dz + dzbar and
-i(dz - dzbar), are quaternions too, so build_S forms and integrates column 0
-of Gamma omega only; the dz and dzbar parts alone are not quaternions, so
-omega, omega1 and MatForm1 stay general Mat2Field.  A general 2x2 value
-entering quaternion storage (an integration constant, or an S sampled as a
-Mat2Field) is checked for the quaternion pattern there, and a violation raises
+Storage: the spinors psi, phi are their quaternion extensions Psi, Phi, and
+the matrices S, S^-1 and K are quaternions [[a, -conj(b)], [b, conj(a)]] per
+node too; all are SpinorField (a, b).  The x and y parts of Gamma omega,
+dz + dzbar and i(dz - dzbar), are quaternions as well, so build_S forms and
+integrates column 0 of Gamma omega only; the dz and dzbar parts alone are not
+quaternions, so omega, omega1 and MatForm1 stay general Mat2Field.  The one
+general 2x2 value entering quaternion storage, build_S's integration constant,
+is checked for the quaternion pattern there, and a violation raises
 NormalizationError.
 
 Swapped-order time term: omega1 is antisymmetric under argument swap combined
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirac import GAMMA, Mat2Field, QuatField, SpinorField, quaternion_defect, quaternionize
+from .dirac import GAMMA, Mat2Field, SpinorField, quaternion_defect
 from .exactpoly import (BiPoly, GAMMA_EXACT, RMat2, RationalFn, T, Z, ZBAR, _sample_mesh,
                         heat_extend)
 from .grid import (ComplexField, Form1, Grid2D, _merge_masks, antiderivative,
@@ -59,17 +59,14 @@ PATTERN_TOL = 1e-8        # quaternion-pattern defect allowed, relative to max(|
 _MIN_DET = 1e-12          # S^-1 masks nodes with det S below this x max(|S|, 1)^2
 
 
-def _check_quaternion(m: np.ndarray, what: str, mask=None) -> float:
-    """The quaternion-pattern defect of a general 2x2 value (one matrix, or one per
-    node) about to be stored as its column 0; NormalizationError above tolerance."""
-    defect = quaternion_defect(m, mask)
-    if mask is not None:
-        m = np.where(mask, 0.0, m)
+def _check_quaternion(m: np.ndarray, what: str):
+    """NormalizationError unless the 2x2 matrix m, about to be stored as its column 0,
+    is a quaternion to PATTERN_TOL x max(|m|, 1)."""
+    defect = quaternion_defect(m)
     scale = max(float(np.max(np.abs(m))), 1.0)
     if not defect <= PATTERN_TOL * scale:             # NaN fails too
         raise NormalizationError(f"{what} is not a quaternion [[a, -conj(b)], [b, conj(a)]]: "
                                  f"defect {defect:.3g} (tol {PATTERN_TOL * scale:.3g})")
-    return defect
 
 
 @dataclass
@@ -87,7 +84,7 @@ class MatForm1:
                    for i in range(2) for j in range(2))
 
 
-def omega(Phi: QuatField, Psi: QuatField, convention: str = "transpose") -> MatForm1:
+def omega(Phi: SpinorField, Psi: SpinorField, convention: str = "transpose") -> MatForm1:
     """The closed matrix 1-form pairing Phi and Psi, as general matrices."""
     if Phi.grid != Psi.grid:
         raise ValueError("grid mismatch")
@@ -102,7 +99,7 @@ def omega(Phi: QuatField, Psi: QuatField, convention: str = "transpose") -> MatF
     return MatForm1(dz, dzb)
 
 
-def omega1(Phi: QuatField, Psi: QuatField) -> Mat2Field:
+def omega1(Phi: SpinorField, Psi: SpinorField) -> Mat2Field:
     """dt coefficient of the time augmentation of S(Phi, Psi)."""
     Phi, Psi = Phi.mat(), Psi.mat()
     P1 = Mat2Field.constant(Phi.grid, _P1)
@@ -118,7 +115,7 @@ def omega1(Phi: QuatField, Psi: QuatField) -> Mat2Field:
 class SMatrix:
     """Integrated surface matrix S = Gamma * int(omega [+ omega1 dt]) + constant."""
 
-    S: QuatField
+    S: SpinorField
     constant: np.ndarray
     base_node: tuple
     time_augmented: bool = False
@@ -150,7 +147,7 @@ def _c2l(v):
     return [float(np.real(v)), float(np.imag(v))]
 
 
-def build_S(Phi: QuatField, Psi: QuatField, base_node=None, constant=None,
+def build_S(Phi: SpinorField, Psi: SpinorField, base_node=None, constant=None,
             time_offset: np.ndarray | None = None) -> SMatrix:
     """Spatial integration of Gamma * omega(Phi, Psi) along L-paths.
 
@@ -186,7 +183,7 @@ def build_S(Phi: QuatField, Psi: QuatField, base_node=None, constant=None,
     vals = np.empty((2, grid.ny, grid.nx), dtype=complex)
     for k, form in enumerate(forms):
         np.add(antiderivative(form, base_node).values, C[k, 0], out=vals[k])
-    return SMatrix(QuatField(grid, vals, mask), C, tuple(base_node),
+    return SMatrix(SpinorField.from_values(grid, vals, mask), C, tuple(base_node),
                    time_augmented=time_offset is not None, loop_defect=defect)
 
 
@@ -200,7 +197,7 @@ def _product(c: complex, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def time_offset_integral(phi_of_t, psi_of_t, t_grid, base_node) -> np.ndarray:
     """Gamma * int_0^T omega1 dt at the base node, trapezoid over the t samples.
 
-    phi_of_t / psi_of_t map a time to the quaternion spinor extensions.
+    phi_of_t / psi_of_t map a time to the spinors.
     """
     ix, iy = base_node
     vals = [GAMMA @ omega1(phi_of_t(t), psi_of_t(t)).at(ix, iy) for t in t_grid]
@@ -214,10 +211,10 @@ def normalize_S_pair(SA: SMatrix, SB: SMatrix):
     Returns (SB_adjusted, C, residual).  The optimal constant is the mean of
     -SA^* - SB over the grid (closed-form least squares).
     """
-    target = QuatField(SA.grid, -SA.S.conj().values, SA.S.mask)
+    target = SpinorField.from_values(SA.grid, -SA.S.conj().values, SA.S.mask)
     ca, cb = (target - SB.S).values.mean(axis=(1, 2))
     C = np.array([[ca, -np.conj(cb)], [cb, np.conj(ca)]])
-    S = QuatField(SB.grid, SB.S.values + np.array([ca, cb])[:, None, None], SB.S.mask)
+    S = SpinorField.from_values(SB.grid, SB.S.values + np.array([ca, cb])[:, None, None], SB.S.mask)
     SBn = SMatrix(S, SB.constant + C, SB.base_node, SB.time_augmented, SB.loop_defect)
     res = (target - S).max_abs()
     scale = max(SA.S.max_abs(), 1.0)
@@ -228,37 +225,25 @@ def normalize_S_pair(SA: SMatrix, SB: SMatrix):
 
 @dataclass
 class KData:
-    """W and a extracted from K = Psi S^-1 Gamma Phi^T Gamma^-1.
-
-    pattern_residual is the quaternion-pattern defect of S where it entered
-    quaternion storage: 0 for an S built by build_S."""
+    """W and a extracted from K = Psi S^-1 Gamma Phi^T Gamma^-1."""
 
     W: ComplexField
     a: ComplexField
-    pattern_residual: float
 
 
-def k_matrix(Psi: QuatField, S: SMatrix | QuatField | Mat2Field, Phi: QuatField) -> KData:
-    """Extract (W, a) from K = Psi S^-1 Phi^* = [[i conj(W), a], [-conj(a), -i W]].
-
-    A general S (a Mat2Field, e.g. from heat_smatrix_values) must have the
-    quaternion pattern to PATTERN_TOL x max(|S|, 1); NormalizationError otherwise.
-    """
+def k_matrix(Psi: SpinorField, S: SMatrix | SpinorField, Phi: SpinorField) -> KData:
+    """Extract (W, a) from K = Psi S^-1 Phi^* = [[i conj(W), a], [-conj(a), -i W]]."""
     Sm = S.S if isinstance(S, SMatrix) else S
-    residual = 0.0
-    if isinstance(Sm, Mat2Field):
-        residual = _check_quaternion(Sm.values, "S", Sm.mask)
-        Sm = QuatField(Sm.grid, Sm.values[:, 0].copy(), Sm.mask)
-    return _kdata(Psi, Sm.inv(min_det=_MIN_DET * max(Sm.max_abs(), 1.0) ** 2), Phi, residual)
+    return _kdata(Psi, Sm.inv(min_det=_MIN_DET * max(Sm.max_abs(), 1.0) ** 2), Phi)
 
 
-def _kdata(Psi: QuatField, Sinv: QuatField, Phi: QuatField, residual: float) -> KData:
+def _kdata(Psi: SpinorField, Sinv: SpinorField, Phi: SpinorField) -> KData:
     """(W, a) of K = Psi S^-1 Phi^* from S^-1."""
     K = Psi @ Sinv @ Phi.conj()
     ka, kb = K.values
     W = ComplexField(Sinv.grid, 1j * np.conj(ka), K.mask)
     a = ComplexField(Sinv.grid, -np.conj(kb), K.mask)
-    return KData(W, a, residual)
+    return KData(W, a)
 
 
 # ---------------------------------------------------------------------------
@@ -269,26 +254,24 @@ def _kdata(Psi: QuatField, Sinv: QuatField, Phi: QuatField, residual: float) -> 
 class MoutardTransform:
     """Context for transforming solutions on a fixed background (Psi0, Phi0)."""
 
-    Psi0: QuatField
-    Phi0: QuatField
+    Psi0: SpinorField                  # the caller's background spinors, not copied
+    Phi0: SpinorField
     S0: SMatrix                        # S(Phi0, Psi0), invertible where used
     SB0: SMatrix                       # S(Psi0, Phi0), normalized partner
     kdata: KData
-    S0_inv: QuatField                  # S0^-1 and SB0^-1, nodes with det below
-    SB0_inv: QuatField                 # _MIN_DET max(|S0|, 1)^2 masked
+    S0_inv: SpinorField                # S0^-1 and SB0^-1, nodes with det below
+    SB0_inv: SpinorField               # _MIN_DET max(|S0|, 1)^2 masked
 
     @classmethod
     def from_background(cls, psi0: SpinorField, phi0: SpinorField, constant0,
                         base_node=None, time_offset=None) -> "MoutardTransform":
-        Psi0 = quaternionize(psi0)
-        Phi0 = Psi0 if phi0 is psi0 else quaternionize(phi0)    # nothing writes into them
-        S0 = build_S(Phi0, Psi0, base_node=base_node, constant=constant0,
+        S0 = build_S(phi0, psi0, base_node=base_node, constant=constant0,
                      time_offset=time_offset)
-        SB0, _, _ = normalize_S_pair(S0, build_S(Psi0, Phi0, base_node=S0.base_node))
+        SB0, _, _ = normalize_S_pair(S0, build_S(psi0, phi0, base_node=S0.base_node))
         eps = _MIN_DET * max(S0.S.max_abs(), 1.0) ** 2      # as in k_matrix
         S0_inv = S0.S.inv(min_det=eps)
-        kdata = _kdata(Psi0, S0_inv, Phi0, 0.0)
-        return cls(Psi0, Phi0, S0, SB0, kdata, S0_inv, SB0.S.inv(min_det=eps))
+        kdata = _kdata(psi0, S0_inv, phi0)
+        return cls(psi0, phi0, S0, SB0, kdata, S0_inv, SB0.S.inv(min_det=eps))
 
     def transform(self, psi: SpinorField, phi: SpinorField, constP=None,
                   constBP=None) -> tuple[SpinorField, SpinorField]:
@@ -306,17 +289,16 @@ class MoutardTransform:
         return moutard_dsii(U, V, self.kdata)
 
 
-def _transform_side(A0: QuatField, B0: QuatField, S: SMatrix, S_inv: QuatField,
-                    chi: SpinorField, const) -> SpinorField:
-    """X - B0 S^-1 S(A0, X) for X = quaternionize(chi): Psi~ from (Phi0, Psi0, S0)
-    and Phi~ from (Psi0, Phi0, SB0).  One side at a time, so that the two sides'
-    temporaries are never alive together."""
-    X = quaternionize(chi)
+def _transform_side(A0: SpinorField, B0: SpinorField, S: SMatrix, S_inv: SpinorField,
+                    X: SpinorField, const) -> SpinorField:
+    """X - B0 S^-1 S(A0, X): Psi~ from (Phi0, Psi0, S0) and Phi~ from (Psi0, Phi0,
+    SB0).  One side at a time, so that the two sides' temporaries are never alive
+    together."""
     if const is None:
         bx, by = S.base_node
         const = S.constant @ np.linalg.solve(B0.at(bx, by), X.at(bx, by))
     SX = build_S(A0, X, base_node=S.base_node, constant=const)
-    return (X - B0 @ S_inv @ SX.S).spinor()
+    return X - B0 @ S_inv @ SX.S
 
 
 def moutard_spinors(psi0: SpinorField, phi0: SpinorField, psi: SpinorField,
@@ -429,7 +411,7 @@ def moutard_exact(f: BiPoly) -> ExactMoutardData:
 
 
 def heat_datum_fields(f: BiPoly, grid: Grid2D, t: float, cval=None):
-    """Sample the background spinors and their quaternion extensions on a grid."""
+    """Sample the background spinors psi0 = (0, 1), phi0 = (f_z, i) on a grid."""
     kw = {"t": float(t)}
     if cval is not None:
         kw["c"] = complex(cval)
@@ -439,11 +421,12 @@ def heat_datum_fields(f: BiPoly, grid: Grid2D, t: float, cval=None):
     return psi0, phi0
 
 
-def heat_smatrix_values(f: BiPoly, grid: Grid2D, t: float, cval=None) -> Mat2Field:
-    """Closed-form S(Phi0, Psi0) = [[i conj(f), -z],[zbar, -i f]] sampled on a grid."""
+def heat_smatrix_values(f: BiPoly, grid: Grid2D, t: float, cval=None) -> SpinorField:
+    """Closed-form S(Phi0, Psi0) = [[i conj(f), -z],[zbar, -i f]] sampled on a grid,
+    stored as its column (i conj(f), zbar)."""
     kw = {"t": float(t)}
     if cval is not None:
         kw["c"] = complex(cval)
     zm = grid.zmesh()
     fv = f.eval(z=zm, **kw)
-    return Mat2Field.from_values(grid, 1j * np.conj(fv), -zm, np.conj(zm), -1j * fv)
+    return SpinorField.from_values(grid, np.stack([1j * np.conj(fv), np.conj(zm)]), None)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dirac import Mat2Field, SpinorField, dirac_residual_norm
+from .dirac import SpinorField, dirac_residual_norm
 from .grid import (ComplexField, Form1, Grid2D, antiderivative, integrate2d,
                    wirtinger_derivative)
 
@@ -65,8 +65,7 @@ def weier_derivatives(psi: SpinorField, phi: SpinorField | None = None):
     """The four x^k_z fields as (4, ny, nx) complex array."""
     if phi is None:
         phi = psi
-    p1, p2 = psi.psi1.values, psi.psi2.values
-    f1, f2 = phi.psi1.values, phi.psi2.values
+    (p1, p2), (f1, f2) = psi.values, phi.values
     f2b, p2b = np.conj(f2), np.conj(p2)
     x1 = 0.5j * (f2b * p2b + f1 * p1)
     x2 = 0.5 * (f2b * p2b - f1 * p1)
@@ -253,31 +252,19 @@ def discrete_mean_curvature(S: SurfaceMap) -> np.ndarray:
 # quaternionic inversion and the S-matrix coordinate dictionary
 
 
-def coords_to_smatrix_values(coords: np.ndarray):
-    """[[i x3 + x4, -x1 - i x2],[x1 - i x2, -i x3 + x4]] per node."""
-    x1, x2, x3 = coords[0], coords[1], coords[2]
-    x4 = coords[3] if coords.shape[0] == 4 else np.zeros_like(x1)
-    return (1j * x3 + x4, -x1 - 1j * x2, x1 - 1j * x2, -1j * x3 + x4)
+def surface_to_smatrix(S: SurfaceMap) -> SpinorField:
+    """The quaternion [[i x3 + x4, -x1 - i x2],[x1 - i x2, -i x3 + x4]] per node,
+    stored as its column (a, b) = (i x3 + x4, x1 - i x2)."""
+    x1, x2, x3 = S.coords[0], S.coords[1], S.coords[2]
+    x4 = S.coords[3] if S.ambient_dim == 4 else np.zeros_like(x1)
+    return SpinorField.from_values(S.grid, np.stack([1j * x3 + x4, x1 - 1j * x2]), S.mask)
 
 
-def smatrix_values_to_coords(e11, e21) -> np.ndarray:
-    """Inverse of the dictionary above from the first column, which fixes the
-    rest; returns (4, ny, nx) real coordinates."""
-    x1 = e21.real
-    x2 = -e21.imag
-    x3 = e11.imag
-    x4 = e11.real
-    return np.stack([x1, x2, x3, x4])
-
-
-def surface_to_smatrix(S: SurfaceMap) -> Mat2Field:
-    vals = coords_to_smatrix_values(S.coords)
-    return Mat2Field.from_values(S.grid, *vals, mask=S.mask)
-
-
-def smatrix_to_surface(M: Mat2Field, basepoint=None) -> SurfaceMap:
-    v = M.values
-    coords = smatrix_values_to_coords(v[0, 0], v[1, 0])
+def smatrix_to_surface(M: SpinorField, basepoint=None) -> SurfaceMap:
+    """The (4, ny, nx) surface read from S-matrix columns (a, b): x1 = Re b,
+    x2 = -Im b, x3 = Im a, x4 = Re a."""
+    a, b = M.values
+    coords = np.stack([b.real, -b.imag, a.imag, a.real])
     bp = coords[:, M.grid.ny // 2, M.grid.nx // 2] if basepoint is None else np.asarray(basepoint)
     return SurfaceMap(M.grid, coords, bp, M.mask)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -170,6 +171,19 @@ def test_config_file_merge(tmp_path):
     assert resolved["options"]["t"] == 0.3
 
 
+def test_config_file_never_overrides_an_explicit_flag(tmp_path):
+    # --from stores to source: a config key source must not win over it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"source": "zero", "c": [2.0, 0.0], "dt": 1e-3}))
+    out = tmp_path / "e"
+    rc = main(["evolve", "--from", "s1", "--c", "1", "--grid", "16x16", "--t-end", "2e-3",
+               "--config", str(cfg), "--out", str(out)])
+    assert rc == 0
+    opts = json.loads((out / "resolved_config.json").read_text())["options"]
+    assert opts["source"] == "s1" and opts["c"] == [1.0, 0.0] and opts["dt"] == 1e-3
+    assert "rel_l2_error_vs_exact" in json.loads((out / "summary.json").read_text())
+
+
 def test_check_results_hold_python_types():
     # numpy scalars from a check (e.g. the evolver's norm drift) must not reach
     # verify.json: json cannot serialise numpy.bool_
@@ -248,3 +262,22 @@ def test_gen_surface_keeps_periodic_and_tol(tmp_path):
     opts = json.loads((out / "resolved_config.json").read_text())["options"]
     assert opts["periodic"] == "y" and opts["tol"] == 1e-2
     assert json.loads((out / "surface.obj.json").read_text())["n_triangles"] == 2 * 15 * 32
+
+
+# SHA-256 of the mesh files (not the JSON sidecars) as written at commit 3b3a32b;
+# a change to how spinors, S-matrices or meshes are stored must keep every byte
+_MESH_SHA256 = {
+    ("enneper", "obj"): "142b4e4ace3a429ac4188134c3a4522a732213a13c7c76c9f540d7a7477a6310",
+    ("enneper", "ply"): "4f60a128ccae57fa27a0a60a39a3c5a55c31df57b30b972ddd641d660910a690",
+    ("s1-invert", "obj"): "0eb09f3d78578e2100e337021bc6fef26de5ccb3730cfe4ba54186fdb866407d",
+    ("s1-invert", "ply"): "69a7d53f8227118cbab74704361fe5c6fed7b267f826b0ac393a2ea9a4ec5f8c",
+}
+
+
+@pytest.mark.parametrize("source, fmt", sorted(_MESH_SHA256))
+def test_gen_surface_mesh_bytes_are_pinned(source, fmt, tmp_path):
+    src = ["--spinor", "enneper"] if source == "enneper" else ["--from-dsii", "s1", "--invert"]
+    out = tmp_path / "m"
+    assert main(["gen-surface", *src, "--grid", "64x64", "--format", fmt, "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / f"surface.{fmt}").read_bytes()).hexdigest()
+    assert digest == _MESH_SHA256[source, fmt]

@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 from spinsurf import (ComplexField, PotentialPair, SpinorField, apply_D,
                       apply_Dvee, catalog, constant_field, dirac_residual_norm,
                       field_from_function, gauge_transform, make_grid,
-                      quaternionize, save_spinorfield_csv, sigma)
-from spinsurf.dirac import GAMMA, GaugeError, Mat2Field, QuatField
+                      save_spinorfield_csv, sigma, wirtinger_derivative)
+from spinsurf.dirac import GAMMA, GaugeError, Mat2Field
+from spinsurf.grid import GridConfigError
 from spinsurf.moutard import moutard_exact
 
 
@@ -65,6 +66,25 @@ def test_apply_Dvee_constant(grid):
     assert max(r.psi1.max_abs(), r.psi2.max_abs()) < 1e-13
 
 
+def test_apply_Dvee_is_D_with_conjugate_potential():
+    # bitwise against the component formula (d phi2 + conj(U) phi1, -db phi1 + U phi2),
+    # masks included
+    g = make_grid((-1, 1, -0.8, 1.2), (33, 29))
+    rng = np.random.default_rng(29)
+
+    def field(mask_share):
+        v = rng.normal(size=(g.ny, g.nx)) + 1j * rng.normal(size=(g.ny, g.nx))
+        return ComplexField(g, v, rng.random((g.ny, g.nx)) < mask_share)
+
+    U, phi = field(0.1), SpinorField(field(0.05), field(0.05))
+    r1 = wirtinger_derivative(phi.psi2, "z") + U.conj() * phi.psi1
+    r2 = -wirtinger_derivative(phi.psi1, "zbar") + U * phi.psi2
+    rv = apply_Dvee(U, phi)
+    assert np.array_equal(rv.values.view(np.uint64), np.stack([r1.values, r2.values]).view(np.uint64))
+    assert np.array_equal(rv.mask, r1.mask | r2.mask) and rv.mask.any()
+    assert np.array_equal(apply_Dvee(PotentialPair(U), phi).values, rv.values)
+
+
 def test_sigma_involution_exact(grid):
     rng = np.random.default_rng(3)
     psi = SpinorField(ComplexField(grid, rng.normal(size=(48, 48)) + 1j * rng.normal(size=(48, 48))),
@@ -99,19 +119,18 @@ def test_sigma_commutes_with_real_D(grid):
 
 
 def test_quaternionize_identity(grid):
-    q = quaternionize(SpinorField(constant_field(grid, 1.0), constant_field(grid, 0.0)))
+    q = SpinorField(constant_field(grid, 1.0), constant_field(grid, 0.0))
     assert np.max(np.abs(q.at(3, 4) - np.eye(2))) < 1e-15
 
 
 def test_quaternionize_j_element(grid):
-    q = quaternionize(SpinorField(constant_field(grid, 0.0), constant_field(grid, 1.0)))
+    q = SpinorField(constant_field(grid, 0.0), constant_field(grid, 1.0))
     assert np.max(np.abs(q.at(0, 0) - np.array([[0, -1], [1, 0]]))) < 1e-15
 
 
 def test_quaternionize_det_is_metric(grid):
     psi = _spinor(grid, lambda z: z, lambda z: np.conj(z) + 2)
-    q = quaternionize(psi)
-    det = q.det().values
+    det = psi.det().values
     e_alpha = np.abs(psi.psi1.values) ** 2 + np.abs(psi.psi2.values) ** 2
     assert np.max(np.abs(det - e_alpha)) < 1e-12
 
@@ -125,12 +144,36 @@ def test_quaternionize_respects_multiplication(grid):
                     ComplexField(grid, rng.normal(size=shape) + 1j * rng.normal(size=shape)))
     b = SpinorField(ComplexField(grid, rng.normal(size=shape) + 1j * rng.normal(size=shape)),
                     ComplexField(grid, rng.normal(size=shape) + 1j * rng.normal(size=shape)))
-    prod = quaternionize(a) @ quaternionize(b)
+    prod = a @ b
     # quaternion product components: (a1 b1 - conj(a2) b2, a2 b1 + conj(a1) b2)
     c1 = a.psi1.values * b.psi1.values - np.conj(a.psi2.values) * b.psi2.values
     c2 = a.psi2.values * b.psi1.values + np.conj(a.psi1.values) * b.psi2.values
-    direct = quaternionize(SpinorField(ComplexField(grid, c1), ComplexField(grid, c2)))
+    direct = SpinorField(ComplexField(grid, c1), ComplexField(grid, c2))
     assert np.max(np.abs(prod.values - direct.values)) < 1e-12
+
+
+def test_spinor_constructor_stacks_components_and_merges_masks(grid):
+    rng = np.random.default_rng(17)
+    shape = (grid.ny, grid.nx)
+    m1, m2 = rng.random(shape) < 0.1, rng.random(shape) < 0.1
+    p1 = ComplexField(grid, rng.normal(size=shape) + 0j, m1)
+    p2 = ComplexField(grid, rng.normal(size=shape) + 0j, m2)
+    psi = SpinorField(p1, p2)
+    assert psi.values.shape == (2, grid.ny, grid.nx)
+    assert np.array_equal(psi.values[0], p1.values) and np.array_equal(psi.values[1], p2.values)
+    assert np.array_equal(psi.mask, m1 | m2)
+    assert SpinorField(p1, constant_field(grid, 0.0)).mask is m1
+    assert SpinorField(constant_field(grid, 1.0), constant_field(grid, 0.0)).mask is None
+    # the components are views of values, under the merged mask
+    for k, comp in enumerate((psi.psi1, psi.psi2)):
+        assert np.shares_memory(comp.values, psi.values[k])
+        assert comp.mask is psi.mask
+    psi.psi2.values[3, 4] = 7.0
+    assert psi.values[1, 3, 4] == 7.0 and p2.values[3, 4] != 7.0
+    with pytest.raises(GridConfigError):
+        SpinorField(p1, constant_field(make_grid((-1, 1, -1, 1), (48, 40)), 0.0))
+    with pytest.raises(GridConfigError):
+        SpinorField.from_values(grid, psi.values[:, :-1], None)
 
 
 def test_gauge_identity(grid):
@@ -253,7 +296,7 @@ def _random_quat(seed, exponent, zero_share, mask_share):
     v = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * 10.0 ** exponent
     v[rng.random(shape) < zero_share] = 0.0
     mask = rng.random(shape[1:]) < mask_share
-    return QuatField(_QG, v, mask if mask.any() else None)
+    return SpinorField.from_values(_QG, v, mask if mask.any() else None)
 
 
 _quats = st.builds(_random_quat, st.integers(0, 2 ** 32 - 1), st.integers(-3, 3),

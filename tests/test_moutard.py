@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from spinsurf import (ComplexField, SpinorField, catalog, constant_field,
-                      dirac_residual_norm, field_from_function, make_grid,
-                      quaternionize)
+                      dirac_residual_norm, field_from_function, make_grid)
 from spinsurf.moutard import (ClosednessError, MoutardTransform,
                               NormalizationError, SMatrix, build_S, heat_antiderivative,
                               heat_datum_fields, heat_smatrix_values, k_matrix,
@@ -27,7 +26,7 @@ def _plane_ctx(n=48, lo=0.4, hi=2.4):
 def test_omega_identity_example():
     # Psi = Phi = identity: Gamma*omega has dz part [[0,0],[i,0]], dzbar part [[0,i],[0,0]]
     g = make_grid((-1, 1, -1, 1), (8, 8))
-    I2 = quaternionize(SpinorField(constant_field(g, 1.0), constant_field(g, 0.0)))
+    I2 = SpinorField(constant_field(g, 1.0), constant_field(g, 0.0))
     w = omega(I2, I2)
     from spinsurf.dirac import GAMMA, Mat2Field
     gdz = Mat2Field.constant(g, GAMMA) @ w.dz
@@ -46,7 +45,7 @@ def test_omega_closed_for_solutions():
         gg = make_grid((-1, 1, -1, 1), (n, n))
         aa = SpinorField(field_from_function(gg, a[0]), field_from_function(gg, a[1]))
         bb = SpinorField(field_from_function(gg, b[0]), field_from_function(gg, b[1]))
-        w = omega(quaternionize(aa), quaternionize(bb))
+        w = omega(aa, bb)
         gm = Mat2Field.constant(gg, GAMMA)
         return MatForm1(gm @ w.dz, gm @ w.dzb).max_closedness_defect()
 
@@ -69,7 +68,7 @@ def test_conj_transpose_convention_fails_closedness():
     gm = Mat2Field.constant(g, GAMMA)
     defects = {}
     for conv in ("transpose", "conj_transpose"):
-        w = omega(quaternionize(phi0), quaternionize(psi0), convention=conv)
+        w = omega(phi0, psi0, convention=conv)
         defects[conv] = MatForm1(gm @ w.dz, gm @ w.dzb).max_closedness_defect()
     assert defects["transpose"] < 1e-10          # linear entries: exact
     assert defects["conj_transpose"] > 0.5
@@ -91,7 +90,7 @@ def test_heat_datum_fields_bitwise_equal_to_full_mesh_eval(bounds, n, cval):
 
 def test_omega1_vanishes_for_constants():
     g = make_grid((-1, 1, -1, 1), (16, 16))
-    I2 = quaternionize(SpinorField(constant_field(g, 1.0), constant_field(g, 0.0)))
+    I2 = SpinorField(constant_field(g, 1.0), constant_field(g, 0.0))
     w1 = omega1(I2, I2)
     assert w1.max_abs() < 1e-12
 
@@ -109,7 +108,7 @@ def test_build_S_plane_closed_form():
 def test_plane_S_reads_as_plane_surface():
     from spinsurf import smatrix_to_surface
     g, psi0, ctx = _plane_ctx()
-    S = smatrix_to_surface(ctx.S0.S.mat())
+    S = smatrix_to_surface(ctx.S0.S)
     zm = g.zmesh()
     assert np.max(np.abs(S.coords[0] + zm.imag)) < 1e-12    # x1 = -y
     assert np.max(np.abs(S.coords[1] + zm.real)) < 1e-12    # x2 = -x
@@ -129,9 +128,9 @@ def test_build_S_rejects_non_solution():
     g = make_grid((-1, 1, -1, 1), (48, 48))
     bad = SpinorField(field_from_function(g, np.conj),
                       field_from_function(g, lambda z: z))
-    I2 = quaternionize(SpinorField(constant_field(g, 1.0), constant_field(g, 0.0)))
+    I2 = SpinorField(constant_field(g, 1.0), constant_field(g, 0.0))
     with pytest.raises(ClosednessError):
-        build_S(I2, quaternionize(bad))
+        build_S(I2, bad)
 
 
 def _plane_spinor_masked_at(g, node, value):
@@ -145,16 +144,16 @@ def _plane_spinor_masked_at(g, node, value):
 def test_build_S_rejects_a_masked_nan_node():
     # the masked node is skipped, but its unmasked neighbours' defect is NaN
     g = make_grid((0.4, 2.4, 0.3, 2.3), (32, 32))
-    Psi = quaternionize(_plane_spinor_masked_at(g, (5, 7), np.nan))
-    I2 = quaternionize(SpinorField(constant_field(g, 1.0), constant_field(g, 0.0)))
+    Psi = _plane_spinor_masked_at(g, (5, 7), np.nan)
+    I2 = SpinorField(constant_field(g, 1.0), constant_field(g, 0.0))
     with pytest.raises(ClosednessError, match="nan"):
         build_S(I2, Psi)
 
 
 def test_build_S_carries_the_merged_input_mask():
     g = make_grid((0.4, 2.4, 0.3, 2.3), (32, 32))
-    Phi = quaternionize(_plane_spinor_masked_at(g, (5, 7), 1.0))
-    Psi = quaternionize(_plane_spinor_masked_at(g, (20, 3), 1.0))
+    Phi = _plane_spinor_masked_at(g, (5, 7), 1.0)
+    Psi = _plane_spinor_masked_at(g, (20, 3), 1.0)
     S = build_S(Phi, Psi)
     want = np.zeros((g.ny, g.nx), dtype=bool)
     want[7, 5] = want[3, 20] = True
@@ -180,9 +179,9 @@ def test_normalize_pair_random_solutions(seed):
                        field_from_function(g, lambda z: c * np.conj(z) + d))
     phi0 = SpinorField(field_from_function(g, lambda z: b * z + a),
                        field_from_function(g, lambda z: d * np.exp(0.2 * np.conj(z))))
-    SA = build_S(quaternionize(phi0), quaternionize(psi0),
+    SA = build_S(phi0, psi0,
                  constant=np.array([[1.0, 0.2], [-0.2, 1.0]]))
-    SB = build_S(quaternionize(psi0), quaternionize(phi0))
+    SB = build_S(psi0, phi0)
     SBn, C, res = normalize_S_pair(SA, SB)
     assert res < 1e-8
 
@@ -192,41 +191,20 @@ def test_k_matrix_plane_example():
     zm = g.zmesh()
     assert ctx.kdata.W.max_abs() < 1e-12
     assert np.max(np.abs(ctx.kdata.a.values + 1j / zm)) < 1e-12
-    assert ctx.kdata.pattern_residual < 1e-10
 
 
-def test_k_matrix_pattern_residual_property():
-    # valid inputs keep the quaternionic block pattern to rounding
+def test_k_matrix_of_closed_form_S_reproduces_exact_potentials():
+    # K from the sampled closed-form S recovers W = U and a of the heat datum
     g = make_grid((-2, -0.5, 0.5, 2), (40, 40))
     sol = catalog("s1", c=1.0)
     psi0, phi0 = heat_datum_fields(sol.f, g, 0.15)
     Sm = heat_smatrix_values(sol.f, g, 0.15)
-    from spinsurf.moutard import SMatrix
-    kd = k_matrix(quaternionize(psi0), SMatrix(Sm, np.zeros((2, 2)), (0, 0)),
-                  quaternionize(phi0))
-    assert kd.pattern_residual < 1e-10
-
-
-def test_k_matrix_rejects_a_non_quaternion_S():
-    # an S given as a general matrix field is checked where it enters quaternion
-    # storage, which keeps column 0 only: a defect in column 1 is not dropped silently
-    g = make_grid((-2, -0.5, 0.5, 2), (40, 40))
-    sol = catalog("s1", c=1.0)
-    psi0, phi0 = heat_datum_fields(sol.f, g, 0.15)
-    Psi0, Phi0 = quaternionize(psi0), quaternionize(phi0)
-    Sm = heat_smatrix_values(sol.f, g, 0.15)
-    Sm.values[1, 1, 7, 9] += 1e-12
-    kd = k_matrix(Psi0, SMatrix(Sm, np.zeros((2, 2)), (0, 0)), Phi0)
-    assert 0.5e-12 < kd.pattern_residual < 2e-12
-    Sm.values[0, 1, 30, 4] += 1e-3
-    with pytest.raises(NormalizationError):
-        k_matrix(Psi0, SMatrix(Sm, np.zeros((2, 2)), (0, 0)), Phi0)
-    with pytest.raises(NormalizationError):
-        k_matrix(Psi0, Sm, Phi0)
-    Sm = heat_smatrix_values(sol.f, g, 0.15)
-    Sm.values[1, 0, 3, 3] = np.nan
-    with pytest.raises(NormalizationError):
-        k_matrix(Psi0, Sm, Phi0)
+    U = sol.U_field(g, 0.15).values
+    a = sol.a.eval(z=g.zmesh(), t=0.15, c=1.0)
+    for S in (Sm, SMatrix(Sm, np.zeros((2, 2)), (0, 0))):
+        kd = k_matrix(psi0, S, phi0)
+        assert _rel(kd.W.values, U) < 1e-13
+        assert _rel(kd.a.values, a) < 1e-13
 
 
 def test_build_S_rejects_a_non_quaternion_constant():
@@ -253,8 +231,7 @@ def test_x_and_y_parts_of_gamma_omega_are_quaternions(name):
     # are quaternions to the last bit, while the dz and dzbar parts are not
     from spinsurf.dirac import quaternion_defect
     g, psi0, phi0, _ = next((g, p, f, c) for n, g, p, f, c in _backgrounds() if n == name)
-    Psi0, Phi0 = quaternionize(psi0), quaternionize(phi0)
-    for pair in ((Phi0, Psi0), (Psi0, Phi0)):
+    for pair in ((phi0, psi0), (psi0, phi0)):
         gdz, gdzb = (m.values for m in _gamma_omega(*pair))
         parts = {"dz": gdz, "dzbar": gdzb, "x": gdz + gdzb, "y": 1j * (gdz - gdzb)}
         assert quaternion_defect(parts["x"]) == 0.0
@@ -304,10 +281,9 @@ def test_moutard_real_reduction_keeps_U_real():
 
 def test_context_inverts_S0_and_SB0_once(monkeypatch):
     # from_background forms S0^-1 (also used for K) and SB0^-1; transform reuses them
-    from spinsurf.dirac import QuatField
     calls = []
-    inv = QuatField.inv
-    monkeypatch.setattr(QuatField, "inv",
+    inv = SpinorField.inv
+    monkeypatch.setattr(SpinorField, "inv",
                         lambda self, *a, **k: calls.append(1) or inv(self, *a, **k))
     g, psi0, ctx = _plane_ctx(32)
     assert len(calls) == 2
@@ -423,10 +399,10 @@ def test_time_offset_integral_matches_closed_form():
     zb = g.node_z(bx, by)
 
     def phi_of(t):
-        return quaternionize(heat_datum_fields(sol.f, g, t)[1])
+        return heat_datum_fields(sol.f, g, t)[1]
 
     def psi_of(t):
-        return quaternionize(heat_datum_fields(sol.f, g, t)[0])
+        return heat_datum_fields(sol.f, g, t)[0]
 
     tgrid = np.linspace(0.0, 0.4, 161)
     off = time_offset_integral(phi_of, psi_of, tgrid, (bx, by))
@@ -532,24 +508,22 @@ def _oracle_json(S, C, base_node, defect):
 def _oracle_moutard(psi0, phi0, C0, psi, phi):
     """from_background, k_matrix and transform on general 2x2 matrix fields."""
     from spinsurf.dirac import GAMMA, Mat2Field
-    Psi0q, Phi0q = quaternionize(psi0), quaternionize(phi0)
-    Psi0, Phi0 = Psi0q.mat(), Phi0q.mat()
+    Psi0, Phi0 = psi0.mat(), phi0.mat()
     g = Psi0.grid
     b = (g.nx // 2, g.ny // 2)
     gm = Mat2Field.constant(g, GAMMA)
-    S0, C0, d0 = _oracle_build_S(Phi0q, Psi0q, b, C0)
-    SB, _, _ = _oracle_build_S(Psi0q, Phi0q, b)
+    S0, C0, d0 = _oracle_build_S(phi0, psi0, b, C0)
+    SB, _, _ = _oracle_build_S(psi0, phi0, b)
     target = gm @ S0.transpose() @ gm
     CB = (target - SB).values.mean(axis=(2, 3))
     SB0 = SB + Mat2Field.constant(g, CB)
     eps = 1e-12 * max(S0.max_abs(), 1.0) ** 2
     K = Psi0 @ S0.inv(min_det=eps) @ gm @ Phi0.transpose() @ Mat2Field.constant(g, -GAMMA)
-    Psiq, Phiq = quaternionize(psi), quaternionize(phi)
-    Psi, Phi = Psiq.mat(), Phiq.mat()
+    Psi, Phi = psi.mat(), phi.mat()
     constP = C0 @ np.linalg.solve(Psi0.at(*b), Psi.at(*b))
     constBP = CB @ np.linalg.solve(Phi0.at(*b), Phi.at(*b))
-    SP, _, _ = _oracle_build_S(Phi0q, Psiq, b, constP)
-    SBP, _, _ = _oracle_build_S(Psi0q, Phiq, b, constBP)
+    SP, _, _ = _oracle_build_S(phi0, psi, b, constP)
+    SBP, _, _ = _oracle_build_S(psi0, phi, b, constBP)
     Psit = Psi - Psi0 @ S0.inv(min_det=eps) @ SP
     Phit = Phi - Phi0 @ SB0.inv(min_det=eps) @ SBP
     return {"json": _oracle_json(S0, C0, b, d0), "S": S0.values,
