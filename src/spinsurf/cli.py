@@ -87,6 +87,12 @@ def _apply_config_file(args, parser, argv):
         return args
     with open(args.config) as fh:
         defaults = json.load(fh)
+    if set(defaults) == {"options", "subcommand"}:      # a run's resolved_config.json
+        if defaults["subcommand"] != args.subcommand:
+            parser.error(f"{args.config} records a {defaults['subcommand']!r} run")
+        # not its out: a repeat must not overwrite the run it repeats
+        defaults = {k: v for k, v in defaults["options"].items()
+                    if k not in ("subcommand", "out")}
     unknown = sorted(set(defaults) - (set(vars(args)) - {"func", "subcommand"}))
     if unknown:
         parser.error(f"unknown config key(s) in {args.config}: {', '.join(unknown)}")
@@ -97,6 +103,10 @@ def _apply_config_file(args, parser, argv):
         cur = getattr(args, key)
         if isinstance(cur, tuple) and isinstance(val, list):
             val = tuple(val)
+        if isinstance(cur, complex) and isinstance(val, list):     # [re, im], as recorded
+            if len(val) != 2:
+                parser.error(f"config key {key} in {args.config} is not [re, im]")
+            val = complex(*val)
         if isinstance(cur, Path):
             val = Path(val)
         setattr(args, key, val)

@@ -330,22 +330,27 @@ def quadrature_sum(vals: np.ndarray, hx: float, hy: float, periodic_x: bool = Fa
     return np.sum(tmp)
 
 
+def neighbor_mean(vals: np.ndarray, mask: np.ndarray, iy: int, ix: int):
+    """Mean of vals over the unmasked 8-neighbours of node (iy, ix) (0 when it has
+    none), summed in row order; vals and mask may be a window of the grid."""
+    ny, nx = mask.shape
+    acc, cnt = 0.0, 0
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):
+            jy, jx = iy + dy, ix + dx
+            if (dy == 0 and dx == 0) or not (0 <= jy < ny and 0 <= jx < nx):
+                continue
+            if not mask[jy, jx]:
+                acc += vals[jy, jx]
+                cnt += 1
+    return acc / cnt if cnt else 0.0
+
+
 def neighbor_mean_patched(vals: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Copy of vals with each masked node set to the mean over its unmasked
-    8-neighbours (0 when it has none)."""
+    """Copy of vals with each masked node set to its neighbor_mean."""
     out = vals.copy()
-    ny, nx = vals.shape
     for iy, ix in zip(*np.nonzero(mask)):
-        acc, cnt = 0.0, 0
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                jy, jx = iy + dy, ix + dx
-                if (dy == 0 and dx == 0) or not (0 <= jy < ny and 0 <= jx < nx):
-                    continue
-                if not mask[jy, jx]:
-                    acc += vals[jy, jx]
-                    cnt += 1
-        out[iy, ix] = acc / cnt if cnt else 0.0
+        out[iy, ix] = neighbor_mean(vals, mask, iy, ix)
     return out
 
 

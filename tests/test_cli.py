@@ -184,6 +184,57 @@ def test_config_file_never_overrides_an_explicit_flag(tmp_path):
     assert "rel_l2_error_vs_exact" in json.loads((out / "summary.json").read_text())
 
 
+def test_config_file_reads_c_as_re_im(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"c": [2.0, 0.5]}))
+    out = tmp_path / "c"
+    assert main(["solution", "--solution", "s1", "--grid", "16x16", "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "resolved_config.json").read_text())["options"]["c"] == [2.0, 0.5]
+
+
+def test_config_file_rejects_c_that_is_not_re_im(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"c": [2.0, 0.5, 1.0]}))
+    with pytest.raises(SystemExit) as exc:
+        main(["solution", "--solution", "s1", "--config", str(cfg), "--out", str(tmp_path / "c")])
+    assert exc.value.code == 2
+    assert "config key c" in capsys.readouterr().err
+
+
+def test_resolved_config_round_trips_through_config(tmp_path, monkeypatch):
+    # a run's own resolved_config.json, fed back with a new --out, repeats the run
+    monkeypatch.chdir(tmp_path)
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["solution", "--solution", "s1", "--c", "2+0.5i", "--t", "0.3",
+                 "--grid", "24x20", "--box=-2:2:-1.5:1.5", "--periodic", "x",
+                 "--out", str(a)]) == 0
+    assert main(["solution", "--solution", "s1", "--config", str(a / "resolved_config.json"),
+                 "--out", str(b)]) == 0
+    for name in ("U.csv", "V.csv", "events.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+    first, again = (json.loads((d / "resolved_config.json").read_text()) for d in (a, b))
+    assert again["options"].pop("out") == str(b)
+    first["options"].pop("out")
+    assert again == first
+    # the recorded out is not read back: without --out the repeat goes to out/
+    a_csv = (a / "U.csv").read_bytes()
+    assert main(["solution", "--solution", "s1",
+                 "--config", str(a / "resolved_config.json")]) == 0
+    assert (a / "U.csv").read_bytes() == a_csv
+    assert (tmp_path / "out" / "U.csv").read_bytes() == a_csv
+
+
+def test_config_file_from_another_command_is_rejected(tmp_path, capsys):
+    a = tmp_path / "v"
+    assert main(["verify", "--suite", "reduction", "--out", str(a)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["solution", "--solution", "s1", "--config", str(a / "resolved_config.json"),
+              "--out", str(tmp_path / "s")])
+    assert exc.value.code == 2
+    assert "records a 'verify' run" in capsys.readouterr().err
+
+
 def test_check_results_hold_python_types():
     # numpy scalars from a check (e.g. the evolver's norm drift) must not reach
     # verify.json: json cannot serialise numpy.bool_

@@ -8,9 +8,10 @@ from spinsurf import (BiPoly, ComplexField, Z, catalog,
                       field_from_function, heat_extend, l2_norm_sq, make_grid,
                       physical_form, poly_equal, s1_displayed_V, singular_times,
                       square_grid, to_halved_v_form, v_from_u)
-from spinsurf.dsii import (DecayError, ExactSolution, InvalidDatumError,
+from spinsurf.dsii import (DecayError, ExactSolution, InvalidDatumError, NormResult,
                            radial_limit_coefficient, re_v_from_u)
 from spinsurf.exactpoly import _BLOCK, ZBAR, RationalFn
+from spinsurf.grid import MaskError, neighbor_mean_patched, quadrature_sum
 
 
 def test_exact_solution_linear_datum_trivial():
@@ -440,3 +441,118 @@ def test_field_peak_memory_stays_near_the_output():
             tracemalloc.stop()
         assert peak <= 1.25 * U.values.nbytes
         del U
+
+
+def _l2_norm_sq_oracle(U, require_decay=True):
+    """The whole-grid form: full-size |U|^2, patched copy, quadrature_sum over the
+    full box and over a sub-box copy."""
+    g = U.grid
+    u2 = U.values.real**2 + U.values.imag**2
+    peak = float(np.sqrt(np.max(u2)))
+    ring = np.sqrt(np.concatenate([u2[0, :], u2[-1, :], u2[:, 0], u2[:, -1]]))
+    xs, ys = g.xs(), g.ys()
+    rb2 = np.concatenate([xs**2 + ys[0]**2, xs**2 + ys[-1]**2,
+                          xs[0]**2 + ys**2, xs[-1]**2 + ys**2])
+    if U.mask is not None and U.mask.any():
+        u2 = neighbor_mean_patched(u2, U.mask)
+    raw = float(quadrature_sum(u2, g.hx, g.hy, g.periodic_x, g.periodic_y))
+    Cdec = float(np.max(ring * rb2))
+    decay_ok = peak == 0.0 or float(np.max(ring)) <= peak / 10.0
+    if require_decay and not decay_ok:
+        raise DecayError("no O(1/r^2) boundary decay")
+    R1 = min(g.x_max, -g.x_min, g.y_max, -g.y_min) if g.x_min < 0 else min(g.x_max, g.y_max)
+    R2 = 0.7 * R1
+    selx = np.abs(xs) <= R2
+    sely = np.abs(ys) <= R2
+    if selx.sum() >= 8 and sely.sum() >= 8:
+        I1, I2 = raw, float(quadrature_sum(u2[np.ix_(sely, selx)], g.hx, g.hy))
+        value = (I1 * R1**2 - I2 * R2**2) / (R1**2 - R2**2)
+    else:
+        value = raw
+    return NormResult(float(value), float(raw), float(np.pi * Cdec**2 / R1**2), bool(decay_ok))
+
+
+def _decay_error_or_result(norm, U):
+    try:
+        return norm(U)
+    except DecayError:
+        return None
+
+
+def _assert_norm_matches_oracle(U):
+    # only the summation order differs: value and raw to 1e-14, the boundary
+    # figures bitwise, and DecayError on the same fields
+    got, ref = _decay_error_or_result(l2_norm_sq, U), _decay_error_or_result(_l2_norm_sq_oracle, U)
+    assert (got is None) == (ref is None)
+    got, ref = l2_norm_sq(U, require_decay=False), _l2_norm_sq_oracle(U, require_decay=False)
+    assert got.value == pytest.approx(ref.value, rel=1e-14, abs=0)
+    assert got.raw == pytest.approx(ref.raw, rel=1e-14, abs=0)
+    assert got.tail_bound == ref.tail_bound and got.decay_ok == ref.decay_ok
+    return got
+
+
+@pytest.mark.parametrize("name, c, t, bounds, nx, ny, periodic, masked", [
+    ("s1", 1.0, 0.5, (-30, 30, -30, 30), 769, 769, False, None),
+    ("s2", 12.0, 0.3, (-10, 10, -10, 10), 1025, 1025, False, None),
+    ("s1", 1j, -0.5, (-30, 30, -30, 30), 769, 769, False, (384, 384)),
+    ("s2", 12.0, 1.0, (-10, 10, -10, 10), 1025, 1025, False, (512, 512)),
+    ("s2", 12.0, -1.0, (-10, 10, -10, 10), 1025, 1025, False, (512, 512)),
+    ("s1", 1.0, 0.1, (-30, 30, -30, 30), 256, 256, True, None),
+    ("s2", 9 + 1j, -0.3, (-2, 2, -2, 2), None, 21, False, None),           # nx > _BLOCK
+    ("s1", 1j, -0.5, (-3, 3, -3, 3), 257, 125, False, (62, 128)),         # first row of a block
+    ("s1", 1j, -0.5, (-3, 3, -3, 3), 257, 123, False, (61, 128)),         # last row of a block
+    ("s1", 1j, -0.5, (0, 3, -3, 3), 129, 129, False, (64, 0)),            # on the left edge
+    ("s2", 12.0, 1.0, (0, 2, 0, 2), 65, 65, False, (0, 0)),               # in a corner
+    ("s1", 1.0, 0.5, (-3, 3, -3, 3), 10, 10, False, None),              # no 8-node sub-box
+    ("s1", 1.0, 0.5, (-3, 3, -3, 3), 128, 10, False, None),             # none along y
+    ("s1", 1.0, 0.5, (-5, -1, -3, 3), 64, 64, False, None),             # R1 <= 0
+], ids=["s1-769", "s2-1025", "s1-singular", "s2-singular+", "s2-singular-", "periodic-256",
+        "wide", "block-first-row", "block-last-row", "edge", "corner", "small-10x10",
+        "flat-128x10", "negative-x"])
+def test_l2_norm_matches_whole_grid_oracle(name, c, t, bounds, nx, ny, periodic, masked):
+    g = make_grid(bounds, (nx or _BLOCK + 9, ny), periodic)
+    U = catalog(name, c=c).U_field(g, t)
+    assert (U.mask is None) == (masked is None)
+    assert masked is None or (U.mask.sum() == 1 and U.mask[masked])
+    _assert_norm_matches_oracle(U)
+
+
+@pytest.mark.parametrize("values", [
+    lambda z: np.ones_like(z),                              # no decay
+    lambda z: np.zeros_like(z),                             # zero peak
+    lambda z: 1 / (1 + np.abs(z) ** 2),                     # O(1/r^2)
+    lambda z: np.exp(-np.abs(z) ** 2) + 0.2 * np.exp(-np.abs(z - 4.5) ** 2),  # a bump at the edge
+], ids=["constant", "zero", "inverse-square", "edge-bump"])
+def test_l2_norm_raises_decay_error_where_the_oracle_does(values):
+    for g in (square_grid(5.0, 64), make_grid((-4, 4, -3, 3), (97, 41), (True, False))):
+        _assert_norm_matches_oracle(field_from_function(g, values))
+
+
+def test_l2_norm_peak_memory_stays_far_below_the_field():
+    # |U|^2 lives in row blocks: no full-size real array and no sub-box copy
+    sol, g = catalog("s2", c=12), square_grid(10.0, 1025)
+    for t in (0.3, 1.0):
+        U = sol.U_field(g, t)
+        tracemalloc.start()
+        try:
+            l2_norm_sq(U)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * U.values.nbytes
+        del U
+
+
+def test_l2_norm_rejects_a_non_finite_unmasked_node():
+    g = square_grid(30.0, 257)
+    U = catalog("s1", c=1j).U_field(g, -0.5)
+    assert U.mask is not None and U.mask.sum() == 1
+    vals = U.values.copy()
+    vals[3, 5], vals[200, 100] = np.nan, np.inf + 1j          # two rows, two blocks
+    for require_decay in (True, False):
+        with pytest.raises(MaskError, match=r"not finite on 2 unmasked node\(s\)"):
+            l2_norm_sq(ComplexField(g, vals, U.mask), require_decay=require_decay)
+    # a masked node is patched from its neighbours whatever it holds
+    vals = U.values.copy()
+    vals[U.mask] = np.nan
+    assert np.isfinite(_assert_norm_matches_oracle(ComplexField(g, vals, U.mask)).value)
