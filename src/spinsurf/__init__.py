@@ -7,7 +7,7 @@ from .grid import (ComplexField, Form1, Grid2D, antiderivative,
                    closedness_defect, constant_field, field_from_function,
                    integrate2d, make_grid, save_complexfield_csv,
                    load_complexfield_csv, square_grid, wirtinger_derivative)
-from .exactpoly import (BiPoly, C, CBAR, ONE, RMat2, RationalFn, T, Z, ZBAR,
+from .exactpoly import (BiPoly, C, CBAR, ONE, RQuat, RationalFn, T, Z, ZBAR,
                         heat_extend, heat_residual, poly_equal)
 from .dirac import (PotentialPair, SpinorField, apply_D, apply_Dvee,
                     dirac_residual_norm, gauge_transform, save_spinorfield_csv,
@@ -18,7 +18,7 @@ from .surface import (GaussMapResult, MetricData, SurfaceMap,
                       smatrix_to_surface, spinor_metric, surface_to_smatrix,
                       weier_derivatives, willmore)
 from .meshio import MeshStats, export_mesh
-from .moutard import (KData, MatForm1, MoutardTransform, SMatrix, build_S,
+from .moutard import (KData, MoutardTransform, SMatrix, build_S,
                       heat_antiderivative, heat_datum_fields,
                       heat_datum_spinors, heat_smatrix_values, k_matrix,
                       moutard_dsii, moutard_exact, moutard_spinors,

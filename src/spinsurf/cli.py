@@ -74,6 +74,12 @@ _SHARED = {
 }
 
 
+# the option each command cannot run without, and its choices: checked after the
+# --config merge, so that a config file may supply it
+_REQUIRED = {"solution": ("solution", ("s1", "s2", "ozawa")),
+             "willmore-check": ("potential", ("soliton", "clifford"))}
+
+
 def _add_shared(p, *names):
     """The shared options a subcommand reads, by name, then --config."""
     for name in names:
@@ -246,11 +252,9 @@ def cmd_willmore_check(args) -> int:
     if args.potential == "soliton":
         pot = soliton_potential(args.n)
         chk = willmore_bound_check(pot, args.n)
-    elif args.potential == "clifford":
+    else:                                   # clifford
         pot = clifford_potential()
         chk = willmore_bound_check(pot, None)
-    else:
-        raise SystemExit(f"unknown potential {args.potential!r}")
     print(json.dumps(chk.as_dict()))
     return 0 if chk.passed else 1
 
@@ -301,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solution", help="dump an exact DSII solution")
     _add_shared(s, "grid", "box", "periodic", "out")
-    s.add_argument("--solution", required=True, choices=("s1", "s2", "ozawa"))
+    s.add_argument("--solution", choices=_REQUIRED["solution"][1],
+                   help="required, as a flag or a --config key")
     s.add_argument("--c", type=_parse_complex, default=1 + 0j)
     s.add_argument("--t", type=float, default=0.0)
     s.add_argument("--a", type=float, default=1.0)
@@ -322,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     w = sub.add_parser("willmore-check", help="sphere-bound check for 1-D potentials (prints only)")
     _add_shared(w)
-    w.add_argument("--potential", required=True, choices=("soliton", "clifford"))
+    w.add_argument("--potential", choices=_REQUIRED["willmore-check"][1],
+                   help="required, as a flag or a --config key")
     w.add_argument("--n", type=int, default=1)
     w.set_defaults(func=cmd_willmore_check)
 
@@ -339,6 +345,11 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     args = _apply_config_file(args, ap, argv)
+    if args.subcommand in _REQUIRED:
+        key, choices = _REQUIRED[args.subcommand]
+        if getattr(args, key) not in choices:
+            ap.error(f"{args.subcommand} needs --{key} (or config key {key}), "
+                     f"one of {', '.join(choices)}; got {getattr(args, key)!r}")
     return args.func(args)
 
 

@@ -51,8 +51,8 @@ def _empty(grid: Grid2D) -> np.ndarray:
 class Mat2Field:
     """2x2 complex matrix per node: values[i, j] is entry (i, j), shape (2, 2, ny, nx).
 
-    For general values: the dz and dzbar parts of the Moutard forms omega and
-    omega1, and SpinorField.mat(); quaternion fields are held as SpinorField.
+    For general values, as SpinorField.mat() returns; quaternion fields are held
+    as SpinorField.
 
     One mask covers all four entries: the union of the masks of the fields the
     matrix was built from.  values may be a read-only broadcast view (see
@@ -311,7 +311,7 @@ def gauge_transform(psi: SpinorField, phi: SpinorField, U: ComplexField,
     return psi_t, phi_t, U_t
 
 
-def save_spinorfield_csv(psi: SpinorField, csv_path, meta_path=None):
+def save_spinorfield_csv(psi: SpinorField, csv_path):
     """CSV columns ix, iy, re1, im1, re2, im2 with a JSON grid sidecar."""
     save_nodes_csv(csv_path, psi.grid, "ix,iy,re1,im1,re2,im2", *psi.values,
-                   meta=psi.grid.meta(), meta_path=meta_path)
+                   meta=psi.grid.meta())

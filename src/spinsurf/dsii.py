@@ -48,32 +48,34 @@ class ExactSolution:
     U: RationalFn
     a: RationalFn
     V: RationalFn
-    c: complex | str | None = None
+    c: complex | None = None          # None: symbolic
     name: str = "custom"
 
     @property
     def den(self) -> BiPoly:
         return self.U.den
 
-    def _subs(self, t: float, cval=None):
+    def _subs(self, t: float):
+        """The scalars to evaluate at: t, and c if numeric.  A symbolic c is never read
+        as 0: InvalidDatumError if f depends on c or conj(c)."""
         kw = {"t": float(t)}
-        if cval is not None:
-            kw["c"] = complex(cval)
-        elif isinstance(self.c, complex):
-            kw["c"] = self.c
+        if self.c is not None:
+            kw["c"] = complex(self.c)
+        elif self.f.depends_on("c") or self.f.depends_on("cbar"):
+            raise InvalidDatumError(f"{self.name}: f depends on c, which needs a numeric value")
         return kw
 
-    def U_field(self, grid: Grid2D, t: float, cval=None) -> ComplexField:
-        return self._field(self.U, grid, t, cval)
+    def U_field(self, grid: Grid2D, t: float) -> ComplexField:
+        return self._field(self.U, grid, t)
 
-    def V_field(self, grid: Grid2D, t: float, cval=None) -> ComplexField:
-        return self._field(self.V, grid, t, cval)
+    def V_field(self, grid: Grid2D, t: float) -> ComplexField:
+        return self._field(self.V, grid, t)
 
-    def _field(self, rf: RationalFn, grid: Grid2D, t: float, cval=None) -> ComplexField:
+    def _field(self, rf: RationalFn, grid: Grid2D, t: float) -> ComplexField:
         """rf on the grid; its poles are the exact zeros of rho = self.den, the pole set
         of every field of the family.  A denominator that is a power of rho (V's is
         rho^2) can miss an exact zero by rounding, so rho is then sampled too."""
-        kw = self._subs(t, cval)
+        kw = self._subs(t)
         num, den = rf.num._specialise(**kw), rf.den._specialise(**kw)
         if rf.den is self.den:
             return ComplexField(grid, *_sample_mesh(grid.xs(), grid.ys(), num, den))
@@ -166,7 +168,6 @@ def _symbolic(c) -> bool:
 class ResidualReport:
     max_norm: float
     l2_norm: float
-    constraint_max: float | None = None
 
 
 def dsii_rhs(U: ComplexField, V: ComplexField) -> ComplexField:
@@ -448,16 +449,9 @@ class SingularEvent:
                 "coeff": [self.coefficient.real, self.coefficient.imag]}
 
 
-def _t_poly_at_origin(sol: ExactSolution, cval=None):
+def _t_poly_at_origin(sol: ExactSolution):
     """Coefficients of f(0, t) as a complex polynomial in t (ascending)."""
-    kw = {}
-    if cval is not None:
-        kw["c"] = complex(cval)
-    elif isinstance(sol.c, complex):
-        kw["c"] = sol.c
-    else:
-        raise InvalidDatumError("singular_times needs a numeric c")
-    cc = kw.get("c", 0.0)
+    cc = sol._subs(0.0).get("c", 0.0)
     coeffs = {}
     for (dz_, dzb, dt_, dc, dcb), v in sol.f.coef.items():
         if dz_ or dzb:
@@ -509,11 +503,11 @@ def _real_roots_of_complex_poly(coeffs: np.ndarray, imag_tol: float = 1e-10):
     return sorted(set(round(float(r), 14) for r in cand))
 
 
-def radial_limit_coefficient(sol: ExactSolution, t_sing: float, cval=None):
+def radial_limit_coefficient(sol: ExactSolution, t_sing: float):
     """lim_{r->0} U(r e^{i phi}, t) e^{-2 i phi}, Richardson-extrapolated in r^2.
 
     Returns (coefficient, max deviation across phi samples)."""
-    kw = sol._subs(t_sing, cval)
+    kw = sol._subs(t_sing)
     phis = np.arange(8) * (2 * np.pi / 8) + 0.123
     r1, r2 = 1e-3, 5e-4
     ests = []
@@ -528,13 +522,13 @@ def radial_limit_coefficient(sol: ExactSolution, t_sing: float, cval=None):
     return coeff, spread
 
 
-def singular_times(sol: ExactSolution, cval=None) -> list[SingularEvent]:
+def singular_times(sol: ExactSolution) -> list[SingularEvent]:
     """All real (t, z=0) zeros of |z|^2 + |f|^2 with asymptotic coefficients."""
-    coeffs = _t_poly_at_origin(sol, cval)
+    coeffs = _t_poly_at_origin(sol)
     roots = _real_roots_of_complex_poly(coeffs)
     events = []
     for r in roots:
-        coeff, spread = radial_limit_coefficient(sol, r, cval)
+        coeff, spread = radial_limit_coefficient(sol, r)
         if spread > 1e-6 * max(1.0, abs(coeff)):
             warnings.warn(f"angular fit spread {spread:.2g} at t={r}")
         events.append(SingularEvent(float(r), 0j, coeff))

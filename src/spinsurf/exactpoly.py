@@ -424,54 +424,34 @@ def heat_residual(f: BiPoly) -> BiPoly:
     return f.wirtinger("t") - 1j * f.wirtinger("z").wirtinger("z")
 
 
-class RMat2:
-    """2x2 matrix over RationalFn, for the exact Moutard / Dirac algebra."""
+class RQuat:
+    """A quaternion [[a, -conj(b)], [b, conj(a)]] of RationalFns, stored as its column
+    (a, b): the exact twin of dirac.SpinorField, for the exact Moutard algebra."""
 
-    __slots__ = ("a",)
+    __slots__ = ("a", "b")
 
-    def __init__(self, entries):
-        self.a = [[_as_rational(entries[i][j]) for j in range(2)] for i in range(2)]
+    def __init__(self, a, b):
+        self.a, self.b = _as_rational(a), _as_rational(b)
 
-    def __getitem__(self, ij):
-        return self.a[ij[0]][ij[1]]
+    def __matmul__(self, other: "RQuat") -> "RQuat":
+        """(a, b)(c, d) = (a c - conj(b) d, b c + conj(a) d)."""
+        a, b, c, d = self.a, self.b, other.a, other.b
+        return RQuat(a * c - b.conj() * d, b * c + a.conj() * d)
 
-    def __mul__(self, other):
-        if isinstance(other, RMat2):
-            return RMat2([[self.a[i][0] * other.a[0][j] + self.a[i][1] * other.a[1][j]
-                           for j in range(2)] for i in range(2)])
-        return RMat2([[self.a[i][j] * other for j in range(2)] for i in range(2)])
+    def __sub__(self, other: "RQuat") -> "RQuat":
+        return RQuat(self.a - other.a, self.b - other.b)
 
-    __rmul__ = __mul__
+    def __neg__(self) -> "RQuat":
+        return RQuat(-self.a, -self.b)
 
-    def __add__(self, other):
-        return RMat2([[self.a[i][j] + other.a[i][j] for j in range(2)] for i in range(2)])
-
-    def __sub__(self, other):
-        return RMat2([[self.a[i][j] - other.a[i][j] for j in range(2)] for i in range(2)])
-
-    def __neg__(self):
-        return RMat2([[-self.a[i][j] for j in range(2)] for i in range(2)])
+    def conj(self) -> "RQuat":
+        """The quaternion conjugate (conj(a), -b): the conjugate transpose."""
+        return RQuat(self.a.conj(), -self.b)
 
     def det(self) -> RationalFn:
-        return self.a[0][0] * self.a[1][1] - self.a[0][1] * self.a[1][0]
+        return self.a * self.a.conj() + self.b * self.b.conj()
 
-    def inv(self) -> "RMat2":
+    def inv(self) -> "RQuat":
+        """conj() / det()."""
         d = self.det()
-        return RMat2([[self.a[1][1] / d, -self.a[0][1] / d],
-                      [-self.a[1][0] / d, self.a[0][0] / d]])
-
-    def transpose(self) -> "RMat2":
-        return RMat2([[self.a[0][0], self.a[1][0]], [self.a[0][1], self.a[1][1]]])
-
-    def conj(self) -> "RMat2":
-        return RMat2([[self.a[i][j].conj() for j in range(2)] for i in range(2)])
-
-    def wirtinger(self, var: str) -> "RMat2":
-        return RMat2([[self.a[i][j].wirtinger(var) for j in range(2)] for i in range(2)])
-
-    def eval(self, **kw) -> np.ndarray:
-        return np.array([[complex(self.a[0][0].eval(**kw)), complex(self.a[0][1].eval(**kw))],
-                         [complex(self.a[1][0].eval(**kw)), complex(self.a[1][1].eval(**kw))]])
-
-
-GAMMA_EXACT = RMat2([[0, 1], [-1, 0]])
+        return RQuat(self.a.conj() / d, -self.b / d)

@@ -430,9 +430,9 @@ def closedness_defect(form: Form1, scheme: str = "central2") -> float:
 # serialization
 
 
-def save_nodes_csv(csv_path, grid: Grid2D, header: str, *columns, meta=None, meta_path=None):
+def save_nodes_csv(csv_path, grid: Grid2D, header: str, *columns, meta=None):
     """Per node: ix, iy, then re and im of each (ny, nx) column, printed as np.savetxt
-    does with "%d" and "%.17g"; meta, if given, goes to csv_path + ".json" or meta_path."""
+    does with "%d" and "%.17g"; meta, if given, goes to csv_path + ".json"."""
     ix, iy = np.tile(np.arange(grid.nx), grid.ny), np.repeat(np.arange(grid.ny), grid.nx)
     cols = [ix, iy] + [p for c in columns for p in (c.ravel().real, c.ravel().imag)]
     row = ",".join(["%d", "%d"] + ["%.17g"] * (len(cols) - 2)) + "\n"
@@ -441,20 +441,20 @@ def save_nodes_csv(csv_path, grid: Grid2D, header: str, *columns, meta=None, met
         for s in range(0, ix.size, 4096):        # blocks keep the Python lists small
             fh.writelines(row % r for r in zip(*(c[s:s + 4096].tolist() for c in cols)))
     if meta is not None:
-        with open(meta_path or str(csv_path) + ".json", "w") as fh:
+        with open(str(csv_path) + ".json", "w") as fh:
             json.dump(meta, fh, indent=1, sort_keys=True)
 
 
-def save_complexfield_csv(f: ComplexField, csv_path, meta_path=None):
+def save_complexfield_csv(f: ComplexField, csv_path):
     """CSV columns ix, iy, re, im plus a JSON sidecar with grid metadata."""
     meta = dict(f.grid.meta())
     if f.mask is not None:
         meta["masked_nodes"] = [[int(a), int(b)] for b, a in zip(*np.nonzero(f.mask))]
-    save_nodes_csv(csv_path, f.grid, "ix,iy,re,im", f.values, meta=meta, meta_path=meta_path)
+    save_nodes_csv(csv_path, f.grid, "ix,iy,re,im", f.values, meta=meta)
 
 
-def load_complexfield_csv(csv_path, meta_path=None) -> ComplexField:
-    with open(meta_path or str(csv_path) + ".json") as fh:
+def load_complexfield_csv(csv_path) -> ComplexField:
+    with open(str(csv_path) + ".json") as fh:
         meta = json.load(fh)
     masked = meta.pop("masked_nodes", None)
     grid = Grid2D(**meta)

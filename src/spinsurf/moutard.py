@@ -6,25 +6,28 @@ of the heat-polynomial potentials, see tests):
 
     Gamma = [[0, 1], [-1, 0]],  P1 = diag(1, 0),  P2 = diag(0, 1)
     X^T   = plain matrix transpose inside omega and K (the conjugate-transpose
-            candidate fails closedness; omega keeps it behind a switch)
+            candidate fails closedness; the tests build it to show so)
     omega(Phi,Psi)  = -(i/2)(Phi^T s3 Psi + Phi^T Psi) dz
                       -(i/2)(Phi^T s3 Psi - Phi^T Psi) dzbar
                     = -i Phi^T P1 Psi dz + i Phi^T P2 Psi dzbar
+    omega1(Phi,Psi) = (Phi_z^T P1 + Phi_zbar^T P2) Psi - Phi^T (P1 Psi_z + P2 Psi_zbar)
     S(Phi,Psi)      = Gamma * int omega  (+ Gamma * int omega1 dt when
                       time-augmented), + integration constant
     K(Phi,Psi)      = Psi S^-1 Gamma Phi^T Gamma^-1 = Psi S^-1 Phi^*
                     = [[i conj(W), a], [-conj(a), -i W]]
     U~ = U + W,  V~ = V + 2 i a_z.
 
-Storage: the spinors psi, phi are their quaternion extensions Psi, Phi, and
-the matrices S, S^-1 and K are quaternions [[a, -conj(b)], [b, conj(a)]] per
-node too; all are SpinorField (a, b).  The x and y parts of Gamma omega,
-dz + dzbar and i(dz - dzbar), are quaternions as well, so build_S forms and
-integrates column 0 of Gamma omega only; the dz and dzbar parts alone are not
-quaternions, so omega, omega1 and MatForm1 stay general Mat2Field.  The one
-general 2x2 value entering quaternion storage, build_S's integration constant,
-is checked for the quaternion pattern there, and a violation raises
-NormalizationError.
+Storage: one quaternion algebra throughout.  The spinors psi, phi are their
+quaternion extensions Psi, Phi, and S, S^-1 and K are quaternions
+[[a, -conj(b)], [b, conj(a)]] per node too; each is held as its column (a, b), a
+SpinorField on the grid and an exactpoly.RQuat in the exact layer.  Gamma omega1
+is a quaternion, and so are the x and y parts of Gamma omega, dz + dzbar and
+i(dz - dzbar): omega returns column 0 of Gamma omega as the 1-forms of its two
+entries (its dz and dzbar parts alone are not quaternions), omega1 returns
+column 0 of Gamma omega1 as a SpinorField, and build_S integrates the two
+entries of omega.  The one general 2x2 value entering quaternion storage,
+build_S's integration constant, is checked for the quaternion pattern there, and
+a violation raises NormalizationError.
 
 Swapped-order time term: omega1 is antisymmetric under argument swap combined
 with transposition, so the augmented partner matrix is S(Psi,Phi) =
@@ -38,10 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirac import GAMMA, Mat2Field, SpinorField, quaternion_defect
-from .exactpoly import (BiPoly, GAMMA_EXACT, RMat2, RationalFn, T, Z, ZBAR, _sample_mesh,
-                        heat_extend)
-from .grid import (ComplexField, Form1, Grid2D, _merge_masks, antiderivative,
+from .dirac import SpinorField, quaternion_defect
+from .exactpoly import BiPoly, RQuat, RationalFn, T, Z, ZBAR, _sample_mesh, heat_extend
+from .grid import (ComplexField, Form1, Grid2D, antiderivative,
                    closedness_defect, constant_field, save_nodes_csv, wirtinger_derivative)
 
 
@@ -53,8 +55,6 @@ class NormalizationError(RuntimeError):
     pass
 
 
-_P1 = np.array([[1.0, 0.0], [0.0, 0.0]])
-_P2 = np.array([[0.0, 0.0], [0.0, 1.0]])
 PATTERN_TOL = 1e-8        # quaternion-pattern defect allowed, relative to max(|value|, 1)
 _MIN_DET = 1e-12          # S^-1 masks nodes with det S below this x max(|S|, 1)^2
 
@@ -69,46 +69,32 @@ def _check_quaternion(m: np.ndarray, what: str):
                                  f"defect {defect:.3g} (tol {PATTERN_TOL * scale:.3g})")
 
 
-@dataclass
-class MatForm1:
-    """Matrix-valued 1-form: dz and dzbar coefficient matrices."""
-
-    dz: Mat2Field
-    dzb: Mat2Field
-
-    def form1(self, i: int, j: int) -> Form1:
-        return Form1(self.dz.entry(i, j), self.dzb.entry(i, j))
-
-    def max_closedness_defect(self) -> float:
-        return max(closedness_defect(self.form1(i, j))
-                   for i in range(2) for j in range(2))
+def omega(Phi: SpinorField, Psi: SpinorField) -> tuple[Form1, Form1]:
+    """Column 0 of Gamma omega(Phi, Psi), as the 1-forms of its entries (a, b): with
+    Phi = (pa, pb), Psi = (sa, sb),
+        a = i conj(pb) sa dz + i conj(pa) sb dzbar,  b = i pa sa dz - i pb sb dzbar.
+    Column 1 is (-conj(b), conj(a)) as 1-forms, so its closedness defect and
+    integral are those of column 0 by symmetry."""
+    grid, mask = Phi.grid, Phi._mask_with(Psi)         # GridConfigError on a grid mismatch
+    (pa, pb), (sa, sb) = Phi.values, Psi.values
+    return tuple(Form1(ComplexField(grid, dz, mask), ComplexField(grid, dzb, mask))
+                 for dz, dzb in ((_product(1j, np.conj(pb), sa), _product(1j, np.conj(pa), sb)),
+                                 (_product(1j, pa, sa), _product(-1j, pb, sb))))
 
 
-def omega(Phi: SpinorField, Psi: SpinorField, convention: str = "transpose") -> MatForm1:
-    """The closed matrix 1-form pairing Phi and Psi, as general matrices."""
-    if Phi.grid != Psi.grid:
-        raise ValueError("grid mismatch")
-    Pt = Phi.mat().transpose()
-    if convention == "conj_transpose":
-        Pt = Mat2Field(Pt.grid, np.conj(Pt.values), Pt.mask)
-    elif convention != "transpose":
-        raise ValueError(f"unknown convention {convention!r}")
-    g, Psi = Phi.grid, Psi.mat()
-    dz = Pt @ (Mat2Field.constant(g, -1j * _P1) @ Psi)
-    dzb = Pt @ (Mat2Field.constant(g, 1j * _P2) @ Psi)
-    return MatForm1(dz, dzb)
-
-
-def omega1(Phi: SpinorField, Psi: SpinorField) -> Mat2Field:
-    """dt coefficient of the time augmentation of S(Phi, Psi)."""
-    Phi, Psi = Phi.mat(), Psi.mat()
-    P1 = Mat2Field.constant(Phi.grid, _P1)
-    P2 = Mat2Field.constant(Phi.grid, _P2)
-    left = (Phi.wirtinger("z").transpose() @ P1
-            + Phi.wirtinger("zbar").transpose() @ P2) @ Psi
-    right = Phi.transpose() @ (P1 @ Psi.wirtinger("z")
-                               + P2 @ Psi.wirtinger("zbar"))
-    return left - right
+def omega1(Phi: SpinorField, Psi: SpinorField) -> SpinorField:
+    """Column 0 of Gamma omega1(Phi, Psi), the dt part of S's time augmentation:
+    (m1, -m0), m0 and m1 being the entries (0, 0) and (1, 0) of omega1.
+    With Phi = (pa, pb), Psi = (sa, sb) and conj(f)_z = conj(f_zbar),
+        m0 = pa_z sa + pb_zbar sb - (pa sa_z + pb sb_zbar),
+        m1 = conj(pa_z) sb - conj(pb_zbar) sa - (conj(pa) sb_zbar - conj(pb) sa_z)."""
+    grid, mask = Phi.grid, Phi._mask_with(Psi)
+    paz, saz = (wirtinger_derivative(X.psi1, "z").values for X in (Phi, Psi))
+    pbzb, sbzb = (wirtinger_derivative(X.psi2, "zbar").values for X in (Phi, Psi))
+    (pa, pb), (sa, sb) = Phi.values, Psi.values
+    m0 = (paz * sa + pbzb * sb) - (pa * saz + pb * sbzb)
+    m1 = (np.conj(paz) * sb - np.conj(pbzb) * sa) - (np.conj(pa) * sbzb - np.conj(pb) * saz)
+    return SpinorField.from_values(grid, np.stack([m1, -m0]), mask)
 
 
 @dataclass
@@ -156,25 +142,16 @@ def build_S(Phi: SpinorField, Psi: SpinorField, base_node=None, constant=None,
     contribution when assembling a time-augmented S at fixed t.  Their sum must
     be a quaternion (NormalizationError otherwise).
 
-    Only column 0 of Gamma omega is formed and integrated: with
-    Phi = (pa, pb), Psi = (sa, sb) it is (i conj(pb) sa dz + i conj(pa) sb dzbar,
-    i pa sa dz - i pb sb dzbar).  Column 1 is (-conj, conj) of it as a 1-form, so
-    its closedness defect and integral are those of column 0 by symmetry.
+    Only column 0 of Gamma omega, what omega returns, is checked and integrated.
     """
     grid = Phi.grid
-    if Psi.grid != grid:
-        raise ValueError("grid mismatch")
     if base_node is None:
         base_node = (grid.nx // 2, grid.ny // 2)
     C = np.zeros((2, 2), dtype=complex) if constant is None else np.asarray(constant, complex)
     if time_offset is not None:
         C = C + np.asarray(time_offset, dtype=complex)
     _check_quaternion(C, "S constant")
-    mask = _merge_masks(Phi.mask, Psi.mask)
-    (pa, pb), (sa, sb) = Phi.values, Psi.values
-    forms = [Form1(ComplexField(grid, dz, mask), ComplexField(grid, dzb, mask))
-             for dz, dzb in ((_product(1j, np.conj(pb), sa), _product(1j, np.conj(pa), sb)),
-                             (_product(1j, pa, sa), _product(-1j, pb, sb)))]
+    forms = omega(Phi, Psi)
     defect = max(closedness_defect(f) for f in forms)
     scale = max([1.0] + [c.max_abs() for f in forms for c in (f.p, f.q)])
     defect_tol = 100.0 * max(grid.hx, grid.hy) ** 2
@@ -183,7 +160,7 @@ def build_S(Phi: SpinorField, Psi: SpinorField, base_node=None, constant=None,
     vals = np.empty((2, grid.ny, grid.nx), dtype=complex)
     for k, form in enumerate(forms):
         np.add(antiderivative(form, base_node).values, C[k, 0], out=vals[k])
-    return SMatrix(SpinorField.from_values(grid, vals, mask), C, tuple(base_node),
+    return SMatrix(SpinorField.from_values(grid, vals, forms[0].p.mask), C, tuple(base_node),
                    time_augmented=time_offset is not None, loop_defect=defect)
 
 
@@ -200,7 +177,7 @@ def time_offset_integral(phi_of_t, psi_of_t, t_grid, base_node) -> np.ndarray:
     phi_of_t / psi_of_t map a time to the spinors.
     """
     ix, iy = base_node
-    vals = [GAMMA @ omega1(phi_of_t(t), psi_of_t(t)).at(ix, iy) for t in t_grid]
+    vals = [omega1(phi_of_t(t), psi_of_t(t)).at(ix, iy) for t in t_grid]
     return np.trapezoid(vals, t_grid, axis=0)
 
 
@@ -340,74 +317,55 @@ def heat_antiderivative(f: BiPoly) -> BiPoly:
 
 @dataclass
 class ExactMoutardData:
-    """Closed-form Moutard chain for the trivial background with heat datum f."""
+    """Closed-form Moutard chain for the trivial background with heat datum f; the
+    spinors and matrices are quaternions stored as their column (a, b)."""
 
     f: BiPoly
-    S0: RMat2
-    K: RMat2
+    S0: RQuat
+    K: RQuat
     W: RationalFn
     a: RationalFn
-    psi0: tuple
-    phi0: tuple
+    Psi0: RQuat
+    Phi0: RQuat
 
     def tilde_psi_for_linear_datum(self) -> tuple[RationalFn, RationalFn]:
         """Transformed spinor of psi = (z, 0) (anti-heat datum h = z)."""
         f = self.f
         F1 = heat_antiderivative(f)
-        SP = RMat2([[RationalFn(Z * Z * 0.5 - 1j * T), RationalFn(1j * (ZBAR * f.conj() - F1.conj()))],
-                    [RationalFn(1j * (Z * f - F1)), RationalFn(ZBAR * ZBAR * 0.5 + 1j * T)]])
-        Psi = RMat2([[RationalFn(Z), 0], [0, RationalFn(ZBAR)]])
-        Psi0 = _quat_exact(*self.psi0)
-        Psit = Psi - Psi0 * self.S0.inv() * SP
-        return Psit[0, 0], Psit[1, 0]
+        SP = RQuat(Z * Z * 0.5 - 1j * T, 1j * (Z * f - F1))
+        Psit = RQuat(Z, 0) - self.Psi0 @ self.S0.inv() @ SP
+        return Psit.a, Psit.b
 
     def tilde_phi_for_identity_datum(self) -> tuple[RationalFn, RationalFn]:
-        """Transformed phi = (1, 0) through the normalized partner matrix."""
-        SB = GAMMA_EXACT * self.S0.transpose() * GAMMA_EXACT
-        SBP = RMat2([[RationalFn(1j * Z), 0], [0, RationalFn(-1j * ZBAR)]])
-        Phi = RMat2([[1, 0], [0, 1]])
-        Phi0 = _quat_exact(*self.phi0)
-        Phit = Phi - Phi0 * SB.inv() * SBP
-        return Phit[0, 0], Phit[1, 0]
+        """Transformed phi = (1, 0) through the normalized partner matrix -S0^*."""
+        Phit = RQuat(1, 0) - self.Phi0 @ (-self.S0.conj()).inv() @ RQuat(1j * Z, 0)
+        return Phit.a, Phit.b
 
     def inverted_surface_spinors(self):
-        Psi0 = _quat_exact(*self.psi0)
-        Phi0 = _quat_exact(*self.phi0)
-        Psis = Psi0 * self.S0.inv()
-        Phis = -(Phi0 * self.S0) * (RationalFn(1) / self.S0.det())
-        return (Psis[0, 0], Psis[1, 0]), (Phis[0, 0], Phis[1, 0])
+        Psis = self.Psi0 @ self.S0.inv()
+        Phis = -(self.Phi0 @ self.S0)
+        det = self.S0.det()
+        return (Psis.a, Psis.b), (Phis.a / det, Phis.b / det)
 
 
-def _quat_exact(p1, p2) -> RMat2:
-    p1 = p1 if isinstance(p1, RationalFn) else RationalFn(p1)
-    p2 = p2 if isinstance(p2, RationalFn) else RationalFn(p2)
-    return RMat2([[p1, -p2.conj()], [p2, p1.conj()]])
-
-
-def heat_datum_spinors(f: BiPoly):
+def heat_datum_spinors(f: BiPoly) -> tuple[RQuat, RQuat]:
     """Background spinors of the graph surface of a heat polynomial:
     psi0 = (0, 1), phi0 = (f', i)."""
-    return (RationalFn(BiPoly.zero()), RationalFn(1)), \
-        (RationalFn(f.wirtinger("z")), RationalFn(1j * BiPoly.const(1.0)))
+    return RQuat(BiPoly.zero(), 1), RQuat(f.wirtinger("z"), 1j * BiPoly.const(1.0))
 
 
 def moutard_exact(f: BiPoly) -> ExactMoutardData:
     """Exact K-matrix chain on the trivial background for heat datum f.
 
     S0 = [[i conj(f), -z],[zbar, -i f]] closes the spatial and time parts of
-    Gamma * int(omega + omega1) with zero constants; K then recovers the
-    heat-polynomial potentials W = i(z f' - f)/rho, a = -i(zbar + f' conj(f))/rho.
+    Gamma * int(omega + omega1) with zero constants; K = Psi0 S0^-1 Phi0^* then
+    recovers the heat-polynomial potentials W = i(z f' - f)/rho,
+    a = -i(zbar + f' conj(f))/rho.
     """
-    fb = f.conj()
-    S0 = RMat2([[RationalFn(1j * fb), RationalFn(-Z)],
-                [RationalFn(ZBAR), RationalFn(-1j * f)]])
-    psi0, phi0 = heat_datum_spinors(f)
-    Psi0 = _quat_exact(*psi0)
-    Phi0 = _quat_exact(*phi0)
-    K = Psi0 * S0.inv() * GAMMA_EXACT * Phi0.transpose() * GAMMA_EXACT.inv()
-    W = 1j * K[1, 1]
-    a = K[0, 1]
-    return ExactMoutardData(f, S0, K, W, a, psi0, phi0)
+    S0 = RQuat(1j * f.conj(), ZBAR)
+    Psi0, Phi0 = heat_datum_spinors(f)
+    K = Psi0 @ S0.inv() @ Phi0.conj()
+    return ExactMoutardData(f, S0, K, 1j * K.a.conj(), -K.b.conj(), Psi0, Phi0)
 
 
 def heat_datum_fields(f: BiPoly, grid: Grid2D, t: float, cval=None):

@@ -54,10 +54,9 @@ class SurfaceMap:
 
 @dataclass
 class MetricData:
-    """Conformal factor e^{2 alpha} (and optional mean curvature data)."""
+    """Conformal factor e^{2 alpha}, and the nodes where it vanishes."""
 
     e2alpha: np.ndarray
-    meanH: np.ndarray | None = None
     branch_mask: np.ndarray | None = None
 
 

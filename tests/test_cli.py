@@ -225,6 +225,36 @@ def test_resolved_config_round_trips_through_config(tmp_path, monkeypatch):
     assert (tmp_path / "out" / "U.csv").read_bytes() == a_csv
 
 
+def test_config_supplies_the_required_options(tmp_path, monkeypatch, capsys):
+    # a solution run's resolved_config.json replays with no --solution flag
+    monkeypatch.chdir(tmp_path)
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["solution", "--solution", "s2", "--c", "12", "--t", "1",
+                 "--grid", "17x17", "--out", str(a)]) == 0
+    assert main(["solution", "--config", str(a / "resolved_config.json"),
+                 "--out", str(b)]) == 0
+    for name in ("U.csv", "V.csv", "events.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+    cfg = tmp_path / "w.json"
+    cfg.write_text(json.dumps({"potential": "clifford"}))
+    assert main(["willmore-check", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    # with neither the flag nor a config key, or with a value outside the choices: exit 2
+    cfg.write_text(json.dumps({"grid": [16, 16]}))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"solution": "s3"}))
+    for argv in (["solution", "--out", str(tmp_path / "c")],
+                 ["solution", "--config", str(cfg), "--out", str(tmp_path / "c")],
+                 ["solution", "--config", str(bad), "--out", str(tmp_path / "c")],
+                 ["willmore-check"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"needs --{'potential' if argv[0] == 'willmore-check' else 'solution'}" in err
+    assert not (tmp_path / "c").exists()
+
+
 def test_config_file_from_another_command_is_rejected(tmp_path, capsys):
     a = tmp_path / "v"
     assert main(["verify", "--suite", "reduction", "--out", str(a)]) == 0

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spinsurf import (BiPoly, ComplexField, Z, catalog,
+from spinsurf import (BiPoly, C, ComplexField, Z, catalog,
                       dsii_residual, dsii_residual_exact, exact_solution,
                       field_from_function, heat_extend, l2_norm_sq, make_grid,
                       physical_form, poly_equal, s1_displayed_V, singular_times,
@@ -350,9 +350,25 @@ def test_singular_instant_masks_exactly_the_origin(name, c, t_sing):
 
 
 def test_singular_times_persistent_rejected():
-    sol = exact_solution(heat_extend(Z * Z))    # f(0, t) == 0 for all t
-    with pytest.raises(InvalidDatumError):
+    sol = exact_solution(heat_extend(Z ** 3))   # f = z^3 + 6itz: f(0, t) == 0 for all t
+    with pytest.raises(InvalidDatumError, match="vanishes identically"):
         singular_times(sol)
+
+
+def test_symbolic_c_is_never_sampled_as_zero():
+    # c is needed exactly when f depends on c or conj(c), for fields and ledger alike
+    sol = catalog("s1", c="symbolic")
+    g = square_grid(2.0, 16)
+    for sample in (lambda: sol.U_field(g, 0.3), lambda: sol.V_field(g, 0.3),
+                   lambda: singular_times(sol),
+                   lambda: radial_limit_coefficient(sol, 0.1)):
+        with pytest.raises(InvalidDatumError, match="numeric"):
+            sample()
+    free = exact_solution(heat_extend(Z * Z + 1))           # no c: nothing to supply
+    assert free.U_field(g, 0.3).values.shape == (16, 16)
+    assert singular_times(free) == []
+    given = exact_solution(heat_extend(Z * Z + C), c=2.0)   # any number is a numeric c
+    assert np.array_equal(given.U_field(g, 0.3).values, catalog("s1", c=2).U_field(g, 0.3).values)
 
 
 def test_radial_limit_matches_angular_form():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinsurf import (BiPoly, C, RMat2, RationalFn, T, Z, ZBAR, heat_extend,
+from spinsurf import (BiPoly, C, RQuat, RationalFn, T, Z, ZBAR, heat_extend,
                       heat_residual, poly_equal, s1_displayed_V)
 from spinsurf.exactpoly import HeatDatumError, PoleError
 
@@ -259,16 +259,31 @@ def test_rationalfn_eval_at_a_pole_raises_pole_error():
     assert np.isfinite(U.eval(z=0.0, t=-0.4))
 
 
-def test_rmat2_inverse():
-    M = RMat2([[RationalFn(Z), RationalFn(1)], [RationalFn(-1), RationalFn(ZBAR)]])
-    Id = M * M.inv()
-    assert Id[0, 0].equals(RationalFn(1))
-    assert Id[0, 1].is_zero()
-    assert Id[1, 0].is_zero()
-    assert Id[1, 1].equals(RationalFn(1))
+def test_rquat_inverse():
+    Q = RQuat(RationalFn(Z), RationalFn(1 + 2j * ZBAR * T, Z + C))
+    for one in (Q @ Q.inv(), Q.inv() @ Q):
+        assert one.a.equals(RationalFn(1))
+        assert one.b.is_zero()
 
 
-def test_rmat2_transpose_and_conj():
-    M = RMat2([[RationalFn(Z), RationalFn(2j * ZBAR)], [RationalFn(0), RationalFn(1)]])
-    assert M.transpose()[0, 1].is_zero()
-    assert M.conj()[0, 1].equals(RationalFn(-2j * Z))
+def test_rquat_conj_det_and_product():
+    # the column (a, b) stands for [[a, -conj(b)], [b, conj(a)]]: check the product,
+    # conj and det against that matrix, entry by entry
+    P = RQuat(RationalFn(Z * Z + 1j * T), RationalFn(2j * ZBAR + C))
+    Q = RQuat(RationalFn(1 - ZBAR), RationalFn(Z * C, 1 + Z * ZBAR))
+
+    def mat(X):
+        return [[X.a, -X.b.conj()], [X.b, X.a.conj()]]
+
+    (p00, p01), (p10, p11) = mat(P)
+    (q00, q01), (q10, q11) = mat(Q)
+    PQ = P @ Q
+    assert PQ.a.equals(p00 * q00 + p01 * q10)
+    assert PQ.b.equals(p10 * q00 + p11 * q10)
+    assert P.det().equals(p00 * p11 - p01 * p10)
+    (c00, c01), (c10, c11) = mat(P.conj())           # the conjugate transpose
+    assert c00.equals(p00.conj()) and c01.equals(p10.conj())
+    assert c10.equals(p01.conj()) and c11.equals(p11.conj())
+    assert (P @ Q).conj().a.equals((Q.conj() @ P.conj()).a)
+    assert (P @ Q).det().equals(P.det() * Q.det())
+    assert (-P).b.equals(-P.b) and (P - Q).a.equals(P.a - Q.a)

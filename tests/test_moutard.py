@@ -3,8 +3,9 @@ import re
 import numpy as np
 import pytest
 
-from spinsurf import (ComplexField, SpinorField, catalog, constant_field,
-                      dirac_residual_norm, field_from_function, make_grid)
+from spinsurf import (BiPoly, ComplexField, Form1, RationalFn, SpinorField, T, Z, ZBAR,
+                      catalog, closedness_defect, constant_field, dirac_residual_norm,
+                      field_from_function, make_grid)
 from spinsurf.moutard import (ClosednessError, MoutardTransform,
                               NormalizationError, SMatrix, build_S, heat_antiderivative,
                               heat_datum_fields, heat_smatrix_values, k_matrix,
@@ -24,13 +25,13 @@ def _plane_ctx(n=48, lo=0.4, hi=2.4):
 
 
 def test_omega_identity_example():
-    # Psi = Phi = identity: Gamma*omega has dz part [[0,0],[i,0]], dzbar part [[0,i],[0,0]]
+    # Psi = Phi = identity: Gamma*omega has dz part [[0,0],[i,0]], dzbar part [[0,i],[0,0]],
+    # so its column 0 is (0, i dz); column 1, (-conj, conj) of it, is (i dzbar, 0)
     g = make_grid((-1, 1, -1, 1), (8, 8))
     I2 = SpinorField(constant_field(g, 1.0), constant_field(g, 0.0))
-    w = omega(I2, I2)
-    from spinsurf.dirac import GAMMA, Mat2Field
-    gdz = Mat2Field.constant(g, GAMMA) @ w.dz
-    gdzb = Mat2Field.constant(g, GAMMA) @ w.dzb
+    a, b = omega(I2, I2)
+    assert [f.values[3, 2] for f in (a.p, a.q, b.p, b.q)] == [0, 0, 1j, 0]
+    gdz, gdzb = _oracle_gamma_omega(I2, I2)
     assert np.allclose(gdz.at(2, 3), [[0, 0], [1j, 0]])
     assert np.allclose(gdzb.at(2, 3), [[0, 1j], [0, 0]])
 
@@ -38,16 +39,12 @@ def test_omega_identity_example():
 def test_omega_closed_for_solutions():
     # both omega(Phi,Psi) and omega(Psi,Phi) are closed when the Dirac
     # equations hold (trivial potential, holomorphic/antiholomorphic data)
-    from spinsurf.dirac import GAMMA, Mat2Field
-    from spinsurf.moutard import MatForm1
 
     def defect_at(n, a, b):
         gg = make_grid((-1, 1, -1, 1), (n, n))
         aa = SpinorField(field_from_function(gg, a[0]), field_from_function(gg, a[1]))
         bb = SpinorField(field_from_function(gg, b[0]), field_from_function(gg, b[1]))
-        w = omega(aa, bb)
-        gm = Mat2Field.constant(gg, GAMMA)
-        return MatForm1(gm @ w.dz, gm @ w.dzb).max_closedness_defect()
+        return max(closedness_defect(f) for f in omega(aa, bb))
 
     fns_psi = (lambda z: np.exp(0.5 * z), lambda z: np.conj(z) ** 2)
     fns_phi = (lambda z: z ** 2 + 1, lambda z: np.exp(-0.3 * np.conj(z)))
@@ -59,19 +56,16 @@ def test_omega_closed_for_solutions():
 
 def test_conj_transpose_convention_fails_closedness():
     # the alternative reading of the transpose is not closed on the
-    # quadratic-datum background, which is why the plain transpose is default
+    # quadratic-datum background, which is why omega uses the plain transpose
     g = make_grid((-1, 1, -1, 1), (64, 64))
     sol = catalog("s1", c=1.0)
     psi0, phi0 = heat_datum_fields(sol.f, g, 0.2)
-    from spinsurf.dirac import GAMMA, Mat2Field
-    from spinsurf.moutard import MatForm1
-    gm = Mat2Field.constant(g, GAMMA)
-    defects = {}
-    for conv in ("transpose", "conj_transpose"):
-        w = omega(phi0, psi0, convention=conv)
-        defects[conv] = MatForm1(gm @ w.dz, gm @ w.dzb).max_closedness_defect()
-    assert defects["transpose"] < 1e-10          # linear entries: exact
-    assert defects["conj_transpose"] > 0.5
+    defects = {conj: _max_closedness_defect(*_oracle_gamma_omega(phi0, psi0, conj))
+               for conj in (False, True)}
+    assert defects[False] < 1e-10                # linear entries: exact
+    assert defects[True] > 0.5
+    col0 = max(closedness_defect(f) for f in omega(phi0, psi0))
+    assert col0 == pytest.approx(defects[False], rel=1e-12, abs=1e-14)
 
 
 @pytest.mark.parametrize("bounds, n, cval", [((-1.5, 1.5, -1.2, 1.8), (256, 256), None),
@@ -93,6 +87,48 @@ def test_omega1_vanishes_for_constants():
     I2 = SpinorField(constant_field(g, 1.0), constant_field(g, 0.0))
     w1 = omega1(I2, I2)
     assert w1.max_abs() < 1e-12
+
+
+def _random_spinor(g, rng):
+    return SpinorField(*(ComplexField(g, rng.normal(size=(g.ny, g.nx))
+                                      + 1j * rng.normal(size=(g.ny, g.nx))) for _ in range(2)))
+
+
+@pytest.mark.parametrize("name", ["s1", "plane"])
+def test_omega_column0_matches_general_matrix_oracle(name):
+    # bitwise (up to the sign of 0) on both backgrounds: the entries (0, 0) and (1, 0)
+    # of the general Gamma omega
+    _, g, psi0, phi0, _ = next(b for b in _backgrounds() if b[0] == name)
+    for Phi, Psi in ((phi0, psi0), (psi0, phi0)):
+        gdz, gdzb = _oracle_gamma_omega(Phi, Psi)
+        for k, form in enumerate(omega(Phi, Psi)):
+            assert np.array_equal(form.p.values, gdz.values[k, 0])
+            assert np.array_equal(form.q.values, gdzb.values[k, 0])
+
+
+def test_omega_column0_matches_oracle_on_non_solutions():
+    # on spinors that solve nothing the oracle multiplies in another operand order,
+    # which may round differently where the complex product fuses a multiply-add
+    rng = np.random.default_rng(7)
+    g = make_grid((-1, 1, -0.5, 1.5), (40, 33))
+    Phi, Psi = _random_spinor(g, rng), _random_spinor(g, rng)
+    gdz, gdzb = _oracle_gamma_omega(Phi, Psi)
+    for k, form in enumerate(omega(Phi, Psi)):
+        assert _rel(form.p.values, gdz.values[k, 0]) < 1e-15
+        assert _rel(form.q.values, gdzb.values[k, 0]) < 1e-15
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_omega1_matches_general_matrix_oracle(seed):
+    # on random spinors that solve nothing: Gamma omega1 is a quaternion to the last
+    # bit, and omega1's column is its column 0
+    from spinsurf.dirac import GAMMA, Mat2Field, quaternion_defect
+    rng = np.random.default_rng(seed)
+    g = make_grid((-1, 1, -0.5, 1.5), (40, 33))
+    Phi, Psi = _random_spinor(g, rng), _random_spinor(g, rng)
+    ref = (Mat2Field.constant(g, GAMMA) @ _oracle_omega1(Phi, Psi)).values
+    assert quaternion_defect(ref) == 0.0
+    assert _rel(omega1(Phi, Psi).values, ref[:, 0]) < 1e-14
 
 
 def test_build_S_plane_closed_form():
@@ -217,14 +253,6 @@ def test_build_S_rejects_a_non_quaternion_constant():
         build_S(ctx.Phi0, ctx.Psi0, constant=C0, time_offset=np.diag([1j, 1j]))
 
 
-def _gamma_omega(Phi, Psi):
-    """dz and dzbar parts of Gamma omega(Phi, Psi), as general matrix fields."""
-    from spinsurf.dirac import GAMMA, Mat2Field
-    w = omega(Phi, Psi)
-    gm = Mat2Field.constant(Phi.grid, GAMMA)
-    return gm @ w.dz, gm @ w.dzb
-
-
 @pytest.mark.parametrize("name", ["s1", "plane"])
 def test_x_and_y_parts_of_gamma_omega_are_quaternions(name):
     # what lets build_S integrate column 0 only: the x and y parts of Gamma omega
@@ -232,7 +260,7 @@ def test_x_and_y_parts_of_gamma_omega_are_quaternions(name):
     from spinsurf.dirac import quaternion_defect
     g, psi0, phi0, _ = next((g, p, f, c) for n, g, p, f, c in _backgrounds() if n == name)
     for pair in ((phi0, psi0), (psi0, phi0)):
-        gdz, gdzb = (m.values for m in _gamma_omega(*pair))
+        gdz, gdzb = (m.values for m in _oracle_gamma_omega(*pair))
         parts = {"dz": gdz, "dzbar": gdzb, "x": gdz + gdzb, "y": 1j * (gdz - gdzb)}
         assert quaternion_defect(parts["x"]) == 0.0
         assert quaternion_defect(parts["y"]) == 0.0
@@ -322,9 +350,6 @@ def test_exact_moutard_recovers_heat_potentials():
         ex = moutard_exact(sol.f)
         assert ex.W.equals(sol.U)
         assert ex.a.equals(sol.a)
-        # K block pattern as rational identities
-        assert ex.K[0, 0].equals(1j * ex.W.conj())
-        assert ex.K[1, 0].equals(-(ex.a.conj()))
 
 
 def test_exact_tilde_spinors_solve_dirac():
@@ -468,16 +493,51 @@ def test_inverted_surface_spinors_and_surface():
 
 
 # ---------------------------------------------------------------------------
-# the general-matrix pipeline that quaternion storage replaced, kept as oracle
+# the general-matrix forms, pipeline and exact chain that quaternion storage
+# replaced, kept as oracles
+
+_P1 = np.array([[1.0, 0.0], [0.0, 0.0]])
+_P2 = np.array([[0.0, 0.0], [0.0, 1.0]])
+
+
+def _oracle_gamma_omega(Phi, Psi, conj_transpose=False):
+    """dz and dzbar parts of Gamma omega(Phi, Psi) as general matrix fields; with
+    conj_transpose, those of the candidate that reads Phi^T as Phi's conjugate
+    transpose."""
+    from spinsurf.dirac import GAMMA, Mat2Field
+    g = Phi.grid
+    Pt = Phi.mat().transpose()
+    if conj_transpose:
+        Pt = Mat2Field(g, np.conj(Pt.values), Pt.mask)
+    Psi, gm = Psi.mat(), Mat2Field.constant(g, GAMMA)
+    dz = Pt @ (Mat2Field.constant(g, -1j * _P1) @ Psi)
+    dzb = Pt @ (Mat2Field.constant(g, 1j * _P2) @ Psi)
+    return gm @ dz, gm @ dzb
+
+
+def _oracle_omega1(Phi, Psi):
+    """omega1(Phi, Psi) as a general matrix field, from all sixteen derivatives."""
+    from spinsurf.dirac import Mat2Field
+    Phi, Psi = Phi.mat(), Psi.mat()
+    P1, P2 = Mat2Field.constant(Phi.grid, _P1), Mat2Field.constant(Phi.grid, _P2)
+    left = (Phi.wirtinger("z").transpose() @ P1
+            + Phi.wirtinger("zbar").transpose() @ P2) @ Psi
+    right = Phi.transpose() @ (P1 @ Psi.wirtinger("z") + P2 @ Psi.wirtinger("zbar"))
+    return left - right
+
+
+def _max_closedness_defect(gdz, gdzb):
+    """The largest closedness defect of the four entries of a matrix 1-form."""
+    return max(closedness_defect(Form1(gdz.entry(i, j), gdzb.entry(i, j)))
+               for i in range(2) for j in range(2))
 
 
 def _oracle_build_S(Phi, Psi, base_node, constant=None):
     """All four entries of Gamma omega(Phi, Psi) integrated as general matrices."""
-    from spinsurf import Form1, antiderivative
+    from spinsurf import antiderivative
     from spinsurf.dirac import Mat2Field
-    from spinsurf.moutard import MatForm1
-    gdz, gdzb = _gamma_omega(Phi, Psi)
-    defect = MatForm1(gdz, gdzb).max_closedness_defect()
+    gdz, gdzb = _oracle_gamma_omega(Phi, Psi)
+    defect = _max_closedness_defect(gdz, gdzb)
     C = np.zeros((2, 2), dtype=complex) if constant is None else np.asarray(constant, complex)
     vals = np.empty_like(gdz.values)
     for i in range(2):
@@ -531,6 +591,65 @@ def _oracle_moutard(psi0, phi0, C0, psi, phi):
             "psit": Psit.values[:, 0], "phit": Phit.values[:, 0]}
 
 
+class _RMat2:
+    """2x2 matrix over RationalFn, for the general-matrix exact chain."""
+
+    def __init__(self, entries):
+        self.a = [[x if isinstance(x, RationalFn) else RationalFn(x) for x in row]
+                  for row in entries]
+
+    def __getitem__(self, ij):
+        return self.a[ij[0]][ij[1]]
+
+    def __mul__(self, other):
+        if isinstance(other, _RMat2):
+            return _RMat2([[self.a[i][0] * other.a[0][j] + self.a[i][1] * other.a[1][j]
+                            for j in range(2)] for i in range(2)])
+        return _RMat2([[self.a[i][j] * other for j in range(2)] for i in range(2)])
+
+    def __sub__(self, other):
+        return _RMat2([[self.a[i][j] - other.a[i][j] for j in range(2)] for i in range(2)])
+
+    def __neg__(self):
+        return _RMat2([[-self.a[i][j] for j in range(2)] for i in range(2)])
+
+    def det(self):
+        return self.a[0][0] * self.a[1][1] - self.a[0][1] * self.a[1][0]
+
+    def inv(self):
+        d = self.det()
+        return _RMat2([[self.a[1][1] / d, -self.a[0][1] / d],
+                       [-self.a[1][0] / d, self.a[0][0] / d]])
+
+    def transpose(self):
+        return _RMat2([[self.a[0][0], self.a[1][0]], [self.a[0][1], self.a[1][1]]])
+
+
+def _oracle_exact_chain(f):
+    """moutard_exact's chain on general 2x2 rational matrices: K = Psi0 S0^-1 Gamma
+    Phi0^T Gamma^-1, W = i K11, a = K01, the partner matrix Gamma S0^T Gamma, and
+    column 0 of each transformed and inverted spinor."""
+    def quat(p1, p2):
+        p1, p2 = RationalFn(p1), RationalFn(p2)
+        return _RMat2([[p1, -p2.conj()], [p2, p1.conj()]])
+
+    G = _RMat2([[0, 1], [-1, 0]])
+    fb, F1 = f.conj(), heat_antiderivative(f)
+    S0 = _RMat2([[1j * fb, -Z], [ZBAR, -1j * f]])
+    Psi0, Phi0 = quat(BiPoly.zero(), 1), quat(f.wirtinger("z"), 1j * BiPoly.const(1.0))
+    K = Psi0 * S0.inv() * G * Phi0.transpose() * G.inv()
+    SP = _RMat2([[Z * Z * 0.5 - 1j * T, 1j * (ZBAR * fb - F1.conj())],
+                 [1j * (Z * f - F1), ZBAR * ZBAR * 0.5 + 1j * T]])
+    Psit = _RMat2([[Z, 0], [0, ZBAR]]) - Psi0 * S0.inv() * SP
+    SBP = _RMat2([[1j * Z, 0], [0, -1j * ZBAR]])
+    Phit = _RMat2([[1, 0], [0, 1]]) - Phi0 * (G * S0.transpose() * G).inv() * SBP
+    Psis = Psi0 * S0.inv()
+    Phis = -(Phi0 * S0) * (RationalFn(1) / S0.det())
+    return {"K": K, "W": 1j * K[1, 1], "a": K[0, 1],
+            **{k: (M[0, 0], M[1, 0]) for k, M in
+               (("psit", Psit), ("phit", Phit), ("psis", Psis), ("phis", Phis))}}
+
+
 def _backgrounds(n=64):
     sol = catalog("s1", c=1.0)
     gs = make_grid((-1.5, 1.5, -1.2, 1.8), (n, n))
@@ -573,6 +692,24 @@ def test_quaternion_pipeline_matches_general_matrix_oracle(name):
     assert _rel(ctx.kdata.a.values, ref["a"], k_scale) < 1e-13
     for out, want in ((psit, ref["psit"]), (phit, ref["phit"])):
         assert _rel(np.stack([out.psi1.values, out.psi2.values]), want) < 1e-13
+
+
+@pytest.mark.parametrize("c", ["symbolic", 0.3 - 2j])
+@pytest.mark.parametrize("name", ["s1", "s2"])
+def test_exact_chain_matches_general_matrix_oracle(name, c):
+    f = catalog(name, c=c).f
+    ex, ref = moutard_exact(f), _oracle_exact_chain(f)
+    assert ex.W.equals(ref["W"])
+    assert ex.a.equals(ref["a"])
+    # K is the quaternion [[i conj(W), a], [-conj(a), -i W]] of the general K
+    K = ref["K"]
+    assert ex.K.a.equals(K[0, 0]) and ex.K.b.equals(K[1, 0])
+    assert K[1, 1].equals(ex.K.a.conj()) and K[0, 1].equals(-ex.K.b.conj())
+    (psis, phis) = ex.inverted_surface_spinors()
+    for got, key in ((ex.tilde_psi_for_linear_datum(), "psit"),
+                     (ex.tilde_phi_for_identity_datum(), "phit"),
+                     (psis, "psis"), (phis, "phis")):
+        assert got[0].equals(ref[key][0]) and got[1].equals(ref[key][1]), key
 
 
 def test_traced_moutard_benchmark_run():
