@@ -151,7 +151,7 @@ def cmd_gen_surface(args) -> int:
         args.tol = 1e-3
     if args.from_dsii:
         sol = catalog(args.from_dsii, c=args.c)
-        psi0, phi0 = heat_datum_fields(sol.f, grid, args.t, None)
+        psi0, phi0 = heat_datum_fields(sol.f, grid, args.t)
         U0 = constant_field(grid, 0.0)
         S = integrate_surface_r4(psi0, phi0, U=U0, residual_tol=args.tol)
         Ufield = sol.U_field(grid, args.t)

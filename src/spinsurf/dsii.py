@@ -14,6 +14,10 @@ satisfies (*) exactly as a rational identity -- checked in exact arithmetic by
 dsii_residual_exact.  (The commonly quoted variant with the coupling doubled
 and the constraint halved is reached by relabelling V -> V/2, see
 to_halved_v_form.)
+
+U_field/V_field sample through RationalFn.on_grid, masking the zeros of rho
+(V's extra poles: rho^2 can miss one by rounding); they and the singularity
+ledger follow exactpoly's one rule for c.
 """
 from __future__ import annotations
 
@@ -22,14 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactpoly import (_BLOCK, BiPoly, C, RationalFn, T, Z, ZBAR, _sample_mesh,
+from .exactpoly import (_BLOCK, BiPoly, C, InvalidDatumError, RationalFn, T, Z, ZBAR,
                         heat_extend, heat_residual)
 from .grid import (ComplexField, Grid2D, MaskError, _axis_weights, neighbor_mean,
                    wirtinger_derivative)
-
-
-class InvalidDatumError(ValueError):
-    pass
 
 
 class DecayError(RuntimeError):
@@ -53,34 +53,14 @@ class ExactSolution:
 
     @property
     def den(self) -> BiPoly:
+        """rho, the pole set of every field of the family."""
         return self.U.den
 
-    def _subs(self, t: float):
-        """The scalars to evaluate at: t, and c if numeric.  A symbolic c is never read
-        as 0: InvalidDatumError if f depends on c or conj(c)."""
-        kw = {"t": float(t)}
-        if self.c is not None:
-            kw["c"] = complex(self.c)
-        elif self.f.depends_on("c") or self.f.depends_on("cbar"):
-            raise InvalidDatumError(f"{self.name}: f depends on c, which needs a numeric value")
-        return kw
-
     def U_field(self, grid: Grid2D, t: float) -> ComplexField:
-        return self._field(self.U, grid, t)
+        return self.U.on_grid(grid, t, self.c)
 
     def V_field(self, grid: Grid2D, t: float) -> ComplexField:
-        return self._field(self.V, grid, t)
-
-    def _field(self, rf: RationalFn, grid: Grid2D, t: float) -> ComplexField:
-        """rf on the grid; its poles are the exact zeros of rho = self.den, the pole set
-        of every field of the family.  A denominator that is a power of rho (V's is
-        rho^2) can miss an exact zero by rounding, so rho is then sampled too."""
-        kw = self._subs(t)
-        num, den = rf.num._specialise(**kw), rf.den._specialise(**kw)
-        if rf.den is self.den:
-            return ComplexField(grid, *_sample_mesh(grid.xs(), grid.ys(), num, den))
-        rho = self.den._specialise(**kw)
-        return ComplexField(grid, *_sample_mesh(grid.xs(), grid.ys(), num, den, rho))
+        return self.V.on_grid(grid, t, self.c, poles=self.den)
 
 
 def exact_solution(f: BiPoly, name: str = "custom", c=None) -> ExactSolution:
@@ -142,22 +122,16 @@ class OzawaData:
 
 
 def catalog(name: str, c=1.0, a: float = 1.0, b: float = -1.0):
-    """Named exact data: 's1' (quadratic), 's2' (quartic), 'ozawa' (initial field)."""
-    if name == "s1":
-        f = heat_extend(Z * Z + complex(c) * BiPoly.const(1.0)) if not _symbolic(c) \
-            else heat_extend(Z * Z + C)
-        return exact_solution(f, name="s1", c=(None if _symbolic(c) else complex(c)))
-    if name == "s2":
-        f = heat_extend(Z ** 4 + complex(c) * BiPoly.const(1.0)) if not _symbolic(c) \
-            else heat_extend(Z ** 4 + C)
-        return exact_solution(f, name="s2", c=(None if _symbolic(c) else complex(c)))
+    """Named exact data: 's1' (quadratic), 's2' (quartic), 'ozawa' (initial field);
+    c = "symbolic" keeps c a variable of f."""
+    if name in ("s1", "s2"):
+        c = None if isinstance(c, str) and c == "symbolic" else complex(c)
+        z_part = Z * Z if name == "s1" else Z ** 4
+        f = heat_extend(z_part + (C if c is None else c * BiPoly.const(1.0)))
+        return exact_solution(f, name=name, c=c)
     if name == "ozawa":
         return OzawaData(a, b)
     raise KeyError(f"unknown catalog entry {name!r}")
-
-
-def _symbolic(c) -> bool:
-    return isinstance(c, str) and c == "symbolic"
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +330,11 @@ def l2_norm_sq(U: ComplexField, require_decay: bool = True) -> NormResult:
 
     One pass over blocks of whole rows of about _BLOCK nodes forms |U|^2, its
     maximum and the trapezoid row sums of both boxes: no full-size array exists.
-    Masked (singular) nodes are patched with the 8-neighbour mean of |U|^2; it
-    stays bounded at the catalog singularities, so the patch is O(h^2) accurate.
-    A non-finite |U|^2 on an unmasked node raises MaskError."""
+    Masked (singular) nodes are patched with the 8-neighbour mean of |U|^2 of the
+    unmasked neighbours; it stays bounded at the catalog singularities, so the
+    patch is O(h^2) accurate.  The peak is taken after patching, so it is the peak
+    over unmasked nodes whatever a masked node holds.  A non-finite |U|^2 on an
+    unmasked node raises MaskError."""
     g, vals, mask = U.grid, U.values, U.mask
     ny, nx = vals.shape
     xs, ys = g.xs(), g.ys()
@@ -385,14 +361,14 @@ def l2_norm_sq(U: ComplexField, require_decay: bool = True) -> NormResult:
         np.multiply(v.real, v.real, out=b)
         np.multiply(v.imag, v.imag, out=t)
         b += t
+        lo, hi = patched[k], patched[k + 1]
+        if lo < hi:
+            b[py[lo:hi] - r, px[lo:hi]] = pv[lo:hi]
         bmax = b.max()
         if not np.isfinite(bmax):
             bad += np.count_nonzero(~np.isfinite(b) if mask is None
                                     else ~np.isfinite(b) & ~mask[r:r + step])
         top = np.maximum(top, bmax)
-        lo, hi = patched[k], patched[k + 1]
-        if lo < hi:
-            b[py[lo:hi] - r, px[lo:hi]] = pv[lo:hi]
         np.matmul(b, wx, out=rows[r:r + n])
         lo, hi = max(r, y0), min(r + n, y1)
         if lo < hi:
@@ -450,16 +426,12 @@ class SingularEvent:
 
 
 def _t_poly_at_origin(sol: ExactSolution):
-    """Coefficients of f(0, t) as a complex polynomial in t (ascending)."""
-    cc = sol._subs(0.0).get("c", 0.0)
-    coeffs = {}
-    for (dz_, dzb, dt_, dc, dcb), v in sol.f.coef.items():
-        if dz_ or dzb:
-            continue
-        term = v * (cc ** dc) * (np.conj(cc) ** dcb)
-        coeffs[dt_] = coeffs.get(dt_, 0.0) + term
-    deg = max(coeffs) if coeffs else 0
-    return np.array([coeffs.get(k, 0.0) for k in range(deg + 1)], dtype=complex)
+    """Coefficients of f(0, t) as a complex polynomial in t (ascending): the z-free
+    terms of f with t's exponent moved to z's place, specialised to sol.c."""
+    f0 = BiPoly({(dt_, 0, 0, dc, dcb): v for (dz_, dzb, dt_, dc, dcb), v in sol.f.coef.items()
+                 if not (dz_ or dzb)})
+    coeffs = f0._specialise(c=sol.c)[0]
+    return np.array([coeffs.get(k, 0.0) for k in range(max(coeffs) + 1)], dtype=complex)
 
 
 def _real_roots_of_complex_poly(coeffs: np.ndarray, imag_tol: float = 1e-10):
@@ -507,13 +479,12 @@ def radial_limit_coefficient(sol: ExactSolution, t_sing: float):
     """lim_{r->0} U(r e^{i phi}, t) e^{-2 i phi}, Richardson-extrapolated in r^2.
 
     Returns (coefficient, max deviation across phi samples)."""
-    kw = sol._subs(t_sing)
     phis = np.arange(8) * (2 * np.pi / 8) + 0.123
     r1, r2 = 1e-3, 5e-4
     ests = []
     for r in (r1, r2):
         zs = r * np.exp(1j * phis)
-        vals = sol.U.eval(z=zs, **kw)
+        vals = sol.U.eval(z=zs, t=t_sing, c=sol.c)
         ests.append(vals * np.exp(-2j * phis))
     w = (r1 / r2) ** 2
     extr = (w * ests[1] - ests[0]) / (w - 1.0)

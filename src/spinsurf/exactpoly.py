@@ -5,9 +5,12 @@ z <-> zbar and c <-> cbar and conjugates coefficients (t stays real).
 Coefficients are complex numbers; the catalog data are Gaussian integers,
 for which all arithmetic here is exact.
 
-BiPoly.eval specialises the scalars t, c, cbar first, then evaluates the
-remaining (z, zbar) coefficient table by nested Horner, outer in zbar and
-inner in z.
+Evaluation specialises the scalars t, c, cbar first (BiPoly._specialise, which
+holds the one rule for c: None only for a polynomial free of c and cbar,
+InvalidDatumError otherwise), then runs nested Horner over the remaining
+(z, zbar) table, outer in zbar and inner in z.  RationalFn.on_grid and
+RQuat.on_grid are the one way to a grid: they stream over blocks of grid rows
+and mask the exact zeros of the denominator; eval is for point sets.
 """
 from __future__ import annotations
 
@@ -16,6 +19,9 @@ import math
 
 import numpy as np
 
+from .dirac import SpinorField
+from .grid import ComplexField, Grid2D
+
 VARS = ("z", "zbar", "t", "c", "cbar")
 _VAR_INDEX = {name: VARS.index(name) for name in VARS}
 _ZERO_KEY = (0, 0, 0, 0, 0)
@@ -23,6 +29,10 @@ _ZERO_KEY = (0, 0, 0, 0, 0)
 
 class HeatDatumError(ValueError):
     pass
+
+
+class InvalidDatumError(ValueError):
+    """Data that define no solution, or a symbolic c where a numeric one is needed."""
 
 
 class PoleError(ZeroDivisionError):
@@ -163,10 +173,11 @@ class BiPoly:
 
     # -- queries -----------------------------------------------------------
 
-    def eval(self, z=0.0, zbar=None, t=0.0, c=0.0, cbar=None):
-        """Evaluate; zbar/cbar default to the complex conjugates of z/c.  Specialises t, c,
-        cbar once, then runs nested Horner over cache-sized blocks of the flattened z.
-        Returns an array of z's shape, or a complex for scalar z."""
+    def eval(self, z=0.0, zbar=None, t=0.0, c=None, cbar=None):
+        """Evaluate; zbar/cbar default to the complex conjugates of z/c, and c follows
+        _specialise's rule.  Specialises t, c, cbar once, then runs nested Horner over
+        cache-sized blocks of the flattened z.  Returns an array of z's shape, or a
+        complex for scalar z."""
         table = self._specialise(t, c, cbar)
         z = np.asarray(z, dtype=np.complex128)
         out = np.empty(z.shape, dtype=np.complex128)
@@ -179,10 +190,14 @@ class BiPoly:
             _horner_block(table, zk, zbk, acc_flat[s:s + _BLOCK], part[:zk.size])
         return out if out.ndim else complex(out)
 
-    def _specialise(self, t=0.0, c=0.0, cbar=None) -> dict:
+    def _specialise(self, t=0.0, c=None, cbar=None) -> dict:
         """{zbar exponent: {z exponent: coefficient}} at fixed t, c, cbar; summed in storage
-        order, so a constant term that cancels at a singular instant is exactly 0."""
-        cb = np.conjugate(c) if cbar is None else cbar
+        order, so a constant term that cancels at a singular instant is exactly 0.
+        The rule for c: c = None is allowed only when the polynomial does not depend
+        on c or cbar, InvalidDatumError otherwise."""
+        if c is None and (self.depends_on("c") or self.depends_on("cbar")):
+            raise InvalidDatumError("the polynomial depends on c, which needs a numeric value")
+        cb = np.conjugate(c) if cbar is None and c is not None else cbar
         table = {}
         for (dz, dzb, dt, dc, dcb), v in self.coef.items():
             for x, e in ((t, dt), (c, dc), (cb, dcb)):
@@ -271,14 +286,11 @@ def _horner_block(table: dict, z, zbar, out, part) -> np.ndarray:
     return out
 
 
-def _sample_mesh(xs, ys, num: dict, *dens: dict):
-    """Table num, over the table dens[0] if given, on the mesh xs[None, :] + 1j * ys[:, None],
+def _sample_mesh(xs, ys, num: dict, den: dict | None, poles: dict | None):
+    """Table num, over the table den if given, on the mesh xs[None, :] + 1j * ys[:, None],
     in blocks of whole rows of about _BLOCK nodes: no full-size mesh or denominator
-    exists.  Returns (values, mask): nodes where a table of dens is exactly 0 read 0
-    and form the mask, or None.  A second table of dens only adds poles, for a
-    denominator that can miss an exact zero by rounding."""
-    den = dens[0] if dens else None
-    rho = dens[1] if len(dens) > 1 else None
+    exists.  Returns (values, mask): nodes where den or poles is exactly 0 read 0
+    and form the mask, or None."""
     step = max(1, _BLOCK // xs.size)
     out = np.empty((ys.size, xs.size), dtype=np.complex128)
     buf = np.empty((4, min(step, ys.size) * xs.size), dtype=np.complex128)
@@ -289,17 +301,17 @@ def _sample_mesh(xs, ys, num: dict, *dens: dict):
         acc = rows.reshape(-1)
         np.add(xs[None, :], 1j * ys[r:r + step, None], out=z.reshape(rows.shape))
         np.conj(z, out=zbar)
-        if rho is not None:                         # acc is free until num is formed
-            rho_zero = _horner_block(rho, z, zbar, acc, part) == 0
+        # acc is free until num is formed
+        pole = None if poles is None else _horner_block(poles, z, zbar, acc, part) == 0
         _horner_block(num, z, zbar, acc, part)
         if den is not None:
-            pole = _horner_block(den, z, zbar, d, part) == 0
-            if rho is not None:
-                pole |= rho_zero
-            if pole.any():
-                mask = np.zeros(out.shape, dtype=bool) if mask is None else mask
-                mask[r:r + step] = pole.reshape(rows.shape)
-                d[pole], acc[pole] = 1.0, 0.0
+            den_zero = _horner_block(den, z, zbar, d, part) == 0
+            pole = den_zero if pole is None else np.logical_or(pole, den_zero, out=pole)
+        if pole is not None and pole.any():
+            mask = np.zeros(out.shape, dtype=bool) if mask is None else mask
+            mask[r:r + step] = pole.reshape(rows.shape)
+            d[pole], acc[pole] = 1.0, 0.0
+        if den is not None:
             np.divide(acc, d, out=acc)
     return out, mask
 
@@ -382,6 +394,18 @@ class RationalFn:
             raise PoleError(f"denominator is 0 at {poles} of {np.size(den)} point(s)")
         return self.num.eval(**kw) / den
 
+    def on_grid(self, grid: Grid2D, t: float, c=None, poles: BiPoly | None = None) -> ComplexField:
+        """The function at time t on the grid's nodes, streamed in row blocks; c follows
+        BiPoly._specialise's rule.  Nodes where the denominator is exactly 0 read 0 and
+        form the mask, and so do the zeros of poles, when given: a power of rho (V's
+        denominator rho^2) can miss an exact zero of rho by rounding.  A denominator
+        that is the constant 1 is not sampled."""
+        t = float(t)
+        den = None if self.den.coef == {_ZERO_KEY: 1} else self.den._specialise(t, c)
+        extra = None if poles is None else poles._specialise(t, c)
+        return ComplexField(grid, *_sample_mesh(grid.xs(), grid.ys(),
+                                                self.num._specialise(t, c), den, extra))
+
     def equals(self, other) -> bool:
         other = _as_rational(other)
         lhs = self.num * other.den
@@ -455,3 +479,7 @@ class RQuat:
         """conj() / det()."""
         d = self.det()
         return RQuat(self.a.conj() / d, -self.b / d)
+
+    def on_grid(self, grid: Grid2D, t: float, c=None) -> SpinorField:
+        """Both entries by RationalFn.on_grid; the mask is the union of theirs."""
+        return SpinorField(self.a.on_grid(grid, t, c), self.b.on_grid(grid, t, c))

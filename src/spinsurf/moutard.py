@@ -29,6 +29,11 @@ entries of omega.  The one general 2x2 value entering quaternion storage,
 build_S's integration constant, is checked for the quaternion pattern there, and
 a violation raises NormalizationError.
 
+Exact layer: for a heat-polynomial background, moutard_exact forms the chain
+in exactpoly.RQuat, and the closed-form spinors (heat_datum_spinors, the
+transformed and inverted spinors of ExactMoutardData) are RQuats that reach a
+grid through RQuat.on_grid; heat_datum_fields is the sampled heat_datum_spinors.
+
 Swapped-order time term: omega1 is antisymmetric under argument swap combined
 with transposition, so the augmented partner matrix is S(Psi,Phi) =
 Gamma S(Phi,Psi)^T Gamma = -S(Phi,Psi)^*, which is exactly the
@@ -42,9 +47,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dirac import SpinorField, quaternion_defect
-from .exactpoly import BiPoly, RQuat, RationalFn, T, Z, ZBAR, _sample_mesh, heat_extend
+from .exactpoly import BiPoly, RQuat, RationalFn, T, Z, ZBAR, heat_extend
 from .grid import (ComplexField, Form1, Grid2D, antiderivative,
-                   closedness_defect, constant_field, save_nodes_csv, wirtinger_derivative)
+                   closedness_defect, save_nodes_csv, wirtinger_derivative)
 
 
 class ClosednessError(RuntimeError):
@@ -328,24 +333,22 @@ class ExactMoutardData:
     Psi0: RQuat
     Phi0: RQuat
 
-    def tilde_psi_for_linear_datum(self) -> tuple[RationalFn, RationalFn]:
+    def tilde_psi_for_linear_datum(self) -> RQuat:
         """Transformed spinor of psi = (z, 0) (anti-heat datum h = z)."""
         f = self.f
         F1 = heat_antiderivative(f)
         SP = RQuat(Z * Z * 0.5 - 1j * T, 1j * (Z * f - F1))
-        Psit = RQuat(Z, 0) - self.Psi0 @ self.S0.inv() @ SP
-        return Psit.a, Psit.b
+        return RQuat(Z, 0) - self.Psi0 @ self.S0.inv() @ SP
 
-    def tilde_phi_for_identity_datum(self) -> tuple[RationalFn, RationalFn]:
+    def tilde_phi_for_identity_datum(self) -> RQuat:
         """Transformed phi = (1, 0) through the normalized partner matrix -S0^*."""
-        Phit = RQuat(1, 0) - self.Phi0 @ (-self.S0.conj()).inv() @ RQuat(1j * Z, 0)
-        return Phit.a, Phit.b
+        return RQuat(1, 0) - self.Phi0 @ (-self.S0.conj()).inv() @ RQuat(1j * Z, 0)
 
-    def inverted_surface_spinors(self):
-        Psis = self.Psi0 @ self.S0.inv()
+    def inverted_surface_spinors(self) -> tuple[RQuat, RQuat]:
+        """Psi0 S0^-1 and -Phi0 S0 / det S0."""
         Phis = -(self.Phi0 @ self.S0)
         det = self.S0.det()
-        return (Psis.a, Psis.b), (Phis.a / det, Phis.b / det)
+        return self.Psi0 @ self.S0.inv(), RQuat(Phis.a / det, Phis.b / det)
 
 
 def heat_datum_spinors(f: BiPoly) -> tuple[RQuat, RQuat]:
@@ -368,23 +371,15 @@ def moutard_exact(f: BiPoly) -> ExactMoutardData:
     return ExactMoutardData(f, S0, K, 1j * K.a.conj(), -K.b.conj(), Psi0, Phi0)
 
 
-def heat_datum_fields(f: BiPoly, grid: Grid2D, t: float, cval=None):
-    """Sample the background spinors psi0 = (0, 1), phi0 = (f_z, i) on a grid."""
-    kw = {"t": float(t)}
-    if cval is not None:
-        kw["c"] = complex(cval)
-    phi1, _ = _sample_mesh(grid.xs(), grid.ys(), f.wirtinger("z")._specialise(**kw))
-    psi0 = SpinorField(constant_field(grid, 0.0), constant_field(grid, 1.0))
-    phi0 = SpinorField(ComplexField(grid, phi1), constant_field(grid, 1j))
-    return psi0, phi0
+def heat_datum_fields(f: BiPoly, grid: Grid2D, t: float) -> tuple[SpinorField, SpinorField]:
+    """heat_datum_spinors(f) sampled on a grid at time t."""
+    psi0, phi0 = heat_datum_spinors(f)
+    return psi0.on_grid(grid, t), phi0.on_grid(grid, t)
 
 
-def heat_smatrix_values(f: BiPoly, grid: Grid2D, t: float, cval=None) -> SpinorField:
+def heat_smatrix_values(f: BiPoly, grid: Grid2D, t: float) -> SpinorField:
     """Closed-form S(Phi0, Psi0) = [[i conj(f), -z],[zbar, -i f]] sampled on a grid,
-    stored as its column (i conj(f), zbar)."""
-    kw = {"t": float(t)}
-    if cval is not None:
-        kw["c"] = complex(cval)
-    zm = grid.zmesh()
-    fv = f.eval(z=zm, **kw)
-    return SpinorField.from_values(grid, np.stack([1j * np.conj(fv), np.conj(zm)]), None)
+    stored as its column (i conj(f), zbar); f is sampled by RationalFn.on_grid."""
+    fv = RationalFn(f).on_grid(grid, t).values
+    return SpinorField.from_values(grid, np.stack([1j * np.conj(fv), np.conj(grid.zmesh())]),
+                                   None)

@@ -14,8 +14,7 @@ from .dirac import SpinorField, dirac_residual_norm
 from .dsii import catalog, dsii_exact_identity_holds, l2_norm_sq, singular_times
 from .evolve import evolve, grid_norm_sq
 from .exactpoly import C, T, Z, heat_extend, poly_equal
-from .grid import (ComplexField, constant_field, field_from_function,
-                   make_grid, square_grid)
+from .grid import constant_field, field_from_function, make_grid, square_grid
 from .hierarchy import (clifford_potential, mkdv_reduction_identity,
                         mkdv_soliton, Potential1D, soliton_potential,
                         willmore_bound_check)
@@ -201,16 +200,12 @@ def suite_willmore() -> list[CheckResult]:
 @_timed
 def suite_dirac() -> list[CheckResult]:
     out = []
-    from .moutard import moutard_exact
     sol = catalog("s1", c=1.0)
-    ex = moutard_exact(sol.f)
-    (a1, a2), (b1, b2) = ex.inverted_surface_spinors()
+    psis, phis = moutard_exact(sol.f).inverted_surface_spinors()
     res_d, res_v = {}, {}
     for n in (64, 128, 256):
         g = make_grid((0.3, 2.3, 0.2, 2.2), (n, n))
-        kw = {"z": g.zmesh(), "t": 0.2, "c": 1.0}
-        psi = SpinorField(ComplexField(g, a1.eval(**kw)), ComplexField(g, a2.eval(**kw)))
-        phi = SpinorField(ComplexField(g, b1.eval(**kw)), ComplexField(g, b2.eval(**kw)))
+        psi, phi = psis.on_grid(g, 0.2), phis.on_grid(g, 0.2)
         U = sol.U_field(g, 0.2)
         res_d[n] = dirac_residual_norm(U, psi, interior=1)
         res_v[n] = dirac_residual_norm(U, phi, interior=1, vee=True)
@@ -237,12 +232,6 @@ def suite_dirac() -> list[CheckResult]:
 def _enneper_spinor(grid) -> SpinorField:
     return SpinorField(constant_field(grid, 1.0),
                        field_from_function(grid, np.conj))
-
-
-def _graph_data(grid, t=0.3, c=1.0):
-    sol = catalog("s1", c=c)
-    psi0, phi0 = heat_datum_fields(sol.f, grid, t)
-    return sol, psi0, phi0
 
 
 @_timed
@@ -273,7 +262,7 @@ def suite_weierstrass() -> list[CheckResult]:
     # R4 graph data (product-metric identity)
     for n in (128,):
         g = make_grid((-2, 2, -2, 2), (n, n))
-        sol, psi0, phi0 = _graph_data(g)
+        psi0, phi0 = heat_datum_fields(catalog("s1", c=1.0).f, g, 0.3)
         S4 = integrate_surface_r4(psi0, phi0)
         gm4 = gauss_map(S4)
         e2a_meas = measured_e2alpha(S4)
@@ -333,13 +322,11 @@ def suite_moutard() -> list[CheckResult]:
     # s1 background: closed-form transformed spinor residual halves at O(h^2)
     sol = catalog("s1", c=1.0)
     ex = moutard_exact(sol.f)
-    p1, p2 = ex.tilde_psi_for_linear_datum()
+    psit_exact = ex.tilde_psi_for_linear_datum()
     resid = {}
     for n in (64, 128):
         g = make_grid((-1.5, 1.5, -1.2, 1.8), (n, n))
-        zm = g.zmesh()
-        kw = {"z": zm, "t": 0.2, "c": 1.0}
-        psit = SpinorField(ComplexField(g, p1.eval(**kw)), ComplexField(g, p2.eval(**kw)))
+        psit = psit_exact.on_grid(g, 0.2)
         Ut = sol.U_field(g, 0.2)
         resid[n] = dirac_residual_norm(Ut, psit, interior=1)
     ratio = resid[64] / max(resid[128], 1e-300)
@@ -354,10 +341,7 @@ def suite_moutard() -> list[CheckResult]:
     Sm = heat_smatrix_values(sol.f, g, t)
     S_bg = smatrix_to_surface(Sm)
     S_inv = invert_surface(S_bg)
-    (q1, q2), (r1, r2) = ex.inverted_surface_spinors()
-    kw = {"z": g.zmesh(), "t": t, "c": 1.0}
-    psis = SpinorField(ComplexField(g, q1.eval(**kw)), ComplexField(g, q2.eval(**kw)))
-    phis = SpinorField(ComplexField(g, r1.eval(**kw)), ComplexField(g, r2.eval(**kw)))
+    psis, phis = (q.on_grid(g, t) for q in ex.inverted_surface_spinors())
     bx, by = g.nx // 2, g.ny // 2
     bp = S_inv.coords[:, by, bx]
     S_til = integrate_surface_r4(psis, phis, basepoint=bp, base_node=(bx, by))

@@ -41,12 +41,11 @@ def test_apply_D_exact_nonzero_potential():
     # the residual is pure finite-difference truncation, O(h^2)
     sol = catalog("s1", c=1.0)
     ex = moutard_exact(sol.f)
-    (a1, a2), _ = ex.inverted_surface_spinors()
+    psis, _ = ex.inverted_surface_spinors()
     res = {}
     for n in (64, 128):
         g = make_grid((0.3, 2.3, 0.2, 2.2), (n, n))
-        kw = {"z": g.zmesh(), "t": 0.2, "c": 1.0}
-        psi = SpinorField(ComplexField(g, a1.eval(**kw)), ComplexField(g, a2.eval(**kw)))
+        psi = psis.on_grid(g, 0.2)
         res[n] = dirac_residual_norm(sol.U_field(g, 0.2), psi, interior=1)
     assert res[64] / res[128] >= 3.3
 

@@ -460,17 +460,18 @@ def test_field_peak_memory_stays_near_the_output():
 
 
 def _l2_norm_sq_oracle(U, require_decay=True):
-    """The whole-grid form: full-size |U|^2, patched copy, quadrature_sum over the
-    full box and over a sub-box copy."""
+    """The whole-grid form: full-size |U|^2, patched copy, its peak (over the unmasked
+    nodes, as the masked ones hold their patch), quadrature_sum over the full box and
+    over a sub-box copy."""
     g = U.grid
     u2 = U.values.real**2 + U.values.imag**2
-    peak = float(np.sqrt(np.max(u2)))
     ring = np.sqrt(np.concatenate([u2[0, :], u2[-1, :], u2[:, 0], u2[:, -1]]))
     xs, ys = g.xs(), g.ys()
     rb2 = np.concatenate([xs**2 + ys[0]**2, xs**2 + ys[-1]**2,
                           xs[0]**2 + ys**2, xs[-1]**2 + ys**2])
     if U.mask is not None and U.mask.any():
         u2 = neighbor_mean_patched(u2, U.mask)
+    peak = float(np.sqrt(np.max(u2)))
     raw = float(quadrature_sum(u2, g.hx, g.hy, g.periodic_x, g.periodic_y))
     Cdec = float(np.max(ring * rb2))
     decay_ok = peak == 0.0 or float(np.max(ring)) <= peak / 10.0
@@ -572,3 +573,18 @@ def test_l2_norm_rejects_a_non_finite_unmasked_node():
     vals = U.values.copy()
     vals[U.mask] = np.nan
     assert np.isfinite(_assert_norm_matches_oracle(ComplexField(g, vals, U.mask)).value)
+
+
+def test_l2_norm_peak_ignores_what_a_masked_node_holds():
+    # the peak is taken after patching: a NaN or an overflowing |U|^2 on the masked
+    # node neither raises DecayError nor clears decay_ok
+    g = square_grid(30.0, 257)
+    U = catalog("s1", c=1j).U_field(g, -0.5)
+    assert U.mask is not None and U.mask.sum() == 1
+    for junk in (np.nan, 1e300):
+        vals = U.values.copy()
+        vals[U.mask] = junk
+        for require_decay in (True, False):
+            with np.errstate(over="ignore"):                    # |1e300|^2 overflows
+                got = l2_norm_sq(ComplexField(g, vals, U.mask), require_decay=require_decay)
+            assert got == l2_norm_sq(U, require_decay=require_decay) and got.decay_ok

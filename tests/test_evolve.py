@@ -144,23 +144,16 @@ def test_spinor_evolution_moutard_family(which):
     # the transformed potentials; residual decreases at O(h^2)
     sol = catalog("s1", c=1.0)
     ex = moutard_exact(sol.f)
-    pair = ex.tilde_psi_for_linear_datum() if which == "A" \
+    spinor = ex.tilde_psi_for_linear_datum() if which == "A" \
         else ex.tilde_phi_for_identity_datum()
     res = {}
     for n in (96, 192):
         g = make_grid((-1.5, 1.5, -1.2, 1.8), (n, n))
-        zm = g.zmesh()
         dt = 1e-5
-
-        def at(t):
-            kw = {"z": zm, "t": t, "c": 1.0}
-            return SpinorField(ComplexField(g, pair[0].eval(**kw)),
-                               ComplexField(g, pair[1].eval(**kw)))
-
+        stencil = [spinor.on_grid(g, t) for t in (0.2 - dt, 0.2, 0.2 + dt)]
         U = sol.U_field(g, 0.2)
         V = sol.V_field(g, 0.2)
-        res[n] = spinor_evolution_residual([at(0.2 - dt), at(0.2), at(0.2 + dt)],
-                                           U, V, dt, which=which)
+        res[n] = spinor_evolution_residual(stencil, U, V, dt, which=which)
     assert res[96] / res[192] >= 3.3
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from spinsurf import (BiPoly, C, RQuat, RationalFn, T, Z, ZBAR, heat_extend,
                       heat_residual, poly_equal, s1_displayed_V)
-from spinsurf.exactpoly import HeatDatumError, PoleError
+from spinsurf.exactpoly import HeatDatumError, InvalidDatumError, PoleError
 
 
 def test_wirtinger_formal_derivative():
@@ -257,6 +257,34 @@ def test_rationalfn_eval_at_a_pole_raises_pole_error():
     assert isinstance(err.value, ZeroDivisionError)
     assert np.all(np.isfinite(U.eval(z=np.array([0.5, 1 + 1j]), t=-0.5)))
     assert np.isfinite(U.eval(z=0.0, t=-0.4))
+
+
+def test_a_symbolic_c_is_never_read_as_zero():
+    # one rule for c, in eval and on_grid: c = None only for a polynomial free of c and c̄
+    from spinsurf import make_grid
+    from spinsurf.dsii import InvalidDatumError as DsiiInvalidDatumError
+    g = make_grid((-1, 1, -1, 1), (8, 9))
+    f = Z * Z + 2j * T + C
+    r = RationalFn(f, Z * ZBAR + 1)
+    for sample in (lambda: f.eval(z=0.5, t=0.1), lambda: f.conj().eval(z=0.5),
+                   lambda: r.eval(z=0.5), lambda: r.on_grid(g, 0.1),
+                   lambda: RationalFn(Z, f).on_grid(g, 0.1),     # c in the denominator only
+                   lambda: RQuat(Z, f).on_grid(g, 0.1)):
+        with pytest.raises(InvalidDatumError, match="numeric"):
+            sample()
+    assert InvalidDatumError is DsiiInvalidDatumError
+    zm = g.zmesh()
+    assert np.array_equal(r.on_grid(g, 0.1, c=0.0).values, r.eval(z=zm, t=0.1, c=0.0))
+    assert np.array_equal(RQuat(Z, f).on_grid(g, 0.1, 2j).values[1], f.eval(z=zm, t=0.1, c=2j))
+    assert RQuat(Z, ZBAR + T).on_grid(g, 0.1).mask is None
+
+
+def test_on_grid_masks_the_zeros_of_poles_over_a_unit_denominator():
+    from spinsurf import make_grid
+    g = make_grid((-1, 1, -1, 1), (9, 9))                   # z = i/4 is node (ix, iy) = (4, 5)
+    F = RationalFn(Z + 1).on_grid(g, 0.0, poles=Z - 0.25j)
+    assert F.mask.sum() == 1 and F.mask[5, 4] and F.values[5, 4] == 0
+    assert np.array_equal(F.values[~F.mask], (g.zmesh() + 1)[~F.mask])
 
 
 def test_rquat_inverse():

@@ -3,15 +3,15 @@ import re
 import numpy as np
 import pytest
 
-from spinsurf import (BiPoly, ComplexField, Form1, RationalFn, SpinorField, T, Z, ZBAR,
+from spinsurf import (BiPoly, C, ComplexField, Form1, RationalFn, SpinorField, T, Z, ZBAR,
                       catalog, closedness_defect, constant_field, dirac_residual_norm,
-                      field_from_function, make_grid)
-from spinsurf.moutard import (ClosednessError, MoutardTransform,
-                              NormalizationError, SMatrix, build_S, heat_antiderivative,
-                              heat_datum_fields, heat_smatrix_values, k_matrix,
+                      exact_solution, field_from_function, heat_extend, make_grid)
+from spinsurf.exactpoly import InvalidDatumError
+from spinsurf.moutard import (ClosednessError, MoutardTransform, NormalizationError, SMatrix,
+                              build_S, heat_antiderivative, heat_datum_fields,
+                              heat_datum_spinors, heat_smatrix_values, k_matrix,
                               moutard_dsii, moutard_exact, moutard_spinors,
-                              normalize_S_pair, omega, omega1,
-                              time_offset_integral)
+                              normalize_S_pair, omega, omega1, time_offset_integral)
 
 
 def _plane_ctx(n=48, lo=0.4, hi=2.4):
@@ -68,18 +68,70 @@ def test_conj_transpose_convention_fails_closedness():
     assert col0 == pytest.approx(defects[False], rel=1e-12, abs=1e-14)
 
 
-@pytest.mark.parametrize("bounds, n, cval", [((-1.5, 1.5, -1.2, 1.8), (256, 256), None),
-                                             ((-2, 2, -1, 1), (8200, 4), 0.3 - 2j),
-                                             ((0.4, 2.4, 0.3, 2.3), (300, 97), 1j)])
-def test_heat_datum_fields_bitwise_equal_to_full_mesh_eval(bounds, n, cval):
-    # the row-block walk gives f_z exactly as BiPoly.eval over the full z-mesh does
+@pytest.mark.parametrize("bounds, n, c", [((-1.5, 1.5, -1.2, 1.8), (256, 256), None),
+                                          ((-2, 2, -1, 1), (8200, 4), 0.3 - 2j),
+                                          ((0.4, 2.4, 0.3, 2.3), (300, 97), 1j)])
+def test_heat_datum_fields_bitwise_equal_to_full_mesh_eval(bounds, n, c):
+    # the row-block walk gives f_z exactly as BiPoly.eval over the full z-mesh does;
+    # data with a numeric c are sampled from heat_datum_spinors with that c
     g = make_grid(bounds, n)
-    sol = catalog("s2", c="symbolic") if cval is not None else catalog("s1", c=1.0 + 0.2j)
-    kw = {"t": 0.2} if cval is None else {"t": 0.2, "c": cval}
-    ref = sol.f.wirtinger("z").eval(z=g.zmesh(), **kw)
-    psi0, phi0 = heat_datum_fields(sol.f, g, 0.2, cval)
+    if c is None:
+        f = catalog("s1", c=1.0 + 0.2j).f
+        psi0, phi0 = heat_datum_fields(f, g, 0.2)
+    else:
+        f = exact_solution(heat_extend(Z ** 4 + C), c=c).f
+        psi0, phi0 = (q.on_grid(g, 0.2, c) for q in heat_datum_spinors(f))
+    ref = f.wirtinger("z").eval(z=g.zmesh(), t=0.2, c=c)
     assert np.array_equal(phi0.psi1.values.view(np.uint64), ref.view(np.uint64))
-    assert np.all(psi0.psi2.values == 1) and np.all(phi0.psi2.values == 1j)
+    assert np.all(psi0.psi1.values == 0) and np.all(psi0.psi2.values == 1)
+    assert np.all(phi0.psi2.values == 1j)
+    assert psi0.mask is None and phi0.mask is None
+
+
+def _rquat_oracle(q, g, t):
+    """Each entry on the full z-mesh by BiPoly.eval, exact zeros of its denominator
+    read 0; the mask is the union of the entries' zeros."""
+    zm, vals, mask = g.zmesh(), [], np.zeros((g.ny, g.nx), bool)
+    for rf in (q.a, q.b):
+        num, den = rf.num.eval(z=zm, t=t), rf.den.eval(z=zm, t=t)
+        pole = den == 0
+        den[pole], num[pole] = 1.0, 0.0
+        vals.append(num / den)
+        mask |= pole
+    return np.stack(vals), (mask if mask.any() else None)
+
+
+@pytest.mark.parametrize("c, t, bounds, n, pole", [
+    (1.0, 0.2, (0.3, 2.3, 0.2, 2.2), (64, 64), None),
+    (1j, -0.5, (-1, 1, -1, 1), (33, 17), (8, 16)),           # z = 0 is a node: rho = 0
+    (1j, -0.5, (-2, 2, -1, 1), (8193, 5), (2, 4096)),        # nx > _BLOCK
+])
+def test_rquat_on_grid_bitwise_equal_to_full_mesh_eval(c, t, bounds, n, pole):
+    g = make_grid(bounds, n)
+    ex = moutard_exact(catalog("s1", c=c).f)
+    psis, phis = ex.inverted_surface_spinors()
+    for q in (ex.K, ex.tilde_psi_for_linear_datum(), ex.tilde_phi_for_identity_datum(),
+              psis, phis):
+        got = q.on_grid(g, t)
+        values, mask = _rquat_oracle(q, g, t)
+        assert np.array_equal(got.values.view(np.uint64), values.view(np.uint64))
+        assert (got.mask is None) == (mask is None)
+        assert mask is None or (np.array_equal(got.mask, mask) and mask.sum() == 1
+                                and mask[pole] and np.all(got.values[:, mask] == 0))
+
+
+def test_sampling_a_symbolic_c_needs_a_value():
+    # one rule for c: InvalidDatumError wherever the sampled polynomial depends on c
+    f = catalog("s1", c="symbolic").f                       # z^2 + 2it + c
+    g = make_grid((-1, 1, -1, 1), (16, 16))
+    with pytest.raises(InvalidDatumError, match="numeric"):
+        heat_smatrix_values(f, g, 0.2)
+    S = heat_smatrix_values(heat_extend(Z * Z + 0.5), g, 0.2)
+    assert np.array_equal(S.values, heat_smatrix_values(catalog("s1", c=0.5).f, g, 0.2).values)
+    # f' = 4z^3 + 24itz does not depend on c, so the background needs none
+    psi0, phi0 = heat_datum_fields(catalog("s2", c="symbolic").f, g, 0.2)
+    ref = heat_datum_fields(catalog("s2", c=12.0).f, g, 0.2)
+    assert np.array_equal(phi0.values, ref[1].values) and np.array_equal(psi0.values, ref[0].values)
 
 
 def test_omega1_vanishes_for_constants():
@@ -355,13 +407,11 @@ def test_exact_moutard_recovers_heat_potentials():
 def test_exact_tilde_spinors_solve_dirac():
     sol = catalog("s1", c=1.0)
     ex = moutard_exact(sol.f)
-    p1, p2 = ex.tilde_psi_for_linear_datum()
+    psit_exact = ex.tilde_psi_for_linear_datum()
     res = {}
     for n in (64, 128):
         g = make_grid((-1.5, 1.5, -1.2, 1.8), (n, n))
-        kw = {"z": g.zmesh(), "t": 0.2, "c": 1.0}
-        psit = SpinorField(ComplexField(g, p1.eval(**kw)),
-                           ComplexField(g, p2.eval(**kw)))
+        psit = psit_exact.on_grid(g, 0.2)
         res[n] = dirac_residual_norm(sol.U_field(g, 0.2), psit, interior=1)
     assert res[64] / res[128] >= 3.0
 
@@ -369,13 +419,11 @@ def test_exact_tilde_spinors_solve_dirac():
 def test_exact_tilde_phi_solves_dvee():
     sol = catalog("s1", c=1.0)
     ex = moutard_exact(sol.f)
-    q1, q2 = ex.tilde_phi_for_identity_datum()
+    phit_exact = ex.tilde_phi_for_identity_datum()
     res = {}
     for n in (64, 128):
         g = make_grid((-1.5, 1.5, -1.2, 1.8), (n, n))
-        kw = {"z": g.zmesh(), "t": 0.2, "c": 1.0}
-        phit = SpinorField(ComplexField(g, q1.eval(**kw)),
-                           ComplexField(g, q2.eval(**kw)))
+        phit = phit_exact.on_grid(g, 0.2)
         res[n] = dirac_residual_norm(sol.U_field(g, 0.2), phit, interior=1, vee=True)
     assert res[64] / res[128] >= 3.0
 
@@ -385,12 +433,11 @@ def test_numeric_pipeline_matches_exact_tilde():
     # transformed spinor to O(h^2)
     sol = catalog("s1", c=1.0)
     ex = moutard_exact(sol.f)
-    p1, p2 = ex.tilde_psi_for_linear_datum()
+    psit_exact = ex.tilde_psi_for_linear_datum()
     t = 0.2
     errs = {}
     for n in (48, 96):
         g = make_grid((-1.5, 1.5, -1.2, 1.8), (n, n))
-        zm = g.zmesh()
         psi0, phi0 = heat_datum_fields(sol.f, g, t)
         bx, by = g.nx // 2, g.ny // 2
         zb = g.node_z(bx, by)
@@ -406,11 +453,7 @@ def test_numeric_pipeline_matches_exact_tilde():
                        [1j * (zb * fb - F1b), np.conj(zb) ** 2 / 2 + 1j * t]])
         CBP = np.array([[1j * zb, 0], [0, -1j * np.conj(zb)]])
         psit, phit = ctx.transform(psi, phi, constP=CP, constBP=CBP)
-        kw = {"z": zm, "t": t, "c": 1.0}
-        ref1 = p1.eval(**kw)
-        ref2 = p2.eval(**kw)
-        errs[n] = max(np.max(np.abs(psit.psi1.values - ref1)),
-                      np.max(np.abs(psit.psi2.values - ref2)))
+        errs[n] = np.max(np.abs(psit.values - psit_exact.on_grid(g, t).values))
     assert errs[48] / errs[96] >= 3.0
     assert errs[96] < 5e-3
 
@@ -480,10 +523,7 @@ def test_inverted_surface_spinors_and_surface():
     g = make_grid((0.3, 2.3, 0.2, 2.2), (n, n))
     Sm = heat_smatrix_values(sol.f, g, t)
     S_inv = invert_surface(smatrix_to_surface(Sm))
-    (a1, a2), (b1, b2) = ex.inverted_surface_spinors()
-    kw = {"z": g.zmesh(), "t": t, "c": 1.0}
-    psis = SpinorField(ComplexField(g, a1.eval(**kw)), ComplexField(g, a2.eval(**kw)))
-    phis = SpinorField(ComplexField(g, b1.eval(**kw)), ComplexField(g, b2.eval(**kw)))
+    psis, phis = (q.on_grid(g, t) for q in ex.inverted_surface_spinors())
     bx, by = g.nx // 2, g.ny // 2
     S_til = integrate_surface_r4(psis, phis, basepoint=S_inv.coords[:, by, bx],
                                  base_node=(bx, by))
@@ -709,7 +749,7 @@ def test_exact_chain_matches_general_matrix_oracle(name, c):
     for got, key in ((ex.tilde_psi_for_linear_datum(), "psit"),
                      (ex.tilde_phi_for_identity_datum(), "phit"),
                      (psis, "psis"), (phis, "phis")):
-        assert got[0].equals(ref[key][0]) and got[1].equals(ref[key][1]), key
+        assert got.a.equals(ref[key][0]) and got.b.equals(ref[key][1]), key
 
 
 def test_traced_moutard_benchmark_run():
