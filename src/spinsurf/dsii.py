@@ -332,8 +332,8 @@ def l2_norm_sq(U: ComplexField, require_decay: bool = True) -> NormResult:
     maximum and the trapezoid row sums of both boxes: no full-size array exists.
     Masked (singular) nodes are patched with the 8-neighbour mean of |U|^2 of the
     unmasked neighbours; it stays bounded at the catalog singularities, so the
-    patch is O(h^2) accurate.  The peak is taken after patching, so it is the peak
-    over unmasked nodes whatever a masked node holds.  A non-finite |U|^2 on an
+    patch is O(h^2) accurate.  The peak and the boundary ring are taken after
+    patching, so neither reads what a masked node holds.  A non-finite |U|^2 on an
     unmasked node raises MaskError."""
     g, vals, mask = U.grid, U.values, U.mask
     ny, nx = vals.shape
@@ -379,7 +379,12 @@ def l2_norm_sq(U: ComplexField, require_decay: bool = True) -> NormResult:
     raw = float(_axis_weights(ny, g.hy, g.periodic_y) @ rows)
 
     edge = np.concatenate([vals[0, :], vals[-1, :], vals[:, 0], vals[:, -1]])
-    ring = np.sqrt(edge.real**2 + edge.imag**2)
+    ring2 = edge.real**2 + edge.imag**2
+    # masked nodes on the top, bottom, left and right sides take their patch
+    for on, at in ((py == 0, px), (py == ny - 1, nx + px), (px == 0, 2 * nx + py),
+                   (px == nx - 1, 2 * nx + ny + py)):
+        ring2[at[on]] = pv[on]
+    ring = np.sqrt(ring2)
     rb2 = np.concatenate([xs**2 + ys[0]**2, xs**2 + ys[-1]**2,
                           xs[0]**2 + ys**2, xs[-1]**2 + ys**2])
     Cdec = float(np.max(ring * rb2))            # |U| <= C / r^2 on the boundary

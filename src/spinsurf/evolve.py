@@ -8,6 +8,11 @@ Strang splitting on a doubly periodic grid:
     spectrally from the constraint (frozen over the step).
 Both substeps are unitary, so the discrete squared L2 norm is conserved to
 rounding by construction.
+
+A state holds the spectrum U_hat = fftn(U) of its field, which the step forms
+anyway; U itself costs one inverse FFT and is formed only when it is read (a
+snapshot, the final field, a callback that looks at it).  Norms come from U_hat
+by Parseval, so a run that reads no snapshot forms one field, the final one.
 """
 from __future__ import annotations
 
@@ -15,12 +20,13 @@ import csv
 import json
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .dsii import re_v_into
-from .grid import (ComplexField, Grid2D, integrate2d, save_complexfield_csv,
+from .grid import (ComplexField, Grid2D, MaskError, integrate2d, save_complexfield_csv,
                    wirtinger_derivative)
 from .dirac import SpinorField
 
@@ -31,11 +37,37 @@ class BlowupAbort(RuntimeError):
         self.state = state
 
 
-@dataclass
 class EvolverState:
-    U: ComplexField
-    t: float
-    n_steps: int = 0
+    """The evolver's state at time t after n_steps steps.  A state built from a
+    field holds U; a state that DsiiEvolver.run yields holds only its spectrum
+    U_hat = np.fft.fftn(U.values), which the step forms anyway.  The missing side
+    costs one FFT, formed the first time it is read and then kept.  norm_sq comes
+    from U_hat by Parseval."""
+
+    def __init__(self, U: ComplexField | None, t: float, n_steps: int = 0, *,
+                 U_hat: np.ndarray | None = None, grid: Grid2D | None = None):
+        if (U is None) == (U_hat is None):
+            raise ValueError("give exactly one of U and U_hat")
+        self.grid = grid if U is None else U.grid
+        self.t, self.n_steps = t, n_steps
+        if U is not None:
+            self.U = U
+        else:
+            self.U_hat = U_hat
+
+    @cached_property
+    def U(self) -> ComplexField:
+        return ComplexField(self.grid, np.fft.ifftn(self.U_hat))
+
+    @cached_property
+    def U_hat(self) -> np.ndarray:
+        return np.fft.fftn(self.U.values)
+
+    @property
+    def norm_sq(self) -> float:
+        """hx hy sum |U|^2, by Parseval from U_hat."""
+        g = self.grid
+        return g.hx * g.hy / (g.nx * g.ny) * np.vdot(self.U_hat, self.U_hat).real
 
 
 def grid_norm_sq(U: ComplexField) -> float:
@@ -59,12 +91,13 @@ class DsiiEvolver:
         return np.fft.ifft2(self.half_phase * np.fft.fft2(vals))
 
     def run(self, state: EvolverState, n_steps: int):
-        """Yield the n_steps states after state (BlowupAbort, with the last finite
-        state, on a non-finite field); w_hat is the spectrum of U a half step on."""
+        """Yield the n_steps states after state, each holding U_hat only (BlowupAbort,
+        with the last finite state, on a non-finite spectrum); w_hat is the spectrum
+        of U a half step on."""
         g, dt = self.grid, self.dt
         w, theta = np.empty((g.ny, g.nx), dtype=complex), np.empty((g.ny, g.nx))
         n_hat = np.empty((g.ny, g.nx // 2 + 1), dtype=complex)
-        w_hat = self.half_phase * np.fft.fft2(state.U.values)
+        w_hat = state.U_hat * self.half_phase     # numpy's complex a*b and b*a round apart
         for _ in range(n_steps):
             # non-finite intermediates are tolerated here; the guard below aborts
             with np.errstate(all="ignore"):
@@ -75,13 +108,12 @@ class DsiiEvolver:
                 np.sin(theta, out=w_hat.imag)             # below, holds exp(i theta)
                 w *= w_hat
                 np.fft.fftn(w, out=w_hat)
-                w_hat *= self.half_phase
-                vals = np.fft.ifftn(w_hat, out=np.empty_like(w))
-            if not np.all(np.isfinite(vals)):
+                U_hat = w_hat * self.half_phase
+            if not np.all(np.isfinite(U_hat)):
                 raise BlowupAbort(f"non-finite field at t={state.t + dt:g}", state)
-            state = EvolverState(ComplexField(g, vals), state.t + dt, state.n_steps + 1)
+            state = EvolverState(None, state.t + dt, state.n_steps + 1, U_hat=U_hat, grid=g)
             yield state
-            w_hat *= self.half_phase
+            np.multiply(U_hat, self.half_phase, out=w_hat)
 
     # one step of run; perfbench/spans.py traces the evolver by this name
     def step(self, state: EvolverState) -> EvolverState:
@@ -100,16 +132,20 @@ class Trajectory:
 
 def evolve(U0: ComplexField, t_end: float, dt: float, t0: float = 0.0,
            snapshot_every: int = 0, callback=None) -> Trajectory:
-    """Repeated Strang stepping with norm monitoring."""
+    """Repeated Strang stepping with norm monitoring.  Norms are read from each
+    state's spectrum; a state's field is formed only for a snapshot, for final and
+    when the callback reads state.U."""
+    if U0.mask is not None and U0.mask.any():
+        raise MaskError("the evolver steps every node; U0 has masked nodes")
     ev = DsiiEvolver(U0.grid, dt)
     state = EvolverState(U0, t0)
-    times, norms = [t0], [grid_norm_sq(U0)]
+    times, norms = [t0], [state.norm_sq]
     snaps = [(t0, U0)] if snapshot_every else []
     n_total = int(round((t_end - t0) / dt))
     try:
         for k, state in enumerate(ev.run(state, n_total)):
             times.append(state.t)
-            norms.append(grid_norm_sq(state.U))
+            norms.append(state.norm_sq)
             if snapshot_every and (k + 1) % snapshot_every == 0:
                 snaps.append((state.t, state.U))
             if callback is not None:

@@ -460,17 +460,17 @@ def test_field_peak_memory_stays_near_the_output():
 
 
 def _l2_norm_sq_oracle(U, require_decay=True):
-    """The whole-grid form: full-size |U|^2, patched copy, its peak (over the unmasked
-    nodes, as the masked ones hold their patch), quadrature_sum over the full box and
-    over a sub-box copy."""
+    """The whole-grid form: full-size |U|^2, patched copy, its peak and boundary ring
+    (over the unmasked nodes, as the masked ones hold their patch), quadrature_sum
+    over the full box and over a sub-box copy."""
     g = U.grid
     u2 = U.values.real**2 + U.values.imag**2
+    if U.mask is not None and U.mask.any():
+        u2 = neighbor_mean_patched(u2, U.mask)
     ring = np.sqrt(np.concatenate([u2[0, :], u2[-1, :], u2[:, 0], u2[:, -1]]))
     xs, ys = g.xs(), g.ys()
     rb2 = np.concatenate([xs**2 + ys[0]**2, xs**2 + ys[-1]**2,
                           xs[0]**2 + ys**2, xs[-1]**2 + ys**2])
-    if U.mask is not None and U.mask.any():
-        u2 = neighbor_mean_patched(u2, U.mask)
     peak = float(np.sqrt(np.max(u2)))
     raw = float(quadrature_sum(u2, g.hx, g.hy, g.periodic_x, g.periodic_y))
     Cdec = float(np.max(ring * rb2))
@@ -588,3 +588,22 @@ def test_l2_norm_peak_ignores_what_a_masked_node_holds():
             with np.errstate(over="ignore"):                    # |1e300|^2 overflows
                 got = l2_norm_sq(ComplexField(g, vals, U.mask), require_decay=require_decay)
             assert got == l2_norm_sq(U, require_decay=require_decay) and got.decay_ok
+
+
+@pytest.mark.parametrize("bounds, n, at", [((0, 3, -3, 3), 129, (64, 0)),    # left edge
+                                           ((0, 3, 0, 3), 129, (0, 0))],     # corner
+                         ids=["edge", "corner"])
+def test_l2_norm_ring_ignores_what_a_masked_edge_node_holds(bounds, n, at):
+    # the boundary ring reads the neighbour-mean patch of a masked node, as the
+    # interior pass does, so tail_bound and decay_ok do not see the junk
+    g = make_grid(bounds, (n, n), False)
+    U = catalog("s1", c=1j).U_field(g, -0.5)
+    assert U.mask is not None and U.mask.sum() == 1 and U.mask[at]
+    clean = l2_norm_sq(U, require_decay=False)
+    assert clean.tail_bound == 0.3132890180865167
+    for junk in (np.nan, 1e300):
+        vals = U.values.copy()
+        vals[U.mask] = junk
+        with np.errstate(over="ignore"):
+            got = l2_norm_sq(ComplexField(g, vals, U.mask), require_decay=False)
+        assert got == clean

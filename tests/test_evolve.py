@@ -1,4 +1,8 @@
+import functools
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +10,9 @@ import pytest
 from spinsurf import (ComplexField, SpinorField, catalog, constant_field,
                       evolve, field_from_function, grid_norm_sq, make_grid,
                       spinor_evolution_residual, square_grid, write_trajectory)
+from spinsurf.dsii import re_v_into
 from spinsurf.evolve import BlowupAbort, DsiiEvolver, EvolverState
-from spinsurf.grid import SchemeError
+from spinsurf.grid import MaskError, SchemeError
 from spinsurf.moutard import moutard_exact
 
 
@@ -98,6 +103,32 @@ def test_blowup_abort():
     with pytest.raises(BlowupAbort):
         for _ in range(5):
             state = ev.step(state)
+
+
+@pytest.mark.parametrize("poison", ["overflow", "nan-node"])
+def test_evolve_aborts_on_blowup(poison):
+    g = square_grid(5.0, 32, periodic=True)
+    if poison == "overflow":
+        U0 = constant_field(g, 1e300)       # overflow in the nonlinear phase
+    else:
+        vals = field_from_function(g, lambda z: np.exp(-np.abs(z) ** 2)).values.copy()
+        vals[7, 11] = np.nan
+        U0 = ComplexField(g, vals)
+    with pytest.warns(UserWarning, match="non-finite"):
+        traj = evolve(U0, 5e-3, 1e-3)
+    assert traj.aborted
+    assert traj.abort_reason == "non-finite field at t=0.001"
+    assert traj.times == [0.0]
+    assert np.array_equal(traj.final.values, U0.values, equal_nan=True)
+
+
+def test_evolve_rejects_masked_datum():
+    g = square_grid(5.0, 32, periodic=True)
+    U0 = field_from_function(g, lambda z: np.exp(-np.abs(z) ** 2))
+    mask = np.zeros(U0.values.shape, dtype=bool)
+    mask[3, 4] = True
+    with pytest.raises(MaskError):
+        evolve(ComplexField(g, U0.values, mask), 5e-3, 1e-3)
 
 
 def test_write_trajectory(tmp_path):
@@ -214,3 +245,77 @@ def test_callback_states_do_not_share_arrays():
     for U, copy in seen:
         assert np.array_equal(U.values, copy)
     assert traj.final is seen[-1][0]
+
+
+def _evolve_forming_U_every_step(U0, dt, n_steps):
+    """The earlier DsiiEvolver.run loop, which formed U by an inverse FFT after
+    every step: the fields U0, U1, ..., U_n_steps."""
+    g = U0.grid
+    sp = g.spectral
+    half_phase = np.exp(1j * (sp.ky[:, None] ** 2 - sp.kx**2) * dt / 4.0)
+    w, theta = np.empty((g.ny, g.nx), dtype=complex), np.empty((g.ny, g.nx))
+    n_hat = np.empty((g.ny, g.nx // 2 + 1), dtype=complex)
+    w_hat = half_phase * np.fft.fft2(U0.values)
+    fields = [U0.values]
+    for _ in range(n_steps):
+        np.fft.ifftn(w_hat, out=w)
+        re_v_into(w, sp, n_hat, theta)
+        theta *= 2 * dt
+        np.cos(theta, out=w_hat.real)
+        np.sin(theta, out=w_hat.imag)
+        w *= w_hat
+        np.fft.fftn(w, out=w_hat)
+        w_hat *= half_phase
+        fields.append(np.fft.ifftn(w_hat, out=np.empty_like(w)))
+        w_hat *= half_phase
+    return fields
+
+
+def test_evolve_is_bitwise_the_loop_forming_U_every_step():
+    g = square_grid(30.0, 128, periodic=True)
+    U0 = catalog("s1", c=1.0).U_field(g, 0.0)
+    dt, n_steps = 1e-4, 50
+    traj = evolve(U0, n_steps * dt, dt, snapshot_every=10)
+    ref = _evolve_forming_U_every_step(U0, dt, n_steps)
+    assert [t for t, _ in traj.snapshots] == traj.times[::10]
+    for (_, U), u in zip(traj.snapshots, ref[::10], strict=True):
+        assert np.array_equal(U.values, u)
+    assert np.array_equal(traj.final.values, ref[-1])
+    # norms by Parseval from the spectrum, against the rectangle rule on the field
+    for n, u in zip(traj.norms, ref, strict=True):
+        assert n == pytest.approx(grid_norm_sq(ComplexField(g, u)), rel=1e-13, abs=0)
+
+
+def test_state_forms_U_once_and_only_when_read(monkeypatch):
+    g = square_grid(30.0, 64, periodic=True)
+    U0 = catalog("s1", c=1.0).U_field(g, 0.0)
+    dt, n_steps = 2e-4, 20
+    state = DsiiEvolver(g, dt).step(EvolverState(U0, 0.0))
+    first = state.U
+    assert state.U is first
+    assert np.array_equal(first.values, np.fft.ifftn(state.U_hat))
+    # count the fields formed by a run that reads no snapshot and has no callback
+    formed = []
+    form = EvolverState.U.func
+
+    def counted(self):
+        formed.append(self.n_steps)
+        return form(self)
+
+    lazy = functools.cached_property(counted)
+    lazy.__set_name__(EvolverState, "U")
+    monkeypatch.setattr(EvolverState, "U", lazy)
+    traj = evolve(U0, n_steps * dt, dt)
+    assert formed == [n_steps]
+    assert len(traj.times) == n_steps + 1
+
+
+def test_traced_evolve_benchmark_run():
+    # the benchmark's tracer looks up DsiiEvolver.step, grid_norm_sq and
+    # write_trajectory by name, and the workload checks the evolver's output
+    root = Path(__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "evolve",
+                          "--seconds", "1", "--trace", "1"],
+                         cwd=root, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert json.loads(run.stdout.strip().splitlines()[-1])["correct"] is True
