@@ -151,15 +151,13 @@ def cmd_gen_surface(args) -> int:
         args.tol = 1e-3
     if args.from_dsii:
         sol = catalog(args.from_dsii, c=args.c)
-        psi0, phi0 = heat_datum_fields(sol.f, grid, args.t)
-        U0 = constant_field(grid, 0.0)
-        S = integrate_surface_r4(psi0, phi0, U=U0, residual_tol=args.tol)
-        Ufield = sol.U_field(grid, args.t)
-        wil = willmore(Ufield)
-        if args.invert:
-            Sm = heat_smatrix_values(sol.f, grid, args.t)
-            S = smatrix_to_surface(Sm)
-            S = invert_surface(S)
+        if args.invert:             # the inverted closed-form S: nothing to integrate
+            S = invert_surface(smatrix_to_surface(heat_smatrix_values(sol.f, grid, args.t)))
+        else:
+            psi0, phi0 = heat_datum_fields(sol.f, grid, args.t)
+            S = integrate_surface_r4(psi0, phi0, U=constant_field(grid, 0.0),
+                                     residual_tol=args.tol)
+        wil = willmore(sol.U_field(grid, args.t))
     else:
         psi = _spinor_source(args.spinor, grid)
         S = integrate_surface_r3(psi, U=constant_field(grid, 0.0),
@@ -350,6 +348,10 @@ def main(argv=None) -> int:
         if getattr(args, key) not in choices:
             ap.error(f"{args.subcommand} needs --{key} (or config key {key}), "
                      f"one of {', '.join(choices)}; got {getattr(args, key)!r}")
+    if args.subcommand == "gen-surface" and args.from_dsii and args.invert \
+            and args.tol is not None:
+        ap.error("gen-surface --from-dsii --invert integrates nothing, so it reads "
+                 "no --tol (or config key tol)")
     return args.func(args)
 
 

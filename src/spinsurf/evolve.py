@@ -87,9 +87,6 @@ class DsiiEvolver:
         sp = grid.spectral
         self.half_phase = np.exp(1j * (sp.ky[:, None] ** 2 - sp.kx**2) * dt / 4.0)
 
-    def _linear_half(self, vals: np.ndarray) -> np.ndarray:
-        return np.fft.ifft2(self.half_phase * np.fft.fft2(vals))
-
     def run(self, state: EvolverState, n_steps: int):
         """Yield the n_steps states after state, each holding U_hat only (BlowupAbort,
         with the last finite state, on a non-finite spectrum); w_hat is the spectrum

@@ -309,6 +309,16 @@ def wirtinger_derivative(f: ComplexField, direction: str = "z",
     return f.like(fx)
 
 
+def real_wirtinger_z(grid: Grid2D, values: np.ndarray) -> np.ndarray:
+    """d f / dz = (f_x - i f_y) / 2 of a real (ny, nx) array f, from the central
+    differences of wirtinger_derivative taken in real arithmetic; every nonzero
+    value rounds as wirtinger_derivative of f as a complex field does."""
+    out = np.empty(values.shape, dtype=complex)
+    np.multiply(_ddx(values, grid.hx, grid.periodic_x), 0.5, out=out.real)
+    np.multiply(_ddy(values, grid.hy, grid.periodic_y), -0.5, out=out.imag)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # quadrature
 
@@ -399,6 +409,23 @@ def antiderivative(form: Form1, basepoint=(0, 0), order: str = "x_first") -> Com
     else:
         raise ValueError(f"unknown order {order!r}")
     return ComplexField(grid, out, _merge_masks(form.p.mask, form.q.mask))
+
+
+def real_antiderivative(grid: Grid2D, gx: np.ndarray, gy: np.ndarray, basepoint=(0, 0),
+                        order: str = "x_first") -> np.ndarray:
+    """F(P) = int_{P0}^{P} (gx dx + gy dy) for real gx, gy of shape (..., ny, nx),
+    along antiderivative's L-paths.  The real form of p dz + conj(p) dzbar has
+    gx = 2 Re p, gy = -2 Im p, and then F is antiderivative's real part to the bit."""
+    ix0, iy0 = basepoint
+    if order == "x_first":
+        out = _cumtrapz_from(gy, grid.hy, iy0, axis=-2)
+        out += _cumtrapz_from(gx[..., iy0, :], grid.hx, ix0)[..., None, :]
+    elif order == "y_first":
+        out = _cumtrapz_from(gx, grid.hx, ix0, axis=-1)
+        out += _cumtrapz_from(gy[..., ix0], grid.hy, iy0)[..., None]
+    else:
+        raise ValueError(f"unknown order {order!r}")
+    return out
 
 
 def _cumtrapz_from(vals: np.ndarray, h: float, i0: int, axis: int = -1) -> np.ndarray:

@@ -10,6 +10,12 @@ Coordinate derivative fields (the closed forms being integrated):
 
 and x^k = x^k(P0) + int (x^k_z dz + conj(x^k_z) dzbar); the R^3 case is phi = psi
 (then x4_z vanishes identically).
+
+The forms and the maps are real, so they are integrated and differentiated in
+real arithmetic: x^k = x^k(P0) + int (2 Re x^k_z dx - 2 Im x^k_z dy) by
+grid.real_antiderivative, and x^k_z = (x^k_x - i x^k_y) / 2 by
+grid.real_wirtinger_z.  Every nonzero value rounds as it would in complex
+arithmetic.
 """
 from __future__ import annotations
 
@@ -19,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dirac import SpinorField, dirac_residual_norm
-from .grid import (ComplexField, Form1, Grid2D, antiderivative, integrate2d,
-                   wirtinger_derivative)
+from .grid import (ComplexField, Grid2D, integrate2d, real_antiderivative,
+                   real_wirtinger_z)
 
 
 class SurfaceIntegrationError(RuntimeError):
@@ -73,16 +79,6 @@ def weier_derivatives(psi: SpinorField, phi: SpinorField | None = None):
     return np.stack([x1, x2, x3, x4])
 
 
-def _integrate_coordinate(grid: Grid2D, xz: np.ndarray, base_node, defect_out: list):
-    p = ComplexField(grid, xz)
-    q = p.conj()
-    form = Form1(p, q)
-    prim = antiderivative(form, base_node, order="x_first")
-    alt = antiderivative(form, base_node, order="y_first")
-    defect_out.append(float(np.max(np.abs(prim.values - alt.values))))
-    return prim.values.real
-
-
 def integrate_surface_r4(psi: SpinorField, phi: SpinorField, basepoint=(0, 0, 0, 0),
                          base_node=None, U: ComplexField | None = None,
                          residual_tol: float = 1e-3) -> SurfaceMap:
@@ -102,10 +98,10 @@ def integrate_surface_r4(psi: SpinorField, phi: SpinorField, basepoint=(0, 0, 0,
         if max(rd, rv) > residual_tol * scale:
             warnings.warn(f"Dirac residuals large before integration: D {rd:.3g}, Dvee {rv:.3g}")
     xz = weier_derivatives(psi, phi)
-    defects = []
-    coords = np.stack([_integrate_coordinate(grid, xz[k], base_node, defects)
-                       for k in range(4)])
-    maxdef = max(defects)
+    gx, gy = 2.0 * xz.real, -2.0 * xz.imag          # the real forms x^k_z dz + c.c.
+    coords = real_antiderivative(grid, gx, gy, base_node, "x_first")
+    alt = real_antiderivative(grid, gx, gy, base_node, "y_first")
+    maxdef = float(np.max(np.abs(coords - alt)))
     # valid spinor data sit orders of magnitude below this (O(h^2) defect)
     defect_tol = 0.02 * max(float(np.max(np.abs(xz))), 1e-300)
     if maxdef > defect_tol:
@@ -139,12 +135,8 @@ def spinor_metric(psi: SpinorField, phi: SpinorField | None = None) -> MetricDat
 
 
 def surface_dz(S: SurfaceMap) -> np.ndarray:
-    """(dim, ny, nx) array of x^k_z by numerical differentiation of the map."""
-    out = []
-    for k in range(S.ambient_dim):
-        f = ComplexField(S.grid, S.coords[k].astype(complex))
-        out.append(wirtinger_derivative(f, "z").values)
-    return np.stack(out)
+    """(dim, ny, nx) array of x^k_z, from the central differences of the map."""
+    return np.stack([real_wirtinger_z(S.grid, c) for c in S.coords])
 
 
 def measured_e2alpha(S: SurfaceMap) -> np.ndarray:

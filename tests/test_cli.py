@@ -1,9 +1,11 @@
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spinsurf.cli as cli
 from spinsurf.cli import main
 
 
@@ -355,10 +357,71 @@ _MESH_SHA256 = {
 }
 
 
+# SHA-256 of the JSON sidecars of the same runs and of the s1 graph, as written at
+# commit 05aa8a0: path_defect, conformality_residual and the curvature figures
+# must keep every bit when the arithmetic that forms them changes
+_SIDECAR_SHA256 = {
+    ("enneper", "obj"): "1bdab8e2957fc7230d43d56489b2a4ffa608a0a8e543772747210c493366cf24",
+    ("enneper", "ply"): "996c59a49d2376b13f54f5c710d0c3f7e99305d56f72244a93f42462f0ef1dc8",
+    ("s1", "ply"): "9b7dd77f202623ea901c57ebb30762ffb5a671c5668c2f0bb15afd31d0d1ebd6",
+    ("s1-invert", "obj"): "b3e3cff3c3acb06ef2b8d1a31679575bb19a960aaaf9fdbe825e54ee9b3d1920",
+    ("s1-invert", "ply"): "77792fe59a5ea93a83876af12971ea7136da0aa2fb4b5921531b976a43cc3844",
+}
+
+_PINNED_SOURCES = {"enneper": ["--spinor", "enneper"], "s1": ["--from-dsii", "s1"],
+                   "s1-invert": ["--from-dsii", "s1", "--invert"]}
+
+
+def _pinned_run(source, fmt, out):
+    assert main(["gen-surface", *_PINNED_SOURCES[source], "--grid", "64x64",
+                 "--format", fmt, "--out", str(out)]) == 0
+    return out / f"surface.{fmt}"
+
+
 @pytest.mark.parametrize("source, fmt", sorted(_MESH_SHA256))
 def test_gen_surface_mesh_bytes_are_pinned(source, fmt, tmp_path):
-    src = ["--spinor", "enneper"] if source == "enneper" else ["--from-dsii", "s1", "--invert"]
+    mesh = _pinned_run(source, fmt, tmp_path / "m")
+    assert hashlib.sha256(mesh.read_bytes()).hexdigest() == _MESH_SHA256[source, fmt]
+
+
+@pytest.mark.parametrize("source, fmt", sorted(_SIDECAR_SHA256))
+def test_gen_surface_sidecar_bytes_are_pinned(source, fmt, tmp_path):
+    sidecar = Path(str(_pinned_run(source, fmt, tmp_path / "m")) + ".json")
+    assert hashlib.sha256(sidecar.read_bytes()).hexdigest() == _SIDECAR_SHA256[source, fmt]
+
+
+def test_gen_surface_invert_integrates_nothing(tmp_path, monkeypatch):
+    # the exported surface is the inverted closed-form S; no spinor surface is formed
+    def refuse(*args, **kwargs):
+        raise AssertionError("integration under --from-dsii --invert")
+    monkeypatch.setattr(cli, "integrate_surface_r4", refuse)
+    monkeypatch.setattr(cli, "heat_datum_fields", refuse)
+    mesh = _pinned_run("s1-invert", "ply", tmp_path / "m")
+    assert hashlib.sha256(mesh.read_bytes()).hexdigest() == _MESH_SHA256["s1-invert", "ply"]
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_gen_surface_invert_from_dsii_refuses_tol(via, tmp_path, capsys):
+    # the inverted closed-form S is not integrated, so no Dirac residual is checked
     out = tmp_path / "m"
-    assert main(["gen-surface", *src, "--grid", "64x64", "--format", fmt, "--out", str(out)]) == 0
-    digest = hashlib.sha256((out / f"surface.{fmt}").read_bytes()).hexdigest()
-    assert digest == _MESH_SHA256[source, fmt]
+    argv = ["gen-surface", "--from-dsii", "s1", "--invert", "--grid", "16x16",
+            "--out", str(out)]
+    if via == "flag":
+        argv += ["--tol", "1e-2"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tol": 1e-2}))
+        argv += ["--config", str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "reads no --tol" in capsys.readouterr().err
+    assert not out.exists()
+    # without --tol the run works and records tol as null, so its resolved
+    # config repeats it; a --spinor surface is integrated before it is inverted
+    assert main(argv[:-2]) == 0
+    assert json.loads((out / "resolved_config.json").read_text())["options"]["tol"] is None
+    assert main(["gen-surface", "--config", str(out / "resolved_config.json"),
+                 "--out", str(tmp_path / "again")]) == 0
+    assert main(["gen-surface", "--spinor", "enneper", "--invert", "--tol", "1e-2",
+                 "--grid", "16x16", "--out", str(tmp_path / "e")]) == 0

@@ -44,8 +44,10 @@ def test_linear_substep_norm_conserved():
     rng = np.random.default_rng(0)
     U = ComplexField(g, rng.normal(size=(128, 128)) + 1j * rng.normal(size=(128, 128)))
     ev = DsiiEvolver(g, 1e-3)
+    assert np.max(np.abs(np.abs(ev.half_phase) - 1.0)) < 1e-15
     before = grid_norm_sq(U)
-    after = grid_norm_sq(ComplexField(g, ev._linear_half(U.values)))
+    # the linear half step as run forms it: spectrum times half_phase, in that order
+    after = grid_norm_sq(ComplexField(g, np.fft.ifftn(np.fft.fftn(U.values) * ev.half_phase)))
     assert after == pytest.approx(before, rel=1e-13)
 
 

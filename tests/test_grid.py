@@ -5,7 +5,8 @@ from spinsurf import (ComplexField, Form1, constant_field, field_from_function,
                       integrate2d, load_complexfield_csv, make_grid,
                       save_complexfield_csv, wirtinger_derivative)
 from spinsurf.grid import (GridConfigError, MaskError, SchemeError, antiderivative,
-                           closedness_defect, quadrature_sum, save_nodes_csv)
+                           closedness_defect, quadrature_sum, real_antiderivative,
+                           save_nodes_csv)
 
 
 # Node paths and a trapezoidal line integral along them: the reference that
@@ -238,6 +239,26 @@ def test_antiderivative_matches_oracle_bitwise(order, base):
     form = _random_form(g, 4)
     got = antiderivative(form, base, order).values
     assert np.array_equal(got, _ref_antiderivative(g, form.p.values, form.q.values, base, order))
+
+
+@pytest.mark.parametrize("order", ["x_first", "y_first"])
+@pytest.mark.parametrize("name", list(_ORACLE_GRIDS))
+def test_real_antiderivative_is_the_real_part_of_antiderivative(name, order):
+    # the real form of p dz + conj(p) dzbar, three forms at once, against the
+    # complex integral of each: equal to the bit, and so is the L-path defect
+    g = _ORACLE_GRIDS[name]
+    ps = [_random_form(g, 6 + k).p for k in range(3)]
+    xz = np.stack([p.values for p in ps])
+    base = (g.nx - 3, g.ny // 3)
+    got = real_antiderivative(g, 2.0 * xz.real, -2.0 * xz.imag, base, order)
+    other = real_antiderivative(g, 2.0 * xz.real, -2.0 * xz.imag, base,
+                                "y_first" if order == "x_first" else "x_first")
+    for k, p in enumerate(ps):
+        ref = antiderivative(Form1(p, p.conj()), base, order).values
+        alt = antiderivative(Form1(p, p.conj()), base,
+                             "y_first" if order == "x_first" else "x_first").values
+        assert np.array_equal(got[k], ref.real)
+        assert np.max(np.abs(got[k] - other[k])) == np.max(np.abs(ref - alt))
 
 
 @pytest.mark.parametrize("name", list(_ORACLE_GRIDS))

@@ -7,8 +7,10 @@ from spinsurf import (ComplexField, SpinorField, SurfaceMap, catalog,
                       integrate_surface_r4, invert_surface, make_grid,
                       measured_e2alpha, smatrix_to_surface, spinor_metric,
                       surface_to_smatrix, weier_derivatives, willmore)
+from spinsurf.grid import wirtinger_derivative
 from spinsurf.hierarchy import soliton_potential, strip_grid
 from spinsurf.moutard import heat_datum_fields, heat_smatrix_values
+from spinsurf.surface import surface_dz
 
 
 def _plane_spinor(grid):
@@ -319,3 +321,18 @@ def test_gauge_equivalent_data_give_same_surface():
     S1 = integrate_surface_r4(psi0, phi0)
     S2 = integrate_surface_r4(psi2, phi2)
     assert np.max(np.abs(S1.coords - S2.coords)) < 1e-12
+
+
+# the map derivative in real arithmetic against the complex-field operation it
+# replaces, to the bit, on open and singly periodic grids
+_PERIODICITY = {"open": (False, False), "periodic-x": (True, False), "periodic-y": (False, True)}
+
+
+@pytest.mark.parametrize("per", sorted(_PERIODICITY))
+def test_real_surface_dz_matches_wirtinger_derivative(per):
+    g = make_grid((-1.0, 1.3, -0.8, 1.1), (37, 29), _PERIODICITY[per])
+    coords = np.random.default_rng(11).normal(size=(4, 29, 37))
+    xz = surface_dz(SurfaceMap(g, coords, np.zeros(4)))
+    for k in range(4):
+        ref = wirtinger_derivative(ComplexField(g, coords[k].astype(complex)), "z").values
+        assert np.array_equal(xz[k], ref)
