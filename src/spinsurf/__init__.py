@@ -5,13 +5,12 @@ from heat polynomials, with symbolic and numerical verification tooling.
 
 from .grid import (ComplexField, Form1, Grid2D, antiderivative,
                    closedness_defect, constant_field, field_from_function,
-                   integrate2d, make_grid, save_complexfield_csv,
-                   load_complexfield_csv, square_grid, wirtinger_derivative)
+                   integrate2d, make_grid, save_complexfield_csv, square_grid,
+                   wirtinger_derivative)
 from .exactpoly import (BiPoly, C, CBAR, ONE, RQuat, RationalFn, T, Z, ZBAR,
                         heat_extend, heat_residual, poly_equal)
 from .dirac import (PotentialPair, SpinorField, apply_D, apply_Dvee,
-                    dirac_residual_norm, gauge_transform, save_spinorfield_csv,
-                    sigma)
+                    dirac_residual_norm)
 from .surface import (GaussMapResult, MetricData, SurfaceMap,
                       discrete_mean_curvature, gauss_map, integrate_surface_r3,
                       integrate_surface_r4, invert_surface, measured_e2alpha,
@@ -21,21 +20,17 @@ from .meshio import MeshStats, export_mesh
 from .moutard import (KData, MoutardTransform, SMatrix, build_S,
                       heat_antiderivative, heat_datum_fields,
                       heat_datum_spinors, heat_smatrix_values, k_matrix,
-                      moutard_dsii, moutard_exact, moutard_spinors,
-                      normalize_S_pair, omega, omega1, save_kdata_csv,
-                      time_offset_integral)
+                      moutard_dsii, moutard_exact, normalize_S_pair, omega,
+                      omega1, time_offset_integral)
 from .dsii import (ExactSolution, NormResult, OzawaData, SingularEvent,
-                   catalog, dsii_residual, dsii_residual_exact,
-                   dsii_exact_identity_holds, dsii_rhs, exact_solution,
-                   l2_norm_sq, physical_form, radial_limit_coefficient,
-                   re_v_from_u, s1_displayed_V, singular_times,
-                   to_halved_v_form, v_from_u)
-from .evolve import (DsiiEvolver, EvolverState, Trajectory, evolve, grid_norm_sq,
-                     spinor_evolution_residual, write_trajectory)
+                   catalog, dsii_residual_exact, dsii_exact_identity_holds,
+                   exact_solution, l2_norm_sq, physical_form,
+                   radial_limit_coefficient, re_v_from_u, singular_times,
+                   to_halved_v_form)
+from .evolve import DsiiEvolver, EvolverState, Trajectory, evolve, grid_norm_sq, write_trajectory
 from .hierarchy import (Potential1D, clifford_potential, mkdv_reduction_identity,
                         mkdv_rhs_1d, mkdv_soliton, mnv_residual, mnv_rhs,
-                        nv_residual, nv_rhs, soliton_potential,
-                        v_from_constraint_mnv, v_from_constraint_nv,
+                        soliton_potential, v_from_constraint_mnv,
                         willmore_bound_check)
 
 __version__ = "0.1.0"

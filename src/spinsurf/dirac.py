@@ -1,4 +1,4 @@
-"""Spinor fields, the Dirac operators D and Dvee, quaternionic extension, gauge moves.
+"""Spinor fields, the Dirac operators D and Dvee, quaternionic extension.
 
 Operator conventions (component form, rows fixed):
 
@@ -15,12 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (ComplexField, Grid2D, GridConfigError, _merge_masks,
-                   save_nodes_csv, wirtinger_derivative)
-
-
-class GaugeError(ValueError):
-    pass
+from .grid import ComplexField, Grid2D, GridConfigError, _merge_masks, wirtinger_derivative
 
 
 @dataclass
@@ -52,7 +47,8 @@ class Mat2Field:
     """2x2 complex matrix per node: values[i, j] is entry (i, j), shape (2, 2, ny, nx).
 
     For general values, as SpinorField.mat() returns; quaternion fields are held
-    as SpinorField.
+    as SpinorField.  The package itself computes nothing with it: it serves the
+    tests' general-matrix oracles and perfbench's span tracer.
 
     One mask covers all four entries: the union of the masks of the fields the
     matrix was built from.  values may be a read-only broadcast view (see
@@ -284,34 +280,3 @@ def dirac_residual_norm(U, psi, interior: int = 0, vee: bool = False) -> float:
         v = v[interior:-interior, interior:-interior]
     return float(np.max(v))
 
-
-def sigma(psi: SpinorField) -> SpinorField:
-    """Antiinvolution (psi1, psi2) -> (-conj(psi2), conj(psi1)); sigma^2 = -1."""
-    return SpinorField(-psi.psi2.conj(), psi.psi1.conj())
-
-
-def gauge_transform(psi: SpinorField, phi: SpinorField, U: ComplexField,
-                    h: ComplexField):
-    """Gauge move by a holomorphic h: psi1 -> e^h psi1, psi2 -> e^conj(h) psi2,
-    phi1 -> e^-h phi1, phi2 -> e^-conj(h) phi2, U -> e^(conj(h)-h) U."""
-    dbh = wirtinger_derivative(h, "zbar")
-    hscale = max(h.max_abs(), 1.0)
-    interior = dbh.values[1:-1, 1:-1] if not h.grid.periodic else dbh.values
-    defect = float(np.max(np.abs(interior)))
-    if defect > 1e-6 * hscale:
-        raise GaugeError(f"h is not holomorphic: max|db h| = {defect:g}")
-    eh = np.exp(h.values)
-    ehb = np.exp(np.conj(h.values))
-    g = h.grid
-    psi_t = SpinorField(psi.psi1.like(psi.psi1.values * eh),
-                        psi.psi2.like(psi.psi2.values * ehb))
-    phi_t = SpinorField(phi.psi1.like(phi.psi1.values / eh),
-                        phi.psi2.like(phi.psi2.values / ehb))
-    U_t = ComplexField(g, U.values * ehb / eh, U.mask)
-    return psi_t, phi_t, U_t
-
-
-def save_spinorfield_csv(psi: SpinorField, csv_path):
-    """CSV columns ix, iy, re1, im1, re2, im2 with a JSON grid sidecar."""
-    save_nodes_csv(csv_path, psi.grid, "ix,iy,re1,im1,re2,im2", *psi.values,
-                   meta=psi.grid.meta())

@@ -1,5 +1,6 @@
-"""Exact Davey-Stewartson II solutions from heat polynomials, residual checkers,
-nonlocal constraint inversion, physical form, norms and singularity analysis.
+"""Exact Davey-Stewartson II solutions from heat polynomials, their exact residual
+numerators, nonlocal constraint inversion, physical form, norms and singularity
+analysis.
 
 Canonical normalization (fixed for the whole package):
 
@@ -26,10 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactpoly import (_BLOCK, BiPoly, C, InvalidDatumError, RationalFn, T, Z, ZBAR,
+from .exactpoly import (_BLOCK, BiPoly, C, InvalidDatumError, RationalFn, Z, ZBAR,
                         heat_extend, heat_residual)
-from .grid import (ComplexField, Grid2D, MaskError, _axis_weights, neighbor_mean,
-                   wirtinger_derivative)
+from .grid import ComplexField, Grid2D, MaskError, _axis_weights, neighbor_mean
 
 
 class DecayError(RuntimeError):
@@ -82,15 +82,6 @@ def to_halved_v_form(sol: ExactSolution) -> RationalFn:
     return sol.V * 0.5
 
 
-def s1_displayed_V() -> RationalFn:
-    """The closed-form V printed for the quadratic datum (for cross-checks):
-    4 conj(f)/rho - 2 (2 z conj(f) + zbar)^2 / rho^2."""
-    f = Z * Z + 2j * T + C
-    fb = f.conj()
-    rho = Z * ZBAR + f * fb
-    return RationalFn(4 * fb, rho) - RationalFn(2 * (2 * Z * fb + ZBAR) ** 2, rho * rho)
-
-
 @dataclass
 class OzawaData:
     """Ozawa blow-up initial datum on the physical (X, Y) grid."""
@@ -135,35 +126,7 @@ def catalog(name: str, c=1.0, a: float = 1.0, b: float = -1.0):
 
 
 # ---------------------------------------------------------------------------
-# residual checkers
-
-
-@dataclass
-class ResidualReport:
-    max_norm: float
-    l2_norm: float
-
-
-def dsii_rhs(U: ComplexField, V: ComplexField) -> ComplexField:
-    """i (U_zz + U_zbzb + (V + conj V) U)."""
-    Uzz = wirtinger_derivative(wirtinger_derivative(U, "z"), "z")
-    Ubb = wirtinger_derivative(wirtinger_derivative(U, "zbar"), "zbar")
-    re2V = ComplexField(U.grid, V.values + np.conj(V.values), V.mask)
-    return 1j * (Uzz + Ubb + re2V * U)
-
-
-def dsii_residual(U_stencil, V: ComplexField, dt: float) -> ResidualReport:
-    """Residual of the canonical DSII evolution on a centred 3-slice time stencil,
-    off a 2-node margin."""
-    if len(U_stencil) != 3:
-        raise ValueError("need slices (t-dt, t, t+dt)")
-    Um, U0, Up = U_stencil
-    Ut = (Up.values - Um.values) / (2 * dt)
-    rhs = dsii_rhs(U0, V)
-    r = (Ut - rhs.values)[2:-2, 2:-2]
-    h = U0.grid.hx * U0.grid.hy
-    return ResidualReport(float(np.max(np.abs(r))),
-                          float(np.sqrt(np.sum(np.abs(r) ** 2) * h)))
+# exact residual numerators
 
 
 def dsii_residual_exact(sol: ExactSolution, kappa_evol: float = 1.0,
@@ -215,12 +178,6 @@ def dsii_exact_identity_holds(sol: ExactSolution) -> bool:
 
 # ---------------------------------------------------------------------------
 # the nonlocal constraint
-
-
-def v_from_u(U: ComplexField) -> ComplexField:
-    """Spectral inversion of V_zb = 2 (|U|^2)_z on a periodic grid, zero-mean gauge."""
-    n_hat = np.fft.fft2(np.abs(U.values) ** 2)
-    return ComplexField(U.grid, np.fft.ifft2(U.grid.spectral.v_of_n * n_hat))
 
 
 def re_v_from_u(U: ComplexField) -> np.ndarray:

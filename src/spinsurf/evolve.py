@@ -1,5 +1,4 @@
-"""Split-step spectral time integration of the DSII flow and residual checks for
-the linear spinor problems psi_t = A psi / phi_t = Avee phi.
+"""Split-step spectral time integration of the DSII flow.
 
 Strang splitting on a doubly periodic grid:
   * linear half step: exact Fourier phase exp(i (ky^2 - kx^2) dt / 2) for
@@ -18,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,9 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .dsii import re_v_into
-from .grid import (ComplexField, Grid2D, MaskError, integrate2d, save_complexfield_csv,
-                   wirtinger_derivative)
-from .dirac import SpinorField
+from .grid import ComplexField, Grid2D, MaskError, integrate2d, save_complexfield_csv
 
 
 class BlowupAbort(RuntimeError):
@@ -129,16 +127,22 @@ class Trajectory:
 
 def evolve(U0: ComplexField, t_end: float, dt: float, t0: float = 0.0,
            snapshot_every: int = 0, callback=None) -> Trajectory:
-    """Repeated Strang stepping with norm monitoring.  Norms are read from each
-    state's spectrum; a state's field is formed only for a snapshot, for final and
-    when the callback reads state.U."""
+    """Repeated Strang stepping from t0 to t_end with norm monitoring.  The span
+    must be a whole number n >= 1 of steps, (t_end - t0) / dt within 1e-9 max(1, n)
+    of n (ValueError otherwise).  Norms are read from each state's spectrum; a
+    state's field is formed only for a snapshot, for final and when the callback
+    reads state.U."""
     if U0.mask is not None and U0.mask.any():
         raise MaskError("the evolver steps every node; U0 has masked nodes")
     ev = DsiiEvolver(U0.grid, dt)
+    steps = (t_end - t0) / dt
+    n_total = round(steps) if math.isfinite(steps) else 0
+    if n_total < 1 or abs(steps - n_total) > 1e-9 * n_total:
+        raise ValueError(f"t0={t0:.12g} to t_end={t_end:.12g} is {steps:.12g} steps "
+                         f"of dt={dt:.12g}, not a whole number >= 1")
     state = EvolverState(U0, t0)
     times, norms = [t0], [state.norm_sq]
     snaps = [(t0, U0)] if snapshot_every else []
-    n_total = int(round((t_end - t0) / dt))
     try:
         for k, state in enumerate(ev.run(state, n_total)):
             times.append(state.t)
@@ -174,40 +178,3 @@ def write_trajectory(traj: Trajectory, outdir) -> dict:
         json.dump(manifest, fh, indent=1)
     return manifest
 
-
-# ---------------------------------------------------------------------------
-# linear-problem residuals
-
-
-def _apply_A(psi: SpinorField, U: ComplexField, V: ComplexField,
-             scheme: str, vee: bool) -> SpinorField:
-    """A = i [[-d^2 - V, Ub db - Ub_zb],[U d - U_z, db^2 + Vb]];
-    Avee = -i with U <-> Ub swapped in the off-diagonal entries."""
-    d = lambda f: wirtinger_derivative(f, "z", scheme)
-    db = lambda f: wirtinger_derivative(f, "zbar", scheme)
-    p1, p2 = psi.psi1, psi.psi2
-    Ub = U.conj()
-    Vb = V.conj()
-    if not vee:
-        r1 = -d(d(p1)) - V * p1 + Ub * db(p2) - db(Ub) * p2
-        r2 = U * d(p1) - d(U) * p1 + db(db(p2)) + Vb * p2
-        return SpinorField(1j * r1, 1j * r2)
-    r1 = -d(d(p1)) - V * p1 + U * db(p2) - db(U) * p2
-    r2 = Ub * d(p1) - d(Ub) * p1 + db(db(p2)) + Vb * p2
-    return SpinorField(-1j * r1, -1j * r2)
-
-
-def spinor_evolution_residual(psi_stencil, U: ComplexField, V: ComplexField,
-                              dt: float, which: str = "A",
-                              scheme: str = "central2", interior: int = 2) -> float:
-    """max |psi_t - A psi| (or Avee) on a centred 3-slice stencil."""
-    if which not in ("A", "Avee"):
-        raise ValueError("which must be 'A' or 'Avee'")
-    if len(psi_stencil) != 3:
-        raise ValueError("need slices (t-dt, t, t+dt)")
-    pm, p0, pp = psi_stencil
-    Ap = _apply_A(p0, U, V, scheme, vee=(which == "Avee"))
-    r = np.abs((pp.values - pm.values) / (2 * dt) - Ap.values).max(axis=0)
-    if interior:
-        r = r[interior:-interior, interior:-interior]
-    return float(np.max(r))

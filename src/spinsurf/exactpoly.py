@@ -14,7 +14,6 @@ and mask the exact zeros of the denominator; eval is for point sets.
 """
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -237,24 +236,6 @@ class BiPoly:
             mono = "*".join(f"{VARS[i]}^{k[i]}" for i in range(5) if k[i])
             parts.append(f"({self.coef[k]:.6g})" + ("*" + mono if mono else ""))
         return "BiPoly(" + " + ".join(parts) + ")"
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> str:
-        out = {}
-        for k, v in self.coef.items():
-            key = ",".join(str(e) for e in (k if (k[3] or k[4]) else k[:3]))
-            out[key] = [v.real, v.imag]
-        return json.dumps(out, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "BiPoly":
-        raw = json.loads(text)
-        coef = {}
-        for key, (re, im) in raw.items():
-            parts = tuple(int(p) for p in key.split(","))
-            coef[parts] = complex(re, im)
-        return cls(coef)
 
 
 _BLOCK = 8192        # nodes per Horner pass: a block's z, zbar and buffers stay in cache

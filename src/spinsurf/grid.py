@@ -28,8 +28,8 @@ class MaskError(ValueError):
 class Spectral:
     """Read-only wavenumbers and dt-independent multipliers of a doubly periodic
     grid, for fft2 arrays [iy, ix] (re_v: rfft2); the 2-D ones are built on first
-    use.  ikx, iky are the symbols of d/dx, d/dy; v_of_n = 2 m_z / m_zb solves
-    V_zb = 2 n_z, re_v = 2 (kx^2 - ky^2) / k^2 is its real part, lap_inv = -1/k^2."""
+    use.  ikx, iky are the symbols of d/dx, d/dy; re_v = 2 (kx^2 - ky^2) / k^2 is
+    the real part of 2 m_z / m_zb, which solves V_zb = 2 n_z; lap_inv = -1/k^2."""
 
     def __init__(self, grid: Grid2D):
         if not grid.periodic:
@@ -39,11 +39,6 @@ class Spectral:
         self.ikx, self.iky = 1j * self.kx, 1j * self.ky[:, None]
         for a in vars(self).values():
             a.flags.writeable = False
-
-    @cached_property
-    def v_of_n(self) -> np.ndarray:
-        kx, ky = self.kx, self.ky[:, None]
-        return _zero_mean_ratio(2.0 * ((1j * kx + ky) / 2.0), (1j * kx - ky) / 2.0)
 
     @cached_property
     def re_v(self) -> np.ndarray:
@@ -108,9 +103,6 @@ class Grid2D:
 
     def node_z(self, ix: int, iy: int) -> complex:
         return self.x_min + ix * self.hx + 1j * (self.y_min + iy * self.hy)
-
-    def node_count(self) -> int:
-        return self.nx * self.ny
 
     spectral = cached_property(Spectral)      # built on first use, then cached
 
@@ -479,18 +471,3 @@ def save_complexfield_csv(f: ComplexField, csv_path):
         meta["masked_nodes"] = [[int(a), int(b)] for b, a in zip(*np.nonzero(f.mask))]
     save_nodes_csv(csv_path, f.grid, "ix,iy,re,im", f.values, meta=meta)
 
-
-def load_complexfield_csv(csv_path) -> ComplexField:
-    with open(str(csv_path) + ".json") as fh:
-        meta = json.load(fh)
-    masked = meta.pop("masked_nodes", None)
-    grid = Grid2D(**meta)
-    data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
-    vals = np.zeros((grid.ny, grid.nx), dtype=np.complex128)
-    vals[data[:, 1].astype(int), data[:, 0].astype(int)] = data[:, 2] + 1j * data[:, 3]
-    mask = None
-    if masked:
-        mask = np.zeros((grid.ny, grid.nx), dtype=bool)
-        for ix, iy in masked:
-            mask[iy, ix] = True
-    return ComplexField(grid, vals, mask)

@@ -1,5 +1,5 @@
-"""Residual checkers for the mNV / NV flows, the mKdV reduction identity,
-soliton and Clifford-torus potentials, and Willmore bound checks.
+"""The mNV flow (right-hand side, constraint and residual), its mKdV reduction
+identity, soliton and Clifford-torus potentials, and Willmore bound checks.
 
 x-only reduction convention: d = db = (1/2) d/dx, so U_zzz + U_zbzbzb =
 (1/4) U_xxx, which reproduces the mKdV form U_t = (1/4) U_xxx + 6 U_x U^2
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ComplexField, Grid2D, make_grid, wirtinger_derivative
+from .grid import ComplexField, wirtinger_derivative
 
 
 @dataclass
@@ -54,53 +54,34 @@ def mkdv_soliton(x, t: float = 0.0, k: float = 1.0) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# 2-D flow right-hand sides
+# the mNV flow: central differences, and a spectral constraint solve
 
 
-def _dz3(U: ComplexField, direction: str, scheme: str) -> ComplexField:
-    d1 = wirtinger_derivative(U, direction, scheme)
-    d2 = wirtinger_derivative(d1, direction, scheme)
-    return wirtinger_derivative(d2, direction, scheme)
+def _dz3(U: ComplexField, direction: str) -> ComplexField:
+    d1 = wirtinger_derivative(U, direction)
+    d2 = wirtinger_derivative(d1, direction)
+    return wirtinger_derivative(d2, direction)
 
 
-def mnv_rhs(U: ComplexField, V: ComplexField, scheme: str = "central2") -> ComplexField:
+def mnv_rhs(U: ComplexField, V: ComplexField) -> ComplexField:
     """(U_zzz + 3 U_z V + (3/2) U V_z) + (U_zbzbzb + 3 U_zb Vb + (3/2) U Vb_zb)."""
-    Uz = wirtinger_derivative(U, "z", scheme)
-    Uzb = wirtinger_derivative(U, "zbar", scheme)
+    Uz = wirtinger_derivative(U, "z")
+    Uzb = wirtinger_derivative(U, "zbar")
     Vb = V.conj()
-    term1 = _dz3(U, "z", scheme) + 3 * Uz * V \
-        + 1.5 * U * wirtinger_derivative(V, "z", scheme)
-    term2 = _dz3(U, "zbar", scheme) + 3 * Uzb * Vb \
-        + 1.5 * U * wirtinger_derivative(Vb, "zbar", scheme)
+    term1 = _dz3(U, "z") + 3 * Uz * V + 1.5 * U * wirtinger_derivative(V, "z")
+    term2 = _dz3(U, "zbar") + 3 * Uzb * Vb + 1.5 * U * wirtinger_derivative(Vb, "zbar")
     return term1 + term2
 
 
-def nv_rhs(U: ComplexField, V: ComplexField, scheme: str = "central2") -> ComplexField:
-    """U_zzz + U_zbzbzb + (V U)_z + (Vb U)_zb."""
-    Vb = V.conj()
-    return _dz3(U, "z", scheme) + _dz3(U, "zbar", scheme) \
-        + wirtinger_derivative(V * U, "z", scheme) \
-        + wirtinger_derivative(Vb * U, "zbar", scheme)
-
-
-def _constraint_invert(rhs: ComplexField) -> ComplexField:
-    """Spectral solve of V_zb = rhs on a periodic grid (zero-mean gauge)."""
-    g = rhs.grid
+def v_from_constraint_mnv(U: ComplexField) -> ComplexField:
+    """V with V_zb = (U^2)_z on a periodic grid, zero-mean gauge: (U^2)_z and the
+    inversion of d/dzbar both spectral."""
+    g = U.grid
     sp = g.spectral
+    rhs = wirtinger_derivative(U * U, "z", "spectral")
     # 1 / m_zb = 4 m_z / (4 m_z m_zb) = 2 (i kx + ky) * (-1 / k^2)
     inv_mzb = 2.0 * (sp.ikx + sp.ky[:, None]) * sp.lap_inv
     return ComplexField(g, np.fft.ifft2(inv_mzb * np.fft.fft2(rhs.values)))
-
-
-def v_from_constraint_mnv(U: ComplexField, scheme: str = "spectral") -> ComplexField:
-    """V with V_zb = (U^2)_z."""
-    U2 = U * U
-    return _constraint_invert(wirtinger_derivative(U2, "z", scheme))
-
-
-def v_from_constraint_nv(U: ComplexField, scheme: str = "spectral") -> ComplexField:
-    """V with V_zb = 3 U_z."""
-    return _constraint_invert(3 * wirtinger_derivative(U, "z", scheme))
 
 
 @dataclass
@@ -109,43 +90,24 @@ class FlowResidual:
     constraint_max: float
 
 
-def _flow_residual(rhs_fn, v_fn, cons_rhs_fn, U_stencil, V, dt, scheme,
-                   interior) -> FlowResidual:
+def mnv_residual(U_stencil, dt: float, V: ComplexField | None = None,
+                 interior: int = 0) -> FlowResidual:
+    """Residual of the modified Novikov-Veselov flow U_t = mnv_rhs(U, V),
+    V_zb = (U^2)_z on a centred 3-slice stencil (t-dt, t, t+dt), off an interior
+    margin; V defaults to v_from_constraint_mnv of the middle slice."""
     if len(U_stencil) != 3:
         raise ValueError("need slices (t-dt, t, t+dt)")
     Um, U0, Up = U_stencil
     if V is None:
-        V = v_fn(U0)
-    cres = np.abs(wirtinger_derivative(V, "zbar", scheme).values
-                  - cons_rhs_fn(U0, scheme).values)
+        V = v_from_constraint_mnv(U0)
+    cres = np.abs(wirtinger_derivative(V, "zbar").values
+                  - wirtinger_derivative(U0 * U0, "z").values)
     Ut = (Up.values - Um.values) / (2 * dt)
-    r = np.abs(Ut - rhs_fn(U0, V, scheme).values)
+    r = np.abs(Ut - mnv_rhs(U0, V).values)
     if interior:
         r = r[interior:-interior, interior:-interior]
         cres = cres[interior:-interior, interior:-interior]
     return FlowResidual(float(np.max(r)), float(np.max(cres)))
-
-
-def _mnv_cons_rhs(U, scheme):
-    return wirtinger_derivative(U * U, "z", scheme)
-
-
-def _nv_cons_rhs(U, scheme):
-    return 3 * wirtinger_derivative(U, "z", scheme)
-
-
-def mnv_residual(U_stencil, dt: float, V: ComplexField | None = None,
-                 scheme: str = "spectral", interior: int = 0) -> FlowResidual:
-    """Residual of the modified Novikov-Veselov flow on a 3-slice stencil."""
-    return _flow_residual(mnv_rhs, v_from_constraint_mnv, _mnv_cons_rhs,
-                          U_stencil, V, dt, scheme, interior)
-
-
-def nv_residual(U_stencil, dt: float, V: ComplexField | None = None,
-                scheme: str = "spectral", interior: int = 0) -> FlowResidual:
-    """Residual of the Novikov-Veselov flow on a 3-slice stencil."""
-    return _flow_residual(nv_rhs, v_from_constraint_nv, _nv_cons_rhs,
-                          U_stencil, V, dt, scheme, interior)
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +180,3 @@ def willmore_bound_check(U: Potential1D, N: int | None = None) -> WillmoreCheck:
     bound = 4 * np.pi * N * N
     return WillmoreCheck(value, bound, value >= bound - 1e-9 * max(bound, 1.0), N)
 
-
-def strip_grid(half_width: float = 25.0, nx: int = 2001, ny: int = 64) -> Grid2D:
-    """x-line times [0, 2 pi] strip used by the sphere-bound checks."""
-    return make_grid((-half_width, half_width, 0.0, 2 * np.pi), (nx, ny),
-                     periodicity=(False, True))

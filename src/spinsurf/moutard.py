@@ -41,15 +41,14 @@ normalization condition required of the pair.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dirac import SpinorField, quaternion_defect
 from .exactpoly import BiPoly, RQuat, RationalFn, T, Z, ZBAR, heat_extend
-from .grid import (ComplexField, Form1, Grid2D, antiderivative,
-                   closedness_defect, save_nodes_csv, wirtinger_derivative)
+from .grid import (ComplexField, Form1, Grid2D, antiderivative, closedness_defect,
+                   wirtinger_derivative)
 
 
 class ClosednessError(RuntimeError):
@@ -109,8 +108,6 @@ class SMatrix:
     S: SpinorField
     constant: np.ndarray
     base_node: tuple
-    time_augmented: bool = False
-    loop_defect: float = 0.0
 
     @property
     def grid(self) -> Grid2D:
@@ -118,24 +115,6 @@ class SMatrix:
 
     def det(self) -> ComplexField:
         return self.S.det()
-
-    def to_json(self) -> str:
-        g, S = self.grid, self.S.mat()
-        payload = {
-            "grid": g.meta(),
-            "base_node": list(self.base_node),
-            "constant": [[_c2l(self.constant[i, j]) for j in range(2)] for i in range(2)],
-            "time_augmented": self.time_augmented,
-            "loop_defect": self.loop_defect,
-            "entries": {f"e{i + 1}{j + 1}": [S.values[i, j].real.tolist(),
-                                             S.values[i, j].imag.tolist()]
-                        for i in range(2) for j in range(2)},
-        }
-        return json.dumps(payload)
-
-
-def _c2l(v):
-    return [float(np.real(v)), float(np.imag(v))]
 
 
 def build_S(Phi: SpinorField, Psi: SpinorField, base_node=None, constant=None,
@@ -165,8 +144,7 @@ def build_S(Phi: SpinorField, Psi: SpinorField, base_node=None, constant=None,
     vals = np.empty((2, grid.ny, grid.nx), dtype=complex)
     for k, form in enumerate(forms):
         np.add(antiderivative(form, base_node).values, C[k, 0], out=vals[k])
-    return SMatrix(SpinorField.from_values(grid, vals, forms[0].p.mask), C, tuple(base_node),
-                   time_augmented=time_offset is not None, loop_defect=defect)
+    return SMatrix(SpinorField.from_values(grid, vals, forms[0].p.mask), C, tuple(base_node))
 
 
 def _product(c: complex, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -197,7 +175,7 @@ def normalize_S_pair(SA: SMatrix, SB: SMatrix):
     ca, cb = (target - SB.S).values.mean(axis=(1, 2))
     C = np.array([[ca, -np.conj(cb)], [cb, np.conj(ca)]])
     S = SpinorField.from_values(SB.grid, SB.S.values + np.array([ca, cb])[:, None, None], SB.S.mask)
-    SBn = SMatrix(S, SB.constant + C, SB.base_node, SB.time_augmented, SB.loop_defect)
+    SBn = SMatrix(S, SB.constant + C, SB.base_node)
     res = (target - S).max_abs()
     scale = max(SA.S.max_abs(), 1.0)
     if res > 1e-8 * scale:
@@ -283,13 +261,6 @@ def _transform_side(A0: SpinorField, B0: SpinorField, S: SMatrix, S_inv: SpinorF
     return X - B0 @ S_inv @ SX.S
 
 
-def moutard_spinors(psi0: SpinorField, phi0: SpinorField, psi: SpinorField,
-                    phi: SpinorField, constant0, base_node=None):
-    """One-shot wrapper: background + pair in, transformed pair out."""
-    ctx = MoutardTransform.from_background(psi0, phi0, constant0, base_node)
-    return ctx.transform(psi, phi)
-
-
 def moutard_dsii(U: ComplexField | None, V: ComplexField | None, kdata: KData):
     """Potential update: U~ = U + W, V~ = V + 2 i a_z."""
     W, a = kdata.W, kdata.a
@@ -297,10 +268,6 @@ def moutard_dsii(U: ComplexField | None, V: ComplexField | None, kdata: KData):
     az = wirtinger_derivative(a, "z")
     Vt = 2j * az if V is None else V + 2j * az
     return Ut, Vt
-
-
-def save_kdata_csv(kd: KData, csv_path):
-    save_nodes_csv(csv_path, kd.W.grid, "ix,iy,reW,imW,rea,ima", kd.W.values, kd.a.values)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +10,8 @@ import pytest
 
 import spinsurf.cli as cli
 from spinsurf.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_gen_surface_plane(tmp_path, capsys):
@@ -92,6 +97,20 @@ def test_evolve_s1_error_without_snapshots(tmp_path):
     assert rc == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["rel_l2_error_vs_exact"] < 0.05
+
+
+@pytest.mark.parametrize("dt", ["0.03", "0.3"])
+def test_evolve_refuses_a_span_of_no_whole_number_of_steps(tmp_path, dt):
+    # 0.1 / 0.03 and 0.1 / 0.3 steps: no summary, and a nonzero exit code
+    out = tmp_path / "ev"
+    run = subprocess.run([sys.executable, "-m", "spinsurf.cli", "evolve", "--from", "s1",
+                          "--grid", "32x32", "--box=-5:5:-5:5", "--t-end", "0.1",
+                          "--dt", dt, "--out", str(out)],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert run.returncode != 0
+    assert "ValueError: t0=0 to t_end=0.1 is " in run.stderr and f"dt={dt}" in run.stderr
+    assert not (out / "summary.json").exists()
 
 
 def test_gen_surface_outputs_are_reproducible(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 
 from spinsurf import (ComplexField, SpinorField, catalog, constant_field,
                       evolve, field_from_function, grid_norm_sq, make_grid,
-                      spinor_evolution_residual, square_grid, write_trajectory)
+                      square_grid, wirtinger_derivative, write_trajectory)
 from spinsurf.dsii import re_v_into
 from spinsurf.evolve import BlowupAbort, DsiiEvolver, EvolverState
 from spinsurf.grid import MaskError, SchemeError
@@ -144,6 +144,60 @@ def test_write_trajectory(tmp_path):
     assert len(data["times"]) == 11
     for snap in data["snapshots"]:
         assert (tmp_path / snap["file"]).exists()
+
+
+@pytest.mark.parametrize("t0, t_end, dt", [(0.0, 0.1, 0.03), (0.0, 0.1, 0.3),
+                                           (0.0, -0.1, 1e-2), (0.0, 0.0, 1e-3),
+                                           (0.2, 0.1, 1e-2), (0.0, 0.1, 1e-4 * (1 + 1e-8))])
+def test_evolve_refuses_a_span_of_no_whole_number_of_steps(t0, t_end, dt):
+    # 3.33 steps, 0.33 steps, backwards, none, backwards from t0, 1e-8 short of 1000
+    g = square_grid(5.0, 16, periodic=True)
+    with pytest.raises(ValueError, match=r"t0=.* t_end=.* dt="):
+        evolve(constant_field(g, 0.0), t_end, dt, t0=t0)
+
+
+@pytest.mark.parametrize("t0, t_end, dt, n", [(0.0, 0.3, 1e-3, 300), (0.0, 0.1, 1e-4, 1000),
+                                              (-0.7, -0.3, 4e-3, 100), (0.0, 0.02, 0.02, 1)])
+def test_evolve_runs_the_whole_steps_asked_for(t0, t_end, dt, n):
+    # (t_end - t0) / dt is off a whole number by rounding only: 299.99999999999994 etc.
+    g = square_grid(5.0, 16, periodic=True)
+    traj = evolve(constant_field(g, 0.0), t_end, dt, t0=t0)
+    assert len(traj.times) == n + 1
+    assert traj.times[-1] == pytest.approx(t_end, abs=1e-12)
+
+
+# the linear problems psi_t = A psi, phi_t = Avee phi of the DSII flow, on a centred
+# time stencil: a measuring tool for the closed-form Moutard spinors
+
+
+def _apply_A(psi: SpinorField, U: ComplexField, V: ComplexField,
+             scheme: str, vee: bool) -> SpinorField:
+    """A = i [[-d^2 - V, Ub db - Ub_zb],[U d - U_z, db^2 + Vb]];
+    Avee = -i with U <-> Ub swapped in the off-diagonal entries."""
+    d = lambda f: wirtinger_derivative(f, "z", scheme)
+    db = lambda f: wirtinger_derivative(f, "zbar", scheme)
+    p1, p2 = psi.psi1, psi.psi2
+    Ub = U.conj()
+    Vb = V.conj()
+    if not vee:
+        r1 = -d(d(p1)) - V * p1 + Ub * db(p2) - db(Ub) * p2
+        r2 = U * d(p1) - d(U) * p1 + db(db(p2)) + Vb * p2
+        return SpinorField(1j * r1, 1j * r2)
+    r1 = -d(d(p1)) - V * p1 + U * db(p2) - db(U) * p2
+    r2 = Ub * d(p1) - d(Ub) * p1 + db(db(p2)) + Vb * p2
+    return SpinorField(-1j * r1, -1j * r2)
+
+
+def spinor_evolution_residual(psi_stencil, U: ComplexField, V: ComplexField,
+                              dt: float, which: str = "A",
+                              scheme: str = "central2", interior: int = 2) -> float:
+    """max |psi_t - A psi| (or Avee) on a centred 3-slice stencil."""
+    pm, p0, pp = psi_stencil
+    Ap = _apply_A(p0, U, V, scheme, vee=(which == "Avee"))
+    r = np.abs((pp.values - pm.values) / (2 * dt) - Ap.values).max(axis=0)
+    if interior:
+        r = r[interior:-interior, interior:-interior]
+    return float(np.max(r))
 
 
 def test_spinor_evolution_constant_zero_potential():

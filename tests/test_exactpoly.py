@@ -1,12 +1,11 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinsurf import (BiPoly, C, RQuat, RationalFn, T, Z, ZBAR, heat_extend,
-                      heat_residual, poly_equal, s1_displayed_V)
+                      heat_residual, poly_equal)
 from spinsurf.exactpoly import HeatDatumError, InvalidDatumError, PoleError
+from test_dsii import s1_displayed_V
 
 
 def test_wirtinger_formal_derivative():
@@ -216,20 +215,6 @@ def test_mul_then_t_derivative():
 def test_pow_and_scale():
     p = (Z + 1) ** 3
     q = Z ** 3 + 3 * (Z * Z) + 3 * Z + BiPoly.const(1.0)
-    assert poly_equal(p, q)
-
-
-def test_json_roundtrip_triple_keys():
-    p = Z * Z + 2j * T + BiPoly.const(3.0)
-    q = BiPoly.from_json(p.to_json())
-    assert poly_equal(p, q)
-    raw = json.loads(p.to_json())
-    assert all(len(k.split(",")) == 3 for k in raw)   # c-free data keep triple keys
-
-
-def test_json_roundtrip_extended_keys():
-    p = Z * C + BiPoly.variable("cbar")
-    q = BiPoly.from_json(p.to_json())
     assert poly_equal(p, q)
 
 

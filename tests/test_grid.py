@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from spinsurf import (ComplexField, Form1, constant_field, field_from_function,
-                      integrate2d, load_complexfield_csv, make_grid,
-                      save_complexfield_csv, wirtinger_derivative)
+                      integrate2d, make_grid, save_complexfield_csv,
+                      wirtinger_derivative)
 from spinsurf.grid import (GridConfigError, MaskError, SchemeError, antiderivative,
                            closedness_defect, quadrature_sum, real_antiderivative,
                            save_nodes_csv)
@@ -80,7 +82,7 @@ def test_make_grid_periodic_spacing():
 
 def test_make_grid_node_count():
     g = make_grid((-30, 30, -30, 30), (512, 512))
-    assert g.node_count() == 262144
+    assert g.nx * g.ny == 262144
 
 
 def test_make_grid_rejects_degenerate():
@@ -393,13 +395,22 @@ def test_antiderivative_matches_lpath_integral(order):
 
 
 def test_complexfield_csv_roundtrip(tmp_path):
+    # the CSV holds every node (ix, iy, re, im) to the bit, the sidecar the grid
+    # and the masked nodes as [ix, iy]
     g = make_grid((-1, 1, -1, 1), (9, 7))
-    f = field_from_function(g, lambda z: z ** 2 + 1j)
+    f = field_from_function(g, lambda z: z ** 2 + 1j / 3)
+    f.mask = np.zeros((7, 9), dtype=bool)
+    f.mask[2, 5] = f.mask[6, 0] = True
     path = tmp_path / "f.csv"
     save_complexfield_csv(f, path)
-    back = load_complexfield_csv(path)
-    assert back.grid == g
-    assert np.max(np.abs(back.values - f.values)) < 1e-15
+    assert path.read_text().splitlines()[0] == "ix,iy,re,im"
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    ix, iy = data[:, 0].astype(int), data[:, 1].astype(int)
+    assert np.array_equal(data[:, 2] + 1j * data[:, 3], f.values[iy, ix])
+    assert sorted(zip(iy, ix)) == [(j, i) for j in range(7) for i in range(9)]
+    meta = json.loads((tmp_path / "f.csv.json").read_text())
+    assert sorted(meta.pop("masked_nodes")) == [[0, 6], [5, 2]]
+    assert meta == g.meta()
 
 
 def _savetxt_bytes(path, header, fmt, data):

@@ -3,10 +3,8 @@ import pytest
 
 from spinsurf import (ComplexField, Potential1D, clifford_potential, make_grid,
                       mkdv_reduction_identity, mkdv_rhs_1d, mkdv_soliton,
-                      mnv_residual, mnv_rhs, nv_residual, nv_rhs,
-                      soliton_potential, square_grid, v_from_constraint_mnv,
-                      v_from_constraint_nv, willmore_bound_check)
-from spinsurf.hierarchy import strip_grid
+                      mnv_residual, mnv_rhs, soliton_potential, square_grid,
+                      v_from_constraint_mnv, willmore_bound_check)
 
 
 def _zero_field(g):
@@ -21,13 +19,6 @@ def test_mnv_zero():
     assert rep.constraint_max == 0.0
 
 
-def test_nv_zero():
-    g = square_grid(5.0, 32, periodic=True)
-    z = _zero_field(g)
-    rep = nv_residual([z, z, z], 1e-3)
-    assert rep.max_norm == 0.0
-
-
 def test_mnv_equals_mkdv_on_x_only_fields():
     # 2-D mNV right-hand side with V = U^2 on x-only data equals the mKdV
     # right-hand side to scheme accuracy
@@ -36,7 +27,7 @@ def test_mnv_equals_mkdv_on_x_only_fields():
     u = 1 / np.cosh(x)
     U = ComplexField(g, u.astype(complex))
     V = ComplexField(g, (u ** 2).astype(complex))
-    rhs2d = mnv_rhs(U, V, scheme="central2").values[3, 8:-8].real
+    rhs2d = mnv_rhs(U, V).values[3, 8:-8].real
     rhs1d = mkdv_rhs_1d(u[3], g.hx)[8:-8]
     assert np.max(np.abs(rhs2d - rhs1d)) < 5e-4
 
@@ -70,40 +61,10 @@ def test_mnv_soliton_residual_converges():
             return ComplexField(g, mkdv_soliton(x, t).astype(complex))
 
         V = ComplexField(g, (mkdv_soliton(x, 0.0) ** 2).astype(complex))
-        rep = mnv_residual([U_at(-dt), U_at(0.0), U_at(dt)], dt, V=V,
-                           scheme="central2", interior=4)
+        rep = mnv_residual([U_at(-dt), U_at(0.0), U_at(dt)], dt, V=V, interior=4)
         res[n] = rep.max_norm
         assert rep.constraint_max < 1e-2
     assert res[256] / res[512] >= 3.2
-
-
-def test_nv_reduces_to_kdv_like_on_x_only():
-    # V = 3U from the constraint; RHS becomes (1/4) u_xxx + 6 u u_x
-    g = make_grid((-12, 12, 0, 2 * np.pi), (1201, 8), periodicity=(False, True))
-    x = g.zmesh().real
-    u = 1 / np.cosh(x) ** 2
-    U = ComplexField(g, u.astype(complex))
-    V = ComplexField(g, (3 * u).astype(complex))
-    got = nv_rhs(U, V, scheme="central2").values[3].real
-    h = g.hx
-    ux = np.gradient(u[3], h, edge_order=2)
-    uxxx = np.gradient(np.gradient(ux, h, edge_order=2), h, edge_order=2)
-    want = 0.25 * uxxx + 6 * u[3] * ux
-    assert np.max(np.abs(got - want)[10:-10]) < 5e-3
-
-
-def test_nv_operator_scheme_convergence():
-    # FD evaluation converges to the spectral evaluation at O(h^2) on smooth
-    # periodic data (differential operators only)
-    errs = {}
-    for n in (64, 128):
-        g = make_grid((0, 2 * np.pi, 0, 2 * np.pi), (n, n), True)
-        U = ComplexField(g, np.exp(np.sin(g.zmesh().real) + 0j))
-        V = v_from_constraint_nv(U)
-        fd = nv_rhs(U, V, scheme="central2").values
-        sp = nv_rhs(U, V, scheme="spectral").values
-        errs[n] = np.max(np.abs(fd - sp))
-    assert errs[64] / errs[128] >= 3.5
 
 
 def test_constraint_inversions():
@@ -114,10 +75,6 @@ def test_constraint_inversions():
     lhs = wirtinger_derivative(V, "zbar", "spectral").values
     rhs = wirtinger_derivative(U * U, "z", "spectral").values
     assert np.max(np.abs(lhs - rhs)) < 1e-12
-    V3 = v_from_constraint_nv(U)
-    lhs3 = wirtinger_derivative(V3, "zbar", "spectral").values
-    rhs3 = 3 * wirtinger_derivative(U, "z", "spectral").values
-    assert np.max(np.abs(lhs3 - rhs3)) < 1e-12
 
 
 def test_soliton_willmore_equalities():
@@ -164,6 +121,7 @@ def test_mkdv_soliton_is_soliton_potential_at_t0():
 
 
 def test_strip_grid_shape():
-    g = strip_grid(25.0, 501, 32)
+    # the x-line times [0, 2 pi] strip of the sphere-bound checks
+    g = make_grid((-25.0, 25.0, 0.0, 2 * np.pi), (501, 32), periodicity=(False, True))
     assert g.periodic_y and not g.periodic_x
     assert g.y_max == pytest.approx(2 * np.pi)

@@ -8,7 +8,7 @@ from spinsurf import (ComplexField, SpinorField, SurfaceMap, catalog,
                       measured_e2alpha, smatrix_to_surface, spinor_metric,
                       surface_to_smatrix, weier_derivatives, willmore)
 from spinsurf.grid import wirtinger_derivative
-from spinsurf.hierarchy import soliton_potential, strip_grid
+from spinsurf.hierarchy import soliton_potential
 from spinsurf.moutard import heat_datum_fields, heat_smatrix_values
 from spinsurf.surface import surface_dz
 
@@ -95,7 +95,7 @@ def test_willmore_zero():
 
 
 def test_willmore_soliton_strip():
-    g = strip_grid(25.0, 2001, 16)
+    g = make_grid((-25.0, 25.0, 0.0, 2 * np.pi), (2001, 16), periodicity=(False, True))
     pot = soliton_potential(1, 25.0, 2001)
     vals = np.tile(pot.u, (g.ny, 1)).astype(complex)
     U = ComplexField(g, vals)
@@ -311,13 +311,15 @@ def test_bad_spinor_raises_nonclosed_error():
 
 
 def test_gauge_equivalent_data_give_same_surface():
-    from spinsurf import gauge_transform
+    # the gauge move by a holomorphic h: psi -> (e^h psi1, e^conj(h) psi2),
+    # phi -> (e^-h phi1, e^-conj(h) phi2)
     g = make_grid((-1, 1, -1, 1), (48, 48))
     sol = catalog("s1", c=1.0)
     psi0, phi0 = heat_datum_fields(sol.f, g, 0.1)
-    h = field_from_function(g, lambda z: 0.3 * z - 0.2j)
-    Ug = sol.U_field(g, 0.1)
-    psi2, phi2, _ = gauge_transform(psi0, phi0, Ug, h)
+    h = field_from_function(g, lambda z: 0.3 * z - 0.2j).values
+    e = np.stack([np.exp(h), np.exp(np.conj(h))])
+    psi2 = SpinorField.from_values(g, psi0.values * e, psi0.mask)
+    phi2 = SpinorField.from_values(g, phi0.values / e, phi0.mask)
     S1 = integrate_surface_r4(psi0, phi0)
     S2 = integrate_surface_r4(psi2, phi2)
     assert np.max(np.abs(S1.coords - S2.coords)) < 1e-12
