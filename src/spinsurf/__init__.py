@@ -20,8 +20,8 @@ from .meshio import MeshStats, export_mesh
 from .moutard import (KData, MoutardTransform, SMatrix, build_S,
                       heat_antiderivative, heat_datum_fields,
                       heat_datum_spinors, heat_smatrix_values, k_matrix,
-                      moutard_dsii, moutard_exact, normalize_S_pair, omega,
-                      omega1, time_offset_integral)
+                      moutard_dsii, moutard_exact, omega, omega1,
+                      time_offset_integral)
 from .dsii import (ExactSolution, NormResult, OzawaData, SingularEvent,
                    catalog, dsii_residual_exact, dsii_exact_identity_holds,
                    exact_solution, l2_norm_sq, physical_form,

@@ -20,7 +20,7 @@ import numpy as np
 from . import verify as verify_mod
 from .dirac import SpinorField
 from .dsii import catalog, l2_norm_sq, singular_times
-from .evolve import evolve, grid_norm_sq, write_trajectory
+from .evolve import evolve, grid_norm_sq, step_count, write_trajectory
 from .grid import (Grid2D, constant_field, field_from_function,
                    make_grid, save_complexfield_csv)
 from .meshio import export_mesh
@@ -352,6 +352,11 @@ def main(argv=None) -> int:
             and args.tol is not None:
         ap.error("gen-surface --from-dsii --invert integrates nothing, so it reads "
                  "no --tol (or config key tol)")
+    if args.subcommand == "evolve":
+        try:
+            step_count(0.0, args.t_end, args.dt)
+        except ValueError as exc:
+            ap.error(str(exc))
     return args.func(args)
 
 

@@ -125,21 +125,29 @@ class Trajectory:
     abort_reason: str = ""
 
 
+def step_count(t0: float, t_end: float, dt: float) -> int:
+    """The whole number n >= 1 of steps of dt > 0 from t0 to t_end: ValueError
+    unless dt > 0 and (t_end - t0) / dt is within 1e-9 n of n."""
+    if not dt > 0:                                    # NaN too
+        raise ValueError(f"t0={t0:.12g} to t_end={t_end:.12g} needs dt > 0, got dt={dt:.12g}")
+    steps = (t_end - t0) / dt
+    n = round(steps) if math.isfinite(steps) else 0
+    if n < 1 or abs(steps - n) > 1e-9 * n:
+        raise ValueError(f"t0={t0:.12g} to t_end={t_end:.12g} is {steps:.12g} steps "
+                         f"of dt={dt:.12g}, not a whole number >= 1")
+    return n
+
+
 def evolve(U0: ComplexField, t_end: float, dt: float, t0: float = 0.0,
            snapshot_every: int = 0, callback=None) -> Trajectory:
-    """Repeated Strang stepping from t0 to t_end with norm monitoring.  The span
-    must be a whole number n >= 1 of steps, (t_end - t0) / dt within 1e-9 max(1, n)
-    of n (ValueError otherwise).  Norms are read from each state's spectrum; a
+    """Repeated Strang stepping over the step_count(t0, t_end, dt) steps from t0
+    to t_end with norm monitoring.  Norms are read from each state's spectrum; a
     state's field is formed only for a snapshot, for final and when the callback
     reads state.U."""
     if U0.mask is not None and U0.mask.any():
         raise MaskError("the evolver steps every node; U0 has masked nodes")
+    n_total = step_count(t0, t_end, dt)
     ev = DsiiEvolver(U0.grid, dt)
-    steps = (t_end - t0) / dt
-    n_total = round(steps) if math.isfinite(steps) else 0
-    if n_total < 1 or abs(steps - n_total) > 1e-9 * n_total:
-        raise ValueError(f"t0={t0:.12g} to t_end={t_end:.12g} is {steps:.12g} steps "
-                         f"of dt={dt:.12g}, not a whole number >= 1")
     state = EvolverState(U0, t0)
     times, norms = [t0], [state.norm_sq]
     snaps = [(t0, U0)] if snapshot_every else []

@@ -34,10 +34,11 @@ in exactpoly.RQuat, and the closed-form spinors (heat_datum_spinors, the
 transformed and inverted spinors of ExactMoutardData) are RQuats that reach a
 grid through RQuat.on_grid; heat_datum_fields is the sampled heat_datum_spinors.
 
-Swapped-order time term: omega1 is antisymmetric under argument swap combined
-with transposition, so the augmented partner matrix is S(Psi,Phi) =
-Gamma S(Phi,Psi)^T Gamma = -S(Phi,Psi)^*, which is exactly the
-normalization condition required of the pair.
+Partner matrix: Phi~ is formed through S(Psi0, Phi0) = Gamma S0^T Gamma = -S0^*,
+the column (-conj(a), b) of S0's (a, b), with constant -C0^H and inverse
+-(S0^-1)^*.  Both layers form it so and integrate nothing for it: for any spinor
+arrays, omega's and omega1's columns swap to their conjugates, so the integrated
+S(Psi0, Phi0) is -S0^* up to a constant (the tests integrate it to show so).
 """
 from __future__ import annotations
 
@@ -109,13 +110,6 @@ class SMatrix:
     constant: np.ndarray
     base_node: tuple
 
-    @property
-    def grid(self) -> Grid2D:
-        return self.S.grid
-
-    def det(self) -> ComplexField:
-        return self.S.det()
-
 
 def build_S(Phi: SpinorField, Psi: SpinorField, base_node=None, constant=None,
             time_offset: np.ndarray | None = None) -> SMatrix:
@@ -164,25 +158,6 @@ def time_offset_integral(phi_of_t, psi_of_t, t_grid, base_node) -> np.ndarray:
     return np.trapezoid(vals, t_grid, axis=0)
 
 
-def normalize_S_pair(SA: SMatrix, SB: SMatrix):
-    """Adjust SB's constant so Gamma SA^-1 Gamma = (SB^-1)^T, i.e.
-    SB = Gamma SA^T Gamma = -SA^* (the quaternion conjugate).
-
-    Returns (SB_adjusted, C, residual).  The optimal constant is the mean of
-    -SA^* - SB over the grid (closed-form least squares).
-    """
-    target = SpinorField.from_values(SA.grid, -SA.S.conj().values, SA.S.mask)
-    ca, cb = (target - SB.S).values.mean(axis=(1, 2))
-    C = np.array([[ca, -np.conj(cb)], [cb, np.conj(ca)]])
-    S = SpinorField.from_values(SB.grid, SB.S.values + np.array([ca, cb])[:, None, None], SB.S.mask)
-    SBn = SMatrix(S, SB.constant + C, SB.base_node)
-    res = (target - S).max_abs()
-    scale = max(SA.S.max_abs(), 1.0)
-    if res > 1e-8 * scale:
-        raise NormalizationError(f"normalization residual {res:.3g} exceeds 1e-08 x scale")
-    return SBn, C, res
-
-
 @dataclass
 class KData:
     """W and a extracted from K = Psi S^-1 Gamma Phi^T Gamma^-1."""
@@ -193,8 +168,18 @@ class KData:
 
 def k_matrix(Psi: SpinorField, S: SMatrix | SpinorField, Phi: SpinorField) -> KData:
     """Extract (W, a) from K = Psi S^-1 Phi^* = [[i conj(W), a], [-conj(a), -i W]]."""
-    Sm = S.S if isinstance(S, SMatrix) else S
-    return _kdata(Psi, Sm.inv(min_det=_MIN_DET * max(Sm.max_abs(), 1.0) ** 2), Phi)
+    return _kdata(Psi, _inv(S.S if isinstance(S, SMatrix) else S), Phi)
+
+
+def _inv(S: SpinorField) -> SpinorField:
+    """S^-1, nodes with det S below _MIN_DET max(|S|, 1)^2 masked."""
+    return S.inv(min_det=_MIN_DET * max(S.max_abs(), 1.0) ** 2)
+
+
+def _partner(Q: SpinorField) -> SpinorField:
+    """-Q^* = Gamma Q^T Gamma: the column (-conj(a), b) of Q's column (a, b)."""
+    a, b = Q.values
+    return SpinorField.from_values(Q.grid, np.stack([-np.conj(a), b]), Q.mask)
 
 
 def _kdata(Psi: SpinorField, Sinv: SpinorField, Phi: SpinorField) -> KData:
@@ -217,21 +202,20 @@ class MoutardTransform:
     Psi0: SpinorField                  # the caller's background spinors, not copied
     Phi0: SpinorField
     S0: SMatrix                        # S(Phi0, Psi0), invertible where used
-    SB0: SMatrix                       # S(Psi0, Phi0), normalized partner
+    SB0: SMatrix                       # S(Psi0, Phi0) = -S0^*, the partner
     kdata: KData
-    S0_inv: SpinorField                # S0^-1 and SB0^-1, nodes with det below
-    SB0_inv: SpinorField               # _MIN_DET max(|S0|, 1)^2 masked
+    S0_inv: SpinorField                # S0^-1 and SB0^-1 = -(S0^-1)^*, nodes with
+    SB0_inv: SpinorField               # det below _MIN_DET max(|S0|, 1)^2 masked
 
     @classmethod
     def from_background(cls, psi0: SpinorField, phi0: SpinorField, constant0,
                         base_node=None, time_offset=None) -> "MoutardTransform":
         S0 = build_S(phi0, psi0, base_node=base_node, constant=constant0,
                      time_offset=time_offset)
-        SB0, _, _ = normalize_S_pair(S0, build_S(psi0, phi0, base_node=S0.base_node))
-        eps = _MIN_DET * max(S0.S.max_abs(), 1.0) ** 2      # as in k_matrix
-        S0_inv = S0.S.inv(min_det=eps)
-        kdata = _kdata(psi0, S0_inv, phi0)
-        return cls(psi0, phi0, S0, SB0, kdata, S0_inv, SB0.S.inv(min_det=eps))
+        S0_inv = _inv(S0.S)
+        kdata = _kdata(psi0, S0_inv, phi0)     # before the partner: a lower peak
+        SB0 = SMatrix(_partner(S0.S), -S0.constant.conj().T, S0.base_node)
+        return cls(psi0, phi0, S0, SB0, kdata, S0_inv, _partner(S0_inv))
 
     def transform(self, psi: SpinorField, phi: SpinorField, constP=None,
                   constBP=None) -> tuple[SpinorField, SpinorField]:

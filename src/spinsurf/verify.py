@@ -318,6 +318,8 @@ def suite_moutard() -> list[CheckResult]:
     out.append(CheckResult("plane-datum Dirac residual O(h^2) ratio", ratio, 4.0,
                            0.25, ratio >= 3.0,
                            detail=f"resid {resid[48]:.3g} -> {resid[96]:.3g}"))
+    # the ratio alone passes a wrong partner matrix (+S0^* reads 9.9e-2 -> 3.0e-2)
+    out.append(_abs_check("plane-datum Dirac residual at 96^2", resid[96], 1e-2))
 
     # s1 background: closed-form transformed spinor residual halves at O(h^2)
     sol = catalog("s1", c=1.0)

@@ -99,17 +99,21 @@ def test_evolve_s1_error_without_snapshots(tmp_path):
     assert summary["rel_l2_error_vs_exact"] < 0.05
 
 
-@pytest.mark.parametrize("dt", ["0.03", "0.3"])
+@pytest.mark.parametrize("dt", ["0.03", "0.3", "0"])
 def test_evolve_refuses_a_span_of_no_whole_number_of_steps(tmp_path, dt):
-    # 0.1 / 0.03 and 0.1 / 0.3 steps: no summary, and a nonzero exit code
+    # 0.1 / 0.03 and 0.1 / 0.3 steps, and no step at all: argparse's error, exit
+    # code 2, and nothing written
     out = tmp_path / "ev"
     run = subprocess.run([sys.executable, "-m", "spinsurf.cli", "evolve", "--from", "s1",
                           "--grid", "32x32", "--box=-5:5:-5:5", "--t-end", "0.1",
                           "--dt", dt, "--out", str(out)],
                          capture_output=True, text=True, timeout=120,
                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
-    assert run.returncode != 0
-    assert "ValueError: t0=0 to t_end=0.1 is " in run.stderr and f"dt={dt}" in run.stderr
+    assert run.returncode == 2
+    why = "needs dt > 0" if dt == "0" else "not a whole number >= 1"
+    assert "spinsurf: error: t0=0 to t_end=0.1 " in run.stderr and why in run.stderr
+    assert f"dt={dt}" in run.stderr and "Traceback" not in run.stderr
+    assert not (out / "resolved_config.json").exists()
     assert not (out / "summary.json").exists()
 
 

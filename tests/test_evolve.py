@@ -148,9 +148,11 @@ def test_write_trajectory(tmp_path):
 
 @pytest.mark.parametrize("t0, t_end, dt", [(0.0, 0.1, 0.03), (0.0, 0.1, 0.3),
                                            (0.0, -0.1, 1e-2), (0.0, 0.0, 1e-3),
-                                           (0.2, 0.1, 1e-2), (0.0, 0.1, 1e-4 * (1 + 1e-8))])
+                                           (0.2, 0.1, 1e-2), (0.0, 0.1, 1e-4 * (1 + 1e-8)),
+                                           (0.0, 0.1, 0.0), (0.0, -0.1, -1e-2)])
 def test_evolve_refuses_a_span_of_no_whole_number_of_steps(t0, t_end, dt):
-    # 3.33 steps, 0.33 steps, backwards, none, backwards from t0, 1e-8 short of 1000
+    # 3.33 steps, 0.33 steps, backwards, none, backwards from t0, 1e-8 short of 1000,
+    # dt = 0, and 10 whole steps of a negative dt
     g = square_grid(5.0, 16, periodic=True)
     with pytest.raises(ValueError, match=r"t0=.* t_end=.* dt="):
         evolve(constant_field(g, 0.0), t_end, dt, t0=t0)

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from spinsurf import (BiPoly, C, ComplexField, Form1, RationalFn, SpinorField, T, Z, ZBAR,
-                      catalog, closedness_defect, constant_field, dirac_residual_norm,
-                      exact_solution, field_from_function, heat_extend, make_grid)
+                      antiderivative, catalog, closedness_defect, constant_field,
+                      dirac_residual_norm, exact_solution, field_from_function, heat_extend,
+                      make_grid)
 from spinsurf.exactpoly import InvalidDatumError
 from spinsurf.moutard import (ClosednessError, MoutardTransform, NormalizationError, SMatrix,
                               build_S, heat_antiderivative, heat_datum_fields,
                               heat_datum_spinors, heat_smatrix_values, k_matrix,
-                              moutard_dsii, moutard_exact, normalize_S_pair, omega,
-                              omega1, time_offset_integral)
+                              moutard_dsii, moutard_exact, omega, omega1,
+                              time_offset_integral)
 
 
 def _plane_ctx(n=48, lo=0.4, hi=2.4):
@@ -207,7 +208,7 @@ def test_plane_S_determinant():
     # so its determinant is the squared norm of the surface point)
     g, psi0, ctx = _plane_ctx()
     zm = g.zmesh()
-    assert np.max(np.abs(ctx.S0.det().values - np.abs(zm) ** 2)) < 1e-12
+    assert np.max(np.abs(ctx.S0.S.det().values - np.abs(zm) ** 2)) < 1e-12
 
 
 def test_build_S_rejects_non_solution():
@@ -256,8 +257,19 @@ def test_normalize_pair_symmetric_case():
     assert (target - ctx.SB0.S.mat()).max_abs() < 1e-10
 
 
+def _integrated_partner_offset(SA, SB):
+    """The offset SB - (-SA^*) of an integrated partner's column SB from the one
+    from_background forms out of SA's, as (its mean, its spread about the mean)."""
+    a, b = SA
+    diff = SB - np.stack([-np.conj(a), b])
+    mean = diff.mean(axis=(1, 2))
+    return mean, np.max(np.abs(diff - mean[:, None, None]))
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_normalize_pair_random_solutions(seed):
+    # the partner from_background forms, -S0^*, is S(Psi0, Phi0) integrated, up to
+    # one constant quaternion: C0^H, as S(Psi0, Phi0) is anchored to 0 at the base
     rng = np.random.default_rng(seed)
     g = make_grid((-1, 1, -1, 1), (32, 32))
     a, b, c, d = (rng.normal() + 1j * rng.normal() for _ in range(4))
@@ -265,11 +277,25 @@ def test_normalize_pair_random_solutions(seed):
                        field_from_function(g, lambda z: c * np.conj(z) + d))
     phi0 = SpinorField(field_from_function(g, lambda z: b * z + a),
                        field_from_function(g, lambda z: d * np.exp(0.2 * np.conj(z))))
-    SA = build_S(phi0, psi0,
-                 constant=np.array([[1.0, 0.2], [-0.2, 1.0]]))
-    SB = build_S(psi0, phi0)
-    SBn, C, res = normalize_S_pair(SA, SB)
-    assert res < 1e-8
+    C0 = np.array([[1.0, 0.2], [-0.2, 1.0]])
+    SA = build_S(phi0, psi0, constant=C0).S
+    mean, spread = _integrated_partner_offset(SA.values, build_S(psi0, phi0).S.values)
+    scale = SA.max_abs()
+    assert spread <= 1e-12 * scale
+    assert np.max(np.abs(mean - C0.conj().T[:, 0])) <= 1e-12 * scale
+    # the identity needs no Dirac equation: on random arrays omega is not closed,
+    # and its L-path integrals still pair up
+    psi, phi = (SpinorField(*(ComplexField(g, rng.normal(size=(32, 32))
+                                           + 1j * rng.normal(size=(32, 32)))
+                              for _ in range(2))) for _ in range(2))
+    with pytest.raises(ClosednessError):
+        build_S(phi, psi)
+
+    SA, SB = (np.stack([antiderivative(f, (16, 16)).values for f in omega(*pair)])
+              for pair in ((phi, psi), (psi, phi)))
+    mean, spread = _integrated_partner_offset(SA, SB)
+    assert spread <= 1e-12 * np.max(np.abs(SA))
+    assert np.max(np.abs(mean)) <= 1e-12 * np.max(np.abs(SA))
 
 
 def test_k_matrix_plane_example():
@@ -358,20 +384,28 @@ def test_moutard_real_reduction_keeps_U_real():
 
 
 def test_context_inverts_S0_and_SB0_once(monkeypatch):
-    # from_background forms S0^-1 (also used for K) and SB0^-1; transform reuses them
-    calls = []
+    # from_background integrates and inverts S0 only (S0^-1 also forms K); the
+    # partner SB0 = -S0^* and SB0^-1 = -(S0^-1)^* are read off; transform reuses them
+    calls, builds = [], []
     inv = SpinorField.inv
     monkeypatch.setattr(SpinorField, "inv",
                         lambda self, *a, **k: calls.append(1) or inv(self, *a, **k))
+    import spinsurf.moutard as moutard_mod
+    build = moutard_mod.build_S
+    monkeypatch.setattr(moutard_mod, "build_S",
+                        lambda *a, **k: builds.append(1) or build(*a, **k))
     g, psi0, ctx = _plane_ctx(32)
-    assert len(calls) == 2
+    assert (len(calls), len(builds)) == (1, 1)
     psi = SpinorField(field_from_function(g, lambda z: np.exp(0.4 * z)), constant_field(g, 0.0))
     ctx.transform(psi, psi)
     ctx.transform(psi, psi)
-    assert len(calls) == 2
+    assert (len(calls), len(builds)) == (1, 5)
     monkeypatch.undo()
     eps = 1e-12 * max(ctx.S0.S.max_abs(), 1.0) ** 2
     assert np.array_equal(ctx.S0_inv.values, ctx.S0.S.inv(min_det=eps).values)
+    assert np.array_equal(ctx.SB0.S.values, -ctx.S0.S.conj().values)
+    assert np.array_equal(ctx.SB0.constant, -ctx.S0.constant.conj().T)
+    assert ctx.SB0.base_node == ctx.S0.base_node
     assert np.array_equal(ctx.SB0_inv.values, ctx.SB0.S.inv(min_det=eps).values)
     kd = k_matrix(ctx.Psi0, ctx.S0, ctx.Phi0)
     assert np.array_equal(kd.W.values, ctx.kdata.W.values)
