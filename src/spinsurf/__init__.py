@@ -3,14 +3,13 @@ quaternionic Moutard transformation, and exact Davey-Stewartson II solutions
 from heat polynomials, with symbolic and numerical verification tooling.
 """
 
-from .grid import (ComplexField, Form1, Grid2D, antiderivative,
+from .grid import (ComplexField, Grid2D, antiderivative,
                    closedness_defect, constant_field, field_from_function,
                    integrate2d, make_grid, save_complexfield_csv, square_grid,
                    wirtinger_derivative)
 from .exactpoly import (BiPoly, C, CBAR, ONE, RQuat, RationalFn, T, Z, ZBAR,
                         heat_extend, heat_residual, poly_equal)
-from .dirac import (PotentialPair, SpinorField, apply_D, apply_Dvee,
-                    dirac_residual_norm)
+from .dirac import SpinorField, apply_D, apply_Dvee, dirac_residual_norm
 from .surface import (GaussMapResult, MetricData, SurfaceMap,
                       discrete_mean_curvature, gauss_map, integrate_surface_r3,
                       integrate_surface_r4, invert_surface, measured_e2alpha,

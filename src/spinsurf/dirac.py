@@ -15,27 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ComplexField, Grid2D, GridConfigError, _merge_masks, wirtinger_derivative
-
-
-@dataclass
-class PotentialPair:
-    """Dirac potential U and optional DSII auxiliary field V."""
-
-    U: ComplexField
-    V: ComplexField | None = None
-    real_u: bool = False
-
-    def __post_init__(self):
-        if self.real_u:
-            im = float(np.max(np.abs(self.U.values.imag)))
-            scale = max(self.U.max_abs(), 1.0)
-            if im > 1e-10 * scale:
-                raise ValueError(f"R3 mode requires real U; max|Im U| = {im:g}")
-
-    @property
-    def grid(self) -> Grid2D:
-        return self.U.grid
+from .grid import (ComplexField, Grid2D, GridConfigError, _merge_masks, masked_max_abs,
+                   wirtinger_derivative)
 
 
 def _empty(grid: Grid2D) -> np.ndarray:
@@ -135,7 +116,7 @@ class Mat2Field:
         return np.array(self.values[:, :, iy, ix])
 
     def max_abs(self) -> float:
-        return max(self.entry(i, j).max_abs() for i in range(2) for j in range(2))
+        return masked_max_abs(self.values, self.mask)
 
 
 def quaternion_defect(m: np.ndarray) -> float:
@@ -249,25 +230,24 @@ class SpinorField:
         return np.array([[a, -np.conj(b)], [b, np.conj(a)]])
 
     def max_abs(self) -> float:
-        return max(ComplexField(self.grid, v, self.mask).max_abs() for v in self.values)
+        return masked_max_abs(self.values, self.mask)
 
 
 GAMMA = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
-def apply_D(U: PotentialPair | ComplexField, psi: SpinorField) -> SpinorField:
+def apply_D(U: ComplexField, psi: SpinorField) -> SpinorField:
     """Residual of the Dirac operator: (d psi2 + U psi1, -db psi1 + conj(U) psi2)."""
-    Uf = U.U if isinstance(U, PotentialPair) else U
-    if Uf.grid != psi.grid:
+    if U.grid != psi.grid:
         raise GridConfigError("potential and spinor grids differ")
-    r1 = wirtinger_derivative(psi.psi2, "z") + Uf * psi.psi1
-    r2 = -wirtinger_derivative(psi.psi1, "zbar") + Uf.conj() * psi.psi2
+    r1 = wirtinger_derivative(psi.psi2, "z") + U * psi.psi1
+    r2 = -wirtinger_derivative(psi.psi1, "zbar") + U.conj() * psi.psi2
     return SpinorField(r1, r2)
 
 
-def apply_Dvee(U: PotentialPair | ComplexField, phi: SpinorField) -> SpinorField:
+def apply_Dvee(U: ComplexField, phi: SpinorField) -> SpinorField:
     """Residual of the formally conjugate operator: D with conj(U) for U."""
-    return apply_D((U.U if isinstance(U, PotentialPair) else U).conj(), phi)
+    return apply_D(U.conj(), phi)
 
 
 def dirac_residual_norm(U, psi, interior: int = 0, vee: bool = False) -> float:

@@ -396,11 +396,11 @@ def _t_poly_at_origin(sol: ExactSolution):
     return np.array([coeffs.get(k, 0.0) for k in range(max(coeffs) + 1)], dtype=complex)
 
 
-def _real_roots_of_complex_poly(coeffs: np.ndarray, imag_tol: float = 1e-10):
+def _real_roots_of_complex_poly(coeffs: np.ndarray):
     """Real t with P(t) = 0 for a complex-coefficient polynomial (both parts vanish).
 
     Degree <= 2 uses closed forms (exact for the catalog); otherwise companion
-    eigenvalues with an |Im| filter."""
+    eigenvalues with |Im| <= 1e-10 max(1, |roots|)."""
 
     def real_roots(arr):
         arr = np.trim_zeros(np.asarray(arr, dtype=float), "b")
@@ -419,7 +419,7 @@ def _real_roots_of_complex_poly(coeffs: np.ndarray, imag_tol: float = 1e-10):
             return [(-a1 - sq) / (2 * a2), (-a1 + sq) / (2 * a2)]
         roots = np.roots(arr[::-1])
         scale = max(1.0, float(np.max(np.abs(roots))))
-        return [r.real for r in roots if abs(r.imag) <= imag_tol * scale]
+        return [r.real for r in roots if abs(r.imag) <= 1e-10 * scale]
 
     rp = real_roots(np.real(coeffs))
     rq = real_roots(np.imag(coeffs))

@@ -312,9 +312,10 @@ CBAR = BiPoly.variable("cbar")
 ONE = BiPoly.const(1.0)
 
 
-def poly_equal(p: BiPoly, q: BiPoly, rel: float = 1e-12) -> bool:
+def poly_equal(p: BiPoly, q: BiPoly) -> bool:
+    """p == q to 1e-12 of their largest coefficient (at least 1)."""
     ref = max(p.max_abs(), q.max_abs(), 1.0)
-    return (p - q).is_zero(rel, ref)
+    return (p - q).is_zero(1e-12, ref)
 
 
 class RationalFn:

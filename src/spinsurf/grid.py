@@ -1,8 +1,14 @@
 """Complex-plane grids, Wirtinger derivatives, quadrature and path integration.
 
-Conventions: z = x + i y, d = (d/dx - i d/dy)/2 (dering with respect to z),
+Conventions: z = x + i y, d = (d/dx - i d/dy)/2 (derivative with respect to z),
 db = (d/dx + i d/dy)/2 (with respect to zbar).  Field values are stored as
 arrays of shape (ny, nx) indexed values[iy, ix].
+
+One difference scheme: central differences, one-sided second order at open
+edges (Spectral holds the Fourier symbols that the evolver and the constraint
+solves apply themselves).  One path integral and one closedness test, both for
+a 1-form gx dx + gy dy with real or complex gx, gy of shape (..., ny, nx): the
+form p dz + q dzbar is gx = p + q, gy = i (p - q).
 """
 from __future__ import annotations
 
@@ -28,15 +34,16 @@ class MaskError(ValueError):
 class Spectral:
     """Read-only wavenumbers and dt-independent multipliers of a doubly periodic
     grid, for fft2 arrays [iy, ix] (re_v: rfft2); the 2-D ones are built on first
-    use.  ikx, iky are the symbols of d/dx, d/dy; re_v = 2 (kx^2 - ky^2) / k^2 is
-    the real part of 2 m_z / m_zb, which solves V_zb = 2 n_z; lap_inv = -1/k^2."""
+    use.  ikx is the symbol of d/dx (i ky[:, None] that of d/dy); re_v =
+    2 (kx^2 - ky^2) / k^2 is the real part of 2 m_z / m_zb, which solves
+    V_zb = 2 n_z; lap_inv = -1/k^2."""
 
     def __init__(self, grid: Grid2D):
         if not grid.periodic:
             raise SchemeError("spectral operators need a doubly periodic grid")
         self.kx = 2 * np.pi * np.fft.fftfreq(grid.nx, d=grid.hx)
         self.ky = 2 * np.pi * np.fft.fftfreq(grid.ny, d=grid.hy)
-        self.ikx, self.iky = 1j * self.kx, 1j * self.ky[:, None]
+        self.ikx = 1j * self.kx
         for a in vars(self).values():
             a.flags.writeable = False
 
@@ -150,8 +157,8 @@ class ComplexField:
         if self.mask is not None:
             self.mask = np.asarray(self.mask, dtype=bool)
 
-    def like(self, values, mask=None) -> "ComplexField":
-        return ComplexField(self.grid, values, self.mask if mask is None else mask)
+    def like(self, values) -> "ComplexField":
+        return ComplexField(self.grid, values, self.mask)
 
     def conj(self) -> "ComplexField":
         return self.like(np.conj(self.values))
@@ -160,9 +167,7 @@ class ComplexField:
         return self.like(np.abs(self.values) ** 2)
 
     def max_abs(self) -> float:
-        if self.mask is not None and self.mask.any():
-            return float(np.max(np.abs(self.values[~self.mask]))) if (~self.mask).any() else 0.0
-        return float(np.max(np.abs(self.values)))
+        return masked_max_abs(self.values, self.mask)
 
     def __add__(self, other):
         return self._binop(other, np.add)
@@ -197,6 +202,16 @@ class ComplexField:
         return self.like(op(self.values, other))
 
 
+def masked_max_abs(values: np.ndarray, mask: np.ndarray | None) -> float:
+    """max |values| over the unmasked nodes of (..., ny, nx) values; 0 when every
+    node is masked."""
+    if mask is not None and mask.any():
+        if mask.all():
+            return 0.0
+        values = values[..., ~mask]
+    return float(np.max(np.abs(values)))
+
+
 def _merge_masks(a, b):
     if a is None:
         return b
@@ -220,22 +235,6 @@ def constant_field(grid: Grid2D, value) -> ComplexField:
     return ComplexField(grid, np.full((grid.ny, grid.nx), value, dtype=np.complex128))
 
 
-@dataclass
-class Form1:
-    """1-form p dz + q dzbar over a shared grid."""
-
-    p: ComplexField
-    q: ComplexField
-
-    def __post_init__(self):
-        if self.p.grid != self.q.grid:
-            raise GridConfigError("p, q must share the grid")
-
-    @property
-    def grid(self) -> Grid2D:
-        return self.p.grid
-
-
 # ---------------------------------------------------------------------------
 # derivatives
 
@@ -251,46 +250,34 @@ def _ddx(values: np.ndarray, h: float, periodic: bool) -> np.ndarray:
     # (they difference across a row break) are rewritten below
     np.subtract(values.reshape(-1)[2:], values.reshape(-1)[:-2], out=out.reshape(-1)[1:-1])
     if periodic:
-        np.subtract(values[:, 1], values[:, -1], out=out[:, 0])
-        np.subtract(values[:, 0], values[:, -2], out=out[:, -1])
+        np.subtract(values[..., 1], values[..., -1], out=out[..., 0])
+        np.subtract(values[..., 0], values[..., -2], out=out[..., -1])
     else:                       # one-sided second order at the edges
-        out[:, 0] = -3 * values[:, 0] + 4 * values[:, 1] - values[:, 2]
-        out[:, -1] = 3 * values[:, -1] - 4 * values[:, -2] + values[:, -3]
+        out[..., 0] = -3 * values[..., 0] + 4 * values[..., 1] - values[..., 2]
+        out[..., -1] = 3 * values[..., -1] - 4 * values[..., -2] + values[..., -3]
     out *= 1.0 / (2 * h)
     return out
 
 
 def _ddy(values: np.ndarray, h: float, periodic: bool) -> np.ndarray:
     out = np.empty_like(values)
-    np.subtract(values[2:], values[:-2], out=out[1:-1])
+    np.subtract(values[..., 2:, :], values[..., :-2, :], out=out[..., 1:-1, :])
     if periodic:
-        np.subtract(values[1], values[-1], out=out[0])
-        np.subtract(values[0], values[-2], out=out[-1])
+        np.subtract(values[..., 1, :], values[..., -1, :], out=out[..., 0, :])
+        np.subtract(values[..., 0, :], values[..., -2, :], out=out[..., -1, :])
     else:
-        out[0] = -3 * values[0] + 4 * values[1] - values[2]
-        out[-1] = 3 * values[-1] - 4 * values[-2] + values[-3]
+        out[..., 0, :] = -3 * values[..., 0, :] + 4 * values[..., 1, :] - values[..., 2, :]
+        out[..., -1, :] = 3 * values[..., -1, :] - 4 * values[..., -2, :] + values[..., -3, :]
     out *= 1.0 / (2 * h)
     return out
 
 
-def _partials(grid: Grid2D, u: np.ndarray, v: np.ndarray, scheme: str):
-    """(d u / dx, d v / dy) by the central-difference or spectral scheme; one
-    forward FFT when u is v."""
-    if scheme == "central2":
-        return _ddx(u, grid.hx, grid.periodic_x), _ddy(v, grid.hy, grid.periodic_y)
-    if scheme == "spectral":
-        sp, uh = grid.spectral, np.fft.fft2(u)
-        vh = uh if v is u else np.fft.fft2(v)
-        return np.fft.ifft2(sp.ikx * uh), np.fft.ifft2(sp.iky * vh)
-    raise SchemeError(f"unknown scheme {scheme!r}")
-
-
-def wirtinger_derivative(f: ComplexField, direction: str = "z",
-                         scheme: str = "central2") -> ComplexField:
-    """d f / dz or d f / dzbar with central-difference or spectral scheme."""
+def wirtinger_derivative(f: ComplexField, direction: str = "z") -> ComplexField:
+    """d f / dz or d f / dzbar from central differences (one-sided at open edges)."""
     if direction not in ("z", "zbar"):
         raise ValueError(f"unknown direction {direction!r}")
-    fx, fy = _partials(f.grid, f.values, f.values, scheme)
+    g = f.grid
+    fx, fy = _ddx(f.values, g.hx, g.periodic_x), _ddy(f.values, g.hy, g.periodic_y)
     if direction == "z":          # (fx - i fy) / 2, formed in place in fx
         fx.real += fy.imag
         fx.imag -= fy.real
@@ -378,36 +365,14 @@ def integrate2d(f: ComplexField, mask_policy: str = "reject") -> complex:
 # path integration
 
 
-def antiderivative(form: Form1, basepoint=(0, 0), order: str = "x_first") -> ComplexField:
-    """F(P) = int_{P0}^{P} (p dz + q dzbar) along L-paths, vectorised over all nodes.
+def antiderivative(grid: Grid2D, gx: np.ndarray, gy: np.ndarray, basepoint,
+                   order: str) -> np.ndarray:
+    """F(P) = int_{P0}^{P} (gx dx + gy dy) along L-paths from the basepoint node
+    (ix, iy), for real or complex gx, gy of shape (..., ny, nx), vectorised over
+    all nodes and leading axes.
 
-    x_first runs along the basepoint row and then up/down each column;
-    y_first the other way round.  The integrand along x is p + q (dz = dx), along
-    y it is i (p - q) (dz = i dy); the first leg's is formed on one line only.
-    """
-    grid = form.grid
-    ix0, iy0 = basepoint
-    p, q = form.p.values, form.q.values
-    if order == "x_first":
-        row = _cumtrapz_from(p[iy0, :] + q[iy0, :], grid.hx, ix0)
-        gy = p - q
-        gy *= 1j
-        out = _cumtrapz_from(gy, grid.hy, iy0, axis=0)
-        out += row[None, :]
-    elif order == "y_first":
-        col = _cumtrapz_from(1j * (p[:, ix0] - q[:, ix0]), grid.hy, iy0)
-        out = _cumtrapz_from(p + q, grid.hx, ix0, axis=1)
-        out += col[:, None]
-    else:
-        raise ValueError(f"unknown order {order!r}")
-    return ComplexField(grid, out, _merge_masks(form.p.mask, form.q.mask))
-
-
-def real_antiderivative(grid: Grid2D, gx: np.ndarray, gy: np.ndarray, basepoint=(0, 0),
-                        order: str = "x_first") -> np.ndarray:
-    """F(P) = int_{P0}^{P} (gx dx + gy dy) for real gx, gy of shape (..., ny, nx),
-    along antiderivative's L-paths.  The real form of p dz + conj(p) dzbar has
-    gx = 2 Re p, gy = -2 Im p, and then F is antiderivative's real part to the bit."""
+    x_first runs along the basepoint row and then up/down each column; y_first
+    the other way round.  For p dz + q dzbar, gx = p + q and gy = i (p - q)."""
     ix0, iy0 = basepoint
     if order == "x_first":
         out = _cumtrapz_from(gy, grid.hy, iy0, axis=-2)
@@ -433,16 +398,13 @@ def _cumtrapz_from(vals: np.ndarray, h: float, i0: int, axis: int = -1) -> np.nd
     return out
 
 
-def closedness_defect(form: Form1, scheme: str = "central2") -> float:
-    """max |d_zbar p - d_z q|, the discrete exterior-derivative residual.
-
-    The residual is linear in (p, q): it is (D_x(p - q) + i D_y(p + q)) / 2, so
-    one x-derivative and one y-derivative form it."""
-    p, q = form.p.values, form.q.values
-    r, dy = _partials(form.grid, p - q, p + q, scheme)
-    r.real -= dy.imag
-    r.imag += dy.real
-    return 0.5 * ComplexField(form.grid, r, _merge_masks(form.p.mask, form.q.mask)).max_abs()
+def closedness_defect(grid: Grid2D, gx: np.ndarray, gy: np.ndarray, mask) -> float:
+    """Half the largest |d gx / dy - d gy / dx| over the unmasked nodes (mask may
+    be None) of gx dx + gy dy, gx, gy of shape (..., ny, nx): the discrete
+    exterior-derivative residual, which for p dz + q dzbar is max |d_zbar p - d_z q|."""
+    r = _ddy(gx, grid.hy, grid.periodic_y)
+    r -= _ddx(gy, grid.hx, grid.periodic_x)
+    return 0.5 * masked_max_abs(r, mask)
 
 
 # ---------------------------------------------------------------------------

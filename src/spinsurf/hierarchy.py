@@ -46,11 +46,10 @@ def clifford_potential(n: int = 2048) -> Potential1D:
     return Potential1D(x, np.sin(x) / (2 * s * (np.sin(x) - s)), tag="clifford")
 
 
-def mkdv_soliton(x, t: float = 0.0, k: float = 1.0) -> np.ndarray:
+def mkdv_soliton(x, t: float = 0.0) -> np.ndarray:
     """Travelling solution of U_t = (1/4) U_xxx + 6 U_x U^2:
-    U = (k/2) sech(k (x + k^2 t / 4)); at t = 0, k = 1 this is the N=1
-    soliton potential."""
-    return (k / 2) / np.cosh(k * (np.asarray(x) + k * k * t / 4))
+    U = (1/2) sech(x + t / 4); at t = 0 this is the N=1 soliton potential."""
+    return 0.5 / np.cosh(np.asarray(x) + t / 4)
 
 
 # ---------------------------------------------------------------------------
@@ -74,14 +73,13 @@ def mnv_rhs(U: ComplexField, V: ComplexField) -> ComplexField:
 
 
 def v_from_constraint_mnv(U: ComplexField) -> ComplexField:
-    """V with V_zb = (U^2)_z on a periodic grid, zero-mean gauge: (U^2)_z and the
-    inversion of d/dzbar both spectral."""
+    """V with V_zb = (U^2)_z on a periodic grid, zero-mean gauge, by one spectral
+    multiplier: V^ = (m_z / m_zb) (U^2)^."""
     g = U.grid
     sp = g.spectral
-    rhs = wirtinger_derivative(U * U, "z", "spectral")
-    # 1 / m_zb = 4 m_z / (4 m_z m_zb) = 2 (i kx + ky) * (-1 / k^2)
-    inv_mzb = 2.0 * (sp.ikx + sp.ky[:, None]) * sp.lap_inv
-    return ComplexField(g, np.fft.ifft2(inv_mzb * np.fft.fft2(rhs.values)))
+    # m_z / m_zb = (i kx + ky) / (i kx - ky) = (i kx + ky)^2 * (-1 / k^2)
+    ratio = (sp.ikx + sp.ky[:, None]) ** 2 * sp.lap_inv
+    return ComplexField(g, np.fft.ifft2(ratio * np.fft.fft2(U.values * U.values)))
 
 
 @dataclass
@@ -157,9 +155,8 @@ class WillmoreCheck:
                 "N": self.n_claim}
 
 
-def willmore_value_1d(U: Potential1D, y_span: float = 2 * np.pi,
-                      periodic_x: bool = False) -> float:
-    """4 * int U^2 dx dy over the strip x-range x [0, y_span]."""
+def willmore_value_1d(U: Potential1D, periodic_x: bool = False) -> float:
+    """4 * int U^2 dx dy over the strip x-range x [0, 2 pi]."""
     u2 = U.u.astype(float) ** 2
     if periodic_x:
         ix = float(np.sum(u2) * U.h)
@@ -167,7 +164,7 @@ def willmore_value_1d(U: Potential1D, y_span: float = 2 * np.pi,
         ix = float(np.trapezoid(u2, dx=U.h))
     if not np.isfinite(ix):
         raise ValueError("divergent integral")
-    return 4.0 * ix * y_span
+    return 4.0 * ix * (2 * np.pi)
 
 
 def willmore_bound_check(U: Potential1D, N: int | None = None) -> WillmoreCheck:

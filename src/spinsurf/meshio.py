@@ -21,21 +21,12 @@ class MeshStats:
     files: list
 
 
-def _project(S: SurfaceMap, r4_projection: str):
+def _project(S: SurfaceMap):
+    """The R^3 vertices: an R^4 surface drops x4, whose range goes to the sidecar."""
     if S.ambient_dim == 3:
         return S.coords, {}
-    if r4_projection == "drop4":
-        x4 = S.coords[3]
-        return S.coords[:3], {"x4_range": [float(x4.min()), float(x4.max())]}
-    if r4_projection == "stereographic":
-        # from the unit-sphere compactification pole along x4
-        c = S.coords
-        r2 = np.sum(c * c, axis=0)
-        denom = 1.0 + r2
-        scale = 1.0 / denom
-        return np.stack([2 * c[0] * scale, 2 * c[1] * scale, 2 * c[2] * scale]), \
-            {"projection": "stereographic"}
-    raise MeshFormatError(f"unknown r4 projection {r4_projection!r}")
+    x4 = S.coords[3]
+    return S.coords[:3], {"x4_range": [float(x4.min()), float(x4.max())]}
 
 
 def grid_triangles(nx: int, ny: int, good: np.ndarray, stitch_x: bool = False,
@@ -55,17 +46,18 @@ def grid_triangles(nx: int, ny: int, good: np.ndarray, stitch_x: bool = False,
     return tris.reshape(-1, 3), int(ok.size - np.count_nonzero(ok))
 
 
-def export_mesh(S: SurfaceMap, path, fmt: str = "obj", r4_projection: str = "drop4",
+def export_mesh(S: SurfaceMap, path, fmt: str = "obj",
                 metadata: dict | None = None) -> MeshStats:
     """Write the surface as a triangulated OBJ or PLY file plus a JSON sidecar.
 
-    Periodic axes of the grid are stitched.  Nodes that are masked or not finite
-    leave holes.  The files are built from whole arrays and match the
-    per-element writers kept in the tests byte for byte.
+    An R^4 surface is drawn by its first three coordinates.  Periodic axes of
+    the grid are stitched.  Nodes that are masked or not finite leave holes.
+    The files are built from whole arrays and match the per-element writers
+    kept in the tests byte for byte.
     """
     if fmt not in ("obj", "ply"):
         raise MeshFormatError(f"unsupported format {fmt!r}")
-    verts3, extra = _project(S, r4_projection)
+    verts3, extra = _project(S)
     g = S.grid
     good = np.ones((g.ny, g.nx), dtype=bool)
     if S.mask is not None:

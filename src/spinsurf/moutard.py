@@ -21,13 +21,13 @@ Storage: one quaternion algebra throughout.  The spinors psi, phi are their
 quaternion extensions Psi, Phi, and S, S^-1 and K are quaternions
 [[a, -conj(b)], [b, conj(a)]] per node too; each is held as its column (a, b), a
 SpinorField on the grid and an exactpoly.RQuat in the exact layer.  Gamma omega1
-is a quaternion, and so are the x and y parts of Gamma omega, dz + dzbar and
-i(dz - dzbar): omega returns column 0 of Gamma omega as the 1-forms of its two
-entries (its dz and dzbar parts alone are not quaternions), omega1 returns
-column 0 of Gamma omega1 as a SpinorField, and build_S integrates the two
-entries of omega.  The one general 2x2 value entering quaternion storage,
-build_S's integration constant, is checked for the quaternion pattern there, and
-a violation raises NormalizationError.
+is a quaternion.  Gamma omega = G dz + H dzbar = X dx + Y dy with X = G + H and
+Y = i (G - H); X and Y are quaternions, G and H alone are not.  omega returns
+column 0 of X and of Y, omega1 column 0 of Gamma omega1, each as a SpinorField,
+and build_S checks and integrates omega's two entries as one stacked 1-form.
+The one general 2x2 value entering quaternion storage, build_S's integration
+constant, is checked for the quaternion pattern there, and a violation raises
+NormalizationError.
 
 Exact layer: for a heat-polynomial background, moutard_exact forms the chain
 in exactpoly.RQuat, and the closed-form spinors (heat_datum_spinors, the
@@ -48,7 +48,7 @@ import numpy as np
 
 from .dirac import SpinorField, quaternion_defect
 from .exactpoly import BiPoly, RQuat, RationalFn, T, Z, ZBAR, heat_extend
-from .grid import (ComplexField, Form1, Grid2D, antiderivative, closedness_defect,
+from .grid import (ComplexField, Grid2D, antiderivative, closedness_defect,
                    wirtinger_derivative)
 
 
@@ -74,17 +74,25 @@ def _check_quaternion(m: np.ndarray, what: str):
                                  f"defect {defect:.3g} (tol {PATTERN_TOL * scale:.3g})")
 
 
-def omega(Phi: SpinorField, Psi: SpinorField) -> tuple[Form1, Form1]:
-    """Column 0 of Gamma omega(Phi, Psi), as the 1-forms of its entries (a, b): with
-    Phi = (pa, pb), Psi = (sa, sb),
-        a = i conj(pb) sa dz + i conj(pa) sb dzbar,  b = i pa sa dz - i pb sb dzbar.
-    Column 1 is (-conj(b), conj(a)) as 1-forms, so its closedness defect and
-    integral are those of column 0 by symmetry."""
+def omega(Phi: SpinorField, Psi: SpinorField) -> tuple[SpinorField, SpinorField]:
+    """Column 0 of the x part and of the y part of Gamma omega(Phi, Psi), for
+    Gamma omega = X dx + Y dy.  With Phi = (pa, pb), Psi = (sa, sb), the dz and
+    dzbar parts of column 0's entries (a, b) are
+        p = (i conj(pb) sa, i pa sa),  q = (i conj(pa) sb, -i pb sb),
+    and X = p + q, Y = i (p - q) (dz = dx + i dy).  X and Y are quaternions, so
+    their column 1s, and the closedness defects and integrals of those, follow
+    from column 0."""
     grid, mask = Phi.grid, Phi._mask_with(Psi)         # GridConfigError on a grid mismatch
     (pa, pb), (sa, sb) = Phi.values, Psi.values
-    return tuple(Form1(ComplexField(grid, dz, mask), ComplexField(grid, dzb, mask))
-                 for dz, dzb in ((_product(1j, np.conj(pb), sa), _product(1j, np.conj(pa), sb)),
-                                 (_product(1j, pa, sa), _product(-1j, pb, sb))))
+    p, q = (np.empty((2, grid.ny, grid.nx), dtype=complex) for _ in range(2))
+    _product(1j, np.conj(pb), sa, p[0])
+    _product(1j, pa, sa, p[1])
+    _product(1j, np.conj(pa), sb, q[0])
+    _product(-1j, pb, sb, q[1])
+    gy = p - q
+    gy *= 1j
+    p += q
+    return SpinorField.from_values(grid, p, mask), SpinorField.from_values(grid, gy, mask)
 
 
 def omega1(Phi: SpinorField, Psi: SpinorField) -> SpinorField:
@@ -120,7 +128,10 @@ def build_S(Phi: SpinorField, Psi: SpinorField, base_node=None, constant=None,
     contribution when assembling a time-augmented S at fixed t.  Their sum must
     be a quaternion (NormalizationError otherwise).
 
-    Only column 0 of Gamma omega, what omega returns, is checked and integrated.
+    Only column 0 of Gamma omega's x and y parts X, Y (what omega returns) is
+    checked and integrated: ClosednessError unless the closedness defect of
+    X dx + Y dy is at most 100 max(hx, hy)^2 max(1, |X|, |Y|) over the unmasked
+    nodes.
     """
     grid = Phi.grid
     if base_node is None:
@@ -129,23 +140,21 @@ def build_S(Phi: SpinorField, Psi: SpinorField, base_node=None, constant=None,
     if time_offset is not None:
         C = C + np.asarray(time_offset, dtype=complex)
     _check_quaternion(C, "S constant")
-    forms = omega(Phi, Psi)
-    defect = max(closedness_defect(f) for f in forms)
-    scale = max([1.0] + [c.max_abs() for f in forms for c in (f.p, f.q)])
+    X, Y = omega(Phi, Psi)
+    defect = closedness_defect(grid, X.values, Y.values, X.mask)
+    scale = max(1.0, X.max_abs(), Y.max_abs())
     defect_tol = 100.0 * max(grid.hx, grid.hy) ** 2
     if not defect <= defect_tol * scale:              # NaN fails too
         raise ClosednessError(f"omega not closed: defect {defect:.3g} (tol {defect_tol * scale:.3g})")
-    vals = np.empty((2, grid.ny, grid.nx), dtype=complex)
-    for k, form in enumerate(forms):
-        np.add(antiderivative(form, base_node).values, C[k, 0], out=vals[k])
-    return SMatrix(SpinorField.from_values(grid, vals, forms[0].p.mask), C, tuple(base_node))
+    vals = antiderivative(grid, X.values, Y.values, base_node, "x_first")
+    vals += C[:, 0, None, None]
+    return SMatrix(SpinorField.from_values(grid, vals, X.mask), C, tuple(base_node))
 
 
-def _product(c: complex, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """c * x * y, left to right, in one buffer."""
-    out = c * x
+def _product(c: complex, x: np.ndarray, y: np.ndarray, out: np.ndarray):
+    """c * x * y, left to right, into out."""
+    np.multiply(c, x, out=out)
     out *= y
-    return out
 
 
 def time_offset_integral(phi_of_t, psi_of_t, t_grid, base_node) -> np.ndarray:
@@ -229,8 +238,9 @@ class MoutardTransform:
         return (_transform_side(self.Phi0, self.Psi0, self.S0, self.S0_inv, psi, constP),
                 _transform_side(self.Psi0, self.Phi0, self.SB0, self.SB0_inv, phi, constBP))
 
-    def transformed_potentials(self, U: ComplexField, V: ComplexField | None = None):
-        return moutard_dsii(U, V, self.kdata)
+    def transformed_potentials(self, U: ComplexField):
+        """(U~, V~) of moutard_dsii for the background potential U, V~ = 2 i a_z."""
+        return moutard_dsii(U, None, self.kdata)
 
 
 def _transform_side(A0: SpinorField, B0: SpinorField, S: SMatrix, S_inv: SpinorField,
@@ -245,10 +255,10 @@ def _transform_side(A0: SpinorField, B0: SpinorField, S: SMatrix, S_inv: SpinorF
     return X - B0 @ S_inv @ SX.S
 
 
-def moutard_dsii(U: ComplexField | None, V: ComplexField | None, kdata: KData):
-    """Potential update: U~ = U + W, V~ = V + 2 i a_z."""
+def moutard_dsii(U: ComplexField, V: ComplexField | None, kdata: KData):
+    """Potential update: U~ = U + W, V~ = V + 2 i a_z (2 i a_z when V is None)."""
     W, a = kdata.W, kdata.a
-    Ut = W if U is None else U + W
+    Ut = U + W
     az = wirtinger_derivative(a, "z")
     Vt = 2j * az if V is None else V + 2j * az
     return Ut, Vt

@@ -13,7 +13,7 @@ and x^k = x^k(P0) + int (x^k_z dz + conj(x^k_z) dzbar); the R^3 case is phi = ps
 
 The forms and the maps are real, so they are integrated and differentiated in
 real arithmetic: x^k = x^k(P0) + int (2 Re x^k_z dx - 2 Im x^k_z dy) by
-grid.real_antiderivative, and x^k_z = (x^k_x - i x^k_y) / 2 by
+grid.antiderivative on real arrays, and x^k_z = (x^k_x - i x^k_y) / 2 by
 grid.real_wirtinger_z.  Every nonzero value rounds as it would in complex
 arithmetic.
 """
@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dirac import SpinorField, dirac_residual_norm
-from .grid import (ComplexField, Grid2D, integrate2d, real_antiderivative,
-                   real_wirtinger_z)
+from .grid import ComplexField, Grid2D, antiderivative, integrate2d, real_wirtinger_z
 
 
 class SurfaceIntegrationError(RuntimeError):
@@ -99,8 +98,8 @@ def integrate_surface_r4(psi: SpinorField, phi: SpinorField, basepoint=(0, 0, 0,
             warnings.warn(f"Dirac residuals large before integration: D {rd:.3g}, Dvee {rv:.3g}")
     xz = weier_derivatives(psi, phi)
     gx, gy = 2.0 * xz.real, -2.0 * xz.imag          # the real forms x^k_z dz + c.c.
-    coords = real_antiderivative(grid, gx, gy, base_node, "x_first")
-    alt = real_antiderivative(grid, gx, gy, base_node, "y_first")
+    coords = antiderivative(grid, gx, gy, base_node, "x_first")
+    alt = antiderivative(grid, gx, gy, base_node, "y_first")
     maxdef = float(np.max(np.abs(coords - alt)))
     # valid spinor data sit orders of magnitude below this (O(h^2) defect)
     defect_tol = 0.02 * max(float(np.max(np.abs(xz))), 1e-300)
@@ -113,16 +112,14 @@ def integrate_surface_r4(psi: SpinorField, phi: SpinorField, basepoint=(0, 0, 0,
                       diagnostics={"path_defect": maxdef, "base_node": tuple(base_node)})
 
 
-def integrate_surface_r3(psi: SpinorField, basepoint=(0, 0, 0), base_node=None,
-                         U: ComplexField | None = None,
+def integrate_surface_r3(psi: SpinorField, U: ComplexField | None = None,
                          residual_tol: float = 1e-3) -> SurfaceMap:
-    """R^3 Weierstrass representation: the phi = psi reduction (x^4 is constant)."""
-    s4 = integrate_surface_r4(psi, psi, tuple(basepoint) + (0.0,), base_node,
-                              U=U, residual_tol=residual_tol)
+    """R^3 Weierstrass representation: the phi = psi reduction (x^4 is constant),
+    anchored to the origin at the centre node."""
+    s4 = integrate_surface_r4(psi, psi, U=U, residual_tol=residual_tol)
     x4span = float(np.ptp(s4.coords[3]))
     diag = dict(s4.diagnostics, x4_span=x4span)
-    return SurfaceMap(s4.grid, s4.coords[:3], np.asarray(basepoint, float),
-                      s4.mask, diag)
+    return SurfaceMap(s4.grid, s4.coords[:3], s4.basepoint[:3], s4.mask, diag)
 
 
 def spinor_metric(psi: SpinorField, phi: SpinorField | None = None) -> MetricData:
@@ -251,13 +248,12 @@ def surface_to_smatrix(S: SurfaceMap) -> SpinorField:
     return SpinorField.from_values(S.grid, np.stack([1j * x3 + x4, x1 - 1j * x2]), S.mask)
 
 
-def smatrix_to_surface(M: SpinorField, basepoint=None) -> SurfaceMap:
+def smatrix_to_surface(M: SpinorField) -> SurfaceMap:
     """The (4, ny, nx) surface read from S-matrix columns (a, b): x1 = Re b,
-    x2 = -Im b, x3 = Im a, x4 = Re a."""
+    x2 = -Im b, x3 = Im a, x4 = Re a; its basepoint is the centre node's point."""
     a, b = M.values
     coords = np.stack([b.real, -b.imag, a.imag, a.real])
-    bp = coords[:, M.grid.ny // 2, M.grid.nx // 2] if basepoint is None else np.asarray(basepoint)
-    return SurfaceMap(M.grid, coords, bp, M.mask)
+    return SurfaceMap(M.grid, coords, coords[:, M.grid.ny // 2, M.grid.nx // 2], M.mask)
 
 
 def invert_surface(S: SurfaceMap) -> SurfaceMap:

@@ -336,6 +336,21 @@ def suite_moutard() -> list[CheckResult]:
                            0.25, ratio >= 3.0,
                            detail=f"resid {resid[64]:.3g} -> {resid[128]:.3g}"))
 
+    # the partner side through MoutardTransform on a background with W != 0:
+    # phi = (1, 0) integrates exactly, so phi~ meets its closed form to rounding
+    n, t = 96, 0.2
+    g = make_grid((-1.5, 1.5, -1.2, 1.8), (n, n))
+    zb = g.node_z(g.nx // 2, g.ny // 2)
+    fb = complex(sol.f.eval(z=zb, t=t, c=1.0))
+    C0 = np.array([[1j * np.conj(fb), -zb], [np.conj(zb), -1j * fb]])
+    ctx = MoutardTransform.from_background(*heat_datum_fields(sol.f, g, t), C0)
+    _, phit = ctx.transform(SpinorField(field_from_function(g, lambda z: z), constant_field(g, 0.0)),
+                            SpinorField(constant_field(g, 1.0), constant_field(g, 0.0)),
+                            constBP=np.array([[1j * zb, 0], [0, -1j * np.conj(zb)]]))
+    ref = ex.tilde_phi_for_identity_datum().on_grid(g, t).values
+    err = float(np.max(np.abs(phit.values - ref)) / np.max(np.abs(ref)))
+    out.append(_abs_check(f"s1-background phi~ vs exact ({n}^2, rel)", err, 1e-12))
+
     # the U~ surface is the inverted surface
     n = 96
     g = make_grid((0.3, 2.3, 0.2, 2.2), (n, n))

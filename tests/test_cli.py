@@ -97,6 +97,46 @@ def test_evolve_s1_error_without_snapshots(tmp_path):
     assert rc == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["rel_l2_error_vs_exact"] < 0.05
+    assert "exact_masked_nodes" not in summary
+
+
+def test_evolve_up_to_a_singular_instant_patches_the_exact_pole(tmp_path):
+    # s1 with c = -i is singular at t = 1/2, where the exact field masks its pole:
+    # the error is taken against the field with that node set to its neighbour mean
+    from spinsurf import catalog, evolve, make_grid
+    from spinsurf.grid import neighbor_mean_patched
+    out = tmp_path / "ev"
+    rc = main(["evolve", "--from", "s1", "--c=-1i", "--grid", "64x64", "--box=-3:3:-3:3",
+               "--t-end", "0.5", "--dt", "1e-2", "--out", str(out)])
+    assert rc == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["exact_masked_nodes"] == 1
+    g = make_grid((-3, 3, -3, 3), (64, 64), True)
+    sol = catalog("s1", c=-1j)
+    final = evolve(sol.U_field(g, 0.0), 0.5, 1e-2).final.values
+    Uex = sol.U_field(g, 0.5)
+    ref = neighbor_mean_patched(Uex.values, Uex.mask)
+    want = np.sqrt(np.sum(np.abs(final - ref) ** 2) / np.sum(np.abs(ref) ** 2))
+    assert summary["rel_l2_error_vs_exact"] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("argv, why", [
+    (["gen-surface", "--grid", "3x3"], "resolution must be >= 4 per axis"),
+    (["evolve", "--grid", "3x3"], "resolution must be >= 4 per axis"),
+    (["solution", "--solution", "s1", "--box=1:0:0:1"], "degenerate bounds"),
+    (["gen-surface", "--box=0:1:2:2"], "degenerate bounds"),
+    (["solution", "--solution", "ozawa", "--a", "0"], "ozawa: a must be nonzero"),
+    (["evolve", "--from", "ozawa", "--a", "0"], "ozawa: a must be nonzero"),
+], ids=["gen-surface-grid", "evolve-grid", "solution-box", "gen-surface-box",
+        "solution-ozawa", "evolve-ozawa"])
+def test_bad_grid_box_or_datum_is_refused_before_any_file(argv, why, tmp_path, capsys):
+    # argparse's one-line error and exit code 2, not a traceback after the config write
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert f"spinsurf: error: {why}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("dt", ["0.03", "0.3", "0"])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinsurf import (ComplexField, PotentialPair, SpinorField, apply_D,
+from spinsurf import (ComplexField, SpinorField, apply_D,
                       apply_Dvee, catalog, constant_field, dirac_residual_norm,
                       field_from_function, make_grid, wirtinger_derivative)
 from spinsurf.dirac import GAMMA, Mat2Field
@@ -80,7 +80,6 @@ def test_apply_Dvee_is_D_with_conjugate_potential():
     rv = apply_Dvee(U, phi)
     assert np.array_equal(rv.values.view(np.uint64), np.stack([r1.values, r2.values]).view(np.uint64))
     assert np.array_equal(rv.mask, r1.mask | r2.mask) and rv.mask.any()
-    assert np.array_equal(apply_Dvee(PotentialPair(U), phi).values, rv.values)
 
 
 def sigma(psi: SpinorField) -> SpinorField:
@@ -252,13 +251,6 @@ def test_gauge_rejects_nonholomorphic():
             res[name, n] = dirac_residual_norm(U2, p2, interior=1)
     assert res["z", 48] / res["z", 96] >= 3.3
     assert res["zbar", 48] > 1.0 and res["zbar", 96] > 1.0
-
-
-def test_potential_pair_real_mode(grid):
-    U = constant_field(grid, 1.0)
-    PotentialPair(U, real_u=True)
-    with pytest.raises(ValueError):
-        PotentialPair(constant_field(grid, 1j), real_u=True)
 
 
 def test_mat2field_inverse(grid):

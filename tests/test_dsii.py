@@ -226,7 +226,7 @@ def test_grid_spectral_is_cached_and_read_only():
     assert sp.kx.shape == (48,) and sp.ky.shape == (32,)
     assert "re_v" not in vars(sp)            # 2-D multipliers are built on first use
     assert sp.re_v.shape == (32, 25) and sp.lap_inv.shape == (32, 48)
-    for name in ("kx", "ky", "ikx", "iky", "re_v", "lap_inv"):
+    for name in ("kx", "ky", "ikx", "re_v", "lap_inv"):
         arr = getattr(sp, name)
         assert getattr(sp, name) is arr
         assert not arr.flags.writeable, name

@@ -3,12 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from spinsurf import (ComplexField, Form1, constant_field, field_from_function,
+from spinsurf import (ComplexField, constant_field, field_from_function,
                       integrate2d, make_grid, save_complexfield_csv,
                       wirtinger_derivative)
-from spinsurf.grid import (GridConfigError, MaskError, SchemeError, antiderivative,
-                           closedness_defect, quadrature_sum, real_antiderivative,
-                           save_nodes_csv)
+from spinsurf.grid import (GridConfigError, MaskError, antiderivative,
+                           closedness_defect, quadrature_sum, save_nodes_csv)
 
 
 # Node paths and a trapezoidal line integral along them: the reference that
@@ -51,13 +50,20 @@ def rect_loop(ix0, iy0, ix1, iy1):
     return p
 
 
+def xy_parts(p, q):
+    """(gx, gy) of the 1-form p dz + q dzbar = gx dx + gy dy, as antiderivative
+    and closedness_defect take it."""
+    return p + q, 1j * (p - q)
+
+
 def path_integrate(form, path) -> complex:
-    """Trapezoidal line integral of p dz + q dzbar along a grid node path."""
-    grid = form.grid
+    """Trapezoidal line integral of p dz + q dzbar, form = (p, q) ComplexFields,
+    along a grid node path."""
+    grid = form[0].grid
     path = list(path)
     if len(path) < 2:
         return 0.0 + 0.0j
-    p, q = form.p.values, form.q.values
+    p, q = (f.values for f in form)
     total = 0.0 + 0.0j
     for (ixa, iya), (ixb, iyb) in zip(path[:-1], path[1:]):
         if abs(ixb - ixa) + abs(iyb - iya) != 1:
@@ -108,11 +114,14 @@ def test_wirtinger_kills_holomorphic_in_zbar():
 
 
 def test_wirtinger_spectral_exponential():
+    # the grid's Fourier symbols give d/dz = (d/dx - i d/dy) / 2 of a periodic
+    # exponential to rounding
     g = make_grid((0, 2 * np.pi, 0, 2 * np.pi), (32, 32), True)
     f = field_from_function(g, lambda z: np.exp(1j * z.real))
-    d = wirtinger_derivative(f, "z", "spectral")
+    sp = g.spectral
+    d = np.fft.ifft2((sp.ikx + sp.ky[:, None]) / 2 * np.fft.fft2(f.values))
     ref = 0.5j * np.exp(1j * g.zmesh().real)
-    assert np.max(np.abs(d.values - ref)) < 1e-12
+    assert np.max(np.abs(d - ref)) < 1e-12
 
 
 def test_wirtinger_central2_order():
@@ -124,13 +133,6 @@ def test_wirtinger_central2_order():
         d = wirtinger_derivative(f, "z")
         errs.append(np.max(np.abs(d.values - np.exp(g.zmesh()))))
     assert errs[0] / errs[1] >= 3.5
-
-
-def test_wirtinger_rejects_spectral_on_nonperiodic():
-    g = make_grid((-1, 1, -1, 1), (8, 8))
-    f = constant_field(g, 1.0)
-    with pytest.raises(SchemeError):
-        wirtinger_derivative(f, "z", "spectral")
 
 
 # ---------------------------------------------------------------------------
@@ -149,24 +151,16 @@ def _ref_d(v, h, periodic, axis):
     return np.moveaxis(out, 0, axis)
 
 
-def _ref_fx_fy(g, v, scheme):
-    if scheme == "spectral":
-        kx = 2 * np.pi * np.fft.fftfreq(g.nx, d=g.hx)
-        ky = 2 * np.pi * np.fft.fftfreq(g.ny, d=g.hy)
-        vh = np.fft.fft2(v)
-        return np.fft.ifft2(1j * kx * vh), np.fft.ifft2(1j * ky[:, None] * vh)
-    return _ref_d(v, g.hx, g.periodic_x, 1), _ref_d(v, g.hy, g.periodic_y, 0)
-
-
-def _ref_wirtinger(g, v, direction, scheme="central2"):
-    fx, fy = _ref_fx_fy(g, v, scheme)
+def _ref_wirtinger(g, v, direction):
+    fx, fy = _ref_d(v, g.hx, g.periodic_x, -1), _ref_d(v, g.hy, g.periodic_y, -2)
     return (fx - 1j * fy) / 2 if direction == "z" else (fx + 1j * fy) / 2
 
 
 def _random_form(g, seed, mask=None):
+    """(p, q) ComplexFields of random values."""
     rng = np.random.default_rng(seed)
     p, q = rng.normal(size=(2, g.ny, g.nx)) + 1j * rng.normal(size=(2, g.ny, g.nx))
-    return Form1(ComplexField(g, p, mask), ComplexField(g, q, mask))
+    return ComplexField(g, p, mask), ComplexField(g, q, mask)
 
 
 _ORACLE_GRIDS = {
@@ -181,38 +175,42 @@ _ORACLE_GRIDS = {
 @pytest.mark.parametrize("direction", ["z", "zbar"])
 def test_wirtinger_matches_oracle_bitwise(name, direction):
     g = _ORACLE_GRIDS[name]
-    f = _random_form(g, 1).p
-    for scheme in ("central2", "spectral") if g.periodic else ("central2",):
-        got = wirtinger_derivative(f, direction, scheme).values
-        assert np.array_equal(got, _ref_wirtinger(g, f.values, direction, scheme))
+    f = _random_form(g, 1)[0]
+    got = wirtinger_derivative(f, direction).values
+    assert np.array_equal(got, _ref_wirtinger(g, f.values, direction))
 
 
-@pytest.mark.parametrize("name", list(_ORACLE_GRIDS) + ["masked", "spectral"])
+@pytest.mark.parametrize("name", list(_ORACLE_GRIDS) + ["masked"])
 def test_closedness_defect_matches_four_derivative_oracle(name):
     # d_zbar p - d_z q from four Wirtinger derivatives, max over unmasked nodes
-    g = _ORACLE_GRIDS["periodic" if name == "spectral" else "open" if name == "masked" else name]
-    scheme = "spectral" if name == "spectral" else "central2"
+    g = _ORACLE_GRIDS["open" if name == "masked" else name]
     mask = None
     if name == "masked":
         mask = np.zeros((g.ny, g.nx), dtype=bool)
         mask[4, 8:11] = mask[3:6, 9] = True
-    form = _random_form(g, 2, mask)
+    pf, qf = _random_form(g, 2, mask)
+    p, q = pf.values, qf.values
     if name == "masked":
-        form.p.values[4, 9] = 1e6          # enters the defect at the four masked neighbours
-    p, q = form.p.values, form.q.values
-    r = np.abs(_ref_wirtinger(g, p, "zbar", scheme) - _ref_wirtinger(g, q, "z", scheme))
+        p[4, 9] = 1e6          # enters the defect at the four masked neighbours
+    r = np.abs(_ref_wirtinger(g, p, "zbar") - _ref_wirtinger(g, q, "z"))
     ref = np.max(r if mask is None else r[~mask])
     scale = max(np.max(np.abs(p)), np.max(np.abs(q))) / min(g.hx, g.hy)
-    assert abs(closedness_defect(form, scheme) - ref) <= 1e-14 * scale
+    assert abs(closedness_defect(g, *xy_parts(p, q), mask) - ref) <= 1e-14 * scale
     if name == "masked":
         assert np.max(r) > 2 * ref          # the mask decides the answer
 
 
-def test_closedness_defect_spectral_needs_a_periodic_grid():
-    with pytest.raises(SchemeError):
-        closedness_defect(_random_form(_ORACLE_GRIDS["periodic_x"], 3), "spectral")
-    with pytest.raises(SchemeError):
-        closedness_defect(_random_form(_ORACLE_GRIDS["open"], 3), "upwind")
+def test_closedness_defect_of_stacked_forms_is_the_largest():
+    # forms stacked on leading axes: the largest of their defects, to the bit
+    g = _ORACLE_GRIDS["periodic_y"]
+    mask = np.zeros((g.ny, g.nx), dtype=bool)
+    mask[5, 3] = True
+    forms = [xy_parts(*(f.values for f in _random_form(g, 10 + k))) for k in range(3)]
+    gx, gy = (np.stack(parts) for parts in zip(*forms))
+    each = [closedness_defect(g, fx, fy, mask) for fx, fy in forms]
+    assert closedness_defect(g, gx, gy, mask) == max(each)
+    assert closedness_defect(g, gx.reshape(3, 1, g.ny, g.nx), gy.reshape(3, 1, g.ny, g.nx),
+                             None) == max(closedness_defect(g, fx, fy, None) for fx, fy in forms)
 
 
 def _ref_cumtrapz_from(vals, h, i0, axis=-1):
@@ -224,9 +222,8 @@ def _ref_cumtrapz_from(vals, h, i0, axis=-1):
     return np.moveaxis(cum, -1, axis)
 
 
-def _ref_antiderivative(g, p, q, base, order):
+def _ref_antiderivative(g, gx, gy, base, order):
     ix0, iy0 = base
-    gx, gy = p + q, 1j * (p - q)
     if order == "x_first":
         row = _ref_cumtrapz_from(gx[iy0, :], g.hx, ix0)
         return row[None, :] + _ref_cumtrapz_from(gy, g.hy, iy0, 0)
@@ -237,28 +234,37 @@ def _ref_antiderivative(g, p, q, base, order):
 @pytest.mark.parametrize("order", ["x_first", "y_first"])
 @pytest.mark.parametrize("base", [(0, 0), (9, 4), (36, 22), (30, 11)])
 def test_antiderivative_matches_oracle_bitwise(order, base):
+    # real and complex forms, one alone and three stacked on a leading axis: each
+    # integral to the bit
     g = _ORACLE_GRIDS["open"]
-    form = _random_form(g, 4)
-    got = antiderivative(form, base, order).values
-    assert np.array_equal(got, _ref_antiderivative(g, form.p.values, form.q.values, base, order))
+    pf, qf = _random_form(g, 4)
+    for gx, gy in ((pf.values, qf.values), (pf.values.real, qf.values.imag)):
+        got = antiderivative(g, gx, gy, base, order)
+        assert got.dtype == gx.dtype
+        assert np.array_equal(got, _ref_antiderivative(g, gx, gy, base, order))
+        stack = [np.stack([a, 2.0 * a, a[::-1]]) for a in (gx, gy)]
+        got = antiderivative(g, *stack, base, order)
+        for k in range(3):
+            assert np.array_equal(got[k], _ref_antiderivative(g, stack[0][k], stack[1][k],
+                                                              base, order))
 
 
 @pytest.mark.parametrize("order", ["x_first", "y_first"])
 @pytest.mark.parametrize("name", list(_ORACLE_GRIDS))
 def test_real_antiderivative_is_the_real_part_of_antiderivative(name, order):
-    # the real form of p dz + conj(p) dzbar, three forms at once, against the
-    # complex integral of each: equal to the bit, and so is the L-path defect
+    # the real form 2 Re p dx - 2 Im p dy of p dz + conj(p) dzbar, three forms at
+    # once, against the complex integral of each: equal to the bit, and so is the
+    # L-path defect
     g = _ORACLE_GRIDS[name]
-    ps = [_random_form(g, 6 + k).p for k in range(3)]
-    xz = np.stack([p.values for p in ps])
+    ps = [_random_form(g, 6 + k)[0].values for k in range(3)]
+    xz = np.stack(ps)
     base = (g.nx - 3, g.ny // 3)
-    got = real_antiderivative(g, 2.0 * xz.real, -2.0 * xz.imag, base, order)
-    other = real_antiderivative(g, 2.0 * xz.real, -2.0 * xz.imag, base,
-                                "y_first" if order == "x_first" else "x_first")
+    other_order = "y_first" if order == "x_first" else "x_first"
+    got = antiderivative(g, 2.0 * xz.real, -2.0 * xz.imag, base, order)
+    other = antiderivative(g, 2.0 * xz.real, -2.0 * xz.imag, base, other_order)
     for k, p in enumerate(ps):
-        ref = antiderivative(Form1(p, p.conj()), base, order).values
-        alt = antiderivative(Form1(p, p.conj()), base,
-                             "y_first" if order == "x_first" else "x_first").values
+        ref = antiderivative(g, *xy_parts(p, np.conj(p)), base, order)
+        alt = antiderivative(g, *xy_parts(p, np.conj(p)), base, other_order)
         assert np.array_equal(got[k], ref.real)
         assert np.max(np.abs(got[k] - other[k])) == np.max(np.abs(ref - alt))
 
@@ -267,7 +273,7 @@ def test_real_antiderivative_is_the_real_part_of_antiderivative(name, order):
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_quadrature_sum_matches_two_temporary_form_bitwise(name, dtype):
     g = _ORACLE_GRIDS[name]
-    vals = _random_form(g, 5).p.values
+    vals = _random_form(g, 5)[0].values
     vals = np.abs(vals) ** 2 if dtype is float else vals
     wx = np.full(g.nx, g.hx)
     wy = np.full(g.ny, g.hy)
@@ -319,14 +325,14 @@ def test_integrate2d_nonnegative_property():
 
 def test_path_integrate_dz():
     g = make_grid((0, 1, 0, 1), (11, 11))
-    form = Form1(constant_field(g, 1.0), constant_field(g, 0.0))
+    form = (constant_field(g, 1.0), constant_field(g, 0.0))
     path = [(i, 0) for i in range(11)]
     assert path_integrate(form, path) == pytest.approx(1.0)
 
 
 def test_path_integrate_dzbar_vertical():
     g = make_grid((0, 1, 0, 1), (11, 11))
-    form = Form1(constant_field(g, 0.0), constant_field(g, 1.0))
+    form = (constant_field(g, 0.0), constant_field(g, 1.0))
     path = [(0, i) for i in range(11)]
     assert path_integrate(form, path) == pytest.approx(-1j)
 
@@ -334,7 +340,7 @@ def test_path_integrate_dzbar_vertical():
 def test_path_integrate_closed_loop_of_closed_form():
     g = make_grid((-1, 1, -1, 1), (21, 21))
     f = field_from_function(g, lambda z: z + np.conj(z))
-    form = Form1(f, f)
+    form = (f, f)
     loop = rect_loop(2, 3, 15, 17)
     # linear integrand: trapezoid is exact, loop integral vanishes to rounding
     assert abs(path_integrate(form, loop)) < 1e-12
@@ -349,14 +355,14 @@ def test_closed_loop_h2_property():
         p = field_from_function(g, lambda z: 0.7 * F(z))
         q = field_from_function(g, lambda z: 0.3 * F(z))
         loop = rect_loop(n // 8, n // 5, n - n // 8, n - n // 3)
-        vals[n] = abs(path_integrate(Form1(p, q), loop))
+        vals[n] = abs(path_integrate((p, q), loop))
     assert vals[41] / vals[81] >= 3.5      # O(h^2)
     assert vals[81] < 1e-3
 
 
 def test_path_integrate_rejects_nonadjacent():
     g = make_grid((0, 1, 0, 1), (8, 8))
-    form = Form1(constant_field(g, 1.0), constant_field(g, 0.0))
+    form = (constant_field(g, 1.0), constant_field(g, 0.0))
     with pytest.raises(PathError):
         path_integrate(form, [(0, 0), (2, 0)])
 
@@ -375,9 +381,10 @@ def test_antiderivative_path_independence():
     g = make_grid((-1, 1, -1, 1), (41, 41))
     p = field_from_function(g, lambda z: z)
     q = field_from_function(g, np.conj)
-    a1 = antiderivative(Form1(p, q), (20, 20), "x_first")
-    a2 = antiderivative(Form1(p, q), (20, 20), "y_first")
-    assert np.max(np.abs(a1.values - a2.values)) < 1e-12
+    gx, gy = xy_parts(p.values, q.values)
+    a1 = antiderivative(g, gx, gy, (20, 20), "x_first")
+    a2 = antiderivative(g, gx, gy, (20, 20), "y_first")
+    assert np.max(np.abs(a1 - a2)) < 1e-12
 
 
 @pytest.mark.parametrize("order", ["x_first", "y_first"])
@@ -387,11 +394,11 @@ def test_antiderivative_matches_lpath_integral(order):
     g = make_grid((-1, 1.5, -0.5, 1), (23, 17))
     p = field_from_function(g, lambda z: np.exp(0.8 * z) + np.abs(z) ** 2)
     q = field_from_function(g, lambda z: np.sin(np.conj(z)) * z)
-    form, base = Form1(p, q), (7, 11)
-    F = antiderivative(form, base, order)
+    base = (7, 11)
+    F = antiderivative(g, *xy_parts(p.values, q.values), base, order)
     for node in [(0, 0), (22, 16), (7, 0), (0, 11), (15, 3), (7, 11)]:
-        ref = path_integrate(form, lpath(g, base, node, order))
-        assert abs(F.values[node[1], node[0]] - ref) < 1e-13
+        ref = path_integrate((p, q), lpath(g, base, node, order))
+        assert abs(F[node[1], node[0]] - ref) < 1e-13
 
 
 def test_complexfield_csv_roundtrip(tmp_path):

@@ -5,6 +5,7 @@ from spinsurf import (ComplexField, Potential1D, clifford_potential, make_grid,
                       mkdv_reduction_identity, mkdv_rhs_1d, mkdv_soliton,
                       mnv_residual, mnv_rhs, soliton_potential, square_grid,
                       v_from_constraint_mnv, willmore_bound_check)
+from test_evolve import spectral_wirtinger
 
 
 def _zero_field(g):
@@ -70,11 +71,23 @@ def test_mnv_soliton_residual_converges():
 def test_constraint_inversions():
     g = make_grid((0, 2 * np.pi, 0, 2 * np.pi), (64, 64), True)
     U = ComplexField(g, np.cos(g.zmesh().real) + 0j)
-    from spinsurf import wirtinger_derivative
     V = v_from_constraint_mnv(U)
-    lhs = wirtinger_derivative(V, "zbar", "spectral").values
-    rhs = wirtinger_derivative(U * U, "z", "spectral").values
+    lhs = spectral_wirtinger(V, "zbar").values
+    rhs = spectral_wirtinger(U * U, "z").values
     assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+def test_constraint_inversion_matches_two_pass_form():
+    # one multiplier m_z / m_zb against (U^2)_z formed spectrally and then divided
+    # by m_zb = (i kx - ky) / 2, on a non-square grid with every mode occupied
+    g = make_grid((-3, 5, -2, 2), (48, 40), True)
+    rng = np.random.default_rng(3)
+    U = ComplexField(g, rng.normal(size=(40, 48)) + 1j * rng.normal(size=(40, 48)))
+    sp = g.spectral
+    rhs = spectral_wirtinger(U * U, "z").values
+    two_pass = np.fft.ifft2(2.0 * (sp.ikx + sp.ky[:, None]) * sp.lap_inv * np.fft.fft2(rhs))
+    V = v_from_constraint_mnv(U).values
+    assert np.max(np.abs(V - two_pass)) <= 1e-14 * np.max(np.abs(two_pass))
 
 
 def test_soliton_willmore_equalities():

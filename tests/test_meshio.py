@@ -162,19 +162,10 @@ def test_r4_drop4_projection(tmp_path):
     g = make_grid((-1, 1, -1, 1), (9, 9))
     sol = catalog("s1", c=1.0)
     S = smatrix_to_surface(heat_smatrix_values(sol.f, g, 0.1))
-    st = export_mesh(S, tmp_path / "g.obj", r4_projection="drop4")
-    meta = json.loads((tmp_path / "g.obj.json").read_text())
-    assert "x4_range" in meta and meta["x4_range"][0] <= meta["x4_range"][1]
-
-
-def test_r4_stereographic_projection(tmp_path):
-    g = make_grid((-1, 1, -1, 1), (9, 9))
-    sol = catalog("s1", c=1.0)
-    S = smatrix_to_surface(heat_smatrix_values(sol.f, g, 0.1))
-    st = export_mesh(S, tmp_path / "g.obj", r4_projection="stereographic")
+    st = export_mesh(S, tmp_path / "g.obj")
     assert st.n_triangles == 2 * 8 * 8
     meta = json.loads((tmp_path / "g.obj.json").read_text())
-    assert meta["projection"] == "stereographic"
+    assert meta["x4_range"] == [S.coords[3].min(), S.coords[3].max()]
 
 
 @pytest.mark.parametrize("nx,ny", [(7, 5), (4, 9), (13, 11)])

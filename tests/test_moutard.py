@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinsurf import (BiPoly, C, ComplexField, Form1, RationalFn, SpinorField, T, Z, ZBAR,
+from spinsurf import (BiPoly, C, ComplexField, RationalFn, SpinorField, T, Z, ZBAR,
                       antiderivative, catalog, closedness_defect, constant_field,
                       dirac_residual_norm, exact_solution, field_from_function, heat_extend,
                       make_grid)
@@ -25,11 +25,13 @@ def _plane_ctx(n=48, lo=0.4, hi=2.4):
 
 def test_omega_identity_example():
     # Psi = Phi = identity: Gamma*omega has dz part [[0,0],[i,0]], dzbar part [[0,i],[0,0]],
-    # so its column 0 is (0, i dz); column 1, (-conj, conj) of it, is (i dzbar, 0)
+    # so its column 0 is (0, i dz) = (0, i dx - dy); column 1, (-conj, conj) of it,
+    # is (i dzbar, 0)
     g = make_grid((-1, 1, -1, 1), (8, 8))
     I2 = SpinorField(constant_field(g, 1.0), constant_field(g, 0.0))
-    a, b = omega(I2, I2)
-    assert [f.values[3, 2] for f in (a.p, a.q, b.p, b.q)] == [0, 0, 1j, 0]
+    X, Y = omega(I2, I2)
+    assert list(X.values[:, 3, 2]) == [0, 1j]
+    assert list(Y.values[:, 3, 2]) == [0, -1]
     gdz, gdzb = _oracle_gamma_omega(I2, I2)
     assert np.allclose(gdz.at(2, 3), [[0, 0], [1j, 0]])
     assert np.allclose(gdzb.at(2, 3), [[0, 1j], [0, 0]])
@@ -43,7 +45,8 @@ def test_omega_closed_for_solutions():
         gg = make_grid((-1, 1, -1, 1), (n, n))
         aa = SpinorField(field_from_function(gg, a[0]), field_from_function(gg, a[1]))
         bb = SpinorField(field_from_function(gg, b[0]), field_from_function(gg, b[1]))
-        return max(closedness_defect(f) for f in omega(aa, bb))
+        X, Y = omega(aa, bb)
+        return closedness_defect(gg, X.values, Y.values, X.mask)
 
     fns_psi = (lambda z: np.exp(0.5 * z), lambda z: np.conj(z) ** 2)
     fns_phi = (lambda z: z ** 2 + 1, lambda z: np.exp(-0.3 * np.conj(z)))
@@ -63,7 +66,8 @@ def test_conj_transpose_convention_fails_closedness():
                for conj in (False, True)}
     assert defects[False] < 1e-10                # linear entries: exact
     assert defects[True] > 0.5
-    col0 = max(closedness_defect(f) for f in omega(phi0, psi0))
+    X, Y = omega(phi0, psi0)
+    col0 = closedness_defect(g, X.values, Y.values, X.mask)
     assert col0 == pytest.approx(defects[False], rel=1e-12, abs=1e-14)
 
 
@@ -145,16 +149,51 @@ def _random_spinor(g, rng):
                                       + 1j * rng.normal(size=(g.ny, g.nx))) for _ in range(2)))
 
 
+def _oracle_xy_parts(gdz, gdzb):
+    """The x and y parts of the general matrix 1-form gdz dz + gdzb dzbar."""
+    return gdz.values + gdzb.values, 1j * (gdz.values - gdzb.values)
+
+
 @pytest.mark.parametrize("name", ["s1", "plane"])
 def test_omega_column0_matches_general_matrix_oracle(name):
-    # bitwise (up to the sign of 0) on both backgrounds: the entries (0, 0) and (1, 0)
-    # of the general Gamma omega
+    # bitwise (up to the sign of 0) on both backgrounds: column 0 of the x and y
+    # parts of the general Gamma omega
     _, g, psi0, phi0, _ = next(b for b in _backgrounds() if b[0] == name)
     for Phi, Psi in ((phi0, psi0), (psi0, phi0)):
+        gx, gy = _oracle_xy_parts(*_oracle_gamma_omega(Phi, Psi))
+        X, Y = omega(Phi, Psi)
+        assert np.array_equal(X.values, gx[:, 0])
+        assert np.array_equal(Y.values, gy[:, 0])
+
+
+def test_build_S_checks_and_integrates_once(monkeypatch):
+    import spinsurf.moutard as mo
+    calls = []
+    for name in ("omega", "closedness_defect", "antiderivative"):
+        fn = getattr(mo, name)
+        monkeypatch.setattr(mo, name, lambda *a, _fn=fn, _n=name: calls.append(_n) or _fn(*a))
+    _, g, psi0, phi0, C0 = next(_backgrounds(32))
+    build_S(phi0, psi0, constant=C0)
+    assert calls == ["omega", "closedness_defect", "antiderivative"]
+
+
+def test_build_S_gate_scale_is_the_largest_dz_or_dzbar_part():
+    # the gate's scale max(|X|, |Y|) is max(|p|, |q|) over the dz and dzbar parts to
+    # the bit when either spinor has a vanishing component (one of p, q is then 0 in
+    # each entry), as on both backgrounds; otherwise it lies between that and twice it
+    def scales(Phi, Psi):
         gdz, gdzb = _oracle_gamma_omega(Phi, Psi)
-        for k, form in enumerate(omega(Phi, Psi)):
-            assert np.array_equal(form.p.values, gdz.values[k, 0])
-            assert np.array_equal(form.q.values, gdzb.values[k, 0])
+        X, Y = omega(Phi, Psi)
+        return (max(X.max_abs(), Y.max_abs()),
+                max(np.max(np.abs(gdz.values[:, 0])), np.max(np.abs(gdzb.values[:, 0]))))
+
+    for _, g, psi0, phi0, _ in _backgrounds(32):
+        for pair in ((phi0, psi0), (psi0, phi0)):
+            xy, pq = scales(*pair)
+            assert xy == pq
+    rng = np.random.default_rng(5)
+    xy, pq = scales(_random_spinor(g, rng), _random_spinor(g, rng))
+    assert pq < xy <= 2 * pq
 
 
 def test_omega_column0_matches_oracle_on_non_solutions():
@@ -163,10 +202,10 @@ def test_omega_column0_matches_oracle_on_non_solutions():
     rng = np.random.default_rng(7)
     g = make_grid((-1, 1, -0.5, 1.5), (40, 33))
     Phi, Psi = _random_spinor(g, rng), _random_spinor(g, rng)
-    gdz, gdzb = _oracle_gamma_omega(Phi, Psi)
-    for k, form in enumerate(omega(Phi, Psi)):
-        assert _rel(form.p.values, gdz.values[k, 0]) < 1e-15
-        assert _rel(form.q.values, gdzb.values[k, 0]) < 1e-15
+    gx, gy = _oracle_xy_parts(*_oracle_gamma_omega(Phi, Psi))
+    X, Y = omega(Phi, Psi)
+    assert _rel(X.values, gx[:, 0]) < 1e-15
+    assert _rel(Y.values, gy[:, 0]) < 1e-15
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -291,7 +330,7 @@ def test_normalize_pair_random_solutions(seed):
     with pytest.raises(ClosednessError):
         build_S(phi, psi)
 
-    SA, SB = (np.stack([antiderivative(f, (16, 16)).values for f in omega(*pair)])
+    SA, SB = (antiderivative(g, *(F.values for F in omega(*pair)), (16, 16), "x_first")
               for pair in ((phi, psi), (psi, phi)))
     mean, spread = _integrated_partner_offset(SA, SB)
     assert spread <= 1e-12 * np.max(np.abs(SA))
@@ -585,21 +624,15 @@ def _oracle_omega1(Phi, Psi):
 
 def _max_closedness_defect(gdz, gdzb):
     """The largest closedness defect of the four entries of a matrix 1-form."""
-    return max(closedness_defect(Form1(gdz.entry(i, j), gdzb.entry(i, j)))
-               for i in range(2) for j in range(2))
+    return closedness_defect(gdz.grid, *_oracle_xy_parts(gdz, gdzb), gdz.mask)
 
 
 def _oracle_build_S(Phi, Psi, base_node, constant=None):
     """All four entries of Gamma omega(Phi, Psi) integrated as general matrices."""
-    from spinsurf import antiderivative
     from spinsurf.dirac import Mat2Field
-    gdz, gdzb = _oracle_gamma_omega(Phi, Psi)
+    gx, gy = _oracle_xy_parts(*_oracle_gamma_omega(Phi, Psi))
     C = np.zeros((2, 2), dtype=complex) if constant is None else np.asarray(constant, complex)
-    vals = np.empty_like(gdz.values)
-    for i in range(2):
-        for j in range(2):
-            form = Form1(gdz.entry(i, j), gdzb.entry(i, j))
-            vals[i, j] = antiderivative(form, base_node).values + C[i, j]
+    vals = antiderivative(Phi.grid, gx, gy, base_node, "x_first") + C[:, :, None, None]
     return Mat2Field(Phi.grid, vals), C
 
 

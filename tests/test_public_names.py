@@ -23,7 +23,6 @@ KEEP = {
     "time_offset_integral": "the time-augmented Moutard route of ROADMAP item 4",
     "mnv_residual": "the exact mKdV-soliton check of criterion 9, ROADMAP item 5",
     "physical_form": "the one z <-> physical map that ROADMAP item 2 asks for",
-    "tilde_phi_for_identity_datum": "an exact reference that the Moutard tests compare against",
 }
 
 
