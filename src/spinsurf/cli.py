@@ -21,8 +21,8 @@ from . import verify as verify_mod
 from .dirac import SpinorField
 from .dsii import catalog, l2_norm_sq, singular_times
 from .evolve import evolve, grid_norm_sq, step_count, write_trajectory
-from .grid import (ComplexField, Grid2D, constant_field, field_from_function, make_grid,
-                   neighbor_mean_patched, save_complexfield_csv)
+from .grid import (Grid2D, constant_field, field_from_function, make_grid,
+                   save_complexfield_csv)
 from .meshio import export_mesh
 from .moutard import heat_datum_fields, heat_smatrix_values
 from .surface import (discrete_mean_curvature, gauss_map, integrate_surface_r3,
@@ -239,7 +239,7 @@ def cmd_evolve(args) -> int:
         Uex = exact.U_field(grid, traj.times[-1])
         if Uex.mask is not None and Uex.mask.any():    # a singular instant: the poles
             summary["exact_masked_nodes"] = int(np.count_nonzero(Uex.mask))
-            Uex = ComplexField(grid, neighbor_mean_patched(Uex.values, Uex.mask))
+            Uex = Uex.patched()
         num = grid_norm_sq(traj.final - Uex)
         summary["rel_l2_error_vs_exact"] = float(np.sqrt(num / grid_norm_sq(Uex)))
     with open(outdir / "summary.json", "w") as fh:

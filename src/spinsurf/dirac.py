@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (ComplexField, Grid2D, GridConfigError, _merge_masks, masked_max_abs,
+from .grid import (ComplexField, Grid2D, GridConfigError, masked_max_abs, merged_mask,
                    wirtinger_derivative)
 
 
@@ -44,11 +44,6 @@ class Mat2Field:
         if self.values.shape != (2, 2, self.grid.ny, self.grid.nx):
             raise GridConfigError(f"matrix values shape {self.values.shape} does not fit the grid")
 
-    def _mask_with(self, other: "Mat2Field"):
-        if other.grid != self.grid:
-            raise GridConfigError("grid mismatch")
-        return _merge_masks(self.mask, other.mask)
-
     def entry(self, i: int, j: int) -> ComplexField:
         return ComplexField(self.grid, self.values[i, j], self.mask)
 
@@ -65,7 +60,7 @@ class Mat2Field:
         return cls(grid, np.broadcast_to(m[:, :, None, None], (2, 2, grid.ny, grid.nx)))
 
     def __matmul__(self, other: "Mat2Field") -> "Mat2Field":
-        mask = self._mask_with(other)
+        mask = merged_mask(self, other)
         A, B = self.values, other.values
         out = _empty(self.grid)
         for i in range(2):
@@ -75,10 +70,10 @@ class Mat2Field:
         return Mat2Field(self.grid, out, mask)
 
     def __add__(self, other: "Mat2Field") -> "Mat2Field":
-        return Mat2Field(self.grid, self.values + other.values, self._mask_with(other))
+        return Mat2Field(self.grid, self.values + other.values, merged_mask(self, other))
 
     def __sub__(self, other: "Mat2Field") -> "Mat2Field":
-        return Mat2Field(self.grid, self.values - other.values, self._mask_with(other))
+        return Mat2Field(self.grid, self.values - other.values, merged_mask(self, other))
 
     def transpose(self) -> "Mat2Field":
         return Mat2Field(self.grid, self.values.transpose(1, 0, 2, 3), self.mask)
@@ -95,7 +90,7 @@ class Mat2Field:
         if min_det > 0.0:
             bad = np.abs(dv) < min_det
             if bad.any():
-                mask = _merge_masks(mask, bad)
+                mask = bad if mask is None else mask | bad
                 dv[bad] = 1.0
         v, out = self.values, _empty(self.grid)
         np.divide(v[1, 1], dv, out=out[0, 0])
@@ -142,11 +137,9 @@ class SpinorField:
     """
 
     def __init__(self, psi1: ComplexField, psi2: ComplexField):
-        if psi1.grid != psi2.grid:
-            raise GridConfigError("spinor components must share the grid")
+        self.mask = merged_mask(psi1, psi2)
         self.grid = psi1.grid
         self.values = np.stack([psi1.values, psi2.values])
-        self.mask = _merge_masks(psi1.mask, psi2.mask)
 
     @classmethod
     def from_values(cls, grid: Grid2D, values: np.ndarray,
@@ -166,14 +159,9 @@ class SpinorField:
     def psi2(self) -> ComplexField:
         return ComplexField(self.grid, self.values[1], self.mask)
 
-    def _mask_with(self, other: "SpinorField"):
-        if other.grid != self.grid:
-            raise GridConfigError("grid mismatch")
-        return _merge_masks(self.mask, other.mask)
-
     def __matmul__(self, other: "SpinorField") -> "SpinorField":
         """(a, b)(c, d) = (a c - conj(b) d, b c + conj(a) d)."""
-        mask = self._mask_with(other)
+        mask = merged_mask(self, other)
         (a, b), (c, d) = self.values, other.values
         out = np.empty_like(self.values)
         tmp = np.conj(b)
@@ -187,7 +175,8 @@ class SpinorField:
         return SpinorField.from_values(self.grid, out, mask)
 
     def __sub__(self, other: "SpinorField") -> "SpinorField":
-        return SpinorField.from_values(self.grid, self.values - other.values, self._mask_with(other))
+        return SpinorField.from_values(self.grid, self.values - other.values,
+                                       merged_mask(self, other))
 
     def conj(self) -> "SpinorField":
         """The quaternion conjugate (conj(a), -b): the conjugate transpose of the
@@ -213,7 +202,7 @@ class SpinorField:
         if min_det > 0.0:
             bad = n2 < min_det
             if bad.any():
-                mask = _merge_masks(mask, bad)
+                mask = bad if mask is None else mask | bad
                 n2[bad] = 1.0
         out = self.conj()
         out.values /= n2
@@ -251,12 +240,8 @@ def apply_Dvee(U: ComplexField, phi: SpinorField) -> SpinorField:
 
 
 def dirac_residual_norm(U, psi, interior: int = 0, vee: bool = False) -> float:
-    """max |D psi| over the grid, optionally skipping a boundary margin."""
+    """max |D psi| over the unmasked nodes, optionally skipping a boundary margin."""
     r = (apply_Dvee if vee else apply_D)(U, psi)
-    v = np.abs(r.values).max(axis=0)
-    if r.mask is not None:
-        v = np.where(r.mask, 0.0, v)
-    if interior:
-        v = v[interior:-interior, interior:-interior]
-    return float(np.max(v))
+    w = slice(interior, -interior or None)
+    return masked_max_abs(r.values[:, w, w], None if r.mask is None else r.mask[w, w])
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .exactpoly import (_BLOCK, BiPoly, C, InvalidDatumError, RationalFn, Z, ZBAR,
                         heat_extend, heat_residual)
-from .grid import ComplexField, Grid2D, MaskError, _axis_weights, neighbor_mean
+from .grid import ComplexField, Grid2D, MaskError, _axis_weights, mask_patches
 
 
 class DecayError(RuntimeError):
@@ -286,12 +286,12 @@ def l2_norm_sq(U: ComplexField, require_decay: bool = True) -> NormResult:
     extrapolation between the full box and an inner sub-box of 0.7 its half-width.
 
     One pass over blocks of whole rows of about _BLOCK nodes forms |U|^2, its
-    maximum and the trapezoid row sums of both boxes: no full-size array exists.
-    Masked (singular) nodes are patched with the 8-neighbour mean of |U|^2 of the
-    unmasked neighbours; it stays bounded at the catalog singularities, so the
-    patch is O(h^2) accurate.  The peak and the boundary ring are taken after
-    patching, so neither reads what a masked node holds.  A non-finite |U|^2 on an
-    unmasked node raises MaskError."""
+    maximum, its boundary ring and the trapezoid row sums of both boxes: no
+    full-size array exists.  Masked (singular) nodes are patched by mask_patches
+    with the 8-neighbour mean of |U|^2; it stays bounded at the catalog
+    singularities, so the patch is O(h^2) accurate.  The peak and the ring are
+    read from the patched blocks, so neither reads what a masked node holds.  A
+    non-finite |U|^2 on an unmasked node raises MaskError."""
     g, vals, mask = U.grid, U.values, U.mask
     ny, nx = vals.shape
     xs, ys = g.xs(), g.ys()
@@ -303,13 +303,16 @@ def l2_norm_sq(U: ComplexField, require_decay: bool = True) -> NormResult:
     x0, x1, y0, y1 = (sx[0], sx[-1] + 1, sy[0], sy[-1] + 1) if inner else (0, 0, 0, 0)
     wx = _axis_weights(nx, g.hx, g.periodic_x)
     wx_in = _axis_weights(x1 - x0, g.hx, False) if inner else None
-    py, px, pv = _masked_u2_patches(vals, mask)
+    py, px, pv = ((np.empty(0, np.intp),) * 3 if mask is None
+                  else mask_patches(vals, mask, lambda w: w.real**2 + w.imag**2))
 
     step = max(1, _BLOCK // nx)
     starts = range(0, ny, step)
     patched = np.searchsorted(py, [*starts, ny]).tolist()   # block k: patched[k:k + 2]
     u2, sq = np.empty((2, min(step, ny), nx))
     rows, rows_in = np.empty(ny), np.empty(y1 - y0)     # weighted row sums
+    ring2 = np.empty(2 * (nx + ny))                     # top, bottom, left, right sides
+    left, right = ring2[2 * nx:2 * nx + ny], ring2[2 * nx + ny:]
     top, bad = 0.0, 0
     for k, r in enumerate(starts):
         v = vals[r:r + step]
@@ -321,6 +324,11 @@ def l2_norm_sq(U: ComplexField, require_decay: bool = True) -> NormResult:
         lo, hi = patched[k], patched[k + 1]
         if lo < hi:
             b[py[lo:hi] - r, px[lo:hi]] = pv[lo:hi]
+        left[r:r + n], right[r:r + n] = b[:, 0], b[:, -1]
+        if r == 0:
+            ring2[:nx] = b[0]
+        if r + n == ny:
+            ring2[nx:2 * nx] = b[-1]
         bmax = b.max()
         if not np.isfinite(bmax):
             bad += np.count_nonzero(~np.isfinite(b) if mask is None
@@ -335,12 +343,6 @@ def l2_norm_sq(U: ComplexField, require_decay: bool = True) -> NormResult:
     peak = float(np.sqrt(top))
     raw = float(_axis_weights(ny, g.hy, g.periodic_y) @ rows)
 
-    edge = np.concatenate([vals[0, :], vals[-1, :], vals[:, 0], vals[:, -1]])
-    ring2 = edge.real**2 + edge.imag**2
-    # masked nodes on the top, bottom, left and right sides take their patch
-    for on, at in ((py == 0, px), (py == ny - 1, nx + px), (px == 0, 2 * nx + py),
-                   (px == nx - 1, 2 * nx + ny + py)):
-        ring2[at[on]] = pv[on]
     ring = np.sqrt(ring2)
     rb2 = np.concatenate([xs**2 + ys[0]**2, xs**2 + ys[-1]**2,
                           xs[0]**2 + ys**2, xs[-1]**2 + ys**2])
@@ -357,19 +359,6 @@ def l2_norm_sq(U: ComplexField, require_decay: bool = True) -> NormResult:
         value = raw
     tail = np.pi * Cdec**2 / R1**2
     return NormResult(float(value), float(raw), float(tail), bool(decay_ok))
-
-
-def _masked_u2_patches(vals: np.ndarray, mask):
-    """Rows, columns (in row order) and neighbor_mean of |U|^2 of the masked nodes."""
-    nodes = np.empty(0, dtype=np.intp) if mask is None else np.flatnonzero(mask)
-    py, px = np.divmod(nodes, vals.shape[1])       # 2-D nonzero is 20x slower
-    pv = np.empty(py.size)
-    for k, (iy, ix) in enumerate(zip(py, px)):
-        ry, rx = slice(max(iy - 1, 0), iy + 2), slice(max(ix - 1, 0), ix + 2)
-        win = vals[ry, rx]
-        pv[k] = neighbor_mean(win.real**2 + win.imag**2, mask[ry, rx],
-                              iy - ry.start, ix - rx.start)
-    return py, px, pv
 
 
 # ---------------------------------------------------------------------------

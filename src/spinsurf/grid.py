@@ -9,6 +9,9 @@ edges (Spectral holds the Fourier symbols that the evolver and the constraint
 solves apply themselves).  One path integral and one closedness test, both for
 a 1-form gx dx + gy dy with real or complex gx, gy of shape (..., ny, nx): the
 form p dz + q dzbar is gx = p + q, gy = i (p - q).
+
+One mask rule: a sum reads each masked node as the mean of its unmasked 8-neighbours
+(mask_patches), a maximum skips it (masked_max_abs), and integrate2d refuses it.
 """
 from __future__ import annotations
 
@@ -169,6 +172,15 @@ class ComplexField:
     def max_abs(self) -> float:
         return masked_max_abs(self.values, self.mask)
 
+    def patched(self) -> "ComplexField":
+        """The field with no mask, each masked node holding its mask_patches mean."""
+        vals = self.values
+        if self.mask is not None:
+            rows, cols, means = mask_patches(vals, self.mask, lambda v: v)
+            vals = vals.copy()
+            vals[rows, cols] = means
+        return ComplexField(self.grid, vals)
+
     def __add__(self, other):
         return self._binop(other, np.add)
 
@@ -195,10 +207,7 @@ class ComplexField:
 
     def _binop(self, other, op):
         if isinstance(other, ComplexField):
-            if other.grid != self.grid:
-                raise GridConfigError("grid mismatch")
-            m = _merge_masks(self.mask, other.mask)
-            return ComplexField(self.grid, op(self.values, other.values), m)
+            return ComplexField(self.grid, op(self.values, other.values), merged_mask(self, other))
         return self.like(op(self.values, other))
 
 
@@ -212,12 +221,37 @@ def masked_max_abs(values: np.ndarray, mask: np.ndarray | None) -> float:
     return float(np.max(np.abs(values)))
 
 
-def _merge_masks(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a | b
+def merged_mask(a, b) -> np.ndarray | None:
+    """The union of the masks of two fields (None when neither has one);
+    GridConfigError unless they share the grid."""
+    if a.grid != b.grid:
+        raise GridConfigError("grid mismatch")
+    if a.mask is None:
+        return b.mask
+    if b.mask is None:
+        return a.mask
+    return a.mask | b.mask
+
+
+def mask_patches(values: np.ndarray, mask: np.ndarray, f):
+    """Rows, columns (in row order) and patch values of the masked nodes of a
+    (ny, nx) grid: the mean of f over a node's unmasked 8-neighbours, summed in
+    row order, or 0 when it has none.  f acts elementwise on the gathered
+    neighbour values alone, so no full-size f(values) is formed, and what a masked
+    node holds is never read."""
+    ny, nx = mask.shape
+    rows, cols = np.divmod(np.flatnonzero(mask), nx)    # 2-D nonzero is 20x slower
+    acc, cnt = 0.0, 0
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):                           # the node itself is masked
+            jy, jx = rows + dy, cols + dx
+            ok = (jy >= 0) & (jy < ny) & (jx >= 0) & (jx < nx)
+            ok[ok] = ~mask[jy[ok], jx[ok]]
+            gathered = f(values[jy[ok], jx[ok]])
+            term = np.zeros(rows.size, gathered.dtype)
+            term[ok] = gathered
+            acc, cnt = acc + term, cnt + ok
+    return rows, cols, acc / np.maximum(cnt, 1)
 
 
 def field_from_function(grid: Grid2D, fn) -> ComplexField:
@@ -319,46 +353,13 @@ def quadrature_sum(vals: np.ndarray, hx: float, hy: float, periodic_x: bool = Fa
     return np.sum(tmp)
 
 
-def neighbor_mean(vals: np.ndarray, mask: np.ndarray, iy: int, ix: int):
-    """Mean of vals over the unmasked 8-neighbours of node (iy, ix) (0 when it has
-    none), summed in row order; vals and mask may be a window of the grid."""
-    ny, nx = mask.shape
-    acc, cnt = 0.0, 0
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            jy, jx = iy + dy, ix + dx
-            if (dy == 0 and dx == 0) or not (0 <= jy < ny and 0 <= jx < nx):
-                continue
-            if not mask[jy, jx]:
-                acc += vals[jy, jx]
-                cnt += 1
-    return acc / cnt if cnt else 0.0
-
-
-def neighbor_mean_patched(vals: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Copy of vals with each masked node set to its neighbor_mean."""
-    out = vals.copy()
-    for iy, ix in zip(*np.nonzero(mask)):
-        out[iy, ix] = neighbor_mean(vals, mask, iy, ix)
-    return out
-
-
-def integrate2d(f: ComplexField, mask_policy: str = "reject") -> complex:
-    """Trapezoid (non-periodic) / rectangle (periodic) quadrature of f over the grid.
-
-    Masked nodes require an explicit policy: 'neighbor_mean' patches the value
-    with the mean over unmasked 8-neighbours, 'reject' raises.
-    """
-    vals = f.values
+def integrate2d(f: ComplexField) -> complex:
+    """Trapezoid (non-periodic) / rectangle (periodic) quadrature of f over the grid;
+    MaskError on a masked node (f.patched() has none)."""
     if f.mask is not None and f.mask.any():
-        if mask_policy == "reject":
-            raise MaskError("field has masked nodes; choose a mask policy")
-        if mask_policy == "neighbor_mean":
-            vals = neighbor_mean_patched(vals, f.mask)
-        else:
-            raise MaskError(f"unknown mask policy {mask_policy!r}")
+        raise MaskError("field has masked nodes; integrate its patched() field")
     g = f.grid
-    return complex(quadrature_sum(vals, g.hx, g.hy, g.periodic_x, g.periodic_y))
+    return complex(quadrature_sum(f.values, g.hx, g.hy, g.periodic_x, g.periodic_y))
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ import numpy as np
 
 from .dirac import SpinorField, quaternion_defect
 from .exactpoly import BiPoly, RQuat, RationalFn, T, Z, ZBAR, heat_extend
-from .grid import (ComplexField, Grid2D, antiderivative, closedness_defect,
+from .grid import (ComplexField, Grid2D, antiderivative, closedness_defect, merged_mask,
                    wirtinger_derivative)
 
 
@@ -82,7 +82,7 @@ def omega(Phi: SpinorField, Psi: SpinorField) -> tuple[SpinorField, SpinorField]
     and X = p + q, Y = i (p - q) (dz = dx + i dy).  X and Y are quaternions, so
     their column 1s, and the closedness defects and integrals of those, follow
     from column 0."""
-    grid, mask = Phi.grid, Phi._mask_with(Psi)         # GridConfigError on a grid mismatch
+    grid, mask = Phi.grid, merged_mask(Phi, Psi)       # GridConfigError on a grid mismatch
     (pa, pb), (sa, sb) = Phi.values, Psi.values
     p, q = (np.empty((2, grid.ny, grid.nx), dtype=complex) for _ in range(2))
     _product(1j, np.conj(pb), sa, p[0])
@@ -101,7 +101,7 @@ def omega1(Phi: SpinorField, Psi: SpinorField) -> SpinorField:
     With Phi = (pa, pb), Psi = (sa, sb) and conj(f)_z = conj(f_zbar),
         m0 = pa_z sa + pb_zbar sb - (pa sa_z + pb sb_zbar),
         m1 = conj(pa_z) sb - conj(pb_zbar) sa - (conj(pa) sb_zbar - conj(pb) sa_z)."""
-    grid, mask = Phi.grid, Phi._mask_with(Psi)
+    grid, mask = Phi.grid, merged_mask(Phi, Psi)
     paz, saz = (wirtinger_derivative(X.psi1, "z").values for X in (Phi, Psi))
     pbzb, sbzb = (wirtinger_derivative(X.psi2, "zbar").values for X in (Phi, Psi))
     (pa, pb), (sa, sb) = Phi.values, Psi.values
@@ -211,7 +211,7 @@ class MoutardTransform:
     Psi0: SpinorField                  # the caller's background spinors, not copied
     Phi0: SpinorField
     S0: SMatrix                        # S(Phi0, Psi0), invertible where used
-    SB0: SMatrix                       # S(Psi0, Phi0) = -S0^*, the partner
+    SB0_constant: np.ndarray           # -C0^H, the constant of the partner S(Psi0, Phi0) = -S0^*
     kdata: KData
     S0_inv: SpinorField                # S0^-1 and SB0^-1 = -(S0^-1)^*, nodes with
     SB0_inv: SpinorField               # det below _MIN_DET max(|S0|, 1)^2 masked
@@ -223,8 +223,7 @@ class MoutardTransform:
                      time_offset=time_offset)
         S0_inv = _inv(S0.S)
         kdata = _kdata(psi0, S0_inv, phi0)     # before the partner: a lower peak
-        SB0 = SMatrix(_partner(S0.S), -S0.constant.conj().T, S0.base_node)
-        return cls(psi0, phi0, S0, SB0, kdata, S0_inv, _partner(S0_inv))
+        return cls(psi0, phi0, S0, -S0.constant.conj().T, kdata, S0_inv, _partner(S0_inv))
 
     def transform(self, psi: SpinorField, phi: SpinorField, constP=None,
                   constBP=None) -> tuple[SpinorField, SpinorField]:
@@ -235,24 +234,25 @@ class MoutardTransform:
         linear in (Psi, Phi) and annihilates the background pair exactly;
         any other quaternion constant shifts the output by another solution.
         """
-        return (_transform_side(self.Phi0, self.Psi0, self.S0, self.S0_inv, psi, constP),
-                _transform_side(self.Psi0, self.Phi0, self.SB0, self.SB0_inv, phi, constBP))
+        return (self._transform_side(self.Phi0, self.Psi0, self.S0.constant, self.S0_inv,
+                                     psi, constP),
+                self._transform_side(self.Psi0, self.Phi0, self.SB0_constant, self.SB0_inv,
+                                     phi, constBP))
+
+    def _transform_side(self, A0: SpinorField, B0: SpinorField, C: np.ndarray,
+                        S_inv: SpinorField, X: SpinorField, const) -> SpinorField:
+        """X - B0 S^-1 S(A0, X), S having the constant C: Psi~ from (Phi0, Psi0, S0)
+        and Phi~ from (Psi0, Phi0, SB0); both anchor at S0's base node.  One side at
+        a time, so that the two sides' temporaries are never alive together."""
+        bx, by = self.S0.base_node
+        if const is None:
+            const = C @ np.linalg.solve(B0.at(bx, by), X.at(bx, by))
+        SX = build_S(A0, X, base_node=(bx, by), constant=const)
+        return X - B0 @ S_inv @ SX.S
 
     def transformed_potentials(self, U: ComplexField):
         """(U~, V~) of moutard_dsii for the background potential U, V~ = 2 i a_z."""
         return moutard_dsii(U, None, self.kdata)
-
-
-def _transform_side(A0: SpinorField, B0: SpinorField, S: SMatrix, S_inv: SpinorField,
-                    X: SpinorField, const) -> SpinorField:
-    """X - B0 S^-1 S(A0, X): Psi~ from (Phi0, Psi0, S0) and Phi~ from (Psi0, Phi0,
-    SB0).  One side at a time, so that the two sides' temporaries are never alive
-    together."""
-    if const is None:
-        bx, by = S.base_node
-        const = S.constant @ np.linalg.solve(B0.at(bx, by), X.at(bx, by))
-    SX = build_S(A0, X, base_node=S.base_node, constant=const)
-    return X - B0 @ S_inv @ SX.S
 
 
 def moutard_dsii(U: ComplexField, V: ComplexField | None, kdata: KData):

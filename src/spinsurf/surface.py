@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dirac import SpinorField, dirac_residual_norm
-from .grid import ComplexField, Grid2D, antiderivative, integrate2d, real_wirtinger_z
+from .grid import (ComplexField, Grid2D, antiderivative, integrate2d, masked_max_abs,
+                   real_wirtinger_z)
 
 
 class SurfaceIntegrationError(RuntimeError):
@@ -178,17 +179,21 @@ def willmore(U: ComplexField) -> float:
     """Willmore value 4 * int |U|^2 dx dy over the grid.
 
     A truncation warning with a |U| ~ C/r^2 tail estimate is issued when the
-    field has not decayed at the open (non-periodic) edges."""
-    u2 = U.abs2()
-    val = 4.0 * integrate2d(u2, mask_policy="neighbor_mean" if U.mask is not None else "reject").real
-    v = np.abs(U.values)
+    field has not decayed at the open (non-periodic) edges; the edge and interior
+    maxima skip masked nodes."""
+    val = 4.0 * integrate2d(U.abs2().patched()).real
+    v, m = U.values, U.mask
+
+    def side(s):
+        return masked_max_abs(v[s], None if m is None else m[s])
+
     edges = []
     if not U.grid.periodic_y:
-        edges += [v[0, :].max(), v[-1, :].max()]
+        edges += [side(np.s_[0, :]), side(np.s_[-1, :])]
     if not U.grid.periodic_x:
-        edges += [v[:, 0].max(), v[:, -1].max()]
+        edges += [side(np.s_[:, 0]), side(np.s_[:, -1])]
     boundary = max(edges) if edges else 0.0
-    interior = v.max()
+    interior = U.max_abs()
     if interior > 0 and boundary > 1e-3 * interior:
         gr = U.grid
         r2 = max(gr.x_max - gr.x_min, gr.y_max - gr.y_min) / 2

@@ -374,7 +374,8 @@ def suite_moutard() -> list[CheckResult]:
 
 
 @_timed
-def suite_evolver(n: int = 256, t_end: float = 0.1, dt: float = 1e-4) -> list[CheckResult]:
+def suite_evolver() -> list[CheckResult]:
+    n, t_end, dt = 256, 0.1, 1e-4
     out = []
     g = square_grid(30.0, n, periodic=True)
     sol = catalog("s1", c=1.0)

@@ -104,7 +104,7 @@ def test_evolve_up_to_a_singular_instant_patches_the_exact_pole(tmp_path):
     # s1 with c = -i is singular at t = 1/2, where the exact field masks its pole:
     # the error is taken against the field with that node set to its neighbour mean
     from spinsurf import catalog, evolve, make_grid
-    from spinsurf.grid import neighbor_mean_patched
+    from test_grid import neighbor_mean_patched
     out = tmp_path / "ev"
     rc = main(["evolve", "--from", "s1", "--c=-1i", "--grid", "64x64", "--box=-3:3:-3:3",
                "--t-end", "0.5", "--dt", "1e-2", "--out", str(out)])

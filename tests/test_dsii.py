@@ -11,7 +11,8 @@ from spinsurf import (BiPoly, C, ComplexField, Z, catalog, dsii_residual_exact,
 from spinsurf.dsii import (DecayError, ExactSolution, InvalidDatumError, NormResult,
                            radial_limit_coefficient, re_v_from_u)
 from spinsurf.exactpoly import _BLOCK, T, ZBAR, RationalFn
-from spinsurf.grid import MaskError, neighbor_mean_patched, quadrature_sum
+from spinsurf.grid import MaskError, quadrature_sum
+from test_grid import neighbor_mean_patched
 
 
 # oracles and measuring tools: the closed-form V printed for the quadratic datum,

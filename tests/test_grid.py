@@ -2,12 +2,40 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinsurf import (ComplexField, constant_field, field_from_function,
                       integrate2d, make_grid, save_complexfield_csv,
                       wirtinger_derivative)
 from spinsurf.grid import (GridConfigError, MaskError, antiderivative,
-                           closedness_defect, quadrature_sum, save_nodes_csv)
+                           closedness_defect, mask_patches, quadrature_sum, save_nodes_csv)
+
+
+# The per-node neighbour-mean rule: the oracle that grid.mask_patches, and every
+# sum that patches masked nodes, is compared against bit for bit.
+
+def neighbor_mean(vals, mask, iy, ix):
+    """Mean of vals over the unmasked 8-neighbours of node (iy, ix) (0 when it has
+    none), summed in row order."""
+    ny, nx = mask.shape
+    acc, cnt = 0.0, 0
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):
+            jy, jx = iy + dy, ix + dx
+            if (dy == 0 and dx == 0) or not (0 <= jy < ny and 0 <= jx < nx):
+                continue
+            if not mask[jy, jx]:
+                acc += vals[jy, jx]
+                cnt += 1
+    return acc / cnt if cnt else 0.0
+
+
+def neighbor_mean_patched(vals, mask):
+    """Copy of vals with each masked node set to its neighbor_mean."""
+    out = vals.copy()
+    for iy, ix in zip(*np.nonzero(mask)):
+        out[iy, ix] = neighbor_mean(vals, mask, iy, ix)
+    return out
 
 
 # Node paths and a trapezoidal line integral along them: the reference that
@@ -313,7 +341,41 @@ def test_integrate2d_mask_policy():
     f = ComplexField(g, vals, mask)
     with pytest.raises(MaskError):
         integrate2d(f)
-    assert integrate2d(f, "neighbor_mean") == pytest.approx(1.0)
+    assert integrate2d(f.patched()) == pytest.approx(1.0)
+
+
+@st.composite
+def masked_grids(draw):
+    """(values, mask): a random (ny, nx) grid, real or complex, whose masked nodes
+    hold NaN; some masks are dense enough to leave nodes with no unmasked
+    neighbour, and any corner may be masked."""
+    ny, nx = draw(st.integers(4, 12)), draw(st.integers(4, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((ny, nx)) < draw(st.sampled_from([0.05, 0.3, 0.6, 0.9, 1.0]))
+    for iy, ix in ((0, 0), (0, -1), (-1, 0), (-1, -1)):
+        mask[iy, ix] |= draw(st.booleans())
+    vals = rng.standard_normal((ny, nx))
+    if draw(st.booleans()):
+        vals = vals + 1j * rng.standard_normal((ny, nx))
+    vals[mask] = np.nan
+    return vals, mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(masked_grids(), st.sampled_from(["values", "abs2"]))
+def test_mask_patches_match_the_per_node_rule_bit_for_bit(grid, of):
+    vals, mask = grid
+    f = (lambda v: v) if of == "values" else (lambda v: v.real**2 + v.imag**2)
+    rows, cols, means = mask_patches(vals, mask, f)
+    want_rows, want_cols = np.nonzero(mask)
+    assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+    ref = neighbor_mean_patched(f(vals), mask)[mask]
+    assert means.dtype == ref.dtype and means.tobytes() == ref.tobytes()
+    if of == "values":
+        U = ComplexField(make_grid((0, 1, 0, 1), vals.shape[::-1]), vals, mask)
+        got = U.patched()
+        assert got.mask is None
+        assert got.values.tobytes() == neighbor_mean_patched(U.values, mask).tobytes()
 
 
 def test_integrate2d_nonnegative_property():

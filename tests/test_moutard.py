@@ -293,7 +293,8 @@ def test_normalize_pair_symmetric_case():
     from spinsurf.dirac import GAMMA, Mat2Field
     gm = Mat2Field.constant(g, GAMMA)
     target = gm @ ctx.S0.S.mat().transpose() @ gm
-    assert (target - ctx.SB0.S.mat()).max_abs() < 1e-10
+    SB0 = SpinorField.from_values(g, -ctx.S0.S.conj().values, ctx.S0.S.mask)     # -S0^*
+    assert (target - SB0.mat()).max_abs() < 1e-10
 
 
 def _integrated_partner_offset(SA, SB):
@@ -424,7 +425,8 @@ def test_moutard_real_reduction_keeps_U_real():
 
 def test_context_inverts_S0_and_SB0_once(monkeypatch):
     # from_background integrates and inverts S0 only (S0^-1 also forms K); the
-    # partner SB0 = -S0^* and SB0^-1 = -(S0^-1)^* are read off; transform reuses them
+    # constant -C0^H of the partner SB0 = -S0^* and SB0^-1 = -(S0^-1)^* are read
+    # off; transform reuses them
     calls, builds = [], []
     inv = SpinorField.inv
     monkeypatch.setattr(SpinorField, "inv",
@@ -442,10 +444,9 @@ def test_context_inverts_S0_and_SB0_once(monkeypatch):
     monkeypatch.undo()
     eps = 1e-12 * max(ctx.S0.S.max_abs(), 1.0) ** 2
     assert np.array_equal(ctx.S0_inv.values, ctx.S0.S.inv(min_det=eps).values)
-    assert np.array_equal(ctx.SB0.S.values, -ctx.S0.S.conj().values)
-    assert np.array_equal(ctx.SB0.constant, -ctx.S0.constant.conj().T)
-    assert ctx.SB0.base_node == ctx.S0.base_node
-    assert np.array_equal(ctx.SB0_inv.values, ctx.SB0.S.inv(min_det=eps).values)
+    SB0 = SpinorField.from_values(g, -ctx.S0.S.conj().values, ctx.S0.S.mask)     # -S0^*
+    assert np.array_equal(ctx.SB0_constant, -ctx.S0.constant.conj().T)
+    assert np.array_equal(ctx.SB0_inv.values, SB0.inv(min_det=eps).values)
     kd = k_matrix(ctx.Psi0, ctx.S0, ctx.Phi0)
     assert np.array_equal(kd.W.values, ctx.kdata.W.values)
     assert np.array_equal(kd.a.values, ctx.kdata.a.values)
