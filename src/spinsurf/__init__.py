@@ -23,9 +23,8 @@ from .moutard import (KData, MoutardTransform, SMatrix, build_S,
                       time_offset_integral)
 from .dsii import (ExactSolution, NormResult, OzawaData, SingularEvent,
                    catalog, dsii_residual_exact, dsii_exact_identity_holds,
-                   exact_solution, l2_norm_sq, physical_form,
-                   radial_limit_coefficient, re_v_from_u, singular_times,
-                   to_halved_v_form)
+                   exact_solution, l2_norm_sq, physical_form, re_v_from_u,
+                   singular_times, to_halved_v_form)
 from .evolve import DsiiEvolver, EvolverState, Trajectory, evolve, grid_norm_sq, write_trajectory
 from .hierarchy import (Potential1D, clifford_potential, mkdv_reduction_identity,
                         mkdv_rhs_1d, mkdv_soliton, mnv_residual, mnv_rhs,

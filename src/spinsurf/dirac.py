@@ -227,8 +227,6 @@ GAMMA = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 def apply_D(U: ComplexField, psi: SpinorField) -> SpinorField:
     """Residual of the Dirac operator: (d psi2 + U psi1, -db psi1 + conj(U) psi2)."""
-    if U.grid != psi.grid:
-        raise GridConfigError("potential and spinor grids differ")
     r1 = wirtinger_derivative(psi.psi2, "z") + U * psi.psi1
     r2 = -wirtinger_derivative(psi.psi1, "zbar") + U.conj() * psi.psi2
     return SpinorField(r1, r2)

@@ -18,11 +18,12 @@ to_halved_v_form.)
 
 U_field/V_field sample through RationalFn.on_grid, masking the zeros of rho
 (V's extra poles: rho^2 can miss one by rounding); they and the singularity
-ledger follow exactpoly's one rule for c.
+ledger follow exactpoly's one rule for c.  The ledger is exact: a singular
+instant is a real root t_s of f(0, t), and the blow-up coefficient is
+i a2 / (1 + |a1|^2), read off f(z, t_s) = a1 z + a2 z^2 + ...
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -369,7 +370,7 @@ def l2_norm_sq(U: ComplexField, require_decay: bool = True) -> NormResult:
 class SingularEvent:
     t_sing: float
     location: complex
-    coefficient: complex      # A in U ~ A e^{2 i phi} along z = r e^{i phi}, r -> 0
+    coefficient: complex      # exact A in U ~ A e^{2 i phi} along z = r e^{i phi}, r -> 0
 
     def as_dict(self):
         return {"t_sing": self.t_sing, "z": [self.location.real, self.location.imag],
@@ -426,32 +427,17 @@ def _real_roots_of_complex_poly(coeffs: np.ndarray):
     return sorted(set(round(float(r), 14) for r in cand))
 
 
-def radial_limit_coefficient(sol: ExactSolution, t_sing: float):
-    """lim_{r->0} U(r e^{i phi}, t) e^{-2 i phi}, Richardson-extrapolated in r^2.
-
-    Returns (coefficient, max deviation across phi samples)."""
-    phis = np.arange(8) * (2 * np.pi / 8) + 0.123
-    r1, r2 = 1e-3, 5e-4
-    ests = []
-    for r in (r1, r2):
-        zs = r * np.exp(1j * phis)
-        vals = sol.U.eval(z=zs, t=t_sing, c=sol.c)
-        ests.append(vals * np.exp(-2j * phis))
-    w = (r1 / r2) ** 2
-    extr = (w * ests[1] - ests[0]) / (w - 1.0)
-    coeff = complex(np.mean(extr))
-    spread = float(np.max(np.abs(extr - coeff)))
-    return coeff, spread
-
-
 def singular_times(sol: ExactSolution) -> list[SingularEvent]:
-    """All real (t, z=0) zeros of |z|^2 + |f|^2 with asymptotic coefficients."""
-    coeffs = _t_poly_at_origin(sol)
-    roots = _real_roots_of_complex_poly(coeffs)
+    """All real (t, z=0) zeros of |z|^2 + |f|^2, each with the exact coefficient
+    A = i a2 / (1 + |a1|^2) of U ~ A e^{2 i phi}: with f(z, t_s) = a1 z + a2 z^2 + ...,
+    z f' - f = a2 z^2 + ... and rho = (1 + |a1|^2) |z|^2 + ...  a1, a2 are read off f
+    at t_s under the one rule for c.  InvalidDatumError for an f that depends on
+    zbar, whose z-Taylor coefficients do not give A."""
+    if sol.f.depends_on("zbar"):
+        raise InvalidDatumError("singular_times needs f free of zbar")
     events = []
-    for r in roots:
-        coeff, spread = radial_limit_coefficient(sol, r)
-        if spread > 1e-6 * max(1.0, abs(coeff)):
-            warnings.warn(f"angular fit spread {spread:.2g} at t={r}")
-        events.append(SingularEvent(float(r), 0j, coeff))
+    for r in _real_roots_of_complex_poly(_t_poly_at_origin(sol)):
+        row = sol.f._specialise(r, sol.c)[0]
+        a1, a2 = row.get(1, 0.0), row.get(2, 0.0)
+        events.append(SingularEvent(float(r), 0j, 1j * a2 / (1 + abs(a1)**2)))
     return events

@@ -167,7 +167,9 @@ class ComplexField:
         return self.like(np.conj(self.values))
 
     def abs2(self) -> "ComplexField":
-        return self.like(np.abs(self.values) ** 2)
+        """|values|^2; a masked node holds 0, so what it held is never squared."""
+        vals = self.values if self.mask is None else np.where(self.mask, 0, self.values)
+        return self.like(np.abs(vals) ** 2)
 
     def max_abs(self) -> float:
         return masked_max_abs(self.values, self.mask)
@@ -207,7 +209,8 @@ class ComplexField:
 
     def _binop(self, other, op):
         if isinstance(other, ComplexField):
-            return ComplexField(self.grid, op(self.values, other.values), merged_mask(self, other))
+            mask = merged_mask(self, other)            # GridConfigError before any arithmetic
+            return ComplexField(self.grid, op(self.values, other.values), mask)
         return self.like(op(self.values, other))
 
 

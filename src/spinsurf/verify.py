@@ -48,11 +48,6 @@ class CheckResult:
                 "tol": self.tol, "pass": self.passed, "detail": self.detail,
                 "runtime_s": round(self.runtime_s, 3)}
 
-    def line(self) -> str:
-        flag = "PASS" if self.passed else "FAIL"
-        return (f"[{flag}] {self.name}: value={self.value:.6g} "
-                f"target={self.target:.6g} tol={self.tol:.2g} ({self.runtime_s:.2f}s)")
-
 
 def _timed(fn):
     def wrapper(*a, **kw):

@@ -8,10 +8,16 @@ import pytest
 from spinsurf import verify
 
 
+def _line(r) -> str:
+    flag = "PASS" if r.passed else "FAIL"
+    return (f"[{flag}] {r.name}: value={r.value:.6g} "
+            f"target={r.target:.6g} tol={r.tol:.2g} ({r.runtime_s:.2f}s)")
+
+
 def _report(criterion: str, results) -> None:
     print()
     for r in results:
-        print(f"  criterion {criterion} | {r.line()}")
+        print(f"  criterion {criterion} | {_line(r)}")
     failed = [r for r in results if not r.passed]
     assert not failed, f"criterion {criterion}: " + "; ".join(r.name for r in failed)
 

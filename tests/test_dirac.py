@@ -178,6 +178,17 @@ def test_spinor_constructor_stacks_components_and_merges_masks(grid):
         SpinorField.from_values(grid, psi.values[:, :-1], None)
 
 
+def test_a_grid_mismatch_is_a_grid_config_error():
+    # the mask merge runs before the arithmetic, so a product of fields on two grids
+    # never reaches numpy's broadcast error, and apply_D needs no grid check of its own
+    U = constant_field(make_grid((-1, 1, -1, 1), (32, 32)), 1.0)
+    g = make_grid((-1, 1, -1, 1), (48, 40))
+    with pytest.raises(GridConfigError, match="grid mismatch"):
+        U * constant_field(g, 2.0)
+    with pytest.raises(GridConfigError, match="grid mismatch"):
+        apply_D(U, SpinorField(constant_field(g, 1.0), constant_field(g, 0.0)))
+
+
 def gauge_transform(psi: SpinorField, phi: SpinorField, U: ComplexField, h: ComplexField):
     """Gauge move by h: psi1 -> e^h psi1, psi2 -> e^conj(h) psi2, phi1 -> e^-h phi1,
     phi2 -> e^-conj(h) phi2, U -> e^(conj(h)-h) U; it maps solutions of D to

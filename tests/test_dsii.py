@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,7 +10,7 @@ from spinsurf import (BiPoly, C, ComplexField, Z, catalog, dsii_residual_exact,
                       make_grid, physical_form, poly_equal, singular_times,
                       square_grid, to_halved_v_form, wirtinger_derivative)
 from spinsurf.dsii import (DecayError, ExactSolution, InvalidDatumError, NormResult,
-                           radial_limit_coefficient, re_v_from_u)
+                           re_v_from_u)
 from spinsurf.exactpoly import _BLOCK, T, ZBAR, RationalFn
 from spinsurf.grid import MaskError, quadrature_sum
 from test_grid import neighbor_mean_patched
@@ -341,7 +342,7 @@ def test_singular_times_s1():
         ev = singular_times(catalog("s1", c=1j * tau))
         assert len(ev) == 1
         assert ev[0].t_sing == pytest.approx(-tau / 2, abs=1e-14)
-        assert abs(ev[0].coefficient - 1j) < 1e-3
+        assert ev[0].coefficient == 1j           # exactly i a2 / (1 + |a1|^2), a1 = 0
         assert ev[0].location == 0
 
 
@@ -356,8 +357,7 @@ def test_singular_times_s2():
     ev = singular_times(catalog("s2", c=12.0))
     ts = sorted(e.t_sing for e in ev)
     assert ts == [pytest.approx(-1.0, abs=1e-12), pytest.approx(1.0, abs=1e-12)]
-    for e in ev:
-        assert abs(e.coefficient - (-12 * e.t_sing)) < 1e-3
+    assert [e.coefficient for e in ev] == [12, -12]     # exactly -12 t_s
 
 
 @pytest.mark.parametrize("name, c, t_sing", [("s1", 0.5j, -0.25), ("s1", 0.75j, -0.375),
@@ -388,8 +388,7 @@ def test_symbolic_c_is_never_sampled_as_zero():
     sol = catalog("s1", c="symbolic")
     g = square_grid(2.0, 16)
     for sample in (lambda: sol.U_field(g, 0.3), lambda: sol.V_field(g, 0.3),
-                   lambda: singular_times(sol),
-                   lambda: radial_limit_coefficient(sol, 0.1)):
+                   lambda: singular_times(sol)):
         with pytest.raises(InvalidDatumError, match="numeric"):
             sample()
     free = exact_solution(heat_extend(Z * Z + 1))           # no c: nothing to supply
@@ -399,11 +398,46 @@ def test_symbolic_c_is_never_sampled_as_zero():
     assert np.array_equal(given.U_field(g, 0.3).values, catalog("s1", c=2).U_field(g, 0.3).values)
 
 
+def radial_limit(sol: ExactSolution, t_sing: float):
+    """The oracle for the ledger's closed-form coefficient:
+    lim_{r->0} U(r e^{i phi}, t) e^{-2 i phi}, Richardson-extrapolated in r^2 at two
+    radii over 8 angles.  Returns (mean over the angles, largest deviation from it)."""
+    phis = np.arange(8) * (2 * np.pi / 8) + 0.123
+    r1, r2 = 1e-3, 5e-4
+    ests = [sol.U.eval(z=r * np.exp(1j * phis), t=t_sing, c=sol.c) * np.exp(-2j * phis)
+            for r in (r1, r2)]
+    w = (r1 / r2) ** 2
+    extr = (w * ests[1] - ests[0]) / (w - 1.0)
+    coeff = complex(np.mean(extr))
+    return coeff, float(np.max(np.abs(extr - coeff)))
+
+
 def test_radial_limit_matches_angular_form():
-    sol = catalog("s1", c=1j)
-    coeff, spread = radial_limit_coefficient(sol, -0.5)
+    coeff, spread = radial_limit(catalog("s1", c=1j), -0.5)
     assert abs(coeff - 1j) < 1e-6
     assert spread < 1e-6
+
+
+@pytest.mark.parametrize("sol, n_events", [
+    (catalog("s1", c=1j), 1), (catalog("s1", c=-0.6j), 1), (catalog("s2", c=12.0), 2),
+    # a1 != 0: the 1 + |a1|^2 denominator, and an O(r) term the r^2 step leaves behind
+    (exact_solution(heat_extend(Z * Z + 0.7 * Z + 1j)), 1),
+    (exact_solution(heat_extend(0.3 * Z**3 + Z * Z + 0.7 * Z + 1j)), 1)],
+    ids=["s1-c=i", "s1-c=-0.6i", "s2-c=12", "heat-a1=0.7", "heat-cubic"])
+def test_singular_coefficient_is_the_radial_limit(sol, n_events):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ev = singular_times(sol)
+    assert len(ev) == n_events
+    for e in ev:
+        coeff, _ = radial_limit(sol, e.t_sing)
+        assert abs(e.coefficient - coeff) <= 1e-6 * abs(coeff)
+
+
+def test_singular_times_refuses_an_f_of_zbar():
+    f = Z * Z + 2j * T + 1j + 0.1 * ZBAR       # f_t = i f_zz, but f depends on zbar
+    with pytest.raises(InvalidDatumError, match="zbar"):
+        singular_times(exact_solution(f))
 
 
 def test_den_positive_away_from_origin():

@@ -4,7 +4,9 @@ import pytest
 from spinsurf import (ComplexField, Potential1D, clifford_potential, make_grid,
                       mkdv_reduction_identity, mkdv_rhs_1d, mkdv_soliton,
                       mnv_residual, mnv_rhs, soliton_potential, square_grid,
-                      v_from_constraint_mnv, willmore_bound_check)
+                      v_from_constraint_mnv, willmore_bound_check,
+                      wirtinger_derivative)
+from spinsurf import hierarchy, verify
 from test_evolve import spectral_wirtinger
 
 
@@ -138,3 +140,16 @@ def test_strip_grid_shape():
     g = make_grid((-25.0, 25.0, 0.0, 2 * np.pi), (501, 32), periodicity=(False, True))
     assert g.periodic_y and not g.periodic_x
     assert g.y_max == pytest.approx(2 * np.pi)
+
+
+def test_criterion_9_rejects_a_sign_flipped_mnv_rhs(monkeypatch):
+    # the reduction suite runs the exported mnv_rhs, so an error there fails it
+    def flipped(U, V):           # mnv_rhs with the sign of both 3 U_z V terms flipped
+        d, Vb = wirtinger_derivative, V.conj()
+        return (hierarchy._dz3(U, "z") - 3 * d(U, "z") * V + 1.5 * U * d(V, "z")
+                + hierarchy._dz3(U, "zbar") - 3 * d(U, "zbar") * Vb + 1.5 * U * d(Vb, "zbar"))
+
+    assert all(r.passed for r in verify.suite_reduction())
+    monkeypatch.setattr(hierarchy, "mnv_rhs", flipped)
+    results = verify.suite_reduction()
+    assert len(results) == 3 and not any(r.passed for r in results)

@@ -6,6 +6,9 @@ nothing by themselves):
 * every function, class and method (dunders aside) is named in src/ somewhere
   other than its own def, or in README.md, or is on KEEP below with its reason,
   or is a perfbench tracer target (read from perfbench/spans.py's TARGETS);
+* a method (a def directly in a class body) counts as named in src/ only as an
+  attribute (x.name), so a local variable or a function of the same name does
+  not reach it; README words come from code spans and blocks, # comments aside;
 * no module-level import goes unused.
 
 A definition that only its own tests reach belongs in the tests (as an oracle
@@ -37,32 +40,46 @@ def _tracer_targets() -> set:
 
 
 def _definitions(tree):
-    return [n for n in ast.walk(tree)
-            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not (n.name.startswith("__") and n.name.endswith("__"))]
+    """{definition: qualified name} for every function, class and method, dunders
+    aside; a method is a def directly in a class body, named Class.method."""
+    out = {n: n.name for n in ast.walk(tree)
+           if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    for c in ast.walk(tree):
+        if isinstance(c, ast.ClassDef):
+            out.update({n: f"{c.name}.{n.name}" for n in c.body if n in out})
+    return {n: q for n, q in out.items()
+            if not (n.name.startswith("__") and n.name.endswith("__"))}
 
 
-def _uses(tree) -> list:
-    """Every identifier a module reads: names, attributes and keyword names."""
-    out = []
+def _uses(tree):
+    """The identifiers a module reads: (names and imported names, attribute names)."""
+    names, attrs = set(), set()
     for n in ast.walk(tree):
         if isinstance(n, ast.Name):
-            out.append(n.id)
+            names.add(n.id)
         elif isinstance(n, ast.Attribute):
-            out.append(n.attr)
+            attrs.add(n.attr)
         elif isinstance(n, ast.alias):
-            out.append(n.name.split(".")[-1])
-    return out
+            names.add(n.name.split(".")[-1])
+    return names, attrs
+
+
+def _readme_words() -> set:
+    """The words in README.md's code spans and blocks; a # comment in a block is prose."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    text = re.sub(r"```.*?```", lambda m: re.sub(r"#.*", "", m.group()), text, flags=re.S)
+    return {w for span in re.findall(r"`+([^`]+)`+", text) for w in re.findall(r"\w+", span)}
 
 
 def test_every_definition_is_reached():
     trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in SRC}
-    used = {name for tree in trees.values() for name in _uses(tree)}
-    readme = {w for span in re.findall(r"`+([^`]+)`+", (ROOT / "README.md").read_text(encoding="utf-8"))
-              for w in re.findall(r"\w+", span)}          # words in code spans and blocks
-    allowed = used | readme | set(KEEP) | _tracer_targets()
-    unreached = sorted(f"{p.stem}.{d.name}" for p, tree in trees.items()
-                       for d in _definitions(tree) if d.name not in allowed)
+    uses = [_uses(tree) for tree in trees.values()]
+    names = set().union(*(n for n, _ in uses))
+    attrs = set().union(*(a for _, a in uses))
+    elsewhere = _readme_words() | set(KEEP) | _tracer_targets()
+    unreached = sorted(f"{p.stem}.{q}" for p, tree in trees.items()
+                       for d, q in _definitions(tree).items()
+                       if d.name not in (attrs if "." in q else names | attrs) | elsewhere)
     assert unreached == []
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -131,8 +133,9 @@ def test_willmore_ignores_what_a_masked_node_holds():
     for junk in (0.0, np.nan, 1e300):
         vals = U.values.copy()
         vals[U.mask] = junk
-        with pytest.warns(UserWarning, match=r"boundary is 0\.1; truncation tail est 1\.13$"):
-            with np.errstate(over="ignore"):                    # |1e300|^2 overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)      # |1e300|^2 would overflow
+            with pytest.warns(UserWarning, match=r"boundary is 0\.1; truncation tail est 1\.13$"):
                 assert willmore(ComplexField(g, vals, U.mask)) == 11.521698531117362
 
 
