@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (ComplexField, Grid2D, GridConfigError, masked_max_abs, merged_mask,
-                   wirtinger_derivative)
+                   row_blocks, row_max_abs, wirtinger_derivative, wirtinger_rows)
 
 
 def _empty(grid: Grid2D) -> np.ndarray:
@@ -160,54 +160,40 @@ class SpinorField:
         return ComplexField(self.grid, self.values[1], self.mask)
 
     def __matmul__(self, other: "SpinorField") -> "SpinorField":
-        """(a, b)(c, d) = (a c - conj(b) d, b c + conj(a) d)."""
-        mask = merged_mask(self, other)
-        (a, b), (c, d) = self.values, other.values
-        out = np.empty_like(self.values)
-        tmp = np.conj(b)
-        tmp *= d
-        np.multiply(a, c, out=out[0])
-        out[0] -= tmp
-        np.conj(a, out=tmp)
-        tmp *= d
-        np.multiply(b, c, out=out[1])
-        out[1] += tmp
-        return SpinorField.from_values(self.grid, out, mask)
+        return SpinorField.from_values(self.grid, qmul(self.values, other.values),
+                                       merged_mask(self, other))
 
     def __sub__(self, other: "SpinorField") -> "SpinorField":
         return SpinorField.from_values(self.grid, self.values - other.values,
                                        merged_mask(self, other))
 
     def conj(self) -> "SpinorField":
-        """The quaternion conjugate (conj(a), -b): the conjugate transpose of the
-        matrix, and Gamma Q^T Gamma^-1."""
-        out = np.empty_like(self.values)
-        np.conj(self.values[0], out=out[0])
-        np.negative(self.values[1], out=out[1])
-        return SpinorField.from_values(self.grid, out, self.mask)
+        """The quaternion conjugate: the conjugate transpose of the matrix, and
+        Gamma Q^T Gamma^-1."""
+        return SpinorField.from_values(self.grid, qconj(self.values), self.mask)
 
     def norm2(self) -> np.ndarray:
         """|a|^2 + |b|^2 per node, the determinant (real)."""
-        v = self.values
-        return (v.real ** 2 + v.imag ** 2).sum(axis=0)
+        return _norm2(self.values)
 
     def det(self) -> ComplexField:
         return ComplexField(self.grid, self.norm2(), self.mask)
 
     def inv(self, min_det: float = 0.0) -> "SpinorField":
-        """conj() / (|a|^2 + |b|^2); nodes with det < min_det join the mask
-        and are divided by 1 instead."""
-        n2 = self.norm2()
-        mask = self.mask
-        if min_det > 0.0:
-            bad = n2 < min_det
-            if bad.any():
-                mask = bad if mask is None else mask | bad
-                n2[bad] = 1.0
-        out = self.conj()
-        out.values /= n2
-        out.mask = mask
-        return out
+        """conj() / (|a|^2 + |b|^2), one row block at a time; nodes with det < min_det
+        join the mask and are divided by 1 instead."""
+        g, v, bad = self.grid, self.values, None
+        out = np.empty_like(v)
+        for r in row_blocks(g.nx, g.ny):
+            n2 = _norm2(v[:, r])
+            if min_det > 0.0 and (low := n2 < min_det).any():
+                bad = np.zeros((g.ny, g.nx), dtype=bool) if bad is None else bad
+                bad[r] = low
+                n2[low] = 1.0
+            qconj(v[:, r], out[:, r])
+            out[:, r] /= n2
+        mask = self.mask if bad is None else (bad if self.mask is None else self.mask | bad)
+        return SpinorField.from_values(g, out, mask)
 
     def mat(self) -> Mat2Field:
         """The general 2x2 matrix field [[a, -conj(b)], [b, conj(a)]]."""
@@ -219,27 +205,81 @@ class SpinorField:
         return np.array([[a, -np.conj(b)], [b, np.conj(a)]])
 
     def max_abs(self) -> float:
-        return masked_max_abs(self.values, self.mask)
+        return row_max_abs(lambda r: self.values[:, r], self.mask, range(self.grid.ny),
+                           self.grid.nx)
+
+
+def qmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The product of quaternion columns x = (a, b) and y = (c, d), arrays of shape
+    (2, ...): (a c - conj(b) d, b c + conj(a) d), in a fresh array."""
+    (a, b), (c, d) = x, y
+    out = np.empty_like(x)
+    tmp = np.conj(b)
+    tmp *= d
+    np.multiply(a, c, out=out[0])
+    out[0] -= tmp
+    np.conj(a, out=tmp)
+    tmp *= d
+    np.multiply(b, c, out=out[1])
+    out[1] += tmp
+    return out
+
+
+def qconj(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The conjugate (conj(a), -b) of the quaternion column x = (a, b), into out or a
+    fresh array."""
+    out = np.empty_like(x) if out is None else out
+    np.conj(x[0], out=out[0])
+    np.negative(x[1], out=out[1])
+    return out
+
+
+def _norm2(x: np.ndarray) -> np.ndarray:
+    """|a|^2 + |b|^2 of the quaternion column x = (a, b)."""
+    return (x.real ** 2 + x.imag ** 2).sum(axis=0)
 
 
 GAMMA = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
+def _residual_rows(U: ComplexField, psi: SpinorField, vee: bool, rows: slice) -> np.ndarray:
+    """Rows `rows` of (d psi2 + u psi1, -db psi1 + conj(u) psi2), u = U (conj(U) when
+    vee): the row kernel of apply_D and dirac_residual_norm."""
+    (p1, p2), u = psi.values, U.values[rows]
+    uc = np.conj(u)
+    u1, u2 = (uc, u) if vee else (u, uc)
+    out = np.empty((2,) + u.shape, dtype=complex)
+    np.add(wirtinger_rows(psi.grid, p2, "z", rows), u1 * p1[rows], out=out[0])
+    r2 = wirtinger_rows(psi.grid, p1, "zbar", rows)
+    np.negative(r2, out=r2)
+    np.add(r2, u2 * p2[rows], out=out[1])
+    return out
+
+
+def _assemble(U: ComplexField, psi: SpinorField, vee: bool) -> SpinorField:
+    """apply_D (apply_Dvee when vee) from the blocks of its row kernel."""
+    mask, g = merged_mask(U, psi), psi.grid          # GridConfigError on a grid mismatch
+    out = np.empty_like(psi.values)
+    for r in row_blocks(g.nx, g.ny):
+        out[:, r] = _residual_rows(U, psi, vee, r)
+    return SpinorField.from_values(g, out, mask)
+
+
 def apply_D(U: ComplexField, psi: SpinorField) -> SpinorField:
     """Residual of the Dirac operator: (d psi2 + U psi1, -db psi1 + conj(U) psi2)."""
-    r1 = wirtinger_derivative(psi.psi2, "z") + U * psi.psi1
-    r2 = -wirtinger_derivative(psi.psi1, "zbar") + U.conj() * psi.psi2
-    return SpinorField(r1, r2)
+    return _assemble(U, psi, False)
 
 
 def apply_Dvee(U: ComplexField, phi: SpinorField) -> SpinorField:
     """Residual of the formally conjugate operator: D with conj(U) for U."""
-    return apply_D(U.conj(), phi)
+    return _assemble(U, phi, True)
 
 
 def dirac_residual_norm(U, psi, interior: int = 0, vee: bool = False) -> float:
-    """max |D psi| over the unmasked nodes, optionally skipping a boundary margin."""
-    r = (apply_Dvee if vee else apply_D)(U, psi)
-    w = slice(interior, -interior or None)
-    return masked_max_abs(r.values[:, w, w], None if r.mask is None else r.mask[w, w])
-
+    """max |D psi| (|Dvee psi| when vee) over the unmasked nodes, optionally skipping
+    a boundary margin, reduced over the row blocks of apply_D's kernel."""
+    mask, g = merged_mask(U, psi), psi.grid
+    cols = slice(interior, g.nx - interior)
+    return row_max_abs(lambda r: _residual_rows(U, psi, vee, r)[..., cols],
+                       None if mask is None else mask[:, cols],
+                       range(interior, g.ny - interior), g.nx)

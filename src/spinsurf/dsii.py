@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactpoly import (_BLOCK, BiPoly, C, InvalidDatumError, RationalFn, Z, ZBAR,
+from .exactpoly import (BiPoly, C, InvalidDatumError, RationalFn, Z, ZBAR,
                         heat_extend, heat_residual)
-from .grid import ComplexField, Grid2D, MaskError, _axis_weights, mask_patches
+from .grid import ComplexField, Grid2D, MaskError, _axis_weights, mask_patches, row_blocks
 
 
 class DecayError(RuntimeError):
@@ -286,7 +286,7 @@ def l2_norm_sq(U: ComplexField, require_decay: bool = True) -> NormResult:
     """int |U|^2 dx dy with O(1/r^2) decay verification and 1/R^2 Richardson tail
     extrapolation between the full box and an inner sub-box of 0.7 its half-width.
 
-    One pass over blocks of whole rows of about _BLOCK nodes forms |U|^2, its
+    One pass over grid.row_blocks forms |U|^2, its
     maximum, its boundary ring and the trapezoid row sums of both boxes: no
     full-size array exists.  Masked (singular) nodes are patched by mask_patches
     with the 8-neighbour mean of |U|^2; it stays bounded at the catalog
@@ -307,16 +307,15 @@ def l2_norm_sq(U: ComplexField, require_decay: bool = True) -> NormResult:
     py, px, pv = ((np.empty(0, np.intp),) * 3 if mask is None
                   else mask_patches(vals, mask, lambda w: w.real**2 + w.imag**2))
 
-    step = max(1, _BLOCK // nx)
-    starts = range(0, ny, step)
-    patched = np.searchsorted(py, [*starts, ny]).tolist()   # block k: patched[k:k + 2]
-    u2, sq = np.empty((2, min(step, ny), nx))
+    blocks = row_blocks(nx, ny)
+    patched = np.searchsorted(py, [r.start for r in blocks] + [ny]).tolist()  # block k: [k:k + 2]
+    u2, sq = np.empty((2, blocks[0].stop, nx))
     rows, rows_in = np.empty(ny), np.empty(y1 - y0)     # weighted row sums
     ring2 = np.empty(2 * (nx + ny))                     # top, bottom, left, right sides
     left, right = ring2[2 * nx:2 * nx + ny], ring2[2 * nx + ny:]
     top, bad = 0.0, 0
-    for k, r in enumerate(starts):
-        v = vals[r:r + step]
+    for k, block in enumerate(blocks):
+        v, r = vals[block], block.start
         n = len(v)
         b, t = u2[:n], sq[:n]
         np.multiply(v.real, v.real, out=b)
@@ -333,7 +332,7 @@ def l2_norm_sq(U: ComplexField, require_decay: bool = True) -> NormResult:
         bmax = b.max()
         if not np.isfinite(bmax):
             bad += np.count_nonzero(~np.isfinite(b) if mask is None
-                                    else ~np.isfinite(b) & ~mask[r:r + step])
+                                    else ~np.isfinite(b) & ~mask[block])
         top = np.maximum(top, bmax)
         np.matmul(b, wx, out=rows[r:r + n])
         lo, hi = max(r, y0), min(r + n, y1)

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .dirac import SpinorField
-from .grid import ComplexField, Grid2D
+from .grid import _BLOCK, ComplexField, Grid2D, row_blocks
 
 VARS = ("z", "zbar", "t", "c", "cbar")
 _VAR_INDEX = {name: VARS.index(name) for name in VARS}
@@ -238,9 +238,6 @@ class BiPoly:
         return "BiPoly(" + " + ".join(parts) + ")"
 
 
-_BLOCK = 8192        # nodes per Horner pass: a block's z, zbar and buffers stay in cache
-
-
 def _horner(row: dict, z: np.ndarray, out: np.ndarray) -> np.ndarray:
     """sum_k row[k] z^k by Horner's rule, in place into out."""
     n = max(row)
@@ -269,18 +266,17 @@ def _horner_block(table: dict, z, zbar, out, part) -> np.ndarray:
 
 def _sample_mesh(xs, ys, num: dict, den: dict | None, poles: dict | None):
     """Table num, over the table den if given, on the mesh xs[None, :] + 1j * ys[:, None],
-    in blocks of whole rows of about _BLOCK nodes: no full-size mesh or denominator
-    exists.  Returns (values, mask): nodes where den or poles is exactly 0 read 0
-    and form the mask, or None."""
-    step = max(1, _BLOCK // xs.size)
+    over grid.row_blocks: no full-size mesh or denominator exists.  Returns (values,
+    mask): nodes where den or poles is exactly 0 read 0 and form the mask, or None."""
+    blocks = row_blocks(xs.size, ys.size)
     out = np.empty((ys.size, xs.size), dtype=np.complex128)
-    buf = np.empty((4, min(step, ys.size) * xs.size), dtype=np.complex128)
+    buf = np.empty((4, blocks[0].stop * xs.size), dtype=np.complex128)
     mask = None
-    for r in range(0, ys.size, step):
-        rows = out[r:r + step]
+    for r in blocks:
+        rows = out[r]
         z, zbar, d, part = buf[:, :rows.size]
         acc = rows.reshape(-1)
-        np.add(xs[None, :], 1j * ys[r:r + step, None], out=z.reshape(rows.shape))
+        np.add(xs[None, :], 1j * ys[r, None], out=z.reshape(rows.shape))
         np.conj(z, out=zbar)
         # acc is free until num is formed
         pole = None if poles is None else _horner_block(poles, z, zbar, acc, part) == 0
@@ -290,7 +286,7 @@ def _sample_mesh(xs, ys, num: dict, den: dict | None, poles: dict | None):
             pole = den_zero if pole is None else np.logical_or(pole, den_zero, out=pole)
         if pole is not None and pole.any():
             mask = np.zeros(out.shape, dtype=bool) if mask is None else mask
-            mask[r:r + step] = pole.reshape(rows.shape)
+            mask[r] = pole.reshape(rows.shape)
             d[pole], acc[pole] = 1.0, 0.0
         if den is not None:
             np.divide(acc, d, out=acc)

@@ -12,6 +12,14 @@ form p dz + q dzbar is gx = p + q, gy = i (p - q).
 
 One mask rule: a sum reads each masked node as the mean of its unmasked 8-neighbours
 (mask_patches), a maximum skips it (masked_max_abs), and integrate2d refuses it.
+
+One block rule: a full-grid reduction or product allocates no full-size
+temporary.  It streams over row_blocks, blocks of whole rows of about _BLOCK
+nodes, and writes into its result or reduces block by block (row_max_abs); each
+node sees the same operations in the same order as on the whole grid, so the
+values do not depend on the blocks.  Here closedness_defect and every field's
+max_abs follow it; wirtinger_derivative, real_wirtinger_z, quadrature_sum and
+ComplexField.abs2 do not yet.
 """
 from __future__ import annotations
 
@@ -172,7 +180,8 @@ class ComplexField:
         return self.like(np.abs(vals) ** 2)
 
     def max_abs(self) -> float:
-        return masked_max_abs(self.values, self.mask)
+        return row_max_abs(lambda r: self.values[r], self.mask, range(self.grid.ny),
+                           self.grid.nx)
 
     def patched(self) -> "ComplexField":
         """The field with no mask, each masked node holding its mask_patches mean."""
@@ -214,6 +223,17 @@ class ComplexField:
         return self.like(op(self.values, other))
 
 
+_BLOCK = 8192        # nodes per block: a block's values and work buffers stay in cache
+
+
+def row_blocks(nx: int, stop: int, start: int = 0) -> list[slice]:
+    """Rows start:stop of an nx-wide grid in blocks of max(1, _BLOCK // nx) whole
+    rows, in row order: the blocks every full-grid reduction and product streams
+    over."""
+    step = max(1, _BLOCK // nx)
+    return [slice(r, min(r + step, stop)) for r in range(start, stop, step)]
+
+
 def masked_max_abs(values: np.ndarray, mask: np.ndarray | None) -> float:
     """max |values| over the unmasked nodes of (..., ny, nx) values; 0 when every
     node is masked."""
@@ -224,16 +244,26 @@ def masked_max_abs(values: np.ndarray, mask: np.ndarray | None) -> float:
     return float(np.max(np.abs(values)))
 
 
-def merged_mask(a, b) -> np.ndarray | None:
-    """The union of the masks of two fields (None when neither has one);
-    GridConfigError unless they share the grid."""
-    if a.grid != b.grid:
+def row_max_abs(block, mask: np.ndarray | None, rows: range, nx: int) -> float:
+    """masked_max_abs of (..., ny, ncols) values over the given rows, one row block at
+    a time: block(r) returns rows r of the values, and mask is their (ny, ncols) mask
+    or None.  Maxima are exact and NaN propagates, so this is masked_max_abs of the
+    whole array to the bit, and no full-size value or |value| array exists."""
+    peak = 0.0
+    for r in row_blocks(nx, rows.stop, rows.start):
+        peak = np.maximum(peak, masked_max_abs(block(r), None if mask is None else mask[r]))
+    return float(peak)
+
+
+def merged_mask(*fields) -> np.ndarray | None:
+    """The union of the masks of fields (None when none has one); GridConfigError
+    unless they share the grid."""
+    if any(f.grid != fields[0].grid for f in fields[1:]):
         raise GridConfigError("grid mismatch")
-    if a.mask is None:
-        return b.mask
-    if b.mask is None:
-        return a.mask
-    return a.mask | b.mask
+    out = None
+    for m in (f.mask for f in fields if f.mask is not None):
+        out = m if out is None else out | m
+    return out
 
 
 def mask_patches(values: np.ndarray, mask: np.ndarray, f):
@@ -296,25 +326,35 @@ def _ddx(values: np.ndarray, h: float, periodic: bool) -> np.ndarray:
     return out
 
 
-def _ddy(values: np.ndarray, h: float, periodic: bool) -> np.ndarray:
-    out = np.empty_like(values)
-    np.subtract(values[..., 2:, :], values[..., :-2, :], out=out[..., 1:-1, :])
-    if periodic:
-        np.subtract(values[..., 1, :], values[..., -1, :], out=out[..., 0, :])
-        np.subtract(values[..., 0, :], values[..., -2, :], out=out[..., -1, :])
-    else:
-        out[..., 0, :] = -3 * values[..., 0, :] + 4 * values[..., 1, :] - values[..., 2, :]
-        out[..., -1, :] = 3 * values[..., -1, :] - 4 * values[..., -2, :] + values[..., -3, :]
+def _ddy(values: np.ndarray, h: float, periodic: bool, rows: slice = slice(None)) -> np.ndarray:
+    """d/dy of (..., ny, nx) values on the rows `rows` (a step-1 slice), each row
+    formed as it is when all rows are."""
+    ny = values.shape[-2]
+    r0, r1, _ = rows.indices(ny)
+    out = np.empty(values.shape[:-2] + (r1 - r0, values.shape[-1]), values.dtype)
+    lo, hi = max(r0, 1), min(r1, ny - 1)          # the central rows among them
+    if lo < hi:
+        np.subtract(values[..., lo + 1:hi + 1, :], values[..., lo - 1:hi - 1, :],
+                    out=out[..., lo - r0:hi - r0, :])
+    if r0 == 0:
+        if periodic:
+            np.subtract(values[..., 1, :], values[..., -1, :], out=out[..., 0, :])
+        else:
+            out[..., 0, :] = -3 * values[..., 0, :] + 4 * values[..., 1, :] - values[..., 2, :]
+    if r1 == ny:
+        if periodic:
+            np.subtract(values[..., 0, :], values[..., -2, :], out=out[..., -1, :])
+        else:
+            out[..., -1, :] = 3 * values[..., -1, :] - 4 * values[..., -2, :] + values[..., -3, :]
     out *= 1.0 / (2 * h)
     return out
 
 
-def wirtinger_derivative(f: ComplexField, direction: str = "z") -> ComplexField:
-    """d f / dz or d f / dzbar from central differences (one-sided at open edges)."""
-    if direction not in ("z", "zbar"):
-        raise ValueError(f"unknown direction {direction!r}")
-    g = f.grid
-    fx, fy = _ddx(f.values, g.hx, g.periodic_x), _ddy(f.values, g.hy, g.periodic_y)
+def wirtinger_rows(grid: Grid2D, values: np.ndarray, direction: str,
+                   rows: slice = slice(None)) -> np.ndarray:
+    """d/dz (direction "z") or d/dzbar of (..., ny, nx) values on the rows `rows`."""
+    fx = _ddx(values[..., rows, :], grid.hx, grid.periodic_x)
+    fy = _ddy(values, grid.hy, grid.periodic_y, rows)
     if direction == "z":          # (fx - i fy) / 2, formed in place in fx
         fx.real += fy.imag
         fx.imag -= fy.real
@@ -322,7 +362,14 @@ def wirtinger_derivative(f: ComplexField, direction: str = "z") -> ComplexField:
         fx.real -= fy.imag
         fx.imag += fy.real
     fx *= 0.5
-    return f.like(fx)
+    return fx
+
+
+def wirtinger_derivative(f: ComplexField, direction: str = "z") -> ComplexField:
+    """d f / dz or d f / dzbar from central differences (one-sided at open edges)."""
+    if direction not in ("z", "zbar"):
+        raise ValueError(f"unknown direction {direction!r}")
+    return f.like(wirtinger_rows(f.grid, f.values, direction))
 
 
 def real_wirtinger_z(grid: Grid2D, values: np.ndarray) -> np.ndarray:
@@ -405,10 +452,14 @@ def _cumtrapz_from(vals: np.ndarray, h: float, i0: int, axis: int = -1) -> np.nd
 def closedness_defect(grid: Grid2D, gx: np.ndarray, gy: np.ndarray, mask) -> float:
     """Half the largest |d gx / dy - d gy / dx| over the unmasked nodes (mask may
     be None) of gx dx + gy dy, gx, gy of shape (..., ny, nx): the discrete
-    exterior-derivative residual, which for p dz + q dzbar is max |d_zbar p - d_z q|."""
-    r = _ddy(gx, grid.hy, grid.periodic_y)
-    r -= _ddx(gy, grid.hx, grid.periodic_x)
-    return 0.5 * masked_max_abs(r, mask)
+    exterior-derivative residual, which for p dz + q dzbar is max |d_zbar p - d_z q|.
+    Formed and reduced one row block at a time."""
+    def block(r):
+        d = _ddy(gx, grid.hy, grid.periodic_y, r)
+        d -= _ddx(gy[..., r, :], grid.hx, grid.periodic_x)
+        return d
+
+    return 0.5 * row_max_abs(block, mask, range(grid.ny), grid.nx)
 
 
 # ---------------------------------------------------------------------------

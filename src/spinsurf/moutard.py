@@ -46,10 +46,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirac import SpinorField, quaternion_defect
+from .dirac import SpinorField, qconj, qmul, quaternion_defect
 from .exactpoly import BiPoly, RQuat, RationalFn, T, Z, ZBAR, heat_extend
 from .grid import (ComplexField, Grid2D, antiderivative, closedness_defect, merged_mask,
-                   wirtinger_derivative)
+                   row_blocks, wirtinger_derivative)
 
 
 class ClosednessError(RuntimeError):
@@ -81,18 +81,23 @@ def omega(Phi: SpinorField, Psi: SpinorField) -> tuple[SpinorField, SpinorField]
         p = (i conj(pb) sa, i pa sa),  q = (i conj(pa) sb, -i pb sb),
     and X = p + q, Y = i (p - q) (dz = dx + i dy).  X and Y are quaternions, so
     their column 1s, and the closedness defects and integrals of those, follow
-    from column 0."""
+    from column 0.  p is formed in X and q in a block buffer, one row block at a
+    time."""
     grid, mask = Phi.grid, merged_mask(Phi, Psi)       # GridConfigError on a grid mismatch
     (pa, pb), (sa, sb) = Phi.values, Psi.values
-    p, q = (np.empty((2, grid.ny, grid.nx), dtype=complex) for _ in range(2))
-    _product(1j, np.conj(pb), sa, p[0])
-    _product(1j, pa, sa, p[1])
-    _product(1j, np.conj(pa), sb, q[0])
-    _product(-1j, pb, sb, q[1])
-    gy = p - q
-    gy *= 1j
-    p += q
-    return SpinorField.from_values(grid, p, mask), SpinorField.from_values(grid, gy, mask)
+    X, Y = (np.empty((2, grid.ny, grid.nx), dtype=complex) for _ in range(2))
+    blocks = row_blocks(grid.nx, grid.ny)
+    buf = np.empty((2, blocks[0].stop, grid.nx), dtype=complex)
+    for r in blocks:
+        p, q, y = X[:, r], buf[:, :r.stop - r.start], Y[:, r]
+        _product(1j, np.conj(pb[r], out=p[0]), sa[r], p[0])
+        _product(1j, pa[r], sa[r], p[1])
+        _product(1j, np.conj(pa[r], out=q[0]), sb[r], q[0])
+        _product(-1j, pb[r], sb[r], q[1])
+        np.subtract(p, q, out=y)
+        y *= 1j
+        p += q
+    return SpinorField.from_values(grid, X, mask), SpinorField.from_values(grid, Y, mask)
 
 
 def omega1(Phi: SpinorField, Psi: SpinorField) -> SpinorField:
@@ -152,7 +157,7 @@ def build_S(Phi: SpinorField, Psi: SpinorField, base_node=None, constant=None,
 
 
 def _product(c: complex, x: np.ndarray, y: np.ndarray, out: np.ndarray):
-    """c * x * y, left to right, into out."""
+    """c * x * y, left to right, into out (x may be out)."""
     np.multiply(c, x, out=out)
     out *= y
 
@@ -187,17 +192,22 @@ def _inv(S: SpinorField) -> SpinorField:
 
 def _partner(Q: SpinorField) -> SpinorField:
     """-Q^* = Gamma Q^T Gamma: the column (-conj(a), b) of Q's column (a, b)."""
-    a, b = Q.values
-    return SpinorField.from_values(Q.grid, np.stack([-np.conj(a), b]), Q.mask)
+    out = np.empty_like(Q.values)
+    np.negative(np.conj(Q.values[0], out=out[0]), out=out[0])
+    out[1] = Q.values[1]
+    return SpinorField.from_values(Q.grid, out, Q.mask)
 
 
 def _kdata(Psi: SpinorField, Sinv: SpinorField, Phi: SpinorField) -> KData:
-    """(W, a) of K = Psi S^-1 Phi^* from S^-1."""
-    K = Psi @ Sinv @ Phi.conj()
-    ka, kb = K.values
-    W = ComplexField(Sinv.grid, 1j * np.conj(ka), K.mask)
-    a = ComplexField(Sinv.grid, -np.conj(kb), K.mask)
-    return KData(W, a)
+    """(W, a) of K = Psi S^-1 Phi^* = (ka, kb) from S^-1: W = i conj(ka) and
+    a = -conj(kb), formed one row block of K at a time."""
+    grid, mask = Sinv.grid, merged_mask(Psi, Sinv, Phi)
+    W, a = np.empty((2, grid.ny, grid.nx), dtype=complex)
+    for r in row_blocks(grid.nx, grid.ny):
+        ka, kb = qmul(qmul(Psi.values[:, r], Sinv.values[:, r]), qconj(Phi.values[:, r]))
+        np.multiply(1j, np.conj(ka), out=W[r])
+        np.negative(np.conj(kb, out=kb), out=a[r])
+    return KData(ComplexField(grid, W, mask), ComplexField(grid, a, mask))
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +253,17 @@ class MoutardTransform:
                         S_inv: SpinorField, X: SpinorField, const) -> SpinorField:
         """X - B0 S^-1 S(A0, X), S having the constant C: Psi~ from (Phi0, Psi0, S0)
         and Phi~ from (Psi0, Phi0, SB0); both anchor at S0's base node.  One side at
-        a time, so that the two sides' temporaries are never alive together."""
+        a time, and B0 S^-1 S(A0, X) one row block at a time."""
         bx, by = self.S0.base_node
         if const is None:
             const = C @ np.linalg.solve(B0.at(bx, by), X.at(bx, by))
-        SX = build_S(A0, X, base_node=(bx, by), constant=const)
-        return X - B0 @ S_inv @ SX.S
+        SX = build_S(A0, X, base_node=(bx, by), constant=const).S
+        mask, out = merged_mask(X, B0, S_inv, SX), np.empty_like(X.values)
+        for r in row_blocks(X.grid.nx, X.grid.ny):
+            np.subtract(X.values[:, r],
+                        qmul(qmul(B0.values[:, r], S_inv.values[:, r]), SX.values[:, r]),
+                        out=out[:, r])
+        return SpinorField.from_values(X.grid, out, mask)
 
     def transformed_potentials(self, U: ComplexField):
         """(U~, V~) of moutard_dsii for the background potential U, V~ = 2 i a_z."""

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dirac import SpinorField, dirac_residual_norm
-from .dsii import catalog, dsii_exact_identity_holds, l2_norm_sq, singular_times
+from .dsii import (catalog, dsii_exact_identity_holds, exact_solution, l2_norm_sq,
+                   singular_times)
 from .evolve import evolve, grid_norm_sq
 from .exactpoly import C, T, Z, heat_extend, poly_equal
 from .grid import constant_field, field_from_function, make_grid, square_grid
@@ -145,6 +146,13 @@ def suite_singularities() -> list[CheckResult]:
         if ev:
             out.append(_abs_check(f"asymptotic coeff s1 c={tau}i (vs i)",
                                   abs(ev[0].coefficient - 1j), 1e-3))
+    # a1 = 0.7 != 0: f(z, -1/2) = 0.7 z + z^2, so A = i a2 / (1 + |a1|^2) = i / 1.49
+    ev = singular_times(exact_solution(heat_extend(Z * Z + 0.7 * Z + 1j)))
+    ok = len(ev) == 1 and abs(ev[0].t_sing + 0.5) < 1e-12
+    out.append(CheckResult("singular time heat a1=0.7", ev[0].t_sing if ev else np.nan,
+                           -0.5, 1e-12, ok))
+    out.append(_abs_check("asymptotic coeff heat a1=0.7 (vs i/1.49)",
+                          abs((ev[0].coefficient if ev else np.nan) - 1j / 1.49), 1e-12))
     sol = catalog("s1", c=1.0 + 0.5j)
     out.append(CheckResult("no singular times for non-imaginary c",
                            len(singular_times(sol)), 0.0, 0.0,

@@ -180,7 +180,7 @@ def test_spinor_constructor_stacks_components_and_merges_masks(grid):
 
 def test_a_grid_mismatch_is_a_grid_config_error():
     # the mask merge runs before the arithmetic, so a product of fields on two grids
-    # never reaches numpy's broadcast error, and apply_D needs no grid check of its own
+    # never reaches numpy's broadcast error; apply_D merges its masks first too
     U = constant_field(make_grid((-1, 1, -1, 1), (32, 32)), 1.0)
     g = make_grid((-1, 1, -1, 1), (48, 40))
     with pytest.raises(GridConfigError, match="grid mismatch"):

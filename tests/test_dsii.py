@@ -11,8 +11,8 @@ from spinsurf import (BiPoly, C, ComplexField, Z, catalog, dsii_residual_exact,
                       square_grid, to_halved_v_form, wirtinger_derivative)
 from spinsurf.dsii import (DecayError, ExactSolution, InvalidDatumError, NormResult,
                            re_v_from_u)
-from spinsurf.exactpoly import _BLOCK, T, ZBAR, RationalFn
-from spinsurf.grid import MaskError, quadrature_sum
+from spinsurf.exactpoly import T, ZBAR, RationalFn
+from spinsurf.grid import _BLOCK, MaskError, quadrature_sum
 from test_grid import neighbor_mean_patched
 
 

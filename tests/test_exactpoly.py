@@ -86,7 +86,7 @@ def test_eval_explicit_zbar_matches_per_monomial_sum(p, zz, t, c, cbar):
 def test_eval_across_blocks_matches_per_monomial_sum():
     # more nodes than one Horner pass takes, in a shape that leaves a partial block
     from spinsurf import catalog
-    from spinsurf.exactpoly import _BLOCK
+    from spinsurf.grid import _BLOCK
     p = catalog("s2", c="symbolic").V.den
     rng = np.random.default_rng(5)
     shape = (2 * _BLOCK // 13 + 3, 13)
@@ -145,7 +145,7 @@ def test_eval_respects_product_and_conj(p, q, z, t, c, cbar):
 @given(p=_polys, q=_polys, seed=st.integers(0, 2**32 - 1), t=st.floats(-1.5, 1.5),
        c=_points, cbar=_points)
 def test_eval_respects_product_and_conj_across_blocks(p, q, seed, t, c, cbar):
-    from spinsurf.exactpoly import _BLOCK
+    from spinsurf.grid import _BLOCK
     rng = np.random.default_rng(seed)
     n = 2 * _BLOCK + 37                    # three blocks, the last a partial one
     z = rng.uniform(-1.5, 1.5, n) + 1j * rng.uniform(-1.5, 1.5, n)
