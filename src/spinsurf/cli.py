@@ -189,26 +189,22 @@ def cmd_solution(args) -> int:
     if args.solution == "ozawa":
         oz = catalog("ozawa", a=args.a, b=args.b)
         U = oz.U0_field(grid)
-        save_complexfield_csv(U, outdir / "U.csv")
-        nrm = l2_norm_sq(U)
-        info = {"norm_sq": nrm.value, "tail_bound": nrm.tail_bound,
-                "blowup_time": oz.blowup_time}
-        with open(outdir / "events.json", "w") as fh:
-            json.dump(info, fh, indent=1)
-        print(json.dumps(info))
-        return 0
-    sol = catalog(args.solution, c=args.c)
-    U = sol.U_field(grid, args.t)
-    V = sol.V_field(grid, args.t)
+    else:
+        sol = catalog(args.solution, c=args.c)
+        U = sol.U_field(grid, args.t)
+        save_complexfield_csv(sol.V_field(grid, args.t), outdir / "V.csv")
     save_complexfield_csv(U, outdir / "U.csv")
-    save_complexfield_csv(V, outdir / "V.csv")
-    events = [e.as_dict() for e in singular_times(sol)]
-    with open(outdir / "events.json", "w") as fh:
-        json.dump(events, fh, indent=1)
-    nrm = l2_norm_sq(U, require_decay=False)
+    nrm = l2_norm_sq(U, require_decay=False)    # a box too small for the decay: qualified
     qual = "" if nrm.decay_ok else " [box too small for a decayed norm]"
-    print(f"norm_sq={nrm.value:.6g} (tail bound {nrm.tail_bound:.2g}){qual}; "
-          f"{len(events)} singular event(s)")
+    if args.solution == "ozawa":
+        events = {"norm_sq": nrm.value, "tail_bound": nrm.tail_bound, "blowup_time": oz.blowup_time}
+        line = json.dumps(events) + qual
+    else:
+        events = [e.as_dict() for e in singular_times(sol)]
+        line = (f"norm_sq={nrm.value:.6g} (tail bound {nrm.tail_bound:.2g}){qual}; "
+                f"{len(events)} singular event(s)")
+    (outdir / "events.json").write_text(json.dumps(events, indent=1))
+    print(line)
     return 0
 
 
@@ -242,8 +238,7 @@ def cmd_evolve(args) -> int:
             Uex = Uex.patched()
         num = grid_norm_sq(traj.final - Uex)
         summary["rel_l2_error_vs_exact"] = float(np.sqrt(num / grid_norm_sq(Uex)))
-    with open(outdir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=1)
+    (outdir / "summary.json").write_text(json.dumps(summary, indent=1))
     print(json.dumps(summary))
     return 0 if not traj.aborted else 3
 

@@ -15,7 +15,6 @@ by Parseval, so a run that reads no snapshot forms one field, the final one.
 """
 from __future__ import annotations
 
-import csv
 import json
 import math
 import warnings
@@ -26,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .dsii import re_v_into
-from .grid import ComplexField, Grid2D, MaskError, integrate2d, save_complexfield_csv
+from .grid import ComplexField, Grid2D, MaskError, integrate2d, save_complexfield_csv, save_csv
 
 
 class BlowupAbort(RuntimeError):
@@ -176,13 +175,10 @@ def write_trajectory(traj: Trajectory, outdir) -> dict:
         name = f"snapshot_{i:04d}.csv"
         save_complexfield_csv(fld, outdir / name)
         files.append({"t": t, "file": name})
-    with open(outdir / "norms.csv", "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["t", "norm_sq"])
-        wr.writerows([f"{t:.17g}", f"{n:.17g}"] for t, n in zip(traj.times, traj.norms))
+    save_csv(outdir / "norms.csv", "t,norm_sq",
+             ("%.17g,%.17g\n" % tn for tn in zip(traj.times, traj.norms)), newline="\r\n")
     manifest = {"times": traj.times, "norms": traj.norms, "snapshots": files,
                 "aborted": traj.aborted, "abort_reason": traj.abort_reason}
-    with open(outdir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=1)
+    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=1))
     return manifest
 

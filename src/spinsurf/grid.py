@@ -466,25 +466,34 @@ def closedness_defect(grid: Grid2D, gx: np.ndarray, gy: np.ndarray, mask) -> flo
 # serialization
 
 
-def save_nodes_csv(csv_path, grid: Grid2D, header: str, *columns, meta=None):
-    """Per node: ix, iy, then re and im of each (ny, nx) column, printed as np.savetxt
-    does with "%d" and "%.17g"; meta, if given, goes to csv_path + ".json"."""
-    ix, iy = np.tile(np.arange(grid.nx), grid.ny), np.repeat(np.arange(grid.ny), grid.nx)
-    cols = [ix, iy] + [p for c in columns for p in (c.ravel().real, c.ravel().imag)]
-    row = ",".join(["%d", "%d"] + ["%.17g"] * (len(cols) - 2)) + "\n"
-    with open(csv_path, "w") as fh:
+def save_csv(csv_path, header: str, lines, newline="\n"):
+    """The one CSV writer: the header line, then lines, each line end written as newline."""
+    with open(csv_path, "w", newline=newline) as fh:
         fh.write(header + "\n")
-        for s in range(0, ix.size, 4096):        # blocks keep the Python lists small
-            fh.writelines(row % r for r in zip(*(c[s:s + 4096].tolist() for c in cols)))
-    if meta is not None:
-        with open(str(csv_path) + ".json", "w") as fh:
-            json.dump(meta, fh, indent=1, sort_keys=True)
+        fh.writelines(lines)
+
+
+def save_nodes_csv(csv_path, header: str, *columns):
+    """Per node of the (ny, nx) columns: ix, iy, then re and im of each, as np.savetxt
+    prints them with "%d" and "%.17g"; a grid row is one % of a text built once."""
+    nx, k = columns[0].shape[1], 2 * len(columns)
+    row = "".join(f"{ix},\0" + ",%.17g" * k + "\n" for ix in range(nx))   # \0 is iy
+    vals = [0.0] * (k * nx)                     # re, im of each column, node after node
+
+    def lines():
+        for iy, rows in enumerate(zip(*columns)):
+            for j, r in enumerate(rows):
+                vals[2 * j::k], vals[2 * j + 1::k] = r.real.tolist(), r.imag.tolist()
+            yield row.replace("\0", str(iy)) % tuple(vals)
+
+    save_csv(csv_path, header, lines())
 
 
 def save_complexfield_csv(f: ComplexField, csv_path):
     """CSV columns ix, iy, re, im plus a JSON sidecar with grid metadata."""
-    meta = dict(f.grid.meta())
+    meta = f.grid.meta()
     if f.mask is not None:
         meta["masked_nodes"] = [[int(a), int(b)] for b, a in zip(*np.nonzero(f.mask))]
-    save_nodes_csv(csv_path, f.grid, "ix,iy,re,im", f.values, meta=meta)
-
+    save_nodes_csv(csv_path, "ix,iy,re,im", f.values)
+    with open(str(csv_path) + ".json", "w") as fh:
+        json.dump(meta, fh, indent=1, sort_keys=True)

@@ -66,6 +66,18 @@ def test_solution_ozawa(tmp_path):
     assert info["norm_sq"] == pytest.approx(2 * np.pi, rel=2e-2)
 
 
+def test_solution_ozawa_on_the_default_box(tmp_path, capsys):
+    # the datum decays only like 2 / r^2: on the default box +-3 the norm is
+    # qualified, not refused
+    out = tmp_path / "oz"
+    assert main(["solution", "--solution", "ozawa", "--a", "1", "--b", "-1",
+                 "--grid", "33x33", "--out", str(out)]) == 0
+    info = json.loads((out / "events.json").read_text())
+    assert sorted(info) == ["blowup_time", "norm_sq", "tail_bound"]
+    assert info["blowup_time"] == pytest.approx(1.0)
+    assert capsys.readouterr().out.rstrip().endswith("[box too small for a decayed norm]")
+
+
 def test_evolve_zero(tmp_path):
     out = tmp_path / "evz"
     rc = main(["evolve", "--from", "zero", "--grid", "32x32",
@@ -451,6 +463,41 @@ def test_gen_surface_mesh_bytes_are_pinned(source, fmt, tmp_path):
 def test_gen_surface_sidecar_bytes_are_pinned(source, fmt, tmp_path):
     sidecar = Path(str(_pinned_run(source, fmt, tmp_path / "m")) + ".json")
     assert hashlib.sha256(sidecar.read_bytes()).hexdigest() == _SIDECAR_SHA256[source, fmt]
+
+
+# SHA-256 of the CSV and JSON outputs of a solution dump and of a short evolve
+# run, as written at commit 4609e45: a change to how CSVs are formatted must keep
+# every byte
+_CSV_RUNS = {
+    "solution": ["solution", "--solution", "s1", "--c", "i", "--t", "-0.5",
+                 "--grid", "33x33", "--box=-3:3:-3:3"],
+    "evolve": ["evolve", "--from", "s1", "--c", "1", "--grid", "32x32", "--box=-10:10:-10:10",
+               "--t-end", "0.01", "--dt", "1e-3", "--snapshot-every", "5"],
+}
+_CSV_SHA256 = {
+    ("solution", "U.csv"): "9ae87e267c5e0e4e022383dc9efb321588b8113ab94fcb2175ad443ce073312c",
+    ("solution", "V.csv"): "f2a95c706610901a43fa51089ab5d65a1c7f3e5988190d29763f509d348f5fff",
+    ("solution", "events.json"): "b85cdb4ee8271660b4bfd483a933cd92ca547b2279246bd2faeac52cd6849403",
+    ("evolve", "snapshot_0000.csv"):
+        "9fef4815d950a2473f9825d92d4babfdba671ffec9489963a54a153ff958406b",
+    ("evolve", "snapshot_0001.csv"):
+        "768fdf8d637ddde9d82fd4c28a6ffd7e043b35d12ab1bd72be5df24f457ec3b1",
+    ("evolve", "snapshot_0002.csv"):
+        "24f197104c15174ec891a00e65c019325b3aa285f20ae9a5a095697f9d2f59af",
+    ("evolve", "norms.csv"): "093466ab331cbf066630db11ed2b84867797828327a5bcf598a7a8c0c46ae477",
+    ("evolve", "manifest.json"): "cc3c90824bab4331f2825f11d70ef7d68dd16c8eea95cd01886145a8115adae2",
+}
+
+
+@pytest.mark.parametrize("run", sorted(_CSV_RUNS))
+def test_csv_bytes_are_pinned(run, tmp_path):
+    out = tmp_path / run
+    assert main(_CSV_RUNS[run] + ["--out", str(out)]) == 0
+    pinned = {name: sha for (r, name), sha in _CSV_SHA256.items() if r == run}
+    assert sorted(p.name for p in out.glob("*.csv")) == sorted(
+        n for n in pinned if n.endswith(".csv"))
+    for name, sha in pinned.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == sha, name
 
 
 def test_gen_surface_invert_integrates_nothing(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import csv
 import functools
 import json
 import subprocess
@@ -11,7 +12,7 @@ from spinsurf import (ComplexField, SpinorField, catalog, constant_field,
                       evolve, field_from_function, grid_norm_sq, make_grid,
                       square_grid, wirtinger_derivative, write_trajectory)
 from spinsurf.dsii import re_v_into
-from spinsurf.evolve import BlowupAbort, DsiiEvolver, EvolverState
+from spinsurf.evolve import BlowupAbort, DsiiEvolver, EvolverState, Trajectory
 from spinsurf.grid import MaskError, SchemeError
 from spinsurf.moutard import moutard_exact
 
@@ -144,6 +145,18 @@ def test_write_trajectory(tmp_path):
     assert len(data["times"]) == 11
     for snap in data["snapshots"]:
         assert (tmp_path / snap["file"]).exists()
+
+
+def test_norms_csv_is_what_csv_writer_prints(tmp_path):
+    # the python csv module's text: "\r\n" line ends, fields as "%.17g" prints them
+    times = [0.0, 1e-3, 0.1 + 0.2, -2.5e-308, 1e17, np.float64(7.0)]
+    norms = [6.283185307179586, 0.0, -0.0, np.inf, np.nan, np.float64(1 / 3)]
+    write_trajectory(Trajectory(times, norms, [], None), tmp_path)
+    with open(tmp_path / "oracle.csv", "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["t", "norm_sq"])
+        wr.writerows([f"{t:.17g}", f"{n:.17g}"] for t, n in zip(times, norms))
+    assert (tmp_path / "norms.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
 @pytest.mark.parametrize("t0, t_end, dt", [(0.0, 0.1, 0.03), (0.0, 0.1, 0.3),

@@ -487,6 +487,24 @@ def _savetxt_bytes(path, header, fmt, data):
     return path.read_bytes()
 
 
+def _savetxt_oracle(path, header, *columns):
+    ny, nx = columns[0].shape
+    parts = [p for c in columns for p in (c.ravel().real, c.ravel().imag)]
+    data = np.column_stack([np.tile(np.arange(nx), ny), np.repeat(np.arange(ny), nx), *parts])
+    return _savetxt_bytes(path, header, ["%d", "%d"] + ["%.17g"] * len(parts), data)
+
+
+def _awkward_values(rng, shape):
+    """Complex values whose text is long, short, signed, subnormal or not finite."""
+    vals = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    vals = vals + 1j * rng.normal(size=shape)
+    special = [0.0, -0.0, complex(-0.0, 0.0), np.nan, np.inf, -np.inf, 5e-324,
+               complex(1e300, -2.5e-308), complex(-7.3e17, np.nan), 0.1, 1.0, -12345.0]
+    k = min(len(special), vals.size)
+    vals.reshape(-1)[rng.choice(vals.size, k, replace=False)] = special[:k]
+    return vals
+
+
 def test_node_csv_writer_matches_savetxt(tmp_path):
     g = make_grid((-1, 1, -1, 1), (9, 7))
     vals = field_from_function(g, lambda z: z ** 3 + 1j / 3).values
@@ -495,17 +513,32 @@ def test_node_csv_writer_matches_savetxt(tmp_path):
     mask = np.zeros((7, 9), dtype=bool)
     mask[3, 4] = mask[0, 8] = True
     other = field_from_function(g, lambda z: 1e-200 / (z + 5)).values
-    ix = np.tile(np.arange(9), 7)
-    iy = np.repeat(np.arange(7), 9)
-    a, b = vals.ravel(), other.ravel()
 
     save_complexfield_csv(ComplexField(g, vals, mask), tmp_path / "f.csv")
-    expect = _savetxt_bytes(tmp_path / "ref1.csv", "ix,iy,re,im", ["%d", "%d", "%.17g", "%.17g"],
-                            np.column_stack([ix, iy, a.real, a.imag]))
+    expect = _savetxt_oracle(tmp_path / "ref1.csv", "ix,iy,re,im", vals)
     assert (tmp_path / "f.csv").read_bytes() == expect
 
-    save_nodes_csv(tmp_path / "two.csv", g, "ix,iy,re1,im1,re2,im2", vals, other)
-    expect = _savetxt_bytes(tmp_path / "ref2.csv", "ix,iy,re1,im1,re2,im2",
-                            ["%d", "%d"] + ["%.17g"] * 4,
-                            np.column_stack([ix, iy, a.real, a.imag, b.real, b.imag]))
+    save_nodes_csv(tmp_path / "two.csv", "ix,iy,re1,im1,re2,im2", vals, other)
+    expect = _savetxt_oracle(tmp_path / "ref2.csv", "ix,iy,re1,im1,re2,im2", vals, other)
     assert (tmp_path / "two.csv").read_bytes() == expect
+
+    # the row text depends on nx and on how many digits ix and iy take: one row,
+    # one column, four-digit iy, three columns
+    rng = np.random.default_rng(23)
+    for ny, nx, ncols in [(1, 40, 1), (40, 1, 1), (1, 1, 2), (1100, 12, 1), (6, 11, 3)]:
+        cols = [_awkward_values(rng, (ny, nx)) for _ in range(ncols)]
+        header = ",".join(["ix", "iy"] + [f"{p}{j}" for j in range(ncols) for p in ("re", "im")])
+        save_nodes_csv(tmp_path / "got.csv", header, *cols)
+        expect = _savetxt_oracle(tmp_path / "ref.csv", header, *cols)
+        assert (tmp_path / "got.csv").read_bytes() == expect, (ny, nx, ncols)
+
+    # 257 x 129 with a masked node, which changes only the sidecar: its CSV row
+    # holds what the node holds
+    g = make_grid((-3, 3, -2, 2), (257, 129))
+    vals = _awkward_values(rng, (129, 257))
+    mask = np.zeros((129, 257), dtype=bool)
+    mask[64, 128] = True
+    save_complexfield_csv(ComplexField(g, vals, mask), tmp_path / "m.csv")
+    assert (tmp_path / "m.csv").read_bytes() == _savetxt_oracle(tmp_path / "ref.csv",
+                                                                 "ix,iy,re,im", vals)
+    assert json.loads((tmp_path / "m.csv.json").read_text())["masked_nodes"] == [[128, 64]]

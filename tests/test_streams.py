@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from spinsurf import (ComplexField, SpinorField, catalog, constant_field, field_from_function,
-                      make_grid, wirtinger_derivative)
+                      make_grid, save_complexfield_csv, wirtinger_derivative)
 from spinsurf.dirac import apply_D, apply_Dvee, dirac_residual_norm
 from spinsurf.grid import _BLOCK, _ddx, closedness_defect, masked_max_abs, row_blocks
 from spinsurf.moutard import MoutardTransform, build_S, heat_datum_fields, omega
@@ -200,3 +200,12 @@ def test_streamed_reductions_allocate_no_full_size_temporary():
                lambda: dirac_residual_norm(U, psi, interior=1),
                lambda: dirac_residual_norm(U, psi, vee=True)):
         assert _peak_bytes(fn) < limit
+
+
+def test_node_csv_writer_holds_one_row_at_a_time(tmp_path):
+    # at 257^2, whole-grid ix and iy arrays take 1 MiB and a copy of the real
+    # parts 0.5 MiB; one row's text, floats and value list take tens of KiB
+    g = make_grid((-3, 3, -3, 3), (257, 257))
+    rng = np.random.default_rng(5)
+    U = ComplexField(g, rng.normal(size=(257, 257)) + 1j * rng.normal(size=(257, 257)))
+    assert _peak_bytes(lambda: save_complexfield_csv(U, tmp_path / "U.csv")) < 2**18
