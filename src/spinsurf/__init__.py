@@ -9,12 +9,11 @@ from .grid import (ComplexField, Grid2D, antiderivative,
                    wirtinger_derivative)
 from .exactpoly import (BiPoly, C, CBAR, ONE, RQuat, RationalFn, T, Z, ZBAR,
                         heat_extend, heat_residual, poly_equal)
-from .dirac import SpinorField, apply_D, apply_Dvee, dirac_residual_norm
+from .dirac import SpinorField, dirac_residual_norm
 from .surface import (GaussMapResult, MetricData, SurfaceMap,
                       discrete_mean_curvature, gauss_map, integrate_surface_r3,
                       integrate_surface_r4, invert_surface, measured_e2alpha,
-                      smatrix_to_surface, spinor_metric, surface_to_smatrix,
-                      weier_derivatives, willmore)
+                      smatrix_to_surface, spinor_metric, weier_derivatives, willmore)
 from .meshio import MeshStats, export_mesh
 from .moutard import (KData, MoutardTransform, SMatrix, build_S,
                       heat_antiderivative, heat_datum_fields,

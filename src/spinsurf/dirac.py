@@ -27,9 +27,9 @@ def _empty(grid: Grid2D) -> np.ndarray:
 class Mat2Field:
     """2x2 complex matrix per node: values[i, j] is entry (i, j), shape (2, 2, ny, nx).
 
-    For general values, as SpinorField.mat() returns; quaternion fields are held
-    as SpinorField.  The package itself computes nothing with it: it serves the
-    tests' general-matrix oracles and perfbench's span tracer.
+    For general values; quaternion fields are held as SpinorField.  The package
+    itself computes nothing with it: only the tests' general-matrix oracles and
+    perfbench's span tracer use it.
 
     One mask covers all four entries: the union of the masks of the fields the
     matrix was built from.  values may be a read-only broadcast view (see
@@ -129,11 +129,11 @@ class SpinorField:
     Moutard pipeline's S-matrices, their inverses and K are held the same way.
 
     One mask covers both components: the union of the masks they were built from.
-    Products, differences, conjugates and inverses of quaternions are quaternions,
-    so they are formed on (psi1, psi2) alone: a product takes four complex
-    multiplies, and the inverse is exact, the conjugate (conj(psi1), -psi2) over
-    |psi1|^2 + |psi2|^2 = det.  Operations write into fresh arrays, so fields may
-    share values.
+    Products, conjugates and inverses of quaternions are quaternions, so they are
+    formed on (psi1, psi2) alone (qmul and qconj on values, and inv): a product
+    takes four complex multiplies, and the inverse is exact, the conjugate
+    (conj(psi1), -psi2) over |psi1|^2 + |psi2|^2 = det.  Operations write into
+    fresh arrays, so fields may share values.
     """
 
     def __init__(self, psi1: ComplexField, psi2: ComplexField):
@@ -159,29 +159,9 @@ class SpinorField:
     def psi2(self) -> ComplexField:
         return ComplexField(self.grid, self.values[1], self.mask)
 
-    def __matmul__(self, other: "SpinorField") -> "SpinorField":
-        return SpinorField.from_values(self.grid, qmul(self.values, other.values),
-                                       merged_mask(self, other))
-
-    def __sub__(self, other: "SpinorField") -> "SpinorField":
-        return SpinorField.from_values(self.grid, self.values - other.values,
-                                       merged_mask(self, other))
-
-    def conj(self) -> "SpinorField":
-        """The quaternion conjugate: the conjugate transpose of the matrix, and
-        Gamma Q^T Gamma^-1."""
-        return SpinorField.from_values(self.grid, qconj(self.values), self.mask)
-
-    def norm2(self) -> np.ndarray:
-        """|a|^2 + |b|^2 per node, the determinant (real)."""
-        return _norm2(self.values)
-
-    def det(self) -> ComplexField:
-        return ComplexField(self.grid, self.norm2(), self.mask)
-
     def inv(self, min_det: float = 0.0) -> "SpinorField":
-        """conj() / (|a|^2 + |b|^2), one row block at a time; nodes with det < min_det
-        join the mask and are divided by 1 instead."""
+        """The conjugate over |a|^2 + |b|^2, one row block at a time; nodes with
+        det < min_det join the mask and are divided by 1 instead."""
         g, v, bad = self.grid, self.values, None
         out = np.empty_like(v)
         for r in row_blocks(g.nx, g.ny):
@@ -194,11 +174,6 @@ class SpinorField:
             out[:, r] /= n2
         mask = self.mask if bad is None else (bad if self.mask is None else self.mask | bad)
         return SpinorField.from_values(g, out, mask)
-
-    def mat(self) -> Mat2Field:
-        """The general 2x2 matrix field [[a, -conj(b)], [b, conj(a)]]."""
-        a, b = self.values
-        return Mat2Field.from_values(self.grid, a, -np.conj(b), b, np.conj(a), self.mask)
 
     def at(self, ix: int, iy: int) -> np.ndarray:
         a, b = self.values[:, iy, ix]
@@ -242,44 +217,23 @@ def _norm2(x: np.ndarray) -> np.ndarray:
 GAMMA = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
-def _residual_rows(U: ComplexField, psi: SpinorField, vee: bool, rows: slice) -> np.ndarray:
-    """Rows `rows` of (d psi2 + u psi1, -db psi1 + conj(u) psi2), u = U (conj(U) when
-    vee): the row kernel of apply_D and dirac_residual_norm."""
-    (p1, p2), u = psi.values, U.values[rows]
-    uc = np.conj(u)
-    u1, u2 = (uc, u) if vee else (u, uc)
-    out = np.empty((2,) + u.shape, dtype=complex)
-    np.add(wirtinger_rows(psi.grid, p2, "z", rows), u1 * p1[rows], out=out[0])
-    r2 = wirtinger_rows(psi.grid, p1, "zbar", rows)
-    np.negative(r2, out=r2)
-    np.add(r2, u2 * p2[rows], out=out[1])
-    return out
-
-
-def _assemble(U: ComplexField, psi: SpinorField, vee: bool) -> SpinorField:
-    """apply_D (apply_Dvee when vee) from the blocks of its row kernel."""
-    mask, g = merged_mask(U, psi), psi.grid          # GridConfigError on a grid mismatch
-    out = np.empty_like(psi.values)
-    for r in row_blocks(g.nx, g.ny):
-        out[:, r] = _residual_rows(U, psi, vee, r)
-    return SpinorField.from_values(g, out, mask)
-
-
-def apply_D(U: ComplexField, psi: SpinorField) -> SpinorField:
-    """Residual of the Dirac operator: (d psi2 + U psi1, -db psi1 + conj(U) psi2)."""
-    return _assemble(U, psi, False)
-
-
-def apply_Dvee(U: ComplexField, phi: SpinorField) -> SpinorField:
-    """Residual of the formally conjugate operator: D with conj(U) for U."""
-    return _assemble(U, phi, True)
-
-
 def dirac_residual_norm(U, psi, interior: int = 0, vee: bool = False) -> float:
     """max |D psi| (|Dvee psi| when vee) over the unmasked nodes, optionally skipping
-    a boundary margin, reduced over the row blocks of apply_D's kernel."""
-    mask, g = merged_mask(U, psi), psi.grid
-    cols = slice(interior, g.nx - interior)
-    return row_max_abs(lambda r: _residual_rows(U, psi, vee, r)[..., cols],
-                       None if mask is None else mask[:, cols],
+    a boundary margin.  Each block of rows of (d psi2 + u psi1, -db psi1 + conj(u) psi2),
+    u = U (conj(U) when vee), is formed and reduced in turn."""
+    mask, g = merged_mask(U, psi), psi.grid          # GridConfigError on a grid mismatch
+    (p1, p2), cols = psi.values, slice(interior, g.nx - interior)
+
+    def block(rows):
+        u = U.values[rows]
+        uc = np.conj(u)
+        u1, u2 = (uc, u) if vee else (u, uc)
+        out = np.empty((2,) + u.shape, dtype=complex)
+        np.add(wirtinger_rows(g, p2, "z", rows), u1 * p1[rows], out=out[0])
+        r2 = wirtinger_rows(g, p1, "zbar", rows)
+        np.negative(r2, out=r2)
+        np.add(r2, u2 * p2[rows], out=out[1])
+        return out[..., cols]
+
+    return row_max_abs(block, None if mask is None else mask[:, cols],
                        range(interior, g.ny - interior), g.nx)

@@ -17,7 +17,8 @@ and the constraint halved is reached by relabelling V -> V/2, see
 to_halved_v_form.)
 
 U_field/V_field sample through RationalFn.on_grid, masking the zeros of rho
-(V's extra poles: rho^2 can miss one by rounding); they and the singularity
+(V's extra poles: rho^2 can miss one by rounding) and z = 0 where f(0, t) is
+exactly 0 (rho's expanded constant term can miss it); they and the singularity
 ledger follow exactpoly's one rule for c.  The ledger is exact: a singular
 instant is a real root t_s of f(0, t), and the blow-up coefficient is
 i a2 / (1 + |a1|^2), read off f(z, t_s) = a1 z + a2 z^2 + ...
@@ -58,10 +59,21 @@ class ExactSolution:
         return self.U.den
 
     def U_field(self, grid: Grid2D, t: float) -> ComplexField:
-        return self.U.on_grid(grid, t, self.c)
+        return self._origin_masked(self.U.on_grid(grid, t, self.c), t)
 
     def V_field(self, grid: Grid2D, t: float) -> ComplexField:
-        return self.V.on_grid(grid, t, self.c, poles=self.den)
+        return self._origin_masked(self.V.on_grid(grid, t, self.c, poles=self.den), t)
+
+    def _origin_masked(self, field: ComplexField, t: float) -> ComplexField:
+        """field, with its node z = 0 (if the grid has one) masked and read as 0 when
+        f(0, t) specialises to exactly 0: rho's expanded constant term |f(0, t)|^2
+        can miss that zero by rounding."""
+        ix, iy = np.flatnonzero(field.grid.xs() == 0), np.flatnonzero(field.grid.ys() == 0)
+        if ix.size and iy.size and self.f._specialise(t, self.c).get(0, {}).get(0, 0) == 0:
+            if field.mask is None:
+                field.mask = np.zeros(field.values.shape, dtype=bool)
+            field.mask[iy[0], ix[0]], field.values[iy[0], ix[0]] = True, 0
+        return field
 
 
 def exact_solution(f: BiPoly, name: str = "custom", c=None) -> ExactSolution:

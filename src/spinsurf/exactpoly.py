@@ -101,9 +101,6 @@ class BiPoly:
     def __sub__(self, other):
         return self + (-_as_poly(other))
 
-    def __rsub__(self, other):
-        return _as_poly(other) + (-self)
-
     def __mul__(self, other):
         if not isinstance(other, BiPoly):
             if isinstance(other, RationalFn):
@@ -139,11 +136,6 @@ class BiPoly:
             base = base * base if n > 1 else base
             n >>= 1
         return result
-
-    def __truediv__(self, other):
-        if isinstance(other, BiPoly):
-            return RationalFn(self, other)
-        return self * (1.0 / complex(other))
 
     # -- calculus ----------------------------------------------------------
 
@@ -339,9 +331,6 @@ class RationalFn:
     def __sub__(self, other):
         return self + (-_as_rational(other))
 
-    def __rsub__(self, other):
-        return _as_rational(other) + (-self)
-
     def __mul__(self, other):
         other = _as_rational(other)
         return RationalFn(self.num * other.num, self.den * other.den)
@@ -353,9 +342,6 @@ class RationalFn:
         if other.num.nterms == 0:
             raise ZeroDivisionError("division by zero rational")
         return RationalFn(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return _as_rational(other) / self
 
     def wirtinger(self, var: str) -> "RationalFn":
         """Quotient rule, z and zbar treated as independent."""
@@ -389,9 +375,6 @@ class RationalFn:
         lhs = self.num * other.den
         rhs = other.num * self.den
         return poly_equal(lhs, rhs)
-
-    def is_zero(self, rel: float = 1e-12, ref: float = 1.0) -> bool:
-        return self.num.is_zero(rel, ref)
 
     def __repr__(self):
         return f"RationalFn({self.num!r} / {self.den!r})"

@@ -195,26 +195,14 @@ class ComplexField:
     def __add__(self, other):
         return self._binop(other, np.add)
 
-    def __radd__(self, other):
-        return self._binop(other, np.add)
-
     def __sub__(self, other):
         return self._binop(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return self._binop(other, lambda a, b: b - a)
 
     def __mul__(self, other):
         return self._binop(other, np.multiply)
 
     def __rmul__(self, other):
         return self._binop(other, np.multiply)
-
-    def __truediv__(self, other):
-        return self._binop(other, lambda a, b: a / b)
-
-    def __neg__(self):
-        return self.like(-self.values)
 
     def _binop(self, other, op):
         if isinstance(other, ComplexField):

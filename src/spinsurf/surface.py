@@ -60,10 +60,9 @@ class SurfaceMap:
 
 @dataclass
 class MetricData:
-    """Conformal factor e^{2 alpha}, and the nodes where it vanishes."""
+    """Conformal factor e^{2 alpha}."""
 
     e2alpha: np.ndarray
-    branch_mask: np.ndarray | None = None
 
 
 def weier_derivatives(psi: SpinorField, phi: SpinorField | None = None):
@@ -127,9 +126,7 @@ def spinor_metric(psi: SpinorField, phi: SpinorField | None = None) -> MetricDat
     """e^{2 alpha} from the spinors: (|psi1|^2+|psi2|^2) (|phi1|^2+|phi2|^2)."""
     a = np.abs(psi.psi1.values) ** 2 + np.abs(psi.psi2.values) ** 2
     b = a if phi is None else np.abs(phi.psi1.values) ** 2 + np.abs(phi.psi2.values) ** 2
-    e2a = a * b
-    branch = e2a <= 1e-12 * max(float(e2a.max()), 1.0)
-    return MetricData(e2a, branch_mask=branch if branch.any() else None)
+    return MetricData(a * b)
 
 
 def surface_dz(S: SurfaceMap) -> np.ndarray:
@@ -146,9 +143,7 @@ def measured_e2alpha(S: SurfaceMap) -> np.ndarray:
 @dataclass
 class GaussMapResult:
     points: np.ndarray                      # (dim, ny, nx), normalized representative
-    quadric_residual: np.ndarray            # sum_k (x^k_z)^2 per node
-    rel_residual: float                     # max |sum| / sum |x^k_z|^2
-    degenerate: np.ndarray                  # nodes where |grad S| ~ 0
+    rel_residual: float                     # max |sum_k (x^k_z)^2| / sum_k |x^k_z|^2
     spinor_ratio: np.ndarray | None = None  # (2, ny, nx) projective (a : b), dim 3 only
 
 
@@ -172,7 +167,7 @@ def gauss_map(S: SurfaceMap) -> GaussMapResult:
         top = np.where(use_a, a2, z3)
         bot = np.where(use_a, z3, b2)
         spinor = np.stack([top, bot])
-    return GaussMapResult(points, quad, rel, degenerate, spinor)
+    return GaussMapResult(points, rel, spinor)
 
 
 def willmore(U: ComplexField) -> float:
@@ -243,14 +238,6 @@ def discrete_mean_curvature(S: SurfaceMap) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # quaternionic inversion and the S-matrix coordinate dictionary
-
-
-def surface_to_smatrix(S: SurfaceMap) -> SpinorField:
-    """The quaternion [[i x3 + x4, -x1 - i x2],[x1 - i x2, -i x3 + x4]] per node,
-    stored as its column (a, b) = (i x3 + x4, x1 - i x2)."""
-    x1, x2, x3 = S.coords[0], S.coords[1], S.coords[2]
-    x4 = S.coords[3] if S.ambient_dim == 4 else np.zeros_like(x1)
-    return SpinorField.from_values(S.grid, np.stack([1j * x3 + x4, x1 - 1j * x2]), S.mask)
 
 
 def smatrix_to_surface(M: SpinorField) -> SurfaceMap:

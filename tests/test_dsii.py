@@ -377,6 +377,30 @@ def test_singular_instant_masks_exactly_the_origin(name, c, t_sing):
         assert sol.U_field(g, t).mask is None
 
 
+_ROUNDED_TAU = -0.7706729129463723
+
+
+@pytest.mark.parametrize("tau", [_ROUNDED_TAU, -1.2142645217311379, 1.0, -0.6])
+def test_singular_instant_masks_the_origin_where_rho_rounds(tau):
+    # s1 with c = i tau at t = -tau/2, where f(0, t) specialises to exactly 0.  For
+    # _ROUNDED_TAU, rho's expanded constant term rounds to -1.1e-16 instead, so on_grid
+    # alone leaves the pole unmasked (U reads -0 there, V 1j).  Elsewhere rho cancels
+    # exactly, and the samplers return what on_grid returns, bit for bit.
+    sol, t = catalog("s1", c=1j * tau), -tau / 2
+    assert sol.f._specialise(t, sol.c)[0][0] == 0
+    assert (sol.den._specialise(t, sol.c)[0][0] == 0) == (tau != _ROUNDED_TAU)
+    g = square_grid(3.0, 33)
+    assert g.node_z(16, 16) == 0
+    origin = np.zeros((33, 33), bool)
+    origin[16, 16] = True
+    plain = (sol.U.on_grid(g, t, sol.c), sol.V.on_grid(g, t, sol.c, poles=sol.den))
+    for field, ref in zip((sol.U_field(g, t), sol.V_field(g, t)), plain):
+        assert np.array_equal(field.mask, origin) and field.values[16, 16] == 0
+        assert (ref.mask is None) == (tau == _ROUNDED_TAU)
+        keep = ~origin if tau == _ROUNDED_TAU else np.ones_like(origin)
+        assert np.array_equal(field.values[keep].view(np.uint64), ref.values[keep].view(np.uint64))
+
+
 def test_singular_times_persistent_rejected():
     sol = exact_solution(heat_extend(Z ** 3))   # f = z^3 + 6itz: f(0, t) == 0 for all t
     with pytest.raises(InvalidDatumError, match="vanishes identically"):

@@ -204,10 +204,10 @@ def _apply_A(psi: SpinorField, U: ComplexField, V: ComplexField,
     Ub = U.conj()
     Vb = V.conj()
     if not vee:
-        r1 = -d(d(p1)) - V * p1 + Ub * db(p2) - db(Ub) * p2
+        r1 = Ub * db(p2) - db(Ub) * p2 - d(d(p1)) - V * p1
         r2 = U * d(p1) - d(U) * p1 + db(db(p2)) + Vb * p2
         return SpinorField(1j * r1, 1j * r2)
-    r1 = -d(d(p1)) - V * p1 + U * db(p2) - db(U) * p2
+    r1 = U * db(p2) - db(U) * p2 - d(d(p1)) - V * p1
     r2 = Ub * d(p1) - d(Ub) * p1 + db(db(p2)) + Vb * p2
     return SpinorField(-1j * r1, -1j * r2)
 

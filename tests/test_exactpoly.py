@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinsurf import (BiPoly, C, RQuat, RationalFn, T, Z, ZBAR, heat_extend,
+from spinsurf import (BiPoly, C, ONE, RQuat, RationalFn, T, Z, ZBAR, heat_extend,
                       heat_residual, poly_equal)
 from spinsurf.exactpoly import HeatDatumError, InvalidDatumError, PoleError
 from test_dsii import s1_displayed_V
@@ -276,14 +276,14 @@ def test_rquat_inverse():
     Q = RQuat(RationalFn(Z), RationalFn(1 + 2j * ZBAR * T, Z + C))
     for one in (Q @ Q.inv(), Q.inv() @ Q):
         assert one.a.equals(RationalFn(1))
-        assert one.b.is_zero()
+        assert one.b.num.is_zero(1e-12)
 
 
 def test_rquat_conj_det_and_product():
     # the column (a, b) stands for [[a, -conj(b)], [b, conj(a)]]: check the product,
     # conj and det against that matrix, entry by entry
     P = RQuat(RationalFn(Z * Z + 1j * T), RationalFn(2j * ZBAR + C))
-    Q = RQuat(RationalFn(1 - ZBAR), RationalFn(Z * C, 1 + Z * ZBAR))
+    Q = RQuat(RationalFn(ONE - ZBAR), RationalFn(Z * C, 1 + Z * ZBAR))
 
     def mat(X):
         return [[X.a, -X.b.conj()], [X.b, X.a.conj()]]

@@ -5,12 +5,14 @@ from spinsurf import (BiPoly, C, ComplexField, RationalFn, SpinorField, T, Z, ZB
                       antiderivative, catalog, closedness_defect, constant_field,
                       dirac_residual_norm, exact_solution, field_from_function, heat_extend,
                       make_grid)
+from spinsurf.dirac import _norm2, qconj
 from spinsurf.exactpoly import InvalidDatumError
 from spinsurf.moutard import (ClosednessError, MoutardTransform, NormalizationError, SMatrix,
                               build_S, heat_antiderivative, heat_datum_fields,
                               heat_datum_spinors, heat_smatrix_values, k_matrix,
                               moutard_dsii, moutard_exact, omega, omega1,
                               time_offset_integral)
+from test_dirac import quat_mat
 
 
 def _plane_ctx(n=48, lo=0.4, hi=2.4):
@@ -224,7 +226,7 @@ def test_omega1_matches_general_matrix_oracle(seed):
 def test_build_S_plane_closed_form():
     g, psi0, ctx = _plane_ctx()
     zm = g.zmesh()
-    S = ctx.S0.S.mat().values
+    S = quat_mat(ctx.S0.S).values
     assert np.max(np.abs(S[0, 0])) < 1e-12
     assert np.max(np.abs(S[0, 1] - 1j * np.conj(zm))) < 1e-12
     assert np.max(np.abs(S[1, 0] - 1j * zm)) < 1e-12
@@ -247,7 +249,7 @@ def test_plane_S_determinant():
     # so its determinant is the squared norm of the surface point)
     g, psi0, ctx = _plane_ctx()
     zm = g.zmesh()
-    assert np.max(np.abs(ctx.S0.S.det().values - np.abs(zm) ** 2)) < 1e-12
+    assert np.max(np.abs(_norm2(ctx.S0.S.values) - np.abs(zm) ** 2)) < 1e-12
 
 
 def test_build_S_rejects_non_solution():
@@ -292,9 +294,9 @@ def test_normalize_pair_symmetric_case():
     # symmetric background: the normalized partner equals Gamma S^T Gamma
     from spinsurf.dirac import GAMMA, Mat2Field
     gm = Mat2Field.constant(g, GAMMA)
-    target = gm @ ctx.S0.S.mat().transpose() @ gm
-    SB0 = SpinorField.from_values(g, -ctx.S0.S.conj().values, ctx.S0.S.mask)     # -S0^*
-    assert (target - SB0.mat()).max_abs() < 1e-10
+    target = gm @ quat_mat(ctx.S0.S).transpose() @ gm
+    SB0 = SpinorField.from_values(g, -qconj(ctx.S0.S.values), ctx.S0.S.mask)     # -S0^*
+    assert (target - quat_mat(SB0)).max_abs() < 1e-10
 
 
 def _integrated_partner_offset(SA, SB):
@@ -444,7 +446,7 @@ def test_context_inverts_S0_and_SB0_once(monkeypatch):
     monkeypatch.undo()
     eps = 1e-12 * max(ctx.S0.S.max_abs(), 1.0) ** 2
     assert np.array_equal(ctx.S0_inv.values, ctx.S0.S.inv(min_det=eps).values)
-    SB0 = SpinorField.from_values(g, -ctx.S0.S.conj().values, ctx.S0.S.mask)     # -S0^*
+    SB0 = SpinorField.from_values(g, -qconj(ctx.S0.S.values), ctx.S0.S.mask)     # -S0^*
     assert np.array_equal(ctx.SB0_constant, -ctx.S0.constant.conj().T)
     assert np.array_equal(ctx.SB0_inv.values, SB0.inv(min_det=eps).values)
     kd = k_matrix(ctx.Psi0, ctx.S0, ctx.Phi0)
@@ -603,10 +605,10 @@ def _oracle_gamma_omega(Phi, Psi, conj_transpose=False):
     transpose."""
     from spinsurf.dirac import GAMMA, Mat2Field
     g = Phi.grid
-    Pt = Phi.mat().transpose()
+    Pt = quat_mat(Phi).transpose()
     if conj_transpose:
         Pt = Mat2Field(g, np.conj(Pt.values), Pt.mask)
-    Psi, gm = Psi.mat(), Mat2Field.constant(g, GAMMA)
+    Psi, gm = quat_mat(Psi), Mat2Field.constant(g, GAMMA)
     dz = Pt @ (Mat2Field.constant(g, -1j * _P1) @ Psi)
     dzb = Pt @ (Mat2Field.constant(g, 1j * _P2) @ Psi)
     return gm @ dz, gm @ dzb
@@ -615,7 +617,7 @@ def _oracle_gamma_omega(Phi, Psi, conj_transpose=False):
 def _oracle_omega1(Phi, Psi):
     """omega1(Phi, Psi) as a general matrix field, from all sixteen derivatives."""
     from spinsurf.dirac import Mat2Field
-    Phi, Psi = Phi.mat(), Psi.mat()
+    Phi, Psi = quat_mat(Phi), quat_mat(Psi)
     P1, P2 = Mat2Field.constant(Phi.grid, _P1), Mat2Field.constant(Phi.grid, _P2)
     left = (Phi.wirtinger("z").transpose() @ P1
             + Phi.wirtinger("zbar").transpose() @ P2) @ Psi
@@ -640,7 +642,7 @@ def _oracle_build_S(Phi, Psi, base_node, constant=None):
 def _oracle_moutard(psi0, phi0, C0, psi, phi):
     """from_background, k_matrix and transform on general 2x2 matrix fields."""
     from spinsurf.dirac import GAMMA, Mat2Field
-    Psi0, Phi0 = psi0.mat(), phi0.mat()
+    Psi0, Phi0 = quat_mat(psi0), quat_mat(phi0)
     g = Psi0.grid
     b = (g.nx // 2, g.ny // 2)
     gm = Mat2Field.constant(g, GAMMA)
@@ -651,7 +653,7 @@ def _oracle_moutard(psi0, phi0, C0, psi, phi):
     SB0 = SB + Mat2Field.constant(g, CB)
     eps = 1e-12 * max(S0.max_abs(), 1.0) ** 2
     K = Psi0 @ S0.inv(min_det=eps) @ gm @ Phi0.transpose() @ Mat2Field.constant(g, -GAMMA)
-    Psi, Phi = psi.mat(), phi.mat()
+    Psi, Phi = quat_mat(psi), quat_mat(phi)
     constP = C0 @ np.linalg.solve(Psi0.at(*b), Psi.at(*b))
     constBP = CB @ np.linalg.solve(Phi0.at(*b), Phi.at(*b))
     SP, _ = _oracle_build_S(phi0, psi, b, constP)
@@ -748,7 +750,7 @@ def test_quaternion_pipeline_matches_general_matrix_oracle(name):
     ref = _oracle_moutard(psi0, phi0, C0, psi, phi)
     ctx = MoutardTransform.from_background(psi0, phi0, C0)
     psit, phit = ctx.transform(psi, phi)
-    assert np.array_equal(ctx.S0.S.mat().values, ref["S"])      # bitwise, up to the sign of 0
+    assert np.array_equal(quat_mat(ctx.S0.S).values, ref["S"])      # bitwise, up to the sign of 0
     assert np.array_equal(ctx.S0.constant, ref["C"])
     assert ctx.S0.base_node == ref["base_node"]
     k_scale = max(np.max(np.abs(ref["W"])), np.max(np.abs(ref["a"])))

@@ -3,13 +3,26 @@
 An AST pass over src/spinsurf/*.py (not __init__.py, whose exports reach
 nothing by themselves):
 
-* every function, class and method (dunders aside) is named in src/ somewhere
-  other than its own def, or in README.md, or is on KEEP below with its reason,
-  or is a perfbench tracer target (read from perfbench/spans.py's TARGETS);
-* a method (a def directly in a class body) counts as named in src/ only as an
-  attribute (x.name), so a local variable or a function of the same name does
-  not reach it; README words come from code spans and blocks, # comments aside;
+* every function, class and method (dunders aside) is used in src/ somewhere
+  other than its own def, or named in the README's code, or is on KEEP below
+  with its reason;
+* README words come only from its python blocks and its `spinsurf` command
+  lines, # comments aside: a name in its prose, code spans included, reaches
+  nothing;
+* a name read in a function reaches no definition when it is a local variable
+  or a parameter there (or in a function around it);
+* an attribute x.name reaches a method through its owner when x's class is
+  known statically: self or cls in a method, a class name, or a parameter or
+  dataclass field annotated with a src/ class.  It reaches the definition
+  that x's class (or its first src/ base that has one) holds, and the
+  definitions of x's subclasses.  Only when x's class is unknown does it reach
+  every class that defines name;
 * no module-level import goes unused.
+
+KEEP names, as module.qualname (a class covers its methods), every definition
+allowed not to run.  tests/reach_audit.py runs the README under a profiler and
+lists what in src/ never ran and is not on KEEP; it is run by hand, and the
+tests here check its command list and KEEP without running it.
 
 A definition that only its own tests reach belongs in the tests (as an oracle
 or a measuring tool) or nowhere.
@@ -21,71 +34,245 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = sorted(p for p in (ROOT / "src" / "spinsurf").glob("*.py") if p.name != "__init__.py")
 
-# name -> why it stays in src/ although nothing there, the CLI or the README names it
+# module.qualname -> why it stays in src/ although nothing in the README runs it
 KEEP = {
-    "time_offset_integral": "the time-augmented Moutard route of ROADMAP item 4",
-    "mnv_residual": "the exact mKdV-soliton check of criterion 9, ROADMAP item 5",
-    "physical_form": "the one z <-> physical map that ROADMAP item 2 asks for",
+    # perfbench/spans.py traces them (ROADMAP item 6)
+    "dirac.Mat2Field": "the tests' general-matrix oracle and the span tracer's target",
+    "dirac._empty": "Mat2Field's allocator",
+    "evolve.DsiiEvolver.step": "the span tracer's evolve.step",
+    "dsii.re_v_from_u": "the span tracer's dsii.re_v_from_u",
+    "moutard.k_matrix": "the span tracer's moutard.k_matrix",
+    # open items of ROADMAP
+    "moutard.time_offset_integral": "the time-augmented Moutard route of item 4",
+    "moutard.omega1": "the time-augmented Moutard route of item 4",
+    "hierarchy.v_from_constraint_mnv": "the exact mKdV-soliton check of item 5",
+    "hierarchy.mnv_residual": "the exact mKdV-soliton check of item 5",
+    "dsii.physical_form": "the one z <-> physical map of item 2",
+    "dsii.physical_grid_of": "the one z <-> physical map of item 2",
+    "dsii._swap_scale": "the one z <-> physical map of item 2",
+    "dsii._d2": "the one z <-> physical map of item 2",
+    "grid.Spectral.lap_inv": "the one z <-> physical map of item 2",
+    # run on paths that the README does not run
+    "cli._explicit_keys": "--config, which no README command passes",
+    "dsii.OzawaData.U0_zside": "evolve --from ozawa",
+    "evolve.BlowupAbort.__init__": "an evolver run that blows up",
+    "dsii.to_halved_v_form": "the halved-V convention; perfbench's checks use it",
+    "exactpoly.RationalFn.eval": "point sets; perfbench/test_checks.py calls it",
+    # Python's data model
+    "exactpoly.BiPoly.__hash__": "BiPoly defines __eq__, so it is hashable only with it",
+    "exactpoly.BiPoly.__repr__": "how a failing assertion shows a polynomial",
+    "exactpoly.RationalFn.__repr__": "how a failing assertion shows a rational function",
 }
 
 
-def _tracer_targets() -> set:
-    """The attribute names perfbench/spans.py patches, read from its TARGETS."""
-    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
-            return {attr.split(".")[-1] for _, _, attr in ast.literal_eval(node.value)}
-    raise AssertionError("perfbench/spans.py has no TARGETS list")
+def parsed() -> dict:
+    """{path: module AST} over SRC."""
+    return {p: ast.parse(p.read_text(encoding="utf-8")) for p in SRC}
 
 
-def _definitions(tree):
-    """{definition: qualified name} for every function, class and method, dunders
-    aside; a method is a def directly in a class body, named Class.method."""
-    out = {n: n.name for n in ast.walk(tree)
-           if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
-    for c in ast.walk(tree):
-        if isinstance(c, ast.ClassDef):
-            out.update({n: f"{c.name}.{n.name}" for n in c.body if n in out})
-    return {n: q for n, q in out.items()
-            if not (n.name.startswith("__") and n.name.endswith("__"))}
+def is_kept(key: str) -> bool:
+    """Whether KEEP names key (module.qualname) or a class around it."""
+    parts = key.split(".")
+    return any(".".join(parts[:k]) in KEEP for k in range(2, len(parts) + 1))
 
 
-def _uses(tree):
-    """The identifiers a module reads: (names and imported names, attribute names)."""
+def all_definitions(tree, module: str) -> dict:
+    """{definition: module.qualname} for every function, class and method, nested
+    ones and dunders included."""
+    out = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                out[child] = f"{prefix}.{child.name}"
+                visit(child, out[child])
+            else:
+                visit(child, prefix)
+
+    visit(tree, module)
+    return out
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+class _Classes:
+    """The src/ classes (their names are unique there): their methods, src/ bases
+    and src/-typed fields."""
+
+    def __init__(self, trees):
+        self.defs = {}
+        for n in (n for tree in trees for n in ast.walk(tree)):
+            if isinstance(n, ast.ClassDef):
+                assert n.name not in self.defs, f"two src/ classes named {n.name}"
+                self.defs[n.name] = n
+        self.methods = {c: {n.name for n in d.body
+                            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+                        for c, d in self.defs.items()}
+        self.bases = {c: [b.id for b in d.bases if isinstance(b, ast.Name) and b.id in self.defs]
+                      for c, d in self.defs.items()}
+        self.fields = {c: {n.target.id: t for n in d.body
+                           if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)
+                           and (t := self.of_annotation(n.annotation))}
+                       for c, d in self.defs.items()}
+
+    def of_annotation(self, ann):
+        """The src/ class an annotation names (X, "X", X | None), else None."""
+        if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+            return self.of_annotation(ast.parse(ann.value, mode="eval").body)
+        if isinstance(ann, ast.BinOp) and isinstance(ann.op, ast.BitOr):
+            sides = [s for s in (ann.left, ann.right)
+                     if not (isinstance(s, ast.Constant) and s.value is None)]
+            return self.of_annotation(sides[0]) if len(sides) == 1 else None
+        return ann.id if isinstance(ann, ast.Name) and ann.id in self.defs else None
+
+    def mro(self, c):
+        yield c
+        for b in self.bases[c]:
+            yield from self.mro(b)
+
+    def field(self, c, name):
+        return next((self.fields[k][name] for k in self.mro(c) if name in self.fields[k]), None)
+
+    def owners(self, c, name) -> set:
+        """The classes whose `name` an attribute read on an instance of c can reach."""
+        first = next((k for k in self.mro(c) if name in self.methods[k]), None)
+        subs = {k for k in self.defs if k != c and c in self.mro(k) and name in self.methods[k]}
+        return subs | ({first} if first else set())
+
+
+def _bound(fn) -> set:
+    """The parameters of fn and the names it stores into, nested scopes aside."""
+    a = fn.args
+    out = {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if x}
+    stack = list(fn.body) if isinstance(fn.body, list) else [fn.body]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+            out.add(n.id)
+        if not isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(n))
+    return out
+
+
+def _uses(tree, classes: _Classes):
+    """What a module reads: (names that are not local variables or parameters,
+    imported names, {(receiver class or None, attribute name)})."""
     names, attrs = set(), set()
-    for n in ast.walk(tree):
-        if isinstance(n, ast.Name):
-            names.add(n.id)
-        elif isinstance(n, ast.Attribute):
-            attrs.add(n.attr)
-        elif isinstance(n, ast.alias):
-            names.add(n.name.split(".")[-1])
+
+    def receiver(node, local, types):
+        if isinstance(node, ast.Name):
+            if node.id in types:
+                return types[node.id]
+            return node.id if node.id in classes.defs and node.id not in local else None
+        if isinstance(node, ast.Attribute):
+            c = receiver(node.value, local, types)
+            return classes.field(c, node.attr) if c else None
+        return None
+
+    def visit(nodes, owner, local, types):
+        for child in nodes:
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                bound = _bound(child)
+                inner = {k: v for k, v in types.items() if k not in bound}
+                a = child.args
+                for x in a.posonlyargs + a.args + a.kwonlyargs:
+                    if x.annotation is not None and (t := classes.of_annotation(x.annotation)):
+                        inner[x.arg] = t
+                params = a.posonlyargs + a.args
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in getattr(child, "decorator_list", []))
+                if owner and params and not static:
+                    inner[params[0].arg] = owner
+                outer = (getattr(child, "decorator_list", []) + a.defaults + a.kw_defaults
+                         + [getattr(child, "returns", None)]
+                         + [x.annotation for x in params + a.kwonlyargs + [a.vararg, a.kwarg] if x])
+                visit([d for d in outer if d is not None], None, local, types)
+                visit(child.body if isinstance(child.body, list) else [child.body], None,
+                      local | bound, inner)
+                continue
+            if isinstance(child, ast.ClassDef):
+                visit(ast.iter_child_nodes(child), child.name, local, types)
+                continue
+            if isinstance(child, ast.Name) and not isinstance(child.ctx, ast.Store):
+                if child.id not in local:
+                    names.add(child.id)
+            elif isinstance(child, ast.Attribute):
+                attrs.add((receiver(child.value, local, types), child.attr))
+            elif isinstance(child, ast.alias):
+                names.add(child.name.split(".")[-1])
+            visit(ast.iter_child_nodes(child), None, local, types)
+
+    visit(tree.body, None, set(), {})
     return names, attrs
 
 
+def readme_code(text: str):
+    """README.md's python blocks and its `spinsurf` command lines (continuations
+    joined, # comments and extra spaces dropped)."""
+    blocks = re.findall(r"```(\w*)\n(.*?)```", text, re.S)
+    python = [body for lang, body in blocks if lang == "python"]
+    commands = []
+    for lang, body in blocks:
+        if lang == "python":
+            continue
+        for line in re.sub(r"\\\n", " ", body).splitlines():
+            line = " ".join(re.sub(r"#.*", "", line).split())
+            if line.startswith("spinsurf "):
+                commands.append(line)
+    return python, commands
+
+
 def _readme_words() -> set:
-    """The words in README.md's code spans and blocks; a # comment in a block is prose."""
-    text = (ROOT / "README.md").read_text(encoding="utf-8")
-    text = re.sub(r"```.*?```", lambda m: re.sub(r"#.*", "", m.group()), text, flags=re.S)
-    return {w for span in re.findall(r"`+([^`]+)`+", text) for w in re.findall(r"\w+", span)}
+    """The words of README.md's python blocks and `spinsurf` lines, # comments aside."""
+    python, commands = readme_code((ROOT / "README.md").read_text(encoding="utf-8"))
+    return {w for code in python + commands for w in re.findall(r"\w+", re.sub(r"#.*", "", code))}
 
 
 def test_every_definition_is_reached():
-    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in SRC}
-    uses = [_uses(tree) for tree in trees.values()]
-    names = set().union(*(n for n, _ in uses))
-    attrs = set().union(*(a for _, a in uses))
-    elsewhere = _readme_words() | set(KEEP) | _tracer_targets()
-    unreached = sorted(f"{p.stem}.{q}" for p, tree in trees.items()
-                       for d, q in _definitions(tree).items()
-                       if d.name not in (attrs if "." in q else names | attrs) | elsewhere)
-    assert unreached == []
+    trees = parsed()
+    classes = _Classes(trees.values())
+    names, attrs = set(), set()
+    for tree in trees.values():
+        n, a = _uses(tree, classes)
+        names |= n
+        attrs |= a
+    readme = _readme_words()
+
+    def reached(node, parent):
+        name = node.name
+        if name in readme:
+            return True
+        if isinstance(parent, ast.ClassDef):
+            return any(c is None or parent.name in classes.owners(c, name)
+                       for c, a in attrs if a == name)
+        return name in names or (None, name) in attrs
+
+    unreached = []
+    for p, tree in trees.items():
+        defs = all_definitions(tree, p.stem)
+        parents = {c: n for n in defs for c in n.body}
+        parents.update({c: tree for c in tree.body})
+        unreached += [key for node, key in defs.items()
+                      if not _is_dunder(node.name) and not is_kept(key)
+                      and not reached(node, parents.get(node))]
+    assert sorted(unreached) == [], sorted(unreached)
 
 
 def test_keep_list_names_exist():
-    defined = {d.name for p in SRC for d in _definitions(ast.parse(p.read_text(encoding="utf-8")))}
-    assert set(KEEP) <= defined
+    defined = {key for p, tree in parsed().items()
+               for key in all_definitions(tree, p.stem).values()}
+    assert set(KEEP) - defined == set()
+
+
+def test_reach_audit_runs_the_readme_commands():
+    """tests/reach_audit.py's COMMANDS are the README's `spinsurf` lines (read, not run)."""
+    tree = ast.parse((ROOT / "tests" / "reach_audit.py").read_text(encoding="utf-8"))
+    commands = next(ast.literal_eval(n.value) for n in tree.body if isinstance(n, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "COMMANDS" for t in n.targets))
+    _, readme = readme_code((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert commands == readme
 
 
 def test_no_unused_module_imports():

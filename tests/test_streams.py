@@ -1,20 +1,21 @@
 """The row-block streams against their whole-grid oracles, bit for bit.
 
-closedness_defect, dirac_residual_norm, apply_D, omega, the K chain and the
-transform sides run one grid.row_blocks block at a time.  The oracles below are
+closedness_defect, dirac_residual_norm, omega, the K chain and the transform
+sides run one grid.row_blocks block at a time.  The oracles below are
 the whole-array forms they replaced: the same operations in the same order on
 full-size temporaries.  So the streamed values must equal them to the bit on
 every grid shape, periodicity and mask, whatever the block boundaries.
 """
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from spinsurf import (ComplexField, SpinorField, catalog, constant_field, field_from_function,
                       make_grid, save_complexfield_csv, wirtinger_derivative)
-from spinsurf.dirac import apply_D, apply_Dvee, dirac_residual_norm
-from spinsurf.grid import _BLOCK, _ddx, closedness_defect, masked_max_abs, row_blocks
+from spinsurf.dirac import dirac_residual_norm, qconj, qmul
+from spinsurf.grid import _BLOCK, _ddx, closedness_defect, masked_max_abs, merged_mask, row_blocks
 from spinsurf.moutard import MoutardTransform, build_S, heat_datum_fields, omega
 
 
@@ -39,9 +40,18 @@ def oracle_closedness_defect(grid, gx, gy, mask):
 
 
 def oracle_apply_D(U, psi):
+    """D psi = (d psi2 + U psi1, -db psi1 + conj(U) psi2) on the whole grid (Dvee psi
+    for conj(U) in place of U), under the merged mask."""
     r1 = wirtinger_derivative(psi.psi2, "z") + U * psi.psi1
-    r2 = -wirtinger_derivative(psi.psi1, "zbar") + U.conj() * psi.psi2
+    r2 = U.conj() * psi.psi2 - wirtinger_derivative(psi.psi1, "zbar")
     return SpinorField(r1, r2)
+
+
+def oracle_product(*qs):
+    """The quaternion product of SpinorFields, left to right, each a whole-grid array,
+    under their merged mask."""
+    return SpinorField.from_values(qs[0].grid, reduce(qmul, [q.values for q in qs]),
+                                   merged_mask(*qs))
 
 
 def oracle_residual_norm(U, psi, interior, vee):
@@ -129,9 +139,6 @@ def test_dirac_residual_equals_the_whole_grid_oracle(name, kind):
                 continue                       # no node left to reduce over
             got = dirac_residual_norm(U, psi, interior=interior, vee=vee)
             assert _same_bits(got, oracle_residual_norm(U, psi, interior, vee)), (vee, interior)
-    for fn, Uo in ((apply_D, U), (apply_Dvee, U.conj())):
-        r, ref = fn(U, psi), oracle_apply_D(Uo, psi)
-        assert _same_bits(r.values, ref.values) and _same_mask(r.mask, ref.mask)
 
 
 @pytest.mark.parametrize("name,kind", _CASES)
@@ -147,7 +154,7 @@ def test_omega_equals_the_whole_grid_oracle(name, kind):
 
 def test_k_chain_and_transform_sides_equal_the_whole_grid_products():
     # the s1 background on a grid of several blocks with a short last one; the
-    # oracles are the SpinorField products, each a whole-grid array
+    # oracles are the quaternion products, each a whole-grid array
     sol = catalog("s1", c=1.0)
     g = make_grid((-1.5, 1.5, -1.2, 1.8), (100, 300))
     psi0, phi0 = heat_datum_fields(sol.f, g, 0.2)
@@ -156,7 +163,8 @@ def test_k_chain_and_transform_sides_equal_the_whole_grid_products():
     fb = complex(sol.f.eval(z=zb, t=0.2, c=1.0))
     ctx = MoutardTransform.from_background(
         psi0, phi0, np.array([[1j * np.conj(fb), -zb], [np.conj(zb), -1j * fb]]))
-    K = psi0 @ ctx.S0_inv @ phi0.conj()
+    phi0_conj = SpinorField.from_values(g, qconj(phi0.values), phi0.mask)
+    K = oracle_product(psi0, ctx.S0_inv, phi0_conj)
     assert _same_bits(ctx.kdata.W.values, 1j * np.conj(K.values[0]))
     assert _same_bits(ctx.kdata.a.values, -np.conj(K.values[1]))
     assert _same_mask(ctx.kdata.W.mask, K.mask) and _same_mask(ctx.kdata.a.mask, K.mask)
@@ -171,8 +179,9 @@ def test_k_chain_and_transform_sides_equal_the_whole_grid_products():
              (psi0, phi0, ctx.SB0_constant, ctx.SB0_inv, phi))
     for got, (A0, B0, C, S_inv, X) in zip(ctx.transform(psi, phi), sides):
         const = C @ np.linalg.solve(B0.at(bx, by), X.at(bx, by))
-        ref = X - B0 @ S_inv @ build_S(A0, X, base_node=(bx, by), constant=const).S
-        assert _same_bits(got.values, ref.values) and _same_mask(got.mask, ref.mask)
+        prod = oracle_product(B0, S_inv, build_S(A0, X, base_node=(bx, by), constant=const).S)
+        assert _same_bits(got.values, X.values - prod.values)
+        assert _same_mask(got.mask, merged_mask(X, prod))
 
 
 def _peak_bytes(fn):

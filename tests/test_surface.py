@@ -8,7 +8,7 @@ from spinsurf import (ComplexField, SpinorField, SurfaceMap, catalog,
                       field_from_function, gauss_map, integrate_surface_r3,
                       integrate_surface_r4, invert_surface, make_grid,
                       measured_e2alpha, smatrix_to_surface, spinor_metric,
-                      surface_to_smatrix, weier_derivatives, willmore)
+                      weier_derivatives, willmore)
 from spinsurf.grid import wirtinger_derivative
 from spinsurf.hierarchy import soliton_potential
 from spinsurf.moutard import heat_datum_fields, heat_smatrix_values
@@ -299,9 +299,9 @@ def test_smatrix_surface_roundtrip():
     g = make_grid((-1, 1, -1, 1), (16, 16))
     sol = catalog("s1", c=1.0)
     M = heat_smatrix_values(sol.f, g, 0.2)
-    S = smatrix_to_surface(M)
-    M2 = surface_to_smatrix(S)
-    assert np.max(np.abs(M.values - M2.values)) < 1e-12
+    x1, x2, x3, x4 = smatrix_to_surface(M).coords
+    # the dictionary's column (a, b) = (i x3 + x4, x1 - i x2)
+    assert np.max(np.abs(M.values - np.stack([1j * x3 + x4, x1 - 1j * x2]))) < 1e-12
 
 
 def test_path_independence_defect_small():
