@@ -25,9 +25,22 @@ from .dsii import (ExactSolution, NormResult, OzawaData, SingularEvent,
                    exact_solution, l2_norm_sq, physical_form, re_v_from_u,
                    singular_times, to_halved_v_form)
 from .evolve import DsiiEvolver, EvolverState, Trajectory, evolve, grid_norm_sq, write_trajectory
-from .hierarchy import (Potential1D, clifford_potential, mkdv_reduction_identity,
-                        mkdv_rhs_1d, mkdv_soliton, mnv_residual, mnv_rhs,
-                        soliton_potential, v_from_constraint_mnv,
-                        willmore_bound_check)
 
 __version__ = "0.1.0"
+
+# the 1-D soliton and Willmore-bound layer loads on first use (PEP 562): only
+# verify and willmore-check run it
+_HIERARCHY = ("Potential1D", "clifford_potential", "mkdv_reduction_identity",
+              "mkdv_rhs_1d", "mkdv_soliton", "mnv_residual", "mnv_rhs",
+              "soliton_potential", "v_from_constraint_mnv", "willmore_bound_check")
+
+
+def __getattr__(name):
+    if name in _HIERARCHY:
+        from . import hierarchy
+        return getattr(hierarchy, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HIERARCHY))

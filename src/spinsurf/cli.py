@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import verify as verify_mod
 from .dirac import SpinorField
 from .dsii import catalog, l2_norm_sq, singular_times
 from .evolve import evolve, grid_norm_sq, step_count, write_trajectory
@@ -78,6 +77,12 @@ _SHARED = {
 # --config merge, so that a config file may supply it
 _REQUIRED = {"solution": ("solution", ("s1", "s2", "ozawa")),
              "willmore-check": ("potential", ("soliton", "clifford"))}
+
+
+# the names of verify.SUITES, sorted: verify, and the 1-D hierarchy it imports,
+# load only when a suite runs
+SUITE_NAMES = ("dirac", "evolver", "moutard", "norms", "reduction", "singularities",
+               "symbolic", "weierstrass", "willmore")
 
 
 def _add_shared(p, *names):
@@ -256,10 +261,11 @@ def cmd_willmore_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = verify_mod.run_suite(args.suite)
+    from .verify import print_table, run_suite
+    results = run_suite(args.suite)
     outdir = args.out
     RunConfig("verify", _options(args)).write(outdir)
-    verify_mod.print_table(results)
+    print_table(results)
     with open(outdir / "verify.json", "w") as fh:
         json.dump([r.as_dict() for r in results], fh, indent=1)
     return 0 if all(r.passed for r in results) else 1
@@ -331,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run a named verification suite")
     _add_shared(v, "out")
     v.add_argument("--suite", default="all",
-                   choices=sorted(verify_mod.SUITES) + ["all"])
+                   choices=SUITE_NAMES + ("all",))
     v.set_defaults(func=cmd_verify)
     return ap
 

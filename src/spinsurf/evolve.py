@@ -64,14 +64,21 @@ class EvolverState:
     def norm_sq(self) -> float:
         """hx hy sum |U|^2, by Parseval from U_hat."""
         g = self.grid
-        return g.hx * g.hy / (g.nx * g.ny) * np.vdot(self.U_hat, self.U_hat).real
+        return g.hx * g.hy / (g.nx * g.ny) * _sum_abs2(self.U_hat)
 
 
 def grid_norm_sq(U: ComplexField) -> float:
     g = U.grid
     if g.periodic and (U.mask is None or not U.mask.any()):    # rectangle rule, no mask
-        return g.hx * g.hy * np.vdot(U.values, U.values).real
+        return g.hx * g.hy * _sum_abs2(U.values)
     return integrate2d(U.abs2()).real
+
+
+def _sum_abs2(a: np.ndarray) -> float:
+    """sum |a|^2 over the float view, without BLAS: np.vdot's threaded zdotc
+    rounds differently under each BLAS thread count."""
+    f = a.ravel().view(np.float64)
+    return float(np.einsum("i,i->", f, f))
 
 
 class DsiiEvolver:

@@ -142,32 +142,20 @@ def measured_e2alpha(S: SurfaceMap) -> np.ndarray:
 
 @dataclass
 class GaussMapResult:
-    points: np.ndarray                      # (dim, ny, nx), normalized representative
-    rel_residual: float                     # max |sum_k (x^k_z)^2| / sum_k |x^k_z|^2
-    spinor_ratio: np.ndarray | None = None  # (2, ny, nx) projective (a : b), dim 3 only
+    rel_residual: float     # max |sum_k (x^k_z)^2| / sum_k |x^k_z|^2
 
 
 def gauss_map(S: SurfaceMap) -> GaussMapResult:
-    """Per-node projective point (x^1_z : ... : x^n_z) with quadric residual."""
+    """The quadric residual of the projective Gauss map (x^1_z : ... : x^n_z):
+    zero for a conformal map; nodes where x_z vanishes are left out."""
     xz = surface_dz(S)
     norm2 = np.sum(np.abs(xz) ** 2, axis=0)
     scale = float(norm2.max())
     degenerate = norm2 <= 1e-12 * max(scale, 1.0)
-    amp = np.sqrt(np.where(degenerate, 1.0, norm2))
-    points = xz / amp
     quad = np.sum(xz * xz, axis=0)
     ok = ~degenerate
     rel = float(np.max(np.abs(quad)[ok] / norm2[ok])) if ok.any() else 0.0
-    spinor = None
-    if S.ambient_dim == 3:
-        z1, z2, z3 = xz
-        a2 = -1j * z1 - z2
-        b2 = -1j * z1 + z2
-        use_a = np.abs(a2) >= np.abs(b2)
-        top = np.where(use_a, a2, z3)
-        bot = np.where(use_a, z3, b2)
-        spinor = np.stack([top, bot])
-    return GaussMapResult(points, rel, spinor)
+    return GaussMapResult(rel)
 
 
 def willmore(U: ComplexField) -> float:

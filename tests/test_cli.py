@@ -214,6 +214,60 @@ def test_verify_suite_exit_code(tmp_path):
     assert all(r["pass"] for r in results)
 
 
+def test_unknown_suite_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "nope", "--out", str(tmp_path / "v")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
+    assert not (tmp_path / "v").exists()
+
+
+def test_suite_names_are_verify_suites():
+    # cli lists the suites without importing verify
+    from spinsurf import verify
+    assert cli.SUITE_NAMES == tuple(sorted(verify.SUITES))
+
+
+_LOADED = """
+import json, sys
+import spinsurf, spinsurf.cli
+lazy = ("spinsurf.verify", "spinsurf.hierarchy")
+seen = {"import": [m for m in lazy if m in sys.modules]}
+for name, argv in (("gen-surface", ["gen-surface", "--grid", "16x16"]),
+                   ("verify", ["verify", "--suite", "reduction"])):
+    assert spinsurf.cli.main(argv + ["--out", sys.argv[1] + "/" + name]) == 0
+    seen[name] = [m for m in lazy if m in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+def test_verify_and_hierarchy_load_only_when_run(tmp_path):
+    run = subprocess.run([sys.executable, "-c", _LOADED, str(tmp_path)],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert run.returncode == 0, run.stderr
+    seen = json.loads(run.stdout.strip().splitlines()[-1])
+    assert seen == {"import": [], "gen-surface": [],
+                    "verify": ["spinsurf.verify", "spinsurf.hierarchy"]}
+
+
+def test_evolve_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # np.vdot's zdotc splits a long sum over BLAS threads, and its rounding with it
+    files = {}
+    for n in ("1", "2"):
+        out = tmp_path / f"threads{n}"
+        run = subprocess.run([sys.executable, "-m", "spinsurf.cli", "evolve", "--from", "s1",
+                              "--c", "1", "--grid", "128x128", "--box=-15:15:-15:15",
+                              "--t-end", "0.001", "--dt", "1e-4", "--out", str(out)],
+                             capture_output=True, text=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": str(ROOT / "src"),
+                                  "OPENBLAS_NUM_THREADS": n})
+        assert run.returncode == 0, run.stderr
+        files[n] = {f: (out / f).read_bytes()
+                    for f in ("norms.csv", "manifest.json", "summary.json")}
+    assert files["1"] == files["2"]
+
+
 def test_reproducible_outputs(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -466,8 +520,9 @@ def test_gen_surface_sidecar_bytes_are_pinned(source, fmt, tmp_path):
 
 
 # SHA-256 of the CSV and JSON outputs of a solution dump and of a short evolve
-# run, as written at commit 4609e45: a change to how CSVs are formatted must keep
-# every byte
+# run, as written at commit 4609e45 (the evolve norms.csv and manifest.json as
+# re-recorded when the evolver's norms became a BLAS-free sum): a change to how
+# CSVs are formatted must keep every byte
 _CSV_RUNS = {
     "solution": ["solution", "--solution", "s1", "--c", "i", "--t", "-0.5",
                  "--grid", "33x33", "--box=-3:3:-3:3"],
@@ -484,8 +539,8 @@ _CSV_SHA256 = {
         "768fdf8d637ddde9d82fd4c28a6ffd7e043b35d12ab1bd72be5df24f457ec3b1",
     ("evolve", "snapshot_0002.csv"):
         "24f197104c15174ec891a00e65c019325b3aa285f20ae9a5a095697f9d2f59af",
-    ("evolve", "norms.csv"): "093466ab331cbf066630db11ed2b84867797828327a5bcf598a7a8c0c46ae477",
-    ("evolve", "manifest.json"): "cc3c90824bab4331f2825f11d70ef7d68dd16c8eea95cd01886145a8115adae2",
+    ("evolve", "norms.csv"): "65f2505e44689df6c4ae20e0f2533c853c4756a738e9ebfcf3a1a8cc0249b725",
+    ("evolve", "manifest.json"): "9f7d230bed4ef429a2b63eb16d5c52a307b15511b0fc114d6f109a39d94459ad",
 }
 
 

@@ -366,6 +366,19 @@ def test_evolve_is_bitwise_the_loop_forming_U_every_step():
         assert n == pytest.approx(grid_norm_sq(ComplexField(g, u)), rel=1e-13, abs=0)
 
 
+def test_norms_match_the_plain_sum_of_abs2():
+    # the BLAS-free sums against numpy's own, on a contiguous field and on a
+    # transposed (non-contiguous) one; their order of summation differs
+    g = square_grid(5.0, 64, periodic=True)
+    rng = np.random.default_rng(3)
+    u = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    for vals in (u, u.T):
+        ref = g.hx * g.hy * np.sum(np.abs(vals) ** 2)
+        assert grid_norm_sq(ComplexField(g, vals)) == pytest.approx(ref, rel=1e-13, abs=0)
+        assert EvolverState(ComplexField(g, vals), 0.0).norm_sq == pytest.approx(
+            ref, rel=1e-13, abs=0)
+
+
 def test_state_forms_U_once_and_only_when_read(monkeypatch):
     g = square_grid(30.0, 64, periodic=True)
     U0 = catalog("s1", c=1.0).U_field(g, 0.0)

@@ -14,6 +14,20 @@ def _zero_field(g):
     return ComplexField(g, np.zeros((g.ny, g.nx), complex))
 
 
+def test_package_exports_of_the_lazy_hierarchy():
+    # spinsurf loads hierarchy on first use of one of these names
+    import spinsurf
+    names = ("Potential1D", "clifford_potential", "mkdv_reduction_identity",
+             "mkdv_rhs_1d", "mkdv_soliton", "mnv_residual", "mnv_rhs",
+             "soliton_potential", "v_from_constraint_mnv", "willmore_bound_check")
+    for name in names:
+        assert getattr(spinsurf, name) is getattr(hierarchy, name)
+        assert name in dir(spinsurf)
+    assert {"catalog", "__version__"} <= set(dir(spinsurf))
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        spinsurf.nope
+
+
 def test_mnv_zero():
     g = square_grid(5.0, 32, periodic=True)
     z = _zero_field(g)
