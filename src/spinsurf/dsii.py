@@ -16,11 +16,13 @@ dsii_residual_exact.  (The commonly quoted variant with the coupling doubled
 and the constraint halved is reached by relabelling V -> V/2, see
 to_halved_v_form.)
 
-U_field/V_field sample through RationalFn.on_grid, masking the zeros of rho
-(V's extra poles: rho^2 can miss one by rounding) and z = 0 where f(0, t) is
-exactly 0 (rho's expanded constant term can miss it); they and the singularity
-ledger follow exactpoly's one rule for c.  The ledger is exact: a singular
-instant is a real root t_s of f(0, t), and the blow-up coefficient is
+U_field/V_field sample from the z-rows of f and its z-derivatives, not from the
+expanded U and V (whose numerators and rho, rho^2 cancel near a singular
+instant): rho = x^2 + y^2 + |f|^2 is a sum of squares, exactly 0 where and only
+where z = 0 and f(0, t) specialises to exactly 0, and those nodes form the
+mask.  The expanded U, a, V stay for the exact residual.  The samplers and the
+singularity ledger follow exactpoly's one rule for c.  The ledger is exact: a
+singular instant is a real root t_s of f(0, t), and the blow-up coefficient is
 i a2 / (1 + |a1|^2), read off f(z, t_s) = a1 z + a2 z^2 + ...
 """
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactpoly import (BiPoly, C, InvalidDatumError, RationalFn, Z, ZBAR,
+from .exactpoly import (BiPoly, C, InvalidDatumError, RationalFn, Z, ZBAR, _horner,
                         heat_extend, heat_residual)
 from .grid import ComplexField, Grid2D, MaskError, _axis_weights, mask_patches, row_blocks
 
@@ -53,27 +55,71 @@ class ExactSolution:
     c: complex | None = None          # None: symbolic
     name: str = "custom"
 
-    @property
-    def den(self) -> BiPoly:
-        """rho, the pole set of every field of the family."""
-        return self.U.den
-
     def U_field(self, grid: Grid2D, t: float) -> ComplexField:
-        return self._origin_masked(self.U.on_grid(grid, t, self.c), t)
+        return self._sample(grid, t, v_field=False)
 
     def V_field(self, grid: Grid2D, t: float) -> ComplexField:
-        return self._origin_masked(self.V.on_grid(grid, t, self.c, poles=self.den), t)
+        return self._sample(grid, t, v_field=True)
 
-    def _origin_masked(self, field: ComplexField, t: float) -> ComplexField:
-        """field, with its node z = 0 (if the grid has one) masked and read as 0 when
-        f(0, t) specialises to exactly 0: rho's expanded constant term |f(0, t)|^2
-        can miss that zero by rounding."""
-        ix, iy = np.flatnonzero(field.grid.xs() == 0), np.flatnonzero(field.grid.ys() == 0)
-        if ix.size and iy.size and self.f._specialise(t, self.c).get(0, {}).get(0, 0) == 0:
-            if field.mask is None:
-                field.mask = np.zeros(field.values.shape, dtype=bool)
-            field.mask[iy[0], ix[0]], field.values[iy[0], ix[0]] = True, 0
-        return field
+    def _sample(self, grid: Grid2D, t: float, v_field: bool) -> ComplexField:
+        """U = N / rho, or V = 2 (f'' conj(f) / rho - (rho_z / rho)^2) if v_field, at time
+        t on the grid's nodes, with N = i (z f' - f) and rho_z = zbar + f' conj(f), formed
+        from the one-variable z-rows of f and N, or of f, f' and f'', over
+        grid.row_blocks.  rho = x^2 + y^2 + (Re f)^2 + (Im f)^2 is a sum of squares: it
+        is exactly 0 where, and only where, z = 0 and f(0, t) specialises to exactly 0,
+        and those nodes read 0 and form the mask.  1/rho multiplies through the float
+        view.  c follows exactpoly's one rule; InvalidDatumError for an f of zbar, which
+        has no z-row."""
+        if self.f.depends_on("zbar"):
+            raise InvalidDatumError("the DSII fields are sampled from an f free of zbar")
+        t = float(t)
+        fp = self.f.wirtinger("z")
+        polys = (self.f, fp, fp.wirtinger("z")) if v_field else (self.f, self.U.num)
+        f_row, *rows = (p._specialise(t, self.c)[0] for p in polys)
+        xs, ys = grid.xs(), grid.ys()
+        x2, y2 = xs * xs, ys * ys
+        blocks = row_blocks(xs.size, ys.size)
+        out = np.empty((ys.size, xs.size), dtype=np.complex128)
+        z, f, *w = np.empty((3 if v_field else 2, blocks[0].stop * xs.size), dtype=np.complex128)
+        z.real.reshape(-1, xs.size)[...] = xs          # each block sets only Im z
+        rho = np.empty(z.size)
+        mask = None
+        for r in blocks:
+            o = out[r]
+            n = o.size
+            zk, fk, rk, acc = z[:n], f[:n], rho[:n], o.reshape(-1)
+            np.copyto(zk.imag.reshape(o.shape), ys[r, None])
+            _horner(f_row, zk, fk)
+            np.add(x2[None, :], y2[r, None], out=rk.reshape(o.shape))
+            sq = acc.view(np.float64)[:n]                  # acc is free until N or f''
+            rk += np.square(fk.real, out=sq)
+            rk += np.square(fk.imag, out=sq)
+            pole = None if rk.all() else rk == 0
+            if pole is not None:
+                rk[pole] = 1.0
+            _horner(rows[-1], zk, acc)                     # N for U, f'' for V
+            if v_field:
+                wk = w[0][:n]
+                _horner(rows[0], zk, wk)                   # f'
+                np.conj(fk, out=fk)
+                acc *= fk
+                wk *= fk
+                wk += np.conj(zk, out=zk)                  # rho_z
+            inv = fk.view(np.float64).reshape(n, 2)       # f is free: 1/rho, twice a node
+            np.divide(1.0, rk, out=inv[:, 0])
+            inv[:, 1] = inv[:, 0]
+            inv = inv.reshape(-1)
+            np.multiply(acc.view(np.float64), inv, out=acc.view(np.float64))
+            if v_field:
+                np.multiply(wk.view(np.float64), inv, out=wk.view(np.float64))
+                wk *= wk
+                acc -= wk
+                acc *= 2
+            if pole is not None:
+                mask = np.zeros(out.shape, dtype=bool) if mask is None else mask
+                mask[r] = pole.reshape(o.shape)
+                acc[pole] = 0.0
+        return ComplexField(grid, out, mask)
 
 
 def exact_solution(f: BiPoly, name: str = "custom", c=None) -> ExactSolution:

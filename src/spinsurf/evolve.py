@@ -54,11 +54,12 @@ class EvolverState:
 
     @cached_property
     def U(self) -> ComplexField:
-        return ComplexField(self.grid, np.fft.ifftn(self.U_hat))
+        g = self.grid
+        return ComplexField(g, np.fft.ifftn(self.U_hat, out=np.empty((g.ny, g.nx), complex)))
 
     @cached_property
     def U_hat(self) -> np.ndarray:
-        return np.fft.fftn(self.U.values)
+        return np.fft.fftn(self.U.values, out=np.empty(self.U.values.shape, complex))
 
     @property
     def norm_sq(self) -> float:
@@ -93,13 +94,14 @@ class DsiiEvolver:
 
     def run(self, state: EvolverState, n_steps: int):
         """Yield the n_steps states after state, each holding U_hat only (BlowupAbort,
-        with the last finite state, on a non-finite spectrum); w_hat is the spectrum
-        of U a half step on."""
-        g, dt = self.grid, self.dt
+        with the last finite state, on a non-finite spectrum); the k-th is at
+        state.t + k dt, not at a running sum of dt.  w_hat is the spectrum of U a half
+        step on."""
+        g, dt, t0, n0 = self.grid, self.dt, state.t, state.n_steps
         w, theta = np.empty((g.ny, g.nx), dtype=complex), np.empty((g.ny, g.nx))
         n_hat = np.empty((g.ny, g.nx // 2 + 1), dtype=complex)
         w_hat = state.U_hat * self.half_phase     # numpy's complex a*b and b*a round apart
-        for _ in range(n_steps):
+        for k in range(1, n_steps + 1):
             # non-finite intermediates are tolerated here; the guard below aborts
             with np.errstate(all="ignore"):
                 np.fft.ifftn(w_hat, out=w)                # np.fft.ifft2 ignores out
@@ -111,8 +113,8 @@ class DsiiEvolver:
                 np.fft.fftn(w, out=w_hat)
                 U_hat = w_hat * self.half_phase
             if not np.all(np.isfinite(U_hat)):
-                raise BlowupAbort(f"non-finite field at t={state.t + dt:g}", state)
-            state = EvolverState(None, state.t + dt, state.n_steps + 1, U_hat=U_hat, grid=g)
+                raise BlowupAbort(f"non-finite field at t={t0 + k * dt:g}", state)
+            state = EvolverState(None, t0 + k * dt, n0 + k, U_hat=U_hat, grid=g)
             yield state
             np.multiply(U_hat, self.half_phase, out=w_hat)
 

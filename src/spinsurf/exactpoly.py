@@ -9,8 +9,10 @@ Evaluation specialises the scalars t, c, cbar first (BiPoly._specialise, which
 holds the one rule for c: None only for a polynomial free of c and cbar,
 InvalidDatumError otherwise), then runs nested Horner over the remaining
 (z, zbar) table, outer in zbar and inner in z.  RationalFn.on_grid and
-RQuat.on_grid are the one way to a grid: they stream over blocks of grid rows
-and mask the exact zeros of the denominator; eval is for point sets.
+RQuat.on_grid take a closed form to a grid: they stream over blocks of grid rows
+and mask the exact zeros of the denominator; eval is for point sets.  The DSII
+fields U and V reach a grid from f's z-row instead (dsii.ExactSolution), through
+the one-variable _horner.
 """
 from __future__ import annotations
 
@@ -256,10 +258,10 @@ def _horner_block(table: dict, z, zbar, out, part) -> np.ndarray:
     return out
 
 
-def _sample_mesh(xs, ys, num: dict, den: dict | None, poles: dict | None):
+def _sample_mesh(xs, ys, num: dict, den: dict | None):
     """Table num, over the table den if given, on the mesh xs[None, :] + 1j * ys[:, None],
     over grid.row_blocks: no full-size mesh or denominator exists.  Returns (values,
-    mask): nodes where den or poles is exactly 0 read 0 and form the mask, or None."""
+    mask): nodes where den is exactly 0 read 0 and form the mask, or None."""
     blocks = row_blocks(xs.size, ys.size)
     out = np.empty((ys.size, xs.size), dtype=np.complex128)
     buf = np.empty((4, blocks[0].stop * xs.size), dtype=np.complex128)
@@ -270,12 +272,8 @@ def _sample_mesh(xs, ys, num: dict, den: dict | None, poles: dict | None):
         acc = rows.reshape(-1)
         np.add(xs[None, :], 1j * ys[r, None], out=z.reshape(rows.shape))
         np.conj(z, out=zbar)
-        # acc is free until num is formed
-        pole = None if poles is None else _horner_block(poles, z, zbar, acc, part) == 0
         _horner_block(num, z, zbar, acc, part)
-        if den is not None:
-            den_zero = _horner_block(den, z, zbar, d, part) == 0
-            pole = den_zero if pole is None else np.logical_or(pole, den_zero, out=pole)
+        pole = None if den is None else _horner_block(den, z, zbar, d, part) == 0
         if pole is not None and pole.any():
             mask = np.zeros(out.shape, dtype=bool) if mask is None else mask
             mask[r] = pole.reshape(rows.shape)
@@ -358,17 +356,14 @@ class RationalFn:
             raise PoleError(f"denominator is 0 at {poles} of {np.size(den)} point(s)")
         return self.num.eval(**kw) / den
 
-    def on_grid(self, grid: Grid2D, t: float, c=None, poles: BiPoly | None = None) -> ComplexField:
+    def on_grid(self, grid: Grid2D, t: float, c=None) -> ComplexField:
         """The function at time t on the grid's nodes, streamed in row blocks; c follows
         BiPoly._specialise's rule.  Nodes where the denominator is exactly 0 read 0 and
-        form the mask, and so do the zeros of poles, when given: a power of rho (V's
-        denominator rho^2) can miss an exact zero of rho by rounding.  A denominator
-        that is the constant 1 is not sampled."""
+        form the mask.  A denominator that is the constant 1 is not sampled."""
         t = float(t)
         den = None if self.den.coef == {_ZERO_KEY: 1} else self.den._specialise(t, c)
-        extra = None if poles is None else poles._specialise(t, c)
         return ComplexField(grid, *_sample_mesh(grid.xs(), grid.ys(),
-                                                self.num._specialise(t, c), den, extra))
+                                                self.num._specialise(t, c), den))
 
     def equals(self, other) -> bool:
         other = _as_rational(other)

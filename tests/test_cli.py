@@ -251,6 +251,22 @@ def test_verify_and_hierarchy_load_only_when_run(tmp_path):
                     "verify": ["spinsurf.verify", "spinsurf.hierarchy"]}
 
 
+_WILLMORE = """
+import json, sys
+import spinsurf.cli
+rc = spinsurf.cli.main(["verify", "--suite", "willmore", "--out", sys.argv[1]])
+print(json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def test_verify_willmore_runs_without_scipy(tmp_path):
+    run = subprocess.run([sys.executable, "-c", _WILLMORE, str(tmp_path)],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.strip().splitlines()[-1]) == [0, []]
+
+
 def test_evolve_outputs_do_not_depend_on_blas_threads(tmp_path):
     # np.vdot's zdotc splits a long sum over BLAS threads, and its rounding with it
     files = {}
@@ -520,9 +536,12 @@ def test_gen_surface_sidecar_bytes_are_pinned(source, fmt, tmp_path):
 
 
 # SHA-256 of the CSV and JSON outputs of a solution dump and of a short evolve
-# run, as written at commit 4609e45 (the evolve norms.csv and manifest.json as
-# re-recorded when the evolver's norms became a BLAS-free sum): a change to how
-# CSVs are formatted must keep every byte
+# run, as written at commit 4609e45, re-recorded where the values moved: the
+# evolve norms.csv and manifest.json when the evolver's norms became a BLAS-free
+# sum and again when the k-th state's time became t0 + k dt (the last time reads
+# 0.01, not 0.010000000000000002), and V.csv when V was sampled from f's z-row (972
+# of its 1089 values move by at most 5.7e-16 relative).  A change to how CSVs are
+# formatted must keep every byte
 _CSV_RUNS = {
     "solution": ["solution", "--solution", "s1", "--c", "i", "--t", "-0.5",
                  "--grid", "33x33", "--box=-3:3:-3:3"],
@@ -531,7 +550,7 @@ _CSV_RUNS = {
 }
 _CSV_SHA256 = {
     ("solution", "U.csv"): "9ae87e267c5e0e4e022383dc9efb321588b8113ab94fcb2175ad443ce073312c",
-    ("solution", "V.csv"): "f2a95c706610901a43fa51089ab5d65a1c7f3e5988190d29763f509d348f5fff",
+    ("solution", "V.csv"): "6fd710e08a4578706ac56982ab8b3cbcad0163c567c0ae4a80b8fc9df70f7af9",
     ("solution", "events.json"): "b85cdb4ee8271660b4bfd483a933cd92ca547b2279246bd2faeac52cd6849403",
     ("evolve", "snapshot_0000.csv"):
         "9fef4815d950a2473f9825d92d4babfdba671ffec9489963a54a153ff958406b",
@@ -539,8 +558,8 @@ _CSV_SHA256 = {
         "768fdf8d637ddde9d82fd4c28a6ffd7e043b35d12ab1bd72be5df24f457ec3b1",
     ("evolve", "snapshot_0002.csv"):
         "24f197104c15174ec891a00e65c019325b3aa285f20ae9a5a095697f9d2f59af",
-    ("evolve", "norms.csv"): "65f2505e44689df6c4ae20e0f2533c853c4756a738e9ebfcf3a1a8cc0249b725",
-    ("evolve", "manifest.json"): "9f7d230bed4ef429a2b63eb16d5c52a307b15511b0fc114d6f109a39d94459ad",
+    ("evolve", "norms.csv"): "9b5bdc2b9e1af6ee8148e68e3620779ac1fc5dd226014876b0a15e699d0e4835",
+    ("evolve", "manifest.json"): "4801fdaa987a9bf12bc565b82df5bbe1f644c0f9512de727375cdbd25d2065b6",
 }
 
 

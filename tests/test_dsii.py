@@ -383,22 +383,22 @@ _ROUNDED_TAU = -0.7706729129463723
 @pytest.mark.parametrize("tau", [_ROUNDED_TAU, -1.2142645217311379, 1.0, -0.6])
 def test_singular_instant_masks_the_origin_where_rho_rounds(tau):
     # s1 with c = i tau at t = -tau/2, where f(0, t) specialises to exactly 0.  For
-    # _ROUNDED_TAU, rho's expanded constant term rounds to -1.1e-16 instead, so on_grid
-    # alone leaves the pole unmasked (U reads -0 there, V 1j).  Elsewhere rho cancels
-    # exactly, and the samplers return what on_grid returns, bit for bit.
+    # _ROUNDED_TAU, the expanded rho's constant term rounds to -1.1e-16 instead, so
+    # on_grid of the expanded U leaves the pole unmasked (U reads -0 there).
+    # The samplers form rho as a sum of squares, which is exactly 0 there in every case.
     sol, t = catalog("s1", c=1j * tau), -tau / 2
     assert sol.f._specialise(t, sol.c)[0][0] == 0
-    assert (sol.den._specialise(t, sol.c)[0][0] == 0) == (tau != _ROUNDED_TAU)
+    assert (sol.U.den._specialise(t, sol.c)[0][0] == 0) == (tau != _ROUNDED_TAU)
     g = square_grid(3.0, 33)
     assert g.node_z(16, 16) == 0
     origin = np.zeros((33, 33), bool)
     origin[16, 16] = True
-    plain = (sol.U.on_grid(g, t, sol.c), sol.V.on_grid(g, t, sol.c, poles=sol.den))
-    for field, ref in zip((sol.U_field(g, t), sol.V_field(g, t)), plain):
+    assert (sol.U.on_grid(g, t, sol.c).mask is None) == (tau == _ROUNDED_TAU)
+    for v_field, field in ((False, sol.U_field(g, t)), (True, sol.V_field(g, t))):
         assert np.array_equal(field.mask, origin) and field.values[16, 16] == 0
-        assert (ref.mask is None) == (tau == _ROUNDED_TAU)
-        keep = ~origin if tau == _ROUNDED_TAU else np.ones_like(origin)
-        assert np.array_equal(field.values[keep].view(np.uint64), ref.values[keep].view(np.uint64))
+        values, mask = _field_oracle(sol, g, t, v_field)
+        assert np.array_equal(field.values.view(np.uint64), values.view(np.uint64))
+        assert np.array_equal(mask, origin)
 
 
 def test_singular_times_persistent_rejected():
@@ -473,23 +473,39 @@ def test_den_positive_away_from_origin():
     assert np.all(den.real[np.abs(zm) > 1e-12] > 0)
 
 
-def _field_oracle(rf, grid, kw, rho):
-    """The full-mesh path: z-mesh, BiPoly.eval calls, mask exact zeros of the
-    denominator and of rho (the family's pole set), divide."""
+def _field_oracle(sol, grid, t, v_field):
+    """The whole-mesh form of the samplers: f and N = i (z f' - f) (U) or f, f' and f''
+    (V) by BiPoly.eval on the z-mesh; rho = x^2 + y^2 + (Re f)^2 + (Im f)^2, its exact
+    zeros masked and read as 0; 1/rho applied through the float view; the operations
+    in the samplers' order."""
     zm = grid.zmesh()
-    num, den = rf.num.eval(z=zm, **kw), rf.den.eval(z=zm, **kw)
-    bad = (den == 0) | (rho.eval(z=zm, **kw) == 0)
+    kw = {"t": t, "c": sol.c}
+    f = sol.f.eval(z=zm, **kw)
+    rho = zm.real * zm.real + zm.imag * zm.imag + f.real * f.real + f.imag * f.imag
+    bad = rho == 0
+    rho[bad] = 1.0
+    inv = np.repeat(1.0 / rho, 2, axis=1)
+
+    def over_rho(w):
+        return (w.view(np.float64) * inv).view(np.complex128)
+
+    if v_field:
+        fp = sol.f.wirtinger("z")
+        fb = np.conj(f)
+        a = over_rho(fp.wirtinger("z").eval(z=zm, **kw) * fb)
+        b = over_rho(fp.eval(z=zm, **kw) * fb + np.conj(zm))
+        values = (a - b * b) * 2
+    else:
+        values = over_rho(sol.U.num.eval(z=zm, **kw))
     if not bad.any():
-        return num / den, None
-    den[bad] = 1.0
-    num[bad] = 0.0
-    return num / den, bad
+        return values, None
+    values[bad] = 0.0
+    return values, bad
 
 
 def _assert_fields_match_oracle(sol, g, t):
-    kw = {"t": t, "c": sol.c}
-    for field, rf in ((sol.U_field(g, t), sol.U), (sol.V_field(g, t), sol.V)):
-        values, mask = _field_oracle(rf, g, kw, sol.den)
+    for v_field, field in ((False, sol.U_field(g, t)), (True, sol.V_field(g, t))):
+        values, mask = _field_oracle(sol, g, t, v_field)
         assert np.array_equal(field.values.view(np.uint64), values.view(np.uint64))
         assert (field.mask is None) == (mask is None)
         assert mask is None or np.array_equal(field.mask, mask)
@@ -521,28 +537,73 @@ def test_singular_fields_bitwise_equal_to_oracle_past_the_first_block(name, c, t
 
 
 def test_masked_node_reads_zero_where_the_numerator_does_not_vanish():
-    one = BiPoly.const(1.0)
-    sol = ExactSolution(one, RationalFn(one + Z, Z * ZBAR), RationalFn(one, ZBAR), None, c=0j)
+    # on_grid's rule: a node where the denominator is exactly 0 reads 0, whatever the
+    # numerator holds there, and the other nodes are num / den
     g = make_grid((-3, 3, -3, 3), (257, 129))
-    U = sol.U_field(g, 0.0)
+    rf = RationalFn(1 + Z, Z * ZBAR)
+    U = rf.on_grid(g, 0.0)
     assert U.mask.sum() == 1 and U.mask[64, 128] and U.values[64, 128] == 0
-    values, mask = _field_oracle(sol.U, g, {"t": 0.0, "c": 0j}, sol.den)
+    zm = g.zmesh()
+    den = rf.den.eval(z=zm)
+    den[64, 128] = 1.0
+    values = rf.num.eval(z=zm) / den
+    values[64, 128] = 0.0
     assert np.array_equal(U.values.view(np.uint64), values.view(np.uint64))
-    assert np.array_equal(U.mask, mask)
 
 
 def test_field_peak_memory_stays_near_the_output():
     # no full-size mesh, numerator or denominator beside the output
     sol, g = catalog("s2", c=12), square_grid(10.0, 1025)
-    for t in (0.3, 1.0):
+    for sample, t in ((sol.U_field, 0.3), (sol.U_field, 1.0), (sol.V_field, 0.3),
+                      (sol.V_field, 1.0)):
         tracemalloc.start()
         try:
-            U = sol.U_field(g, t)
+            F = sample(g, t)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * U.values.nbytes
-        del U
+        assert peak <= 1.25 * F.values.nbytes
+        del F
+
+
+def _mp_fields(name, x, y, t, c):
+    """U = i (z f' - f) / rho and V = 2 (f'' conj(f) / rho - ((zbar + f' conj(f)) / rho)^2)
+    in 40-digit mpmath at the float inputs, from f's closed form."""
+    import mpmath as mp
+    with mp.workdps(40):
+        z, t, c = mp.mpc(x, y), mp.mpf(t), mp.mpc(c)
+        if name == "s1":
+            f, fp, fpp = z**2 + 2j * t + c, 2 * z, mp.mpc(2)
+        else:
+            f, fp, fpp = z**4 + 12j * t * z**2 - 12 * t**2 + c, 4 * z**3 + 24j * t * z, \
+                12 * z**2 + 24j * t
+        rho = abs(z)**2 + abs(f)**2
+        U = 1j * (z * fp - f) / rho
+        V = 2 * (fpp * mp.conj(f) / rho - ((mp.conj(z) + fp * mp.conj(f)) / rho) ** 2)
+        return complex(U), complex(V)
+
+
+@pytest.mark.parametrize("name, c, t", [("s1", 1j, -0.49), ("s1", 1j, -0.51),
+                                        ("s2", 12.0, 0.99), ("s2", 12.0, 1.01)])
+def test_fields_near_a_singular_instant_hold_every_digit(name, c, t):
+    # t is 0.01 from t_s, on either side; at the 9 nodes nearest z = 0 the expanded
+    # numerators and rho, rho^2 cancelled to relative errors of 1e-10 to 3e-9 in V
+    sol, g = catalog(name, c=c), square_grid(5.0, 513)
+    U, V = sol.U_field(g, t).values, sol.V_field(g, t).values
+    xs, ys = g.xs(), g.ys()
+    for iy in range(255, 258):
+        for ix in range(255, 258):
+            u, v = _mp_fields(name, xs[ix], ys[iy], t, c)
+            assert abs(U[iy, ix] - u) <= 1e-14 * abs(u)
+            assert abs(V[iy, ix] - v) <= 1e-14 * abs(v)
+
+
+def test_fields_refuse_an_f_of_zbar():
+    sol = exact_solution(Z * Z + 2j * T + 1j + 0.1 * ZBAR)    # f_t = i f_zz, f of zbar
+    g = square_grid(2.0, 16)
+    for sample in (sol.U_field, sol.V_field):
+        with pytest.raises(InvalidDatumError, match="zbar"):
+            sample(g, 0.1)
 
 
 def _l2_norm_sq_oracle(U, require_decay=True):

@@ -172,12 +172,16 @@ def test_evolve_refuses_a_span_of_no_whole_number_of_steps(t0, t_end, dt):
 
 
 @pytest.mark.parametrize("t0, t_end, dt, n", [(0.0, 0.3, 1e-3, 300), (0.0, 0.1, 1e-4, 1000),
-                                              (-0.7, -0.3, 4e-3, 100), (0.0, 0.02, 0.02, 1)])
+                                              (-0.7, -0.3, 4e-3, 100), (0.0, 0.02, 0.02, 1),
+                                              (0.0, 0.5, 1e-2, 50)])
 def test_evolve_runs_the_whole_steps_asked_for(t0, t_end, dt, n):
     # (t_end - t0) / dt is off a whole number by rounding only: 299.99999999999994 etc.
+    # The k-th time is t0 + k dt, not a running sum (which ends 50 steps of 1e-2 at
+    # 0.5000000000000002, where s1 with c = -i is no longer exactly singular)
     g = square_grid(5.0, 16, periodic=True)
     traj = evolve(constant_field(g, 0.0), t_end, dt, t0=t0)
     assert len(traj.times) == n + 1
+    assert traj.times == [t0 + k * dt for k in range(n + 1)]
     assert traj.times[-1] == pytest.approx(t_end, abs=1e-12)
 
 

@@ -264,14 +264,6 @@ def test_a_symbolic_c_is_never_read_as_zero():
     assert RQuat(Z, ZBAR + T).on_grid(g, 0.1).mask is None
 
 
-def test_on_grid_masks_the_zeros_of_poles_over_a_unit_denominator():
-    from spinsurf import make_grid
-    g = make_grid((-1, 1, -1, 1), (9, 9))                   # z = i/4 is node (ix, iy) = (4, 5)
-    F = RationalFn(Z + 1).on_grid(g, 0.0, poles=Z - 0.25j)
-    assert F.mask.sum() == 1 and F.mask[5, 4] and F.values[5, 4] == 0
-    assert np.array_equal(F.values[~F.mask], (g.zmesh() + 1)[~F.mask])
-
-
 def test_rquat_inverse():
     Q = RQuat(RationalFn(Z), RationalFn(1 + 2j * ZBAR * T, Z + C))
     for one in (Q @ Q.inv(), Q.inv() @ Q):

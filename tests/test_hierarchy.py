@@ -124,6 +124,19 @@ def test_clifford_value_vs_quadrature_oracle():
     assert chk.value == pytest.approx(2 * np.pi ** 2, rel=1e-12)
 
 
+def test_clifford_closed_form_is_the_quadrature():
+    # verify's Clifford oracle is the closed form int_0^{2 pi} U^2 dx = pi / 4
+    from scipy.integrate import quad
+
+    from spinsurf.verify import suite_willmore
+    s = np.sqrt(2.0)
+    value, _ = quad(lambda x: (np.sin(x) / (2 * s * (np.sin(x) - s))) ** 2,
+                    0, 2 * np.pi, epsabs=1e-13)
+    assert value == pytest.approx(np.pi / 4, rel=1e-14)
+    rec, = (r for r in suite_willmore() if r.name.startswith("clifford grid vs closed form"))
+    assert rec.passed and rec.target == pytest.approx(8 * np.pi * value, rel=1e-14)
+
+
 def test_clifford_potential_smooth():
     pot = clifford_potential(4096)
     # denominator bounded away from zero by sqrt(2) - 1
