@@ -1,4 +1,8 @@
-"""OBJ / PLY export of grid-sampled surfaces with singular-node bookkeeping."""
+"""OBJ / PLY export of grid-sampled surfaces with singular-node bookkeeping.
+
+OBJ text is 'v %.9g %.9g %.9g' and 'f %d %d %d' lines ending in '\n', formatted
+in numpy a block of rows at a time; PLY is binary little-endian.
+"""
 from __future__ import annotations
 
 import json
@@ -52,8 +56,9 @@ def export_mesh(S: SurfaceMap, path, fmt: str = "obj",
 
     An R^4 surface is drawn by its first three coordinates.  Periodic axes of
     the grid are stitched.  Nodes that are masked or not finite leave holes.
-    The files are built from whole arrays and match the per-element writers
-    kept in the tests byte for byte.
+    The triangles come from whole arrays and the files are written a block of
+    rows at a time; both match the per-element writers kept in the tests byte
+    for byte.
     """
     if fmt not in ("obj", "ply"):
         raise MeshFormatError(f"unsupported format {fmt!r}")
@@ -100,12 +105,96 @@ def _jsonable(obj):
     return obj
 
 
+_BLOCK = 4096                                          # rows formatted at a time
+_P10 = np.array([float(10 ** k) for k in range(23)])   # exact in float64
+
+
+def _words(texts, n: int = 8) -> np.ndarray:
+    """Little-endian 64-bit words of byte strings, zero-padded to n bytes."""
+    return np.array(texts, f"S{n}").view("<u8")
+
+
+# A value of a 'v' line is 4 words, 32 bytes that hold every byte '%.9g' can
+# print and 0 where it prints none: the lead ('v ' or ' '), sign and '0.000' |
+# digits 1-4 | digits 5-8, each followed by a slot for the dot | digit 9,
+# 'e+dd' and, after z, the line end.  A value formatted by '%' itself fills
+# the bytes from the sign up to the line end.
+_C = np.arange(48, 58, dtype="<u8")                    # '0' to '9'
+_D2 = (_C[:, None] | _C << 16).ravel()                 # 00-99, with the slots
+_D4 = (_D2[:, None] | _D2 << 32).ravel()               # 0000-9999, with the slots
+_N = np.arange(100)
+_L2 = np.where(_N % 10 > 0, 2, _N > 0).astype(np.int8)
+_L4 = np.where(_L2 > 0, 2 + _L2, _L2[:, None]).ravel()  # place of the last nonzero digit
+_DIGIT = np.r_[8:24:2, 24]                             # byte of digit 1, ..., 9
+_KEEP = np.full((10, 32), 255, np.uint8)               # row n keeps the first n digits
+_KEEP[:, _DIGIT] *= np.arange(9) < np.arange(10)[:, None]
+_DOT = np.zeros((10, 32), np.uint8)                    # row n has a dot after digit n
+_DOT[np.arange(1, 9), _DIGIT[:8] + 1] = ord(".")
+_KEEP, _DOT = _KEEP.view("<u8"), _DOT.view("<u8")
+_FRONT = _words([b"\0\0" + sign + b"0.000"[:k] for sign in (b"", b"-") for k in (0, 2, 3, 4, 5, 0)])
+_EXP = _words([b"" if -4 <= e < 9 else b"\0e%+03d" % e for e in range(-14, 31)])
+
+
+def _vertex_text(v):
+    """'v %.9g %.9g %.9g' lines of v (n, 3), 4 words a value.
+
+    The nine digits are rint(|v| 10^(8 - e)) with e = floor(log10 |v|). That
+    is exact unless 10^(8 - e) is beyond 10^22, log10 is off by one or the
+    scaled value lies within 1e-6 of a rounding tie; such values, and
+    non-finite ones, are formatted by '%' itself."""
+    v = v.ravel()
+    with np.errstate(all="ignore"):
+        a = np.abs(v)
+        e = np.floor(np.log10(a))
+        ok = np.abs(8 - e) <= 22                       # False at 0, inf and nan
+        e = np.where(ok, e, 0).astype(np.int32)
+        y = a * _P10[np.maximum(8 - e, 0)] / _P10[np.maximum(e - 8, 0)]
+        m = np.rint(y)
+        ok &= (y >= 1e8) & (m < 1e9) & (np.abs(y - np.floor(y) - 0.5) > 1e-6)
+    m = np.where(ok, m, 0).astype(np.int32)            # 0 prints as 0
+    hi, mid, d9 = m // 100000, m // 10 % 10000, m % 10
+    last = np.where(d9 > 0, 9, np.where(mid > 0, 4 + _L4[mid], _L4[hi]))
+    point = np.where((e >= -4) & (e < 9), np.maximum(e + 1, 0), 1)   # digits before the dot
+    out = np.empty((len(v), 4), "<u8")
+    out[:, 0] = _FRONT[6 * np.signbit(v) + np.clip(-e, 0, 5)]
+    out[:, 1] = _D4[hi]
+    out[:, 2] = _D4[mid]
+    out[:, 3] = (d9 + 48).astype("<u8") | _EXP[e + 14]
+    out &= np.take(_KEEP, np.maximum(last, point), 0)
+    out |= np.take(_DOT, np.where(last > point, point, 0), 0)
+    bad = ~ok & (a != 0)
+    if bad.any():
+        out[bad, :3] = _words([b"\0\0%.9g" % x for x in v[bad].tolist()], 24).reshape(-1, 3)
+        out[bad, 3] = 0
+    out[:, 0] |= ord(" ") << 8                         # the lead: 'v ' or ' '
+    out[::3, 0] |= ord("v")
+    out[2::3, 3] |= ord("\n") << 40                    # the line end after z
+    return out
+
+
+def _face_text(tris):
+    """'f %d %d %d' lines of tris + 1 (n, 3) as bytes, 0 where no byte prints."""
+    k = (tris + 1).ravel()
+    width = len(str(k.max())) + 3                     # lead, digits and line end
+    out = np.zeros((len(k), width), np.uint8)
+    out[::3, 0] = ord("f")
+    out[:, 1] = ord(" ")
+    out[2::3, -1] = ord("\n")
+    m = k.astype(np.int32 if width <= 12 else np.int64)
+    for j in range(width - 2, 1, -1):
+        q = m // 10
+        out[:, j] = (m - 10 * q + 48) * (k >= 10 ** (width - 2 - j))
+        m = q
+    return out
+
+
 def _write_obj(path, pts, tris):
-    with open(path, "w") as fh:
-        for line, rows in (("v %.9g %.9g %.9g\n", pts), ("f %d %d %d\n", tris + 1)):
-            for s in range(0, len(rows), 4096):     # one format string per block
-                block = rows[s:s + 4096]
-                fh.write(line * len(block) % tuple(block.ravel().tolist()))
+    """'v %.9g %.9g %.9g' and 'f %d %d %d' lines, formatted in numpy _BLOCK rows at
+    a time into fixed-width cells whose unprinted bytes are 0 and dropped."""
+    with open(path, "wb") as fh:
+        for rows, text in ((pts, _vertex_text), (tris, _face_text)):
+            for s in range(0, len(rows), _BLOCK):
+                fh.write(text(rows[s:s + _BLOCK]).tobytes().translate(None, b"\0"))
 
 
 def _write_ply(path, pts, tris):

@@ -15,10 +15,11 @@ from .dsii import (catalog, dsii_exact_identity_holds, exact_solution, l2_norm_s
                    singular_times)
 from .evolve import evolve, grid_norm_sq
 from .exactpoly import C, T, Z, heat_extend, poly_equal
-from .grid import constant_field, field_from_function, make_grid, square_grid
+from .grid import (ComplexField, constant_field, field_from_function, make_grid,
+                   square_grid)
 from .hierarchy import (clifford_potential, mkdv_reduction_identity,
-                        mkdv_soliton, Potential1D, soliton_potential,
-                        willmore_bound_check)
+                        mkdv_soliton, mnv_residual, Potential1D, soliton_potential,
+                        v_from_constraint_mnv, willmore_bound_check)
 from .moutard import (MoutardTransform, heat_datum_fields, heat_smatrix_values,
                       moutard_exact)
 from .surface import (discrete_mean_curvature, gauss_map, integrate_surface_r3,
@@ -422,6 +423,25 @@ def suite_reduction() -> list[CheckResult]:
         out.append(CheckResult(f"mKdV reduction identity O(h^2) [{name}]", ratio,
                                4.0, 0.3, ratio >= 3.2 and res[1601] < 1e-3,
                                detail=f"resid {res[801]:.3g} -> {res[1601]:.3g}"))
+    # the exact travelling soliton through mnv_residual on a periodic strip,
+    # with the reduction's V = U^2 and a centred 3-slice stencil (dt = 1e-3);
+    # the default V, in the zero-mean gauge, leaves 1.6e-2 at every nx
+    res = {}
+    for nx in (800, 1600):
+        g = make_grid((-12.0, 12.0, 0.0, TWO_PI), (nx, 24), True)
+        U = [ComplexField(g, np.broadcast_to(mkdv_soliton(g.xs(), t), (24, nx)))
+             for t in (-1e-3, 0.0, 1e-3)]
+        res[nx] = mnv_residual(U, 1e-3, V=U[1] * U[1], interior=8).max_norm
+    detail = f"resid {res[800]:.3g} -> {res[1600]:.3g}"
+    out.append(_rel_check("mNV residual O(h^2) [exact mKdV soliton]", res[800] / res[1600],
+                          4.0, 0.125, detail))
+    out.append(_abs_check("mNV residual at nx=1600 [exact mKdV soliton]", res[1600], 2e-4,
+                          detail))
+    # the spectral constraint solve in its zero-mean gauge: V = U^2 - mean(U^2)
+    u2 = U[1].values ** 2
+    out.append(_abs_check("v_from_constraint_mnv = U^2 - mean [exact mKdV soliton]",
+                          np.max(np.abs(v_from_constraint_mnv(U[1]).values - (u2 - u2.mean()))),
+                          1e-12))
     return out
 
 

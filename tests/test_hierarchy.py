@@ -179,4 +179,16 @@ def test_criterion_9_rejects_a_sign_flipped_mnv_rhs(monkeypatch):
     assert all(r.passed for r in verify.suite_reduction())
     monkeypatch.setattr(hierarchy, "mnv_rhs", flipped)
     results = verify.suite_reduction()
-    assert len(results) == 3 and not any(r.passed for r in results)
+    # every check but the constraint solve's, which reads no mnv_rhs
+    assert len(results) == 6
+    assert [r.passed for r in results] == [False] * 5 + [True]
+
+
+def test_exact_soliton_residual_rejects_a_reversed_clock(monkeypatch):
+    # the soliton run backwards: its stencil's U_t has the wrong sign
+    soliton = hierarchy.mkdv_soliton
+    monkeypatch.setattr(verify, "mkdv_soliton", lambda x, t=0.0: soliton(x, -t))
+    failed = {r.name: r.value for r in verify.suite_reduction() if not r.passed}
+    assert failed == pytest.approx({"mNV residual O(h^2) [exact mKdV soliton]": 1.0,
+                                    "mNV residual at nx=1600 [exact mKdV soliton]": 0.125},
+                                   rel=1e-2)

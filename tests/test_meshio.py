@@ -1,12 +1,15 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinsurf import (SpinorField, SurfaceMap, catalog, constant_field,
                       export_mesh, field_from_function, integrate_surface_r3,
                       invert_surface, make_grid, smatrix_to_surface)
+from spinsurf import meshio
 from spinsurf.meshio import MeshFormatError, grid_triangles
 from spinsurf.moutard import heat_smatrix_values
 
@@ -205,3 +208,69 @@ def test_export_bytes_match_loop_writers(tmp_path, fmt):
         (loop_write_obj if fmt == "obj" else loop_write_ply)(tmp_path / f"ref.{fmt}", pts, tris)
     assert (st.n_triangles, st.n_holes) == (len(tris), holes) and holes > 0
     assert (tmp_path / f"s.{fmt}").read_bytes() == (tmp_path / f"ref.{fmt}").read_bytes()
+
+
+# The OBJ writer formats in numpy; '%' (the loop writer's f-strings) is the
+# reference for every value, and for every number of rows around a block.
+
+def obj_bytes(write, pts, tris, tmp_path):
+    path = tmp_path / "w.obj"
+    write(path, np.asarray(pts, float).reshape(-1, 3), np.asarray(tris, np.int64).reshape(-1, 3))
+    return path.read_bytes()
+
+
+def assert_obj_matches_loop(pts, tris, tmp_path):
+    assert (obj_bytes(meshio._write_obj, pts, tris, tmp_path)
+            == obj_bytes(loop_write_obj, pts, tris, tmp_path))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                min_size=3, max_size=90).map(lambda v: v[:len(v) // 3 * 3]))
+def test_obj_vertex_text_is_percent_9g(tmp_path_factory, values):
+    assert_obj_matches_loop(values, [], tmp_path_factory.mktemp("obj"))
+
+
+def test_obj_vertex_text_at_rounding_edges(tmp_path):
+    rng = np.random.default_rng(7)
+    digits = rng.integers(10**8, 10**9, 600)
+    halfway = (digits + 0.5) * 10.0 ** rng.integers(-14, 16, 600)      # ties at the 9th digit
+    near = (digits + 0.5 + rng.choice([-1e-7, 1e-7, -1e-6, 1e-6], 600)) * 1e-3
+    edges = [999999999.5, 9.9999999995e-5, 1e-5, 1e-4, 0.0001234567895, 1e22, 1e23, -1e23,
+             1e100, 1e-100, -1e-100, 1e-320, -5e-324, 1.7976931348623157e308,
+             99999999.95, 999999999.0, 1e9, 1e8, 123456789.0, 0.5, 2.5, 0.1, 0.3,
+             0.0, -0.0, np.nan, np.inf, -np.inf, 12.0, 1.2e-4, 1.2e-5]
+    tens = 10.0 ** np.arange(-15, 25)                                   # log10's edges
+    values = np.concatenate([halfway, -halfway, near, edges, edges[::-1],
+                             np.nextafter(tens, 0), tens, np.nextafter(tens, np.inf)])
+    assert_obj_matches_loop(values[:len(values) // 3 * 3], [], tmp_path)
+
+
+@pytest.mark.parametrize("n", [0, 1, meshio._BLOCK - 1, meshio._BLOCK, meshio._BLOCK + 1])
+def test_obj_writer_across_block_edges(tmp_path, n):
+    rng = np.random.default_rng(n)
+    pts = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-6, 7, (n, 3))
+    assert_obj_matches_loop(pts, rng.integers(0, max(n, 1), (n, 3)), tmp_path)
+
+
+def test_obj_face_indices_of_one_to_six_digits(tmp_path):
+    # indices are 0-based and written plus one: 1 to 999,999
+    printed = [k for p in range(1, 7) for k in (10**(p - 1), 10**p - 1)]
+    assert_obj_matches_loop(np.zeros((1, 3)), np.resize(printed, 15) - 1, tmp_path)
+    for p in range(1, 7):                        # runs of p-digit indices, one width a block
+        assert_obj_matches_loop(np.zeros((1, 3)), np.arange(10**(p - 1), 10**p)[:297] - 1, tmp_path)
+
+
+def test_obj_export_formats_one_block_at_a_time(tmp_path):
+    # 128^2: 16,384 vertices and 32,258 faces.  Blocked, the export peaks near
+    # 2.3 MiB; formatting the whole mesh at once takes about 6.5 MiB.
+    g = make_grid((-1, 1, -1, 1), (128, 128))
+    rng = np.random.default_rng(9)
+    S = SurfaceMap(g, rng.normal(size=(3, 128, 128)), np.zeros(3), None)
+    tracemalloc.start()
+    try:
+        export_mesh(S, tmp_path / "b.obj")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

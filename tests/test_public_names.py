@@ -45,8 +45,6 @@ KEEP = {
     # open items of ROADMAP
     "moutard.time_offset_integral": "the time-augmented Moutard route of item 4",
     "moutard.omega1": "the time-augmented Moutard route of item 4",
-    "hierarchy.v_from_constraint_mnv": "the exact mKdV-soliton check of item 5",
-    "hierarchy.mnv_residual": "the exact mKdV-soliton check of item 5",
     "dsii.physical_form": "the one z <-> physical map of item 2",
     "dsii.physical_grid_of": "the one z <-> physical map of item 2",
     "dsii._swap_scale": "the one z <-> physical map of item 2",
