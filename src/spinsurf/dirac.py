@@ -133,7 +133,7 @@ class SpinorField:
     formed on (psi1, psi2) alone (qmul and qconj on values, and inv): a product
     takes four complex multiplies, and the inverse is exact, the conjugate
     (conj(psi1), -psi2) over |psi1|^2 + |psi2|^2 = det.  Operations write into
-    fresh arrays, so fields may share values.
+    fresh arrays (inv into out if given), so fields may share values.
     """
 
     def __init__(self, psi1: ComplexField, psi2: ComplexField):
@@ -159,11 +159,12 @@ class SpinorField:
     def psi2(self) -> ComplexField:
         return ComplexField(self.grid, self.values[1], self.mask)
 
-    def inv(self, min_det: float = 0.0) -> "SpinorField":
-        """The conjugate over |a|^2 + |b|^2, one row block at a time; nodes with
-        det < min_det join the mask and are divided by 1 instead."""
+    def inv(self, min_det: float = 0.0, out: np.ndarray | None = None) -> "SpinorField":
+        """The conjugate over |a|^2 + |b|^2, one row block at a time, into out (which
+        may be values) or a fresh array; nodes with det < min_det join the mask and
+        are divided by 1 instead."""
         g, v, bad = self.grid, self.values, None
-        out = np.empty_like(v)
+        out = np.empty_like(v) if out is None else out
         for r in row_blocks(g.nx, g.ny):
             n2 = _norm2(v[:, r])
             if min_det > 0.0 and (low := n2 < min_det).any():

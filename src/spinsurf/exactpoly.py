@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .dirac import SpinorField
-from .grid import _BLOCK, ComplexField, Grid2D, row_blocks
+from .grid import _BLOCK, ComplexField, Grid2D, merged_mask, row_blocks
 
 VARS = ("z", "zbar", "t", "c", "cbar")
 _VAR_INDEX = {name: VARS.index(name) for name in VARS}
@@ -258,12 +258,13 @@ def _horner_block(table: dict, z, zbar, out, part) -> np.ndarray:
     return out
 
 
-def _sample_mesh(xs, ys, num: dict, den: dict | None):
+def _sample_mesh(xs, ys, num: dict, den: dict | None, out: np.ndarray | None = None):
     """Table num, over the table den if given, on the mesh xs[None, :] + 1j * ys[:, None],
-    over grid.row_blocks: no full-size mesh or denominator exists.  Returns (values,
-    mask): nodes where den is exactly 0 read 0 and form the mask, or None."""
+    over grid.row_blocks, into out or a fresh array: no full-size mesh or denominator
+    exists.  Returns (values, mask): nodes where den is exactly 0 read 0 and form the
+    mask, or None."""
     blocks = row_blocks(xs.size, ys.size)
-    out = np.empty((ys.size, xs.size), dtype=np.complex128)
+    out = np.empty((ys.size, xs.size), dtype=np.complex128) if out is None else out
     buf = np.empty((4, blocks[0].stop * xs.size), dtype=np.complex128)
     mask = None
     for r in blocks:
@@ -360,10 +361,13 @@ class RationalFn:
         """The function at time t on the grid's nodes, streamed in row blocks; c follows
         BiPoly._specialise's rule.  Nodes where the denominator is exactly 0 read 0 and
         form the mask.  A denominator that is the constant 1 is not sampled."""
+        return ComplexField(grid, *self._sample(grid, t, c))
+
+    def _sample(self, grid: Grid2D, t: float, c, out: np.ndarray | None = None):
+        """(values, mask) of on_grid, the values into out or a fresh array."""
         t = float(t)
         den = None if self.den.coef == {_ZERO_KEY: 1} else self.den._specialise(t, c)
-        return ComplexField(grid, *_sample_mesh(grid.xs(), grid.ys(),
-                                                self.num._specialise(t, c), den))
+        return _sample_mesh(grid.xs(), grid.ys(), self.num._specialise(t, c), den, out)
 
     def equals(self, other) -> bool:
         other = _as_rational(other)
@@ -437,5 +441,9 @@ class RQuat:
         return RQuat(self.a.conj() / d, -self.b / d)
 
     def on_grid(self, grid: Grid2D, t: float, c=None) -> SpinorField:
-        """Both entries by RationalFn.on_grid; the mask is the union of theirs."""
-        return SpinorField(self.a.on_grid(grid, t, c), self.b.on_grid(grid, t, c))
+        """Both entries as RationalFn.on_grid samples them, into one (2, ny, nx)
+        array; the mask is the union of theirs."""
+        vals = np.empty((2, grid.ny, grid.nx), dtype=np.complex128)
+        parts = [ComplexField(grid, *f._sample(grid, t, c, v))
+                 for f, v in zip((self.a, self.b), vals)]
+        return SpinorField.from_values(grid, vals, merged_mask(*parts))

@@ -405,28 +405,33 @@ def integrate2d(f: ComplexField) -> complex:
 
 
 def antiderivative(grid: Grid2D, gx: np.ndarray, gy: np.ndarray, basepoint,
-                   order: str) -> np.ndarray:
+                   order: str, out: np.ndarray | None = None) -> np.ndarray:
     """F(P) = int_{P0}^{P} (gx dx + gy dy) along L-paths from the basepoint node
     (ix, iy), for real or complex gx, gy of shape (..., ny, nx), vectorised over
-    all nodes and leading axes.
+    all nodes and leading axes, into out or a fresh array.
 
     x_first runs along the basepoint row and then up/down each column; y_first
-    the other way round.  For p dz + q dzbar, gx = p + q and gy = i (p - q)."""
+    the other way round.  For p dz + q dzbar, gx = p + q and gy = i (p - q).
+    out may be gx under x_first (gy under y_first): the basepoint row (column)
+    is integrated before out is written."""
     ix0, iy0 = basepoint
     if order == "x_first":
-        out = _cumtrapz_from(gy, grid.hy, iy0, axis=-2)
-        out += _cumtrapz_from(gx[..., iy0, :], grid.hx, ix0)[..., None, :]
+        edge = _cumtrapz_from(gx[..., iy0, :], grid.hx, ix0)[..., None, :]
+        out = _cumtrapz_from(gy, grid.hy, iy0, axis=-2, out=out)
     elif order == "y_first":
-        out = _cumtrapz_from(gx, grid.hx, ix0, axis=-1)
-        out += _cumtrapz_from(gy[..., ix0], grid.hy, iy0)[..., None]
+        edge = _cumtrapz_from(gy[..., ix0], grid.hy, iy0)[..., None]
+        out = _cumtrapz_from(gx, grid.hx, ix0, axis=-1, out=out)
     else:
         raise ValueError(f"unknown order {order!r}")
+    out += edge
     return out
 
 
-def _cumtrapz_from(vals: np.ndarray, h: float, i0: int, axis: int = -1) -> np.ndarray:
-    """Cumulative trapezoid along axis, anchored to zero at index i0."""
-    out = np.empty_like(vals)
+def _cumtrapz_from(vals: np.ndarray, h: float, i0: int, axis: int = -1,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Cumulative trapezoid along axis, anchored to zero at index i0, into out (not
+    vals) or a fresh array."""
+    out = np.empty_like(vals) if out is None else out
     moved, cum = np.moveaxis(vals, axis, -1), np.moveaxis(out, axis, -1)
     seg = cum[..., 1:]
     np.add(moved[..., :-1], moved[..., 1:], out=seg)

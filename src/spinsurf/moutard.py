@@ -39,6 +39,12 @@ the column (-conj(a), b) of S0's (a, b), with constant -C0^H and inverse
 -(S0^-1)^*.  Both layers form it so and integrate nothing for it: for any spinor
 arrays, omega's and omega1's columns swap to their conjugates, so the integrated
 S(Psi0, Phi0) is -S0^* up to a constant (the tests integrate it to show so).
+
+Memory: a MoutardTransform holds S0^-1, K's (W, a), C0 and the base node, and
+the background spinors it was given; S0 itself is inverted in place, and
+-(S0^-1)^* is formed one row block at a time where a transform reads it.
+build_S integrates into the buffer of omega's x part, and each transformed
+spinor is written over its S(A0, X).
 """
 from __future__ import annotations
 
@@ -151,7 +157,8 @@ def build_S(Phi: SpinorField, Psi: SpinorField, base_node=None, constant=None,
     defect_tol = 100.0 * max(grid.hx, grid.hy) ** 2
     if not defect <= defect_tol * scale:              # NaN fails too
         raise ClosednessError(f"omega not closed: defect {defect:.3g} (tol {defect_tol * scale:.3g})")
-    vals = antiderivative(grid, X.values, Y.values, base_node, "x_first")
+    # into X's buffer: its base row and the reductions above have read it
+    vals = antiderivative(grid, X.values, Y.values, base_node, "x_first", out=X.values)
     vals += C[:, 0, None, None]
     return SMatrix(SpinorField.from_values(grid, vals, X.mask), C, tuple(base_node))
 
@@ -185,17 +192,19 @@ def k_matrix(Psi: SpinorField, S: SMatrix | SpinorField, Phi: SpinorField) -> KD
     return _kdata(Psi, _inv(S.S if isinstance(S, SMatrix) else S), Phi)
 
 
-def _inv(S: SpinorField) -> SpinorField:
-    """S^-1, nodes with det S below _MIN_DET max(|S|, 1)^2 masked."""
-    return S.inv(min_det=_MIN_DET * max(S.max_abs(), 1.0) ** 2)
+def _inv(S: SpinorField, out: np.ndarray | None = None) -> SpinorField:
+    """S^-1 into out (which may be S.values) or a fresh array, nodes with det S below
+    _MIN_DET max(|S|, 1)^2 masked."""
+    return S.inv(min_det=_MIN_DET * max(S.max_abs(), 1.0) ** 2, out=out)
 
 
-def _partner(Q: SpinorField) -> SpinorField:
-    """-Q^* = Gamma Q^T Gamma: the column (-conj(a), b) of Q's column (a, b)."""
-    out = np.empty_like(Q.values)
-    np.negative(np.conj(Q.values[0], out=out[0]), out=out[0])
-    out[1] = Q.values[1]
-    return SpinorField.from_values(Q.grid, out, Q.mask)
+def _partner(q: np.ndarray) -> np.ndarray:
+    """-Q^* = Gamma Q^T Gamma: the column (-conj(a), b) of the quaternion columns
+    q = (a, b), an array of shape (2, ...), in a fresh array."""
+    out = np.empty_like(q)
+    np.negative(np.conj(q[0], out=out[0]), out=out[0])
+    out[1] = q[1]
+    return out
 
 
 def _kdata(Psi: SpinorField, Sinv: SpinorField, Phi: SpinorField) -> KData:
@@ -216,24 +225,23 @@ def _kdata(Psi: SpinorField, Sinv: SpinorField, Phi: SpinorField) -> KData:
 
 @dataclass
 class MoutardTransform:
-    """Context for transforming solutions on a fixed background (Psi0, Phi0)."""
+    """Context for transforming solutions on a fixed background (Psi0, Phi0): only
+    what transform and transformed_potentials read (see Memory above)."""
 
     Psi0: SpinorField                  # the caller's background spinors, not copied
     Phi0: SpinorField
-    S0: SMatrix                        # S(Phi0, Psi0), invertible where used
-    SB0_constant: np.ndarray           # -C0^H, the constant of the partner S(Psi0, Phi0) = -S0^*
+    C0: np.ndarray                     # S0's constant; the partner's is -C0^H
+    base_node: tuple                   # S0's base node, where every S anchors
     kdata: KData
-    S0_inv: SpinorField                # S0^-1 and SB0^-1 = -(S0^-1)^*, nodes with
-    SB0_inv: SpinorField               # det below _MIN_DET max(|S0|, 1)^2 masked
+    S0_inv: SpinorField                # nodes with det below _MIN_DET max(|S0|, 1)^2 masked
 
     @classmethod
     def from_background(cls, psi0: SpinorField, phi0: SpinorField, constant0,
                         base_node=None, time_offset=None) -> "MoutardTransform":
         S0 = build_S(phi0, psi0, base_node=base_node, constant=constant0,
                      time_offset=time_offset)
-        S0_inv = _inv(S0.S)
-        kdata = _kdata(psi0, S0_inv, phi0)     # before the partner: a lower peak
-        return cls(psi0, phi0, S0, -S0.constant.conj().T, kdata, S0_inv, _partner(S0_inv))
+        S0_inv = _inv(S0.S, out=S0.S.values)           # S0 is ours: inverted in place
+        return cls(psi0, phi0, S0.constant, S0.base_node, _kdata(psi0, S0_inv, phi0), S0_inv)
 
     def transform(self, psi: SpinorField, phi: SpinorField, constP=None,
                   constBP=None) -> tuple[SpinorField, SpinorField]:
@@ -244,24 +252,25 @@ class MoutardTransform:
         linear in (Psi, Phi) and annihilates the background pair exactly;
         any other quaternion constant shifts the output by another solution.
         """
-        return (self._transform_side(self.Phi0, self.Psi0, self.S0.constant, self.S0_inv,
-                                     psi, constP),
-                self._transform_side(self.Psi0, self.Phi0, self.SB0_constant, self.SB0_inv,
-                                     phi, constBP))
+        return (self._transform_side(self.Phi0, self.Psi0, self.C0, False, psi, constP),
+                self._transform_side(self.Psi0, self.Phi0, -self.C0.conj().T, True, phi,
+                                     constBP))
 
     def _transform_side(self, A0: SpinorField, B0: SpinorField, C: np.ndarray,
-                        S_inv: SpinorField, X: SpinorField, const) -> SpinorField:
+                        partner: bool, X: SpinorField, const) -> SpinorField:
         """X - B0 S^-1 S(A0, X), S having the constant C: Psi~ from (Phi0, Psi0, S0)
-        and Phi~ from (Psi0, Phi0, SB0); both anchor at S0's base node.  One side at
-        a time, and B0 S^-1 S(A0, X) one row block at a time."""
-        bx, by = self.S0.base_node
+        and Phi~ from (Psi0, Phi0, SB0 = -S0^*), SB0^-1 = _partner(S0^-1); both anchor
+        at S0's base node.  One side at a time, B0 S^-1 S(A0, X) one row block at a
+        time, and the result written over S(A0, X)."""
+        bx, by = self.base_node
         if const is None:
             const = C @ np.linalg.solve(B0.at(bx, by), X.at(bx, by))
         SX = build_S(A0, X, base_node=(bx, by), constant=const).S
-        mask, out = merged_mask(X, B0, S_inv, SX), np.empty_like(X.values)
+        S_inv, out = self.S0_inv.values, SX.values
+        mask = merged_mask(X, B0, self.S0_inv, SX)
         for r in row_blocks(X.grid.nx, X.grid.ny):
-            np.subtract(X.values[:, r],
-                        qmul(qmul(B0.values[:, r], S_inv.values[:, r]), SX.values[:, r]),
+            s = _partner(S_inv[:, r]) if partner else S_inv[:, r]
+            np.subtract(X.values[:, r], qmul(qmul(B0.values[:, r], s), out[:, r]),
                         out=out[:, r])
         return SpinorField.from_values(X.grid, out, mask)
 

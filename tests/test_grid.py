@@ -270,6 +270,11 @@ def test_antiderivative_matches_oracle_bitwise(order, base):
         got = antiderivative(g, gx, gy, base, order)
         assert got.dtype == gx.dtype
         assert np.array_equal(got, _ref_antiderivative(g, gx, gy, base, order))
+        # written over the part whose basepoint row (column) it reads first
+        parts = [gx.copy(), gy.copy()]
+        own = parts[0 if order == "x_first" else 1]
+        assert antiderivative(g, *parts, base, order, out=own) is own
+        assert np.array_equal(own, _ref_antiderivative(g, gx, gy, base, order))
         stack = [np.stack([a, 2.0 * a, a[::-1]]) for a in (gx, gy)]
         got = antiderivative(g, *stack, base, order)
         for k in range(3):

@@ -8,7 +8,7 @@ from spinsurf import (BiPoly, C, ComplexField, RationalFn, SpinorField, T, Z, ZB
 from spinsurf.dirac import _norm2, qconj
 from spinsurf.exactpoly import InvalidDatumError
 from spinsurf.moutard import (ClosednessError, MoutardTransform, NormalizationError, SMatrix,
-                              build_S, heat_antiderivative, heat_datum_fields,
+                              _partner, build_S, heat_antiderivative, heat_datum_fields,
                               heat_datum_spinors, heat_smatrix_values, k_matrix,
                               moutard_dsii, moutard_exact, omega, omega1,
                               time_offset_integral)
@@ -23,6 +23,12 @@ def _plane_ctx(n=48, lo=0.4, hi=2.4):
     zb = g.node_z(bx, by)
     C0 = np.array([[0, 1j * np.conj(zb)], [1j * zb, 0]])
     return g, psi0, MoutardTransform.from_background(psi0, psi0, C0)
+
+
+def _S0(ctx):
+    """S0 = S(Phi0, Psi0) of a context, integrated as from_background integrates it
+    (bitwise); the context keeps only S0^-1."""
+    return build_S(ctx.Phi0, ctx.Psi0, base_node=ctx.base_node, constant=ctx.C0)
 
 
 def test_omega_identity_example():
@@ -173,7 +179,8 @@ def test_build_S_checks_and_integrates_once(monkeypatch):
     calls = []
     for name in ("omega", "closedness_defect", "antiderivative"):
         fn = getattr(mo, name)
-        monkeypatch.setattr(mo, name, lambda *a, _fn=fn, _n=name: calls.append(_n) or _fn(*a))
+        monkeypatch.setattr(mo, name,
+                            lambda *a, _fn=fn, _n=name, **k: calls.append(_n) or _fn(*a, **k))
     _, g, psi0, phi0, C0 = next(_backgrounds(32))
     build_S(phi0, psi0, constant=C0)
     assert calls == ["omega", "closedness_defect", "antiderivative"]
@@ -226,7 +233,7 @@ def test_omega1_matches_general_matrix_oracle(seed):
 def test_build_S_plane_closed_form():
     g, psi0, ctx = _plane_ctx()
     zm = g.zmesh()
-    S = quat_mat(ctx.S0.S).values
+    S = quat_mat(_S0(ctx).S).values
     assert np.max(np.abs(S[0, 0])) < 1e-12
     assert np.max(np.abs(S[0, 1] - 1j * np.conj(zm))) < 1e-12
     assert np.max(np.abs(S[1, 0] - 1j * zm)) < 1e-12
@@ -236,7 +243,7 @@ def test_build_S_plane_closed_form():
 def test_plane_S_reads_as_plane_surface():
     from spinsurf import smatrix_to_surface
     g, psi0, ctx = _plane_ctx()
-    S = smatrix_to_surface(ctx.S0.S)
+    S = smatrix_to_surface(_S0(ctx).S)
     zm = g.zmesh()
     assert np.max(np.abs(S.coords[0] + zm.imag)) < 1e-12    # x1 = -y
     assert np.max(np.abs(S.coords[1] + zm.real)) < 1e-12    # x2 = -x
@@ -249,7 +256,7 @@ def test_plane_S_determinant():
     # so its determinant is the squared norm of the surface point)
     g, psi0, ctx = _plane_ctx()
     zm = g.zmesh()
-    assert np.max(np.abs(_norm2(ctx.S0.S.values) - np.abs(zm) ** 2)) < 1e-12
+    assert np.max(np.abs(_norm2(_S0(ctx).S.values) - np.abs(zm) ** 2)) < 1e-12
 
 
 def test_build_S_rejects_non_solution():
@@ -294,8 +301,9 @@ def test_normalize_pair_symmetric_case():
     # symmetric background: the normalized partner equals Gamma S^T Gamma
     from spinsurf.dirac import GAMMA, Mat2Field
     gm = Mat2Field.constant(g, GAMMA)
-    target = gm @ quat_mat(ctx.S0.S).transpose() @ gm
-    SB0 = SpinorField.from_values(g, -qconj(ctx.S0.S.values), ctx.S0.S.mask)     # -S0^*
+    S0 = _S0(ctx).S
+    target = gm @ quat_mat(S0).transpose() @ gm
+    SB0 = SpinorField.from_values(g, -qconj(S0.values), S0.mask)     # -S0^*
     assert (target - quat_mat(SB0)).max_abs() < 1e-10
 
 
@@ -365,7 +373,7 @@ def test_build_S_rejects_a_non_quaternion_constant():
     g, psi0, ctx = _plane_ctx(32)
     with pytest.raises(NormalizationError):
         build_S(ctx.Phi0, ctx.Psi0, constant=np.diag([1.0, 2.0]))
-    C0 = ctx.S0.constant
+    C0 = ctx.C0
     build_S(ctx.Phi0, ctx.Psi0, constant=C0, time_offset=np.diag([1j, -1j]))
     with pytest.raises(NormalizationError):
         build_S(ctx.Phi0, ctx.Psi0, constant=C0, time_offset=np.diag([1j, 1j]))
@@ -427,8 +435,8 @@ def test_moutard_real_reduction_keeps_U_real():
 
 def test_context_inverts_S0_and_SB0_once(monkeypatch):
     # from_background integrates and inverts S0 only (S0^-1 also forms K); the
-    # constant -C0^H of the partner SB0 = -S0^* and SB0^-1 = -(S0^-1)^* are read
-    # off; transform reuses them
+    # partner SB0 = -S0^* takes the constant -C0^H, and transform reads
+    # SB0^-1 = -(S0^-1)^* off S0^-1 by _partner
     calls, builds = [], []
     inv = SpinorField.inv
     monkeypatch.setattr(SpinorField, "inv",
@@ -444,12 +452,16 @@ def test_context_inverts_S0_and_SB0_once(monkeypatch):
     ctx.transform(psi, psi)
     assert (len(calls), len(builds)) == (1, 5)
     monkeypatch.undo()
-    eps = 1e-12 * max(ctx.S0.S.max_abs(), 1.0) ** 2
-    assert np.array_equal(ctx.S0_inv.values, ctx.S0.S.inv(min_det=eps).values)
-    SB0 = SpinorField.from_values(g, -qconj(ctx.S0.S.values), ctx.S0.S.mask)     # -S0^*
-    assert np.array_equal(ctx.SB0_constant, -ctx.S0.constant.conj().T)
-    assert np.array_equal(ctx.SB0_inv.values, SB0.inv(min_det=eps).values)
-    kd = k_matrix(ctx.Psi0, ctx.S0, ctx.Phi0)
+    S0 = _S0(ctx)
+    eps = 1e-12 * max(S0.S.max_abs(), 1.0) ** 2
+    assert np.array_equal(ctx.S0_inv.values, S0.S.inv(min_det=eps).values)
+    SB0 = SpinorField.from_values(g, -qconj(S0.S.values), S0.S.mask)     # -S0^*
+    bx, by = ctx.base_node
+    constBP = -ctx.C0.conj().T @ np.linalg.solve(ctx.Phi0.at(bx, by), psi.at(bx, by))
+    assert np.array_equal(ctx.transform(psi, psi)[1].values,
+                          ctx.transform(psi, psi, constBP=constBP)[1].values)
+    assert np.array_equal(_partner(ctx.S0_inv.values), SB0.inv(min_det=eps).values)
+    kd = k_matrix(ctx.Psi0, S0, ctx.Phi0)
     assert np.array_equal(kd.W.values, ctx.kdata.W.values)
     assert np.array_equal(kd.a.values, ctx.kdata.a.values)
 
@@ -750,9 +762,9 @@ def test_quaternion_pipeline_matches_general_matrix_oracle(name):
     ref = _oracle_moutard(psi0, phi0, C0, psi, phi)
     ctx = MoutardTransform.from_background(psi0, phi0, C0)
     psit, phit = ctx.transform(psi, phi)
-    assert np.array_equal(quat_mat(ctx.S0.S).values, ref["S"])      # bitwise, up to the sign of 0
-    assert np.array_equal(ctx.S0.constant, ref["C"])
-    assert ctx.S0.base_node == ref["base_node"]
+    assert np.array_equal(quat_mat(_S0(ctx).S).values, ref["S"])    # bitwise, up to the sign of 0
+    assert np.array_equal(ctx.C0, ref["C"])
+    assert ctx.base_node == ref["base_node"]
     k_scale = max(np.max(np.abs(ref["W"])), np.max(np.abs(ref["a"])))
     assert _rel(ctx.kdata.W.values, ref["W"], k_scale) < 1e-13
     assert _rel(ctx.kdata.a.values, ref["a"], k_scale) < 1e-13

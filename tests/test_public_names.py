@@ -49,7 +49,6 @@ KEEP = {
     "dsii.physical_grid_of": "the one z <-> physical map of item 2",
     "dsii._swap_scale": "the one z <-> physical map of item 2",
     "dsii._d2": "the one z <-> physical map of item 2",
-    "grid.Spectral.lap_inv": "the one z <-> physical map of item 2",
     # run on paths that the README does not run
     "cli._explicit_keys": "--config, which no README command passes",
     "dsii.OzawaData.U0_zside": "evolve --from ozawa",

@@ -16,7 +16,7 @@ from spinsurf import (ComplexField, SpinorField, catalog, constant_field, field_
                       make_grid, save_complexfield_csv, wirtinger_derivative)
 from spinsurf.dirac import dirac_residual_norm, qconj, qmul
 from spinsurf.grid import _BLOCK, _ddx, closedness_defect, masked_max_abs, merged_mask, row_blocks
-from spinsurf.moutard import MoutardTransform, build_S, heat_datum_fields, omega
+from spinsurf.moutard import MoutardTransform, _partner, build_S, heat_datum_fields, omega
 
 
 def oracle_ddy(values, h, periodic):
@@ -175,8 +175,9 @@ def test_k_chain_and_transform_sides_equal_the_whole_grid_products():
     psi = SpinorField(field_from_function(g, lambda z: np.exp(0.3 * z)), zero)
     phi = SpinorField(field_from_function(g, lambda z: np.exp(0.4 * z)), zero)
     psi.mask = mask
-    sides = ((phi0, psi0, ctx.S0.constant, ctx.S0_inv, psi),
-             (psi0, phi0, ctx.SB0_constant, ctx.SB0_inv, phi))
+    SB0_inv = SpinorField.from_values(g, _partner(ctx.S0_inv.values), ctx.S0_inv.mask)
+    sides = ((phi0, psi0, ctx.C0, ctx.S0_inv, psi),
+             (psi0, phi0, -ctx.C0.conj().T, SB0_inv, phi))
     for got, (A0, B0, C, S_inv, X) in zip(ctx.transform(psi, phi), sides):
         const = C @ np.linalg.solve(B0.at(bx, by), X.at(bx, by))
         prod = oracle_product(B0, S_inv, build_S(A0, X, base_node=(bx, by), constant=const).S)
@@ -218,3 +219,59 @@ def test_node_csv_writer_holds_one_row_at_a_time(tmp_path):
     rng = np.random.default_rng(5)
     U = ComplexField(g, rng.normal(size=(257, 257)) + 1j * rng.normal(size=(257, 257)))
     assert _peak_bytes(lambda: save_complexfield_csv(U, tmp_path / "U.csv")) < 2**18
+
+
+
+# The Moutard round at 256^2, where one (2, ny, nx) complex array is 2 MiB
+_ARRAY = 2 * 256 * 256 * np.dtype(complex).itemsize
+
+
+def _s1_background_256():
+    sol = catalog("s1", c=1.0)
+    g = make_grid((-1.5, 1.5, -1.2, 1.8), (256, 256))
+    zb = g.node_z(g.nx // 2, g.ny // 2)
+    fb = complex(sol.f.eval(z=zb, t=0.2, c=1.0))
+    C0 = np.array([[1j * np.conj(fb), -zb], [np.conj(zb), -1j * fb]])
+    return sol, g, heat_datum_fields(sol.f, g, 0.2), C0
+
+
+def test_heat_datum_fields_sample_into_the_output():
+    # RQuat.on_grid samples both entries of each spinor into one array
+    sol, g, _, _ = _s1_background_256()
+    assert _peak_bytes(lambda: heat_datum_fields(sol.f, g, 0.2)) < 2.5 * _ARRAY
+
+
+def test_from_background_keeps_S0_inv_and_K_only():
+    # build_S integrates over omega's x part and S0 is inverted in place; the
+    # context keeps S0^-1 and K's (W, a), not S0 or the partner's inverse
+    _, _, (psi0, phi0), C0 = _s1_background_256()
+    tracemalloc.start()
+    try:
+        ctx = MoutardTransform.from_background(psi0, phi0, C0)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ctx.S0_inv.values.nbytes == _ARRAY
+    assert kept < 2.25 * _ARRAY
+    assert peak < 3 * _ARRAY
+
+
+def test_transform_writes_each_side_over_its_S(monkeypatch):
+    # each transformed spinor is written over its S(A0, X), and the partner's
+    # inverse is formed one row block at a time
+    import spinsurf.moutard as mo
+    _, g, (psi0, phi0), C0 = _s1_background_256()
+    ctx = MoutardTransform.from_background(psi0, phi0, C0)
+    zero = constant_field(g, 0.0)
+    psi = SpinorField(field_from_function(g, lambda z: np.exp(0.3 * z)), zero)
+    phi = SpinorField(field_from_function(g, lambda z: np.exp(0.4 * z)), zero)
+    assert _peak_bytes(lambda: ctx.transform(psi, phi)) < 4 * _ARRAY
+    built = []
+
+    def build_S(*a, _build=mo.build_S, **k):
+        built.append(_build(*a, **k))
+        return built[-1]
+
+    monkeypatch.setattr(mo, "build_S", build_S)
+    outs = ctx.transform(psi, phi)
+    assert len(built) == 2 and all(out.values is S.S.values for out, S in zip(outs, built))
