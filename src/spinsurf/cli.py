@@ -73,10 +73,9 @@ _SHARED = {
 }
 
 
-# the option each command cannot run without, and its choices: checked after the
-# --config merge, so that a config file may supply it
-_REQUIRED = {"solution": ("solution", ("s1", "s2", "ozawa")),
-             "willmore-check": ("potential", ("soliton", "clifford"))}
+# the option each command cannot run without: checked after the --config merge,
+# so that a config file may supply it
+_REQUIRED = {"solution": "solution", "willmore-check": "potential"}
 
 
 # the names of verify.SUITES, sorted: verify, and the 1-D hierarchy it imports,
@@ -108,18 +107,26 @@ def _apply_config_file(args, parser, argv):
     if unknown:
         parser.error(f"unknown config key(s) in {args.config}: {', '.join(unknown)}")
     explicit = _explicit_keys(args.subcommand, argv, defaults)
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in sub.choices[args.subcommand]._actions}
     for key, val in defaults.items():
         if key in explicit:
             continue
-        cur = getattr(args, key)
+        act, cur = actions[key], getattr(args, key)
+        if isinstance(val, str) and act.type is not None:     # as its flag parses it
+            try:
+                val = act.type(val)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                parser.error(f"config key {key} in {args.config}: {val!r} ({exc})")
         if isinstance(cur, tuple) and isinstance(val, list):
             val = tuple(val)
         if isinstance(cur, complex) and isinstance(val, list):     # [re, im], as recorded
             if len(val) != 2:
                 parser.error(f"config key {key} in {args.config} is not [re, im]")
             val = complex(*val)
-        if isinstance(cur, Path):
-            val = Path(val)
+        if val is not None and act.choices is not None and val not in act.choices:
+            parser.error(f"{args.subcommand} needs {act.option_strings[0]} (or config key "
+                         f"{key}) one of {', '.join(act.choices)}; got {val!r}")
         setattr(args, key, val)
     return args
 
@@ -307,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solution", help="dump an exact DSII solution")
     _add_shared(s, "grid", "box", "periodic", "out")
-    s.add_argument("--solution", choices=_REQUIRED["solution"][1],
+    s.add_argument("--solution", choices=("s1", "s2", "ozawa"),
                    help="required, as a flag or a --config key")
     s.add_argument("--c", type=_parse_complex, default=1 + 0j)
     s.add_argument("--t", type=float, default=0.0)
@@ -329,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     w = sub.add_parser("willmore-check", help="sphere-bound check for 1-D potentials (prints only)")
     _add_shared(w)
-    w.add_argument("--potential", choices=_REQUIRED["willmore-check"][1],
+    w.add_argument("--potential", choices=("soliton", "clifford"),
                    help="required, as a flag or a --config key")
     w.add_argument("--n", type=int, default=1)
     w.set_defaults(func=cmd_willmore_check)
@@ -347,11 +354,9 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     args = _apply_config_file(args, ap, argv)
-    if args.subcommand in _REQUIRED:
-        key, choices = _REQUIRED[args.subcommand]
-        if getattr(args, key) not in choices:
-            ap.error(f"{args.subcommand} needs --{key} (or config key {key}), "
-                     f"one of {', '.join(choices)}; got {getattr(args, key)!r}")
+    key = _REQUIRED.get(args.subcommand)
+    if key and getattr(args, key) is None:
+        ap.error(f"{args.subcommand} needs --{key} (or config key {key})")
     if args.subcommand == "gen-surface" and args.from_dsii and args.invert \
             and args.tol is not None:
         ap.error("gen-surface --from-dsii --invert integrates nothing, so it reads "
@@ -362,6 +367,8 @@ def main(argv=None) -> int:
             make_grid(args.box, args.grid)
         if args.subcommand == "evolve":
             step_count(0.0, args.t_end, args.dt)
+            if args.snapshot_every < 0:
+                ap.error(f"--snapshot-every must be >= 0, got {args.snapshot_every}")
         if "ozawa" in (getattr(args, "solution", None), getattr(args, "source", None)):
             catalog("ozawa", a=args.a, b=args.b)
     except ValueError as exc:           # GridConfigError, InvalidDatumError too

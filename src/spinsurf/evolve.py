@@ -152,6 +152,8 @@ def evolve(U0: ComplexField, t_end: float, dt: float, t0: float = 0.0,
     to t_end with norm monitoring.  Norms are read from each state's spectrum; a
     state's field is formed only for a snapshot, for final and when the callback
     reads state.U."""
+    if snapshot_every < 0:
+        raise ValueError(f"snapshot_every must be >= 0, got {snapshot_every}")
     if U0.mask is not None and U0.mask.any():
         raise MaskError("the evolver steps every node; U0 has masked nodes")
     n_total = step_count(t0, t_end, dt)

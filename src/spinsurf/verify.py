@@ -1,7 +1,9 @@
-"""Named verification suites: each check evaluates a measured value against a
-target at a stated tolerance.  The acceptance criteria of the package are the
-union of these suites at their reference scales; the test suite and the CLI
-both drive the functions below.
+"""Named verification suites.  Each check is one record (name, value, lo, hi)
+and one rule: it passes when lo <= value <= hi, both bounds inclusive, so a NaN
+value fails.  The verdict is computed from the record, never handed in, and a
+check with several conditions is one record per condition.  The acceptance
+criteria of the package are the union of these suites at their reference
+scales; the test suite and the CLI both drive the functions below.
 """
 from __future__ import annotations
 
@@ -33,21 +35,27 @@ TWO_PI = 2 * np.pi
 class CheckResult:
     name: str
     value: float
-    target: float
-    tol: float
-    passed: bool
+    lo: float
+    hi: float
     detail: str = ""
     runtime_s: float = 0.0
 
     def __post_init__(self):
-        # plain Python types, whatever numpy scalars the checks hand in, so that
+        # plain Python floats, whatever numpy scalars the checks hand in, so that
         # as_dict() always serialises
-        self.value, self.target, self.tol = float(self.value), float(self.target), float(self.tol)
-        self.passed = bool(self.passed)
+        self.value, self.lo, self.hi = float(self.value), float(self.lo), float(self.hi)
+
+    @property
+    def passed(self) -> bool:
+        return self.lo <= self.value <= self.hi
+
+    def __str__(self):
+        return (f"{'PASS' if self.passed else 'FAIL'}  value={self.value:.15g} "
+                f"in [{self.lo:.15g}, {self.hi:.15g}]")
 
     def as_dict(self):
-        return {"name": self.name, "value": self.value, "target": self.target,
-                "tol": self.tol, "pass": self.passed, "detail": self.detail,
+        return {"name": self.name, "value": self.value, "lo": self.lo, "hi": self.hi,
+                "pass": self.passed, "detail": self.detail,
                 "runtime_s": round(self.runtime_s, 3)}
 
 
@@ -63,13 +71,16 @@ def _timed(fn):
     return wrapper
 
 
-def _rel_check(name, value, target, tol, detail="") -> CheckResult:
-    err = abs(value - target) / max(abs(target), 1e-300)
-    return CheckResult(name, value, target, tol, err <= tol, detail)
+def _near(name, value, target, tol, detail="") -> CheckResult:
+    """value within tol·|target| of target."""
+    return CheckResult(name, value, target - tol * abs(target), target + tol * abs(target), detail)
 
 
-def _abs_check(name, value, tol, detail="") -> CheckResult:
-    return CheckResult(name, value, 0.0, tol, abs(value) <= tol, detail)
+def _order(name, coarse, fine, lo, hi) -> CheckResult:
+    """The convergence ratio coarse/fine of two residuals in [lo, hi]; a zero fine
+    residual reads inf, which no window holds."""
+    return CheckResult(name, coarse / fine if fine else np.inf, lo, hi,
+                       f"resid {coarse:.3g} -> {fine:.3g}")
 
 
 # ---------------------------------------------------------------------------
@@ -81,22 +92,15 @@ def suite_symbolic() -> list[CheckResult]:
     out = []
     t0 = time.perf_counter()
     for name in ("s1", "s2"):
-        sol = catalog(name, c="symbolic")
-        ok = dsii_exact_identity_holds(sol)
-        out.append(CheckResult(f"symbolic DSII identity ({name}, symbolic c)",
-                               1.0 if ok else 0.0, 1.0, 0.0, ok))
+        ok = dsii_exact_identity_holds(catalog(name, c="symbolic"))
+        out.append(CheckResult(f"symbolic DSII identity ({name}, symbolic c)", ok, 1, 1))
     # heat extensions match the closed forms
-    f1 = heat_extend(Z * Z + C)
-    f2 = heat_extend(Z ** 4 + C)
-    ref1 = Z * Z + 2j * T + C
-    ref2 = Z ** 4 + 12j * (T * Z * Z) - 12 * (T * T) + C
-    out.append(CheckResult("heat_extend quadratic datum", 1.0 if poly_equal(f1, ref1) else 0.0,
-                           1.0, 0.0, poly_equal(f1, ref1)))
-    out.append(CheckResult("heat_extend quartic datum", 1.0 if poly_equal(f2, ref2) else 0.0,
-                           1.0, 0.0, poly_equal(f2, ref2)))
-    elapsed = time.perf_counter() - t0
-    out.append(CheckResult("symbolic suite runtime < 10 s", elapsed, 10.0, 0.0,
-                           elapsed < 10.0))
+    out.append(CheckResult("heat_extend quadratic datum",
+                           poly_equal(heat_extend(Z * Z + C), Z * Z + 2j * T + C), 1, 1))
+    out.append(CheckResult("heat_extend quartic datum",
+                           poly_equal(heat_extend(Z ** 4 + C),
+                                      Z ** 4 + 12j * (T * Z * Z) - 12 * (T * T) + C), 1, 1))
+    out.append(CheckResult("symbolic suite runtime <= 10 s", time.perf_counter() - t0, 0, 10))
     return out
 
 
@@ -111,23 +115,22 @@ def suite_norms() -> list[CheckResult]:
     s1 = catalog("s1", c=1.0)
     for t in (0.0, 0.5, 1.0):
         nr = l2_norm_sq(s1.U_field(g30, t))
-        out.append(_rel_check(f"norm s1 c=1 t={t}", nr.value, TWO_PI, 1e-2))
+        out.append(_near(f"norm s1 c=1 t={t}", nr.value, TWO_PI, 1e-2))
     s1i = catalog("s1", c=1j)
     nr = l2_norm_sq(s1i.U_field(g30, -0.5))
-    out.append(_rel_check("norm s1 c=i t=-1/2 (singular, masked node)",
-                          nr.value, np.pi, 1e-2))
+    out.append(_near("norm s1 c=i t=-1/2 (singular, masked node)", nr.value, np.pi, 1e-2))
     g10 = square_grid(10.0, 1025)
     g10f = square_grid(10.0, 2049)
     s2 = catalog("s2", c=12.0)
     nr = l2_norm_sq(s2.U_field(g10, 0.3))
-    out.append(_rel_check("norm s2 c=12 t=0.3 (regular)", nr.value, 4 * np.pi, 1e-2))
+    out.append(_near("norm s2 c=12 t=0.3 (regular)", nr.value, 4 * np.pi, 1e-2))
     for t in (1.0, -1.0):
         nr = l2_norm_sq(s2.U_field(g10f, t))
-        out.append(_rel_check(f"norm s2 c=12 t={t} (singular)", nr.value, 3 * np.pi, 1e-2))
+        out.append(_near(f"norm s2 c=12 t={t} (singular)", nr.value, 3 * np.pi, 1e-2))
     oz = catalog("ozawa", a=1.0, b=-1.0)
     g40 = square_grid(40.0, 1025)
     nr = l2_norm_sq(oz.U0_field(g40))
-    out.append(_rel_check("norm ozawa (1,-1) at t=0", nr.value, TWO_PI, 1e-2))
+    out.append(_near("norm ozawa (1,-1) at t=0", nr.value, TWO_PI, 1e-2))
     return out
 
 
@@ -139,35 +142,31 @@ def suite_norms() -> list[CheckResult]:
 def suite_singularities() -> list[CheckResult]:
     out = []
     for tau in (1.0, -0.6):
-        sol = catalog("s1", c=1j * tau)
-        ev = singular_times(sol)
-        ok = len(ev) == 1 and abs(ev[0].t_sing - (-tau / 2)) < 1e-12
+        ev = singular_times(catalog("s1", c=1j * tau))
+        out.append(CheckResult(f"singular event count s1 c={tau}i", len(ev), 1, 1))
         out.append(CheckResult(f"singular time s1 c={tau}i", ev[0].t_sing if ev else np.nan,
-                               -tau / 2, 1e-12, ok))
+                               -tau / 2 - 1e-12, -tau / 2 + 1e-12))
         if ev:
-            out.append(_abs_check(f"asymptotic coeff s1 c={tau}i (vs i)",
-                                  abs(ev[0].coefficient - 1j), 1e-12))
+            out.append(CheckResult(f"asymptotic coeff s1 c={tau}i (vs i)",
+                                   abs(ev[0].coefficient - 1j), 0, 1e-12))
     # a1 = 0.7 != 0: f(z, -1/2) = 0.7 z + z^2, so A = i a2 / (1 + |a1|^2) = i / 1.49
     ev = singular_times(exact_solution(heat_extend(Z * Z + 0.7 * Z + 1j)))
-    ok = len(ev) == 1 and abs(ev[0].t_sing + 0.5) < 1e-12
+    out.append(CheckResult("singular event count heat a1=0.7", len(ev), 1, 1))
     out.append(CheckResult("singular time heat a1=0.7", ev[0].t_sing if ev else np.nan,
-                           -0.5, 1e-12, ok))
-    out.append(_abs_check("asymptotic coeff heat a1=0.7 (vs i/1.49)",
-                          abs((ev[0].coefficient if ev else np.nan) - 1j / 1.49), 1e-12))
-    sol = catalog("s1", c=1.0 + 0.5j)
+                           -0.5 - 1e-12, -0.5 + 1e-12))
+    out.append(CheckResult("asymptotic coeff heat a1=0.7 (vs i/1.49)",
+                           abs((ev[0].coefficient if ev else np.nan) - 1j / 1.49), 0, 1e-12))
     out.append(CheckResult("no singular times for non-imaginary c",
-                           len(singular_times(sol)), 0.0, 0.0,
-                           len(singular_times(sol)) == 0))
-    s2 = catalog("s2", c=12.0)
-    ev = singular_times(s2)
-    ts = sorted(e.t_sing for e in ev)
-    ok = len(ts) == 2 and abs(ts[0] + 1.0) < 1e-12 and abs(ts[1] - 1.0) < 1e-12
-    out.append(CheckResult("singular times s2 c=12 (+-1)", ts[0] if ts else np.nan,
-                           -1.0, 1e-12, ok))
+                           len(singular_times(catalog("s1", c=1.0 + 0.5j))), 0, 0))
+    ev = singular_times(catalog("s2", c=12.0))
+    ts = sorted(e.t_sing for e in ev) + [np.nan, np.nan]
+    out.append(CheckResult("singular event count s2 c=12", len(ev), 2, 2))
+    for t, target in zip(ts, (-1.0, 1.0)):
+        out.append(CheckResult(f"singular time s2 c=12 ({target:+g})", t,
+                               target - 1e-12, target + 1e-12))
     for e in ev:
-        target = -12 * e.t_sing
-        out.append(_abs_check(f"asymptotic coeff s2 t={e.t_sing:g} (vs -12t)",
-                              abs(e.coefficient - target), 1e-12))
+        out.append(CheckResult(f"asymptotic coeff s2 t={e.t_sing:g} (vs -12t)",
+                               abs(e.coefficient + 12 * e.t_sing), 0, 1e-12))
     return out
 
 
@@ -182,8 +181,7 @@ def suite_willmore() -> list[CheckResult]:
         chk = willmore_bound_check(soliton_potential(N), N)
         target = 4 * np.pi * N * N
         out.append(CheckResult(f"soliton N={N} Willmore equality", chk.value,
-                               target, 1e-6, abs(chk.value - target) <= 1e-6,
-                               detail="4 int U^2 = 4 pi N^2 (abs tol)"))
+                               target - 1e-6, target + 1e-6, "4 int U^2 = 4 pi N^2 +- 1e-6"))
     # Closed form of int_0^{2 pi} U^2 dx for U = sin x / (2 s (sin x - s)), s = sqrt 2:
     # U^2 = sin^2 x / (8 (s - sin x)^2), and with u = sin x,
     # u^2 / (s - u)^2 = 1 - 2 s / (s - u) + s^2 / (s - u)^2.  For a > |b|,
@@ -193,11 +191,10 @@ def suite_willmore() -> list[CheckResult]:
     # so int U^2 dx = 2 pi / 8 = pi / 4.
     oracle = np.pi / 4
     chk = willmore_bound_check(clifford_potential(), None)
-    out.append(_rel_check("clifford grid vs closed form 8 pi int U^2 = 2 pi^2",
-                          chk.value, 4 * TWO_PI * oracle, 1e-10))
-    out.append(_rel_check("clifford Willmore (reported vs 2 pi^2)", chk.value,
-                          2 * np.pi ** 2, 1e-8,
-                          detail="reported, not asserted by the bound check"))
+    out.append(_near("clifford grid vs closed form 8 pi int U^2 = 2 pi^2",
+                     chk.value, 4 * TWO_PI * oracle, 1e-10))
+    out.append(_near("clifford Willmore (reported vs 2 pi^2)", chk.value, 2 * np.pi ** 2,
+                     1e-8, "reported, not asserted by the bound check"))
     return out
 
 
@@ -218,18 +215,14 @@ def suite_dirac() -> list[CheckResult]:
         res_d[n] = dirac_residual_norm(U, psi, interior=1)
         res_v[n] = dirac_residual_norm(U, phi, interior=1, vee=True)
     for res, tag in ((res_d, "D"), (res_v, "Dvee")):
-        r1 = res[64] / res[128]
-        r2 = res[128] / res[256]
-        out.append(CheckResult(
-            f"{tag} residual convergence table (64->128->256)", r2, 4.0, 0.25,
-            r1 >= 3.0 and r2 >= 3.4,
-            detail=f"residuals {res[64]:.3g} -> {res[128]:.3g} -> {res[256]:.3g}"))
+        out.append(_order(f"{tag} residual order ratio 64->128", res[64], res[128], 3.0, 5.0))
+        out.append(_order(f"{tag} residual order ratio 128->256", res[128], res[256], 3.4, 5.0))
     # minimal-surface data: residual at rounding level on quadratic samples
     g = make_grid((-1, 1, -1, 1), (64, 64))
     psi_min = SpinorField(field_from_function(g, lambda z: z ** 2 + 1),
                           field_from_function(g, lambda z: np.conj(z) ** 2))
-    out.append(_abs_check("minimal data residual (U = 0, quadratic samples)",
-                          dirac_residual_norm(constant_field(g, 0.0), psi_min), 1e-11))
+    out.append(CheckResult("minimal data residual (U = 0, quadratic samples)",
+                           dirac_residual_norm(constant_field(g, 0.0), psi_min), 0, 1e-11))
     return out
 
 
@@ -256,17 +249,12 @@ def suite_weierstrass() -> list[CheckResult]:
         H = discrete_mean_curvature(S)
         hmax = float(np.nanmax(np.abs(H)))
         res[n] = (gm.rel_residual, merr, hmax)
-    conf128 = res[128][0]
-    out.append(_abs_check("conformality residual (Enneper, 128^2)", conf128, 1e-3))
-    out.append(CheckResult("conformality halves with h^2 (order ratio)",
-                           res[128][0] / max(res[256][0], 1e-300), 4.0, 0.15,
-                           res[128][0] / max(res[256][0], 1e-300) >= 3.4))
-    out.append(CheckResult("metric identity order ratio (R3)",
-                           res[128][1] / max(res[256][1], 1e-300), 4.0, 0.15,
-                           res[128][1] / max(res[256][1], 1e-300) >= 3.4))
-    out.append(CheckResult("minimal-surface curvature -> 0 at O(h^2)",
-                           res[128][2] / max(res[256][2], 1e-300), 4.0, 0.2,
-                           res[128][2] / max(res[256][2], 1e-300) >= 3.0))
+    out.append(CheckResult("conformality residual (Enneper, 128^2)", res[128][0], 0, 1e-3))
+    out.append(_order("conformality halves with h^2 (order ratio)", res[128][0], res[256][0],
+                      3.4, 4.6))
+    out.append(_order("metric identity order ratio (R3)", res[128][1], res[256][1], 3.4, 4.6))
+    out.append(_order("minimal-surface curvature -> 0 at O(h^2)", res[128][2], res[256][2],
+                      3.2, 4.8))
     # R4 graph data (product-metric identity)
     for n in (128,):
         g = make_grid((-2, 2, -2, 2), (n, n))
@@ -276,10 +264,9 @@ def suite_weierstrass() -> list[CheckResult]:
         e2a_meas = measured_e2alpha(S4)
         e2a_spin = spinor_metric(psi0, phi0).e2alpha
         merr4 = float(np.max(np.abs(e2a_meas - e2a_spin) / np.abs(e2a_spin)))
-        out.append(_abs_check(f"conformality residual (R4 graph, {n}^2)",
-                              gm4.rel_residual, 1e-3))
-        out.append(_abs_check(f"R4 product-metric identity rel error ({n}^2)",
-                              merr4, 5e-3))
+        out.append(CheckResult(f"conformality residual (R4 graph, {n}^2)",
+                               gm4.rel_residual, 0, 1e-3))
+        out.append(CheckResult(f"R4 product-metric identity rel error ({n}^2)", merr4, 0, 5e-3))
     return out
 
 
@@ -304,10 +291,8 @@ def suite_moutard() -> list[CheckResult]:
     for name in ("s1", "s2"):
         sol = catalog(name, c="symbolic")
         ex = moutard_exact(sol.f)
-        okW = ex.W.equals(sol.U)
-        oka = ex.a.equals(sol.a)
-        out.append(CheckResult(f"exact K-matrix W == U ({name})", float(okW), 1.0, 0.0, okW))
-        out.append(CheckResult(f"exact K-matrix a == a ({name})", float(oka), 1.0, 0.0, oka))
+        out.append(CheckResult(f"exact K-matrix W == U ({name})", ex.W.equals(sol.U), 1, 1))
+        out.append(CheckResult(f"exact K-matrix a == a ({name})", ex.a.equals(sol.a), 1, 1))
 
     # plane datum: transformed-spinor Dirac residual halves at O(h^2)
     resid = {}
@@ -322,12 +307,10 @@ def suite_moutard() -> list[CheckResult]:
         Ut, _ = ctx.transformed_potentials(constant_field(g, 0.0))
         resid[n] = max(dirac_residual_norm(Ut, psit, interior=1),
                        dirac_residual_norm(Ut, phit, interior=1, vee=True))
-    ratio = resid[48] / max(resid[96], 1e-300)
-    out.append(CheckResult("plane-datum Dirac residual O(h^2) ratio", ratio, 4.0,
-                           0.25, ratio >= 3.0,
-                           detail=f"resid {resid[48]:.3g} -> {resid[96]:.3g}"))
+    out.append(_order("plane-datum Dirac residual O(h^2) ratio", resid[48], resid[96],
+                      3.0, 5.0))
     # the ratio alone passes a wrong partner matrix (+S0^* reads 9.9e-2 -> 3.0e-2)
-    out.append(_abs_check("plane-datum Dirac residual at 96^2", resid[96], 1e-2))
+    out.append(CheckResult("plane-datum Dirac residual at 96^2", resid[96], 0, 1e-2))
 
     # s1 background: closed-form transformed spinor residual halves at O(h^2)
     sol = catalog("s1", c=1.0)
@@ -339,10 +322,8 @@ def suite_moutard() -> list[CheckResult]:
         psit = psit_exact.on_grid(g, 0.2)
         Ut = sol.U_field(g, 0.2)
         resid[n] = dirac_residual_norm(Ut, psit, interior=1)
-    ratio = resid[64] / max(resid[128], 1e-300)
-    out.append(CheckResult("s1-background Dirac residual O(h^2) ratio", ratio, 4.0,
-                           0.25, ratio >= 3.0,
-                           detail=f"resid {resid[64]:.3g} -> {resid[128]:.3g}"))
+    out.append(_order("s1-background Dirac residual O(h^2) ratio", resid[64], resid[128],
+                      3.0, 5.0))
 
     # the partner side through MoutardTransform on a background with W != 0:
     # phi = (1, 0) integrates exactly, so phi~ meets its closed form to rounding
@@ -357,7 +338,7 @@ def suite_moutard() -> list[CheckResult]:
                             constBP=np.array([[1j * zb, 0], [0, -1j * np.conj(zb)]]))
     ref = ex.tilde_phi_for_identity_datum().on_grid(g, t).values
     err = float(np.max(np.abs(phit.values - ref)) / np.max(np.abs(ref)))
-    out.append(_abs_check(f"s1-background phi~ vs exact ({n}^2, rel)", err, 1e-12))
+    out.append(CheckResult(f"s1-background phi~ vs exact ({n}^2, rel)", err, 0, 1e-12))
 
     # the U~ surface is the inverted surface
     n = 96
@@ -372,8 +353,8 @@ def suite_moutard() -> list[CheckResult]:
     S_til = integrate_surface_r4(psis, phis, basepoint=bp, base_node=(bx, by))
     diff = float(np.max(np.abs(S_til.coords - S_inv.coords)))
     scale = float(np.max(np.abs(S_inv.coords)))
-    out.append(_abs_check("U~ surface equals inverted surface (rel)", diff / scale, 5e-4,
-                          detail=f"abs diff {diff:.3g}, scale {scale:.3g}"))
+    out.append(CheckResult("U~ surface equals inverted surface (rel)", diff / scale, 0, 5e-4,
+                           f"abs diff {diff:.3g}, scale {scale:.3g}"))
     return out
 
 
@@ -395,10 +376,9 @@ def suite_evolver() -> list[CheckResult]:
     err = np.sqrt(grid_norm_sq(traj.final - Uex))
     rel = float(err / np.sqrt(grid_norm_sq(Uex)))
     drift = abs(traj.norms[-1] - traj.norms[0]) / traj.norms[0]
-    out.append(_abs_check(f"evolver rel L2 error vs exact ({n}^2, dt={dt:g})", rel, 1e-2))
-    out.append(_abs_check("evolver norm drift over run", drift, 1e-3))
-    out.append(CheckResult("evolver runtime < 300 s", elapsed, 300.0, 0.0,
-                           elapsed < 300.0))
+    out.append(CheckResult(f"evolver rel L2 error vs exact ({n}^2, dt={dt:g})", rel, 0, 1e-2))
+    out.append(CheckResult("evolver norm drift over run", drift, 0, 1e-3))
+    out.append(CheckResult("evolver runtime <= 300 s", elapsed, 0, 300))
     return out
 
 
@@ -419,10 +399,10 @@ def suite_reduction() -> list[CheckResult]:
         for n in (801, 1601):
             x = np.linspace(-12.0, 12.0, n)
             res[n] = mkdv_reduction_identity(Potential1D(x, fn(x)))
-        ratio = res[801] / max(res[1601], 1e-300)
-        out.append(CheckResult(f"mKdV reduction identity O(h^2) [{name}]", ratio,
-                               4.0, 0.3, ratio >= 3.2 and res[1601] < 1e-3,
-                               detail=f"resid {res[801]:.3g} -> {res[1601]:.3g}"))
+        out.append(_order(f"mKdV reduction identity O(h^2) [{name}]", res[801], res[1601],
+                          3.2, 5.2))
+        out.append(CheckResult(f"mKdV reduction identity at n=1601 [{name}]", res[1601],
+                               0, 1e-3))
     # the exact travelling soliton through mnv_residual on a periodic strip,
     # with the reduction's V = U^2 and a centred 3-slice stencil (dt = 1e-3);
     # the default V, in the zero-mean gauge, leaves 1.6e-2 at every nx
@@ -432,16 +412,14 @@ def suite_reduction() -> list[CheckResult]:
         U = [ComplexField(g, np.broadcast_to(mkdv_soliton(g.xs(), t), (24, nx)))
              for t in (-1e-3, 0.0, 1e-3)]
         res[nx] = mnv_residual(U, 1e-3, V=U[1] * U[1], interior=8).max_norm
-    detail = f"resid {res[800]:.3g} -> {res[1600]:.3g}"
-    out.append(_rel_check("mNV residual O(h^2) [exact mKdV soliton]", res[800] / res[1600],
-                          4.0, 0.125, detail))
-    out.append(_abs_check("mNV residual at nx=1600 [exact mKdV soliton]", res[1600], 2e-4,
-                          detail))
+    out.append(_order("mNV residual O(h^2) [exact mKdV soliton]", res[800], res[1600],
+                      3.5, 4.5))
+    out.append(CheckResult("mNV residual at nx=1600 [exact mKdV soliton]", res[1600], 0, 2e-4))
     # the spectral constraint solve in its zero-mean gauge: V = U^2 - mean(U^2)
     u2 = U[1].values ** 2
-    out.append(_abs_check("v_from_constraint_mnv = U^2 - mean [exact mKdV soliton]",
-                          np.max(np.abs(v_from_constraint_mnv(U[1]).values - (u2 - u2.mean()))),
-                          1e-12))
+    out.append(CheckResult("v_from_constraint_mnv = U^2 - mean [exact mKdV soliton]",
+                           np.max(np.abs(v_from_constraint_mnv(U[1]).values - (u2 - u2.mean()))),
+                           0, 1e-12))
     return out
 
 
@@ -472,8 +450,6 @@ def run_suite(name: str) -> list[CheckResult]:
 def print_table(results) -> None:
     width = max(len(r.name) for r in results) + 2
     for r in results:
-        flag = "PASS" if r.passed else "FAIL"
-        print(f"{r.name:<{width}} {flag}  value={r.value:.8g} target={r.target:.8g} "
-              f"tol={r.tol:.2g}")
+        print(f"{r.name:<{width}} {r}")
     n_fail = sum(not r.passed for r in results)
     print(f"-- {len(results) - n_fail}/{len(results)} checks passed")

@@ -9,15 +9,16 @@ from spinsurf import verify
 
 
 def _line(r) -> str:
-    flag = "PASS" if r.passed else "FAIL"
-    return (f"[{flag}] {r.name}: value={r.value:.6g} "
-            f"target={r.target:.6g} tol={r.tol:.2g} ({r.runtime_s:.2f}s)")
+    return f"{r.name}: {r} ({r.runtime_s:.2f}s)"
 
 
 def _report(criterion: str, results) -> None:
     print()
     for r in results:
         print(f"  criterion {criterion} | {_line(r)}")
+        # the one rule, re-applied to what verify.json records
+        d = r.as_dict()
+        assert d["pass"] is (d["lo"] <= d["value"] <= d["hi"]), d
     failed = [r for r in results if not r.passed]
     assert not failed, f"criterion {criterion}: " + "; ".join(r.name for r in failed)
 

@@ -415,14 +415,70 @@ def test_config_file_from_another_command_is_rejected(tmp_path, capsys):
 def test_check_results_hold_python_types():
     # numpy scalars from a check (e.g. the evolver's norm drift) must not reach
     # verify.json: json cannot serialise numpy.bool_
-    from spinsurf.verify import CheckResult, _abs_check, _rel_check
-    for r in (_abs_check("x", np.float64(1e-4), 1e-3),
-              _rel_check("y", np.float64(2.0), np.float64(2.0), 1e-2),
-              CheckResult("z", np.float64(5.0), 4.0, np.float64(0.25), np.float64(5.0) >= 3.0)):
+    from spinsurf.verify import CheckResult, _near, _order
+    for r in (CheckResult("x", np.float64(1e-4), 0, 1e-3),
+              _near("y", np.float64(2.0), np.float64(2.0), 1e-2),
+              _order("z", np.float64(5.0), np.float64(1.25), np.float64(3.0), 5.0),
+              CheckResult("w", np.bool_(True), 1, 1)):
         d = r.as_dict()
         assert type(d["pass"]) is bool and d["pass"] is True
-        assert all(type(d[k]) is float for k in ("value", "target", "tol"))
+        assert all(type(d[k]) is float for k in ("value", "lo", "hi"))
         json.dumps(d)
+
+
+def test_check_window_is_inclusive_and_fails_nan_and_a_zero_fine_residual():
+    from spinsurf.verify import CheckResult, _order
+    lo, hi = 3.0, 5.0
+    assert CheckResult("lo", lo, lo, hi).passed and CheckResult("hi", hi, lo, hi).passed
+    for value in (np.nan, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)):
+        assert not CheckResult("x", value, lo, hi).passed
+        assert CheckResult("x", value, lo, hi).as_dict()["pass"] is False
+    # a zero fine residual measures no order (a floor rule passed its 1e300 ratio)
+    r = _order("ratio", coarse=1.0, fine=0.0, lo=3.0, hi=5.0)
+    assert not r.passed and r.detail == "resid 1 -> 0"
+
+
+@pytest.mark.parametrize("argv, config, want", [
+    (["solution", "--solution", "s1", "--grid", "16x16"], {"c": "2+1i"}, {"c": [2.0, 1.0]}),
+    (["solution", "--solution", "s1", "--grid", "16x16"], {"t": "0.25"}, {"t": 0.25}),
+    (["solution", "--solution", "s1", "--grid", "16x16"], {"t": "soon"}, None),
+    (["verify"], {"suite": "nope"}, None),
+    (["gen-surface", "--grid", "16x16"], {"format": "stl"}, None),
+    (["gen-surface", "--grid", "16x16"], {"spinor": "torus"}, None),
+], ids=["c", "t", "t-unparsed", "suite", "format", "spinor"])
+def test_config_values_take_their_flags_type_and_choices(argv, config, want, tmp_path, capsys):
+    # a config string reads as its flag's string reads; a value that the flag would
+    # refuse is argparse's error, exit code 2, before any file is written
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    argv = argv + ["--config", str(cfg), "--out", str(out)]
+    if want is None:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"config key {next(iter(config))}" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert main(argv) == 0
+        opts = json.loads((out / "resolved_config.json").read_text())["options"]
+        assert {k: opts[k] for k in want} == want
+        assert all(type(opts[k]) is type(v) for k, v in want.items())
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_evolve_refuses_a_negative_snapshot_count(via, tmp_path, capsys):
+    # (k + 1) % -1 == 0 would write a snapshot at every step
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"snapshot_every": -1}))
+    out = tmp_path / "ev"
+    extra = ["--snapshot-every", "-1"] if via == "flag" else ["--config", str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        main(["evolve", "--from", "zero", "--grid", "16x16", "--t-end", "0.01", "--dt", "1e-3",
+              "--out", str(out)] + extra)
+    assert exc.value.code == 2
+    assert "--snapshot-every must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -25,6 +25,12 @@ def test_zero_stays_zero():
     assert traj.snapshots[-1][1].max_abs() == 0.0
 
 
+def test_negative_snapshot_count_is_refused():
+    g = square_grid(5.0, 16, periodic=True)
+    with pytest.raises(ValueError, match="snapshot_every must be >= 0, got -1"):
+        evolve(constant_field(g, 0.0), 0.01, 1e-3, snapshot_every=-1)
+
+
 def test_linear_dispersion_phase():
     # forced V = 0 (constant |U|): plane wave picks up exp(-i (k^2 - l^2) t / 2)
     g = make_grid((0, 2 * np.pi, 0, 2 * np.pi), (64, 64), True)

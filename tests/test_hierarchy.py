@@ -134,7 +134,8 @@ def test_clifford_closed_form_is_the_quadrature():
                     0, 2 * np.pi, epsabs=1e-13)
     assert value == pytest.approx(np.pi / 4, rel=1e-14)
     rec, = (r for r in suite_willmore() if r.name.startswith("clifford grid vs closed form"))
-    assert rec.passed and rec.target == pytest.approx(8 * np.pi * value, rel=1e-14)
+    assert rec.passed and (rec.lo + rec.hi) / 2 == pytest.approx(8 * np.pi * value, rel=1e-14)
+    assert rec.hi - rec.lo == pytest.approx(2e-10 * 8 * np.pi * value, rel=1e-4)
 
 
 def test_clifford_potential_smooth():
@@ -180,8 +181,8 @@ def test_criterion_9_rejects_a_sign_flipped_mnv_rhs(monkeypatch):
     monkeypatch.setattr(hierarchy, "mnv_rhs", flipped)
     results = verify.suite_reduction()
     # every check but the constraint solve's, which reads no mnv_rhs
-    assert len(results) == 6
-    assert [r.passed for r in results] == [False] * 5 + [True]
+    assert len(results) == 9
+    assert [r.passed for r in results] == [False] * 8 + [True]
 
 
 def test_exact_soliton_residual_rejects_a_reversed_clock(monkeypatch):
