@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,15 +28,18 @@ from .surface import (discrete_mean_curvature, gauss_map, integrate_surface_r3,
                       willmore)
 
 
-@dataclass
 class RunConfig:
     subcommand: str
     options: dict
 
+    def __init__(self, subcommand, options):
+        self.subcommand, self.options = subcommand, options
+
     def write(self, outdir: Path):
         outdir.mkdir(parents=True, exist_ok=True)
         with open(outdir / "resolved_config.json", "w") as fh:
-            json.dump(asdict(self), fh, indent=1, sort_keys=True)
+            json.dump({"subcommand": self.subcommand, "options": self.options}, fh,
+                      indent=1, sort_keys=True)
 
 
 def _parse_box(text: str):
@@ -92,6 +94,46 @@ def _add_shared(p, *names):
                    help="JSON defaults, overridden by explicit flags")
 
 
+def _json_number(v, kind):
+    """v as kind (int or float) where it is a JSON number of that kind, not a bool."""
+    if isinstance(v, bool) or not isinstance(v, int if kind is int else (int, float)):
+        raise ValueError("not an integer" if kind is int else "not a number")
+    return kind(v)
+
+
+def _json_numbers(v, n: int, kind) -> tuple:
+    if not isinstance(v, list) or len(v) != n:
+        raise ValueError(f"not a list of {n}")
+    return tuple(_json_number(x, kind) for x in v)
+
+
+# an option type -> what it reads from a JSON value that is not a string: what the
+# type's parser could return, as resolved_config.json records it
+_FROM_JSON = {
+    int: lambda v: _json_number(v, int),
+    float: lambda v: _json_number(v, float),
+    _parse_gridspec: lambda v: _json_numbers(v, 2, int),
+    _parse_box: lambda v: _json_numbers(v, 4, float),
+    _parse_complex: lambda v: complex(*(_json_numbers(v, 2, float) if isinstance(v, list)
+                                        else (_json_number(v, float),))),
+}
+
+
+def _config_value(act, val):
+    """A --config value as act's flag could give it, else ValueError: null only where
+    it is the flag's default, a bool only for a bare switch, a string through the
+    flag's type, and any other value only as _FROM_JSON reads it for that type.
+    Choices are left to the caller."""
+    switch = isinstance(act, argparse._StoreTrueAction)
+    if val is None and act.default is None or switch and isinstance(val, bool):
+        return val
+    if isinstance(val, str) and not switch:
+        return val if act.type is None else act.type(val)
+    if act.type in _FROM_JSON and val is not None:
+        return _FROM_JSON[act.type](val)
+    raise ValueError(f"{act.option_strings[0]} never gives it")
+
+
 def _apply_config_file(args, parser, argv):
     if args.config is None:
         return args
@@ -112,18 +154,11 @@ def _apply_config_file(args, parser, argv):
     for key, val in defaults.items():
         if key in explicit:
             continue
-        act, cur = actions[key], getattr(args, key)
-        if isinstance(val, str) and act.type is not None:     # as its flag parses it
-            try:
-                val = act.type(val)
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                parser.error(f"config key {key} in {args.config}: {val!r} ({exc})")
-        if isinstance(cur, tuple) and isinstance(val, list):
-            val = tuple(val)
-        if isinstance(cur, complex) and isinstance(val, list):     # [re, im], as recorded
-            if len(val) != 2:
-                parser.error(f"config key {key} in {args.config} is not [re, im]")
-            val = complex(*val)
+        act = actions[key]
+        try:
+            val = _config_value(act, val)
+        except (ValueError, OverflowError, argparse.ArgumentTypeError) as exc:
+            parser.error(f"config key {key} in {args.config}: {val!r} ({exc})")
         if val is not None and act.choices is not None and val not in act.choices:
             parser.error(f"{args.subcommand} needs {act.option_strings[0]} (or config key "
                          f"{key}) one of {', '.join(act.choices)}; got {val!r}")

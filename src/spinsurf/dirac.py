@@ -11,19 +11,17 @@ the Weierstrass representation in the test suite rather than assumed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .grid import (ComplexField, Grid2D, GridConfigError, masked_max_abs, merged_mask,
-                   row_blocks, row_max_abs, wirtinger_derivative, wirtinger_rows)
+from .grid import (ComplexField, Grid2D, GridConfigError, grid_mask, masked_max_abs,
+                   merged_mask, row_blocks, row_max_abs, wirtinger_derivative,
+                   wirtinger_rows)
 
 
 def _empty(grid: Grid2D) -> np.ndarray:
     return np.empty((2, 2, grid.ny, grid.nx), dtype=np.complex128)
 
 
-@dataclass
 class Mat2Field:
     """2x2 complex matrix per node: values[i, j] is entry (i, j), shape (2, 2, ny, nx).
 
@@ -38,11 +36,12 @@ class Mat2Field:
 
     grid: Grid2D
     values: np.ndarray
-    mask: np.ndarray | None = None
+    mask: np.ndarray | None
 
-    def __post_init__(self):
-        if self.values.shape != (2, 2, self.grid.ny, self.grid.nx):
-            raise GridConfigError(f"matrix values shape {self.values.shape} does not fit the grid")
+    def __init__(self, grid, values, mask=None):
+        if values.shape != (2, 2, grid.ny, grid.nx):
+            raise GridConfigError(f"matrix values shape {values.shape} does not fit the grid")
+        self.grid, self.values, self.mask = grid, values, mask
 
     def entry(self, i: int, j: int) -> ComplexField:
         return ComplexField(self.grid, self.values[i, j], self.mask)
@@ -144,11 +143,12 @@ class SpinorField:
     @classmethod
     def from_values(cls, grid: Grid2D, values: np.ndarray,
                     mask: np.ndarray | None) -> "SpinorField":
-        """The field with values (psi1, psi2) of shape (2, ny, nx), not copied."""
+        """The field with values (psi1, psi2) of shape (2, ny, nx), not copied, and
+        mask None or of shape (ny, nx)."""
         if values.shape != (2, grid.ny, grid.nx):
             raise GridConfigError(f"spinor values shape {values.shape} does not fit the grid")
         out = cls.__new__(cls)
-        out.grid, out.values, out.mask = grid, values, mask
+        out.grid, out.values, out.mask = grid, values, grid_mask(grid, mask)
         return out
 
     @property

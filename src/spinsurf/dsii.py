@@ -27,8 +27,6 @@ i a2 / (1 + |a1|^2), read off f(z, t_s) = a1 z + a2 z^2 + ...
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .exactpoly import (BiPoly, C, InvalidDatumError, RationalFn, Z, ZBAR, _horner,
@@ -44,7 +42,6 @@ class DecayError(RuntimeError):
 # exact solutions
 
 
-@dataclass
 class ExactSolution:
     """A DSII solution built from a heat polynomial f(z, t)."""
 
@@ -52,8 +49,11 @@ class ExactSolution:
     U: RationalFn
     a: RationalFn
     V: RationalFn
-    c: complex | None = None          # None: symbolic
-    name: str = "custom"
+    c: complex | None                 # None: symbolic
+    name: str
+
+    def __init__(self, f, U, a, V, c=None, name="custom"):
+        self.f, self.U, self.a, self.V, self.c, self.name = f, U, a, V, c, name
 
     def U_field(self, grid: Grid2D, t: float) -> ComplexField:
         return self._sample(grid, t, v_field=False)
@@ -141,16 +141,16 @@ def to_halved_v_form(sol: ExactSolution) -> RationalFn:
     return sol.V * 0.5
 
 
-@dataclass
 class OzawaData:
     """Ozawa blow-up initial datum on the physical (X, Y) grid."""
 
     a: float
     b: float
 
-    def __post_init__(self):
-        if self.a == 0:
+    def __init__(self, a, b):
+        if a == 0:
             raise InvalidDatumError("ozawa: a must be nonzero")
+        self.a, self.b = a, b
 
     @property
     def blowup_time(self) -> float:
@@ -261,13 +261,16 @@ def re_v_into(u: np.ndarray, sp, n_hat: np.ndarray, out: np.ndarray) -> np.ndarr
 # physical (focusing) form
 
 
-@dataclass
 class PhysicalForm:
     U_phys: ComplexField          # field entering the focusing equation
     phi: ComplexField             # potential of the Poisson problem (z-side scale)
     grid_phys: Grid2D
     rev_residual: float           # Re V - (2|U|^2 - 4 phi_X), z-side quantities
-    ozeq_residual: float | None = None
+    ozeq_residual: float | None
+
+    def __init__(self, U_phys, phi, grid_phys, rev_residual, ozeq_residual=None):
+        self.U_phys, self.phi, self.grid_phys = U_phys, phi, grid_phys
+        self.rev_residual, self.ozeq_residual = rev_residual, ozeq_residual
 
 
 def physical_grid_of(grid: Grid2D) -> Grid2D:
@@ -332,12 +335,14 @@ def _d2(vals: np.ndarray, h: float, axis: int) -> np.ndarray:
 # norms with tail handling
 
 
-@dataclass
 class NormResult:
     value: float            # Richardson-extrapolated quadrature of |U|^2
     raw: float              # plain full-box quadrature
     tail_bound: float       # analytic bound from the boundary decay constant
     decay_ok: bool
+
+    def __init__(self, value, raw, tail_bound, decay_ok):
+        self.value, self.raw, self.tail_bound, self.decay_ok = value, raw, tail_bound, decay_ok
 
 
 def l2_norm_sq(U: ComplexField, require_decay: bool = True) -> NormResult:
@@ -423,11 +428,13 @@ def l2_norm_sq(U: ComplexField, require_decay: bool = True) -> NormResult:
 # singularity ledger
 
 
-@dataclass
 class SingularEvent:
     t_sing: float
     location: complex
     coefficient: complex      # exact A in U ~ A e^{2 i phi} along z = r e^{i phi}, r -> 0
+
+    def __init__(self, t_sing, location, coefficient):
+        self.t_sing, self.location, self.coefficient = t_sing, location, coefficient
 
     def as_dict(self):
         return {"t_sing": self.t_sing, "z": [self.location.real, self.location.imag],

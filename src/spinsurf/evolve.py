@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -123,14 +122,17 @@ class DsiiEvolver:
         return next(self.run(state, 1))
 
 
-@dataclass
 class Trajectory:
     times: list
     norms: list
     snapshots: list          # (t, ComplexField) pairs when requested
     final: ComplexField      # field at times[-1]
-    aborted: bool = False
-    abort_reason: str = ""
+    aborted: bool
+    abort_reason: str
+
+    def __init__(self, times, norms, snapshots, final, aborted=False, abort_reason=""):
+        self.times, self.norms, self.snapshots, self.final = times, norms, snapshots, final
+        self.aborted, self.abort_reason = aborted, abort_reason
 
 
 def step_count(t0: float, t_end: float, dt: float) -> int:

@@ -24,7 +24,6 @@ ComplexField.abs2 do not yet.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -76,9 +75,10 @@ def _zero_mean_ratio(num, den) -> np.ndarray:      # read-only, mean mode (0 / 0
     return out
 
 
-@dataclass(frozen=True)
 class Grid2D:
-    """Uniform rectangular sampling of a z-plane domain."""
+    """Uniform rectangular sampling of a z-plane domain.  Frozen: grids with equal
+    fields compare and hash equal, assigning or deleting an attribute raises
+    AttributeError, and spectral is built once per instance."""
 
     x_min: float
     x_max: float
@@ -86,14 +86,35 @@ class Grid2D:
     y_max: float
     nx: int
     ny: int
-    periodic_x: bool = False
-    periodic_y: bool = False
+    periodic_x: bool
+    periodic_y: bool
 
-    def __post_init__(self):
-        if not (self.x_max > self.x_min and self.y_max > self.y_min):
+    def __init__(self, x_min, x_max, y_min, y_max, nx, ny, periodic_x=False,
+                 periodic_y=False):
+        if not (x_max > x_min and y_max > y_min):
             raise GridConfigError("degenerate bounds")
-        if self.nx < 4 or self.ny < 4:
+        if nx < 4 or ny < 4:
             raise GridConfigError("resolution must be >= 4 per axis")
+        self.__dict__.update(x_min=x_min, x_max=x_max, y_min=y_min, y_max=y_max,
+                             nx=nx, ny=ny, periodic_x=periodic_x, periodic_y=periodic_y)
+
+    def _key(self) -> tuple:
+        return (self.x_min, self.x_max, self.y_min, self.y_max, self.nx, self.ny,
+                self.periodic_x, self.periodic_y)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Grid2D is frozen: cannot assign to {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Grid2D is frozen: cannot delete {name!r}")
 
     @property
     def hx(self) -> float:
@@ -152,21 +173,20 @@ def square_grid(half_width: float, n: int, periodic: bool = False) -> Grid2D:
     return make_grid((-half_width, half_width, -half_width, half_width), (n, n), periodic)
 
 
-@dataclass
 class ComplexField:
     """Complex values sampled over a Grid2D.  mask marks singular/flagged nodes."""
 
     grid: Grid2D
     values: np.ndarray
-    mask: np.ndarray | None = None
+    mask: np.ndarray | None
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.shape != (self.grid.ny, self.grid.nx):
+    def __init__(self, grid, values, mask=None):
+        self.grid = grid
+        self.values = np.asarray(values, dtype=np.complex128)
+        if self.values.shape != (grid.ny, grid.nx):
             raise GridConfigError(
-                f"values shape {self.values.shape} != grid shape {(self.grid.ny, self.grid.nx)}")
-        if self.mask is not None:
-            self.mask = np.asarray(self.mask, dtype=bool)
+                f"values shape {self.values.shape} != grid shape {(grid.ny, grid.nx)}")
+        self.mask = grid_mask(grid, mask)
 
     def like(self, values) -> "ComplexField":
         return ComplexField(self.grid, values, self.mask)
@@ -241,6 +261,17 @@ def row_max_abs(block, mask: np.ndarray | None, rows: range, nx: int) -> float:
     for r in row_blocks(nx, rows.stop, rows.start):
         peak = np.maximum(peak, masked_max_abs(block(r), None if mask is None else mask[r]))
     return float(peak)
+
+
+def grid_mask(grid: Grid2D, mask) -> np.ndarray | None:
+    """mask as a bool array (None stays None); GridConfigError unless its shape is
+    the grid's (ny, nx)."""
+    if mask is None:
+        return None
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (grid.ny, grid.nx):
+        raise GridConfigError(f"mask shape {mask.shape} != grid shape {(grid.ny, grid.nx)}")
+    return mask
 
 
 def merged_mask(*fields) -> np.ndarray | None:

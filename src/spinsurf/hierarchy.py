@@ -8,26 +8,24 @@ x-only fields.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grid import ComplexField, make_grid, wirtinger_derivative
 
 
-@dataclass
 class Potential1D:
     """Real potential samples U(x) on a uniform 1-D grid."""
 
     x: np.ndarray
     u: np.ndarray
-    tag: str = "custom"
+    tag: str
 
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.u = np.asarray(self.u, dtype=float)
+    def __init__(self, x, u, tag="custom"):
+        self.x = np.asarray(x, dtype=float)
+        self.u = np.asarray(u, dtype=float)
         if self.x.shape != self.u.shape:
             raise ValueError("x and u must have the same shape")
+        self.tag = tag
 
     @property
     def h(self) -> float:
@@ -83,10 +81,12 @@ def v_from_constraint_mnv(U: ComplexField) -> ComplexField:
     return ComplexField(g, np.fft.ifft2(ratio * np.fft.fft2(U.values * U.values)))
 
 
-@dataclass
 class FlowResidual:
     max_norm: float
     constraint_max: float
+
+    def __init__(self, max_norm, constraint_max):
+        self.max_norm, self.constraint_max = max_norm, constraint_max
 
 
 def mnv_residual(U_stencil, dt: float, V: ComplexField | None = None,
@@ -140,12 +140,14 @@ def mkdv_reduction_identity(U: Potential1D) -> float:
 # Willmore bounds
 
 
-@dataclass
 class WillmoreCheck:
     value: float
     bound: float
     passed: bool
     n_claim: int | None
+
+    def __init__(self, value, bound, passed, n_claim):
+        self.value, self.bound, self.passed, self.n_claim = value, bound, passed, n_claim
 
     def as_dict(self):
         return {"value": self.value, "bound": self.bound, "pass": self.passed,

@@ -6,7 +6,6 @@ in numpy a block of rows at a time; PLY is binary little-endian.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,12 +16,15 @@ class MeshFormatError(ValueError):
     pass
 
 
-@dataclass
 class MeshStats:
     n_vertices: int
     n_triangles: int
     n_holes: int
     files: list
+
+    def __init__(self, n_vertices, n_triangles, n_holes, files):
+        self.n_vertices, self.n_triangles, self.n_holes = n_vertices, n_triangles, n_holes
+        self.files = files
 
 
 def _project(S: SurfaceMap):

@@ -48,8 +48,6 @@ spinor is written over its S(A0, X).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dirac import SpinorField, qconj, qmul, quaternion_defect
@@ -121,13 +119,15 @@ def omega1(Phi: SpinorField, Psi: SpinorField) -> SpinorField:
     return SpinorField.from_values(grid, np.stack([m1, -m0]), mask)
 
 
-@dataclass
 class SMatrix:
     """Integrated surface matrix S = Gamma * int(omega [+ omega1 dt]) + constant."""
 
     S: SpinorField
     constant: np.ndarray
     base_node: tuple
+
+    def __init__(self, S, constant, base_node):
+        self.S, self.constant, self.base_node = S, constant, base_node
 
 
 def build_S(Phi: SpinorField, Psi: SpinorField, base_node=None, constant=None,
@@ -179,12 +179,14 @@ def time_offset_integral(phi_of_t, psi_of_t, t_grid, base_node) -> np.ndarray:
     return np.trapezoid(vals, t_grid, axis=0)
 
 
-@dataclass
 class KData:
     """W and a extracted from K = Psi S^-1 Gamma Phi^T Gamma^-1."""
 
     W: ComplexField
     a: ComplexField
+
+    def __init__(self, W, a):
+        self.W, self.a = W, a
 
 
 def k_matrix(Psi: SpinorField, S: SMatrix | SpinorField, Phi: SpinorField) -> KData:
@@ -223,7 +225,6 @@ def _kdata(Psi: SpinorField, Sinv: SpinorField, Phi: SpinorField) -> KData:
 # the transformation
 
 
-@dataclass
 class MoutardTransform:
     """Context for transforming solutions on a fixed background (Psi0, Phi0): only
     what transform and transformed_potentials read (see Memory above)."""
@@ -234,6 +235,10 @@ class MoutardTransform:
     base_node: tuple                   # S0's base node, where every S anchors
     kdata: KData
     S0_inv: SpinorField                # nodes with det below _MIN_DET max(|S0|, 1)^2 masked
+
+    def __init__(self, Psi0, Phi0, C0, base_node, kdata, S0_inv):
+        self.Psi0, self.Phi0, self.C0, self.base_node = Psi0, Phi0, C0, base_node
+        self.kdata, self.S0_inv = kdata, S0_inv
 
     @classmethod
     def from_background(cls, psi0: SpinorField, phi0: SpinorField, constant0,
@@ -305,7 +310,6 @@ def heat_antiderivative(f: BiPoly) -> BiPoly:
     return F
 
 
-@dataclass
 class ExactMoutardData:
     """Closed-form Moutard chain for the trivial background with heat datum f; the
     spinors and matrices are quaternions stored as their column (a, b)."""
@@ -317,6 +321,10 @@ class ExactMoutardData:
     a: RationalFn
     Psi0: RQuat
     Phi0: RQuat
+
+    def __init__(self, f, S0, K, W, a, Psi0, Phi0):
+        self.f, self.S0, self.K, self.W, self.a = f, S0, K, W, a
+        self.Psi0, self.Phi0 = Psi0, Phi0
 
     def tilde_psi_for_linear_datum(self) -> RQuat:
         """Transformed spinor of psi = (z, 0) (anti-heat datum h = z)."""

@@ -20,34 +20,36 @@ arithmetic.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dirac import SpinorField, dirac_residual_norm
-from .grid import (ComplexField, Grid2D, antiderivative, integrate2d, masked_max_abs,
-                   real_wirtinger_z)
+from .grid import (ComplexField, Grid2D, antiderivative, grid_mask, integrate2d,
+                   masked_max_abs, real_wirtinger_z)
 
 
 class SurfaceIntegrationError(RuntimeError):
     pass
 
 
-@dataclass
 class SurfaceMap:
-    """R^3- or R^4-valued map over a grid; coords has shape (dim, ny, nx)."""
+    """R^3- or R^4-valued map over a grid; coords has shape (dim, ny, nx) and mask,
+    if given, (ny, nx)."""
 
     grid: Grid2D
     coords: np.ndarray
     basepoint: np.ndarray
-    mask: np.ndarray | None = None
-    diagnostics: dict = field(default_factory=dict)
+    mask: np.ndarray | None
+    diagnostics: dict
 
-    def __post_init__(self):
-        self.coords = np.asarray(self.coords, dtype=float)
-        self.basepoint = np.asarray(self.basepoint, dtype=float)
+    def __init__(self, grid, coords, basepoint, mask=None, diagnostics=None):
+        self.grid = grid
+        self.coords = np.asarray(coords, dtype=float)
+        self.basepoint = np.asarray(basepoint, dtype=float)
         if self.coords.ndim != 3 or self.coords.shape[0] not in (3, 4):
             raise ValueError("coords must have shape (3 or 4, ny, nx)")
+        self.mask = grid_mask(grid, mask)
+        self.diagnostics = {} if diagnostics is None else diagnostics
 
     @property
     def ambient_dim(self) -> int:
@@ -58,11 +60,13 @@ class SurfaceMap:
         return float(np.sqrt(np.sum(np.square(spans))))
 
 
-@dataclass
 class MetricData:
     """Conformal factor e^{2 alpha}."""
 
     e2alpha: np.ndarray
+
+    def __init__(self, e2alpha):
+        self.e2alpha = e2alpha
 
 
 def weier_derivatives(psi: SpinorField, phi: SpinorField | None = None):
@@ -140,9 +144,11 @@ def measured_e2alpha(S: SurfaceMap) -> np.ndarray:
     return 2.0 * np.sum(np.abs(xz) ** 2, axis=0)
 
 
-@dataclass
 class GaussMapResult:
     rel_residual: float     # max |sum_k (x^k_z)^2| / sum_k |x^k_z|^2
+
+    def __init__(self, rel_residual):
+        self.rel_residual = rel_residual
 
 
 def gauss_map(S: SurfaceMap) -> GaussMapResult:

@@ -8,7 +8,6 @@ scales; the test suite and the CLI both drive the functions below.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,19 +30,19 @@ from .surface import (discrete_mean_curvature, gauss_map, integrate_surface_r3,
 TWO_PI = 2 * np.pi
 
 
-@dataclass
 class CheckResult:
     name: str
     value: float
     lo: float
     hi: float
-    detail: str = ""
-    runtime_s: float = 0.0
+    detail: str
+    runtime_s: float
 
-    def __post_init__(self):
+    def __init__(self, name, value, lo, hi, detail="", runtime_s=0.0):
         # plain Python floats, whatever numpy scalars the checks hand in, so that
         # as_dict() always serialises
-        self.value, self.lo, self.hi = float(self.value), float(self.lo), float(self.hi)
+        self.name, self.value, self.lo, self.hi = name, float(value), float(lo), float(hi)
+        self.detail, self.runtime_s = detail, runtime_s
 
     @property
     def passed(self) -> bool:

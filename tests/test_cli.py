@@ -438,16 +438,44 @@ def test_check_window_is_inclusive_and_fails_nan_and_a_zero_fine_residual():
     assert not r.passed and r.detail == "resid 1 -> 0"
 
 
+_SOL = ["solution", "--solution", "s1", "--grid", "16x16"]
+_EVOLVE = ["evolve", "--from", "zero", "--grid", "16x16", "--t-end", "0.01", "--dt", "1e-3"]
+
+
 @pytest.mark.parametrize("argv, config, want", [
-    (["solution", "--solution", "s1", "--grid", "16x16"], {"c": "2+1i"}, {"c": [2.0, 1.0]}),
-    (["solution", "--solution", "s1", "--grid", "16x16"], {"t": "0.25"}, {"t": 0.25}),
-    (["solution", "--solution", "s1", "--grid", "16x16"], {"t": "soon"}, None),
+    (_SOL, {"c": "2+1i"}, {"c": [2.0, 1.0]}),
+    (_SOL, {"t": "0.25"}, {"t": 0.25}),
+    (_SOL, {"t": "soon"}, None),
     (["verify"], {"suite": "nope"}, None),
     (["gen-surface", "--grid", "16x16"], {"format": "stl"}, None),
     (["gen-surface", "--grid", "16x16"], {"spinor": "torus"}, None),
-], ids=["c", "t", "t-unparsed", "suite", "format", "spinor"])
+    (_EVOLVE, {"snapshot_every": 2.5}, None),
+    (_EVOLVE, {"snapshot_every": True}, None),
+    (_EVOLVE, {"snapshot_every": 5}, {"snapshot_every": 5}),
+    (["solution", "--solution", "s1"], {"grid": [16.5, 16]}, None),
+    (["solution", "--solution", "s1"], {"grid": [16, True]}, None),
+    (["solution", "--solution", "s1"], {"grid": [16, 16, 16]}, None),
+    (["solution", "--solution", "s1"], {"grid": [16, 17]}, {"grid": [16, 17]}),
+    (_SOL, {"box": [-2, 2, -2, "2"]}, None),
+    (_SOL, {"box": [-2, 2, -2, 2]}, {"box": [-2.0, 2.0, -2.0, 2.0]}),
+    (_SOL, {"t": 1}, {"t": 1.0}),
+    (_SOL, {"t": False}, None),
+    (_SOL, {"t": None}, None),
+    (_SOL, {"c": 2}, {"c": [2.0, 0.0]}),
+    (_SOL, {"c": [2, 1]}, {"c": [2.0, 1.0]}),
+    (_SOL, {"c": [2, 1, 0]}, None),
+    (_SOL, {"c": True}, None),
+    (["gen-surface", "--grid", "16x16"], {"tol": None}, {"tol": None}),
+    (["gen-surface", "--grid", "16x16"], {"invert": 1}, None),
+    (["gen-surface", "--grid", "16x16"], {"spinor": None}, None),
+], ids=["c", "t", "t-unparsed", "suite", "format", "spinor",
+        "snapshot-float", "snapshot-bool", "snapshot-int", "grid-float", "grid-bool",
+        "grid-three", "grid-ints", "box-string", "box-ints", "t-int", "t-bool", "t-null",
+        "c-number", "c-pair", "c-triple", "c-bool", "tol-null", "invert-int",
+        "spinor-null"])
 def test_config_values_take_their_flags_type_and_choices(argv, config, want, tmp_path, capsys):
-    # a config string reads as its flag's string reads; a value that the flag would
+    # a config string reads as its flag's string reads, and any other value passes
+    # only as what the flag's parser could return; a value that the flag would
     # refuse is argparse's error, exit code 2, before any file is written
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))

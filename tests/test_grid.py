@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinsurf import (ComplexField, constant_field, field_from_function,
-                      integrate2d, make_grid, save_complexfield_csv,
+from spinsurf import (ComplexField, SpinorField, SurfaceMap, constant_field,
+                      field_from_function, integrate2d, make_grid, save_complexfield_csv,
                       wirtinger_derivative)
-from spinsurf.grid import (GridConfigError, MaskError, antiderivative,
+from spinsurf.grid import (GridConfigError, MaskError, Spectral, antiderivative,
                            closedness_defect, mask_patches, quadrature_sum, save_nodes_csv)
 
 
@@ -124,6 +124,45 @@ def test_make_grid_rejects_degenerate():
         make_grid((1, 1, 0, 1), (8, 8))
     with pytest.raises(GridConfigError):
         make_grid((0, 1, 0, 1), (3, 8))
+
+
+def test_grid_is_a_frozen_value(monkeypatch):
+    # merged_mask compares grids by value; spectral is cached on the instance
+    built = []
+    init = Spectral.__init__
+    monkeypatch.setattr(Spectral, "__init__", lambda sp, g: built.append(g) or init(sp, g))
+    g = make_grid((-1, 1, -2, 2), (8, 16), True)
+    same = make_grid((-1.0, 1.0, -2.0, 2.0), (8, 16), True)
+    assert g == same and not g != same and hash(g) == hash(same) and len({g, same}) == 1
+    for other in (make_grid((-1, 1, -2, 2), (8, 16), (True, False)),
+                  make_grid((-1, 1, -2, 3), (8, 16), True), make_grid((-1, 1, -2, 2), (16, 8), True)):
+        assert g != other and not g == other
+    assert g != g.meta() and g != tuple(g.meta().values())
+    for name in ("nx", "x_min", "periodic_x", "spectral", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+    assert g.meta() == same.meta() and g.nx == 8 and "spectral" not in vars(g)
+    sp = g.spectral
+    assert g.spectral is sp and built == [g]          # the second read is cached
+    assert same.spectral is not sp and built == [g, same]
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (), (16, 15)], ids=["small", "scalar", "one-short"])
+def test_a_mask_must_have_the_grid_shape(shape):
+    g = make_grid((-2, 2, -2, 2), (16, 16))
+    mask = np.zeros(shape, bool)
+    with pytest.raises(GridConfigError, match="mask shape"):
+        ComplexField(g, np.ones((16, 16)), mask=mask)
+    with pytest.raises(GridConfigError, match="mask shape"):
+        SpinorField.from_values(g, np.ones((2, 16, 16), complex), mask)
+    with pytest.raises(GridConfigError, match="mask shape"):
+        SurfaceMap(g, np.zeros((3, 16, 16)), np.zeros(3), mask=mask)
+    good = np.zeros((16, 16), bool)
+    assert ComplexField(g, np.ones((16, 16)), mask=good.astype(int)).mask.dtype == bool
+    assert SpinorField.from_values(g, np.ones((2, 16, 16), complex), good).mask is good
+    assert SurfaceMap(g, np.zeros((3, 16, 16)), np.zeros(3), mask=good).mask is good
 
 
 def test_wirtinger_quadratic_exact():

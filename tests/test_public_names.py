@@ -13,7 +13,7 @@ nothing by themselves):
   or a parameter there (or in a function around it);
 * an attribute x.name reaches a method through its owner when x's class is
   known statically: self or cls in a method, a class name, or a parameter or
-  dataclass field annotated with a src/ class.  It reaches the definition
+  class-body field annotated with a src/ class.  It reaches the definition
   that x's class (or its first src/ base that has one) holds, and the
   definitions of x's subclasses.  Only when x's class is unknown does it reach
   every class that defines name;
@@ -28,7 +28,11 @@ A definition that only its own tests reach belongs in the tests (as an oracle
 or a measuring tool) or nowhere.
 """
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -49,14 +53,21 @@ KEEP = {
     "dsii.physical_grid_of": "the one z <-> physical map of item 2",
     "dsii._swap_scale": "the one z <-> physical map of item 2",
     "dsii._d2": "the one z <-> physical map of item 2",
+    "dsii.PhysicalForm": "physical_form's result, the one z <-> physical map of item 2",
     # run on paths that the README does not run
     "cli._explicit_keys": "--config, which no README command passes",
+    "cli._config_value": "--config, which no README command passes",
+    "cli._json_number": "--config, which no README command passes",
+    "cli._json_numbers": "--config, which no README command passes",
     "dsii.OzawaData.U0_zside": "evolve --from ozawa",
     "evolve.BlowupAbort.__init__": "an evolver run that blows up",
     "dsii.to_halved_v_form": "the halved-V convention; perfbench's checks use it",
     "exactpoly.RationalFn.eval": "point sets; perfbench/test_checks.py calls it",
     # Python's data model
     "exactpoly.BiPoly.__hash__": "BiPoly defines __eq__, so it is hashable only with it",
+    "grid.Grid2D.__hash__": "Grid2D defines __eq__, so it is hashable only with it",
+    "grid.Grid2D.__setattr__": "a grid is frozen: assigning to one raises",
+    "grid.Grid2D.__delattr__": "a grid is frozen: deleting from one raises",
     "exactpoly.BiPoly.__repr__": "how a failing assertion shows a polynomial",
     "exactpoly.RationalFn.__repr__": "how a failing assertion shows a rational function",
 }
@@ -287,3 +298,20 @@ def test_no_unused_module_imports():
         unused += [f"{p.stem}:{line}:{name}" for name, line in imported.items()
                    if name not in read]
     assert unused == []
+
+
+def test_import_builds_no_dataclasses():
+    # building a dataclass execs its generated methods from source, the largest
+    # runtime cost of importing the package; numpy and the stdlib modules the
+    # package imports load no dataclasses
+    code = ("import sys, importlib, json, numpy, argparse, pathlib\n"
+            "before = set(sys.modules)\n"
+            f"for name in {tuple(p.stem for p in SRC)!r}:\n"
+            "    importlib.import_module('spinsurf.' + name)\n"
+            "print(json.dumps(sorted(set(sys.modules) - before)))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    loaded = json.loads(out)
+    assert {"spinsurf.verify", "spinsurf.hierarchy", "spinsurf.cli"} <= set(loaded)
+    assert "dataclasses" not in loaded
