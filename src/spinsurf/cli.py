@@ -1,8 +1,9 @@
 """Command-line interface: surface generation/export, exact-solution dumps,
 DSII evolution and named verification suites.
 
-Each subcommand takes only the options it reads.  A JSON config supplied via
---config is merged under explicit flags (flags win).  gen-surface, solution,
+Each subcommand takes only the options it reads.  The values of a JSON object
+given by --config become option tokens ahead of the explicit flags, so argparse
+reads each as its flag's text and an explicit flag wins.  gen-surface, solution,
 evolve and verify write their resolved configuration into the output
 directory; willmore-check only prints.  All outputs are deterministic for a
 fixed configuration.
@@ -75,8 +76,8 @@ _SHARED = {
 }
 
 
-# the option each command cannot run without: checked after the --config merge,
-# so that a config file may supply it
+# the option each command cannot run without: checked after --config is read, so
+# that a config file may supply it
 _REQUIRED = {"solution": "solution", "willmore-check": "potential"}
 
 
@@ -94,87 +95,66 @@ def _add_shared(p, *names):
                    help="JSON defaults, overridden by explicit flags")
 
 
-def _json_number(v, kind):
-    """v as kind (int or float) where it is a JSON number of that kind, not a bool."""
-    if isinstance(v, bool) or not isinstance(v, int if kind is int else (int, float)):
-        raise ValueError("not an integer" if kind is int else "not a number")
-    return kind(v)
+def _config_tokens(act, val) -> list:
+    """The option tokens that give act's flag the --config value val, for argparse to
+    read as it reads the flag: null none, where the flag's default is None; a bool
+    the bare switch or none, for a switch; a string --flag=text; a number or a list
+    of numbers the flag's text (a grid NXxNY, a box a:b:c:d, c re±imj), but not for
+    a path.  Any other value is an ArgumentError."""
+    flag = act.option_strings[0]
+    if act.nargs == 0 and isinstance(val, bool):
+        return [flag] if val else []
+    if val is None and act.default is None:
+        return []
+    if isinstance(val, str):
+        return [f"{flag}={val}"]
+    numbers = val if isinstance(val, list) else [val]
+    if act.type is Path or not all(type(x) in (int, float) for x in numbers):   # no bool
+        raise argparse.ArgumentError(act, f"got {json.dumps(val)}")
+    if isinstance(val, list) and act.type is _parse_complex and len(val) == 2:
+        val = f"{val[0]}{val[1]:+}j"
+    elif isinstance(val, list) and act.type in (_parse_gridspec, _parse_box):
+        val = ("x" if act.type is _parse_gridspec else ":").join(map(str, val))
+    return [f"{flag}={val}"]
 
 
-def _json_numbers(v, n: int, kind) -> tuple:
-    if not isinstance(v, list) or len(v) != n:
-        raise ValueError(f"not a list of {n}")
-    return tuple(_json_number(x, kind) for x in v)
-
-
-# an option type -> what it reads from a JSON value that is not a string: what the
-# type's parser could return, as resolved_config.json records it
-_FROM_JSON = {
-    int: lambda v: _json_number(v, int),
-    float: lambda v: _json_number(v, float),
-    _parse_gridspec: lambda v: _json_numbers(v, 2, int),
-    _parse_box: lambda v: _json_numbers(v, 4, float),
-    _parse_complex: lambda v: complex(*(_json_numbers(v, 2, float) if isinstance(v, list)
-                                        else (_json_number(v, float),))),
-}
-
-
-def _config_value(act, val):
-    """A --config value as act's flag could give it, else ValueError: null only where
-    it is the flag's default, a bool only for a bare switch, a string through the
-    flag's type, and any other value only as _FROM_JSON reads it for that type.
-    Choices are left to the caller."""
-    switch = isinstance(act, argparse._StoreTrueAction)
-    if val is None and act.default is None or switch and isinstance(val, bool):
-        return val
-    if isinstance(val, str) and not switch:
-        return val if act.type is None else act.type(val)
-    if act.type in _FROM_JSON and val is not None:
-        return _FROM_JSON[act.type](val)
-    raise ValueError(f"{act.option_strings[0]} never gives it")
-
-
-def _apply_config_file(args, parser, argv):
-    if args.config is None:
-        return args
-    with open(args.config) as fh:
-        defaults = json.load(fh)
-    if set(defaults) == {"options", "subcommand"}:      # a run's resolved_config.json
+def _config_argv(args, parser, argv) -> list:
+    """argv with the --config file's values as option tokens right after the
+    subcommand, so that argparse reads them as it reads the flags and an explicit
+    flag, coming later, wins."""
+    try:
+        with open(args.config) as fh:
+            defaults = json.load(fh)
+    except (OSError, ValueError) as exc:      # a missing file, not JSON, not UTF-8
+        parser.error(f"cannot read --config {args.config}: {exc}")
+    if isinstance(defaults, dict) and set(defaults) == {"options", "subcommand"}:
+        # a run's resolved_config.json
         if defaults["subcommand"] != args.subcommand:
             parser.error(f"{args.config} records a {defaults['subcommand']!r} run")
-        # not its out: a repeat must not overwrite the run it repeats
-        defaults = {k: v for k, v in defaults["options"].items()
-                    if k not in ("subcommand", "out")}
-    unknown = sorted(set(defaults) - (set(vars(args)) - {"func", "subcommand"}))
+        defaults = defaults["options"]
+        if isinstance(defaults, dict):    # not its out: a repeat must not overwrite the run
+            defaults = {k: v for k, v in defaults.items() if k not in ("subcommand", "out")}
+    if not isinstance(defaults, dict):
+        parser.error(f"{args.config} is not a JSON object of options")
+    sub = next(a for a in parser._actions if a.dest == "subcommand").choices[args.subcommand]
+    actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
+    unknown = sorted(set(defaults) - set(actions))
     if unknown:
         parser.error(f"unknown config key(s) in {args.config}: {', '.join(unknown)}")
-    explicit = _explicit_keys(args.subcommand, argv, defaults)
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    actions = {a.dest: a for a in sub.choices[args.subcommand]._actions}
+    # only now that argv has parsed, so that an explicit flag's error keeps its usage line
+    sub.exit_on_error = False
+    tokens = []
     for key, val in defaults.items():
-        if key in explicit:
-            continue
         act = actions[key]
         try:
-            val = _config_value(act, val)
-        except (ValueError, OverflowError, argparse.ArgumentTypeError) as exc:
-            parser.error(f"config key {key} in {args.config}: {val!r} ({exc})")
-        if val is not None and act.choices is not None and val not in act.choices:
+            key_tokens = _config_tokens(act, val)
+            sub.parse_args(key_tokens)
+        except argparse.ArgumentError as exc:
             parser.error(f"{args.subcommand} needs {act.option_strings[0]} (or config key "
-                         f"{key}) one of {', '.join(act.choices)}; got {val!r}")
-        setattr(args, key, val)
-    return args
-
-
-def _explicit_keys(subcommand: str, argv, keys) -> set:
-    """The keys whose option argv sets, however the flag is spelled (--from sets
-    source): argv parsed again with those options' defaults set to a marker."""
-    probe = build_parser()
-    sub = next(a for a in probe._actions if isinstance(a, argparse._SubParsersAction))
-    marker = object()
-    sub.choices[subcommand].set_defaults(**dict.fromkeys(keys, marker))
-    again = vars(probe.parse_args(argv))
-    return {k for k in keys if again[k] is not marker}
+                         f"{key} in {args.config}) as its flag reads it; {exc.message}")
+        tokens += key_tokens
+    at = argv.index(args.subcommand) + 1
+    return argv[:at] + tokens + argv[at:]
 
 
 def _spinor_source(name: str, grid: Grid2D) -> SpinorField:
@@ -388,7 +368,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     ap = build_parser()
     args = ap.parse_args(argv)
-    args = _apply_config_file(args, ap, argv)
+    if args.config is not None:
+        args = ap.parse_args(_config_argv(args, ap, argv))
     key = _REQUIRED.get(args.subcommand)
     if key and getattr(args, key) is None:
         ap.error(f"{args.subcommand} needs --{key} (or config key {key})")

@@ -38,11 +38,12 @@ class CheckResult:
     detail: str
     runtime_s: float
 
-    def __init__(self, name, value, lo, hi, detail="", runtime_s=0.0):
+    def __init__(self, name, value, lo, hi, detail=""):
         # plain Python floats, whatever numpy scalars the checks hand in, so that
         # as_dict() always serialises
         self.name, self.value, self.lo, self.hi = name, float(value), float(lo), float(hi)
-        self.detail, self.runtime_s = detail, runtime_s
+        self.detail, self.runtime_s = detail, 0.0
+        self._made = time.perf_counter()        # for _timed
 
     @property
     def passed(self) -> bool:
@@ -59,13 +60,14 @@ class CheckResult:
 
 
 def _timed(fn):
+    """Each record's runtime_s: the time since the suite's previous record was made,
+    or since the suite started for its first: a suite's records sum to its wall time
+    up to its last record."""
     def wrapper(*a, **kw):
-        t0 = time.perf_counter()
+        prev = time.perf_counter()
         out = fn(*a, **kw)
-        dt = time.perf_counter() - t0
-        for r in out:
-            if r.runtime_s == 0.0:
-                r.runtime_s = dt / max(len(out), 1)
+        for r in sorted(out, key=lambda r: r._made):
+            r.runtime_s, prev = r._made - prev, r._made
         return out
     return wrapper
 

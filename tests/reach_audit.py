@@ -40,6 +40,7 @@ COMMANDS = [
     "spinsurf solution --solution s1 --c i --t -0.5 --box=-3:3:-3:3 --out out/s1",
     "spinsurf solution --solution ozawa --a 1 --b -1 --box=-40:40:-40:40 "
     "--grid 513x513 --out out/oz",
+    "spinsurf solution --config out/s1/resolved_config.json --out out/s1-again",
     "spinsurf evolve --from s1 --c 1 --grid 256x256 --box=-30:30:-30:30 "
     "--t-end 0.1 --dt 1e-4 --out out/run",
     "spinsurf willmore-check --potential soliton --n 2",

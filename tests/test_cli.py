@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -438,6 +439,26 @@ def test_check_window_is_inclusive_and_fails_nan_and_a_zero_fine_residual():
     assert not r.passed and r.detail == "resid 1 -> 0"
 
 
+def test_timed_suite_times_each_check_on_its_own():
+    # each record's runtime_s is the time since the record made before it (or since
+    # the suite started), whatever order the suite returns them in
+    from spinsurf.verify import CheckResult, _timed
+
+    @_timed
+    def toy():
+        time.sleep(0.05)
+        first = CheckResult("first", 0, 0, 1)
+        time.sleep(0.2)
+        return [CheckResult("second", 0, 0, 1), first]
+
+    t0 = time.perf_counter()
+    second, first = toy()
+    wall = time.perf_counter() - t0
+    assert 0.05 <= first.runtime_s < 0.15
+    assert 0.2 <= second.runtime_s < 0.3
+    assert first.runtime_s + second.runtime_s <= wall
+
+
 _SOL = ["solution", "--solution", "s1", "--grid", "16x16"]
 _EVOLVE = ["evolve", "--from", "zero", "--grid", "16x16", "--t-end", "0.01", "--dt", "1e-3"]
 
@@ -538,6 +559,7 @@ def test_flags_a_command_does_not_read_are_rejected(argv, tmp_path, monkeypatch,
     (["solution", "--solution", "s1"], "tol"),
     (["verify", "--suite", "reduction"], "grid"),
     (["willmore-check", "--potential", "soliton"], "out"),
+    (["solution", "--solution", "s1", "--grid", "16x16"], "config"),
 ])
 def test_config_file_with_a_removed_key_is_rejected(argv, key, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -547,6 +569,26 @@ def test_config_file_with_a_removed_key_is_rejected(argv, key, tmp_path, capsys)
         main(argv + ["--config", str(cfg)] + (["--out", str(out)] if key != "out" else []))
     assert exc.value.code == 2
     assert f"unknown config key(s) in {cfg}: {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, why", [
+    (None, "cannot read --config"),
+    ("{not json", "cannot read --config"),
+    ("[1, 2]", "is not a JSON object of options"),
+    ('{"subcommand": "solution", "options": [1, 2]}', "is not a JSON object of options"),
+], ids=["missing", "not-json", "list", "options-list"])
+def test_bad_config_file_is_refused_by_name(text, why, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["solution", "--solution", "s1", "--grid", "16x16", "--config", str(cfg),
+              "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "spinsurf: error: " in err and why in err and str(cfg) in err
     assert not out.exists()
 
 

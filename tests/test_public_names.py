@@ -55,10 +55,6 @@ KEEP = {
     "dsii._d2": "the one z <-> physical map of item 2",
     "dsii.PhysicalForm": "physical_form's result, the one z <-> physical map of item 2",
     # run on paths that the README does not run
-    "cli._explicit_keys": "--config, which no README command passes",
-    "cli._config_value": "--config, which no README command passes",
-    "cli._json_number": "--config, which no README command passes",
-    "cli._json_numbers": "--config, which no README command passes",
     "dsii.OzawaData.U0_zside": "evolve --from ozawa",
     "evolve.BlowupAbort.__init__": "an evolver run that blows up",
     "dsii.to_halved_v_form": "the halved-V convention; perfbench's checks use it",
