@@ -29,22 +29,19 @@ from .surface import (discrete_mean_curvature, gauss_map, integrate_surface_r3,
                       willmore)
 
 
-class RunConfig:
-    subcommand: str
-    options: dict
+def _finite(value):
+    """value, unless it is NaN or infinite (an ArgumentTypeError)."""
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{value} is not a finite number")
+    return value
 
-    def __init__(self, subcommand, options):
-        self.subcommand, self.options = subcommand, options
 
-    def write(self, outdir: Path):
-        outdir.mkdir(parents=True, exist_ok=True)
-        with open(outdir / "resolved_config.json", "w") as fh:
-            json.dump({"subcommand": self.subcommand, "options": self.options}, fh,
-                      indent=1, sort_keys=True)
+def _parse_float(text: str) -> float:
+    return _finite(float(text))
 
 
 def _parse_box(text: str):
-    parts = [float(p) for p in text.split(":")]
+    parts = [_parse_float(p) for p in text.split(":")]
     if len(parts) != 4:
         raise argparse.ArgumentTypeError("box is XMIN:XMAX:YMIN:YMAX")
     return tuple(parts)
@@ -56,7 +53,7 @@ def _parse_gridspec(text: str):
 
 
 def _parse_complex(text: str) -> complex:
-    return complex(text.replace(" ", "").replace("i", "j"))
+    return _finite(complex(text.replace(" ", "").replace("i", "j")))
 
 
 def _grid_from_args(args) -> Grid2D:
@@ -172,10 +169,7 @@ def _spinor_source(name: str, grid: Grid2D) -> SpinorField:
 
 def cmd_gen_surface(args) -> int:
     grid = _grid_from_args(args)
-    outdir = args.out
-    RunConfig("gen-surface", _options(args)).write(outdir)
-    if args.tol is None:
-        args.tol = 1e-3
+    tol = 1e-3 if args.tol is None else args.tol
     if args.from_dsii:
         sol = catalog(args.from_dsii, c=args.c)
         if args.invert:             # the inverted closed-form S: nothing to integrate
@@ -183,25 +177,24 @@ def cmd_gen_surface(args) -> int:
         else:
             psi0, phi0 = heat_datum_fields(sol.f, grid, args.t)
             S = integrate_surface_r4(psi0, phi0, U=constant_field(grid, 0.0),
-                                     residual_tol=args.tol)
+                                     residual_tol=tol)
         wil = willmore(sol.U_field(grid, args.t))
     else:
         psi = _spinor_source(args.spinor, grid)
         S = integrate_surface_r3(psi, U=constant_field(grid, 0.0),
-                                 residual_tol=args.tol)
+                                 residual_tol=tol)
         wil = 0.0
         if args.invert:
             S = invert_surface(S)
-    gm = gauss_map(S)
     H = discrete_mean_curvature(S)
     Hf = H[np.isfinite(H)]
     meta = {
         "willmore": float(wil),
-        "conformality_residual": gm.rel_residual,
+        "conformality_residual": gauss_map(S),
         "curvature_abs_mean": float(np.mean(np.abs(Hf))) if Hf.size else None,
         "curvature_abs_max": float(np.max(np.abs(Hf))) if Hf.size else None,
     }
-    stats = export_mesh(S, outdir / f"surface.{args.format}", fmt=args.format,
+    stats = export_mesh(S, args.out / f"surface.{args.format}", fmt=args.format,
                         metadata=meta)
     print(f"wrote {stats.files[0]}: {stats.n_vertices} vertices, "
           f"{stats.n_triangles} triangles, {stats.n_holes} holes")
@@ -212,7 +205,6 @@ def cmd_gen_surface(args) -> int:
 def cmd_solution(args) -> int:
     grid = _grid_from_args(args)
     outdir = args.out
-    RunConfig("solution", _options(args)).write(outdir)
     if args.solution == "ozawa":
         oz = catalog("ozawa", a=args.a, b=args.b)
         U = oz.U0_field(grid)
@@ -239,7 +231,6 @@ def cmd_evolve(args) -> int:
     nx, ny = args.grid
     grid = make_grid(args.box, (nx, ny), True)    # spectral stepping: always periodic
     outdir = args.out
-    RunConfig("evolve", _options(args)).write(outdir)
     if args.source == "zero":
         U0 = constant_field(grid, 0.0)
         exact = None
@@ -285,28 +276,30 @@ def cmd_willmore_check(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import print_table, run_suite
     results = run_suite(args.suite)
-    outdir = args.out
-    RunConfig("verify", _options(args)).write(outdir)
     print_table(results)
-    with open(outdir / "verify.json", "w") as fh:
+    with open(args.out / "verify.json", "w") as fh:
         json.dump([r.as_dict() for r in results], fh, indent=1)
     return 0 if all(r.passed for r in results) else 1
 
 
-def _options(args) -> dict:
-    skip = {"func", "config"}
-    out = {}
-    for k, v in vars(args).items():
-        if k in skip:
+def _write_config(args):
+    """args.out/resolved_config.json: the subcommand and every option it read, in
+    the form that --config reads back."""
+    options = {}
+    for key, val in vars(args).items():
+        if key in ("func", "config"):
             continue
-        if isinstance(v, Path):
-            v = str(v)
-        elif isinstance(v, complex):
-            v = [v.real, v.imag]
-        elif isinstance(v, tuple):
-            v = list(v)
-        out[k] = v
-    return out
+        if isinstance(val, Path):
+            val = str(val)
+        elif isinstance(val, complex):
+            val = [val.real, val.imag]
+        elif isinstance(val, tuple):
+            val = list(val)
+        options[key] = val
+    args.out.mkdir(parents=True, exist_ok=True)
+    with open(args.out / "resolved_config.json", "w") as fh:
+        json.dump({"subcommand": args.subcommand, "options": options}, fh,
+                  indent=1, sort_keys=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,13 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen-surface", help="integrate spinor data and export a mesh")
     _add_shared(g, "grid", "box", "periodic", "out")
-    g.add_argument("--tol", type=float, default=None,
+    g.add_argument("--tol", type=_parse_float, default=None,
                    help="relative Dirac residual that warns (default 1e-3)")
     g.add_argument("--spinor", default="plane",
                    choices=("plane", "enneper", "catenoid"))
     g.add_argument("--from-dsii", choices=("s1", "s2"), default=None)
     g.add_argument("--c", type=_parse_complex, default=1 + 0j)
-    g.add_argument("--t", type=float, default=0.0)
+    g.add_argument("--t", type=_parse_float, default=0.0)
     g.add_argument("--invert", action="store_true")
     g.add_argument("--format", choices=("obj", "ply"), default="obj")
     g.set_defaults(func=cmd_gen_surface)
@@ -332,9 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--solution", choices=("s1", "s2", "ozawa"),
                    help="required, as a flag or a --config key")
     s.add_argument("--c", type=_parse_complex, default=1 + 0j)
-    s.add_argument("--t", type=float, default=0.0)
-    s.add_argument("--a", type=float, default=1.0)
-    s.add_argument("--b", type=float, default=-1.0)
+    s.add_argument("--t", type=_parse_float, default=0.0)
+    s.add_argument("--a", type=_parse_float, default=1.0)
+    s.add_argument("--b", type=_parse_float, default=-1.0)
     s.set_defaults(func=cmd_solution)
 
     e = sub.add_parser("evolve", help="split-step DSII evolution on a doubly periodic grid")
@@ -342,10 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--from", dest="source", default="s1",
                    choices=("s1", "s2", "zero", "ozawa"))
     e.add_argument("--c", type=_parse_complex, default=1 + 0j)
-    e.add_argument("--a", type=float, default=1.0)
-    e.add_argument("--b", type=float, default=-1.0)
-    e.add_argument("--t-end", type=float, default=0.1)
-    e.add_argument("--dt", type=float, default=1e-4)
+    e.add_argument("--a", type=_parse_float, default=1.0)
+    e.add_argument("--b", type=_parse_float, default=-1.0)
+    e.add_argument("--t-end", type=_parse_float, default=0.1)
+    e.add_argument("--dt", type=_parse_float, default=1e-4)
     e.add_argument("--snapshot-every", type=int, default=0)
     e.set_defaults(func=cmd_evolve)
 
@@ -389,6 +382,8 @@ def main(argv=None) -> int:
             catalog("ozawa", a=args.a, b=args.b)
     except ValueError as exc:           # GridConfigError, InvalidDatumError too
         ap.error(str(exc))
+    if "out" in vars(args):
+        _write_config(args)
     return args.func(args)
 
 

@@ -11,8 +11,8 @@ of the heat-polynomial potentials, see tests):
                       -(i/2)(Phi^T s3 Psi - Phi^T Psi) dzbar
                     = -i Phi^T P1 Psi dz + i Phi^T P2 Psi dzbar
     omega1(Phi,Psi) = (Phi_z^T P1 + Phi_zbar^T P2) Psi - Phi^T (P1 Psi_z + P2 Psi_zbar)
-    S(Phi,Psi)      = Gamma * int omega  (+ Gamma * int omega1 dt when
-                      time-augmented), + integration constant
+    S(Phi,Psi)      = Gamma * int omega + integration constant (time-augmented:
+                      + Gamma * int omega1 dt, added to the constant at fixed t)
     K(Phi,Psi)      = Psi S^-1 Gamma Phi^T Gamma^-1 = Psi S^-1 Phi^*
                     = [[i conj(W), a], [-conj(a), -i W]]
     U~ = U + W,  V~ = V + 2 i a_z.
@@ -40,11 +40,11 @@ the column (-conj(a), b) of S0's (a, b), with constant -C0^H and inverse
 arrays, omega's and omega1's columns swap to their conjugates, so the integrated
 S(Psi0, Phi0) is -S0^* up to a constant (the tests integrate it to show so).
 
-Memory: a MoutardTransform holds S0^-1, K's (W, a), C0 and the base node, and
-the background spinors it was given; S0 itself is inverted in place, and
--(S0^-1)^* is formed one row block at a time where a transform reads it.
-build_S integrates into the buffer of omega's x part, and each transformed
-spinor is written over its S(A0, X).
+Memory: a MoutardTransform holds S0^-1, K's (W, a), C0 and the base node (the
+centre node, where every S anchors), and the background spinors it was given.
+build_S returns S as one SpinorField over the buffer of omega's x part; S0 is
+inverted in place, -(S0^-1)^* is formed one row block at a time where a
+transform reads it, and each transformed spinor is written over its S(A0, X).
 """
 from __future__ import annotations
 
@@ -119,25 +119,14 @@ def omega1(Phi: SpinorField, Psi: SpinorField) -> SpinorField:
     return SpinorField.from_values(grid, np.stack([m1, -m0]), mask)
 
 
-class SMatrix:
-    """Integrated surface matrix S = Gamma * int(omega [+ omega1 dt]) + constant."""
-
-    S: SpinorField
-    constant: np.ndarray
-    base_node: tuple
-
-    def __init__(self, S, constant, base_node):
-        self.S, self.constant, self.base_node = S, constant, base_node
-
-
-def build_S(Phi: SpinorField, Psi: SpinorField, base_node=None, constant=None,
-            time_offset: np.ndarray | None = None) -> SMatrix:
-    """Spatial integration of Gamma * omega(Phi, Psi) along L-paths.
+def build_S(Phi: SpinorField, Psi: SpinorField, base_node=None,
+            constant=None) -> SpinorField:
+    """S = Gamma * int omega(Phi, Psi) + constant, integrated along L-paths.
 
     `constant` is the value added after anchoring the integral to zero at the
-    base node; `time_offset` adds the accumulated Gamma * int omega1 dt
-    contribution when assembling a time-augmented S at fixed t.  Their sum must
-    be a quaternion (NormalizationError otherwise).
+    base node (the centre node by default).  A time-augmented S at fixed t takes
+    the accumulated Gamma * int omega1 dt (time_offset_integral) added to it.
+    It must be a quaternion (NormalizationError otherwise).
 
     Only column 0 of Gamma omega's x and y parts X, Y (what omega returns) is
     checked and integrated: ClosednessError unless the closedness defect of
@@ -148,8 +137,6 @@ def build_S(Phi: SpinorField, Psi: SpinorField, base_node=None, constant=None,
     if base_node is None:
         base_node = (grid.nx // 2, grid.ny // 2)
     C = np.zeros((2, 2), dtype=complex) if constant is None else np.asarray(constant, complex)
-    if time_offset is not None:
-        C = C + np.asarray(time_offset, dtype=complex)
     _check_quaternion(C, "S constant")
     X, Y = omega(Phi, Psi)
     defect = closedness_defect(grid, X.values, Y.values, X.mask)
@@ -160,7 +147,7 @@ def build_S(Phi: SpinorField, Psi: SpinorField, base_node=None, constant=None,
     # into X's buffer: its base row and the reductions above have read it
     vals = antiderivative(grid, X.values, Y.values, base_node, "x_first", out=X.values)
     vals += C[:, 0, None, None]
-    return SMatrix(SpinorField.from_values(grid, vals, X.mask), C, tuple(base_node))
+    return SpinorField.from_values(grid, vals, X.mask)
 
 
 def _product(c: complex, x: np.ndarray, y: np.ndarray, out: np.ndarray):
@@ -189,9 +176,9 @@ class KData:
         self.W, self.a = W, a
 
 
-def k_matrix(Psi: SpinorField, S: SMatrix | SpinorField, Phi: SpinorField) -> KData:
+def k_matrix(Psi: SpinorField, S: SpinorField, Phi: SpinorField) -> KData:
     """Extract (W, a) from K = Psi S^-1 Phi^* = [[i conj(W), a], [-conj(a), -i W]]."""
-    return _kdata(Psi, _inv(S.S if isinstance(S, SMatrix) else S), Phi)
+    return _kdata(Psi, _inv(S), Phi)
 
 
 def _inv(S: SpinorField, out: np.ndarray | None = None) -> SpinorField:
@@ -241,12 +228,16 @@ class MoutardTransform:
         self.kdata, self.S0_inv = kdata, S0_inv
 
     @classmethod
-    def from_background(cls, psi0: SpinorField, phi0: SpinorField, constant0,
-                        base_node=None, time_offset=None) -> "MoutardTransform":
-        S0 = build_S(phi0, psi0, base_node=base_node, constant=constant0,
-                     time_offset=time_offset)
-        S0_inv = _inv(S0.S, out=S0.S.values)           # S0 is ours: inverted in place
-        return cls(psi0, phi0, S0.constant, S0.base_node, _kdata(psi0, S0_inv, phi0), S0_inv)
+    def from_background(cls, psi0: SpinorField, phi0: SpinorField,
+                        constant0) -> "MoutardTransform":
+        """The context of S0 = S(Phi0, Psi0) with the constant C0 = constant0, anchored
+        at the centre node.  A time-augmented S0 at fixed t takes constant0 with the
+        accumulated Gamma * int omega1 dt (time_offset_integral) added to it."""
+        S0 = build_S(phi0, psi0, constant=constant0)
+        S0_inv = _inv(S0, out=S0.values)               # S0 is ours: inverted in place
+        grid = psi0.grid
+        return cls(psi0, phi0, np.asarray(constant0, dtype=complex),
+                   (grid.nx // 2, grid.ny // 2), _kdata(psi0, S0_inv, phi0), S0_inv)
 
     def transform(self, psi: SpinorField, phi: SpinorField, constP=None,
                   constBP=None) -> tuple[SpinorField, SpinorField]:
@@ -270,7 +261,7 @@ class MoutardTransform:
         bx, by = self.base_node
         if const is None:
             const = C @ np.linalg.solve(B0.at(bx, by), X.at(bx, by))
-        SX = build_S(A0, X, base_node=(bx, by), constant=const).S
+        SX = build_S(A0, X, base_node=(bx, by), constant=const)
         S_inv, out = self.S0_inv.values, SX.values
         mask = merged_mask(X, B0, self.S0_inv, SX)
         for r in row_blocks(X.grid.nx, X.grid.ny):
@@ -279,18 +270,10 @@ class MoutardTransform:
                         out=out[:, r])
         return SpinorField.from_values(X.grid, out, mask)
 
-    def transformed_potentials(self, U: ComplexField):
-        """(U~, V~) of moutard_dsii for the background potential U, V~ = 2 i a_z."""
-        return moutard_dsii(U, None, self.kdata)
-
-
-def moutard_dsii(U: ComplexField, V: ComplexField | None, kdata: KData):
-    """Potential update: U~ = U + W, V~ = V + 2 i a_z (2 i a_z when V is None)."""
-    W, a = kdata.W, kdata.a
-    Ut = U + W
-    az = wirtinger_derivative(a, "z")
-    Vt = 2j * az if V is None else V + 2j * az
-    return Ut, Vt
+    def transformed_potentials(self, U: ComplexField) -> tuple[ComplexField, ComplexField]:
+        """(U + W, 2 i a_z) for the background potential U: the DSII potential
+        update U~ = U + W, V~ = V + 2 i a_z, with V~ less the background's V."""
+        return U + self.kdata.W, 2j * wirtinger_derivative(self.kdata.a, "z")
 
 
 # ---------------------------------------------------------------------------

@@ -60,15 +60,6 @@ class SurfaceMap:
         return float(np.sqrt(np.sum(np.square(spans))))
 
 
-class MetricData:
-    """Conformal factor e^{2 alpha}."""
-
-    e2alpha: np.ndarray
-
-    def __init__(self, e2alpha):
-        self.e2alpha = e2alpha
-
-
 def weier_derivatives(psi: SpinorField, phi: SpinorField | None = None):
     """The four x^k_z fields as (4, ny, nx) complex array."""
     if phi is None:
@@ -126,11 +117,11 @@ def integrate_surface_r3(psi: SpinorField, U: ComplexField | None = None,
     return SurfaceMap(s4.grid, s4.coords[:3], s4.basepoint[:3], s4.mask, diag)
 
 
-def spinor_metric(psi: SpinorField, phi: SpinorField | None = None) -> MetricData:
+def spinor_metric(psi: SpinorField, phi: SpinorField | None = None) -> np.ndarray:
     """e^{2 alpha} from the spinors: (|psi1|^2+|psi2|^2) (|phi1|^2+|phi2|^2)."""
     a = np.abs(psi.psi1.values) ** 2 + np.abs(psi.psi2.values) ** 2
     b = a if phi is None else np.abs(phi.psi1.values) ** 2 + np.abs(phi.psi2.values) ** 2
-    return MetricData(a * b)
+    return a * b
 
 
 def surface_dz(S: SurfaceMap) -> np.ndarray:
@@ -144,24 +135,19 @@ def measured_e2alpha(S: SurfaceMap) -> np.ndarray:
     return 2.0 * np.sum(np.abs(xz) ** 2, axis=0)
 
 
-class GaussMapResult:
-    rel_residual: float     # max |sum_k (x^k_z)^2| / sum_k |x^k_z|^2
-
-    def __init__(self, rel_residual):
-        self.rel_residual = rel_residual
-
-
-def gauss_map(S: SurfaceMap) -> GaussMapResult:
-    """The quadric residual of the projective Gauss map (x^1_z : ... : x^n_z):
-    zero for a conformal map; nodes where x_z vanishes are left out."""
+def gauss_map(S: SurfaceMap) -> float:
+    """The quadric residual of the projective Gauss map (x^1_z : ... : x^n_z),
+    max |sum_k (x^k_z)^2| / sum_k |x^k_z|^2: zero for a conformal map.  Nodes
+    where x_z vanishes are left out.  The edge nodes are not, so the one-sided
+    differences that surface_dz takes there can set the maximum (on the README's
+    surfaces they do)."""
     xz = surface_dz(S)
     norm2 = np.sum(np.abs(xz) ** 2, axis=0)
     scale = float(norm2.max())
     degenerate = norm2 <= 1e-12 * max(scale, 1.0)
     quad = np.sum(xz * xz, axis=0)
     ok = ~degenerate
-    rel = float(np.max(np.abs(quad)[ok] / norm2[ok])) if ok.any() else 0.0
-    return GaussMapResult(rel)
+    return float(np.max(np.abs(quad)[ok] / norm2[ok])) if ok.any() else 0.0
 
 
 def willmore(U: ComplexField) -> float:

@@ -152,6 +152,33 @@ def test_bad_grid_box_or_datum_is_refused_before_any_file(argv, why, tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["solution", "--solution", "s1", "--t", "nan"], None),
+    (["solution", "--solution", "s1", "--c", "nan"], None),
+    (["solution", "--solution", "ozawa", "--a", "nan"], None),
+    (["solution", "--solution", "ozawa", "--b", "inf"], None),
+    (["solution", "--solution", "s1", "--box=-inf:inf:-1:1"], None),
+    (["gen-surface", "--from-dsii", "s1", "--t", "nan"], None),
+    (["gen-surface", "--tol", "nan"], None),
+    (["evolve", "--from", "s1", "--c", "nan"], None),
+    (["evolve", "--from", "ozawa", "--a", "inf"], None),
+    (["solution", "--solution", "s1"], '{"t": NaN}'),
+], ids=["solution-t", "solution-c", "solution-ozawa-a", "solution-ozawa-b", "solution-box",
+        "gen-surface-t", "gen-surface-tol", "evolve-c", "evolve-ozawa-a", "config-nan"])
+def test_non_finite_numbers_are_refused_before_any_file(argv, config, tmp_path, capsys):
+    # argparse's error and exit code 2 where the number is read, not a NaN mesh, a
+    # "blow-up" or a MaskError traceback after the CSVs
+    out = tmp_path / "o"
+    if config is not None:
+        (tmp_path / "c.json").write_text(config)
+        argv = argv + ["--config", str(tmp_path / "c.json")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--grid", "16x16", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "is not a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("dt", ["0.03", "0.3", "0"])
 def test_evolve_refuses_a_span_of_no_whole_number_of_steps(tmp_path, dt):
     # 0.1 / 0.03 and 0.1 / 0.3 steps, and no step at all: argparse's error, exit
@@ -206,6 +233,13 @@ def test_willmore_check_cli(capsys):
     data = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert data["pass"] is True
     assert data["value"] == pytest.approx(16 * np.pi, abs=1e-6)
+
+
+def test_willmore_check_writes_no_file(tmp_path, monkeypatch, capsys):
+    # willmore-check has no --out: it prints, and main writes it no resolved config
+    monkeypatch.chdir(tmp_path)
+    assert main(["willmore-check", "--potential", "soliton", "--n", "1"]) == 0
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_suite_exit_code(tmp_path):

@@ -7,11 +7,10 @@ from spinsurf import (BiPoly, C, ComplexField, RationalFn, SpinorField, T, Z, ZB
                       make_grid)
 from spinsurf.dirac import _norm2, qconj
 from spinsurf.exactpoly import InvalidDatumError
-from spinsurf.moutard import (ClosednessError, MoutardTransform, NormalizationError, SMatrix,
-                              _partner, build_S, heat_antiderivative, heat_datum_fields,
+from spinsurf.moutard import (ClosednessError, MoutardTransform, NormalizationError, _partner,
+                              build_S, heat_antiderivative, heat_datum_fields,
                               heat_datum_spinors, heat_smatrix_values, k_matrix,
-                              moutard_dsii, moutard_exact, omega, omega1,
-                              time_offset_integral)
+                              moutard_exact, omega, omega1, time_offset_integral)
 from test_dirac import quat_mat
 
 
@@ -233,7 +232,7 @@ def test_omega1_matches_general_matrix_oracle(seed):
 def test_build_S_plane_closed_form():
     g, psi0, ctx = _plane_ctx()
     zm = g.zmesh()
-    S = quat_mat(_S0(ctx).S).values
+    S = quat_mat(_S0(ctx)).values
     assert np.max(np.abs(S[0, 0])) < 1e-12
     assert np.max(np.abs(S[0, 1] - 1j * np.conj(zm))) < 1e-12
     assert np.max(np.abs(S[1, 0] - 1j * zm)) < 1e-12
@@ -243,7 +242,7 @@ def test_build_S_plane_closed_form():
 def test_plane_S_reads_as_plane_surface():
     from spinsurf import smatrix_to_surface
     g, psi0, ctx = _plane_ctx()
-    S = smatrix_to_surface(_S0(ctx).S)
+    S = smatrix_to_surface(_S0(ctx))
     zm = g.zmesh()
     assert np.max(np.abs(S.coords[0] + zm.imag)) < 1e-12    # x1 = -y
     assert np.max(np.abs(S.coords[1] + zm.real)) < 1e-12    # x2 = -x
@@ -256,7 +255,7 @@ def test_plane_S_determinant():
     # so its determinant is the squared norm of the surface point)
     g, psi0, ctx = _plane_ctx()
     zm = g.zmesh()
-    assert np.max(np.abs(_norm2(_S0(ctx).S.values) - np.abs(zm) ** 2)) < 1e-12
+    assert np.max(np.abs(_norm2(_S0(ctx).values) - np.abs(zm) ** 2)) < 1e-12
 
 
 def test_build_S_rejects_non_solution():
@@ -292,8 +291,8 @@ def test_build_S_carries_the_merged_input_mask():
     S = build_S(Phi, Psi)
     want = np.zeros((g.ny, g.nx), dtype=bool)
     want[7, 5] = want[3, 20] = True
-    assert np.array_equal(S.S.mask, want)
-    assert np.all(np.isfinite(S.S.values))
+    assert np.array_equal(S.mask, want)
+    assert np.all(np.isfinite(S.values))
 
 
 def test_normalize_pair_symmetric_case():
@@ -301,7 +300,7 @@ def test_normalize_pair_symmetric_case():
     # symmetric background: the normalized partner equals Gamma S^T Gamma
     from spinsurf.dirac import GAMMA, Mat2Field
     gm = Mat2Field.constant(g, GAMMA)
-    S0 = _S0(ctx).S
+    S0 = _S0(ctx)
     target = gm @ quat_mat(S0).transpose() @ gm
     SB0 = SpinorField.from_values(g, -qconj(S0.values), S0.mask)     # -S0^*
     assert (target - quat_mat(SB0)).max_abs() < 1e-10
@@ -328,8 +327,8 @@ def test_normalize_pair_random_solutions(seed):
     phi0 = SpinorField(field_from_function(g, lambda z: b * z + a),
                        field_from_function(g, lambda z: d * np.exp(0.2 * np.conj(z))))
     C0 = np.array([[1.0, 0.2], [-0.2, 1.0]])
-    SA = build_S(phi0, psi0, constant=C0).S
-    mean, spread = _integrated_partner_offset(SA.values, build_S(psi0, phi0).S.values)
+    SA = build_S(phi0, psi0, constant=C0)
+    mean, spread = _integrated_partner_offset(SA.values, build_S(psi0, phi0).values)
     scale = SA.max_abs()
     assert spread <= 1e-12 * scale
     assert np.max(np.abs(mean - C0.conj().T[:, 0])) <= 1e-12 * scale
@@ -363,10 +362,9 @@ def test_k_matrix_of_closed_form_S_reproduces_exact_potentials():
     Sm = heat_smatrix_values(sol.f, g, 0.15)
     U = sol.U_field(g, 0.15).values
     a = sol.a.eval(z=g.zmesh(), t=0.15, c=1.0)
-    for S in (Sm, SMatrix(Sm, np.zeros((2, 2)), (0, 0))):
-        kd = k_matrix(psi0, S, phi0)
-        assert _rel(kd.W.values, U) < 1e-13
-        assert _rel(kd.a.values, a) < 1e-13
+    kd = k_matrix(psi0, Sm, phi0)
+    assert _rel(kd.W.values, U) < 1e-13
+    assert _rel(kd.a.values, a) < 1e-13
 
 
 def test_build_S_rejects_a_non_quaternion_constant():
@@ -374,9 +372,9 @@ def test_build_S_rejects_a_non_quaternion_constant():
     with pytest.raises(NormalizationError):
         build_S(ctx.Phi0, ctx.Psi0, constant=np.diag([1.0, 2.0]))
     C0 = ctx.C0
-    build_S(ctx.Phi0, ctx.Psi0, constant=C0, time_offset=np.diag([1j, -1j]))
+    build_S(ctx.Phi0, ctx.Psi0, constant=C0 + np.diag([1j, -1j]))
     with pytest.raises(NormalizationError):
-        build_S(ctx.Phi0, ctx.Psi0, constant=C0, time_offset=np.diag([1j, 1j]))
+        build_S(ctx.Phi0, ctx.Psi0, constant=C0 + np.diag([1j, 1j]))
 
 
 @pytest.mark.parametrize("name", ["s1", "plane"])
@@ -397,7 +395,7 @@ def test_x_and_y_parts_of_gamma_omega_are_quaternions(name):
 def test_moutard_dsii_plane():
     g, psi0, ctx = _plane_ctx()
     zero = constant_field(g, 0.0)
-    Ut, Vt = moutard_dsii(zero, zero, ctx.kdata)
+    Ut, Vt = ctx.transformed_potentials(zero)
     zm = g.zmesh()
     assert Ut.max_abs() < 1e-12
     interior = np.s_[2:-2, 2:-2]
@@ -453,9 +451,9 @@ def test_context_inverts_S0_and_SB0_once(monkeypatch):
     assert (len(calls), len(builds)) == (1, 5)
     monkeypatch.undo()
     S0 = _S0(ctx)
-    eps = 1e-12 * max(S0.S.max_abs(), 1.0) ** 2
-    assert np.array_equal(ctx.S0_inv.values, S0.S.inv(min_det=eps).values)
-    SB0 = SpinorField.from_values(g, -qconj(S0.S.values), S0.S.mask)     # -S0^*
+    eps = 1e-12 * max(S0.max_abs(), 1.0) ** 2
+    assert np.array_equal(ctx.S0_inv.values, S0.inv(min_det=eps).values)
+    SB0 = SpinorField.from_values(g, -qconj(S0.values), S0.mask)     # -S0^*
     bx, by = ctx.base_node
     constBP = -ctx.C0.conj().T @ np.linalg.solve(ctx.Phi0.at(bx, by), psi.at(bx, by))
     assert np.array_equal(ctx.transform(psi, psi)[1].values,
@@ -762,7 +760,7 @@ def test_quaternion_pipeline_matches_general_matrix_oracle(name):
     ref = _oracle_moutard(psi0, phi0, C0, psi, phi)
     ctx = MoutardTransform.from_background(psi0, phi0, C0)
     psit, phit = ctx.transform(psi, phi)
-    assert np.array_equal(quat_mat(_S0(ctx).S).values, ref["S"])    # bitwise, up to the sign of 0
+    assert np.array_equal(quat_mat(_S0(ctx)).values, ref["S"])    # bitwise, up to the sign of 0
     assert np.array_equal(ctx.C0, ref["C"])
     assert ctx.base_node == ref["base_node"]
     k_scale = max(np.max(np.abs(ref["W"])), np.max(np.abs(ref["a"])))
