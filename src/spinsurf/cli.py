@@ -378,6 +378,8 @@ def main(argv=None) -> int:
             step_count(0.0, args.t_end, args.dt)
             if args.snapshot_every < 0:
                 ap.error(f"--snapshot-every must be >= 0, got {args.snapshot_every}")
+        if args.subcommand == "willmore-check" and args.n < 1:
+            ap.error(f"--n must be >= 1, got {args.n}")
         if "ozawa" in (getattr(args, "solution", None), getattr(args, "source", None)):
             catalog("ozawa", a=args.a, b=args.b)
     except ValueError as exc:           # GridConfigError, InvalidDatumError too

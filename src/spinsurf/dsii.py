@@ -50,10 +50,9 @@ class ExactSolution:
     a: RationalFn
     V: RationalFn
     c: complex | None                 # None: symbolic
-    name: str
 
-    def __init__(self, f, U, a, V, c=None, name="custom"):
-        self.f, self.U, self.a, self.V, self.c, self.name = f, U, a, V, c, name
+    def __init__(self, f, U, a, V, c=None):
+        self.f, self.U, self.a, self.V, self.c = f, U, a, V, c
 
     def U_field(self, grid: Grid2D, t: float) -> ComplexField:
         return self._sample(grid, t, v_field=False)
@@ -122,7 +121,7 @@ class ExactSolution:
         return ComplexField(grid, out, mask)
 
 
-def exact_solution(f: BiPoly, name: str = "custom", c=None) -> ExactSolution:
+def exact_solution(f: BiPoly, c=None) -> ExactSolution:
     """DSII solution built from a heat polynomial f (f_t = i f_zz exactly)."""
     hr = heat_residual(f)
     if not hr.is_zero(1e-12, max(f.max_abs(), 1.0)):
@@ -133,7 +132,7 @@ def exact_solution(f: BiPoly, name: str = "custom", c=None) -> ExactSolution:
     U = RationalFn(1j * (Z * fp - f), rho)
     a = RationalFn(-1j * (ZBAR + fp * fb), rho)
     V = 2j * a.wirtinger("z")
-    return ExactSolution(f, U, a, V, c=c, name=name)
+    return ExactSolution(f, U, a, V, c=c)
 
 
 def to_halved_v_form(sol: ExactSolution) -> RationalFn:
@@ -178,7 +177,7 @@ def catalog(name: str, c=1.0, a: float = 1.0, b: float = -1.0):
         c = None if isinstance(c, str) and c == "symbolic" else complex(c)
         z_part = Z * Z if name == "s1" else Z ** 4
         f = heat_extend(z_part + (C if c is None else c * BiPoly.const(1.0)))
-        return exact_solution(f, name=name, c=c)
+        return exact_solution(f, c=c)
     if name == "ozawa":
         return OzawaData(a, b)
     raise KeyError(f"unknown catalog entry {name!r}")
@@ -429,15 +428,16 @@ def l2_norm_sq(U: ComplexField, require_decay: bool = True) -> NormResult:
 
 
 class SingularEvent:
+    """A singular instant of an ExactSolution; its location is always z = 0."""
+
     t_sing: float
-    location: complex
     coefficient: complex      # exact A in U ~ A e^{2 i phi} along z = r e^{i phi}, r -> 0
 
-    def __init__(self, t_sing, location, coefficient):
-        self.t_sing, self.location, self.coefficient = t_sing, location, coefficient
+    def __init__(self, t_sing, coefficient):
+        self.t_sing, self.coefficient = t_sing, coefficient
 
     def as_dict(self):
-        return {"t_sing": self.t_sing, "z": [self.location.real, self.location.imag],
+        return {"t_sing": self.t_sing, "z": [0.0, 0.0],
                 "coeff": [self.coefficient.real, self.coefficient.imag]}
 
 
@@ -503,5 +503,5 @@ def singular_times(sol: ExactSolution) -> list[SingularEvent]:
     for r in _real_roots_of_complex_poly(_t_poly_at_origin(sol)):
         row = sol.f._specialise(r, sol.c)[0]
         a1, a2 = row.get(1, 0.0), row.get(2, 0.0)
-        events.append(SingularEvent(float(r), 0j, 1j * a2 / (1 + abs(a1)**2)))
+        events.append(SingularEvent(float(r), 1j * a2 / (1 + abs(a1)**2)))
     return events

@@ -137,14 +137,17 @@ class Trajectory:
 
 def step_count(t0: float, t_end: float, dt: float) -> int:
     """The whole number n >= 1 of steps of dt > 0 from t0 to t_end: ValueError
-    unless dt > 0 and (t_end - t0) / dt is within 1e-9 n of n."""
+    unless dt > 0, (t_end - t0) / dt is within 1e-9 n of n, and 1e-9 n < 0.5 (from
+    there on that test would pass any step count)."""
     if not dt > 0:                                    # NaN too
         raise ValueError(f"t0={t0:.12g} to t_end={t_end:.12g} needs dt > 0, got dt={dt:.12g}")
     steps = (t_end - t0) / dt
     n = round(steps) if math.isfinite(steps) else 0
+    span = f"t0={t0:.12g} to t_end={t_end:.12g} is {steps:.12g} steps of dt={dt:.12g}"
     if n < 1 or abs(steps - n) > 1e-9 * n:
-        raise ValueError(f"t0={t0:.12g} to t_end={t_end:.12g} is {steps:.12g} steps "
-                         f"of dt={dt:.12g}, not a whole number >= 1")
+        raise ValueError(f"{span}, not a whole number >= 1")
+    if 1e-9 * n >= 0.5:
+        raise ValueError(f"{span}: n={n:.12g} is too many to tell whole (1e-9 n >= 0.5)")
     return n
 
 

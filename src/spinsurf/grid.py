@@ -130,6 +130,11 @@ class Grid2D:
     def periodic(self) -> bool:
         return self.periodic_x and self.periodic_y
 
+    @property
+    def centre(self) -> tuple[int, int]:
+        """The node (ix, iy) that antiderivative, and so every surface and S, anchors at."""
+        return self.nx // 2, self.ny // 2
+
     def xs(self) -> np.ndarray:
         return self.x_min + self.hx * np.arange(self.nx)
 
@@ -435,17 +440,17 @@ def integrate2d(f: ComplexField) -> complex:
 # path integration
 
 
-def antiderivative(grid: Grid2D, gx: np.ndarray, gy: np.ndarray, basepoint,
-                   order: str, out: np.ndarray | None = None) -> np.ndarray:
-    """F(P) = int_{P0}^{P} (gx dx + gy dy) along L-paths from the basepoint node
-    (ix, iy), for real or complex gx, gy of shape (..., ny, nx), vectorised over
-    all nodes and leading axes, into out or a fresh array.
+def antiderivative(grid: Grid2D, gx: np.ndarray, gy: np.ndarray, order: str,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """F(P) = int_{P0}^{P} (gx dx + gy dy) along L-paths from P0 = grid.centre,
+    for real or complex gx, gy of shape (..., ny, nx), vectorised over all nodes
+    and leading axes, into out or a fresh array.
 
-    x_first runs along the basepoint row and then up/down each column; y_first
-    the other way round.  For p dz + q dzbar, gx = p + q and gy = i (p - q).
-    out may be gx under x_first (gy under y_first): the basepoint row (column)
-    is integrated before out is written."""
-    ix0, iy0 = basepoint
+    x_first runs along the centre row and then up/down each column; y_first the
+    other way round.  For p dz + q dzbar, gx = p + q and gy = i (p - q).  out may
+    be gx under x_first (gy under y_first): the centre row (column) is integrated
+    before out is written."""
+    ix0, iy0 = grid.centre
     if order == "x_first":
         edge = _cumtrapz_from(gx[..., iy0, :], grid.hx, ix0)[..., None, :]
         out = _cumtrapz_from(gy, grid.hy, iy0, axis=-2, out=out)

@@ -14,18 +14,18 @@ from .grid import ComplexField, make_grid, wirtinger_derivative
 
 
 class Potential1D:
-    """Real potential samples U(x) on a uniform 1-D grid."""
+    """Real potential samples U(x) on a uniform 1-D grid; periodic ones omit the period's end."""
 
     x: np.ndarray
     u: np.ndarray
-    tag: str
+    periodic: bool
 
-    def __init__(self, x, u, tag="custom"):
+    def __init__(self, x, u, periodic=False):
         self.x = np.asarray(x, dtype=float)
         self.u = np.asarray(u, dtype=float)
         if self.x.shape != self.u.shape:
             raise ValueError("x and u must have the same shape")
-        self.tag = tag
+        self.periodic = periodic
 
     @property
     def h(self) -> float:
@@ -35,14 +35,14 @@ class Potential1D:
 def soliton_potential(N: int, half_width: float = 25.0, n: int = 2001) -> Potential1D:
     """U_N(x) = N / (2 cosh x); Willmore equality case of the sphere bound."""
     x = np.linspace(-half_width, half_width, n)
-    return Potential1D(x, N / (2 * np.cosh(x)), tag=f"soliton({N})")
+    return Potential1D(x, N / (2 * np.cosh(x)))
 
 
 def clifford_potential(n: int = 2048) -> Potential1D:
     """U(x) = sin x / (2 sqrt2 (sin x - sqrt2)) on [0, 2 pi) (periodic sampling)."""
     x = np.arange(n) * (2 * np.pi / n)
     s = np.sqrt(2.0)
-    return Potential1D(x, np.sin(x) / (2 * s * (np.sin(x) - s)), tag="clifford")
+    return Potential1D(x, np.sin(x) / (2 * s * (np.sin(x) - s)), periodic=True)
 
 
 def mkdv_soliton(x, t: float = 0.0) -> np.ndarray:
@@ -81,32 +81,18 @@ def v_from_constraint_mnv(U: ComplexField) -> ComplexField:
     return ComplexField(g, np.fft.ifft2(ratio * np.fft.fft2(U.values * U.values)))
 
 
-class FlowResidual:
-    max_norm: float
-    constraint_max: float
-
-    def __init__(self, max_norm, constraint_max):
-        self.max_norm, self.constraint_max = max_norm, constraint_max
-
-
-def mnv_residual(U_stencil, dt: float, V: ComplexField | None = None,
-                 interior: int = 0) -> FlowResidual:
-    """Residual of the modified Novikov-Veselov flow U_t = mnv_rhs(U, V),
-    V_zb = (U^2)_z on a centred 3-slice stencil (t-dt, t, t+dt), off an interior
-    margin; V defaults to v_from_constraint_mnv of the middle slice."""
+def mnv_residual(U_stencil, dt: float, V: ComplexField, interior: int = 0) -> float:
+    """max |U_t - mnv_rhs(U, V)| of the modified Novikov-Veselov flow on a centred
+    3-slice stencil (t-dt, t, t+dt), V being the middle slice's, off an interior
+    margin."""
     if len(U_stencil) != 3:
         raise ValueError("need slices (t-dt, t, t+dt)")
     Um, U0, Up = U_stencil
-    if V is None:
-        V = v_from_constraint_mnv(U0)
-    cres = np.abs(wirtinger_derivative(V, "zbar").values
-                  - wirtinger_derivative(U0 * U0, "z").values)
     Ut = (Up.values - Um.values) / (2 * dt)
     r = np.abs(Ut - mnv_rhs(U0, V).values)
     if interior:
         r = r[interior:-interior, interior:-interior]
-        cres = cres[interior:-interior, interior:-interior]
-    return FlowResidual(float(np.max(r)), float(np.max(cres)))
+    return float(np.max(r))
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +140,11 @@ class WillmoreCheck:
                 "N": self.n_claim}
 
 
-def willmore_value_1d(U: Potential1D, periodic_x: bool = False) -> float:
-    """4 * int U^2 dx dy over the strip x-range x [0, 2 pi]."""
+def willmore_value_1d(U: Potential1D) -> float:
+    """4 * int U^2 dx dy over the strip x-range x [0, 2 pi]: the rectangle rule on
+    periodic samples, the trapezoid otherwise."""
     u2 = U.u.astype(float) ** 2
-    if periodic_x:
+    if U.periodic:
         ix = float(np.sum(u2) * U.h)
     else:
         ix = float(np.trapezoid(u2, dx=U.h))
@@ -169,8 +156,7 @@ def willmore_value_1d(U: Potential1D, periodic_x: bool = False) -> float:
 def willmore_bound_check(U: Potential1D, N: int | None = None) -> WillmoreCheck:
     """Check 4 int U^2 >= 4 pi N^2 (sphere bound; equality at soliton potentials),
     up to 1e-9 x max(bound, 1)."""
-    periodic = U.tag == "clifford"
-    value = willmore_value_1d(U, periodic_x=periodic)
+    value = willmore_value_1d(U)
     if N is None:
         return WillmoreCheck(value, 0.0, True, None)
     bound = 4 * np.pi * N * N

@@ -40,8 +40,8 @@ the column (-conj(a), b) of S0's (a, b), with constant -C0^H and inverse
 arrays, omega's and omega1's columns swap to their conjugates, so the integrated
 S(Psi0, Phi0) is -S0^* up to a constant (the tests integrate it to show so).
 
-Memory: a MoutardTransform holds S0^-1, K's (W, a), C0 and the base node (the
-centre node, where every S anchors), and the background spinors it was given.
+Memory: a MoutardTransform holds S0^-1, K's (W, a), C0 (S0's value at
+grid.centre, where every S anchors) and the background spinors it was given.
 build_S returns S as one SpinorField over the buffer of omega's x part; S0 is
 inverted in place, -(S0^-1)^* is formed one row block at a time where a
 transform reads it, and each transformed spinor is written over its S(A0, X).
@@ -119,14 +119,13 @@ def omega1(Phi: SpinorField, Psi: SpinorField) -> SpinorField:
     return SpinorField.from_values(grid, np.stack([m1, -m0]), mask)
 
 
-def build_S(Phi: SpinorField, Psi: SpinorField, base_node=None,
-            constant=None) -> SpinorField:
+def build_S(Phi: SpinorField, Psi: SpinorField, constant=None) -> SpinorField:
     """S = Gamma * int omega(Phi, Psi) + constant, integrated along L-paths.
 
-    `constant` is the value added after anchoring the integral to zero at the
-    base node (the centre node by default).  A time-augmented S at fixed t takes
-    the accumulated Gamma * int omega1 dt (time_offset_integral) added to it.
-    It must be a quaternion (NormalizationError otherwise).
+    `constant` is the value added after anchoring the integral to zero at
+    grid.centre, so S there reads its column 0.  A time-augmented S at fixed t
+    takes the accumulated Gamma * int omega1 dt (time_offset_integral) added to
+    it.  It must be a quaternion (NormalizationError otherwise).
 
     Only column 0 of Gamma omega's x and y parts X, Y (what omega returns) is
     checked and integrated: ClosednessError unless the closedness defect of
@@ -134,8 +133,6 @@ def build_S(Phi: SpinorField, Psi: SpinorField, base_node=None,
     nodes.
     """
     grid = Phi.grid
-    if base_node is None:
-        base_node = (grid.nx // 2, grid.ny // 2)
     C = np.zeros((2, 2), dtype=complex) if constant is None else np.asarray(constant, complex)
     _check_quaternion(C, "S constant")
     X, Y = omega(Phi, Psi)
@@ -144,8 +141,8 @@ def build_S(Phi: SpinorField, Psi: SpinorField, base_node=None,
     defect_tol = 100.0 * max(grid.hx, grid.hy) ** 2
     if not defect <= defect_tol * scale:              # NaN fails too
         raise ClosednessError(f"omega not closed: defect {defect:.3g} (tol {defect_tol * scale:.3g})")
-    # into X's buffer: its base row and the reductions above have read it
-    vals = antiderivative(grid, X.values, Y.values, base_node, "x_first", out=X.values)
+    # into X's buffer: its centre row and the reductions above have read it
+    vals = antiderivative(grid, X.values, Y.values, "x_first", out=X.values)
     vals += C[:, 0, None, None]
     return SpinorField.from_values(grid, vals, X.mask)
 
@@ -156,14 +153,12 @@ def _product(c: complex, x: np.ndarray, y: np.ndarray, out: np.ndarray):
     out *= y
 
 
-def time_offset_integral(phi_of_t, psi_of_t, t_grid, base_node) -> np.ndarray:
-    """Gamma * int_0^T omega1 dt at the base node, trapezoid over the t samples.
-
-    phi_of_t / psi_of_t map a time to the spinors.
-    """
-    ix, iy = base_node
-    vals = [omega1(phi_of_t(t), psi_of_t(t)).at(ix, iy) for t in t_grid]
-    return np.trapezoid(vals, t_grid, axis=0)
+def time_offset_integral(phi_of_t, psi_of_t, t_grid) -> np.ndarray:
+    """Gamma * int_0^T omega1 dt at grid.centre, where build_S adds its constant:
+    the trapezoid over the t samples.  phi_of_t / psi_of_t map a time to the
+    spinors."""
+    ws = (omega1(phi_of_t(t), psi_of_t(t)) for t in t_grid)
+    return np.trapezoid([w.at(*w.grid.centre) for w in ws], t_grid, axis=0)
 
 
 class KData:
@@ -219,25 +214,24 @@ class MoutardTransform:
     Psi0: SpinorField                  # the caller's background spinors, not copied
     Phi0: SpinorField
     C0: np.ndarray                     # S0's constant; the partner's is -C0^H
-    base_node: tuple                   # S0's base node, where every S anchors
     kdata: KData
     S0_inv: SpinorField                # nodes with det below _MIN_DET max(|S0|, 1)^2 masked
 
-    def __init__(self, Psi0, Phi0, C0, base_node, kdata, S0_inv):
-        self.Psi0, self.Phi0, self.C0, self.base_node = Psi0, Phi0, C0, base_node
+    def __init__(self, Psi0, Phi0, C0, kdata, S0_inv):
+        self.Psi0, self.Phi0, self.C0 = Psi0, Phi0, C0
         self.kdata, self.S0_inv = kdata, S0_inv
 
     @classmethod
     def from_background(cls, psi0: SpinorField, phi0: SpinorField,
                         constant0) -> "MoutardTransform":
-        """The context of S0 = S(Phi0, Psi0) with the constant C0 = constant0, anchored
-        at the centre node.  A time-augmented S0 at fixed t takes constant0 with the
-        accumulated Gamma * int omega1 dt (time_offset_integral) added to it."""
+        """The context of S0 = S(Phi0, Psi0) with the constant C0 = constant0, which
+        S0 reads at grid.centre.  A time-augmented S0 at fixed t takes constant0
+        with the accumulated Gamma * int omega1 dt (time_offset_integral) added to
+        it."""
         S0 = build_S(phi0, psi0, constant=constant0)
         S0_inv = _inv(S0, out=S0.values)               # S0 is ours: inverted in place
-        grid = psi0.grid
         return cls(psi0, phi0, np.asarray(constant0, dtype=complex),
-                   (grid.nx // 2, grid.ny // 2), _kdata(psi0, S0_inv, phi0), S0_inv)
+                   _kdata(psi0, S0_inv, phi0), S0_inv)
 
     def transform(self, psi: SpinorField, phi: SpinorField, constP=None,
                   constBP=None) -> tuple[SpinorField, SpinorField]:
@@ -256,12 +250,12 @@ class MoutardTransform:
                         partner: bool, X: SpinorField, const) -> SpinorField:
         """X - B0 S^-1 S(A0, X), S having the constant C: Psi~ from (Phi0, Psi0, S0)
         and Phi~ from (Psi0, Phi0, SB0 = -S0^*), SB0^-1 = _partner(S0^-1); both anchor
-        at S0's base node.  One side at a time, B0 S^-1 S(A0, X) one row block at a
-        time, and the result written over S(A0, X)."""
-        bx, by = self.base_node
+        at grid.centre, as S0 does.  One side at a time, B0 S^-1 S(A0, X) one row
+        block at a time, and the result written over S(A0, X)."""
         if const is None:
-            const = C @ np.linalg.solve(B0.at(bx, by), X.at(bx, by))
-        SX = build_S(A0, X, base_node=(bx, by), constant=const)
+            b = X.grid.centre
+            const = C @ np.linalg.solve(B0.at(*b), X.at(*b))
+        SX = build_S(A0, X, constant=const)
         S_inv, out = self.S0_inv.values, SX.values
         mask = merged_mask(X, B0, self.S0_inv, SX)
         for r in row_blocks(X.grid.nx, X.grid.ny):

@@ -34,22 +34,26 @@ class SurfaceIntegrationError(RuntimeError):
 
 class SurfaceMap:
     """R^3- or R^4-valued map over a grid; coords has shape (dim, ny, nx) and mask,
-    if given, (ny, nx)."""
+    if given, (ny, nx).  Its basepoint is its point at grid.centre, the node the
+    Weierstrass forms are integrated from."""
 
     grid: Grid2D
     coords: np.ndarray
-    basepoint: np.ndarray
     mask: np.ndarray | None
     diagnostics: dict
 
-    def __init__(self, grid, coords, basepoint, mask=None, diagnostics=None):
+    def __init__(self, grid, coords, mask=None, diagnostics=None):
         self.grid = grid
         self.coords = np.asarray(coords, dtype=float)
-        self.basepoint = np.asarray(basepoint, dtype=float)
         if self.coords.ndim != 3 or self.coords.shape[0] not in (3, 4):
             raise ValueError("coords must have shape (3 or 4, ny, nx)")
         self.mask = grid_mask(grid, mask)
         self.diagnostics = {} if diagnostics is None else diagnostics
+
+    @property
+    def basepoint(self) -> np.ndarray:
+        ix, iy = self.grid.centre
+        return self.coords[:, iy, ix]
 
     @property
     def ambient_dim(self) -> int:
@@ -74,17 +78,15 @@ def weier_derivatives(psi: SpinorField, phi: SpinorField | None = None):
 
 
 def integrate_surface_r4(psi: SpinorField, phi: SpinorField, basepoint=(0, 0, 0, 0),
-                         base_node=None, U: ComplexField | None = None,
+                         U: ComplexField | None = None,
                          residual_tol: float = 1e-3) -> SurfaceMap:
-    """Integrate the four closed forms to a surface in R^4.
+    """Integrate the four closed forms to a surface in R^4 through basepoint at grid.centre.
 
     If U is supplied the Dirac residuals of psi (for D) and phi (for Dvee) are
     measured and a warning issued above residual_tol.  The L-path defect
     (x-first vs y-first) is recorded; above 0.02 max|x^k_z| it is an error.
     """
     grid = psi.grid
-    if base_node is None:
-        base_node = (grid.nx // 2, grid.ny // 2)
     if U is not None:
         rd = dirac_residual_norm(U, psi, interior=1)
         rv = dirac_residual_norm(U, phi, interior=1, vee=True)
@@ -93,18 +95,16 @@ def integrate_surface_r4(psi: SpinorField, phi: SpinorField, basepoint=(0, 0, 0,
             warnings.warn(f"Dirac residuals large before integration: D {rd:.3g}, Dvee {rv:.3g}")
     xz = weier_derivatives(psi, phi)
     gx, gy = 2.0 * xz.real, -2.0 * xz.imag          # the real forms x^k_z dz + c.c.
-    coords = antiderivative(grid, gx, gy, base_node, "x_first")
-    alt = antiderivative(grid, gx, gy, base_node, "y_first")
+    coords = antiderivative(grid, gx, gy, "x_first")
+    alt = antiderivative(grid, gx, gy, "y_first")
     maxdef = float(np.max(np.abs(coords - alt)))
     # valid spinor data sit orders of magnitude below this (O(h^2) defect)
     defect_tol = 0.02 * max(float(np.max(np.abs(xz))), 1e-300)
     if maxdef > defect_tol:
         raise SurfaceIntegrationError(
             f"path-dependence defect {maxdef:.3g} exceeds {defect_tol:.3g}; form not closed")
-    ix0, iy0 = base_node
-    coords = coords - coords[:, iy0, ix0][:, None, None] + np.asarray(basepoint, float)[:, None, None]
-    return SurfaceMap(grid, coords, np.asarray(basepoint, float),
-                      diagnostics={"path_defect": maxdef, "base_node": tuple(base_node)})
+    coords += np.asarray(basepoint, float)[:, None, None]     # coords read 0.0 at the centre
+    return SurfaceMap(grid, coords, diagnostics={"path_defect": maxdef, "base_node": grid.centre})
 
 
 def integrate_surface_r3(psi: SpinorField, U: ComplexField | None = None,
@@ -114,7 +114,7 @@ def integrate_surface_r3(psi: SpinorField, U: ComplexField | None = None,
     s4 = integrate_surface_r4(psi, psi, U=U, residual_tol=residual_tol)
     x4span = float(np.ptp(s4.coords[3]))
     diag = dict(s4.diagnostics, x4_span=x4span)
-    return SurfaceMap(s4.grid, s4.coords[:3], s4.basepoint[:3], s4.mask, diag)
+    return SurfaceMap(s4.grid, s4.coords[:3], s4.mask, diag)
 
 
 def spinor_metric(psi: SpinorField, phi: SpinorField | None = None) -> np.ndarray:
@@ -222,10 +222,9 @@ def discrete_mean_curvature(S: SurfaceMap) -> np.ndarray:
 
 def smatrix_to_surface(M: SpinorField) -> SurfaceMap:
     """The (4, ny, nx) surface read from S-matrix columns (a, b): x1 = Re b,
-    x2 = -Im b, x3 = Im a, x4 = Re a; its basepoint is the centre node's point."""
+    x2 = -Im b, x3 = Im a, x4 = Re a; its basepoint reads S at grid.centre."""
     a, b = M.values
-    coords = np.stack([b.real, -b.imag, a.imag, a.real])
-    return SurfaceMap(M.grid, coords, coords[:, M.grid.ny // 2, M.grid.nx // 2], M.mask)
+    return SurfaceMap(M.grid, np.stack([b.real, -b.imag, a.imag, a.real]), M.mask)
 
 
 def invert_surface(S: SurfaceMap) -> SurfaceMap:
@@ -245,7 +244,5 @@ def invert_surface(S: SurfaceMap) -> SurfaceMap:
         out[3] = c[3] / safe
     out[:, bad] = 0.0
     mask = bad | (S.mask if S.mask is not None else False)
-    ix0, iy0 = S.grid.nx // 2, S.grid.ny // 2
-    return SurfaceMap(S.grid, out, out[:, iy0, ix0].copy(),
-                      mask if np.any(mask) else None,
+    return SurfaceMap(S.grid, out, mask if np.any(mask) else None,
                       diagnostics={"inverted_from": True, "flagged": int(np.sum(bad))})

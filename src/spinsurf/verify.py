@@ -278,7 +278,7 @@ def _plane_background(n: int):
     one = constant_field(g, 1.0)
     zero = constant_field(g, 0.0)
     psi0 = SpinorField(one, zero)
-    zb = g.node_z(g.nx // 2, g.ny // 2)
+    zb = g.node_z(*g.centre)
     C0 = np.array([[0, 1j * np.conj(zb)], [1j * zb, 0]])   # S(0) = 0 anchoring
     return g, psi0, C0
 
@@ -328,7 +328,7 @@ def suite_moutard() -> list[CheckResult]:
     # phi = (1, 0) integrates exactly, so phi~ meets its closed form to rounding
     n, t = 96, 0.2
     g = make_grid((-1.5, 1.5, -1.2, 1.8), (n, n))
-    zb = g.node_z(g.nx // 2, g.ny // 2)
+    zb = g.node_z(*g.centre)
     fb = complex(sol.f.eval(z=zb, t=t, c=1.0))
     C0 = np.array([[1j * np.conj(fb), -zb], [np.conj(zb), -1j * fb]])
     ctx = MoutardTransform.from_background(*heat_datum_fields(sol.f, g, t), C0)
@@ -347,9 +347,7 @@ def suite_moutard() -> list[CheckResult]:
     S_bg = smatrix_to_surface(Sm)
     S_inv = invert_surface(S_bg)
     psis, phis = (q.on_grid(g, t) for q in ex.inverted_surface_spinors())
-    bx, by = g.nx // 2, g.ny // 2
-    bp = S_inv.coords[:, by, bx]
-    S_til = integrate_surface_r4(psis, phis, basepoint=bp, base_node=(bx, by))
+    S_til = integrate_surface_r4(psis, phis, basepoint=S_inv.basepoint)
     diff = float(np.max(np.abs(S_til.coords - S_inv.coords)))
     scale = float(np.max(np.abs(S_inv.coords)))
     out.append(CheckResult("U~ surface equals inverted surface (rel)", diff / scale, 0, 5e-4,
@@ -404,13 +402,13 @@ def suite_reduction() -> list[CheckResult]:
                                0, 1e-3))
     # the exact travelling soliton through mnv_residual on a periodic strip,
     # with the reduction's V = U^2 and a centred 3-slice stencil (dt = 1e-3);
-    # the default V, in the zero-mean gauge, leaves 1.6e-2 at every nx
+    # v_from_constraint_mnv's V, in the zero-mean gauge, leaves 1.6e-2 at every nx
     res = {}
     for nx in (800, 1600):
         g = make_grid((-12.0, 12.0, 0.0, TWO_PI), (nx, 24), True)
         U = [ComplexField(g, np.broadcast_to(mkdv_soliton(g.xs(), t), (24, nx)))
              for t in (-1e-3, 0.0, 1e-3)]
-        res[nx] = mnv_residual(U, 1e-3, V=U[1] * U[1], interior=8).max_norm
+        res[nx] = mnv_residual(U, 1e-3, V=U[1] * U[1], interior=8)
     out.append(_order("mNV residual O(h^2) [exact mKdV soliton]", res[800], res[1600],
                       3.5, 4.5))
     out.append(CheckResult("mNV residual at nx=1600 [exact mKdV soliton]", res[1600], 0, 2e-4))

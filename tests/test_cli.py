@@ -197,6 +197,34 @@ def test_evolve_refuses_a_span_of_no_whole_number_of_steps(tmp_path, dt):
     assert not (out / "summary.json").exists()
 
 
+def test_evolve_refuses_a_step_count_too_large_to_tell_whole(tmp_path):
+    # 1e297 steps: within 1e-9 n of a whole number whatever the span, and no run
+    # would finish them; in a subprocess, so that a regression times out
+    out = tmp_path / "o"
+    run = subprocess.run([sys.executable, "-m", "spinsurf.cli", "evolve", "--from", "s1",
+                          "--grid", "16x16", "--t-end", "1e-3", "--dt", "1e-300",
+                          "--out", str(out)],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert run.returncode == 2
+    assert ("spinsurf: error: t0=0 to t_end=0.001 is 1e+297 steps of dt=1e-300: "
+            "n=1e+297 ") in run.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [0, -2])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_willmore_check_refuses_a_soliton_count_below_one(via, n, tmp_path, capsys):
+    # soliton_potential(N) is the equality case of the bound only for N >= 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": n}))
+    extra = ["--n", str(n)] if via == "flag" else ["--config", str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        main(["willmore-check", "--potential", "soliton"] + extra)
+    assert exc.value.code == 2
+    assert f"--n must be >= 1, got {n}" in capsys.readouterr().err
+
+
 def test_gen_surface_outputs_are_reproducible(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

@@ -343,7 +343,7 @@ def test_singular_times_s1():
         assert len(ev) == 1
         assert ev[0].t_sing == pytest.approx(-tau / 2, abs=1e-14)
         assert ev[0].coefficient == 1j           # exactly i a2 / (1 + |a1|^2), a1 = 0
-        assert ev[0].location == 0
+        assert ev[0].as_dict()["z"] == [0.0, 0.0]
 
 
 def test_singular_times_s1_smooth_cases():

@@ -1,6 +1,7 @@
 import csv
 import functools
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ from spinsurf import (ComplexField, SpinorField, catalog, constant_field,
                       evolve, field_from_function, grid_norm_sq, make_grid,
                       square_grid, wirtinger_derivative, write_trajectory)
 from spinsurf.dsii import re_v_into
-from spinsurf.evolve import BlowupAbort, DsiiEvolver, EvolverState, Trajectory
+from spinsurf.evolve import BlowupAbort, DsiiEvolver, EvolverState, Trajectory, step_count
 from spinsurf.grid import MaskError, SchemeError
 from spinsurf.moutard import moutard_exact
 
@@ -175,6 +176,18 @@ def test_evolve_refuses_a_span_of_no_whole_number_of_steps(t0, t_end, dt):
     g = square_grid(5.0, 16, periodic=True)
     with pytest.raises(ValueError, match=r"t0=.* t_end=.* dt="):
         evolve(constant_field(g, 0.0), t_end, dt, t0=t0)
+
+
+@pytest.mark.parametrize("t0, t_end, dt, n", [(0.0, 1e-3, 1e-300, "1e+297"),
+                                              (0.0, 0.5, 1e-9, "500000000"),
+                                              (1.0, 2.0, 1e-9, "1000000000")])
+def test_step_count_refuses_a_count_no_whole_number_test_can_reject(t0, t_end, dt, n):
+    # from 1e-9 n >= 0.5 on, every span passes as within 1e-9 n of a whole number;
+    # just below, the count is still run
+    why = rf"t0={t0:g} to t_end={t_end:g} .* dt={dt:g}: n={re.escape(n)} "
+    with pytest.raises(ValueError, match=why):
+        step_count(t0, t_end, dt)
+    assert step_count(0.0, 0.5, 2e-9) == 250_000_000
 
 
 @pytest.mark.parametrize("t0, t_end, dt, n", [(0.0, 0.3, 1e-3, 300), (0.0, 0.1, 1e-4, 1000),

@@ -158,11 +158,11 @@ def test_a_mask_must_have_the_grid_shape(shape):
     with pytest.raises(GridConfigError, match="mask shape"):
         SpinorField.from_values(g, np.ones((2, 16, 16), complex), mask)
     with pytest.raises(GridConfigError, match="mask shape"):
-        SurfaceMap(g, np.zeros((3, 16, 16)), np.zeros(3), mask=mask)
+        SurfaceMap(g, np.zeros((3, 16, 16)), mask=mask)
     good = np.zeros((16, 16), bool)
     assert ComplexField(g, np.ones((16, 16)), mask=good.astype(int)).mask.dtype == bool
     assert SpinorField.from_values(g, np.ones((2, 16, 16), complex), good).mask is good
-    assert SurfaceMap(g, np.zeros((3, 16, 16)), np.zeros(3), mask=good).mask is good
+    assert SurfaceMap(g, np.zeros((3, 16, 16)), mask=good).mask is good
 
 
 def test_wirtinger_quadratic_exact():
@@ -299,23 +299,25 @@ def _ref_antiderivative(g, gx, gy, base, order):
 
 
 @pytest.mark.parametrize("order", ["x_first", "y_first"])
-@pytest.mark.parametrize("base", [(0, 0), (9, 4), (36, 22), (30, 11)])
+@pytest.mark.parametrize("base", [(2, 2), (9, 4), (36, 22), (30, 11)])
 def test_antiderivative_matches_oracle_bitwise(order, base):
     # real and complex forms, one alone and three stacked on a leading axis: each
-    # integral to the bit
-    g = _ORACLE_GRIDS["open"]
+    # integral to the bit, from the centre node base of an odd or even grid
+    ix, iy = base
+    g = make_grid((-1, 1.5, -0.5, 1), (2 * ix + ix % 2, 2 * iy + iy % 2))
+    assert g.centre == base
     pf, qf = _random_form(g, 4)
     for gx, gy in ((pf.values, qf.values), (pf.values.real, qf.values.imag)):
-        got = antiderivative(g, gx, gy, base, order)
+        got = antiderivative(g, gx, gy, order)
         assert got.dtype == gx.dtype
         assert np.array_equal(got, _ref_antiderivative(g, gx, gy, base, order))
-        # written over the part whose basepoint row (column) it reads first
+        # written over the part whose centre row (column) it reads first
         parts = [gx.copy(), gy.copy()]
         own = parts[0 if order == "x_first" else 1]
-        assert antiderivative(g, *parts, base, order, out=own) is own
+        assert antiderivative(g, *parts, order, out=own) is own
         assert np.array_equal(own, _ref_antiderivative(g, gx, gy, base, order))
         stack = [np.stack([a, 2.0 * a, a[::-1]]) for a in (gx, gy)]
-        got = antiderivative(g, *stack, base, order)
+        got = antiderivative(g, *stack, order)
         for k in range(3):
             assert np.array_equal(got[k], _ref_antiderivative(g, stack[0][k], stack[1][k],
                                                               base, order))
@@ -330,13 +332,12 @@ def test_real_antiderivative_is_the_real_part_of_antiderivative(name, order):
     g = _ORACLE_GRIDS[name]
     ps = [_random_form(g, 6 + k)[0].values for k in range(3)]
     xz = np.stack(ps)
-    base = (g.nx - 3, g.ny // 3)
     other_order = "y_first" if order == "x_first" else "x_first"
-    got = antiderivative(g, 2.0 * xz.real, -2.0 * xz.imag, base, order)
-    other = antiderivative(g, 2.0 * xz.real, -2.0 * xz.imag, base, other_order)
+    got = antiderivative(g, 2.0 * xz.real, -2.0 * xz.imag, order)
+    other = antiderivative(g, 2.0 * xz.real, -2.0 * xz.imag, other_order)
     for k, p in enumerate(ps):
-        ref = antiderivative(g, *xy_parts(p, np.conj(p)), base, order)
-        alt = antiderivative(g, *xy_parts(p, np.conj(p)), base, other_order)
+        ref = antiderivative(g, *xy_parts(p, np.conj(p)), order)
+        alt = antiderivative(g, *xy_parts(p, np.conj(p)), other_order)
         assert np.array_equal(got[k], ref.real)
         assert np.max(np.abs(got[k] - other[k])) == np.max(np.abs(ref - alt))
 
@@ -488,8 +489,8 @@ def test_antiderivative_path_independence():
     p = field_from_function(g, lambda z: z)
     q = field_from_function(g, np.conj)
     gx, gy = xy_parts(p.values, q.values)
-    a1 = antiderivative(g, gx, gy, (20, 20), "x_first")
-    a2 = antiderivative(g, gx, gy, (20, 20), "y_first")
+    a1 = antiderivative(g, gx, gy, "x_first")
+    a2 = antiderivative(g, gx, gy, "y_first")
     assert np.max(np.abs(a1 - a2)) < 1e-12
 
 
@@ -500,9 +501,10 @@ def test_antiderivative_matches_lpath_integral(order):
     g = make_grid((-1, 1.5, -0.5, 1), (23, 17))
     p = field_from_function(g, lambda z: np.exp(0.8 * z) + np.abs(z) ** 2)
     q = field_from_function(g, lambda z: np.sin(np.conj(z)) * z)
-    base = (7, 11)
-    F = antiderivative(g, *xy_parts(p.values, q.values), base, order)
-    for node in [(0, 0), (22, 16), (7, 0), (0, 11), (15, 3), (7, 11)]:
+    base = g.centre
+    assert base == (11, 8)
+    F = antiderivative(g, *xy_parts(p.values, q.values), order)
+    for node in [(0, 0), (22, 16), (11, 0), (0, 8), (15, 3), (11, 8)]:
         ref = path_integrate((p, q), lpath(g, base, node, order))
         assert abs(F[node[1], node[0]] - ref) < 1e-13
 

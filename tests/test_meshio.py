@@ -199,7 +199,7 @@ def test_export_bytes_match_loop_writers(tmp_path, fmt):
     coords[2, 4, 4] = -1e-7
     mask = np.zeros((62, 71), bool)
     mask[6, 9] = mask[0, 5] = mask[61, 70] = True
-    S = SurfaceMap(g, coords, np.zeros(3), mask)
+    S = SurfaceMap(g, coords, mask)
     with np.errstate(over="ignore"):         # 1e300 does not fit a float32
         st = export_mesh(S, tmp_path / f"s.{fmt}", fmt=fmt)
         pts = coords.reshape(3, -1).T
@@ -266,7 +266,7 @@ def test_obj_export_formats_one_block_at_a_time(tmp_path):
     # 2.3 MiB; formatting the whole mesh at once takes about 6.5 MiB.
     g = make_grid((-1, 1, -1, 1), (128, 128))
     rng = np.random.default_rng(9)
-    S = SurfaceMap(g, rng.normal(size=(3, 128, 128)), np.zeros(3), None)
+    S = SurfaceMap(g, rng.normal(size=(3, 128, 128)), None)
     tracemalloc.start()
     try:
         export_mesh(S, tmp_path / "b.obj")

@@ -27,7 +27,7 @@ def _plane_ctx(n=48, lo=0.4, hi=2.4):
 def _S0(ctx):
     """S0 = S(Phi0, Psi0) of a context, integrated as from_background integrates it
     (bitwise); the context keeps only S0^-1."""
-    return build_S(ctx.Phi0, ctx.Psi0, base_node=ctx.base_node, constant=ctx.C0)
+    return build_S(ctx.Phi0, ctx.Psi0, constant=ctx.C0)
 
 
 def test_omega_identity_example():
@@ -340,7 +340,7 @@ def test_normalize_pair_random_solutions(seed):
     with pytest.raises(ClosednessError):
         build_S(phi, psi)
 
-    SA, SB = (antiderivative(g, *(F.values for F in omega(*pair)), (16, 16), "x_first")
+    SA, SB = (antiderivative(g, *(F.values for F in omega(*pair)), "x_first")
               for pair in ((phi, psi), (psi, phi)))
     mean, spread = _integrated_partner_offset(SA, SB)
     assert spread <= 1e-12 * np.max(np.abs(SA))
@@ -454,7 +454,7 @@ def test_context_inverts_S0_and_SB0_once(monkeypatch):
     eps = 1e-12 * max(S0.max_abs(), 1.0) ** 2
     assert np.array_equal(ctx.S0_inv.values, S0.inv(min_det=eps).values)
     SB0 = SpinorField.from_values(g, -qconj(S0.values), S0.mask)     # -S0^*
-    bx, by = ctx.base_node
+    bx, by = g.centre
     constBP = -ctx.C0.conj().T @ np.linalg.solve(ctx.Phi0.at(bx, by), psi.at(bx, by))
     assert np.array_equal(ctx.transform(psi, psi)[1].values,
                           ctx.transform(psi, psi, constBP=constBP)[1].values)
@@ -540,12 +540,11 @@ def test_numeric_pipeline_matches_exact_tilde():
 
 
 def test_time_offset_integral_matches_closed_form():
-    # Gamma int omega1 dt at the base node reproduces the t-dependence of the
+    # Gamma int omega1 dt at the centre node reproduces the t-dependence of the
     # closed-form S for the quadratic datum
     sol = catalog("s1", c=1.0)
     g = make_grid((-1.0, 1.0, -1.0, 1.0), (32, 32))
-    bx, by = g.nx // 2, g.ny // 2
-    zb = g.node_z(bx, by)
+    zb = g.node_z(*g.centre)
 
     def phi_of(t):
         return heat_datum_fields(sol.f, g, t)[1]
@@ -554,7 +553,7 @@ def test_time_offset_integral_matches_closed_form():
         return heat_datum_fields(sol.f, g, t)[0]
 
     tgrid = np.linspace(0.0, 0.4, 161)
-    off = time_offset_integral(phi_of, psi_of, tgrid, (bx, by))
+    off = time_offset_integral(phi_of, psi_of, tgrid)
     f0 = complex(sol.f.eval(z=zb, t=0.0, c=1.0))
     f1 = complex(sol.f.eval(z=zb, t=0.4, c=1.0))
     expect = np.array([[1j * np.conj(f1 - f0), 0], [0, -1j * (f1 - f0)]])
@@ -593,9 +592,7 @@ def test_inverted_surface_spinors_and_surface():
     Sm = heat_smatrix_values(sol.f, g, t)
     S_inv = invert_surface(smatrix_to_surface(Sm))
     psis, phis = (q.on_grid(g, t) for q in ex.inverted_surface_spinors())
-    bx, by = g.nx // 2, g.ny // 2
-    S_til = integrate_surface_r4(psis, phis, basepoint=S_inv.coords[:, by, bx],
-                                 base_node=(bx, by))
+    S_til = integrate_surface_r4(psis, phis, basepoint=S_inv.basepoint)
     scale = np.max(np.abs(S_inv.coords))
     # quadrature tolerance: trapezoid error of the rational integrands at this h
     assert np.max(np.abs(S_til.coords - S_inv.coords)) / scale < 5e-4
@@ -640,12 +637,12 @@ def _max_closedness_defect(gdz, gdzb):
     return closedness_defect(gdz.grid, *_oracle_xy_parts(gdz, gdzb), gdz.mask)
 
 
-def _oracle_build_S(Phi, Psi, base_node, constant=None):
+def _oracle_build_S(Phi, Psi, constant=None):
     """All four entries of Gamma omega(Phi, Psi) integrated as general matrices."""
     from spinsurf.dirac import Mat2Field
     gx, gy = _oracle_xy_parts(*_oracle_gamma_omega(Phi, Psi))
     C = np.zeros((2, 2), dtype=complex) if constant is None else np.asarray(constant, complex)
-    vals = antiderivative(Phi.grid, gx, gy, base_node, "x_first") + C[:, :, None, None]
+    vals = antiderivative(Phi.grid, gx, gy, "x_first") + C[:, :, None, None]
     return Mat2Field(Phi.grid, vals), C
 
 
@@ -656,8 +653,8 @@ def _oracle_moutard(psi0, phi0, C0, psi, phi):
     g = Psi0.grid
     b = (g.nx // 2, g.ny // 2)
     gm = Mat2Field.constant(g, GAMMA)
-    S0, C0 = _oracle_build_S(phi0, psi0, b, C0)
-    SB, _ = _oracle_build_S(psi0, phi0, b)
+    S0, C0 = _oracle_build_S(phi0, psi0, C0)
+    SB, _ = _oracle_build_S(psi0, phi0)
     target = gm @ S0.transpose() @ gm
     CB = (target - SB).values.mean(axis=(2, 3))
     SB0 = SB + Mat2Field.constant(g, CB)
@@ -666,8 +663,8 @@ def _oracle_moutard(psi0, phi0, C0, psi, phi):
     Psi, Phi = quat_mat(psi), quat_mat(phi)
     constP = C0 @ np.linalg.solve(Psi0.at(*b), Psi.at(*b))
     constBP = CB @ np.linalg.solve(Phi0.at(*b), Phi.at(*b))
-    SP, _ = _oracle_build_S(phi0, psi, b, constP)
-    SBP, _ = _oracle_build_S(psi0, phi, b, constBP)
+    SP, _ = _oracle_build_S(phi0, psi, constP)
+    SBP, _ = _oracle_build_S(psi0, phi, constBP)
     Psit = Psi - Psi0 @ S0.inv(min_det=eps) @ SP
     Phit = Phi - Phi0 @ SB0.inv(min_det=eps) @ SBP
     return {"C": C0, "base_node": b, "S": S0.values,
@@ -762,7 +759,7 @@ def test_quaternion_pipeline_matches_general_matrix_oracle(name):
     psit, phit = ctx.transform(psi, phi)
     assert np.array_equal(quat_mat(_S0(ctx)).values, ref["S"])    # bitwise, up to the sign of 0
     assert np.array_equal(ctx.C0, ref["C"])
-    assert ctx.base_node == ref["base_node"]
+    assert g.centre == ref["base_node"]
     k_scale = max(np.max(np.abs(ref["W"])), np.max(np.abs(ref["a"])))
     assert _rel(ctx.kdata.W.values, ref["W"], k_scale) < 1e-13
     assert _rel(ctx.kdata.a.values, ref["a"], k_scale) < 1e-13

@@ -180,7 +180,7 @@ def test_k_chain_and_transform_sides_equal_the_whole_grid_products():
              (psi0, phi0, -ctx.C0.conj().T, SB0_inv, phi))
     for got, (A0, B0, C, S_inv, X) in zip(ctx.transform(psi, phi), sides):
         const = C @ np.linalg.solve(B0.at(bx, by), X.at(bx, by))
-        prod = oracle_product(B0, S_inv, build_S(A0, X, base_node=(bx, by), constant=const))
+        prod = oracle_product(B0, S_inv, build_S(A0, X, constant=const))
         assert _same_bits(got.values, X.values - prod.values)
         assert _same_mask(got.mask, merged_mask(X, prod))
 

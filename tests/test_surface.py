@@ -81,11 +81,10 @@ def test_graph_surface_is_graph():
     t = 0.3
     psi0, phi0 = heat_datum_fields(sol.f, g, t)
     zm = g.zmesh()
-    bx, by = g.nx // 2, g.ny // 2
-    zb = g.node_z(bx, by)
+    zb = g.node_z(*g.centre)
     fb = complex(sol.f.eval(z=zb, t=t, c=1.0))
     bp = (zb.real, zb.imag, fb.real, fb.imag)
-    S4 = integrate_surface_r4(psi0, phi0, basepoint=bp, base_node=(bx, by))
+    S4 = integrate_surface_r4(psi0, phi0, basepoint=bp)
     fv = sol.f.eval(z=zm, t=t, c=1.0)
     assert np.max(np.abs(S4.coords[0] + 1j * S4.coords[1] - zm)) < 1e-10
     assert np.max(np.abs(S4.coords[2] + 1j * S4.coords[3] - fv)) < 1e-10
@@ -210,7 +209,7 @@ def test_curvature_sphere():
     zm = g.zmesh()
     r2 = np.abs(zm) ** 2
     coords = np.stack([2 * zm.real, 2 * zm.imag, r2 - 1]) * (R / (1 + r2))
-    S = SurfaceMap(g, coords, np.array([0.0, 0.0, -R]))
+    S = SurfaceMap(g, coords)
     H = discrete_mean_curvature(S)
     med = np.nanmedian(np.abs(H))
     assert med == pytest.approx(1 / R, rel=1e-2)
@@ -253,7 +252,7 @@ _EMBED = {"r3": lambda c: c,
 
 def _embedded(g, coords, embedding):
     c = _EMBED[embedding](coords)
-    return SurfaceMap(g, c, np.zeros(len(c)))
+    return SurfaceMap(g, c)
 
 
 @pytest.mark.parametrize("embedding", sorted(_EMBED))
@@ -285,8 +284,7 @@ def test_curvature_plain_paraboloid_graph_exact(embedding):
 
 def test_invert_point_examples():
     g = make_grid((0, 1, 0, 1), (4, 4))
-    mk = lambda p: SurfaceMap(g, np.tile(np.asarray(p, float)[:, None, None], (1, 4, 4)),
-                              np.zeros(4))
+    mk = lambda p: SurfaceMap(g, np.tile(np.asarray(p, float)[:, None, None], (1, 4, 4)))
     inv1 = invert_surface(mk([1, 0, 0, 0]))
     assert np.allclose(inv1.coords[:, 0, 0], [-1, 0, 0, 0])
     inv2 = invert_surface(mk([0, 0, 0, 2]))
@@ -297,7 +295,7 @@ def test_invert_involution():
     rng = np.random.default_rng(9)
     g = make_grid((0, 1, 0, 1), (8, 8))
     coords = rng.normal(size=(4, 8, 8)) + 2.0
-    S = SurfaceMap(g, coords, np.zeros(4))
+    S = SurfaceMap(g, coords)
     back = invert_surface(invert_surface(S))
     assert np.max(np.abs(back.coords - coords)) < 1e-12
 
@@ -306,7 +304,7 @@ def test_invert_flags_origin():
     g = make_grid((0, 1, 0, 1), (4, 4))
     coords = np.ones((4, 4, 4))
     coords[:, 1, 1] = 0.0
-    S = SurfaceMap(g, coords, np.zeros(4))
+    S = SurfaceMap(g, coords)
     inv = invert_surface(S)
     assert inv.mask is not None and inv.mask[1, 1]
 
@@ -367,7 +365,7 @@ _PERIODICITY = {"open": (False, False), "periodic-x": (True, False), "periodic-y
 def test_real_surface_dz_matches_wirtinger_derivative(per):
     g = make_grid((-1.0, 1.3, -0.8, 1.1), (37, 29), _PERIODICITY[per])
     coords = np.random.default_rng(11).normal(size=(4, 29, 37))
-    xz = surface_dz(SurfaceMap(g, coords, np.zeros(4)))
+    xz = surface_dz(SurfaceMap(g, coords))
     for k in range(4):
         ref = wirtinger_derivative(ComplexField(g, coords[k].astype(complex)), "z").values
         assert np.array_equal(xz[k], ref)
