@@ -192,7 +192,7 @@ def write_trajectory(traj: Trajectory, outdir) -> dict:
         save_complexfield_csv(fld, outdir / name)
         files.append({"t": t, "file": name})
     save_csv(outdir / "norms.csv", "t,norm_sq",
-             ("%.17g,%.17g\n" % tn for tn in zip(traj.times, traj.norms)), newline="\r\n")
+             (b"%.17g,%.17g\r\n" % tn for tn in zip(traj.times, traj.norms)), newline="\r\n")
     manifest = {"times": traj.times, "norms": traj.norms, "snapshots": files,
                 "aborted": traj.aborted, "abort_reason": traj.abort_reason}
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=1))

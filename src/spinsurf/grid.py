@@ -492,28 +492,134 @@ def closedness_defect(grid: Grid2D, gx: np.ndarray, gy: np.ndarray, mask) -> flo
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# serialization: text is formatted in numpy as 64-bit words of template bytes whose
+# unprinted bytes are 0 and dropped by bytes.translate (meshio's OBJ text too)
 
 
 def save_csv(csv_path, header: str, lines, newline="\n"):
-    """The one CSV writer: the header line, then lines, each line end written as newline."""
-    with open(csv_path, "w", newline=newline) as fh:
-        fh.write(header + "\n")
+    """The one CSV writer: the header line, ending in newline, then lines, bytes."""
+    with open(csv_path, "wb") as fh:
+        fh.write((header + newline).encode())
         fh.writelines(lines)
+
+
+def _words(texts, n: int = 8) -> np.ndarray:
+    """Little-endian 64-bit words of byte strings, zero-padded to n bytes."""
+    return np.array(texts, f"S{n}").view("<u8")
+
+
+_C = np.arange(48, 58, dtype="<u8")                    # '0' to '9'
+_D2 = (_C[:, None] | _C << 16).ravel()                 # 00-99, each digit followed by a slot
+_D4 = (_D2[:, None] | _D2 << 32).ravel()               # 0000-9999, with the slots
+_N = np.arange(100)
+_L2 = np.where(_N % 10 > 0, 2, _N > 0).astype(np.int8)
+_L4 = np.where(_L2 > 0, 2 + _L2, _L2[:, None]).ravel()  # place of the last nonzero digit
+
+# A node CSV's '%.17g' value is 6 words: ',', sign and '0.000' | digits 1-4 | 5-8 | 9-12 |
+# 13-16, each followed by a slot for the dot | digit 17 and 'e-05'.  Index i = e + 6 +
+# 32 sign picks b = 10^(16 - e), front and exponent.  Word j of digits holds in slot
+# 2 j + 1 where its last nonzero digit is, and (last, i) picks the digits kept and the
+# front and dot.
+_TEXT_VALUES = 1600          # floats formatted at a time, in whole rows: about 120 bytes each at peak
+_E = np.arange(64) % 32 - 6                            # e of index i
+_P10 = np.array([float(10 ** max(16 - e, 0)) for e in _E.tolist()])   # exact in float64
+_P10H = _P10 * 134217729.0 - (_P10 * 134217729.0 - _P10)     # Veltkamp's split b = bh + bl
+_P10L = _P10 - _P10H
+_DIVS = (10**13 << 6, 10**9 << 6, 10**5 << 6, 10 << 6)  # of 64 D + i
+_D4S = _D4 | sum(np.where(_L4 > 0, _L4 + 4 * j, 0).astype("<u8") << 16 * j + 8 for j in range(4))
+_D17 = (_C[:, None] | _words([b"\0\0e%+03d" % e if e < -4 else b"" for e in _E])
+        | np.uint64(17 << 56) * (_C[:, None] > 48)).ravel()          # [64 d + i], 17 in byte 7
+_POINT = np.where(_E >= -4, np.maximum(_E + 1, 0), 1)  # digits before the dot
+_DIGIT = np.r_[8:40:2, 40]                             # bytes of digits 1-17
+_KEEP, _DOT = np.zeros((2, 18, 64, 48), np.uint8)      # [last, i, byte]
+_L = np.arange(18)[:, None]
+_KEEP[..., _DIGIT] = (np.arange(17) < np.maximum(_L, _POINT)[..., None]) * np.uint8(255)
+_KEEP[..., 42:46] = 255                                # the exponent
+_DOT[..., :8] = _words([b"," + b"-" * (i >= 32) + (b"0.000"[:1 - e] if -4 <= e < 0 else b"")
+                        for i, e in enumerate(_E)]).view(np.uint8).reshape(64, 8)
+_L, _I = np.nonzero((_L > _POINT) & (_POINT > 0))
+_DOT[_L, _I, _DIGIT[_POINT[_I] - 1] + 1] = ord(".")
+_KEEP, _DOT = (t.view("<u8").reshape(-1, 6).T.copy() for t in (_KEEP, _DOT))   # [word, 64 last + i]
+
+
+def _digits(v):
+    """64 D + i for each x of v, and whether D holds the 17 digits of x (save_nodes_csv).
+
+    An e outside [-6, 16] picks, through i & 63, the b of an e that differs by a
+    multiple of 32 (or b = 1 above 16), so the product misses [10^16, 10^17)."""
+    with np.errstate(all="ignore"):
+        a = np.abs(v)
+        i = (np.floor(np.log10(a)) + 6 + 32 * (v < 0)).astype(np.intp) & 63
+        ah = a * 134217729.0                           # Veltkamp's split a = ah + al
+        ah = ah - (ah - a)
+        al = a - ah
+        p = a * _P10[i]
+        err = ah * _P10H[i] - p + ah * _P10L[i] + al * _P10H[i] + al * _P10L[i]
+        lo = p - 1e16 + err                            # |x| b - 10^16, its sign exact
+        # 0 <= lo < 9e16, compared as bits: those of a nan or a negative lo are above
+        ok = lo.view(np.uint64) < np.float64(9e16).view(np.uint64)
+        D = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    return (D << 6) + i, i, ok
+
+
+def _float_cells(v) -> np.ndarray:
+    """The 6 words of ',' and '%.17g' % x for each x of v, word by word: (6,) + v.shape."""
+    D, i, ok = _digits(v)
+    w = np.empty((6,) + v.shape, "<u8")
+    q = w[1:].view(np.int64)                           # q[j] is read by the take that overwrites it
+    for qj, div in zip(q, _DIVS):                      # digits 1-4, 1-8, 1-12, 1-16 of D
+        np.floor_divide(D, div, out=qj)
+    np.subtract(D, q[3] * 640, out=q[4])               # 64 d17 + i
+    del D
+    q[1:4] -= q[:3] * 10000                            # digits 5-8, 9-12, 13-16
+    for j in range(4):
+        np.take(_D4S, q[j], out=w[1 + j], mode="clip")
+    np.take(_D17, q[4], out=w[5], mode="clip")
+    last = w[5].view(np.uint8)[..., 7::8]
+    for j in range(4):
+        last = np.maximum(last, w[1 + j].view(np.uint8)[..., 2 * j + 1::8])
+    i += np.multiply(last, 64, dtype=np.intp)
+    buf = np.take(_KEEP, i, 1, mode="clip")
+    w &= buf
+    w |= np.take(_DOT, i, 1, out=buf, mode="clip")
+    if not ok.all():
+        txt = _words([b"%.17g" % x for x in v[~ok].tolist()], 24).reshape(-1, 3)
+        w[:, ~ok] = np.c_[np.full(len(txt), ord(","), "<u8"), txt, np.zeros((len(txt), 2), "<u8")].T
+    return w
 
 
 def save_nodes_csv(csv_path, header: str, *columns):
     """Per node of the (ny, nx) columns: ix, iy, then re and im of each, as np.savetxt
-    prints them with "%d" and "%.17g"; a grid row is one % of a text built once."""
-    nx, k = columns[0].shape[1], 2 * len(columns)
-    row = "".join(f"{ix},\0" + ",%.17g" * k + "\n" for ix in range(nx))   # \0 is iy
-    vals = [0.0] * (k * nx)                     # re, im of each column, node after node
+    prints them with "%d" and "%.17g", formatted in numpy a few grid rows at a time.
+
+    With e = floor(log10 |x|) in [-6, 16], (p, err) = TwoProduct(|x|, 10^(16 - e))
+    by Dekker's split products (numpy has no fused multiply-add) is exact, as
+    10^(16 - e) <= 10^22 is.  p >= 10^16 > 2^53 is an even integer, so
+    D = p + rint(err) is the product rounded half to even, as '%' rounds: x's 17
+    digits.  '%' itself formats the rest: 0, subnormal and non-finite values, e
+    outside [-6, 16], and where log10 was off by one, so that p + err < 10^16 or
+    D >= 10^17."""
+    ny, nx = columns[0].shape
+    k, wx = 2 * len(columns), len(str(nx - 1))
+    nw = (wx + len(str(ny - 1)) + 8) // 8               # words of 'ix,iy'
+    ixw = _words([b"%d," % ix for ix in range(nx)], 8 * nw).reshape(nx, nw)
+    iyw = _words([b"\0" * (wx + 1) + b"%d" % iy for iy in range(ny)], 8 * nw).reshape(ny, nw)
+    step = max(1, _TEXT_VALUES // (k * nx))
 
     def lines():
-        for iy, rows in enumerate(zip(*columns)):
-            for j, r in enumerate(rows):
-                vals[2 * j::k], vals[2 * j + 1::k] = r.real.tolist(), r.imag.tolist()
-            yield row.replace("\0", str(iy)) % tuple(vals)
+        for s in range(0, ny, step):
+            rows = slice(s, s + step)
+            v = np.stack([p for c in columns for p in (c[rows].real, c[rows].imag)], -1, dtype=float)
+            w = _float_cells(v)                         # word by word: numpy buffers strided operands
+            del v
+            w[5, ..., -1] |= ord("\n") << 48
+            text = np.empty(w.shape[1:3] + (nw + 6 * k,), "<u8")
+            text[..., :nw] = ixw | iyw[rows, None]
+            np.copyto(text[..., nw:].reshape(w.shape[1:] + (6,)), np.moveaxis(w, 0, -1))
+            del w                                       # each copy below frees the one before
+            text = text.tobytes()
+            yield text.translate(None, b"\0")
+            del text
 
     save_csv(csv_path, header, lines())
 

@@ -9,6 +9,7 @@ import json
 
 import numpy as np
 
+from .grid import _D4, _L4, _words
 from .surface import SurfaceMap
 
 
@@ -111,22 +112,11 @@ _BLOCK = 4096                                          # rows formatted at a tim
 _P10 = np.array([float(10 ** k) for k in range(23)])   # exact in float64
 
 
-def _words(texts, n: int = 8) -> np.ndarray:
-    """Little-endian 64-bit words of byte strings, zero-padded to n bytes."""
-    return np.array(texts, f"S{n}").view("<u8")
-
-
 # A value of a 'v' line is 4 words, 32 bytes that hold every byte '%.9g' can
 # print and 0 where it prints none: the lead ('v ' or ' '), sign and '0.000' |
 # digits 1-4 | digits 5-8, each followed by a slot for the dot | digit 9,
 # 'e+dd' and, after z, the line end.  A value formatted by '%' itself fills
 # the bytes from the sign up to the line end.
-_C = np.arange(48, 58, dtype="<u8")                    # '0' to '9'
-_D2 = (_C[:, None] | _C << 16).ravel()                 # 00-99, with the slots
-_D4 = (_D2[:, None] | _D2 << 32).ravel()               # 0000-9999, with the slots
-_N = np.arange(100)
-_L2 = np.where(_N % 10 > 0, 2, _N > 0).astype(np.int8)
-_L4 = np.where(_L2 > 0, 2 + _L2, _L2[:, None]).ravel()  # place of the last nonzero digit
 _DIGIT = np.r_[8:24:2, 24]                             # byte of digit 1, ..., 9
 _KEEP = np.full((10, 32), 255, np.uint8)               # row n keeps the first n digits
 _KEEP[:, _DIGIT] *= np.arange(9) < np.arange(10)[:, None]

@@ -100,7 +100,7 @@ def integrate_surface_r4(psi: SpinorField, phi: SpinorField, basepoint=(0, 0, 0,
     maxdef = float(np.max(np.abs(coords - alt)))
     # valid spinor data sit orders of magnitude below this (O(h^2) defect)
     defect_tol = 0.02 * max(float(np.max(np.abs(xz))), 1e-300)
-    if maxdef > defect_tol:
+    if not maxdef <= defect_tol:                    # NaN fails too
         raise SurfaceIntegrationError(
             f"path-dependence defect {maxdef:.3g} exceeds {defect_tol:.3g}; form not closed")
     coords += np.asarray(basepoint, float)[:, None, None]     # coords read 0.0 at the centre

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from spinsurf import (ComplexField, SpinorField, SurfaceMap, constant_field,
                       field_from_function, integrate2d, make_grid, save_complexfield_csv,
                       wirtinger_derivative)
-from spinsurf.grid import (GridConfigError, MaskError, Spectral, antiderivative,
-                           closedness_defect, mask_patches, quadrature_sum, save_nodes_csv)
+from spinsurf.grid import (_TEXT_VALUES, GridConfigError, MaskError, Spectral, _digits,
+                           antiderivative, closedness_defect, mask_patches, quadrature_sum,
+                           save_nodes_csv)
 
 
 # The per-node neighbour-mean rule: the oracle that grid.mask_patches, and every
@@ -588,3 +589,72 @@ def test_node_csv_writer_matches_savetxt(tmp_path):
     assert (tmp_path / "m.csv").read_bytes() == _savetxt_oracle(tmp_path / "ref.csv",
                                                                  "ix,iy,re,im", vals)
     assert json.loads((tmp_path / "m.csv.json").read_text())["masked_nodes"] == [[128, 64]]
+
+    # a column of the digit rule's edge values, a float32 one, and rows wider than a block
+    edges = np.empty((9, 31), complex)
+    edges.real, edges.imag = np.resize(_edge_values(), (2, 9, 31))
+    cols = [edges, _awkward_values(rng, (9, 31)), rng.normal(size=(9, 31)).astype(np.float32)]
+    save_nodes_csv(tmp_path / "got.csv", "ix,iy,re0,im0,re1,im1,re2,im2", *cols)
+    expect = _savetxt_oracle(tmp_path / "ref.csv", "ix,iy,re0,im0,re1,im1,re2,im2", *cols)
+    assert (tmp_path / "got.csv").read_bytes() == expect
+    wide = _awkward_values(rng, (3, 1500))
+    assert 2 * 1500 > _TEXT_VALUES
+    save_nodes_csv(tmp_path / "wide.csv", "ix,iy,re,im", wide)
+    assert (tmp_path / "wide.csv").read_bytes() == _savetxt_oracle(tmp_path / "ref.csv",
+                                                                    "ix,iy,re,im", wide)
+
+
+# The node writer's digit rule against '%.17g' itself, value by value
+
+def _edge_values():
+    """Powers of ten and their neighbours, signed zeros, infinities, nan, subnormals
+    and the extreme doubles."""
+    tens = np.array([float(f"1e{k}") for k in range(-8, 19)])
+    return np.concatenate([tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf), -tens,
+                           [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                            2.2250738585072009e-308, 2.2250738585072014e-308,
+                            1.7976931348623157e308, -1.7976931348623157e308,
+                            9.9999999999999995e-7, 99999999999999999.0, 0.1, 0.5, 1e-5]])
+
+
+def assert_node_text_is_percent_17g(values, path):
+    vals = np.asarray(values, float).ravel()
+    vals = np.r_[vals, [0.0] * (vals.size % 2)]            # re, im, re, im, ...
+    save_nodes_csv(path, "ix,iy,re,im", vals.view(complex)[None, :])
+    expect = b"".join(b"%d,0,%.17g,%.17g\n" % (ix, re, im)
+                      for ix, (re, im) in enumerate(vals.reshape(-1, 2).tolist()))
+    assert path.read_bytes() == b"ix,iy,re,im\n" + expect
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_node_text_of_any_bit_pattern(tmp_path_factory, bits):
+    values = np.array(bits, np.uint64).view(np.float64)
+    assert_node_text_is_percent_17g(values, tmp_path_factory.mktemp("csv") / "v.csv")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(-8, 18), st.booleans()), min_size=1, max_size=64))
+def test_node_text_of_log_uniform_values(tmp_path_factory, draws):
+    values = [(-1) ** neg * 10.0 ** u for u, neg in draws]
+    assert_node_text_is_percent_17g(values, tmp_path_factory.mktemp("csv") / "v.csv")
+
+
+def test_digit_rule_leaves_to_percent_only_what_it_cannot_prove():
+    # away from the decades' edges, every 10^-6 <= |x| < 10^17 gets its digits in numpy
+    rng = np.random.default_rng(37)
+    x = (rng.uniform(1.01, 9.99, 20_000) * 10.0 ** rng.integers(-6, 17, 20_000)
+         * rng.choice([-1.0, 1.0], 20_000))
+    assert _digits(x)[2].all()
+    left = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 9.9e-7, -1e17, 1e300, -1e-300]
+    assert not _digits(np.array(left))[2].any()
+
+
+def test_node_text_at_the_digit_rules_edges(tmp_path):
+    rng = np.random.default_rng(31)
+    bits = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
+    logu = 10.0 ** rng.uniform(-8, 18, 200_000) * rng.choice([-1.0, 1.0], 200_000)
+    # ties: M 2^-(k+1) with M odd, below 2^53, is half-way between two k-bit fractions
+    half = [(rng.integers(1, 2**53, 2000) | 1) * 2.0 ** -(k + 1) for k in range(23)]
+    for values in [bits, logu, *half, _edge_values()]:
+        assert_node_text_is_percent_17g(values, tmp_path / "v.csv")

@@ -214,7 +214,8 @@ def test_streamed_reductions_allocate_no_full_size_temporary():
 
 def test_node_csv_writer_holds_one_row_at_a_time(tmp_path):
     # at 257^2, whole-grid ix and iy arrays take 1 MiB and a copy of the real
-    # parts 0.5 MiB; one row's text, floats and value list take tens of KiB
+    # parts 0.5 MiB; the writer holds a block of whole rows, three here, and
+    # its text and work arrays, about 200 KiB
     g = make_grid((-3, 3, -3, 3), (257, 257))
     rng = np.random.default_rng(5)
     U = ComplexField(g, rng.normal(size=(257, 257)) + 1j * rng.normal(size=(257, 257)))

@@ -341,6 +341,18 @@ def test_bad_spinor_raises_nonclosed_error():
         integrate_surface_r3(bad)
 
 
+def test_nonfinite_spinor_raises_nonclosed_error():
+    # a NaN entry makes the path defect NaN, which the gate must refuse
+    from spinsurf.surface import SurfaceIntegrationError
+    g = make_grid((-1, 1, -1, 1), (16, 16))
+    psi = _enneper_spinor(g)
+    psi.values[1, 5, 7] = np.nan
+    with pytest.raises(SurfaceIntegrationError):
+        integrate_surface_r3(psi)
+    with pytest.raises(SurfaceIntegrationError):
+        integrate_surface_r4(psi, psi)
+
+
 def test_gauge_equivalent_data_give_same_surface():
     # the gauge move by a holomorphic h: psi -> (e^h psi1, e^conj(h) psi2),
     # phi -> (e^-h phi1, e^-conj(h) phi2)
