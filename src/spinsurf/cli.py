@@ -216,7 +216,9 @@ def cmd_solution(args) -> int:
     nrm = l2_norm_sq(U, require_decay=False)    # a box too small for the decay: qualified
     qual = "" if nrm.decay_ok else " [box too small for a decayed norm]"
     if args.solution == "ozawa":
-        events = {"norm_sq": nrm.value, "tail_bound": nrm.tail_bound, "blowup_time": oz.blowup_time}
+        events = {k: v if np.isfinite(v) else None for k, v in           # strict JSON
+                  (("norm_sq", nrm.value), ("tail_bound", nrm.tail_bound),
+                   ("blowup_time", oz.blowup_time))}
         line = json.dumps(events) + qual
     else:
         events = [e.as_dict() for e in singular_times(sol)]

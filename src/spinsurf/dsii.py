@@ -20,10 +20,15 @@ U_field/V_field sample from the z-rows of f and its z-derivatives, not from the
 expanded U and V (whose numerators and rho, rho^2 cancel near a singular
 instant): rho = x^2 + y^2 + |f|^2 is a sum of squares, exactly 0 where and only
 where z = 0 and f(0, t) specialises to exactly 0, and those nodes form the
-mask.  The expanded U, a, V stay for the exact residual.  The samplers and the
-singularity ledger follow exactpoly's one rule for c.  The ledger is exact: a
-singular instant is a real root t_s of f(0, t), and the blow-up coefficient is
-i a2 / (1 + |a1|^2), read off f(z, t_s) = a1 z + a2 z^2 + ...
+mask.  For an f even in z (the catalog's s1 and s2) on a grid whose nodes are
+point-symmetric to the bit (a box centred on 0 with exact node coordinates, as a
+dyadic spacing gives), U and V are even and half the rows are sampled: the other
+half is their reflection, which IEEE round to nearest gives to the bit up to the
+sign of a zero part, and nodes with a zero part are sampled directly
+(ExactSolution._sample).  The expanded U, a, V stay for the exact residual.  The
+samplers and the singularity ledger follow exactpoly's one rule for c.  The
+ledger is exact: a singular instant is a real root t_s of f(0, t), and the
+blow-up coefficient is i a2 / (1 + |a1|^2), read off f(z, t_s) = a1 z + a2 z^2 + ...
 """
 from __future__ import annotations
 
@@ -68,7 +73,18 @@ class ExactSolution:
         is exactly 0 where, and only where, z = 0 and f(0, t) specialises to exactly 0,
         and those nodes read 0 and form the mask.  1/rho multiplies through the float
         view.  c follows exactpoly's one rule; InvalidDatumError for an f of zbar, which
-        has no z-row."""
+        has no z-row.
+
+        When f's z-row has only even powers of z and the nodes are point-symmetric to
+        the bit (xs[::-1] == -xs and ys[::-1] == -ys), U and V are even, U(-z) = U(z):
+        the walk covers rows 0 .. ceil(ny/2) - 1, and row i past them is row ny-1-i
+        reversed, as is the mask.  That is the direct walk's value to the bit.  Round
+        to nearest is symmetric in sign, so at -z each step (the Horner rows, rho,
+        rho_z, 1/rho) is its value at z or exactly its negative, except for the sign
+        of an exact 0: x - x is +0 at z and at -z, and on the axis x = +0 stands in for
+        -0.  Such a sign reaches a field value only as the sign of a zero real or
+        imaginary part, so the mirror of each node with a zero part is sampled
+        directly."""
         if self.f.depends_on("zbar"):
             raise InvalidDatumError("the DSII fields are sampled from an f free of zbar")
         t = float(t)
@@ -77,19 +93,19 @@ class ExactSolution:
         f_row, *rows = (p._specialise(t, self.c)[0] for p in polys)
         xs, ys = grid.xs(), grid.ys()
         x2, y2 = xs * xs, ys * ys
-        blocks = row_blocks(xs.size, ys.size)
-        out = np.empty((ys.size, xs.size), dtype=np.complex128)
-        z, f, *w = np.empty((3 if v_field else 2, blocks[0].stop * xs.size), dtype=np.complex128)
-        z.real.reshape(-1, xs.size)[...] = xs          # each block sets only Im z
-        rho = np.empty(z.size)
-        mask = None
-        for r in blocks:
-            o = out[r]
-            n = o.size
-            zk, fk, rk, acc = z[:n], f[:n], rho[:n], o.reshape(-1)
-            np.copyto(zk.imag.reshape(o.shape), ys[r, None])
+        nx, ny = xs.size, ys.size
+        half = ((ny + 1) // 2 if all(k % 2 == 0 for k in f_row)
+                and np.array_equal(xs[::-1], -xs) and np.array_equal(ys[::-1], -ys) else ny)
+        blocks = row_blocks(nx, half)
+        out = np.empty((ny, nx), dtype=np.complex128)
+        z, f, *w = np.empty((3 if v_field else 2, blocks[0].stop * nx), dtype=np.complex128)
+        rho, hit = np.empty(z.size), np.empty(2 * z.size, dtype=bool)
+
+        def nodes(n, acc):
+            """The field at z[:n] into acc, with rho[:n] holding x^2 + y^2; returns the
+            nodes where rho is exactly 0, or None."""
+            zk, fk, rk = z[:n], f[:n], rho[:n]
             _horner(f_row, zk, fk)
-            np.add(x2[None, :], y2[r, None], out=rk.reshape(o.shape))
             sq = acc.view(np.float64)[:n]                  # acc is free until N or f''
             rk += np.square(fk.real, out=sq)
             rk += np.square(fk.imag, out=sq)
@@ -115,9 +131,36 @@ class ExactSolution:
                 acc -= wk
                 acc *= 2
             if pole is not None:
+                acc[pole] = 0.0
+            return pole
+
+        z.real.reshape(-1, nx)[...] = xs               # each block sets only Im z
+        mask, zeros = None, []
+        for r in blocks:
+            o = out[r]
+            np.copyto(z[:o.size].imag.reshape(o.shape), ys[r, None])
+            np.add(x2[None, :], y2[r, None], out=rho[:o.size].reshape(o.shape))
+            pole = nodes(o.size, o.reshape(-1))
+            if pole is not None:
                 mask = np.zeros(out.shape, dtype=bool) if mask is None else mask
                 mask[r] = pole.reshape(o.shape)
-                acc[pole] = 0.0
+            part = o[:max(0, ny - half - r.start)].view(np.float64).reshape(-1)
+            zero = np.equal(part, 0, out=hit[:part.size])     # in the rows to reflect
+            if zero.any():                     # the nodes with a zero part; two parts: twice
+                zeros.append(r.start * nx + (np.flatnonzero(zero) >> 1))
+        out[half:] = out[:ny - half][::-1, ::-1]
+        if mask is not None:
+            mask[half:] = mask[:ny - half][::-1, ::-1]
+        if zeros:                                      # a 0 part's sign can differ at -z
+            k = out.size - 1 - np.concatenate(zeros)   # (i, j) -> (ny-1-i, nx-1-j)
+            for s in range(0, k.size, z.size):
+                ks = k[s:s + z.size]
+                n, (iy, ix) = ks.size, np.divmod(ks, nx)
+                z[:n].real, z[:n].imag = xs[ix], ys[iy]
+                np.add(x2[ix], y2[iy], out=rho[:n])
+                acc = np.empty(n, dtype=np.complex128)
+                nodes(n, acc)
+                out.reshape(-1)[ks] = acc
         return ComplexField(grid, out, mask)
 
 
@@ -337,7 +380,7 @@ def _d2(vals: np.ndarray, h: float, axis: int) -> np.ndarray:
 class NormResult:
     value: float            # Richardson-extrapolated quadrature of |U|^2
     raw: float              # plain full-box quadrature
-    tail_bound: float       # analytic bound from the boundary decay constant
+    tail_bound: float       # analytic bound from the boundary decay constant; inf if none
     decay_ok: bool
 
     def __init__(self, value, raw, tail_bound, decay_ok):
@@ -347,6 +390,11 @@ class NormResult:
 def l2_norm_sq(U: ComplexField, require_decay: bool = True) -> NormResult:
     """int |U|^2 dx dy with O(1/r^2) decay verification and 1/R^2 Richardson tail
     extrapolation between the full box and an inner sub-box of 0.7 its half-width.
+    The half-width is R1 = min(x_max, -x_min, y_max, -y_min), the largest square
+    about z = 0 inside the box.  When R1 <= 0, z = 0 is on the box's edge or outside
+    it: there is no sub-box and no decay about z = 0 to check, so the value is the
+    raw box integral, decay_ok is False (DecayError if require_decay) and
+    tail_bound is inf.
 
     One pass over grid.row_blocks forms |U|^2, its
     maximum, its boundary ring and the trapezoid row sums of both boxes: no
@@ -358,11 +406,11 @@ def l2_norm_sq(U: ComplexField, require_decay: bool = True) -> NormResult:
     g, vals, mask = U.grid, U.values, U.mask
     ny, nx = vals.shape
     xs, ys = g.xs(), g.ys()
-    R1 = min(g.x_max, -g.x_min, g.y_max, -g.y_min) if g.x_min < 0 else min(g.x_max, g.y_max)
+    R1 = min(g.x_max, -g.x_min, g.y_max, -g.y_min)
     R2 = 0.7 * R1
     sx = np.flatnonzero(np.abs(xs) <= R2)        # the sub-box: one index range per axis
     sy = np.flatnonzero(np.abs(ys) <= R2)
-    inner = sx.size >= 8 and sy.size >= 8
+    inner = R1 > 0 and sx.size >= 8 and sy.size >= 8
     x0, x1, y0, y1 = (sx[0], sx[-1] + 1, sy[0], sy[-1] + 1) if inner else (0, 0, 0, 0)
     wx = _axis_weights(nx, g.hx, g.periodic_x)
     wx_in = _axis_weights(x1 - x0, g.hx, False) if inner else None
@@ -409,9 +457,10 @@ def l2_norm_sq(U: ComplexField, require_decay: bool = True) -> NormResult:
     rb2 = np.concatenate([xs**2 + ys[0]**2, xs**2 + ys[-1]**2,
                           xs[0]**2 + ys**2, xs[-1]**2 + ys**2])
     Cdec = float(np.max(ring * rb2))            # |U| <= C / r^2 on the boundary
-    decay_ok = peak == 0.0 or float(np.max(ring)) <= peak / 10.0
+    decay_ok = R1 > 0 and (peak == 0.0 or float(np.max(ring)) <= peak / 10.0)
     if require_decay and not decay_ok:
-        raise DecayError(f"no O(1/r^2) boundary decay: boundary max {np.max(ring):.3g} "
+        raise DecayError("z = 0 is not inside the box" if R1 <= 0 else
+                         f"no O(1/r^2) boundary decay: boundary max {np.max(ring):.3g} "
                          f"vs peak {peak:.3g}")
 
     if inner:
@@ -419,7 +468,7 @@ def l2_norm_sq(U: ComplexField, require_decay: bool = True) -> NormResult:
         value = (I1 * R1**2 - I2 * R2**2) / (R1**2 - R2**2)
     else:
         value = raw
-    tail = np.pi * Cdec**2 / R1**2
+    tail = np.pi * Cdec**2 / R1**2 if R1 > 0 else np.inf
     return NormResult(float(value), float(raw), float(tail), bool(decay_ok))
 
 

@@ -79,6 +79,36 @@ def test_solution_ozawa_on_the_default_box(tmp_path, capsys):
     assert capsys.readouterr().out.rstrip().endswith("[box too small for a decayed norm]")
 
 
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("solution", ["s1", "ozawa"])
+@pytest.mark.parametrize("box", ["--box=-1:1:0:2", "--box=1:3:1:3"], ids=["origin-on-edge", "beside"])
+def test_solution_on_a_box_not_around_the_origin(solution, box, tmp_path, capsys):
+    # no sub-box about z = 0 fits: the raw box integral, qualified, and no tail bound,
+    # which events.json writes as null
+    out = tmp_path / solution
+    assert main(["solution", "--solution", solution, "--grid", "33x33", box,
+                 "--out", str(out)]) == 0
+    line = capsys.readouterr().out.rstrip()
+    assert "[box too small for a decayed norm]" in line
+    events = _strict_json((out / "events.json").read_text())
+    if solution == "ozawa":
+        assert events["tail_bound"] is None and events["norm_sq"] > 0
+    else:
+        assert "tail bound inf" in line and events == []
+
+
+def test_solution_ozawa_without_blowup_writes_strict_json(tmp_path):
+    out = tmp_path / "oz"
+    assert main(["solution", "--solution", "ozawa", "--a", "1", "--b", "0",
+                 "--grid", "33x33", "--out", str(out)]) == 0
+    assert _strict_json((out / "events.json").read_text())["blowup_time"] is None
+
+
 def test_evolve_zero(tmp_path):
     out = tmp_path / "evz"
     rc = main(["evolve", "--from", "zero", "--grid", "32x32",
@@ -733,6 +763,13 @@ def test_gen_surface_sidecar_bytes_are_pinned(source, fmt, tmp_path):
 _CSV_RUNS = {
     "solution": ["solution", "--solution", "s1", "--c", "i", "--t", "-0.5",
                  "--grid", "33x33", "--box=-3:3:-3:3"],
+    # a singular instant, z = 0 masked; an even node count; V's zero parts on x = 0
+    "solution-s2-singular": ["solution", "--solution", "s2", "--c", "12", "--t", "1",
+                             "--grid", "33x33", "--box=-2:2:-2:2"],
+    "solution-s1-16x16": ["solution", "--solution", "s1", "--grid", "16x16",
+                          "--box=-7.5:7.5:-7.5:7.5"],
+    "solution-s1-zero-parts": ["solution", "--solution", "s1", "--c", "-1", "--grid", "33x33",
+                               "--box=-3:3:-3:3"],
     "evolve": ["evolve", "--from", "s1", "--c", "1", "--grid", "32x32", "--box=-10:10:-10:10",
                "--t-end", "0.01", "--dt", "1e-3", "--snapshot-every", "5"],
 }
@@ -740,6 +777,24 @@ _CSV_SHA256 = {
     ("solution", "U.csv"): "9ae87e267c5e0e4e022383dc9efb321588b8113ab94fcb2175ad443ce073312c",
     ("solution", "V.csv"): "6fd710e08a4578706ac56982ab8b3cbcad0163c567c0ae4a80b8fc9df70f7af9",
     ("solution", "events.json"): "b85cdb4ee8271660b4bfd483a933cd92ca547b2279246bd2faeac52cd6849403",
+    ("solution-s2-singular", "U.csv"):
+        "0f9582a1f105cbbf51f57a76cec092a9b1a16c4372ac11e5adb4c6f7fb30953e",
+    ("solution-s2-singular", "V.csv"):
+        "b4a0c8defe659cb81769b469a307b89276fe0bbdce0c7fcc1d9d2a4c4e72bbcc",
+    ("solution-s2-singular", "events.json"):
+        "d30e0f88d2595ffd3b26bdab61c8f299b2e1f90435e6cf4a3b0c237f6af81e3d",
+    ("solution-s1-16x16", "U.csv"):
+        "f3f88a31783c58ecf7e00bb6bdc1889e86f0c0f4e4cbbb5ffd90203d1fe0aba6",
+    ("solution-s1-16x16", "V.csv"):
+        "c3242315a33c2695b2c7741ba72606faa7ff7e4634103e1bed72b30c42532779",
+    ("solution-s1-16x16", "events.json"):
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ("solution-s1-zero-parts", "U.csv"):
+        "0b21f29959895847123f0b36ab1cf345d68e2b74edb0c9c4cbb69b36637261f9",
+    ("solution-s1-zero-parts", "V.csv"):
+        "4decd173f6306f1a4da3c4afe6ddec191d131b9e2d6954a071476e42876adab5",
+    ("solution-s1-zero-parts", "events.json"):
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
     ("evolve", "snapshot_0000.csv"):
         "9fef4815d950a2473f9825d92d4babfdba671ffec9489963a54a153ff958406b",
     ("evolve", "snapshot_0001.csv"):

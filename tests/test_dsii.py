@@ -9,10 +9,11 @@ from spinsurf import (BiPoly, C, ComplexField, Z, catalog, dsii_residual_exact,
                       exact_solution, field_from_function, heat_extend, l2_norm_sq,
                       make_grid, physical_form, poly_equal, singular_times,
                       square_grid, to_halved_v_form, wirtinger_derivative)
+from spinsurf import dsii
 from spinsurf.dsii import (DecayError, ExactSolution, InvalidDatumError, NormResult,
                            re_v_from_u)
 from spinsurf.exactpoly import T, ZBAR, RationalFn
-from spinsurf.grid import _BLOCK, MaskError, quadrature_sum
+from spinsurf.grid import _BLOCK, MaskError, quadrature_sum, row_blocks
 from test_grid import neighbor_mean_patched
 
 
@@ -536,6 +537,67 @@ def test_singular_fields_bitwise_equal_to_oracle_past_the_first_block(name, c, t
     assert U.mask is not None and U.mask.sum() == 1 and U.mask[64, 128]
 
 
+def _walked(monkeypatch, sample, grid, t):
+    """sample(grid, t), and the stop row of each row walk it ran."""
+    stops = []
+
+    def recording(nx, stop, start=0):
+        stops.append(stop)
+        return row_blocks(nx, stop, start)
+    monkeypatch.setattr(dsii, "row_blocks", recording)
+    return sample(grid, t), stops
+
+
+@pytest.mark.parametrize("sol, t, bounds, n, half", [
+    (catalog("s1", c=0.7 - 0.4j), 0.3, (-7.5, 7.5, -7.5, 7.5), 16, True),
+    (catalog("s2", c=9 + 1j), -0.2, (-7.5, 7.5, -7.5, 7.5), 16, True),
+    (catalog("s2", c=12.0), 1.0, (-2, 2, -2, 2), 33, True),            # z = 0 masked
+    # U = -i / rho: every node has a zero part, sampled again in two blocks of nodes
+    (exact_solution(heat_extend(BiPoly.const(1.0))), 0.3, (-4, 4, -4, 4), 129, True),
+    (exact_solution(heat_extend(0.3 * Z**3 + Z * Z + 0.7 * Z + 1j)), 0.2, (-3, 3, -3, 3), 33,
+     False),                                                          # odd powers of z
+    (catalog("s1", c=0.7 - 0.4j), 0.3, (-3, 2, -3, 3), 33, False),    # symmetric in y only
+], ids=["s1-even-n", "s2-even-n", "s2-singular", "constant-f", "odd-f", "y-symmetric-only"])
+def test_half_walk_is_bitwise_the_direct_walk(monkeypatch, sol, t, bounds, n, half):
+    # an even f on point-symmetric nodes walks ceil(ny/2) rows and reflects the rest;
+    # anything else walks every row.  Either way the fields are the oracle's to the bit
+    g = make_grid(bounds, (n, n))
+    for v_field, sample in ((False, sol.U_field), (True, sol.V_field)):
+        field, stops = _walked(monkeypatch, sample, g, t)
+        assert stops == [(n + 1) // 2 if half else n]
+        values, mask = _field_oracle(sol, g, t, v_field)
+        assert np.array_equal(field.values.view(np.uint64), values.view(np.uint64))
+        assert (field.mask is None) == (mask is None)
+        assert mask is None or np.array_equal(field.mask, mask)
+
+
+def test_half_walk_samples_the_mirror_of_a_zero_part_directly(monkeypatch):
+    # s1 with c = -1 at t = 0: V is real on the axis x = 0, where the direct walk
+    # reads Im V = +0 at some (0, y) and -0 at (0, -y).  The values are point-symmetric,
+    # their bits are not, so a reflection alone would write the wrong zeros
+    sol, g = catalog("s1", c=-1.0), square_grid(3.0, 33)
+    values, _ = _field_oracle(sol, g, 0.0, True)
+    mirror = values[::-1, ::-1].copy()
+    assert np.array_equal(values, mirror)
+    assert not np.array_equal(values.view(np.uint64), mirror.view(np.uint64))
+    field, stops = _walked(monkeypatch, sol.V_field, g, 0.0)
+    assert stops == [17]
+    assert np.array_equal(field.values.view(np.uint64), values.view(np.uint64))
+
+
+@pytest.mark.parametrize("name, c, t, half_width, n", [
+    ("s1", 0.9 - 0.3j, 0.37, 30.0, 769), ("s1", 0.8j, -0.4, 30.0, 769),
+    ("s2", 9 + 2j, 0.2, 10.0, 1025), ("s2", 12.0, 1.0, 10.0, 1025),
+    ("s1", 0.9 - 0.3j, 0.37, 3.0, 257)],
+    ids=["s1-769", "s1-769-singular", "s2-1025", "s2-1025-singular", "s1-257"])
+def test_fields_workload_grids_take_the_half_walk(monkeypatch, name, c, t, half_width, n):
+    # perfbench's fields grids: no value tells the half walk from the full one
+    sol = catalog(name, c=c)
+    for sample in (sol.U_field, sol.V_field):
+        _, stops = _walked(monkeypatch, sample, square_grid(half_width, n), t)
+        assert stops == [(n + 1) // 2]
+
+
 def test_masked_node_reads_zero_where_the_numerator_does_not_vanish():
     # on_grid's rule: a node where the denominator is exactly 0 reads 0, whatever the
     # numerator holds there, and the other nodes are num / den
@@ -621,10 +683,14 @@ def _l2_norm_sq_oracle(U, require_decay=True):
     peak = float(np.sqrt(np.max(u2)))
     raw = float(quadrature_sum(u2, g.hx, g.hy, g.periodic_x, g.periodic_y))
     Cdec = float(np.max(ring * rb2))
+    R1 = min(g.x_max, -g.x_min, g.y_max, -g.y_min)
+    if R1 <= 0:                         # z = 0 not inside the box: no sub-box, no decay
+        if require_decay:
+            raise DecayError("z = 0 is not inside the box")
+        return NormResult(raw, raw, np.inf, False)
     decay_ok = peak == 0.0 or float(np.max(ring)) <= peak / 10.0
     if require_decay and not decay_ok:
         raise DecayError("no O(1/r^2) boundary decay")
-    R1 = min(g.x_max, -g.x_min, g.y_max, -g.y_min) if g.x_min < 0 else min(g.x_max, g.y_max)
     R2 = 0.7 * R1
     selx = np.abs(xs) <= R2
     sely = np.abs(ys) <= R2
@@ -742,20 +808,36 @@ def test_l2_norm_peak_ignores_what_a_masked_node_holds():
             assert _norm_fields(got) == _norm_fields(want) and got.decay_ok
 
 
-@pytest.mark.parametrize("bounds, n, at", [((0, 3, -3, 3), 129, (64, 0)),    # left edge
-                                           ((0, 3, 0, 3), 129, (0, 0))],     # corner
-                         ids=["edge", "corner"])
-def test_l2_norm_ring_ignores_what_a_masked_edge_node_holds(bounds, n, at):
+@pytest.mark.parametrize("at", [(64, 0), (0, 0)], ids=["edge", "corner"])
+def test_l2_norm_ring_ignores_what_a_masked_edge_node_holds(at):
     # the boundary ring reads the neighbour-mean patch of a masked node, as the
-    # interior pass does, so tail_bound and decay_ok do not see the junk
-    g = make_grid(bounds, (n, n), False)
+    # interior pass does, so tail_bound and decay_ok do not see the junk.  A box
+    # with z = 0, the sampler's one masked node, on its edge has no tail bound
+    # (R1 = 0), so the edge node is masked by hand, beside the centre's mask
+    g = square_grid(3.0, 129)
     U = catalog("s1", c=1j).U_field(g, -0.5)
-    assert U.mask is not None and U.mask.sum() == 1 and U.mask[at]
-    clean = l2_norm_sq(U, require_decay=False)
-    assert clean.tail_bound == 0.3132890180865167
+    mask = U.mask.copy()
+    mask[at] = True
+    clean = _assert_norm_matches_oracle(ComplexField(g, U.values, mask))
+    assert np.isfinite(clean.tail_bound)
     for junk in (np.nan, 1e300):
         vals = U.values.copy()
-        vals[U.mask] = junk
+        vals[mask] = junk
         with np.errstate(over="ignore"):
-            got = l2_norm_sq(ComplexField(g, vals, U.mask), require_decay=False)
+            got = l2_norm_sq(ComplexField(g, vals, mask), require_decay=False)
         assert _norm_fields(got) == _norm_fields(clean)
+
+
+@pytest.mark.parametrize("bounds", [(1, 3, 1, 3), (0.5, 2, -1, 1), (-1, 1, 0, 2)],
+                         ids=["beside-the-origin", "origin-outside-left", "origin-on-edge"])
+def test_l2_norm_extrapolates_only_about_an_origin_inside_the_box(bounds):
+    # R1 = min(x_max, -x_min, y_max, -y_min) <= 0: a sub-box about z = 0 does not fit,
+    # so the value is the raw box integral, with no tail bound and no decay claim
+    # (the Richardson step used to read a corner of the box, and R1 = 0 divided by 0)
+    U = catalog("s1", c=1.0).U_field(make_grid(bounds, (65, 65)), 0.1)
+    got = _assert_norm_matches_oracle(U)
+    assert got.value == got.raw > 0 and got.tail_bound == np.inf and not got.decay_ok
+    assert got.raw == pytest.approx(quadrature_sum(np.abs(U.values) ** 2, U.grid.hx, U.grid.hy),
+                                    rel=1e-14)
+    with pytest.raises(DecayError, match="z = 0 is not inside the box"):
+        l2_norm_sq(U)
