@@ -20,8 +20,8 @@ from .moutard import (KData, MoutardTransform, build_S, heat_antiderivative,
                       k_matrix, moutard_exact, omega, omega1, time_offset_integral)
 from .dsii import (ExactSolution, NormResult, OzawaData, SingularEvent,
                    catalog, dsii_residual_exact, dsii_exact_identity_holds,
-                   exact_solution, l2_norm_sq, physical_form, re_v_from_u,
-                   singular_times, to_halved_v_form)
+                   exact_solution, l2_norm_sq, re_v_from_u, singular_times,
+                   to_halved_v_form)
 from .evolve import DsiiEvolver, EvolverState, Trajectory, evolve, grid_norm_sq, write_trajectory
 
 __version__ = "0.1.0"

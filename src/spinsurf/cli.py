@@ -280,7 +280,7 @@ def cmd_verify(args) -> int:
     results = run_suite(args.suite)
     print_table(results)
     with open(args.out / "verify.json", "w") as fh:
-        json.dump([r.as_dict() for r in results], fh, indent=1)
+        json.dump([r.as_dict() for r in results], fh, indent=1, allow_nan=False)
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -1,6 +1,6 @@
 """Exact Davey-Stewartson II solutions from heat polynomials, their exact residual
-numerators, nonlocal constraint inversion, physical form, norms and singularity
-analysis.
+numerators, nonlocal constraint inversion, Ozawa's blow-up datum, norms and
+singularity analysis.
 
 Canonical normalization (fixed for the whole package):
 
@@ -29,6 +29,10 @@ sign of a zero part, and nodes with a zero part are sampled directly
 samplers and the singularity ledger follow exactpoly's one rule for c.  The
 ledger is exact: a singular instant is a real root t_s of f(0, t), and the
 blow-up coefficient is i a2 / (1 + |a1|^2), read off f(z, t_s) = a1 z + a2 z^2 + ...
+
+Ozawa's blow-up datum W is stated in the physical variables X = 2y, Y = 2x,
+T = 2t of the focusing system; OzawaData.U0_zside is where it is relabelled to
+the variables of (*), U(x, y) = sqrt(2) W(2y, 2x) at t = T/2.
 """
 from __future__ import annotations
 
@@ -184,7 +188,7 @@ def to_halved_v_form(sol: ExactSolution) -> RationalFn:
 
 
 class OzawaData:
-    """Ozawa blow-up initial datum on the physical (X, Y) grid."""
+    """Ozawa's blow-up datum W(X, Y) in the physical variables X = 2y, Y = 2x, T = 2t."""
 
     a: float
     b: float
@@ -198,19 +202,21 @@ class OzawaData:
     def blowup_time(self) -> float:
         return -self.a / self.b if self.b != 0 else float("inf")
 
-    def U0_field(self, grid: Grid2D) -> ComplexField:
-        zm = grid.zmesh()
-        X, Y = zm.real, zm.imag
+    def _W(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         a, b = self.a, self.b
-        vals = np.exp(-1j * b / (4 * a) * (X**2 - Y**2)) \
+        return np.exp(-1j * b / (4 * a) * (X**2 - Y**2)) \
             / (a * (1 + ((X / a) ** 2 + (Y / a) ** 2) / 2))
-        return ComplexField(grid, vals)
+
+    def U0_field(self, grid: Grid2D) -> ComplexField:
+        """W(X, Y) on a grid whose nodes are (X, Y)."""
+        zm = grid.zmesh()
+        return ComplexField(grid, self._W(zm.real, zm.imag))
 
     def U0_zside(self, grid: Grid2D) -> ComplexField:
         """The datum in the evolver's z-side variables on a z-plane grid:
-        U(x, y) = sqrt(2) W(2y, 2x), sampled through physical_grid_of."""
-        W = self.U0_field(physical_grid_of(grid))
-        return ComplexField(grid, np.sqrt(2) * _swap_scale(W.values))
+        U(x, y) = sqrt(2) W(2y, 2x), evaluated at the scaled and swapped nodes."""
+        zm = grid.zmesh()
+        return ComplexField(grid, np.sqrt(2) * self._W(2 * zm.imag, 2 * zm.real))
 
 
 def catalog(name: str, c=1.0, a: float = 1.0, b: float = -1.0):
@@ -297,80 +303,6 @@ def re_v_into(u: np.ndarray, sp, n_hat: np.ndarray, out: np.ndarray) -> np.ndarr
     n_hat *= sp.re_v
     np.fft.ifft(n_hat, axis=0, out=n_hat)
     return np.fft.irfft(n_hat, n=u.shape[1], axis=1, out=out)
-
-
-# ---------------------------------------------------------------------------
-# physical (focusing) form
-
-
-class PhysicalForm:
-    U_phys: ComplexField          # field entering the focusing equation
-    phi: ComplexField             # potential of the Poisson problem (z-side scale)
-    grid_phys: Grid2D
-    rev_residual: float           # Re V - (2|U|^2 - 4 phi_X), z-side quantities
-    ozeq_residual: float | None
-
-    def __init__(self, U_phys, phi, grid_phys, rev_residual, ozeq_residual=None):
-        self.U_phys, self.phi, self.grid_phys = U_phys, phi, grid_phys
-        self.rev_residual, self.ozeq_residual = rev_residual, ozeq_residual
-
-
-def physical_grid_of(grid: Grid2D) -> Grid2D:
-    """The (X, Y) = (2y, 2x) image of a z-plane grid."""
-    return Grid2D(2 * grid.y_min, 2 * grid.y_max, 2 * grid.x_min, 2 * grid.x_max,
-                  grid.ny, grid.nx, grid.periodic_y, grid.periodic_x)
-
-
-def _swap_scale(values: np.ndarray) -> np.ndarray:
-    # (X, Y) = (2y, 2x): the physical array indexed [iY, iX] is the transpose
-    return values.T.copy()
-
-
-def physical_form(U: ComplexField, V: ComplexField, U_stencil=None, dt=None):
-    """Transform to the focusing variables X = 2y, Y = 2x.
-
-    Enforces/reports Re V = 2|U|^2 - 4 phi_X with Delta phi = d_X |U|^2 (z-side
-    fields on the physical grid).  With a 3-slice z-side time stencil the
-    residual of the focusing equation
-
-        i W_T - W_XX + W_YY = -4 |W|^2 W + 8 phi'_X W,   W = U / sqrt(2), T = 2t
-
-    is also evaluated (phi' = phi / 2).
-    """
-    gp = physical_grid_of(U.grid)
-    Uz_phys = ComplexField(gp, _swap_scale(U.values))
-    n = Uz_phys.abs2()
-    sp = gp.spectral
-    # RHS is d_X of a periodic field, so its mean vanishes and the Poisson
-    # problem is always solvable in the zero-mean gauge.
-    phi_hat = sp.ikx * np.fft.fft2(n.values.real) * sp.lap_inv
-    phi = np.fft.ifft2(phi_hat).real
-    phi_X = np.fft.ifft2(sp.ikx * np.fft.fft2(phi)).real
-    ReV_phys = _swap_scale(V.values).real
-    ReV_phys = ReV_phys - ReV_phys.mean()        # match the zero-mean spectral gauge
-    target = 2 * n.values.real - 4 * phi_X
-    target = target - target.mean()
-    rev_residual = float(np.max(np.abs(ReV_phys - target)))
-
-    ozeq = None
-    if U_stencil is not None:
-        if dt is None:
-            raise ValueError("dt required with a stencil")
-        Wm, W0, Wp = (_swap_scale(s.values) / np.sqrt(2) for s in U_stencil)
-        W_T = (Wp - Wm) / (2 * dt) / 2.0          # T = 2t
-        W = ComplexField(gp, W0)
-        Wxx = _d2(W.values, gp.hx, axis=1)
-        Wyy = _d2(W.values, gp.hy, axis=0)
-        phi_p_X = phi_X / 2.0
-        lhs = 1j * W_T - Wxx + Wyy
-        rhsq = -4 * np.abs(W0) ** 2 * W0 + 8 * phi_p_X * W0
-        ozeq = float(np.max(np.abs(lhs - rhsq)))
-    return PhysicalForm(ComplexField(gp, _swap_scale(U.values) / np.sqrt(2)),
-                        ComplexField(gp, phi.astype(complex)), gp, rev_residual, ozeq)
-
-
-def _d2(vals: np.ndarray, h: float, axis: int) -> np.ndarray:
-    return (np.roll(vals, -1, axis=axis) - 2 * vals + np.roll(vals, 1, axis=axis)) / h**2
 
 
 # ---------------------------------------------------------------------------

@@ -28,24 +28,21 @@ from .grid import ComplexField, Grid2D, MaskError, integrate2d, save_complexfiel
 
 
 class BlowupAbort(RuntimeError):
-    def __init__(self, message, state):
-        super().__init__(message)
-        self.state = state
+    pass
 
 
 class EvolverState:
-    """The evolver's state at time t after n_steps steps.  A state built from a
-    field holds U; a state that DsiiEvolver.run yields holds only its spectrum
-    U_hat = np.fft.fftn(U.values), which the step forms anyway.  The missing side
-    costs one FFT, formed the first time it is read and then kept.  norm_sq comes
-    from U_hat by Parseval."""
+    """The evolver's state at time t.  A state built from a field holds U; a state
+    that DsiiEvolver.run yields holds only its spectrum U_hat = np.fft.fftn(U.values),
+    which the step forms anyway.  The missing side costs one FFT, formed the first
+    time it is read and then kept.  norm_sq comes from U_hat by Parseval."""
 
-    def __init__(self, U: ComplexField | None, t: float, n_steps: int = 0, *,
+    def __init__(self, U: ComplexField | None, t: float, *,
                  U_hat: np.ndarray | None = None, grid: Grid2D | None = None):
         if (U is None) == (U_hat is None):
             raise ValueError("give exactly one of U and U_hat")
         self.grid = grid if U is None else U.grid
-        self.t, self.n_steps = t, n_steps
+        self.t = t
         if U is not None:
             self.U = U
         else:
@@ -92,11 +89,10 @@ class DsiiEvolver:
         self.half_phase = np.exp(1j * (sp.ky[:, None] ** 2 - sp.kx**2) * dt / 4.0)
 
     def run(self, state: EvolverState, n_steps: int):
-        """Yield the n_steps states after state, each holding U_hat only (BlowupAbort,
-        with the last finite state, on a non-finite spectrum); the k-th is at
-        state.t + k dt, not at a running sum of dt.  w_hat is the spectrum of U a half
-        step on."""
-        g, dt, t0, n0 = self.grid, self.dt, state.t, state.n_steps
+        """Yield the n_steps states after state, each holding U_hat only (BlowupAbort
+        on a non-finite spectrum); the k-th is at state.t + k dt, not at a running
+        sum of dt.  w_hat is the spectrum of U a half step on."""
+        g, dt, t0 = self.grid, self.dt, state.t
         w, theta = np.empty((g.ny, g.nx), dtype=complex), np.empty((g.ny, g.nx))
         n_hat = np.empty((g.ny, g.nx // 2 + 1), dtype=complex)
         w_hat = state.U_hat * self.half_phase     # numpy's complex a*b and b*a round apart
@@ -112,9 +108,8 @@ class DsiiEvolver:
                 np.fft.fftn(w, out=w_hat)
                 U_hat = w_hat * self.half_phase
             if not np.all(np.isfinite(U_hat)):
-                raise BlowupAbort(f"non-finite field at t={t0 + k * dt:g}", state)
-            state = EvolverState(None, t0 + k * dt, n0 + k, U_hat=U_hat, grid=g)
-            yield state
+                raise BlowupAbort(f"non-finite field at t={t0 + k * dt:g}")
+            yield EvolverState(None, t0 + k * dt, U_hat=U_hat, grid=g)
             np.multiply(U_hat, self.half_phase, out=w_hat)
 
     # one step of run; perfbench/spans.py traces the evolver by this name

@@ -54,7 +54,9 @@ class CheckResult:
                 f"in [{self.lo:.15g}, {self.hi:.15g}]")
 
     def as_dict(self):
-        return {"name": self.name, "value": self.value, "lo": self.lo, "hi": self.hi,
+        """The record for verify.json, in strict JSON: a non-finite value reads null."""
+        value = self.value if np.isfinite(self.value) else None
+        return {"name": self.name, "value": value, "lo": self.lo, "hi": self.hi,
                 "pass": self.passed, "detail": self.detail,
                 "runtime_s": round(self.runtime_s, 3)}
 

@@ -43,6 +43,8 @@ COMMANDS = [
     "spinsurf solution --config out/s1/resolved_config.json --out out/s1-again",
     "spinsurf evolve --from s1 --c 1 --grid 256x256 --box=-30:30:-30:30 "
     "--t-end 0.1 --dt 1e-4 --out out/run",
+    "spinsurf evolve --from ozawa --a 1 --b -1 --grid 64x64 --box=-10:10:-10:10 "
+    "--t-end 0.01 --dt 1e-3 --out out/oz-run",
     "spinsurf willmore-check --potential soliton --n 2",
     "spinsurf willmore-check --potential clifford",
 ]

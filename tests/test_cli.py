@@ -307,6 +307,24 @@ def test_verify_suite_exit_code(tmp_path):
     assert all(r["pass"] for r in results)
 
 
+def test_verify_json_is_strict_with_non_finite_values(tmp_path, monkeypatch):
+    # a NaN value (no event found) and an inf one (an order ratio over a zero fine
+    # residual) both fail, and verify.json writes them as null, not NaN/Infinity
+    from spinsurf import verify
+    records = [verify.CheckResult("no event", np.nan, 0.0, 1.0),
+               verify._order("ratio", coarse=1.0, fine=0.0, lo=3.0, hi=5.0)]
+    monkeypatch.setitem(verify.SUITES, "reduction", lambda: records)
+    assert main(["verify", "--suite", "reduction", "--out", str(tmp_path / "v")]) == 1
+
+    def reject(name):
+        raise ValueError(f"verify.json holds {name}")
+
+    text = (tmp_path / "v" / "verify.json").read_text()
+    results = json.loads(text, parse_constant=reject)
+    assert [(r["name"], r["value"], r["pass"]) for r in results] == [
+        ("no event", None, False), ("ratio", None, False)]
+
+
 def test_unknown_suite_exits_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nope", "--out", str(tmp_path / "v")])

@@ -7,13 +7,13 @@ import pytest
 
 from spinsurf import (BiPoly, C, ComplexField, Z, catalog, dsii_residual_exact,
                       exact_solution, field_from_function, heat_extend, l2_norm_sq,
-                      make_grid, physical_form, poly_equal, singular_times,
-                      square_grid, to_halved_v_form, wirtinger_derivative)
+                      make_grid, poly_equal, singular_times, square_grid,
+                      to_halved_v_form, wirtinger_derivative)
 from spinsurf import dsii
 from spinsurf.dsii import (DecayError, ExactSolution, InvalidDatumError, NormResult,
                            re_v_from_u)
 from spinsurf.exactpoly import T, ZBAR, RationalFn
-from spinsurf.grid import _BLOCK, MaskError, quadrature_sum, row_blocks
+from spinsurf.grid import _BLOCK, Grid2D, MaskError, quadrature_sum, row_blocks
 from test_grid import neighbor_mean_patched
 
 
@@ -52,6 +52,81 @@ def dsii_residual(U_stencil, V: ComplexField, dt: float) -> ResidualReport:
     h = U0.grid.hx * U0.grid.hy
     return ResidualReport(float(np.max(np.abs(r))),
                           float(np.sqrt(np.sum(np.abs(r) ** 2) * h)))
+
+
+# the physical (focusing) form of a z-side field, X = 2y, Y = 2x, T = 2t and
+# W = U / sqrt(2): a measuring tool for the focusing-equation residual, and the
+# grid-transposing route that OzawaData.U0_zside is checked against bit for bit
+
+
+class PhysicalForm:
+    U_phys: ComplexField          # field entering the focusing equation
+    phi: ComplexField             # potential of the Poisson problem (z-side scale)
+    grid_phys: Grid2D
+    rev_residual: float           # Re V - (2|U|^2 - 4 phi_X), z-side quantities
+    ozeq_residual: float | None
+
+    def __init__(self, U_phys, phi, grid_phys, rev_residual, ozeq_residual=None):
+        self.U_phys, self.phi, self.grid_phys = U_phys, phi, grid_phys
+        self.rev_residual, self.ozeq_residual = rev_residual, ozeq_residual
+
+
+def physical_grid_of(grid: Grid2D) -> Grid2D:
+    """The (X, Y) = (2y, 2x) image of a z-plane grid."""
+    return Grid2D(2 * grid.y_min, 2 * grid.y_max, 2 * grid.x_min, 2 * grid.x_max,
+                  grid.ny, grid.nx, grid.periodic_y, grid.periodic_x)
+
+
+def _swap_scale(values: np.ndarray) -> np.ndarray:
+    # (X, Y) = (2y, 2x): the physical array indexed [iY, iX] is the transpose
+    return values.T.copy()
+
+
+def physical_form(U: ComplexField, V: ComplexField, U_stencil=None, dt=None):
+    """Transform to the focusing variables X = 2y, Y = 2x.
+
+    Enforces/reports Re V = 2|U|^2 - 4 phi_X with Delta phi = d_X |U|^2 (z-side
+    fields on the physical grid).  With a 3-slice z-side time stencil the
+    residual of the focusing equation
+
+        i W_T - W_XX + W_YY = -4 |W|^2 W + 8 phi'_X W,   W = U / sqrt(2), T = 2t
+
+    is also evaluated (phi' = phi / 2).
+    """
+    gp = physical_grid_of(U.grid)
+    Uz_phys = ComplexField(gp, _swap_scale(U.values))
+    n = Uz_phys.abs2()
+    sp = gp.spectral
+    # RHS is d_X of a periodic field, so its mean vanishes and the Poisson
+    # problem is always solvable in the zero-mean gauge.
+    phi_hat = sp.ikx * np.fft.fft2(n.values.real) * sp.lap_inv
+    phi = np.fft.ifft2(phi_hat).real
+    phi_X = np.fft.ifft2(sp.ikx * np.fft.fft2(phi)).real
+    ReV_phys = _swap_scale(V.values).real
+    ReV_phys = ReV_phys - ReV_phys.mean()        # match the zero-mean spectral gauge
+    target = 2 * n.values.real - 4 * phi_X
+    target = target - target.mean()
+    rev_residual = float(np.max(np.abs(ReV_phys - target)))
+
+    ozeq = None
+    if U_stencil is not None:
+        if dt is None:
+            raise ValueError("dt required with a stencil")
+        Wm, W0, Wp = (_swap_scale(s.values) / np.sqrt(2) for s in U_stencil)
+        W_T = (Wp - Wm) / (2 * dt) / 2.0          # T = 2t
+        W = ComplexField(gp, W0)
+        Wxx = _d2(W.values, gp.hx, axis=1)
+        Wyy = _d2(W.values, gp.hy, axis=0)
+        phi_p_X = phi_X / 2.0
+        lhs = 1j * W_T - Wxx + Wyy
+        rhsq = -4 * np.abs(W0) ** 2 * W0 + 8 * phi_p_X * W0
+        ozeq = float(np.max(np.abs(lhs - rhsq)))
+    return PhysicalForm(ComplexField(gp, _swap_scale(U.values) / np.sqrt(2)),
+                        ComplexField(gp, phi.astype(complex)), gp, rev_residual, ozeq)
+
+
+def _d2(vals: np.ndarray, h: float, axis: int) -> np.ndarray:
+    return (np.roll(vals, -1, axis=axis) - 2 * vals + np.roll(vals, 1, axis=axis)) / h**2
 
 
 def test_exact_solution_linear_datum_trivial():
@@ -115,6 +190,20 @@ def test_ozawa_zside_datum_maps_the_physical_one():
         W = np.exp(0.25j * (X**2 - Y**2)) / (1 + (X**2 + Y**2) / 2)
         assert U.values[iy, ix] == pytest.approx(np.sqrt(2) * W, abs=1e-14)
     assert l2_norm_sq(oz.U0_zside(square_grid(20.0, 513))).value == pytest.approx(np.pi, rel=1e-2)
+    # U0_zside evaluates W at (2y, 2x) straight from the z-plane nodes; the route it
+    # replaced sampled W on physical_grid_of(g) and transposed back.  2 ys() is that
+    # grid's xs() to the bit, so the bytes agree, zero signs included
+    boxes = ((-10.0, 10.0, -10.0, 10.0), (-3.0, 5.0, -2.0, 2.0), (1.5, 7.25, -6.0, 0.3))
+    for a, b in ((1.0, -1.0), (0.7, 0.3), (-1.3, 2.0), (2.5, 0.0)):
+        oz = catalog("ozawa", a=a, b=b)
+        for bounds in boxes:
+            for nx, ny in ((64, 64), (33, 48), (48, 33), (21, 17)):
+                for periodic in (False, True):
+                    g = make_grid(bounds, (nx, ny), periodic)
+                    old = np.sqrt(2) * _swap_scale(oz.U0_field(physical_grid_of(g)).values)
+                    new = oz.U0_zside(g).values
+                    assert new.shape == (ny, nx)
+                    assert new.tobytes() == old.tobytes(), (a, b, bounds, nx, ny, periodic)
 
 
 def test_catalog_unknown_name():
@@ -299,7 +388,6 @@ def test_physical_form_s1_converges():
 
 
 def test_physical_grid_roundtrip():
-    from spinsurf.dsii import physical_grid_of
     g = make_grid((-3, 3, -2, 2), (64, 48), True)
     gp = physical_grid_of(g)
     assert (gp.x_min, gp.x_max) == (-4, 4)     # X = 2y

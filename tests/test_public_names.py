@@ -49,14 +49,7 @@ KEEP = {
     # open items of ROADMAP
     "moutard.time_offset_integral": "the time-augmented Moutard route of item 4",
     "moutard.omega1": "the time-augmented Moutard route of item 4",
-    "dsii.physical_form": "the one z <-> physical map of item 2",
-    "dsii.physical_grid_of": "the one z <-> physical map of item 2",
-    "dsii._swap_scale": "the one z <-> physical map of item 2",
-    "dsii._d2": "the one z <-> physical map of item 2",
-    "dsii.PhysicalForm": "physical_form's result, the one z <-> physical map of item 2",
     # run on paths that the README does not run
-    "dsii.OzawaData.U0_zside": "evolve --from ozawa",
-    "evolve.BlowupAbort.__init__": "an evolver run that blows up",
     "dsii.to_halved_v_form": "the halved-V convention; perfbench's checks use it",
     "exactpoly.RationalFn.eval": "point sets; perfbench/test_checks.py calls it",
     # Python's data model
