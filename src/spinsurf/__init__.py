@@ -14,7 +14,7 @@ from .surface import (SurfaceMap, discrete_mean_curvature, gauss_map,
                       integrate_surface_r3, integrate_surface_r4, invert_surface,
                       measured_e2alpha, smatrix_to_surface, spinor_metric,
                       weier_derivatives, willmore)
-from .meshio import MeshStats, export_mesh
+from .meshio import export_mesh
 from .moutard import (KData, MoutardTransform, build_S, heat_antiderivative,
                       heat_datum_fields, heat_datum_spinors, heat_smatrix_values,
                       k_matrix, moutard_exact, omega, omega1, time_offset_integral)

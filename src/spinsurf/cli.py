@@ -6,7 +6,7 @@ given by --config become option tokens ahead of the explicit flags, so argparse
 reads each as its flag's text and an explicit flag wins.  gen-surface, solution,
 evolve and verify write their resolved configuration into the output
 directory; willmore-check only prints.  All outputs are deterministic for a
-fixed configuration.
+fixed configuration, but for the timings that verify records.
 """
 from __future__ import annotations
 
@@ -20,8 +20,8 @@ import numpy as np
 from .dirac import SpinorField
 from .dsii import catalog, l2_norm_sq, singular_times
 from .evolve import evolve, grid_norm_sq, step_count, write_trajectory
-from .grid import (Grid2D, constant_field, field_from_function, make_grid,
-                   save_complexfield_csv)
+from .grid import (Grid2D, constant_field, field_from_function, json_text, make_grid,
+                   save_complexfield_csv, save_json)
 from .meshio import export_mesh
 from .moutard import heat_datum_fields, heat_smatrix_values
 from .surface import (discrete_mean_curvature, gauss_map, integrate_surface_r3,
@@ -107,7 +107,7 @@ def _config_tokens(act, val) -> list:
         return [f"{flag}={val}"]
     numbers = val if isinstance(val, list) else [val]
     if act.type is Path or not all(type(x) in (int, float) for x in numbers):   # no bool
-        raise argparse.ArgumentError(act, f"got {json.dumps(val)}")
+        raise argparse.ArgumentError(act, f"got {json_text(val)}")
     if isinstance(val, list) and act.type is _parse_complex and len(val) == 2:
         val = f"{val[0]}{val[1]:+}j"
     elif isinstance(val, list) and act.type in (_parse_gridspec, _parse_box):
@@ -194,10 +194,10 @@ def cmd_gen_surface(args) -> int:
         "curvature_abs_mean": float(np.mean(np.abs(Hf))) if Hf.size else None,
         "curvature_abs_max": float(np.max(np.abs(Hf))) if Hf.size else None,
     }
-    stats = export_mesh(S, args.out / f"surface.{args.format}", fmt=args.format,
-                        metadata=meta)
-    print(f"wrote {stats.files[0]}: {stats.n_vertices} vertices, "
-          f"{stats.n_triangles} triangles, {stats.n_holes} holes")
+    path = args.out / f"surface.{args.format}"
+    rec = export_mesh(S, path, fmt=args.format, metadata=meta)
+    print(f"wrote {path}: {rec['n_vertices']} vertices, "
+          f"{rec['n_triangles']} triangles, {rec['holes']} holes")
     print(f"willmore={meta['willmore']:.6g} conformality={meta['conformality_residual']:.3g}")
     return 0
 
@@ -216,15 +216,14 @@ def cmd_solution(args) -> int:
     nrm = l2_norm_sq(U, require_decay=False)    # a box too small for the decay: qualified
     qual = "" if nrm.decay_ok else " [box too small for a decayed norm]"
     if args.solution == "ozawa":
-        events = {k: v if np.isfinite(v) else None for k, v in           # strict JSON
-                  (("norm_sq", nrm.value), ("tail_bound", nrm.tail_bound),
-                   ("blowup_time", oz.blowup_time))}
-        line = json.dumps(events) + qual
+        events = {"norm_sq": nrm.value, "tail_bound": nrm.tail_bound,
+                  "blowup_time": oz.blowup_time}
+        line = json_text(events) + qual
     else:
         events = [e.as_dict() for e in singular_times(sol)]
         line = (f"norm_sq={nrm.value:.6g} (tail bound {nrm.tail_bound:.2g}){qual}; "
                 f"{len(events)} singular event(s)")
-    (outdir / "events.json").write_text(json.dumps(events, indent=1))
+    save_json(outdir / "events.json", events)
     print(line)
     return 0
 
@@ -258,8 +257,8 @@ def cmd_evolve(args) -> int:
             Uex = Uex.patched()
         num = grid_norm_sq(traj.final - Uex)
         summary["rel_l2_error_vs_exact"] = float(np.sqrt(num / grid_norm_sq(Uex)))
-    (outdir / "summary.json").write_text(json.dumps(summary, indent=1))
-    print(json.dumps(summary))
+    save_json(outdir / "summary.json", summary)
+    print(json_text(summary))
     return 0 if not traj.aborted else 3
 
 
@@ -271,7 +270,7 @@ def cmd_willmore_check(args) -> int:
     else:                                   # clifford
         pot = clifford_potential()
         chk = willmore_bound_check(pot, None)
-    print(json.dumps(chk.as_dict()))
+    print(json_text(chk.as_dict()))
     return 0 if chk.passed else 1
 
 
@@ -279,29 +278,17 @@ def cmd_verify(args) -> int:
     from .verify import print_table, run_suite
     results = run_suite(args.suite)
     print_table(results)
-    with open(args.out / "verify.json", "w") as fh:
-        json.dump([r.as_dict() for r in results], fh, indent=1, allow_nan=False)
+    save_json(args.out / "verify.json", [r.as_dict() for r in results])
     return 0 if all(r.passed for r in results) else 1
 
 
 def _write_config(args):
     """args.out/resolved_config.json: the subcommand and every option it read, in
-    the form that --config reads back."""
-    options = {}
-    for key, val in vars(args).items():
-        if key in ("func", "config"):
-            continue
-        if isinstance(val, Path):
-            val = str(val)
-        elif isinstance(val, complex):
-            val = [val.real, val.imag]
-        elif isinstance(val, tuple):
-            val = list(val)
-        options[key] = val
+    the form that --config reads back, keys sorted."""
+    options = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "config")}
     args.out.mkdir(parents=True, exist_ok=True)
-    with open(args.out / "resolved_config.json", "w") as fh:
-        json.dump({"subcommand": args.subcommand, "options": options}, fh,
-                  indent=1, sort_keys=True)
+    save_json(args.out / "resolved_config.json",
+              {"options": options, "subcommand": args.subcommand})
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -418,8 +418,7 @@ class SingularEvent:
         self.t_sing, self.coefficient = t_sing, coefficient
 
     def as_dict(self):
-        return {"t_sing": self.t_sing, "z": [0.0, 0.0],
-                "coeff": [self.coefficient.real, self.coefficient.imag]}
+        return {"t_sing": self.t_sing, "z": [0.0, 0.0], "coeff": self.coefficient}
 
 
 def _t_poly_at_origin(sol: ExactSolution):

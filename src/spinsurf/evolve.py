@@ -15,7 +15,6 @@ by Parseval, so a run that reads no snapshot forms one field, the final one.
 """
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from functools import cached_property
@@ -24,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .dsii import re_v_into
-from .grid import ComplexField, Grid2D, MaskError, integrate2d, save_complexfield_csv, save_csv
+from .grid import (ComplexField, Grid2D, MaskError, integrate2d, save_complexfield_csv, save_csv,
+                   save_json)
 
 
 class BlowupAbort(RuntimeError):
@@ -190,6 +190,6 @@ def write_trajectory(traj: Trajectory, outdir) -> dict:
              (b"%.17g,%.17g\r\n" % tn for tn in zip(traj.times, traj.norms)), newline="\r\n")
     manifest = {"times": traj.times, "norms": traj.norms, "snapshots": files,
                 "aborted": traj.aborted, "abort_reason": traj.abort_reason}
-    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=1))
+    save_json(outdir / "manifest.json", manifest)
     return manifest
 

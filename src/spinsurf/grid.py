@@ -24,7 +24,9 @@ ComplexField.abs2 do not yet.
 from __future__ import annotations
 
 import json
+import math
 from functools import cached_property
+from pathlib import PurePath
 
 import numpy as np
 
@@ -151,12 +153,11 @@ class Grid2D:
     spectral = cached_property(Spectral)      # built on first use, then cached
 
     def meta(self) -> dict:
-        return {
-            "x_min": self.x_min, "x_max": self.x_max,
-            "y_min": self.y_min, "y_max": self.y_max,
-            "nx": self.nx, "ny": self.ny,
-            "periodic_x": self.periodic_x, "periodic_y": self.periodic_y,
-        }
+        """The grid's record, keys sorted."""
+        return {"nx": self.nx, "ny": self.ny,
+                "periodic_x": self.periodic_x, "periodic_y": self.periodic_y,
+                "x_max": self.x_max, "x_min": self.x_min,
+                "y_max": self.y_max, "y_min": self.y_min}
 
 
 def make_grid(bounds, resolution, periodicity=False) -> Grid2D:
@@ -503,6 +504,36 @@ def save_csv(csv_path, header: str, lines, newline="\n"):
         fh.writelines(lines)
 
 
+def _plain(obj):
+    """obj as the one JSON rule reads it: dicts, lists and tuples item by item, a
+    numpy scalar as its Python value, a complex number as [re, im], a path as its
+    text and a non-finite float as None.  Keys keep the record's order."""
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, complex):
+        return [_plain(obj.real), _plain(obj.imag)]
+    if isinstance(obj, PurePath):
+        return str(obj)
+    return obj
+
+
+def json_text(obj) -> str:
+    """The one JSON rule on one line: strict JSON (no NaN or Infinity) of _plain(obj)."""
+    return json.dumps(_plain(obj), allow_nan=False)
+
+
+def save_json(path, obj):
+    """The one JSON writer: the rule's strict JSON of obj, indent 1."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(_plain(obj), indent=1, allow_nan=False))
+
+
 def _words(texts, n: int = 8) -> np.ndarray:
     """Little-endian 64-bit words of byte strings, zero-padded to n bytes."""
     return np.array(texts, f"S{n}").view("<u8")
@@ -625,10 +656,8 @@ def save_nodes_csv(csv_path, header: str, *columns):
 
 
 def save_complexfield_csv(f: ComplexField, csv_path):
-    """CSV columns ix, iy, re, im plus a JSON sidecar with grid metadata."""
-    meta = f.grid.meta()
-    if f.mask is not None:
-        meta["masked_nodes"] = [[int(a), int(b)] for b, a in zip(*np.nonzero(f.mask))]
+    """CSV columns ix, iy, re, im plus a JSON sidecar with grid metadata, keys
+    sorted: a masked field's [ix, iy] nodes first."""
+    masked = {} if f.mask is None else {"masked_nodes": np.argwhere(f.mask)[:, ::-1].tolist()}
     save_nodes_csv(csv_path, "ix,iy,re,im", f.values)
-    with open(str(csv_path) + ".json", "w") as fh:
-        json.dump(meta, fh, indent=1, sort_keys=True)
+    save_json(str(csv_path) + ".json", {**masked, **f.grid.meta()})

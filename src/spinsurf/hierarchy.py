@@ -127,13 +127,19 @@ def mkdv_reduction_identity(U: Potential1D) -> float:
 
 
 class WillmoreCheck:
+    """value = 4 int U^2 against the sphere bound 4 pi N^2 (0 without a claimed N):
+    it passes at value >= bound - 1e-9 max(bound, 1)."""
+
     value: float
     bound: float
-    passed: bool
     n_claim: int | None
 
-    def __init__(self, value, bound, passed, n_claim):
-        self.value, self.bound, self.passed, self.n_claim = value, bound, passed, n_claim
+    def __init__(self, value, bound, n_claim):
+        self.value, self.bound, self.n_claim = value, bound, n_claim
+
+    @property
+    def passed(self) -> bool:
+        return self.value >= self.bound - 1e-9 * max(self.bound, 1.0)
 
     def as_dict(self):
         return {"value": self.value, "bound": self.bound, "pass": self.passed,
@@ -154,11 +160,7 @@ def willmore_value_1d(U: Potential1D) -> float:
 
 
 def willmore_bound_check(U: Potential1D, N: int | None = None) -> WillmoreCheck:
-    """Check 4 int U^2 >= 4 pi N^2 (sphere bound; equality at soliton potentials),
-    up to 1e-9 x max(bound, 1)."""
-    value = willmore_value_1d(U)
-    if N is None:
-        return WillmoreCheck(value, 0.0, True, None)
-    bound = 4 * np.pi * N * N
-    return WillmoreCheck(value, bound, value >= bound - 1e-9 * max(bound, 1.0), N)
+    """The sphere-bound check of U for N solitons (equality at soliton potentials)."""
+    bound = 0.0 if N is None else 4 * np.pi * N * N
+    return WillmoreCheck(willmore_value_1d(U), bound, N)
 

@@ -5,27 +5,14 @@ in numpy a block of rows at a time; PLY is binary little-endian.
 """
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
-from .grid import _D4, _L4, _words
+from .grid import _D4, _L4, _words, save_json
 from .surface import SurfaceMap
 
 
 class MeshFormatError(ValueError):
     pass
-
-
-class MeshStats:
-    n_vertices: int
-    n_triangles: int
-    n_holes: int
-    files: list
-
-    def __init__(self, n_vertices, n_triangles, n_holes, files):
-        self.n_vertices, self.n_triangles, self.n_holes = n_vertices, n_triangles, n_holes
-        self.files = files
 
 
 def _project(S: SurfaceMap):
@@ -54,8 +41,9 @@ def grid_triangles(nx: int, ny: int, good: np.ndarray, stitch_x: bool = False,
 
 
 def export_mesh(S: SurfaceMap, path, fmt: str = "obj",
-                metadata: dict | None = None) -> MeshStats:
-    """Write the surface as a triangulated OBJ or PLY file plus a JSON sidecar.
+                metadata: dict | None = None) -> dict:
+    """Write the surface as a triangulated OBJ or PLY file plus a JSON sidecar,
+    and return the sidecar's record (keys sorted).
 
     An R^4 surface is drawn by its first three coordinates.  Periodic axes of
     the grid are stitched.  Nodes that are masked or not finite leave holes.
@@ -83,29 +71,15 @@ def export_mesh(S: SurfaceMap, path, fmt: str = "obj",
         "format": fmt,
         "grid": g.meta(),
         "basepoint": [float(v) for v in S.basepoint],
-        "n_vertices": int(pts.shape[0]),
-        "n_triangles": int(tris.shape[0]),
+        "n_vertices": pts.shape[0],
+        "n_triangles": tris.shape[0],
         "holes": holes,
         "flagged_nodes": int(np.sum(~good)),
+        **extra, **S.diagnostics, **(metadata or {}),
     }
-    meta.update(extra)
-    meta.update(S.diagnostics or {})
-    if metadata:
-        meta.update(metadata)
-    sidecar = path + ".json"
-    with open(sidecar, "w") as fh:
-        json.dump(_jsonable(meta), fh, indent=1, sort_keys=True)
-    return MeshStats(pts.shape[0], tris.shape[0], holes, [path, sidecar])
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
+    record = dict(sorted(meta.items()))
+    save_json(path + ".json", record)
+    return record
 
 
 _BLOCK = 4096                                          # rows formatted at a time

@@ -39,8 +39,7 @@ class CheckResult:
     runtime_s: float
 
     def __init__(self, name, value, lo, hi, detail=""):
-        # plain Python floats, whatever numpy scalars the checks hand in, so that
-        # as_dict() always serialises
+        # plain Python floats, whatever numpy scalars or bools the checks hand in
         self.name, self.value, self.lo, self.hi = name, float(value), float(lo), float(hi)
         self.detail, self.runtime_s = detail, 0.0
         self._made = time.perf_counter()        # for _timed
@@ -54,9 +53,8 @@ class CheckResult:
                 f"in [{self.lo:.15g}, {self.hi:.15g}]")
 
     def as_dict(self):
-        """The record for verify.json, in strict JSON: a non-finite value reads null."""
-        value = self.value if np.isfinite(self.value) else None
-        return {"name": self.name, "value": value, "lo": self.lo, "hi": self.hi,
+        """The record for verify.json."""
+        return {"name": self.name, "value": self.value, "lo": self.lo, "hi": self.hi,
                 "pass": self.passed, "detail": self.detail,
                 "runtime_s": round(self.runtime_s, 3)}
 

@@ -109,6 +109,54 @@ def test_solution_ozawa_without_blowup_writes_strict_json(tmp_path):
     assert _strict_json((out / "events.json").read_text())["blowup_time"] is None
 
 
+def _keys_sorted(obj) -> bool:
+    """Whether every object in obj, at any depth, has its keys in sorted order."""
+    if isinstance(obj, dict):
+        return list(obj) == sorted(obj) and all(map(_keys_sorted, obj.values()))
+    return not isinstance(obj, list) or all(map(_keys_sorted, obj))
+
+
+def test_every_command_writes_strict_json(tmp_path, capsys):
+    # every JSON file and every printed JSON line of every command parses with NaN
+    # and Infinity refused; resolved configs, node-CSV and mesh sidecars keep their
+    # keys sorted
+    runs = {
+        "obj": ["gen-surface", "--grid", "33x33"],
+        "ply": ["gen-surface", "--from-dsii", "s2", "--c", "12", "--t", "1", "--invert",
+                "--grid", "33x33", "--format", "ply"],
+        "s2": ["solution", "--solution", "s2", "--c", "12", "--t", "1", "--grid", "33x33",
+               "--box=-2:2:-2:2"],
+        "oz": ["solution", "--solution", "ozawa", "--b", "0", "--grid", "33x33"],
+        "ev": ["evolve", "--grid", "32x32", "--box=-10:10:-10:10", "--t-end", "0.01",
+               "--dt", "1e-3", "--snapshot-every", "3"],
+        "verify": ["verify", "--suite", "symbolic"],
+    }
+    runs["again"] = ["solution", "--config", str(tmp_path / "s2" / "resolved_config.json")]
+    printed = []
+    for name, argv in runs.items():
+        assert main(argv + ["--out", str(tmp_path / name)]) == 0, name
+        printed += capsys.readouterr().out.splitlines()
+    assert main(["willmore-check", "--potential", "soliton"]) == 0
+    printed += capsys.readouterr().out.splitlines()
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    decoder = json.JSONDecoder(parse_constant=refuse)
+    # the Ozawa line (its JSON, then a qualifier), the evolve summary and willmore-check
+    lines = [decoder.raw_decode(line)[0] for line in printed if line.startswith("{")]
+    assert len(lines) == 3 and lines[0]["blowup_time"] is None
+    files = {p.relative_to(tmp_path).as_posix(): decoder.decode(p.read_text())
+             for p in sorted(tmp_path.rglob("*.json"))}
+    assert len(files) == 25
+    assert files["oz/events.json"]["blowup_time"] is None
+    assert files["s2/U.csv.json"]["masked_nodes"] == [[16, 16]]
+    assert files["again/U.csv.json"] == files["s2/U.csv.json"]
+    sorted_kinds = ("resolved_config.json", ".csv.json", ".obj.json", ".ply.json")
+    checked = [k for k in files if k.endswith(sorted_kinds)]
+    assert len(checked) == 19 and all(_keys_sorted(files[k]) for k in checked)
+
+
 def test_evolve_zero(tmp_path):
     out = tmp_path / "evz"
     rc = main(["evolve", "--from", "zero", "--grid", "32x32",
@@ -524,8 +572,8 @@ def test_config_file_from_another_command_is_rejected(tmp_path, capsys):
 
 
 def test_check_results_hold_python_types():
-    # numpy scalars from a check (e.g. the evolver's norm drift) must not reach
-    # verify.json: json cannot serialise numpy.bool_
+    # a record holds Python floats and bools whatever numpy scalars a check hands in
+    # (e.g. the evolver's norm drift), and a bool check's value reads 1.0
     from spinsurf.verify import CheckResult, _near, _order
     for r in (CheckResult("x", np.float64(1e-4), 0, 1e-3),
               _near("y", np.float64(2.0), np.float64(2.0), 1e-2),

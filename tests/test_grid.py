@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from spinsurf import (ComplexField, SpinorField, SurfaceMap, constant_field,
                       field_from_function, integrate2d, make_grid, save_complexfield_csv,
                       wirtinger_derivative)
 from spinsurf.grid import (_TEXT_VALUES, GridConfigError, MaskError, Spectral, _digits,
-                           antiderivative, closedness_defect, mask_patches, quadrature_sum,
-                           save_nodes_csv)
+                           antiderivative, closedness_defect, json_text, mask_patches,
+                           quadrature_sum, save_json, save_nodes_csv)
 
 
 # The per-node neighbour-mean rule: the oracle that grid.mask_patches, and every
@@ -527,6 +528,37 @@ def test_complexfield_csv_roundtrip(tmp_path):
     meta = json.loads((tmp_path / "f.csv.json").read_text())
     assert sorted(meta.pop("masked_nodes")) == [[0, 6], [5, 2]]
     assert meta == g.meta()
+
+
+def _strict_loads(text):
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_json_rule_reads_numpy_complex_paths_and_non_finite_values(tmp_path):
+    # one rule for every file and printed line: numpy scalars as Python values, a
+    # complex number as [re, im], a path as its text, a tuple as a list and a
+    # non-finite float as null, at any depth
+    path = Path("out") / "U.csv"
+    record = {"n": np.int64(7), "ok": np.bool_(True), "h": np.float32(0.25),
+              "c": 1.5 - 2j, "nc": np.complex128(3j), "path": path,
+              "grid": (np.int64(33), 33), "t": [np.nan, np.float64(np.inf), -np.inf],
+              "deep": [{"x": (complex(np.nan, 1.0),)}], "none": None, "tag": "s2"}
+    want = {"n": 7, "ok": True, "h": 0.25, "c": [1.5, -2.0], "nc": [0.0, 3.0],
+            "path": str(path), "grid": [33, 33], "t": [None, None, None],
+            "deep": [{"x": [[None, 1.0]]}], "none": None, "tag": "s2"}
+    save_json(tmp_path / "r.json", record)
+    for text in (json_text(record), (tmp_path / "r.json").read_text()):
+        got = _strict_loads(text)
+        assert got == want and list(got) == list(record)       # the record's key order
+        assert [type(got[k]) for k in ("n", "ok", "h")] == [int, bool, float]
+    assert "\n" not in json_text(record)
+    # finite plain values: the text json itself writes, one line or indent 1
+    plain = {"b": [1, -0.0, 2.5e-300, "x", None, False], "a": {"z": 1e300, "y": []}}
+    assert json_text(plain) == json.dumps(plain)
+    save_json(tmp_path / "p.json", plain)
+    assert (tmp_path / "p.json").read_text() == json.dumps(plain, indent=1)
 
 
 def _savetxt_bytes(path, header, fmt, data):

@@ -10,6 +10,7 @@ from spinsurf import (SpinorField, SurfaceMap, catalog, constant_field,
                       export_mesh, field_from_function, integrate_surface_r3,
                       invert_surface, make_grid, smatrix_to_surface)
 from spinsurf import meshio
+from spinsurf.grid import json_text
 from spinsurf.meshio import MeshFormatError, grid_triangles
 from spinsurf.moutard import heat_smatrix_values
 
@@ -87,19 +88,20 @@ def _plane(n=5):
 
 
 def test_plane_triangle_count(tmp_path):
-    st = export_mesh(_plane(5), tmp_path / "p.obj")
-    assert st.n_triangles == 32
-    assert st.n_vertices == 25
+    rec = export_mesh(_plane(5), tmp_path / "p.obj")
+    assert rec["n_triangles"] == 32
+    assert rec["n_vertices"] == 25
     nv, nf = read_obj_counts(tmp_path / "p.obj")
     assert (nv, nf) == (25, 32)
 
 
 def test_obj_metadata_sidecar(tmp_path):
-    st = export_mesh(_plane(5), tmp_path / "p.obj", metadata={"tag": "plane"})
+    rec = export_mesh(_plane(5), tmp_path / "p.obj", metadata={"tag": "plane"})
     meta = json.loads((tmp_path / "p.obj.json").read_text())
     assert meta["tag"] == "plane"
     assert meta["n_triangles"] == 32
     assert meta["holes"] == 0
+    assert json_text(rec) == json.dumps(meta)   # export_mesh returns the record it wrote
 
 
 def test_disk_euler_characteristic():
@@ -115,21 +117,21 @@ def test_catenoid_watertight_strip(tmp_path):
     psi = SpinorField(field_from_function(g, lambda z: s * np.exp(z / 2)),
                       field_from_function(g, lambda z: s * np.exp(-np.conj(z) / 2)))
     cat = integrate_surface_r3(psi)
-    st = export_mesh(cat, tmp_path / "cat.ply", fmt="ply")
-    assert st.n_holes == 0
+    rec = export_mesh(cat, tmp_path / "cat.ply", fmt="ply")
+    assert rec["holes"] == 0
     tris, _ = grid_triangles(g.nx, g.ny, np.ones((g.ny, g.nx), bool), stitch_y=True)
     assert euler_characteristic(tris) == 0       # cylinder
 
 
 def test_ply_binary_layout(tmp_path):
-    st = export_mesh(_plane(5), tmp_path / "p.ply", fmt="ply")
+    rec = export_mesh(_plane(5), tmp_path / "p.ply", fmt="ply")
     blob = (tmp_path / "p.ply").read_bytes()
     header_end = blob.index(b"end_header\n") + len(b"end_header\n")
     header = blob[:header_end].decode()
     assert "format binary_little_endian 1.0" in header
-    assert f"element vertex {st.n_vertices}" in header
+    assert f"element vertex {rec['n_vertices']}" in header
     body = blob[header_end:]
-    assert len(body) == st.n_vertices * 12 + st.n_triangles * (1 + 12)
+    assert len(body) == rec["n_vertices"] * 12 + rec["n_triangles"] * (1 + 12)
     x0, y0, z0 = struct.unpack("<3f", body[:12])
     assert (x0, y0, z0) == pytest.approx((1.0, 1.0, 0.0), abs=1e-6)  # x1=-y, x2=-x at corner
 
@@ -143,8 +145,8 @@ def test_inverted_singular_surface_has_hole(tmp_path):
     S = smatrix_to_surface(M)
     inv = invert_surface(S)
     assert inv.mask is not None and inv.mask[8, 8]
-    st = export_mesh(inv, tmp_path / "inv.obj")
-    assert st.n_holes == 4                      # the four quads at the node
+    rec = export_mesh(inv, tmp_path / "inv.obj")
+    assert rec["holes"] == 4                    # the four quads at the node
     meta = json.loads((tmp_path / "inv.obj.json").read_text())
     assert meta["holes"] == 4
     export_mesh(inv, tmp_path / "inv.ply", fmt="ply")
@@ -165,8 +167,8 @@ def test_r4_drop4_projection(tmp_path):
     g = make_grid((-1, 1, -1, 1), (9, 9))
     sol = catalog("s1", c=1.0)
     S = smatrix_to_surface(heat_smatrix_values(sol.f, g, 0.1))
-    st = export_mesh(S, tmp_path / "g.obj")
-    assert st.n_triangles == 2 * 8 * 8
+    rec = export_mesh(S, tmp_path / "g.obj")
+    assert rec["n_triangles"] == 2 * 8 * 8
     meta = json.loads((tmp_path / "g.obj.json").read_text())
     assert meta["x4_range"] == [S.coords[3].min(), S.coords[3].max()]
 
@@ -201,12 +203,12 @@ def test_export_bytes_match_loop_writers(tmp_path, fmt):
     mask[6, 9] = mask[0, 5] = mask[61, 70] = True
     S = SurfaceMap(g, coords, mask)
     with np.errstate(over="ignore"):         # 1e300 does not fit a float32
-        st = export_mesh(S, tmp_path / f"s.{fmt}", fmt=fmt)
+        rec = export_mesh(S, tmp_path / f"s.{fmt}", fmt=fmt)
         pts = coords.reshape(3, -1).T
         good = np.isfinite(coords).all(axis=0) & ~mask
         tris, holes = loop_grid_triangles(71, 62, good)
         (loop_write_obj if fmt == "obj" else loop_write_ply)(tmp_path / f"ref.{fmt}", pts, tris)
-    assert (st.n_triangles, st.n_holes) == (len(tris), holes) and holes > 0
+    assert (rec["n_triangles"], rec["holes"]) == (len(tris), holes) and holes > 0
     assert (tmp_path / f"s.{fmt}").read_bytes() == (tmp_path / f"ref.{fmt}").read_bytes()
 
 
