@@ -25,10 +25,11 @@ point-symmetric to the bit (a box centred on 0 with exact node coordinates, as a
 dyadic spacing gives), U and V are even and half the rows are sampled: the other
 half is their reflection, which IEEE round to nearest gives to the bit up to the
 sign of a zero part, and nodes with a zero part are sampled directly
-(ExactSolution._sample).  The expanded U, a, V stay for the exact residual.  The
-samplers and the singularity ledger follow exactpoly's one rule for c.  The
-ledger is exact: a singular instant is a real root t_s of f(0, t), and the
-blow-up coefficient is i a2 / (1 + |a1|^2), read off f(z, t_s) = a1 z + a2 z^2 + ...
+(ExactSolution._sample).  The expanded U and a stay for the exact residual, which
+forms V's numerator itself.  The samplers and the singularity ledger follow
+exactpoly's one rule for c.  The ledger is exact: a singular instant is a real
+root t_s of f(0, t), and the blow-up coefficient is i a2 / (1 + |a1|^2), read off
+f(z, t_s) = a1 z + a2 z^2 + ...
 
 Ozawa's blow-up datum W is stated in the physical variables X = 2y, Y = 2x,
 T = 2t of the focusing system; OzawaData.U0_zside is where it is relabelled to
@@ -56,12 +57,11 @@ class ExactSolution:
 
     f: BiPoly
     U: RationalFn
-    a: RationalFn
-    V: RationalFn
+    a: RationalFn                     # V = 2 i a_z is not expanded; see to_halved_v_form
     c: complex | None                 # None: symbolic
 
-    def __init__(self, f, U, a, V, c=None):
-        self.f, self.U, self.a, self.V, self.c = f, U, a, V, c
+    def __init__(self, f, U, a, c=None):
+        self.f, self.U, self.a, self.c = f, U, a, c
 
     def U_field(self, grid: Grid2D, t: float) -> ComplexField:
         return self._sample(grid, t, v_field=False)
@@ -178,13 +178,12 @@ def exact_solution(f: BiPoly, c=None) -> ExactSolution:
     rho = Z * ZBAR + f * fb
     U = RationalFn(1j * (Z * fp - f), rho)
     a = RationalFn(-1j * (ZBAR + fp * fb), rho)
-    V = 2j * a.wirtinger("z")
-    return ExactSolution(f, U, a, V, c=c)
+    return ExactSolution(f, U, a, c=c)
 
 
 def to_halved_v_form(sol: ExactSolution) -> RationalFn:
     """V for the variant normalization U_t = i(.. + 2(V+Vb)U), V_zb = (|U|^2)_z."""
-    return sol.V * 0.5
+    return 2j * sol.a.wirtinger("z") * 0.5
 
 
 class OzawaData:

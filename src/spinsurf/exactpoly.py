@@ -70,7 +70,10 @@ class BiPoly:
 
     @classmethod
     def const(cls, value):
-        return cls({_ZERO_KEY: value})
+        res, value = cls(), complex(value)
+        if value != 0:
+            res.coef = {_ZERO_KEY: 0 + value}       # 0 + value: as the constructor sums
+        return res
 
     @classmethod
     def variable(cls, name):
@@ -112,9 +115,9 @@ class BiPoly:
             if z != 0:
                 res.coef = {k: v * z for k, v in self.coef.items()}
             return res
-        out = {}
+        out, items = {}, tuple(other.coef.items())
         for k1, v1 in self.coef.items():
-            for k2, v2 in other.coef.items():
+            for k2, v2 in items:
                 k = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2], k1[3] + k2[3], k1[4] + k2[4])
                 s = out.get(k, 0) + v1 * v2
                 if s == 0:
@@ -215,9 +218,7 @@ class BiPoly:
         return len(self.coef)
 
     def __eq__(self, other):
-        if not isinstance(other, BiPoly):
-            other = _as_poly(other)
-        return (self - other).nterms == 0
+        return self.coef == _as_poly(other).coef
 
     def __hash__(self):
         return hash(frozenset(self.coef.items()))
@@ -285,9 +286,7 @@ def _sample_mesh(xs, ys, num: dict, den: dict | None, out: np.ndarray | None = N
 
 
 def _as_poly(x) -> BiPoly:
-    if isinstance(x, BiPoly):
-        return x
-    return BiPoly.const(complex(x))
+    return x if isinstance(x, BiPoly) else BiPoly.const(x)
 
 
 # convenience generators

@@ -17,9 +17,10 @@ One block rule: a full-grid reduction or product allocates no full-size
 temporary.  It streams over row_blocks, blocks of whole rows of about _BLOCK
 nodes, and writes into its result or reduces block by block (row_max_abs); each
 node sees the same operations in the same order as on the whole grid, so the
-values do not depend on the blocks.  Here closedness_defect and every field's
-max_abs follow it; wirtinger_derivative, real_wirtinger_z, quadrature_sum and
-ComplexField.abs2 do not yet.
+values do not depend on the blocks, except dsii.l2_norm_sq's: its row sums are
+np.matmul (BLAS dgemv), which rounds by the rows a call gets.  Here closedness_defect
+and every field's max_abs follow it; wirtinger_derivative, real_wirtinger_z,
+quadrature_sum and ComplexField.abs2 do not yet.
 """
 from __future__ import annotations
 

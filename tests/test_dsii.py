@@ -275,7 +275,7 @@ def test_halved_v_form():
 
 def test_displayed_V_identity():
     sol = catalog("s1", c="symbolic")
-    assert s1_displayed_V().equals(sol.V)
+    assert s1_displayed_V().equals(2j * sol.a.wirtinger("z"))
 
 
 def test_v_from_u_zero():

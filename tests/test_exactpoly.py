@@ -87,7 +87,7 @@ def test_eval_across_blocks_matches_per_monomial_sum():
     # more nodes than one Horner pass takes, in a shape that leaves a partial block
     from spinsurf import catalog
     from spinsurf.grid import _BLOCK
-    p = catalog("s2", c="symbolic").V.den
+    p = (2j * catalog("s2", c="symbolic").a.wirtinger("z")).den     # V's denominator
     rng = np.random.default_rng(5)
     shape = (2 * _BLOCK // 13 + 3, 13)
     z = rng.uniform(-1.5, 1.5, shape) + 1j * rng.uniform(-1.5, 1.5, shape)
@@ -174,10 +174,10 @@ def test_rational_wirtinger_zbar_of_abs2():
 
 def test_displayed_V_matches_2i_daz():
     # the closed-form V printed for the quadratic datum equals 2 i a_z
-    from spinsurf import catalog
+    from spinsurf import catalog, to_halved_v_form
     sol = catalog("s1", c="symbolic")
     assert s1_displayed_V().equals(2j * sol.a.wirtinger("z"))
-    assert s1_displayed_V().equals(sol.V)
+    assert s1_displayed_V().equals(2 * to_halved_v_form(sol))
 
 
 def test_heat_extend_quadratic():
