@@ -7,7 +7,7 @@ from .grid import (ComplexField, Grid2D, antiderivative,
                    closedness_defect, constant_field, field_from_function,
                    integrate2d, make_grid, save_complexfield_csv, square_grid,
                    wirtinger_derivative)
-from .exactpoly import (BiPoly, C, CBAR, ONE, RQuat, RationalFn, T, Z, ZBAR,
+from .exactpoly import (BiPoly, C, RQuat, RationalFn, T, Z, ZBAR,
                         heat_extend, heat_residual, poly_equal)
 from .dirac import SpinorField, dirac_residual_norm
 from .surface import (SurfaceMap, discrete_mean_curvature, gauss_map,

@@ -215,9 +215,6 @@ def _norm2(x: np.ndarray) -> np.ndarray:
     return (x.real ** 2 + x.imag ** 2).sum(axis=0)
 
 
-GAMMA = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-
 def dirac_residual_norm(U, psi, interior: int = 0, vee: bool = False) -> float:
     """max |D psi| (|Dvee psi| when vee) over the unmasked nodes, optionally skipping
     a boundary margin.  Each block of rows of (d psi2 + u psi1, -db psi1 + conj(u) psi2),

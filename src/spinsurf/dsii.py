@@ -195,6 +195,8 @@ class OzawaData:
     def __init__(self, a, b):
         if a == 0:
             raise InvalidDatumError("ozawa: a must be nonzero")
+        if not np.isfinite((a, b)).all():
+            raise InvalidDatumError("ozawa: a and b must be finite")
         self.a, self.b = a, b
 
     @property

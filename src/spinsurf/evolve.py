@@ -82,8 +82,8 @@ class DsiiEvolver:
     """Strang steps on a fixed grid and dt, with the dt-dependent Fourier phase."""
 
     def __init__(self, grid: Grid2D, dt: float):
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < dt < math.inf:
+            raise ValueError("dt must be positive and finite")
         self.grid, self.dt = grid, dt
         sp = grid.spectral
         self.half_phase = np.exp(1j * (sp.ky[:, None] ** 2 - sp.kx**2) * dt / 4.0)

@@ -16,6 +16,7 @@ the one-variable _horner.
 """
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -190,10 +191,12 @@ class BiPoly:
         """{zbar exponent: {z exponent: coefficient}} at fixed t, c, cbar; summed in storage
         order, so a constant term that cancels at a singular instant is exactly 0.
         The rule for c: c = None is allowed only when the polynomial does not depend
-        on c or cbar, InvalidDatumError otherwise."""
+        on c or cbar, InvalidDatumError otherwise, and for a non-finite t, c or cbar."""
         if c is None and (self.depends_on("c") or self.depends_on("cbar")):
             raise InvalidDatumError("the polynomial depends on c, which needs a numeric value")
         cb = np.conjugate(c) if cbar is None and c is not None else cbar
+        if not all(cmath.isfinite(x) for x in (t, c, cb) if x is not None):
+            raise InvalidDatumError("t, c and cbar must be finite")
         table = {}
         for (dz, dzb, dt, dc, dcb), v in self.coef.items():
             for x, e in ((t, dt), (c, dc), (cb, dcb)):
@@ -294,8 +297,6 @@ Z = BiPoly.variable("z")
 ZBAR = BiPoly.variable("zbar")
 T = BiPoly.variable("t")
 C = BiPoly.variable("c")
-CBAR = BiPoly.variable("cbar")
-ONE = BiPoly.const(1.0)
 
 
 def poly_equal(p: BiPoly, q: BiPoly) -> bool:

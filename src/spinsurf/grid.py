@@ -94,6 +94,8 @@ class Grid2D:
 
     def __init__(self, x_min, x_max, y_min, y_max, nx, ny, periodic_x=False,
                  periodic_y=False):
+        if not all(map(math.isfinite, (x_min, x_max, y_min, y_max))):
+            raise GridConfigError("bounds must be finite")
         if not (x_max > x_min and y_max > y_min):
             raise GridConfigError("degenerate bounds")
         if nx < 4 or ny < 4:
@@ -494,8 +496,8 @@ def closedness_defect(grid: Grid2D, gx: np.ndarray, gy: np.ndarray, mask) -> flo
 
 
 # ---------------------------------------------------------------------------
-# serialization: text is formatted in numpy as 64-bit words of template bytes whose
-# unprinted bytes are 0 and dropped by bytes.translate (meshio's OBJ text too)
+# serialization: numbers are formatted in numpy by NumberText as 64-bit words of
+# template bytes whose unprinted bytes are 0 and dropped by bytes.translate
 
 
 def save_csv(csv_path, header: str, lines, newline="\n"):
@@ -540,48 +542,85 @@ def _words(texts, n: int = 8) -> np.ndarray:
     return np.array(texts, f"S{n}").view("<u8")
 
 
-_C = np.arange(48, 58, dtype="<u8")                    # '0' to '9'
-_D2 = (_C[:, None] | _C << 16).ravel()                 # 00-99, each digit followed by a slot
-_D4 = (_D2[:, None] | _D2 << 32).ravel()               # 0000-9999, with the slots
-_N = np.arange(100)
-_L2 = np.where(_N % 10 > 0, 2, _N > 0).astype(np.int8)
-_L4 = np.where(_L2 > 0, 2 + _L2, _L2[:, None]).ravel()  # place of the last nonzero digit
+class NumberText:
+    """fmt % x ('%.Pg', P = 4 k + 1) of floats as template words: the one text layout,
+    built once per writer; its digit rule supplies each value's P digits D and row i.
 
-# A node CSV's '%.17g' value is 6 words: ',', sign and '0.000' | digits 1-4 | 5-8 | 9-12 |
-# 13-16, each followed by a slot for the dot | digit 17 and 'e-05'.  Index i = e + 6 +
-# 32 sign picks b = 10^(16 - e), front and exponent.  Word j of digits holds in slot
-# 2 j + 1 where its last nonzero digit is, and (last, i) picks the digits kept and the
-# front and dot.
+    A value is 2 + (P - 1) / 4 words: lead, sign and '0.000' | digits four at a time,
+    each followed by a slot | digit P, a slot, 'e+dd', a free byte for a line end and
+    P where digit P is nonzero.  Row i = row(e, x < 0) holds the front and exponent
+    of e in [e_lo, e_hi]; rows above e_hi print as e_hi.  Digit word j's slot j holds
+    the place of its last nonzero digit, and (last, i) picks the digits kept, the
+    front and the dot."""
+
+    def __init__(self, P: int, e_lo: int, e_hi: int, lead: bytes, fmt: bytes):
+        nd, d, n2 = (P - 1) // 4, np.arange(10, dtype="<u8"), np.arange(100)
+        self.n, self.e_lo, self.fmt = nd + 2, e_lo, lead + fmt
+        self.neg = neg = 1 << (e_hi - e_lo).bit_length()               # rows of one sign
+        self.e = e = np.minimum(np.arange(2 * neg) % neg + e_lo, e_hi)  # e of row i
+        self._divs = [10 ** (P - 4 * j - 4) for j in range(nd)]          # digits 1 to 4 j + 4 of D
+        l2 = np.where(n2 % 10 > 0, 2, n2 > 0)                            # place of the last nonzero
+        l4 = np.where(l2 > 0, l2 + 2, l2[:, None]).ravel()               # digit of 00-99, 0000-9999
+        d2 = n2 // 10 + 48 | n2 % 10 + 48 << 16
+        self._d4 = ((d2[:, None] | d2 << 32).ravel()                     # digit k, then slot k
+                    | (l4 * 0x1000100010001 + 0xC000800040000 << 8) * (l4 > 0)).astype("<u8")
+        self._dp = d + 48 | np.uint64(P << 56) * (d > 0)                 # digit P, then P if not 0
+        point = np.where((e >= -4) & (e < P), np.maximum(e + 1, 0), 1)   # digits before the dot
+        digit = np.r_[8:8 * nd + 8:2, 8 * nd + 8]                        # byte of digit 1, ..., P
+        keep, dot = np.zeros((2, P + 1, e.size, 8 * nd + 16), np.uint8)  # [last, i, byte]
+        last = np.arange(P + 1)[:, None]
+        keep[..., digit] = (np.arange(P) < np.maximum(last, point)[..., None]) * np.uint8(255)
+        rows = [(lead + b"-" * (i >= neg) + b"0.000"[:1 - k] * (-4 <= k < 0)).ljust(8 * nd + 10, b"\0")
+                + b"e%+03d" % k * (k < -4 or k >= P) for i, k in enumerate(e.tolist())]
+        dot[:] = _words(rows, 8 * nd + 16).view(np.uint8).reshape(e.size, -1)   # front, exponent
+        last, i = np.nonzero((last > point) & (point > 0))
+        dot[last, i, digit[point[i] - 1] + 1] = ord(".")
+        self._keep, self._dot = (t.view("<u8").reshape(-1, nd + 2).T.copy() for t in (keep, dot))
+
+    def row(self, e, neg):
+        """Row i of exponents e and signs neg (x < 0), as intp."""
+        return (e - self.e_lo + self.neg * neg).astype(np.intp)
+
+    def cells(self, D, i, fast, v) -> np.ndarray:
+        """The words of lead + fmt % x for each x of v, word by word: (n,) + v.shape.
+        Where fast, D (int64) holds x's P digits (0 for a zero of row e = 0) and i its
+        row; fmt itself formats the rest.  i is overwritten."""
+        n = self.n
+        w = np.empty((n,) + v.shape, "<u8")
+        q = w[1:].view(np.int64)                       # q[j] is read by the take that overwrites it
+        for qj, div in zip(q, self._divs):             # digits 1-4, 1-8, ..., 1-(P-1) of D
+            np.floor_divide(D, div, out=qj)
+        np.subtract(D, q[n - 3] * 10, out=q[n - 2])     # digit P
+        q[1:n - 2] -= q[:n - 3] * 10000                 # digits 5-8, 9-12, ...
+        np.take(self._dp, q[n - 2], out=w[n - 1], mode="clip")
+        last = w[n - 1].view(np.uint8)[..., 7::8]
+        for j in range(n - 2):
+            np.take(self._d4, q[j], out=w[1 + j], mode="clip")
+            last = np.maximum(last, w[1 + j].view(np.uint8)[..., 2 * j + 1::8])
+        i += np.multiply(last, self.e.size, dtype=np.intp)
+        buf = np.take(self._keep, i, 1, mode="clip")
+        w &= buf
+        w |= np.take(self._dot, i, 1, out=buf, mode="clip")
+        if not fast.all():                             # lead and '%' text; the last word stays 0
+            w[:, ~fast] = _words([self.fmt % x for x in v[~fast].tolist()], 8 * n).reshape(-1, n).T
+        return w
+
+
+_NODE = NumberText(17, -6, 16, b",", b"%.17g")                  # the node CSV's text
 _TEXT_VALUES = 1600          # floats formatted at a time, in whole rows: about 120 bytes each at peak
-_E = np.arange(64) % 32 - 6                            # e of index i
-_P10 = np.array([float(10 ** max(16 - e, 0)) for e in _E.tolist()])   # exact in float64
+_P10 = np.array([float(10 ** (16 - e)) for e in _NODE.e.tolist()])     # b, exact in float64
 _P10H = _P10 * 134217729.0 - (_P10 * 134217729.0 - _P10)     # Veltkamp's split b = bh + bl
 _P10L = _P10 - _P10H
-_DIVS = (10**13 << 6, 10**9 << 6, 10**5 << 6, 10 << 6)  # of 64 D + i
-_D4S = _D4 | sum(np.where(_L4 > 0, _L4 + 4 * j, 0).astype("<u8") << 16 * j + 8 for j in range(4))
-_D17 = (_C[:, None] | _words([b"\0\0e%+03d" % e if e < -4 else b"" for e in _E])
-        | np.uint64(17 << 56) * (_C[:, None] > 48)).ravel()          # [64 d + i], 17 in byte 7
-_POINT = np.where(_E >= -4, np.maximum(_E + 1, 0), 1)  # digits before the dot
-_DIGIT = np.r_[8:40:2, 40]                             # bytes of digits 1-17
-_KEEP, _DOT = np.zeros((2, 18, 64, 48), np.uint8)      # [last, i, byte]
-_L = np.arange(18)[:, None]
-_KEEP[..., _DIGIT] = (np.arange(17) < np.maximum(_L, _POINT)[..., None]) * np.uint8(255)
-_KEEP[..., 42:46] = 255                                # the exponent
-_DOT[..., :8] = _words([b"," + b"-" * (i >= 32) + (b"0.000"[:1 - e] if -4 <= e < 0 else b"")
-                        for i, e in enumerate(_E)]).view(np.uint8).reshape(64, 8)
-_L, _I = np.nonzero((_L > _POINT) & (_POINT > 0))
-_DOT[_L, _I, _DIGIT[_POINT[_I] - 1] + 1] = ord(".")
-_KEEP, _DOT = (t.view("<u8").reshape(-1, 6).T.copy() for t in (_KEEP, _DOT))   # [word, 64 last + i]
 
 
 def _digits(v):
-    """64 D + i for each x of v, and whether D holds the 17 digits of x (save_nodes_csv).
+    """D, the row i of _NODE and whether D holds x's 17 digits, for each x of v.
 
     An e outside [-6, 16] picks, through i & 63, the b of an e that differs by a
     multiple of 32 (or b = 1 above 16), so the product misses [10^16, 10^17)."""
     with np.errstate(all="ignore"):
         a = np.abs(v)
-        i = (np.floor(np.log10(a)) + 6 + 32 * (v < 0)).astype(np.intp) & 63
+        i = _NODE.row(np.floor(np.log10(a)), v < 0) & 63
         ah = a * 134217729.0                           # Veltkamp's split a = ah + al
         ah = ah - (ah - a)
         al = a - ah
@@ -591,33 +630,7 @@ def _digits(v):
         # 0 <= lo < 9e16, compared as bits: those of a nan or a negative lo are above
         ok = lo.view(np.uint64) < np.float64(9e16).view(np.uint64)
         D = p.astype(np.int64) + np.rint(err).astype(np.int64)
-    return (D << 6) + i, i, ok
-
-
-def _float_cells(v) -> np.ndarray:
-    """The 6 words of ',' and '%.17g' % x for each x of v, word by word: (6,) + v.shape."""
-    D, i, ok = _digits(v)
-    w = np.empty((6,) + v.shape, "<u8")
-    q = w[1:].view(np.int64)                           # q[j] is read by the take that overwrites it
-    for qj, div in zip(q, _DIVS):                      # digits 1-4, 1-8, 1-12, 1-16 of D
-        np.floor_divide(D, div, out=qj)
-    np.subtract(D, q[3] * 640, out=q[4])               # 64 d17 + i
-    del D
-    q[1:4] -= q[:3] * 10000                            # digits 5-8, 9-12, 13-16
-    for j in range(4):
-        np.take(_D4S, q[j], out=w[1 + j], mode="clip")
-    np.take(_D17, q[4], out=w[5], mode="clip")
-    last = w[5].view(np.uint8)[..., 7::8]
-    for j in range(4):
-        last = np.maximum(last, w[1 + j].view(np.uint8)[..., 2 * j + 1::8])
-    i += np.multiply(last, 64, dtype=np.intp)
-    buf = np.take(_KEEP, i, 1, mode="clip")
-    w &= buf
-    w |= np.take(_DOT, i, 1, out=buf, mode="clip")
-    if not ok.all():
-        txt = _words([b"%.17g" % x for x in v[~ok].tolist()], 24).reshape(-1, 3)
-        w[:, ~ok] = np.c_[np.full(len(txt), ord(","), "<u8"), txt, np.zeros((len(txt), 2), "<u8")].T
-    return w
+    return D, i, ok
 
 
 def save_nodes_csv(csv_path, header: str, *columns):
@@ -642,7 +655,7 @@ def save_nodes_csv(csv_path, header: str, *columns):
         for s in range(0, ny, step):
             rows = slice(s, s + step)
             v = np.stack([p for c in columns for p in (c[rows].real, c[rows].imag)], -1, dtype=float)
-            w = _float_cells(v)                         # word by word: numpy buffers strided operands
+            w = _NODE.cells(*_digits(v), v)              # word by word: numpy buffers strided operands
             del v
             w[5, ..., -1] |= ord("\n") << 48
             text = np.empty(w.shape[1:3] + (nw + 6 * k,), "<u8")

@@ -1,13 +1,14 @@
 """OBJ / PLY export of grid-sampled surfaces with singular-node bookkeeping.
 
 OBJ text is 'v %.9g %.9g %.9g' and 'f %d %d %d' lines ending in '\n', formatted
-in numpy a block of rows at a time; PLY is binary little-endian.
+in numpy a block of rows at a time; PLY is binary little-endian.  Of the vertex
+text this module supplies only the 9-digit rule: grid.NumberText lays it out.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import _D4, _L4, _words, save_json
+from .grid import NumberText, save_json
 from .surface import SurfaceMap
 
 
@@ -86,23 +87,11 @@ _BLOCK = 4096                                          # rows formatted at a tim
 _P10 = np.array([float(10 ** k) for k in range(23)])   # exact in float64
 
 
-# A value of a 'v' line is 4 words, 32 bytes that hold every byte '%.9g' can
-# print and 0 where it prints none: the lead ('v ' or ' '), sign and '0.000' |
-# digits 1-4 | digits 5-8, each followed by a slot for the dot | digit 9,
-# 'e+dd' and, after z, the line end.  A value formatted by '%' itself fills
-# the bytes from the sign up to the line end.
-_DIGIT = np.r_[8:24:2, 24]                             # byte of digit 1, ..., 9
-_KEEP = np.full((10, 32), 255, np.uint8)               # row n keeps the first n digits
-_KEEP[:, _DIGIT] *= np.arange(9) < np.arange(10)[:, None]
-_DOT = np.zeros((10, 32), np.uint8)                    # row n has a dot after digit n
-_DOT[np.arange(1, 9), _DIGIT[:8] + 1] = ord(".")
-_KEEP, _DOT = _KEEP.view("<u8"), _DOT.view("<u8")
-_FRONT = _words([b"\0\0" + sign + b"0.000"[:k] for sign in (b"", b"-") for k in (0, 2, 3, 4, 5, 0)])
-_EXP = _words([b"" if -4 <= e < 9 else b"\0e%+03d" % e for e in range(-14, 31)])
+_TEXT = NumberText(9, -14, 30, b"\0 ", b"%.9g")       # 'v' fills the first lead of a line
 
 
 def _vertex_text(v):
-    """'v %.9g %.9g %.9g' lines of v (n, 3), 4 words a value.
+    """'v %.9g %.9g %.9g' lines of v (n, 3) as template words, value by value: (3 n, 4).
 
     The nine digits are rint(|v| 10^(8 - e)) with e = floor(log10 |v|). That
     is exact unless 10^(8 - e) is beyond 10^22, log10 is off by one or the
@@ -117,25 +106,10 @@ def _vertex_text(v):
         y = a * _P10[np.maximum(8 - e, 0)] / _P10[np.maximum(e - 8, 0)]
         m = np.rint(y)
         ok &= (y >= 1e8) & (m < 1e9) & (np.abs(y - np.floor(y) - 0.5) > 1e-6)
-    m = np.where(ok, m, 0).astype(np.int32)            # 0 prints as 0
-    hi, mid, d9 = m // 100000, m // 10 % 10000, m % 10
-    last = np.where(d9 > 0, 9, np.where(mid > 0, 4 + _L4[mid], _L4[hi]))
-    point = np.where((e >= -4) & (e < 9), np.maximum(e + 1, 0), 1)   # digits before the dot
-    out = np.empty((len(v), 4), "<u8")
-    out[:, 0] = _FRONT[6 * np.signbit(v) + np.clip(-e, 0, 5)]
-    out[:, 1] = _D4[hi]
-    out[:, 2] = _D4[mid]
-    out[:, 3] = (d9 + 48).astype("<u8") | _EXP[e + 14]
-    out &= np.take(_KEEP, np.maximum(last, point), 0)
-    out |= np.take(_DOT, np.where(last > point, point, 0), 0)
-    bad = ~ok & (a != 0)
-    if bad.any():
-        out[bad, :3] = _words([b"\0\0%.9g" % x for x in v[bad].tolist()], 24).reshape(-1, 3)
-        out[bad, 3] = 0
-    out[:, 0] |= ord(" ") << 8                         # the lead: 'v ' or ' '
-    out[::3, 0] |= ord("v")
-    out[2::3, 3] |= ord("\n") << 40                    # the line end after z
-    return out
+    w = _TEXT.cells(np.where(ok, m, 0).astype(np.int64), _TEXT.row(e, np.signbit(v)), ok | (a == 0), v)
+    w[0, ::3] |= ord("v")
+    w[-1, 2::3] |= ord("\n") << 48                    # the line end after z
+    return w.T
 
 
 def _face_text(tris):

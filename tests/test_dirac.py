@@ -4,10 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from spinsurf import (ComplexField, SpinorField, catalog, constant_field, dirac_residual_norm,
                       field_from_function, make_grid, wirtinger_derivative)
-from spinsurf.dirac import GAMMA, Mat2Field, _norm2, qconj, qmul
+from spinsurf.dirac import Mat2Field, _norm2, qconj, qmul
 from spinsurf.grid import GridConfigError, masked_max_abs
 from spinsurf.moutard import moutard_exact
 from test_streams import oracle_apply_D
+
+GAMMA = np.array([[0.0, 1.0], [-1.0, 0.0]])      # the quaternion j as a real 2 x 2 matrix
 
 
 @pytest.fixture

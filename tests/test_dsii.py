@@ -10,10 +10,11 @@ from spinsurf import (BiPoly, C, ComplexField, Z, catalog, dsii_residual_exact,
                       make_grid, poly_equal, singular_times, square_grid,
                       to_halved_v_form, wirtinger_derivative)
 from spinsurf import dsii
-from spinsurf.dsii import (DecayError, ExactSolution, InvalidDatumError, NormResult,
+from spinsurf.dsii import (DecayError, ExactSolution, InvalidDatumError, NormResult, OzawaData,
                            re_v_from_u)
+from spinsurf.evolve import DsiiEvolver
 from spinsurf.exactpoly import T, ZBAR, RationalFn
-from spinsurf.grid import _BLOCK, Grid2D, MaskError, quadrature_sum, row_blocks
+from spinsurf.grid import _BLOCK, Grid2D, GridConfigError, MaskError, quadrature_sum, row_blocks
 from test_grid import neighbor_mean_patched
 
 
@@ -874,6 +875,32 @@ def test_l2_norm_rejects_a_non_finite_unmasked_node():
     vals = U.values.copy()
     vals[U.mask] = np.nan
     assert np.isfinite(_assert_norm_matches_oracle(ComplexField(g, vals, U.mask)).value)
+
+
+_NAN, _INF = float("nan"), float("inf")
+_G8 = make_grid((-3, 3, -3, 3), (8, 8))
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: make_grid((-3, _INF, -3, 3), (8, 8)), GridConfigError),
+    (lambda: make_grid((_NAN, 3, -3, 3), (8, 8)), GridConfigError),
+    (lambda: DsiiEvolver(_G8, _NAN), ValueError),
+    (lambda: DsiiEvolver(_G8, _INF), ValueError),
+    (lambda: OzawaData(_NAN, -1), InvalidDatumError),
+    (lambda: OzawaData(1, -_INF), InvalidDatumError),
+    (lambda: catalog("s1", c=_NAN).U_field(_G8, 0.0), InvalidDatumError),
+    (lambda: catalog("s1", c=_INF).V_field(_G8, 0.0), InvalidDatumError),
+    (lambda: catalog("s1", c=1 + _INF * 1j).U_field(_G8, 0.0), InvalidDatumError),
+    (lambda: catalog("s1").U.on_grid(_G8, 0.0, _NAN), InvalidDatumError),
+    (lambda: catalog("s1").U_field(_G8, _NAN), InvalidDatumError),
+    (lambda: singular_times(catalog("s2", c=_NAN)), InvalidDatumError),
+    (lambda: (Z * C).eval(z=1.0, c=1.0, cbar=_INF), InvalidDatumError),
+], ids=["x_max-inf", "x_min-nan", "dt-nan", "dt-inf", "ozawa-a-nan", "ozawa-b-inf", "c-nan",
+        "c-inf", "c-im-inf", "on_grid-c-nan", "t-nan", "singular_times-c-nan", "cbar-inf"])
+def test_library_refuses_non_finite_numbers(build, error):
+    # a grid bound, a time step, a datum, t, c or cbar that is nan or infinite is refused by name
+    with pytest.raises(error, match="finite"):
+        build()
 
 
 def _norm_fields(r: NormResult) -> tuple:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinsurf import (BiPoly, C, ONE, RQuat, RationalFn, T, Z, ZBAR, heat_extend,
+from spinsurf import (BiPoly, C, RQuat, RationalFn, T, Z, ZBAR, heat_extend,
                       heat_residual, poly_equal)
 from spinsurf.exactpoly import HeatDatumError, InvalidDatumError, PoleError
 from test_dsii import s1_displayed_V
@@ -275,7 +275,7 @@ def test_rquat_conj_det_and_product():
     # the column (a, b) stands for [[a, -conj(b)], [b, conj(a)]]: check the product,
     # conj and det against that matrix, entry by entry
     P = RQuat(RationalFn(Z * Z + 1j * T), RationalFn(2j * ZBAR + C))
-    Q = RQuat(RationalFn(ONE - ZBAR), RationalFn(Z * C, 1 + Z * ZBAR))
+    Q = RQuat(RationalFn(BiPoly.const(1.0) - ZBAR), RationalFn(Z * C, 1 + Z * ZBAR))
 
     def mat(X):
         return [[X.a, -X.b.conj()], [X.b, X.a.conj()]]

@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 from spinsurf import (SpinorField, SurfaceMap, catalog, constant_field,
                       export_mesh, field_from_function, integrate_surface_r3,
                       invert_surface, make_grid, smatrix_to_surface)
-from spinsurf import meshio
+from spinsurf import grid, meshio
 from spinsurf.grid import json_text
 from spinsurf.meshio import MeshFormatError, grid_triangles
 from spinsurf.moutard import heat_smatrix_values
+from test_grid import assert_node_text_is_percent_17g
 
 
 # Per-element loop versions of the triangulation and the writers: the reference
@@ -246,6 +247,22 @@ def test_obj_vertex_text_at_rounding_edges(tmp_path):
     values = np.concatenate([halfway, -halfway, near, edges, edges[::-1],
                              np.nextafter(tens, 0), tens, np.nextafter(tens, np.inf)])
     assert_obj_matches_loop(values[:len(values) // 3 * 3], [], tmp_path)
+
+
+def test_every_row_of_both_text_templates(tmp_path, monkeypatch):
+    # n digits 2345..., none 0, at every exponent of each writer's template and both
+    # signs, all formatted in numpy ('%' is switched off): the OBJ half holds every
+    # (digits kept, e, sign) row.  A leading 1 would not do: float('1e23') < 10^23.
+    def values(P, e_lo, e_hi):
+        return [s * float(f"{('234567891' * 2)[:n]}e{e - n + 1}") for n in range(1, P + 1)
+                for e in range(e_lo, e_hi + 1) for s in (1, -1)]
+
+    node, vertex = values(17, -6, 16), values(9, -14, 30)
+    assert (len(node), len(vertex)) == (782, 810)
+    monkeypatch.setattr(grid._NODE, "fmt", None)
+    monkeypatch.setattr(meshio._TEXT, "fmt", None)
+    assert_node_text_is_percent_17g(node, tmp_path / "v.csv")
+    assert_obj_matches_loop(vertex, [], tmp_path)
 
 
 @pytest.mark.parametrize("n", [0, 1, meshio._BLOCK - 1, meshio._BLOCK, meshio._BLOCK + 1])

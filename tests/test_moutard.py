@@ -11,7 +11,7 @@ from spinsurf.moutard import (ClosednessError, MoutardTransform, NormalizationEr
                               build_S, heat_antiderivative, heat_datum_fields,
                               heat_datum_spinors, heat_smatrix_values, k_matrix,
                               moutard_exact, omega, omega1, time_offset_integral)
-from test_dirac import quat_mat
+from test_dirac import GAMMA, quat_mat
 
 
 def _plane_ctx(n=48, lo=0.4, hi=2.4):
@@ -220,7 +220,7 @@ def test_omega_column0_matches_oracle_on_non_solutions():
 def test_omega1_matches_general_matrix_oracle(seed):
     # on random spinors that solve nothing: Gamma omega1 is a quaternion to the last
     # bit, and omega1's column is its column 0
-    from spinsurf.dirac import GAMMA, Mat2Field, quaternion_defect
+    from spinsurf.dirac import Mat2Field, quaternion_defect
     rng = np.random.default_rng(seed)
     g = make_grid((-1, 1, -0.5, 1.5), (40, 33))
     Phi, Psi = _random_spinor(g, rng), _random_spinor(g, rng)
@@ -298,7 +298,7 @@ def test_build_S_carries_the_merged_input_mask():
 def test_normalize_pair_symmetric_case():
     g, psi0, ctx = _plane_ctx()
     # symmetric background: the normalized partner equals Gamma S^T Gamma
-    from spinsurf.dirac import GAMMA, Mat2Field
+    from spinsurf.dirac import Mat2Field
     gm = Mat2Field.constant(g, GAMMA)
     S0 = _S0(ctx)
     target = gm @ quat_mat(S0).transpose() @ gm
@@ -610,7 +610,7 @@ def _oracle_gamma_omega(Phi, Psi, conj_transpose=False):
     """dz and dzbar parts of Gamma omega(Phi, Psi) as general matrix fields; with
     conj_transpose, those of the candidate that reads Phi^T as Phi's conjugate
     transpose."""
-    from spinsurf.dirac import GAMMA, Mat2Field
+    from spinsurf.dirac import Mat2Field
     g = Phi.grid
     Pt = quat_mat(Phi).transpose()
     if conj_transpose:
@@ -648,7 +648,7 @@ def _oracle_build_S(Phi, Psi, constant=None):
 
 def _oracle_moutard(psi0, phi0, C0, psi, phi):
     """from_background, k_matrix and transform on general 2x2 matrix fields."""
-    from spinsurf.dirac import GAMMA, Mat2Field
+    from spinsurf.dirac import Mat2Field
     Psi0, Phi0 = quat_mat(psi0), quat_mat(phi0)
     g = Psi0.grid
     b = (g.nx // 2, g.ny // 2)
