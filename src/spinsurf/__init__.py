@@ -5,14 +5,14 @@ from heat polynomials, with symbolic and numerical verification tooling.
 
 from .grid import (ComplexField, Grid2D, antiderivative,
                    closedness_defect, constant_field, field_from_function,
-                   integrate2d, make_grid, save_complexfield_csv, square_grid,
+                   make_grid, save_complexfield_csv, square_grid,
                    wirtinger_derivative)
 from .exactpoly import (BiPoly, C, RQuat, RationalFn, T, Z, ZBAR,
                         heat_extend, heat_residual, poly_equal)
 from .dirac import SpinorField, dirac_residual_norm
 from .surface import (SurfaceMap, discrete_mean_curvature, gauss_map,
                       integrate_surface_r3, integrate_surface_r4, invert_surface,
-                      measured_e2alpha, smatrix_to_surface, spinor_metric,
+                      measured_e2alpha, named_spinor, smatrix_to_surface, spinor_metric,
                       weier_derivatives, willmore)
 from .meshio import export_mesh
 from .moutard import (KData, MoutardTransform, build_S, heat_antiderivative,
@@ -22,7 +22,8 @@ from .dsii import (ExactSolution, NormResult, OzawaData, SingularEvent,
                    catalog, dsii_residual_exact, dsii_exact_identity_holds,
                    exact_solution, l2_norm_sq, re_v_from_u, singular_times,
                    to_halved_v_form)
-from .evolve import DsiiEvolver, EvolverState, Trajectory, evolve, grid_norm_sq, write_trajectory
+from .evolve import (DsiiEvolver, EvolverState, Trajectory, evolve, grid_norm_sq, run_summary,
+                     write_trajectory)
 
 __version__ = "0.1.0"
 

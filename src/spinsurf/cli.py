@@ -17,16 +17,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .dirac import SpinorField
 from .dsii import catalog, l2_norm_sq, singular_times
-from .evolve import evolve, grid_norm_sq, step_count, write_trajectory
-from .grid import (Grid2D, constant_field, field_from_function, json_text, make_grid,
-                   save_complexfield_csv, save_json)
+from .evolve import evolve, run_summary, step_count, write_trajectory
+from .grid import Grid2D, constant_field, json_text, make_grid, save_complexfield_csv, save_json
 from .meshio import export_mesh
 from .moutard import heat_datum_fields, heat_smatrix_values
-from .surface import (discrete_mean_curvature, gauss_map, integrate_surface_r3,
-                      integrate_surface_r4, invert_surface, smatrix_to_surface,
-                      willmore)
+from .surface import (SPINORS, discrete_mean_curvature, gauss_map, integrate_surface_r3,
+                      integrate_surface_r4, invert_surface, named_spinor,
+                      smatrix_to_surface, willmore)
 
 
 def _finite(value):
@@ -154,19 +152,6 @@ def _config_argv(args, parser, argv) -> list:
     return argv[:at] + tokens + argv[at:]
 
 
-def _spinor_source(name: str, grid: Grid2D) -> SpinorField:
-    if name == "plane":
-        return SpinorField(constant_field(grid, 1.0), constant_field(grid, 0.0))
-    if name == "enneper":
-        return SpinorField(constant_field(grid, 1.0),
-                           field_from_function(grid, lambda z: np.conj(z)))
-    if name == "catenoid":
-        s = 1 / np.sqrt(2.0)
-        return SpinorField(field_from_function(grid, lambda z: s * np.exp(z / 2)),
-                           field_from_function(grid, lambda z: s * np.exp(-np.conj(z) / 2)))
-    raise SystemExit(f"unknown spinor source {name!r}")
-
-
 def cmd_gen_surface(args) -> int:
     grid = _grid_from_args(args)
     tol = 1e-3 if args.tol is None else args.tol
@@ -180,7 +165,7 @@ def cmd_gen_surface(args) -> int:
                                      residual_tol=tol)
         wil = willmore(sol.U_field(grid, args.t))
     else:
-        psi = _spinor_source(args.spinor, grid)
+        psi = named_spinor(args.spinor, grid)
         S = integrate_surface_r3(psi, U=constant_field(grid, 0.0),
                                  residual_tol=tol)
         wil = 0.0
@@ -246,17 +231,8 @@ def cmd_evolve(args) -> int:
         U0 = sol.U_field(grid, 0.0)
         exact = sol
     traj = evolve(U0, args.t_end, args.dt, snapshot_every=args.snapshot_every)
-    manifest = write_trajectory(traj, outdir)
-    drift = abs(traj.norms[-1] - traj.norms[0]) / max(traj.norms[0], 1e-300)
-    summary = {"steps": len(traj.times) - 1, "norm_drift_rel": drift,
-               "aborted": traj.aborted}
-    if exact is not None and not traj.aborted:
-        Uex = exact.U_field(grid, traj.times[-1])
-        if Uex.mask is not None and Uex.mask.any():    # a singular instant: the poles
-            summary["exact_masked_nodes"] = int(np.count_nonzero(Uex.mask))
-            Uex = Uex.patched()
-        num = grid_norm_sq(traj.final - Uex)
-        summary["rel_l2_error_vs_exact"] = float(np.sqrt(num / grid_norm_sq(Uex)))
+    write_trajectory(traj, outdir)
+    summary = run_summary(traj, exact)
     save_json(outdir / "summary.json", summary)
     print(json_text(summary))
     return 0 if not traj.aborted else 3
@@ -300,8 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(g, "grid", "box", "periodic", "out")
     g.add_argument("--tol", type=_parse_float, default=None,
                    help="relative Dirac residual that warns (default 1e-3)")
-    g.add_argument("--spinor", default="plane",
-                   choices=("plane", "enneper", "catenoid"))
+    g.add_argument("--spinor", default="plane", choices=tuple(SPINORS))
     g.add_argument("--from-dsii", choices=("s1", "s2"), default=None)
     g.add_argument("--c", type=_parse_complex, default=1 + 0j)
     g.add_argument("--t", type=_parse_float, default=0.0)

@@ -37,6 +37,8 @@ the variables of (*), U(x, y) = sqrt(2) W(2y, 2x) at t = T/2.
 """
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
 from .exactpoly import (BiPoly, C, InvalidDatumError, RationalFn, Z, ZBAR, _horner,
@@ -169,7 +171,10 @@ class ExactSolution:
 
 
 def exact_solution(f: BiPoly, c=None) -> ExactSolution:
-    """DSII solution built from a heat polynomial f (f_t = i f_zz exactly)."""
+    """DSII solution built from a heat polynomial f (f_t = i f_zz exactly);
+    InvalidDatumError for a non-finite coefficient of f or a non-finite c."""
+    if not all(map(cmath.isfinite, [*f.coef.values(), 0 if c is None else c])):
+        raise InvalidDatumError("the coefficients of f and c must be finite")
     hr = heat_residual(f)
     if not hr.is_zero(1e-12, max(f.max_abs(), 1.0)):
         raise InvalidDatumError("datum does not satisfy f_t = i f_zz")

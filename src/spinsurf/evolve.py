@@ -8,10 +8,14 @@ Strang splitting on a doubly periodic grid:
 Both substeps are unitary, so the discrete squared L2 norm is conserved to
 rounding by construction.
 
-A state holds the spectrum U_hat = fftn(U) of its field, which the step forms
+A state is the spectrum U_hat = fftn(U) of its field, which the step forms
 anyway; U itself costs one inverse FFT and is formed only when it is read (a
 snapshot, the final field, a callback that looks at it).  Norms come from U_hat
 by Parseval, so a run that reads no snapshot forms one field, the final one.
+
+One run summary (run_summary): the step count, the norm drift and the error
+against an exact solution that `spinsurf evolve` writes as summary.json and
+verify's criterion 8 reads.
 """
 from __future__ import annotations
 
@@ -23,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .dsii import re_v_into
-from .grid import (ComplexField, Grid2D, MaskError, integrate2d, save_complexfield_csv, save_csv,
+from .grid import (ComplexField, Grid2D, MaskError, SchemeError, save_complexfield_csv, save_csv,
                    save_json)
 
 
@@ -32,30 +36,18 @@ class BlowupAbort(RuntimeError):
 
 
 class EvolverState:
-    """The evolver's state at time t.  A state built from a field holds U; a state
-    that DsiiEvolver.run yields holds only its spectrum U_hat = np.fft.fftn(U.values),
-    which the step forms anyway.  The missing side costs one FFT, formed the first
-    time it is read and then kept.  norm_sq comes from U_hat by Parseval."""
+    """The evolver's state at time t: the spectrum U_hat = np.fft.fftn(U.values) of
+    its field U on grid, which the step forms anyway.  U costs one inverse FFT,
+    formed the first time it is read and then kept.  norm_sq comes from U_hat by
+    Parseval."""
 
-    def __init__(self, U: ComplexField | None, t: float, *,
-                 U_hat: np.ndarray | None = None, grid: Grid2D | None = None):
-        if (U is None) == (U_hat is None):
-            raise ValueError("give exactly one of U and U_hat")
-        self.grid = grid if U is None else U.grid
-        self.t = t
-        if U is not None:
-            self.U = U
-        else:
-            self.U_hat = U_hat
+    def __init__(self, U_hat: np.ndarray, t: float, grid: Grid2D):
+        self.U_hat, self.t, self.grid = U_hat, t, grid
 
     @cached_property
     def U(self) -> ComplexField:
         g = self.grid
         return ComplexField(g, np.fft.ifftn(self.U_hat, out=np.empty((g.ny, g.nx), complex)))
-
-    @cached_property
-    def U_hat(self) -> np.ndarray:
-        return np.fft.fftn(self.U.values, out=np.empty(self.U.values.shape, complex))
 
     @property
     def norm_sq(self) -> float:
@@ -65,10 +57,14 @@ class EvolverState:
 
 
 def grid_norm_sq(U: ComplexField) -> float:
+    """hx hy sum |U|^2, the rectangle rule of an evolver field: SchemeError unless
+    its grid is doubly periodic, MaskError on a masked node."""
     g = U.grid
-    if g.periodic and (U.mask is None or not U.mask.any()):    # rectangle rule, no mask
-        return g.hx * g.hy * _sum_abs2(U.values)
-    return integrate2d(U.abs2()).real
+    if not g.periodic:
+        raise SchemeError("grid_norm_sq is the rectangle rule of a doubly periodic grid")
+    if U.mask is not None and U.mask.any():
+        raise MaskError("the evolver's norm reads every node; the field has masked nodes")
+    return g.hx * g.hy * _sum_abs2(U.values)
 
 
 def _sum_abs2(a: np.ndarray) -> float:
@@ -89,9 +85,9 @@ class DsiiEvolver:
         self.half_phase = np.exp(1j * (sp.ky[:, None] ** 2 - sp.kx**2) * dt / 4.0)
 
     def run(self, state: EvolverState, n_steps: int):
-        """Yield the n_steps states after state, each holding U_hat only (BlowupAbort
-        on a non-finite spectrum); the k-th is at state.t + k dt, not at a running
-        sum of dt.  w_hat is the spectrum of U a half step on."""
+        """Yield the n_steps states after state (BlowupAbort on a non-finite
+        spectrum); the k-th is at state.t + k dt, not at a running sum of dt.
+        w_hat is the spectrum of U a half step on."""
         g, dt, t0 = self.grid, self.dt, state.t
         w, theta = np.empty((g.ny, g.nx), dtype=complex), np.empty((g.ny, g.nx))
         n_hat = np.empty((g.ny, g.nx // 2 + 1), dtype=complex)
@@ -109,7 +105,7 @@ class DsiiEvolver:
                 U_hat = w_hat * self.half_phase
             if not np.all(np.isfinite(U_hat)):
                 raise BlowupAbort(f"non-finite field at t={t0 + k * dt:g}")
-            yield EvolverState(None, t0 + k * dt, U_hat=U_hat, grid=g)
+            yield EvolverState(U_hat, t0 + k * dt, g)
             np.multiply(U_hat, self.half_phase, out=w_hat)
 
     # one step of run; perfbench/spans.py traces the evolver by this name
@@ -158,7 +154,8 @@ def evolve(U0: ComplexField, t_end: float, dt: float, t0: float = 0.0,
         raise MaskError("the evolver steps every node; U0 has masked nodes")
     n_total = step_count(t0, t_end, dt)
     ev = DsiiEvolver(U0.grid, dt)
-    state = EvolverState(U0, t0)
+    state = EvolverState(np.fft.fftn(U0.values, out=np.empty(U0.values.shape, complex)), t0,
+                         U0.grid)
     times, norms = [t0], [state.norm_sq]
     snaps = [(t0, U0)] if snapshot_every else []
     try:
@@ -171,10 +168,30 @@ def evolve(U0: ComplexField, t_end: float, dt: float, t0: float = 0.0,
                 callback(state)
     except BlowupAbort as exc:
         warnings.warn(str(exc))
-        return Trajectory(times, norms, snaps, state.U, aborted=True, abort_reason=str(exc))
+        final = state.U if len(times) > 1 else U0       # no step done: the datum itself
+        return Trajectory(times, norms, snaps, final, aborted=True, abort_reason=str(exc))
     if snapshot_every and snaps[-1][0] != state.t:
         snaps.append((state.t, state.U))
     return Trajectory(times, norms, snaps, state.U)
+
+
+def run_summary(traj: Trajectory, exact=None) -> dict:
+    """The run's summary: its step count, the relative drift of its norm and whether
+    it aborted; for an exact solution and a run that did not abort, the relative L2
+    error of the final field against exact's at the last time, whose poles at a
+    singular instant (exact_masked_nodes of them) hold their patch."""
+    n0 = traj.norms[0]
+    summary = {"steps": len(traj.times) - 1,
+               "norm_drift_rel": abs(traj.norms[-1] - n0) / max(n0, 1e-300),
+               "aborted": traj.aborted}
+    if exact is not None and not traj.aborted:
+        Uex = exact.U_field(traj.final.grid, traj.times[-1])
+        if Uex.mask is not None and Uex.mask.any():
+            summary["exact_masked_nodes"] = int(np.count_nonzero(Uex.mask))
+            Uex = Uex.patched()
+        num = grid_norm_sq(traj.final - Uex)
+        summary["rel_l2_error_vs_exact"] = float(np.sqrt(num / grid_norm_sq(Uex)))
+    return summary
 
 
 def write_trajectory(traj: Trajectory, outdir) -> dict:

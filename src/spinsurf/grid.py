@@ -11,7 +11,8 @@ a 1-form gx dx + gy dy with real or complex gx, gy of shape (..., ny, nx): the
 form p dz + q dzbar is gx = p + q, gy = i (p - q).
 
 One mask rule: a sum reads each masked node as the mean of its unmasked 8-neighbours
-(mask_patches), a maximum skips it (masked_max_abs), and integrate2d refuses it.
+(mask_patches), a maximum skips it (masked_max_abs), and the evolver's norm
+(evolve.grid_norm_sq) refuses it.
 
 One block rule: a full-grid reduction or product allocates no full-size
 temporary.  It streams over row_blocks, blocks of whole rows of about _BLOCK
@@ -19,8 +20,8 @@ nodes, and writes into its result or reduces block by block (row_max_abs); each
 node sees the same operations in the same order as on the whole grid, so the
 values do not depend on the blocks, except dsii.l2_norm_sq's: its row sums are
 np.matmul (BLAS dgemv), which rounds by the rows a call gets.  Here closedness_defect
-and every field's max_abs follow it; wirtinger_derivative, real_wirtinger_z,
-quadrature_sum and ComplexField.abs2 do not yet.
+and every field's max_abs follow it; wirtinger_derivative, real_wirtinger_z and
+ComplexField.abs2 do not yet.
 """
 from __future__ import annotations
 
@@ -415,29 +416,11 @@ def real_wirtinger_z(grid: Grid2D, values: np.ndarray) -> np.ndarray:
 
 
 def _axis_weights(n: int, h: float, periodic: bool) -> np.ndarray:
+    """Trapezoid weights of n nodes h apart; the rectangle rule's if periodic."""
     w = np.full(n, h)
     if not periodic:
         w[0] = w[-1] = h / 2
     return w
-
-
-def quadrature_sum(vals: np.ndarray, hx: float, hy: float, periodic_x: bool = False,
-                   periodic_y: bool = False):
-    """Trapezoid sum of a (ny, nx) array; rectangle rule along periodic axes."""
-    wx = _axis_weights(vals.shape[1], hx, periodic_x)
-    wy = _axis_weights(vals.shape[0], hy, periodic_y)
-    tmp = vals * wx
-    tmp *= wy[:, None]
-    return np.sum(tmp)
-
-
-def integrate2d(f: ComplexField) -> complex:
-    """Trapezoid (non-periodic) / rectangle (periodic) quadrature of f over the grid;
-    MaskError on a masked node (f.patched() has none)."""
-    if f.mask is not None and f.mask.any():
-        raise MaskError("field has masked nodes; integrate its patched() field")
-    g = f.grid
-    return complex(quadrature_sum(f.values, g.hx, g.hy, g.periodic_x, g.periodic_y))
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ import warnings
 import numpy as np
 
 from .dirac import SpinorField, dirac_residual_norm
-from .grid import (ComplexField, Grid2D, antiderivative, grid_mask, integrate2d,
-                   masked_max_abs, real_wirtinger_z)
+from .grid import (ComplexField, Grid2D, _axis_weights, antiderivative, constant_field,
+                   field_from_function, grid_mask, masked_max_abs, real_wirtinger_z)
 
 
 class SurfaceIntegrationError(RuntimeError):
@@ -62,6 +62,23 @@ class SurfaceMap:
     def diameter(self) -> float:
         spans = [np.ptp(self.coords[k]) for k in range(self.ambient_dim)]
         return float(np.sqrt(np.sum(np.square(spans))))
+
+
+_R = 1 / np.sqrt(2.0)
+
+# the named spinor data (gen-surface --spinor): the plane, Enneper's surface and
+# the catenoid, whose surface closes up over a period 2 pi in y
+SPINORS = {
+    "plane": lambda g: (constant_field(g, 1.0), constant_field(g, 0.0)),
+    "enneper": lambda g: (constant_field(g, 1.0), field_from_function(g, np.conj)),
+    "catenoid": lambda g: (field_from_function(g, lambda z: _R * np.exp(z / 2)),
+                           field_from_function(g, lambda z: _R * np.exp(-np.conj(z) / 2))),
+}
+
+
+def named_spinor(name: str, grid: Grid2D) -> SpinorField:
+    """The SPINORS datum name on grid; KeyError for an unknown name."""
+    return SpinorField(*SPINORS[name](grid))
 
 
 def weier_derivatives(psi: SpinorField, phi: SpinorField | None = None):
@@ -151,27 +168,29 @@ def gauss_map(S: SurfaceMap) -> float:
 
 
 def willmore(U: ComplexField) -> float:
-    """Willmore value 4 * int |U|^2 dx dy over the grid.
+    """Willmore value 4 * int |U|^2 dx dy over the grid, by the trapezoid rule (the
+    rectangle rule along periodic axes), each masked node holding its patch.
 
     A truncation warning with a |U| ~ C/r^2 tail estimate is issued when the
     field has not decayed at the open (non-periodic) edges; the edge and interior
     maxima skip masked nodes."""
-    val = 4.0 * integrate2d(U.abs2().patched()).real
-    v, m = U.values, U.mask
+    g, v, m = U.grid, U.values, U.mask
+    weighted = U.abs2().patched().values * _axis_weights(g.nx, g.hx, g.periodic_x)
+    weighted *= _axis_weights(g.ny, g.hy, g.periodic_y)[:, None]
+    val = 4.0 * float(np.sum(weighted).real)
 
     def side(s):
         return masked_max_abs(v[s], None if m is None else m[s])
 
     edges = []
-    if not U.grid.periodic_y:
+    if not g.periodic_y:
         edges += [side(np.s_[0, :]), side(np.s_[-1, :])]
-    if not U.grid.periodic_x:
+    if not g.periodic_x:
         edges += [side(np.s_[:, 0]), side(np.s_[:, -1])]
     boundary = max(edges) if edges else 0.0
     interior = U.max_abs()
     if interior > 0 and boundary > 1e-3 * interior:
-        gr = U.grid
-        r2 = max(gr.x_max - gr.x_min, gr.y_max - gr.y_min) / 2
+        r2 = max(g.x_max - g.x_min, g.y_max - g.y_min) / 2
         tail = 4 * np.pi * boundary**2 * r2**2
         warnings.warn(f"|U| at open boundary is {boundary:.3g}; truncation tail est {tail:.3g}")
     return val

@@ -14,7 +14,7 @@ import numpy as np
 from .dirac import SpinorField, dirac_residual_norm
 from .dsii import (catalog, dsii_exact_identity_holds, exact_solution, l2_norm_sq,
                    singular_times)
-from .evolve import evolve, grid_norm_sq
+from .evolve import evolve, run_summary
 from .exactpoly import C, T, Z, heat_extend, poly_equal
 from .grid import (ComplexField, constant_field, field_from_function, make_grid,
                    square_grid)
@@ -25,7 +25,7 @@ from .moutard import (MoutardTransform, heat_datum_fields, heat_smatrix_values,
                       moutard_exact)
 from .surface import (discrete_mean_curvature, gauss_map, integrate_surface_r3,
                       integrate_surface_r4, invert_surface, measured_e2alpha,
-                      smatrix_to_surface, spinor_metric)
+                      named_spinor, smatrix_to_surface, spinor_metric)
 
 TWO_PI = 2 * np.pi
 
@@ -231,20 +231,15 @@ def suite_dirac() -> list[CheckResult]:
 # criterion 6: Weierstrass consistency
 
 
-def _enneper_spinor(grid) -> SpinorField:
-    return SpinorField(constant_field(grid, 1.0),
-                       field_from_function(grid, np.conj))
-
-
 @_timed
 def suite_weierstrass() -> list[CheckResult]:
     out = []
     res = {}
     for n in (128, 256):
         g = make_grid((-1, 1, -1, 1), (n, n))
-        S = integrate_surface_r3(_enneper_spinor(g))
+        S = integrate_surface_r3(named_spinor("enneper", g))
         e2a_meas = measured_e2alpha(S)
-        e2a_spin = spinor_metric(_enneper_spinor(g))
+        e2a_spin = spinor_metric(named_spinor("enneper", g))
         merr = float(np.max(np.abs(e2a_meas - e2a_spin) / np.abs(e2a_spin)))
         H = discrete_mean_curvature(S)
         hmax = float(np.nanmax(np.abs(H)))
@@ -275,9 +270,7 @@ def suite_weierstrass() -> list[CheckResult]:
 
 def _plane_background(n: int):
     g = make_grid((0.4, 2.4, 0.3, 2.3), (n, n))
-    one = constant_field(g, 1.0)
-    zero = constant_field(g, 0.0)
-    psi0 = SpinorField(one, zero)
+    psi0 = named_spinor("plane", g)
     zb = g.node_z(*g.centre)
     C0 = np.array([[0, 1j * np.conj(zb)], [1j * zb, 0]])   # S(0) = 0 anchoring
     return g, psi0, C0
@@ -369,12 +362,10 @@ def suite_evolver() -> list[CheckResult]:
     t0 = time.perf_counter()
     traj = evolve(U0, t_end, dt)
     elapsed = time.perf_counter() - t0
-    Uex = sol.U_field(g, traj.times[-1])
-    err = np.sqrt(grid_norm_sq(traj.final - Uex))
-    rel = float(err / np.sqrt(grid_norm_sq(Uex)))
-    drift = abs(traj.norms[-1] - traj.norms[0]) / traj.norms[0]
-    out.append(CheckResult(f"evolver rel L2 error vs exact ({n}^2, dt={dt:g})", rel, 0, 1e-2))
-    out.append(CheckResult("evolver norm drift over run", drift, 0, 1e-3))
+    summary = run_summary(traj, sol)
+    out.append(CheckResult(f"evolver rel L2 error vs exact ({n}^2, dt={dt:g})",
+                           summary["rel_l2_error_vs_exact"], 0, 1e-2))
+    out.append(CheckResult("evolver norm drift over run", summary["norm_drift_rel"], 0, 1e-3))
     out.append(CheckResult("evolver runtime <= 300 s", elapsed, 0, 300))
     return out
 

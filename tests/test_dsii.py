@@ -14,8 +14,8 @@ from spinsurf.dsii import (DecayError, ExactSolution, InvalidDatumError, NormRes
                            re_v_from_u)
 from spinsurf.evolve import DsiiEvolver
 from spinsurf.exactpoly import T, ZBAR, RationalFn
-from spinsurf.grid import _BLOCK, Grid2D, GridConfigError, MaskError, quadrature_sum, row_blocks
-from test_grid import neighbor_mean_patched
+from spinsurf.grid import _BLOCK, Grid2D, GridConfigError, MaskError, row_blocks
+from test_grid import neighbor_mean_patched, quadrature_sum
 
 
 # oracles and measuring tools: the closed-form V printed for the quadratic datum,
@@ -146,6 +146,21 @@ def test_exact_solution_constant_datum_norm():
 def test_exact_solution_rejects_non_heat():
     with pytest.raises(InvalidDatumError):
         exact_solution(Z * Z)             # missing the 2it term
+
+
+@pytest.mark.parametrize("build", [
+    lambda: catalog("s1", c=np.nan),
+    lambda: catalog("s1", c=np.inf),
+    lambda: catalog("s1", c=complex(1, np.inf)),
+    lambda: catalog("s2", c=complex(np.nan, 1)),
+    lambda: exact_solution(heat_extend(Z * Z + np.nan * Z)),
+    lambda: exact_solution(heat_extend(Z * Z + C), c=-np.inf),
+], ids=["s1-nan", "s1-inf", "s1-1+inf-i", "s2-nan+i", "nan-coefficient", "symbolic-c-inf"])
+def test_exact_solution_refuses_a_non_finite_datum(build):
+    # a NaN or infinite coefficient of f, or c, built a solution whose exact identity
+    # then read False, as if the identity had failed
+    with pytest.raises(InvalidDatumError, match="must be finite"):
+        build()
 
 
 def test_catalog_s1_formula():

@@ -1,5 +1,6 @@
 import csv
 import functools
+import inspect
 import json
 import re
 import subprocess
@@ -13,7 +14,8 @@ from spinsurf import (ComplexField, SpinorField, catalog, constant_field,
                       evolve, field_from_function, grid_norm_sq, make_grid,
                       square_grid, wirtinger_derivative, write_trajectory)
 from spinsurf.dsii import re_v_into
-from spinsurf.evolve import BlowupAbort, DsiiEvolver, EvolverState, Trajectory, step_count
+from spinsurf.evolve import (BlowupAbort, DsiiEvolver, EvolverState, Trajectory, run_summary,
+                             step_count)
 from spinsurf.grid import MaskError, SchemeError
 from spinsurf.moutard import moutard_exact
 
@@ -108,7 +110,7 @@ def test_evolver_rejects_nonperiodic():
 def test_blowup_abort():
     g = square_grid(5.0, 32, periodic=True)
     U0 = constant_field(g, 1e300)       # overflow in the nonlinear phase
-    state = EvolverState(U0, 0.0)
+    state = EvolverState(np.fft.fftn(U0.values), 0.0, g)
     ev = DsiiEvolver(g, 1e-3)
     with pytest.raises(BlowupAbort):
         for _ in range(5):
@@ -130,6 +132,43 @@ def test_evolve_aborts_on_blowup(poison):
     assert traj.abort_reason == "non-finite field at t=0.001"
     assert traj.times == [0.0]
     assert np.array_equal(traj.final.values, U0.values, equal_nan=True)
+
+
+def test_evolver_state_is_its_spectrum():
+    assert list(inspect.signature(EvolverState).parameters) == ["U_hat", "t", "grid"]
+
+
+def test_grid_norm_sq_refuses_an_open_grid_and_a_masked_field():
+    # the rectangle rule of an evolver field: no trapezoid, no patch
+    U = field_from_function(square_grid(5.0, 16), lambda z: np.exp(-np.abs(z) ** 2))
+    with pytest.raises(SchemeError, match="doubly periodic"):
+        grid_norm_sq(U)
+    g = square_grid(5.0, 16, periodic=True)
+    mask = np.zeros((16, 16), dtype=bool)
+    mask[3, 4] = True
+    with pytest.raises(MaskError):
+        grid_norm_sq(ComplexField(g, np.ones((16, 16)), mask))
+
+
+def test_run_summary_is_the_evolve_commands_summary(tmp_path):
+    from spinsurf.cli import main
+    assert main(["evolve", "--from", "s1", "--c", "1", "--grid", "32x32", "--box=-10:10:-10:10",
+                 "--t-end", "0.01", "--dt", "1e-3", "--out", str(tmp_path)]) == 0
+    sol = catalog("s1", c=1.0)
+    g = make_grid((-10.0, 10.0, -10.0, 10.0), (32, 32), True)
+    summary = run_summary(evolve(sol.U_field(g, 0.0), 0.01, 1e-3), sol)
+    written = json.loads((tmp_path / "summary.json").read_text())
+    assert written == summary and list(written) == list(summary)
+    assert list(summary) == ["steps", "norm_drift_rel", "aborted", "rel_l2_error_vs_exact"]
+
+
+def test_an_aborted_runs_summary_has_no_exact_keys():
+    g = square_grid(5.0, 32, periodic=True)
+    with pytest.warns(UserWarning, match="non-finite"):
+        traj = evolve(constant_field(g, 1e300), 5e-3, 1e-3)
+    summary = run_summary(traj, catalog("s1", c=1.0))
+    assert list(summary) == ["steps", "norm_drift_rel", "aborted"]     # the drift: inf / inf
+    assert summary["steps"] == 0 and summary["aborted"] is True
 
 
 def test_evolve_rejects_masked_datum():
@@ -326,7 +365,7 @@ def test_repeated_step_matches_evolve():
     U0 = catalog("s1", c=1.0).U_field(g, 0.0)
     dt, n_steps = 2e-4, 20
     ev = DsiiEvolver(g, dt)
-    state = EvolverState(U0, 0.0)
+    state = EvolverState(np.fft.fftn(U0.values), 0.0, g)
     for _ in range(n_steps):
         state = ev.step(state)
     final = evolve(U0, n_steps * dt, dt).final.values
@@ -397,7 +436,7 @@ def test_norms_match_the_plain_sum_of_abs2():
     for vals in (u, u.T):
         ref = g.hx * g.hy * np.sum(np.abs(vals) ** 2)
         assert grid_norm_sq(ComplexField(g, vals)) == pytest.approx(ref, rel=1e-13, abs=0)
-        assert EvolverState(ComplexField(g, vals), 0.0).norm_sq == pytest.approx(
+        assert EvolverState(np.fft.fftn(vals), 0.0, g).norm_sq == pytest.approx(
             ref, rel=1e-13, abs=0)
 
 
@@ -405,7 +444,7 @@ def test_state_forms_U_once_and_only_when_read(monkeypatch):
     g = square_grid(30.0, 64, periodic=True)
     U0 = catalog("s1", c=1.0).U_field(g, 0.0)
     dt, n_steps = 2e-4, 20
-    state = DsiiEvolver(g, dt).step(EvolverState(U0, 0.0))
+    state = DsiiEvolver(g, dt).step(EvolverState(np.fft.fftn(U0.values), 0.0, g))
     first = state.U
     assert state.U is first
     assert np.array_equal(first.values, np.fft.ifftn(state.U_hat))

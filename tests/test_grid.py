@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -6,11 +7,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinsurf import (ComplexField, SpinorField, SurfaceMap, constant_field,
-                      field_from_function, integrate2d, make_grid, save_complexfield_csv,
+                      field_from_function, make_grid, save_complexfield_csv, willmore,
                       wirtinger_derivative)
 from spinsurf.grid import (_TEXT_VALUES, GridConfigError, MaskError, Spectral, _digits,
                            antiderivative, closedness_defect, json_text, mask_patches,
-                           quadrature_sum, save_json, save_nodes_csv)
+                           save_json, save_nodes_csv)
+
+
+def quadrature_sum(vals, hx, hy, periodic_x=False, periodic_y=False):
+    """Trapezoid sum of a (ny, nx) array, the rectangle rule along periodic axes,
+    weighted along x, then along y, in place: the oracle of willmore's integral and
+    of dsii.l2_norm_sq's raw one."""
+    wx, wy = np.full(vals.shape[1], hx), np.full(vals.shape[0], hy)
+    if not periodic_x:
+        wx[0] = wx[-1] = hx / 2
+    if not periodic_y:
+        wy[0] = wy[-1] = hy / 2
+    tmp = vals * wx
+    tmp *= wy[:, None]
+    return np.sum(tmp)
 
 
 # The per-node neighbour-mean rule: the oracle that grid.mask_patches, and every
@@ -347,6 +362,8 @@ def test_real_antiderivative_is_the_real_part_of_antiderivative(name, order):
 @pytest.mark.parametrize("name", list(_ORACLE_GRIDS))
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_quadrature_sum_matches_two_temporary_form_bitwise(name, dtype):
+    # the oracle on a real and a complex array, and willmore on a real-valued and a
+    # complex-valued field: four times the oracle's sum of the complex |U|^2
     g = _ORACLE_GRIDS[name]
     vals = _random_form(g, 5)[0].values
     vals = np.abs(vals) ** 2 if dtype is float else vals
@@ -359,36 +376,45 @@ def test_quadrature_sum_matches_two_temporary_form_bitwise(name, dtype):
     ref = np.sum((vals * wx[None, :]) * wy[:, None])
     got = quadrature_sum(vals, g.hx, g.hy, g.periodic_x, g.periodic_y)
     assert got == ref and type(got) is type(ref)
+    U = ComplexField(g, vals)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)     # random values: no decay
+        W = willmore(U)
+    abs2 = np.abs(U.values) ** 2 + 0j
+    assert W == 4.0 * float(np.sum((abs2 * wx[None, :]) * wy[:, None]).real)
+    assert type(W) is float
 
 
-def test_integrate2d_constant():
+def test_willmore_constant():
     g = make_grid((0, 1, 0, 1), (16, 16))
-    assert integrate2d(constant_field(g, 1.0)) == pytest.approx(1.0)
+    with pytest.warns(UserWarning, match="open boundary"):
+        assert willmore(constant_field(g, 1.0)) == pytest.approx(4.0)
 
 
-def test_integrate2d_sech2():
+def test_willmore_sech2():
     g = make_grid((-20, 20, 0, 2 * np.pi), (1001, 32))
-    f = field_from_function(g, lambda z: 1 / np.cosh(z.real) ** 2 / 4)
-    assert integrate2d(f).real == pytest.approx(np.pi, abs=1e-8)
+    f = field_from_function(g, lambda z: 1 / np.cosh(z.real) / 2)
+    with pytest.warns(UserWarning, match="open boundary"):      # the edges y = 0, 2 pi
+        assert willmore(f) == pytest.approx(4 * np.pi, abs=4e-8)
 
 
-def test_integrate2d_s1_norm():
+def test_willmore_s1_norm():
     from spinsurf import catalog, square_grid
     sol = catalog("s1", c=1.0)
     g = square_grid(30.0, 513)
-    val = integrate2d(sol.U_field(g, 1.0).abs2()).real
-    assert val == pytest.approx(2 * np.pi, rel=1e-2)
+    assert willmore(sol.U_field(g, 1.0)) == pytest.approx(8 * np.pi, rel=1e-2)
 
 
-def test_integrate2d_mask_policy():
+def test_willmore_mask_policy():
+    # the masked node holds the mean of its neighbours, whatever it held
     g = make_grid((0, 1, 0, 1), (8, 8))
     vals = np.ones((8, 8), dtype=complex)
+    vals[3, 3] = np.nan
     mask = np.zeros((8, 8), dtype=bool)
     mask[3, 3] = True
     f = ComplexField(g, vals, mask)
-    with pytest.raises(MaskError):
-        integrate2d(f)
-    assert integrate2d(f.patched()) == pytest.approx(1.0)
+    with pytest.warns(UserWarning, match="open boundary"):
+        assert willmore(f) == pytest.approx(4.0)
 
 
 @st.composite
@@ -425,11 +451,12 @@ def test_mask_patches_match_the_per_node_rule_bit_for_bit(grid, of):
         assert got.values.tobytes() == neighbor_mean_patched(U.values, mask).tobytes()
 
 
-def test_integrate2d_nonnegative_property():
+def test_willmore_nonnegative_property():
     rng = np.random.default_rng(7)
     g = make_grid((-1, 1, -1, 1), (16, 16))
     f = ComplexField(g, rng.random((16, 16)).astype(complex))
-    assert integrate2d(f).real >= 0
+    with pytest.warns(UserWarning, match="open boundary"):
+        assert willmore(f) >= 0
 
 
 def test_path_integrate_dz():

@@ -7,8 +7,8 @@ from spinsurf import (ComplexField, SpinorField, SurfaceMap, catalog,
                       constant_field, discrete_mean_curvature,
                       field_from_function, gauss_map, integrate_surface_r3,
                       integrate_surface_r4, invert_surface, make_grid,
-                      measured_e2alpha, smatrix_to_surface, spinor_metric,
-                      weier_derivatives, willmore)
+                      measured_e2alpha, named_spinor, smatrix_to_surface,
+                      spinor_metric, weier_derivatives, willmore)
 from spinsurf.grid import wirtinger_derivative
 from spinsurf.hierarchy import soliton_potential
 from spinsurf.moutard import heat_datum_fields, heat_smatrix_values
@@ -21,6 +21,18 @@ def _plane_spinor(grid):
 
 def _enneper_spinor(grid):
     return SpinorField(constant_field(grid, 1.0), field_from_function(grid, np.conj))
+
+
+def test_named_spinors_are_the_closed_forms_bitwise():
+    g = make_grid((-1.2, 1.2, 0, 2 * np.pi), (24, 40), (False, True))
+    r = 1 / np.sqrt(2.0)
+    catenoid = SpinorField(field_from_function(g, lambda z: r * np.exp(z / 2)),
+                           field_from_function(g, lambda z: r * np.exp(-np.conj(z) / 2)))
+    for name, ref in (("plane", _plane_spinor(g)), ("enneper", _enneper_spinor(g)),
+                      ("catenoid", catenoid)):
+        assert named_spinor(name, g).values.tobytes() == ref.values.tobytes(), name
+    with pytest.raises(KeyError):
+        named_spinor("helicoid", g)
 
 
 def test_plane_surface_coordinates():
