@@ -300,15 +300,19 @@ def re_v_from_u(U: ComplexField) -> np.ndarray:
                      np.empty((ny, nx)))
 
 
-def re_v_into(u: np.ndarray, sp, n_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """re_v_from_u on the array u into the real array out, through the scratch
-    array n_hat (rfft2 layout); irfft2 runs as two in-place passes (its out is ignored)."""
+def re_v_into(u: np.ndarray, sp, scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """re_v_from_u on the array u into the real array out.  The complex array
+    scratch, of at least ny (nx // 2 + 1) elements, holds |Im u|^2 and then the
+    rfft2 half-spectrum in its leading elements; irfft2 runs as two in-place passes
+    (its out is ignored)."""
+    (ny, nx), buf = u.shape, scratch.reshape(-1)
     n = np.multiply(u.real, u.real, out=out)
-    n += u.imag**2
+    n += np.square(u.imag, out=buf.view(np.float64)[: n.size].reshape(n.shape))
+    n_hat = buf[: ny * (nx // 2 + 1)].reshape(ny, nx // 2 + 1)
     np.fft.rfftn(n, out=n_hat)
     n_hat *= sp.re_v
     np.fft.ifft(n_hat, axis=0, out=n_hat)
-    return np.fft.irfft(n_hat, n=u.shape[1], axis=1, out=out)
+    return np.fft.irfft(n_hat, n=nx, axis=1, out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,13 @@ anyway; U itself costs one inverse FFT and is formed only when it is read (a
 snapshot, the final field, a callback that looks at it).  Norms come from U_hat
 by Parseval, so a run that reads no snapshot forms one field, the final one.
 
+A step works in a fixed set of arrays: the evolver's half_phase, the field w and
+the phase theta of DsiiEvolver.run, and one spectrum, the step's only fresh
+array.  It starts as U_hat times half_phase, holds |Im U|^2 and the constraint
+solve's half-spectrum while it is free, then exp(i theta), and ends as the next
+state's U_hat.  The state's Parseval norm, which the run records anyway,
+is the blow-up guard; only a non-finite norm costs a pass over the spectrum.
+
 One run summary (run_summary): the step count, the norm drift and the error
 against an exact solution that `spinsurf evolve` writes as summary.json and
 verify's criterion 8 reads.
@@ -38,8 +45,8 @@ class BlowupAbort(RuntimeError):
 class EvolverState:
     """The evolver's state at time t: the spectrum U_hat = np.fft.fftn(U.values) of
     its field U on grid, which the step forms anyway.  U costs one inverse FFT,
-    formed the first time it is read and then kept.  norm_sq comes from U_hat by
-    Parseval."""
+    formed the first time it is read and then kept, as is norm_sq, which comes from
+    U_hat by Parseval."""
 
     def __init__(self, U_hat: np.ndarray, t: float, grid: Grid2D):
         self.U_hat, self.t, self.grid = U_hat, t, grid
@@ -49,7 +56,7 @@ class EvolverState:
         g = self.grid
         return ComplexField(g, np.fft.ifftn(self.U_hat, out=np.empty((g.ny, g.nx), complex)))
 
-    @property
+    @cached_property
     def norm_sq(self) -> float:
         """hx hy sum |U|^2, by Parseval from U_hat."""
         g = self.grid
@@ -82,31 +89,40 @@ class DsiiEvolver:
             raise ValueError("dt must be positive and finite")
         self.grid, self.dt = grid, dt
         sp = grid.spectral
-        self.half_phase = np.exp(1j * (sp.ky[:, None] ** 2 - sp.kx**2) * dt / 4.0)
+        half_phase = 1j * (sp.ky[:, None] ** 2 - sp.kx**2)
+        half_phase *= dt
+        half_phase /= 4.0
+        self.half_phase = np.exp(half_phase, out=half_phase)
+        sp.re_v                     # built now, before any step buffer exists
 
     def run(self, state: EvolverState, n_steps: int):
         """Yield the n_steps states after state (BlowupAbort on a non-finite
         spectrum); the k-th is at state.t + k dt, not at a running sum of dt.
-        w_hat is the spectrum of U a half step on."""
-        g, dt, t0 = self.grid, self.dt, state.t
+
+        A step holds half_phase, the field w, the phase theta and one spectrum,
+        the step's one fresh array: the last state's U_hat times half_phase, then
+        the constraint solve's scratch, then exp(i theta), then the next state's
+        U_hat.  The generator lets go of each state, the first one too, when the
+        step after it ends, and computes nothing after its last yield."""
+        g, dt, t0, half_phase = self.grid, self.dt, state.t, self.half_phase
         w, theta = np.empty((g.ny, g.nx), dtype=complex), np.empty((g.ny, g.nx))
-        n_hat = np.empty((g.ny, g.nx // 2 + 1), dtype=complex)
-        w_hat = state.U_hat * self.half_phase     # numpy's complex a*b and b*a round apart
         for k in range(1, n_steps + 1):
             # non-finite intermediates are tolerated here; the guard below aborts
             with np.errstate(all="ignore"):
-                np.fft.ifftn(w_hat, out=w)                # np.fft.ifft2 ignores out
-                re_v_into(w, g.spectral, n_hat, theta)
+                U_hat = state.U_hat * half_phase    # numpy's complex a*b and b*a round apart
+                np.fft.ifftn(U_hat, out=w)                # np.fft.ifft2 ignores out
+                re_v_into(w, g.spectral, U_hat, theta)    # U_hat, free, is its scratch
                 theta *= 2 * dt
-                np.cos(theta, out=w_hat.real)             # w_hat, free until the fftn
-                np.sin(theta, out=w_hat.imag)             # below, holds exp(i theta)
-                w *= w_hat
-                np.fft.fftn(w, out=w_hat)
-                U_hat = w_hat * self.half_phase
-            if not np.all(np.isfinite(U_hat)):
-                raise BlowupAbort(f"non-finite field at t={t0 + k * dt:g}")
-            yield EvolverState(U_hat, t0 + k * dt, g)
-            np.multiply(U_hat, self.half_phase, out=w_hat)
+                np.cos(theta, out=U_hat.real)             # U_hat, still free until the
+                np.sin(theta, out=U_hat.imag)             # fftn below, holds exp(i theta)
+                w *= U_hat
+                np.fft.fftn(w, out=U_hat)
+                U_hat *= half_phase
+            state = EvolverState(U_hat, t0 + k * dt, g)
+            # a finite sum has finite terms; an overflowing sum of finite ones is no blow-up
+            if not math.isfinite(state.norm_sq) and not np.all(np.isfinite(U_hat)):
+                raise BlowupAbort(f"non-finite field at t={state.t:g}")
+            yield state
 
     # one step of run; perfbench/spans.py traces the evolver by this name
     def step(self, state: EvolverState) -> EvolverState:

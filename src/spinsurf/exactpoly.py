@@ -27,6 +27,7 @@ from .grid import _BLOCK, ComplexField, Grid2D, merged_mask, row_blocks
 VARS = ("z", "zbar", "t", "c", "cbar")
 _VAR_INDEX = {name: VARS.index(name) for name in VARS}
 _ZERO_KEY = (0, 0, 0, 0, 0)
+_ONE = {_ZERO_KEY: 1}
 
 
 class HeatDatumError(ValueError):
@@ -115,6 +116,13 @@ class BiPoly:
             res = BiPoly()
             if z != 0:
                 res.coef = {k: v * z for k, v in self.coef.items()}
+            return res
+        # a factor 1 (a RationalFn's implicit denominator): for finite v the loop's
+        # 0 + v * 1 is 0 + v, bit for bit (both set a zero part's sign to +)
+        p = self if other.coef == _ONE else other if self.coef == _ONE else None
+        if p is not None and all(map(cmath.isfinite, p.coef.values())):
+            res = BiPoly()
+            res.coef = {k: 0 + v for k, v in p.coef.items() if v != 0}
             return res
         out, items = {}, tuple(other.coef.items())
         for k1, v1 in self.coef.items():

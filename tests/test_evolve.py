@@ -5,6 +5,8 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +134,59 @@ def test_evolve_aborts_on_blowup(poison):
     assert traj.abort_reason == "non-finite field at t=0.001"
     assert traj.times == [0.0]
     assert np.array_equal(traj.final.values, U0.values, equal_nan=True)
+
+
+def test_an_overflowing_norm_of_a_finite_field_does_not_abort():
+    # the Parseval sum of a constant 1e152 on 64^2 overflows, though every node and
+    # every Fourier mode is finite: the run goes on and records inf norms
+    g = square_grid(3.0, 64, periodic=True)
+    traj = evolve(constant_field(g, 1e152), 2e-3, 1e-3)
+    assert not traj.aborted
+    assert traj.norms == [np.inf] * 3
+    assert np.all(np.isfinite(traj.final.values))
+
+
+def test_a_finite_run_raises_no_runtime_warning():
+    g = square_grid(30.0, 128, periodic=True)
+    U0 = catalog("s1", c=1.0).U_field(g, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = evolve(U0, 2e-3, 1e-4, snapshot_every=10)
+    assert not traj.aborted and len(traj.snapshots) == 3
+
+
+def test_evolve_holds_under_six_grid_arrays():
+    # s1 on 256^2 (one complex grid array is 1 MiB), 50 steps, one snapshot at
+    # the end: the step holds half_phase, w, theta, one spectrum and the state
+    # before it; the final field comes after the last step
+    g = square_grid(30.0, 256, periodic=True)
+    U0 = catalog("s1", c=1.0).U_field(g, 0.0)
+    tracemalloc.start()
+    try:
+        traj = evolve(U0, 50 * 1e-4, 1e-4, snapshot_every=50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj.snapshots) == 2 and not traj.aborted
+    assert peak < 6 * 2**20
+
+
+def test_run_retains_one_fresh_spectrum_per_state():
+    # between yields the generator keeps w, theta and the state's spectrum; a
+    # state the caller drops takes its spectrum with it
+    g = square_grid(30.0, 64, periodic=True)
+    U0 = catalog("s1", c=1.0).U_field(g, 0.0)
+    ev = DsiiEvolver(g, 1e-4)
+    grid_array = 64 * 64 * 16
+    tracemalloc.start()
+    try:
+        held = []
+        for state in ev.run(EvolverState(np.fft.fftn(U0.values), 0.0, g), 8):
+            held.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 8 and max(held) - min(held) < 4096
+    assert max(held) < 2.5 * grid_array + 16384             # w, theta and one spectrum
 
 
 def test_evolver_state_is_its_spectrum():

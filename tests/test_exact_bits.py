@@ -2,17 +2,20 @@
 bits) pair, in storage order, of the catalog's U and a, of moutard_exact's W, a and
 K, and of the halved V, recorded before the kernel lost its interpreter overhead
 (BiPoly.const without per-key validation, one items() of the second factor per
-product, RationalFn.__add__ comparing denominators by their coefficients) and
+product, RationalFn.__add__ comparing denominators by their coefficients, a
+product by the constant 1 that copies the other factor) and
 ExactSolution its expanded V.  The kernel's earlier operations stay here as
 oracles: the current ones must give the same keys, in the same order, with the
 same bits."""
 import hashlib
+import math
 import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinsurf import BiPoly, RationalFn, catalog, moutard_exact, to_halved_v_form
+from spinsurf import (BiPoly, RationalFn, catalog, dsii_residual_exact, moutard_exact,
+                      to_halved_v_form)
 from spinsurf.exactpoly import _ZERO_KEY
 
 
@@ -171,7 +174,9 @@ def test_const_gives_the_constructors_bits(value):
 @given(p=_polys, q=_polys, r=_polys, scale=_coefs)
 def test_ring_operations_give_the_earlier_bits(p, q, r, scale):
     cancel = _add_ref(q, _mul_ref(p, _const_ref(-1)))       # p + cancel = q exactly
-    for a, b in ((p, q), (q, p), (p, p), (p, cancel), (p, -p), (p, r), (_poly({}), p)):
+    one = BiPoly.const(1.0)
+    for a, b in ((p, q), (q, p), (p, p), (p, cancel), (p, -p), (p, r), (_poly({}), p),
+                 (p, one), (one, p)):
         assert _bits(a * b) == _bits(_mul_ref(a, b))
         assert _bits(a + b) == _bits(_add_ref(a, b))
         assert _bits(a - b) == _bits(_sub_ref(a, b))
@@ -202,3 +207,46 @@ def test_rational_add_gives_the_earlier_bits(n1, n2, d1, d2, pick):
     for a, b in ((r, s), (s, r), (r, r)):
         got, ref = a + b, _rational_add_ref(a, b)
         assert _bits(got.num) == _bits(ref.num) and _bits(got.den) == _bits(ref.den)
+
+
+def test_a_factor_one_with_a_non_finite_coefficient_takes_the_loop():
+    # v * (1 + 0j) is not v when a part of v is infinite: inf * 0 is nan
+    one = BiPoly.const(1.0)
+    for v in (complex(math.inf, 2.0), complex(-0.0, -math.inf), complex(math.nan, 0.0)):
+        p = _poly({(1, 0, 0, 0, 0): v, (0, 2, 0, 0, 0): complex(-0.0, 3.0)})
+        assert _bits(p * one) == _bits(_mul_ref(p, one))
+        assert _bits(one * p) == _bits(_mul_ref(one, p))
+    assert _bits(p * one) != _bits(p)
+
+
+def _mul_by_the_loop(self, other, _mul=BiPoly.__mul__):
+    return _mul_ref(self, other) if isinstance(other, BiPoly) else _mul(self, other)
+
+
+def _chain_polys(name, c) -> list:
+    """Every BiPoly of catalog(name, c), of moutard_exact on its f with the
+    transformed and inverted spinors, and of dsii_residual_exact."""
+    sol = catalog(name, c)
+    m = moutard_exact(sol.f)
+    quats = (m.S0, m.K, m.Psi0, m.Phi0, m.tilde_psi_for_linear_datum(),
+             m.tilde_phi_for_identity_datum(), *m.inverted_surface_spinors())
+    fns = (sol.U, sol.a, m.W, m.a, *(r for q in quats for r in (q.a, q.b)))
+    return [sol.f, *(p for r in fns for p in (r.num, r.den)), *dsii_residual_exact(sol)]
+
+
+@pytest.mark.parametrize("name, c", [("s1", 1.1 + 0.3j), ("s1", 1j), ("s1", "symbolic"),
+                                     ("s2", 12), ("s2", 1.1 + 0.3j), ("s2", "symbolic")])
+def test_exact_chain_multiplies_by_one_as_the_loop_does(monkeypatch, name, c):
+    by_one, mul = [], BiPoly.__mul__
+
+    def counted(self, other):
+        by_one.append(isinstance(other, BiPoly) and {_ZERO_KEY: 1} in (self.coef, other.coef))
+        return mul(self, other)
+
+    monkeypatch.setattr(BiPoly, "__mul__", counted)
+    got = _chain_polys(name, c)
+    assert sum(by_one) >= 80          # about half of the chain's 161-171 products
+    monkeypatch.setattr(BiPoly, "__mul__", _mul_by_the_loop)
+    ref = _chain_polys(name, c)
+    assert len(got) == len(ref) == 43
+    assert [_bits(p) for p in got] == [_bits(p) for p in ref]
