@@ -18,6 +18,9 @@ from .grid import (ComplexField, Grid2D, GridConfigError, grid_mask, masked_max_
                    wirtinger_rows)
 
 
+_MIN_DET = 1e-12          # SpinorField.inv masks nodes with det below this x max(|S|, 1)^2
+
+
 def _empty(grid: Grid2D) -> np.ndarray:
     return np.empty((2, 2, grid.ny, grid.nx), dtype=np.complex128)
 
@@ -159,15 +162,16 @@ class SpinorField:
     def psi2(self) -> ComplexField:
         return ComplexField(self.grid, self.values[1], self.mask)
 
-    def inv(self, min_det: float = 0.0, out: np.ndarray | None = None) -> "SpinorField":
-        """The conjugate over |a|^2 + |b|^2, one row block at a time, into out (which
-        may be values) or a fresh array; nodes with det < min_det join the mask and
-        are divided by 1 instead."""
+    def inv(self, out: np.ndarray | None = None) -> "SpinorField":
+        """The conjugate over det = |a|^2 + |b|^2, one row block at a time, into out
+        (which may be values) or a fresh array; nodes with det below _MIN_DET
+        max(|S|, 1)^2 (|S| over the unmasked nodes) join the mask and are divided by 1."""
         g, v, bad = self.grid, self.values, None
+        min_det = _MIN_DET * max(self.max_abs(), 1.0) ** 2
         out = np.empty_like(v) if out is None else out
         for r in row_blocks(g.nx, g.ny):
             n2 = _norm2(v[:, r])
-            if min_det > 0.0 and (low := n2 < min_det).any():
+            if (low := n2 < min_det).any():
                 bad = np.zeros((g.ny, g.nx), dtype=bool) if bad is None else bad
                 bad[r] = low
                 n2[low] = 1.0

@@ -176,7 +176,7 @@ def exact_solution(f: BiPoly, c=None) -> ExactSolution:
     if not all(map(cmath.isfinite, [*f.coef.values(), 0 if c is None else c])):
         raise InvalidDatumError("the coefficients of f and c must be finite")
     hr = heat_residual(f)
-    if not hr.is_zero(1e-12, max(f.max_abs(), 1.0)):
+    if not hr.is_zero(max(f.max_abs(), 1.0)):
         raise InvalidDatumError("datum does not satisfy f_t = i f_zz")
     fb = f.conj()
     fp = f.wirtinger("z")
@@ -248,7 +248,8 @@ def dsii_residual_exact(sol: ExactSolution, kappa_evol: float = 1.0,
 
     Returns (evolution_numerator, constraint_numerator) as BiPolys over the
     common denominator rho^3; both are the zero polynomial for heat-polynomial
-    data under the canonical normalization (kappa_evol=1, kappa_cons=2).
+    data under the canonical normalization (kappa_evol=1, kappa_cons=2).  The kappas
+    stay for the variant normalization, a mutant that the identity must reject.
 
     The quotient rule is expanded by hand so every product keeps one small
     factor: this bounds the coefficient growth (exactness of the float
@@ -286,7 +287,7 @@ def dsii_exact_identity_holds(sol: ExactSolution) -> bool:
     if ev.nterms == 0 and co.nterms == 0:
         return True
     scale = max(sol.U.num.max_abs(), sol.U.den.max_abs(), 1.0) ** 3
-    return ev.is_zero(1e-12, scale) and co.is_zero(1e-12, scale)
+    return ev.is_zero(scale) and co.is_zero(scale)
 
 
 # ---------------------------------------------------------------------------

@@ -163,7 +163,7 @@ def evolve(U0: ComplexField, t_end: float, dt: float, t0: float = 0.0,
     """Repeated Strang stepping over the step_count(t0, t_end, dt) steps from t0
     to t_end with norm monitoring.  Norms are read from each state's spectrum; a
     state's field is formed only for a snapshot, for final and when the callback
-    reads state.U."""
+    reads state.U.  t0 stays for runs from a t0 != 0 (ROADMAP items 2 and 4)."""
     if snapshot_every < 0:
         raise ValueError(f"snapshot_every must be >= 0, got {snapshot_every}")
     if U0.mask is not None and U0.mask.any():
@@ -219,8 +219,8 @@ def write_trajectory(traj: Trajectory, outdir) -> dict:
         name = f"snapshot_{i:04d}.csv"
         save_complexfield_csv(fld, outdir / name)
         files.append({"t": t, "file": name})
-    save_csv(outdir / "norms.csv", "t,norm_sq",
-             (b"%.17g,%.17g\r\n" % tn for tn in zip(traj.times, traj.norms)), newline="\r\n")
+    save_csv(outdir / "norms.csv", "t,norm_sq\r\n",
+             (b"%.17g,%.17g\r\n" % tn for tn in zip(traj.times, traj.norms)))
     manifest = {"times": traj.times, "norms": traj.norms, "snapshots": files,
                 "aborted": traj.aborted, "abort_reason": traj.abort_reason}
     save_json(outdir / "manifest.json", manifest)

@@ -5,10 +5,10 @@ z <-> zbar and c <-> cbar and conjugates coefficients (t stays real).
 Coefficients are complex numbers; the catalog data are Gaussian integers,
 for which all arithmetic here is exact.
 
-Evaluation specialises the scalars t, c, cbar first (BiPoly._specialise, which
+Evaluation specialises t, c and cbar = conj(c) first (BiPoly._specialise, which
 holds the one rule for c: None only for a polynomial free of c and cbar,
 InvalidDatumError otherwise), then runs nested Horner over the remaining
-(z, zbar) table, outer in zbar and inner in z.  RationalFn.on_grid and
+(z, zbar = conj(z)) table, outer in zbar and inner in z.  RationalFn.on_grid and
 RQuat.on_grid take a closed form to a grid: they stream over blocks of grid rows
 and mask the exact zeros of the denominator; eval is for point sets.  The DSII
 fields U and V reach a grid from f's z-row instead (dsii.ExactSolution), through
@@ -60,8 +60,6 @@ class BiPoly:
     @staticmethod
     def _norm_key(key):
         key = tuple(int(e) for e in key)
-        if len(key) == 3:
-            key = key + (0, 0)
         if len(key) != 5 or any(e < 0 for e in key):
             raise ValueError(f"bad exponent key {key}")
         return key
@@ -178,33 +176,32 @@ class BiPoly:
 
     # -- queries -----------------------------------------------------------
 
-    def eval(self, z=0.0, zbar=None, t=0.0, c=None, cbar=None):
-        """Evaluate; zbar/cbar default to the complex conjugates of z/c, and c follows
+    def eval(self, z=0.0, t=0.0, c=None):
+        """Evaluate at z, its conjugate zbar, t, c and its conjugate cbar; c follows
         _specialise's rule.  Specialises t, c, cbar once, then runs nested Horner over
         cache-sized blocks of the flattened z.  Returns an array of z's shape, or a
         complex for scalar z."""
-        table = self._specialise(t, c, cbar)
+        table = self._specialise(t, c)
         z = np.asarray(z, dtype=np.complex128)
         out = np.empty(z.shape, dtype=np.complex128)
         flat, acc_flat = z.reshape(-1), out.reshape(-1)
-        zbar = None if zbar is None else np.broadcast_to(zbar, z.shape).reshape(-1)
         part, zb = np.empty((2, min(_BLOCK, z.size)), dtype=np.complex128)
         for s in range(0, z.size, _BLOCK):         # one cache-sized block at a time
             zk = flat[s:s + _BLOCK]
-            zbk = np.conj(zk, out=zb[:zk.size]) if zbar is None else zbar[s:s + _BLOCK]
+            zbk = np.conj(zk, out=zb[:zk.size])
             _horner_block(table, zk, zbk, acc_flat[s:s + _BLOCK], part[:zk.size])
         return out if out.ndim else complex(out)
 
-    def _specialise(self, t=0.0, c=None, cbar=None) -> dict:
-        """{zbar exponent: {z exponent: coefficient}} at fixed t, c, cbar; summed in storage
-        order, so a constant term that cancels at a singular instant is exactly 0.
-        The rule for c: c = None is allowed only when the polynomial does not depend
-        on c or cbar, InvalidDatumError otherwise, and for a non-finite t, c or cbar."""
+    def _specialise(self, t=0.0, c=None) -> dict:
+        """{zbar exponent: {z exponent: coefficient}} at fixed t, c, cbar = conj(c); summed
+        in storage order, so a constant term that cancels at a singular instant is exactly
+        0.  The rule for c: c = None is allowed only when the polynomial does not depend
+        on c or cbar, InvalidDatumError otherwise, and for a non-finite t or c."""
         if c is None and (self.depends_on("c") or self.depends_on("cbar")):
             raise InvalidDatumError("the polynomial depends on c, which needs a numeric value")
-        cb = np.conjugate(c) if cbar is None and c is not None else cbar
-        if not all(cmath.isfinite(x) for x in (t, c, cb) if x is not None):
-            raise InvalidDatumError("t, c and cbar must be finite")
+        if not all(cmath.isfinite(x) for x in (t, c) if x is not None):
+            raise InvalidDatumError("t and c must be finite")
+        cb = None if c is None else np.conjugate(c)
         table = {}
         for (dz, dzb, dt, dc, dcb), v in self.coef.items():
             for x, e in ((t, dt), (c, dc), (cb, dcb)):
@@ -221,8 +218,9 @@ class BiPoly:
     def max_abs(self) -> float:
         return max((abs(v) for v in self.coef.values()), default=0.0)
 
-    def is_zero(self, rel: float = 0.0, ref: float = 1.0) -> bool:
-        return self.max_abs() <= rel * ref
+    def is_zero(self, ref: float) -> bool:
+        """Every coefficient within 1e-12 ref of 0."""
+        return self.max_abs() <= 1e-12 * ref
 
     @property
     def nterms(self) -> int:
@@ -310,7 +308,7 @@ C = BiPoly.variable("c")
 def poly_equal(p: BiPoly, q: BiPoly) -> bool:
     """p == q to 1e-12 of their largest coefficient (at least 1)."""
     ref = max(p.max_abs(), q.max_abs(), 1.0)
-    return (p - q).is_zero(1e-12, ref)
+    return (p - q).is_zero(ref)
 
 
 class RationalFn:
@@ -450,7 +448,8 @@ class RQuat:
 
     def on_grid(self, grid: Grid2D, t: float, c=None) -> SpinorField:
         """Both entries as RationalFn.on_grid samples them, into one (2, ny, nx)
-        array; the mask is the union of theirs."""
+        array; the mask is the union of theirs.  c stays, as in its twin
+        RationalFn.on_grid: the one rule for c, for closed forms that keep c symbolic."""
         vals = np.empty((2, grid.ny, grid.nx), dtype=np.complex128)
         parts = [ComplexField(grid, *f._sample(grid, t, c, v))
                  for f, v in zip((self.a, self.b), vals)]

@@ -6,9 +6,10 @@ arrays of shape (ny, nx) indexed values[iy, ix].
 
 One difference scheme: central differences, one-sided second order at open
 edges (Spectral holds the Fourier symbols that the evolver and the constraint
-solves apply themselves).  One path integral and one closedness test, both for
-a 1-form gx dx + gy dy with real or complex gx, gy of shape (..., ny, nx): the
-form p dz + q dzbar is gx = p + q, gy = i (p - q).
+solves apply themselves), but for surface.discrete_mean_curvature's np.gradient,
+whose figures are pinned (ROADMAP item 11 owns the merge).  One path integral and
+one closedness test, both for a 1-form gx dx + gy dy with real or complex gx, gy
+of shape (..., ny, nx): the form p dz + q dzbar is gx = p + q, gy = i (p - q).
 
 One mask rule: a sum reads each masked node as the mean of its unmasked 8-neighbours
 (mask_patches), a maximum skips it (masked_max_abs), and the evolver's norm
@@ -167,10 +168,7 @@ class Grid2D:
 def make_grid(bounds, resolution, periodicity=False) -> Grid2D:
     """Build a Grid2D from (x_min, x_max, y_min, y_max), (nx, ny) and periodic flags."""
     x_min, x_max, y_min, y_max = bounds
-    if np.isscalar(resolution):
-        nx = ny = int(resolution)
-    else:
-        nx, ny = resolution
+    nx, ny = resolution
     if isinstance(periodicity, bool):
         px = py = periodicity
     else:
@@ -483,10 +481,10 @@ def closedness_defect(grid: Grid2D, gx: np.ndarray, gy: np.ndarray, mask) -> flo
 # template bytes whose unprinted bytes are 0 and dropped by bytes.translate
 
 
-def save_csv(csv_path, header: str, lines, newline="\n"):
-    """The one CSV writer: the header line, ending in newline, then lines, bytes."""
+def save_csv(csv_path, header: str, lines):
+    """The one CSV writer: the header line, with its line end, then lines, bytes."""
     with open(csv_path, "wb") as fh:
-        fh.write((header + newline).encode())
+        fh.write(header.encode())
         fh.writelines(lines)
 
 
@@ -649,7 +647,7 @@ def save_nodes_csv(csv_path, header: str, *columns):
             yield text.translate(None, b"\0")
             del text
 
-    save_csv(csv_path, header, lines())
+    save_csv(csv_path, header + "\n", lines())
 
 
 def save_complexfield_csv(f: ComplexField, csv_path):

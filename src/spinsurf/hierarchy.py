@@ -32,15 +32,15 @@ class Potential1D:
         return float(self.x[1] - self.x[0])
 
 
-def soliton_potential(N: int, half_width: float = 25.0, n: int = 2001) -> Potential1D:
-    """U_N(x) = N / (2 cosh x); Willmore equality case of the sphere bound."""
-    x = np.linspace(-half_width, half_width, n)
+def soliton_potential(N: int) -> Potential1D:
+    """U_N(x) = N / (2 cosh x) on 2001 nodes over [-25, 25]; Willmore equality case."""
+    x = np.linspace(-25.0, 25.0, 2001)
     return Potential1D(x, N / (2 * np.cosh(x)))
 
 
-def clifford_potential(n: int = 2048) -> Potential1D:
-    """U(x) = sin x / (2 sqrt2 (sin x - sqrt2)) on [0, 2 pi) (periodic sampling)."""
-    x = np.arange(n) * (2 * np.pi / n)
+def clifford_potential() -> Potential1D:
+    """U(x) = sin x / (2 sqrt2 (sin x - sqrt2)) on 2048 periodic nodes of [0, 2 pi)."""
+    x = np.arange(2048) * (2 * np.pi / 2048)
     s = np.sqrt(2.0)
     return Potential1D(x, np.sin(x) / (2 * s * (np.sin(x) - s)), periodic=True)
 

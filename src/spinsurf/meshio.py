@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import NumberText, save_json
+from .grid import Grid2D, NumberText, save_json
 from .surface import SurfaceMap
 
 
@@ -24,16 +24,16 @@ def _project(S: SurfaceMap):
     return S.coords[:3], {"x4_range": [float(x4.min()), float(x4.max())]}
 
 
-def grid_triangles(nx: int, ny: int, good: np.ndarray, stitch_x: bool = False,
-                   stitch_y: bool = False):
+def grid_triangles(grid: Grid2D, good: np.ndarray):
     """Two triangles per grid quad, (a, b, c) and (a, c, d) with a = (ix, iy),
     b = (ix + 1, iy), c = (ix + 1, iy + 1), d = (ix, iy + 1), quads row by row;
     quads touching a bad node are skipped and counted as holes.
 
-    Periodic stitching closes the last column/row back to the first.
+    A periodic axis of the grid is stitched: its last column/row closes back to the first.
     """
-    ix = np.arange(nx if stitch_x else nx - 1)
-    iy = np.arange(ny if stitch_y else ny - 1)[:, None]
+    nx, ny = grid.nx, grid.ny
+    ix = np.arange(nx if grid.periodic_x else nx - 1)
+    iy = np.arange(ny if grid.periodic_y else ny - 1)[:, None]
     ix1, iy1 = (ix + 1) % nx, (iy + 1) % ny
     ok = good[iy, ix] & good[iy, ix1] & good[iy1, ix] & good[iy1, ix1]
     a, b, c, d = (v[ok] for v in (iy * nx + ix, iy * nx + ix1, iy1 * nx + ix1, iy1 * nx + ix))
@@ -61,7 +61,7 @@ def export_mesh(S: SurfaceMap, path, fmt: str = "obj",
         good &= ~S.mask
     finite = np.isfinite(verts3).all(axis=0)
     good &= finite
-    tris, holes = grid_triangles(g.nx, g.ny, good, g.periodic_x, g.periodic_y)
+    tris, holes = grid_triangles(g, good)
     pts = verts3.reshape(3, -1).T
     path = str(path)
     if fmt == "obj":

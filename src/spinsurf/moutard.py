@@ -65,7 +65,6 @@ class NormalizationError(RuntimeError):
 
 
 PATTERN_TOL = 1e-8        # quaternion-pattern defect allowed, relative to max(|value|, 1)
-_MIN_DET = 1e-12          # S^-1 masks nodes with det S below this x max(|S|, 1)^2
 
 
 def _check_quaternion(m: np.ndarray, what: str):
@@ -119,7 +118,7 @@ def omega1(Phi: SpinorField, Psi: SpinorField) -> SpinorField:
     return SpinorField.from_values(grid, np.stack([m1, -m0]), mask)
 
 
-def build_S(Phi: SpinorField, Psi: SpinorField, constant=None) -> SpinorField:
+def build_S(Phi: SpinorField, Psi: SpinorField, constant) -> SpinorField:
     """S = Gamma * int omega(Phi, Psi) + constant, integrated along L-paths.
 
     `constant` is the value added after anchoring the integral to zero at
@@ -133,7 +132,7 @@ def build_S(Phi: SpinorField, Psi: SpinorField, constant=None) -> SpinorField:
     nodes.
     """
     grid = Phi.grid
-    C = np.zeros((2, 2), dtype=complex) if constant is None else np.asarray(constant, complex)
+    C = np.asarray(constant, complex)
     _check_quaternion(C, "S constant")
     X, Y = omega(Phi, Psi)
     defect = closedness_defect(grid, X.values, Y.values, X.mask)
@@ -173,13 +172,7 @@ class KData:
 
 def k_matrix(Psi: SpinorField, S: SpinorField, Phi: SpinorField) -> KData:
     """Extract (W, a) from K = Psi S^-1 Phi^* = [[i conj(W), a], [-conj(a), -i W]]."""
-    return _kdata(Psi, _inv(S), Phi)
-
-
-def _inv(S: SpinorField, out: np.ndarray | None = None) -> SpinorField:
-    """S^-1 into out (which may be S.values) or a fresh array, nodes with det S below
-    _MIN_DET max(|S|, 1)^2 masked."""
-    return S.inv(min_det=_MIN_DET * max(S.max_abs(), 1.0) ** 2, out=out)
+    return _kdata(Psi, S.inv(), Phi)
 
 
 def _partner(q: np.ndarray) -> np.ndarray:
@@ -215,7 +208,7 @@ class MoutardTransform:
     Phi0: SpinorField
     C0: np.ndarray                     # S0's constant; the partner's is -C0^H
     kdata: KData
-    S0_inv: SpinorField                # nodes with det below _MIN_DET max(|S0|, 1)^2 masked
+    S0_inv: SpinorField                # SpinorField.inv's singular nodes masked
 
     def __init__(self, Psi0, Phi0, C0, kdata, S0_inv):
         self.Psi0, self.Phi0, self.C0 = Psi0, Phi0, C0
@@ -229,7 +222,7 @@ class MoutardTransform:
         with the accumulated Gamma * int omega1 dt (time_offset_integral) added to
         it."""
         S0 = build_S(phi0, psi0, constant=constant0)
-        S0_inv = _inv(S0, out=S0.values)               # S0 is ours: inverted in place
+        S0_inv = S0.inv(out=S0.values)                 # S0 is ours: inverted in place
         return cls(psi0, phi0, np.asarray(constant0, dtype=complex),
                    _kdata(psi0, S0_inv, phi0), S0_inv)
 
@@ -240,7 +233,8 @@ class MoutardTransform:
         The integration constants of S(Phi0, Psi) / S(Psi0, Phi) default to the
         right-linear extension C0 * Psi0(b)^-1 Psi(b), which makes the map
         linear in (Psi, Phi) and annihilates the background pair exactly;
-        any other quaternion constant shifts the output by another solution.
+        any other quaternion constant shifts the output by another solution
+        (constP: the closed-form Psi~ test; constBP: verify's closed-form phi~ check).
         """
         return (self._transform_side(self.Phi0, self.Psi0, self.C0, False, psi, constP),
                 self._transform_side(self.Psi0, self.Phi0, -self.C0.conj().T, True, phi,
@@ -282,7 +276,7 @@ def heat_antiderivative(f: BiPoly) -> BiPoly:
     prim = BiPoly({(k[0] + 1, 0, 0, k[3], k[4]): v / (k[0] + 1)
                    for k, v in f0.coef.items()})
     F = heat_extend(prim)
-    if not (F.wirtinger("z") - f).is_zero(1e-12, max(f.max_abs(), 1.0)):
+    if not (F.wirtinger("z") - f).is_zero(max(f.max_abs(), 1.0)):
         raise ValueError("datum was not a heat polynomial")
     return F
 

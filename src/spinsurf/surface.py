@@ -8,11 +8,11 @@ Coordinate derivative fields (the closed forms being integrated):
     x3_z = (1/2)(conj(phi2) psi1 + phi1 conj(psi2))
     x4_z = (i/2)(conj(phi2) psi1 - phi1 conj(psi2))
 
-and x^k = x^k(P0) + int (x^k_z dz + conj(x^k_z) dzbar); the R^3 case is phi = psi
-(then x4_z vanishes identically).
+and x^k = int_P0 (x^k_z dz + conj(x^k_z) dzbar) from P0 = grid.centre; the R^3
+case is phi = psi (then x4_z vanishes identically).
 
 The forms and the maps are real, so they are integrated and differentiated in
-real arithmetic: x^k = x^k(P0) + int (2 Re x^k_z dx - 2 Im x^k_z dy) by
+real arithmetic: x^k = int_P0 (2 Re x^k_z dx - 2 Im x^k_z dy) by
 grid.antiderivative on real arrays, and x^k_z = (x^k_x - i x^k_y) / 2 by
 grid.real_wirtinger_z.  Every nonzero value rounds as it would in complex
 arithmetic.
@@ -81,10 +81,8 @@ def named_spinor(name: str, grid: Grid2D) -> SpinorField:
     return SpinorField(*SPINORS[name](grid))
 
 
-def weier_derivatives(psi: SpinorField, phi: SpinorField | None = None):
+def weier_derivatives(psi: SpinorField, phi: SpinorField):
     """The four x^k_z fields as (4, ny, nx) complex array."""
-    if phi is None:
-        phi = psi
     (p1, p2), (f1, f2) = psi.values, phi.values
     f2b, p2b = np.conj(f2), np.conj(p2)
     x1 = 0.5j * (f2b * p2b + f1 * p1)
@@ -94,10 +92,9 @@ def weier_derivatives(psi: SpinorField, phi: SpinorField | None = None):
     return np.stack([x1, x2, x3, x4])
 
 
-def integrate_surface_r4(psi: SpinorField, phi: SpinorField, basepoint=(0, 0, 0, 0),
-                         U: ComplexField | None = None,
+def integrate_surface_r4(psi: SpinorField, phi: SpinorField, U: ComplexField | None = None,
                          residual_tol: float = 1e-3) -> SurfaceMap:
-    """Integrate the four closed forms to a surface in R^4 through basepoint at grid.centre.
+    """Integrate the four closed forms to a surface in R^4, 0 at grid.centre.
 
     If U is supplied the Dirac residuals of psi (for D) and phi (for Dvee) are
     measured and a warning issued above residual_tol.  The L-path defect
@@ -120,7 +117,6 @@ def integrate_surface_r4(psi: SpinorField, phi: SpinorField, basepoint=(0, 0, 0,
     if not maxdef <= defect_tol:                    # NaN fails too
         raise SurfaceIntegrationError(
             f"path-dependence defect {maxdef:.3g} exceeds {defect_tol:.3g}; form not closed")
-    coords += np.asarray(basepoint, float)[:, None, None]     # coords read 0.0 at the centre
     return SurfaceMap(grid, coords, diagnostics={"path_defect": maxdef, "base_node": grid.centre})
 
 

@@ -340,7 +340,8 @@ def suite_moutard() -> list[CheckResult]:
     S_bg = smatrix_to_surface(Sm)
     S_inv = invert_surface(S_bg)
     psis, phis = (q.on_grid(g, t) for q in ex.inverted_surface_spinors())
-    S_til = integrate_surface_r4(psis, phis, basepoint=S_inv.basepoint)
+    S_til = integrate_surface_r4(psis, phis)
+    S_til.coords += S_inv.basepoint[:, None, None]
     diff = float(np.max(np.abs(S_til.coords - S_inv.coords)))
     scale = float(np.max(np.abs(S_inv.coords)))
     out.append(CheckResult("U~ surface equals inverted surface (rel)", diff / scale, 0, 5e-4,

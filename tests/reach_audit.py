@@ -2,16 +2,16 @@
 
     python3 tests/reach_audit.py
 
-Runs the README's `spinsurf` command lines (COMMANDS below, `verify --suite all`
-among them) and its python blocks in one process under sys.setprofile, in a
-temporary working directory, then prints every function definition in
-src/spinsurf (nested ones and dunders included) that never ran and is not on
-tests/test_public_names.py's KEEP with a reason, and every KEEP key whose
-definitions all ran.  It exits 1 if there is one of either, or if a command
-fails.  It takes about 20 s.
+Runs the README's `spinsurf` command lines, as tests/test_public_names.py's
+readme_code reads them (`verify --suite all` among them), and its python blocks
+in one process under sys.setprofile, in a temporary working directory, then
+prints every function definition in src/spinsurf (nested ones and dunders
+included) that never ran and is not on tests/test_public_names.py's KEEP with a
+reason, and every KEEP key whose definitions all ran.  It exits 1 if there is
+one of either, or if a command fails.  It takes about 20 s.
 
-tests/test_public_names.py checks without running anything that COMMANDS are
-the README's lines and that every KEEP key names a definition.
+tests/test_public_names.py checks without running anything that every KEEP key
+names a definition.
 """
 from __future__ import annotations
 
@@ -28,41 +28,20 @@ sys.path.insert(0, str(ROOT / "tests"))
 
 from test_public_names import KEEP, all_definitions, is_kept, parsed, readme_code  # noqa: E402
 
-# the README's `spinsurf` lines, as tests/test_public_names.py reads them
-COMMANDS = [
-    "spinsurf verify --suite all --out out/verify",
-    "spinsurf verify --suite norms",
-    "spinsurf gen-surface --spinor plane --grid 64x64 --out out/plane",
-    "spinsurf gen-surface --spinor catenoid --periodic y --grid 48x96 "
-    "--box=-1.2:1.2:0:6.2831853 --out out/cat --format ply",
-    "spinsurf gen-surface --from-dsii s1 --c 1 --t 0 --box=-2:2:-2:2 --out out/graph",
-    "spinsurf gen-surface --from-dsii s1 --c 1 --t 0 --invert --out out/inv",
-    "spinsurf solution --solution s1 --c i --t -0.5 --box=-3:3:-3:3 --out out/s1",
-    "spinsurf solution --solution ozawa --a 1 --b -1 --box=-40:40:-40:40 "
-    "--grid 513x513 --out out/oz",
-    "spinsurf solution --config out/s1/resolved_config.json --out out/s1-again",
-    "spinsurf evolve --from s1 --c 1 --grid 256x256 --box=-30:30:-30:30 "
-    "--t-end 0.1 --dt 1e-4 --out out/run",
-    "spinsurf evolve --from ozawa --a 1 --b -1 --grid 64x64 --box=-10:10:-10:10 "
-    "--t-end 0.01 --dt 1e-3 --out out/oz-run",
-    "spinsurf willmore-check --potential soliton --n 2",
-    "spinsurf willmore-check --potential clifford",
-]
-
 
 def run_readme(seen: set) -> list[str]:
-    """Run COMMANDS and the README's python blocks, adding every code object that
-    starts to seen; return the commands that exited nonzero."""
+    """Run the README's `spinsurf` lines and python blocks, adding every code object
+    that starts to seen; return the commands that exited nonzero."""
     def profile(frame, event, arg):
         if event == "call":
             seen.add(frame.f_code)
 
-    blocks, _ = readme_code((ROOT / "README.md").read_text(encoding="utf-8"))
+    blocks, commands = readme_code((ROOT / "README.md").read_text(encoding="utf-8"))
     failed = []
     sys.setprofile(profile)
     try:
         from spinsurf.cli import main
-        for cmd in COMMANDS:
+        for cmd in commands:
             if main(shlex.split(cmd)[1:]) != 0:
                 failed.append(cmd)
         namespace = {}

@@ -361,17 +361,39 @@ def test_quat_product_is_associative(p, q, r):
 @given(q=_quats)
 def test_quat_inverse_is_exact(q):
     n2 = _norm2(q.values)
-    ok = n2 > 0
+    small = n2 < 1e-12 * max(q.max_abs(), 1.0) ** 2   # inv's singular nodes
+    ok = ~small
     with np.errstate(invalid="ignore"):               # 0 / 0 at zero quaternions
         qinv, general = q.inv(), quat_mat(q).inv()
     one = qmul(q.values, qinv.values)
     assert np.max(np.abs(one[0][ok] - 1.0), initial=0.0) <= 1e-15
     assert np.max(np.abs(one[1][ok]), initial=0.0) <= 1e-15
     np.testing.assert_allclose(quat_mat(qinv).values[..., ok], general.values[..., ok], rtol=1e-13)
-    small = n2 < 10.0 ** -6
     want = q.mask if not small.any() else small if q.mask is None else q.mask | small
-    got = q.inv(min_det=10.0 ** -6).mask
+    got = qinv.mask
     assert got is want is None or np.array_equal(got, want)
+
+
+def test_inv_masks_exactly_the_nodes_below_its_det_rule():
+    # det = |a|^2 + |b|^2 below 1e-12 max(|S|, 1)^2 over the unmasked nodes: here
+    # |S| = 4, and the masked node's 100 does not count
+    g = make_grid((-1, 1, -1, 1), (6, 5))
+    rng = np.random.default_rng(7)
+    v = rng.uniform(0.5, 1.0, (2, g.ny, g.nx)) * np.exp(2j * np.pi * rng.random((2, g.ny, g.nx)))
+    v[0, 0, 0], v[0, 4, 5] = 4.0, 100.0
+    min_det = 1e-12 * 4.0 ** 2
+    v[:, 1, 2] = np.sqrt(min_det) * (1 - 1e-6), 0.0          # just below
+    v[:, 3, 1] = np.sqrt(min_det) * (1 + 1e-6), 0.0          # just above
+    n2 = _norm2(v)
+    assert n2[1, 2] < min_det <= n2[3, 1]
+    masked = np.zeros((g.ny, g.nx), bool)
+    masked[4, 5] = True
+    inv = SpinorField.from_values(g, v.copy(), masked).inv()
+    want = masked.copy()
+    want[1, 2] = True
+    assert np.array_equal(inv.mask, want)
+    n2[1, 2] = 1.0                                           # a masked node is divided by 1
+    assert (qconj(v) / n2).tobytes() == inv.values.tobytes()
 
 
 @_quat_settings

@@ -144,7 +144,7 @@ def test_clifford_closed_form_is_the_quadrature():
 
 
 def test_clifford_potential_smooth():
-    pot = clifford_potential(4096)
+    pot = clifford_potential()
     # denominator bounded away from zero by sqrt(2) - 1
     s = np.sqrt(2.0)
     assert np.min(np.abs(np.sin(pot.x) - s)) >= s - 1
@@ -164,8 +164,8 @@ def test_potential1d_validation():
 
 
 def test_mkdv_soliton_is_soliton_potential_at_t0():
-    x = np.linspace(-5, 5, 101)
-    assert np.max(np.abs(mkdv_soliton(x) - soliton_potential(1, 5, 101).u)) < 1e-12
+    pot = soliton_potential(1)
+    assert np.max(np.abs(mkdv_soliton(pot.x) - pot.u)) < 1e-12
 
 
 def test_strip_grid_shape():

@@ -107,7 +107,7 @@ def test_obj_metadata_sidecar(tmp_path):
 
 def test_disk_euler_characteristic():
     good = np.ones((5, 5), dtype=bool)
-    tris, holes = grid_triangles(5, 5, good)
+    tris, holes = grid_triangles(make_grid((-1, 1, -1, 1), (5, 5)), good)
     assert holes == 0
     assert euler_characteristic(tris) == 1      # disk
 
@@ -120,7 +120,7 @@ def test_catenoid_watertight_strip(tmp_path):
     cat = integrate_surface_r3(psi)
     rec = export_mesh(cat, tmp_path / "cat.ply", fmt="ply")
     assert rec["holes"] == 0
-    tris, _ = grid_triangles(g.nx, g.ny, np.ones((g.ny, g.nx), bool), stitch_y=True)
+    tris, _ = grid_triangles(g, np.ones((g.ny, g.nx), bool))    # g is periodic in y
     assert euler_characteristic(tris) == 0       # cylinder
 
 
@@ -178,10 +178,12 @@ def test_r4_drop4_projection(tmp_path):
 @pytest.mark.parametrize("stitch_x", [False, True])
 @pytest.mark.parametrize("stitch_y", [False, True])
 def test_grid_triangles_match_loop_oracle(nx, ny, stitch_x, stitch_y):
+    # the grid's periodic axes, and only they, are stitched
+    g = make_grid((-1, 1, -1, 1), (nx, ny), (stitch_x, stitch_y))
     rng = np.random.default_rng(nx * 100 + ny)
     for p_bad in (0.0, 0.05, 0.3, 1.0):
         good = rng.random((ny, nx)) >= p_bad
-        tris, holes = grid_triangles(nx, ny, good, stitch_x, stitch_y)
+        tris, holes = grid_triangles(g, good)
         ref, ref_holes = loop_grid_triangles(nx, ny, good, stitch_x, stitch_y)
         assert tris.dtype == ref.dtype and tris.shape == ref.shape
         assert np.array_equal(tris, ref)

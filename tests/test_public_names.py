@@ -22,7 +22,7 @@ nothing by themselves):
 KEEP names, as module.qualname (a class covers its methods), every definition
 allowed not to run.  tests/reach_audit.py runs the README under a profiler and
 lists what in src/ never ran and is not on KEEP; it is run by hand, and the
-tests here check its command list and KEEP without running it.
+tests here check KEEP without running it.
 
 A definition that only its own tests reach belongs in the tests (as an oracle
 or a measuring tool) or nowhere.
@@ -261,15 +261,6 @@ def test_keep_list_names_exist():
     defined = {key for p, tree in parsed().items()
                for key in all_definitions(tree, p.stem).values()}
     assert set(KEEP) - defined == set()
-
-
-def test_reach_audit_runs_the_readme_commands():
-    """tests/reach_audit.py's COMMANDS are the README's `spinsurf` lines (read, not run)."""
-    tree = ast.parse((ROOT / "tests" / "reach_audit.py").read_text(encoding="utf-8"))
-    commands = next(ast.literal_eval(n.value) for n in tree.body if isinstance(n, ast.Assign)
-                    and any(isinstance(t, ast.Name) and t.id == "COMMANDS" for t in n.targets))
-    _, readme = readme_code((ROOT / "README.md").read_text(encoding="utf-8"))
-    assert commands == readme
 
 
 def test_no_unused_module_imports():

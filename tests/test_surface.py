@@ -96,7 +96,8 @@ def test_graph_surface_is_graph():
     zb = g.node_z(*g.centre)
     fb = complex(sol.f.eval(z=zb, t=t, c=1.0))
     bp = (zb.real, zb.imag, fb.real, fb.imag)
-    S4 = integrate_surface_r4(psi0, phi0, basepoint=bp)
+    S4 = integrate_surface_r4(psi0, phi0)
+    S4.coords += np.array(bp)[:, None, None]
     fv = sol.f.eval(z=zm, t=t, c=1.0)
     assert np.max(np.abs(S4.coords[0] + 1j * S4.coords[1] - zm)) < 1e-10
     assert np.max(np.abs(S4.coords[2] + 1j * S4.coords[3] - fv)) < 1e-10
@@ -109,7 +110,7 @@ def test_willmore_zero():
 
 def test_willmore_soliton_strip():
     g = make_grid((-25.0, 25.0, 0.0, 2 * np.pi), (2001, 16), periodicity=(False, True))
-    pot = soliton_potential(1, 25.0, 2001)
+    pot = soliton_potential(1)
     vals = np.tile(pot.u, (g.ny, 1)).astype(complex)
     U = ComplexField(g, vals)
     assert willmore(U) == pytest.approx(4 * np.pi, abs=1e-6)
@@ -339,7 +340,7 @@ def test_path_independence_defect_small():
 def test_weier_derivatives_r3_fourth_component():
     g = make_grid((-1, 1, -1, 1), (16, 16))
     psi = _enneper_spinor(g)
-    xz = weier_derivatives(psi)
+    xz = weier_derivatives(psi, psi)
     assert np.max(np.abs(xz[3])) < 1e-15
 
 
