@@ -13,14 +13,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 
+from .dirac import dirac_residual_norm
 from .dsii import catalog, l2_norm_sq, singular_times
 from .evolve import evolve, run_summary, step_count, write_trajectory
 from .grid import Grid2D, constant_field, json_text, make_grid, save_complexfield_csv, save_json
-from .meshio import export_mesh
+from .meshio import FORMATS, export_mesh
 from .moutard import heat_datum_fields, heat_smatrix_values
 from .surface import (SPINORS, discrete_mean_curvature, gauss_map, integrate_surface_r3,
                       integrate_surface_r4, invert_surface, named_spinor,
@@ -152,6 +154,18 @@ def _config_argv(args, parser, argv) -> list:
     return argv[:at] + tokens + argv[at:]
 
 
+def _dirac_precheck(psi, phi, tol):
+    """Warn when psi and phi are far from solving D psi = 0 and Dvee phi = 0 with the
+    zero potential: when the larger residual, off a 1-node border, is above tol
+    times max(|psi|, |phi|, 1).  At U = 0, D and Dvee give the same value to the
+    bit, so an R^3 datum (phi is psi) is measured once."""
+    zero = constant_field(psi.grid, 0.0)
+    rd = dirac_residual_norm(zero, psi, interior=1)
+    rv = rd if phi is psi else dirac_residual_norm(zero, phi, interior=1, vee=True)
+    if max(rd, rv) > tol * max(psi.max_abs(), phi.max_abs(), 1.0):
+        warnings.warn(f"Dirac residuals large before integration: D {rd:.3g}, Dvee {rv:.3g}")
+
+
 def cmd_gen_surface(args) -> int:
     grid = _grid_from_args(args)
     tol = 1e-3 if args.tol is None else args.tol
@@ -161,29 +175,29 @@ def cmd_gen_surface(args) -> int:
             S = invert_surface(smatrix_to_surface(heat_smatrix_values(sol.f, grid, args.t)))
         else:
             psi0, phi0 = heat_datum_fields(sol.f, grid, args.t)
-            S = integrate_surface_r4(psi0, phi0, U=constant_field(grid, 0.0),
-                                     residual_tol=tol)
+            _dirac_precheck(psi0, phi0, tol)
+            S = integrate_surface_r4(psi0, phi0)
         wil = willmore(sol.U_field(grid, args.t))
     else:
         psi = named_spinor(args.spinor, grid)
-        S = integrate_surface_r3(psi, U=constant_field(grid, 0.0),
-                                 residual_tol=tol)
+        _dirac_precheck(psi, psi, tol)
+        S = integrate_surface_r3(psi)
         wil = 0.0
         if args.invert:
             S = invert_surface(S)
     H = discrete_mean_curvature(S)
     Hf = H[np.isfinite(H)]
-    meta = {
+    S.diagnostics.update({
         "willmore": float(wil),
         "conformality_residual": gauss_map(S),
         "curvature_abs_mean": float(np.mean(np.abs(Hf))) if Hf.size else None,
         "curvature_abs_max": float(np.max(np.abs(Hf))) if Hf.size else None,
-    }
+    })
     path = args.out / f"surface.{args.format}"
-    rec = export_mesh(S, path, fmt=args.format, metadata=meta)
+    rec = export_mesh(S, path, args.format)
     print(f"wrote {path}: {rec['n_vertices']} vertices, "
           f"{rec['n_triangles']} triangles, {rec['holes']} holes")
-    print(f"willmore={meta['willmore']:.6g} conformality={meta['conformality_residual']:.3g}")
+    print(f"willmore={rec['willmore']:.6g} conformality={rec['conformality_residual']:.3g}")
     return 0
 
 
@@ -246,8 +260,8 @@ def cmd_willmore_check(args) -> int:
     else:                                   # clifford
         pot = clifford_potential()
         chk = willmore_bound_check(pot, None)
-    print(json_text(chk.as_dict()))
-    return 0 if chk.passed else 1
+    print(json_text(chk))
+    return 0 if chk["pass"] else 1
 
 
 def cmd_verify(args) -> int:
@@ -281,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--c", type=_parse_complex, default=1 + 0j)
     g.add_argument("--t", type=_parse_float, default=0.0)
     g.add_argument("--invert", action="store_true")
-    g.add_argument("--format", choices=("obj", "ply"), default="obj")
+    g.add_argument("--format", choices=tuple(FORMATS), default="obj")
     g.set_defaults(func=cmd_gen_surface)
 
     s = sub.add_parser("solution", help="dump an exact DSII solution")

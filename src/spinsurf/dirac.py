@@ -18,7 +18,7 @@ from .grid import (ComplexField, Grid2D, GridConfigError, grid_mask, masked_max_
                    wirtinger_rows)
 
 
-_MIN_DET = 1e-12          # SpinorField.inv masks nodes with det below this x max(|S|, 1)^2
+_MIN_DET = 1e-12          # inv masks nodes with |det| below this x max(|S|, 1)^2
 
 
 def _empty(grid: Grid2D) -> np.ndarray:
@@ -84,16 +84,16 @@ class Mat2Field:
         v = self.values
         return ComplexField(self.grid, v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0], self.mask)
 
-    def inv(self, min_det: float = 0.0) -> "Mat2Field":
-        """Adjugate over determinant; nodes with |det| < min_det join the mask
-        and are divided by 1 instead."""
+    def inv(self) -> "Mat2Field":
+        """Adjugate over determinant; nodes with |det| below _MIN_DET max(|M|, 1)^2
+        (|M| over the unmasked nodes), SpinorField.inv's rule, join the mask and are
+        divided by 1 instead."""
         dv = self.det().values
         mask = self.mask
-        if min_det > 0.0:
-            bad = np.abs(dv) < min_det
-            if bad.any():
-                mask = bad if mask is None else mask | bad
-                dv[bad] = 1.0
+        bad = np.abs(dv) < _MIN_DET * max(self.max_abs(), 1.0) ** 2
+        if bad.any():
+            mask = bad if mask is None else mask | bad
+            dv[bad] = 1.0
         v, out = self.values, _empty(self.grid)
         np.divide(v[1, 1], dv, out=out[0, 0])
         np.divide(v[0, 0], dv, out=out[1, 1])

@@ -30,10 +30,6 @@ _ZERO_KEY = (0, 0, 0, 0, 0)
 _ONE = {_ZERO_KEY: 1}
 
 
-class HeatDatumError(ValueError):
-    pass
-
-
 class InvalidDatumError(ValueError):
     """Data that define no solution, or a symbolic c where a numeric one is needed."""
 
@@ -394,11 +390,12 @@ def _as_rational(x) -> RationalFn:
 def heat_extend(initial: BiPoly) -> BiPoly:
     """Extend a z-polynomial to f(z, t) with f(z, 0) = initial and f_t = i f_zz.
 
-    Closed form: f = sum_m (i t)^m / m! * d_z^{2m} initial.
+    Closed form: f = sum_m (i t)^m / m! * d_z^{2m} initial.  InvalidDatumError for
+    an initial that depends on zbar, cbar or t.
     """
     initial = _as_poly(initial)
     if initial.depends_on("zbar") or initial.depends_on("cbar") or initial.depends_on("t"):
-        raise HeatDatumError("heat datum must be a polynomial in z (and c) only")
+        raise InvalidDatumError("heat datum must be a polynomial in z (and c) only")
     out = BiPoly.zero()
     deriv = initial
     m = 0

@@ -392,7 +392,7 @@ def wirtinger_rows(grid: Grid2D, values: np.ndarray, direction: str,
     return fx
 
 
-def wirtinger_derivative(f: ComplexField, direction: str = "z") -> ComplexField:
+def wirtinger_derivative(f: ComplexField, direction: str) -> ComplexField:
     """d f / dz or d f / dzbar from central differences (one-sided at open edges)."""
     if direction not in ("z", "zbar"):
         raise ValueError(f"unknown direction {direction!r}")
@@ -518,7 +518,7 @@ def save_json(path, obj):
         fh.write(json.dumps(_plain(obj), indent=1, allow_nan=False))
 
 
-def _words(texts, n: int = 8) -> np.ndarray:
+def _words(texts, n: int) -> np.ndarray:
     """Little-endian 64-bit words of byte strings, zero-padded to n bytes."""
     return np.array(texts, f"S{n}").view("<u8")
 

@@ -126,26 +126,6 @@ def mkdv_reduction_identity(U: Potential1D) -> float:
 # Willmore bounds
 
 
-class WillmoreCheck:
-    """value = 4 int U^2 against the sphere bound 4 pi N^2 (0 without a claimed N):
-    it passes at value >= bound - 1e-9 max(bound, 1)."""
-
-    value: float
-    bound: float
-    n_claim: int | None
-
-    def __init__(self, value, bound, n_claim):
-        self.value, self.bound, self.n_claim = value, bound, n_claim
-
-    @property
-    def passed(self) -> bool:
-        return self.value >= self.bound - 1e-9 * max(self.bound, 1.0)
-
-    def as_dict(self):
-        return {"value": self.value, "bound": self.bound, "pass": self.passed,
-                "N": self.n_claim}
-
-
 def willmore_value_1d(U: Potential1D) -> float:
     """4 * int U^2 dx dy over the strip x-range x [0, 2 pi]: the rectangle rule on
     periodic samples, the trapezoid otherwise."""
@@ -159,8 +139,11 @@ def willmore_value_1d(U: Potential1D) -> float:
     return 4.0 * ix * (2 * np.pi)
 
 
-def willmore_bound_check(U: Potential1D, N: int | None = None) -> WillmoreCheck:
-    """The sphere-bound check of U for N solitons (equality at soliton potentials)."""
-    bound = 0.0 if N is None else 4 * np.pi * N * N
-    return WillmoreCheck(willmore_value_1d(U), bound, N)
+def willmore_bound_check(U: Potential1D, N: int | None = None) -> dict:
+    """The sphere-bound check of U for N solitons (equality at soliton potentials):
+    {"value", "bound", "pass", "N"}, value = 4 int U^2 against the bound 4 pi N^2
+    (0 without a claimed N), passing at value >= bound - 1e-9 max(bound, 1)."""
+    value, bound = willmore_value_1d(U), 0.0 if N is None else 4 * np.pi * N * N
+    return {"value": value, "bound": bound,
+            "pass": value >= bound - 1e-9 * max(bound, 1.0), "N": N}
 

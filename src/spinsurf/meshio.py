@@ -41,10 +41,10 @@ def grid_triangles(grid: Grid2D, good: np.ndarray):
     return tris.reshape(-1, 3), int(ok.size - np.count_nonzero(ok))
 
 
-def export_mesh(S: SurfaceMap, path, fmt: str = "obj",
-                metadata: dict | None = None) -> dict:
-    """Write the surface as a triangulated OBJ or PLY file plus a JSON sidecar,
-    and return the sidecar's record (keys sorted).
+def export_mesh(S: SurfaceMap, path, fmt: str) -> dict:
+    """Write the surface as a triangulated mesh file in format fmt (a key of
+    FORMATS) plus a JSON sidecar, and return the sidecar's record (keys sorted):
+    the mesh's own figures and S.diagnostics.
 
     An R^4 surface is drawn by its first three coordinates.  Periodic axes of
     the grid are stitched.  Nodes that are masked or not finite leave holes.
@@ -52,7 +52,7 @@ def export_mesh(S: SurfaceMap, path, fmt: str = "obj",
     rows at a time; both match the per-element writers kept in the tests byte
     for byte.
     """
-    if fmt not in ("obj", "ply"):
+    if fmt not in FORMATS:
         raise MeshFormatError(f"unsupported format {fmt!r}")
     verts3, extra = _project(S)
     g = S.grid
@@ -64,10 +64,7 @@ def export_mesh(S: SurfaceMap, path, fmt: str = "obj",
     tris, holes = grid_triangles(g, good)
     pts = verts3.reshape(3, -1).T
     path = str(path)
-    if fmt == "obj":
-        _write_obj(path, pts, tris)
-    else:
-        _write_ply(path, pts, tris)
+    FORMATS[fmt](path, pts, tris)
     meta = {
         "format": fmt,
         "grid": g.meta(),
@@ -76,7 +73,7 @@ def export_mesh(S: SurfaceMap, path, fmt: str = "obj",
         "n_triangles": tris.shape[0],
         "holes": holes,
         "flagged_nodes": int(np.sum(~good)),
-        **extra, **S.diagnostics, **(metadata or {}),
+        **extra, **S.diagnostics,
     }
     record = dict(sorted(meta.items()))
     save_json(path + ".json", record)
@@ -154,3 +151,7 @@ def _write_ply(path, pts, tris):
         fh.write(header.encode("ascii"))
         fh.write(pts.astype("<f4").tobytes())
         fh.write(faces.tobytes())
+
+
+# the mesh formats (gen-surface --format), each with its writer
+FORMATS = {"obj": _write_obj, "ply": _write_ply}

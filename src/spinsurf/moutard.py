@@ -51,7 +51,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dirac import SpinorField, qconj, qmul, quaternion_defect
-from .exactpoly import BiPoly, RQuat, RationalFn, T, Z, ZBAR, heat_extend
+from .exactpoly import BiPoly, InvalidDatumError, RQuat, RationalFn, T, Z, ZBAR, heat_extend
 from .grid import (ComplexField, Grid2D, antiderivative, closedness_defect, merged_mask,
                    row_blocks, wirtinger_derivative)
 
@@ -271,13 +271,14 @@ class MoutardTransform:
 def heat_antiderivative(f: BiPoly) -> BiPoly:
     """The heat z-antiderivative: F' = f, F_t = i F_zz, F(0, 0) = 0.
 
-    The t-dependence is regenerated by heat_extend from f(., 0)."""
+    The t-dependence is regenerated by heat_extend from f(., 0); InvalidDatumError
+    when f is not a heat polynomial."""
     f0 = BiPoly({k: v for k, v in f.coef.items() if k[2] == 0})
     prim = BiPoly({(k[0] + 1, 0, 0, k[3], k[4]): v / (k[0] + 1)
                    for k, v in f0.coef.items()})
     F = heat_extend(prim)
     if not (F.wirtinger("z") - f).is_zero(max(f.max_abs(), 1.0)):
-        raise ValueError("datum was not a heat polynomial")
+        raise InvalidDatumError("datum was not a heat polynomial")
     return F
 
 

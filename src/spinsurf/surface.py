@@ -23,7 +23,7 @@ import warnings
 
 import numpy as np
 
-from .dirac import SpinorField, dirac_residual_norm
+from .dirac import SpinorField
 from .grid import (ComplexField, Grid2D, _axis_weights, antiderivative, constant_field,
                    field_from_function, grid_mask, masked_max_abs, real_wirtinger_z)
 
@@ -92,21 +92,15 @@ def weier_derivatives(psi: SpinorField, phi: SpinorField):
     return np.stack([x1, x2, x3, x4])
 
 
-def integrate_surface_r4(psi: SpinorField, phi: SpinorField, U: ComplexField | None = None,
-                         residual_tol: float = 1e-3) -> SurfaceMap:
+def integrate_surface_r4(psi: SpinorField, phi: SpinorField) -> SurfaceMap:
     """Integrate the four closed forms to a surface in R^4, 0 at grid.centre.
 
-    If U is supplied the Dirac residuals of psi (for D) and phi (for Dvee) are
-    measured and a warning issued above residual_tol.  The L-path defect
-    (x-first vs y-first) is recorded; above 0.02 max|x^k_z| it is an error.
+    The L-path defect (x-first vs y-first) is recorded; above 0.02 max|x^k_z| it
+    is an error.  Whether psi and phi solve the Dirac equations is not checked
+    here: gen-surface checks its spinors against the zero potential before it
+    integrates them.
     """
     grid = psi.grid
-    if U is not None:
-        rd = dirac_residual_norm(U, psi, interior=1)
-        rv = dirac_residual_norm(U, phi, interior=1, vee=True)
-        scale = max(psi.max_abs(), phi.max_abs(), 1.0)
-        if max(rd, rv) > residual_tol * scale:
-            warnings.warn(f"Dirac residuals large before integration: D {rd:.3g}, Dvee {rv:.3g}")
     xz = weier_derivatives(psi, phi)
     gx, gy = 2.0 * xz.real, -2.0 * xz.imag          # the real forms x^k_z dz + c.c.
     coords = antiderivative(grid, gx, gy, "x_first")
@@ -120,11 +114,10 @@ def integrate_surface_r4(psi: SpinorField, phi: SpinorField, U: ComplexField | N
     return SurfaceMap(grid, coords, diagnostics={"path_defect": maxdef, "base_node": grid.centre})
 
 
-def integrate_surface_r3(psi: SpinorField, U: ComplexField | None = None,
-                         residual_tol: float = 1e-3) -> SurfaceMap:
+def integrate_surface_r3(psi: SpinorField) -> SurfaceMap:
     """R^3 Weierstrass representation: the phi = psi reduction (x^4 is constant),
     anchored to the origin at the centre node."""
-    s4 = integrate_surface_r4(psi, psi, U=U, residual_tol=residual_tol)
+    s4 = integrate_surface_r4(psi, psi)
     x4span = float(np.ptp(s4.coords[3]))
     diag = dict(s4.diagnostics, x4_span=x4span)
     return SurfaceMap(s4.grid, s4.coords[:3], s4.mask, diag)

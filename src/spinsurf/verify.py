@@ -181,7 +181,7 @@ def suite_willmore() -> list[CheckResult]:
     for N in (1, 2, 3):
         chk = willmore_bound_check(soliton_potential(N), N)
         target = 4 * np.pi * N * N
-        out.append(CheckResult(f"soliton N={N} Willmore equality", chk.value,
+        out.append(CheckResult(f"soliton N={N} Willmore equality", chk["value"],
                                target - 1e-6, target + 1e-6, "4 int U^2 = 4 pi N^2 +- 1e-6"))
     # Closed form of int_0^{2 pi} U^2 dx for U = sin x / (2 s (sin x - s)), s = sqrt 2:
     # U^2 = sin^2 x / (8 (s - sin x)^2), and with u = sin x,
@@ -193,8 +193,8 @@ def suite_willmore() -> list[CheckResult]:
     oracle = np.pi / 4
     chk = willmore_bound_check(clifford_potential(), None)
     out.append(_near("clifford grid vs closed form 8 pi int U^2 = 2 pi^2",
-                     chk.value, 4 * TWO_PI * oracle, 1e-10))
-    out.append(_near("clifford Willmore (reported vs 2 pi^2)", chk.value, 2 * np.pi ** 2,
+                     chk["value"], 4 * TWO_PI * oracle, 1e-10))
+    out.append(_near("clifford Willmore (reported vs 2 pi^2)", chk["value"], 2 * np.pi ** 2,
                      1e-8, "reported, not asserted by the bound check"))
     return out
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 import spinsurf.cli as cli
 from spinsurf.cli import main
+from spinsurf.surface import SurfaceIntegrationError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -774,6 +776,65 @@ def test_gen_surface_keeps_periodic_and_tol(tmp_path):
     opts = json.loads((out / "resolved_config.json").read_text())["options"]
     assert opts["periodic"] == "y" and opts["tol"] == 1e-2
     assert json.loads((out / "surface.obj.json").read_text())["n_triangles"] == 2 * 15 * 32
+
+
+def _precheck(argv, out):
+    """The Dirac pre-check's warning texts from one gen-surface run, and whether the
+    run went on to write its mesh (on a coarse grid the path defect refuses it)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            wrote = main(["gen-surface", *argv, "--out", str(out)]) == 0
+        except SurfaceIntegrationError:
+            wrote = False
+    return [str(w.message) for w in caught if "Dirac" in str(w.message)], wrote
+
+
+# the largest Dirac residual relative to the spinors' size, against the 1e-3 level:
+# s2 at 16^2 2.1e-3 (Dvee), the catenoid at 16^2 2.7e-3, s2 at 32^2 4.9e-4, Enneper
+# exact; --tol 1e-2 is above each.  The pre-check runs before the integration,
+# whose path defect then refuses both 16^2 data on the default box
+_S2 = ["--from-dsii", "s2", "--c", "12"]
+_CAT = ["--spinor", "catenoid"]
+
+
+@pytest.mark.parametrize("argv, warned, wrote", [
+    (_S2 + ["--grid", "16x16"], "D 0, Dvee 0.64", False),
+    (_CAT + ["--grid", "16x16"], "D 0.00865, Dvee 0.00865", False),
+    (_S2 + ["--grid", "16x16", "--tol", "1e-2"], None, False),
+    (_CAT + ["--grid", "16x16", "--tol", "1e-2"], None, False),
+    (_S2 + ["--grid", "16x16", "--box=-1:1:-1:1"], "D 0, Dvee 0.0711", True),
+    (_S2 + ["--grid", "32x32"], None, True),
+    (["--spinor", "enneper", "--grid", "16x16"], None, True),
+    (["--spinor", "enneper", "--grid", "32x32"], None, True),
+])
+def test_gen_surface_dirac_precheck_warns_above_its_level(argv, warned, wrote, tmp_path):
+    want = [] if warned is None else [f"Dirac residuals large before integration: {warned}"]
+    assert _precheck(argv, tmp_path / "m") == (want, wrote)
+
+
+def test_gen_surface_measures_an_r3_datum_once(tmp_path, monkeypatch):
+    # at U = 0, D and Dvee give the same residual to the bit, so phi = psi is
+    # measured once; an R^4 datum is measured for both
+    from spinsurf import dirac_residual_norm
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("vee", False))
+        return dirac_residual_norm(*args, **kwargs)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("spinsurf") and getattr(mod, "dirac_residual_norm", None) \
+                is dirac_residual_norm:
+            monkeypatch.setattr(mod, "dirac_residual_norm", counted)
+    assert _precheck(_CAT + ["--grid", "16x16"], tmp_path / "cat")[0] != []
+    assert calls == [False]
+    calls.clear()
+    assert _precheck(_S2 + ["--grid", "16x16"], tmp_path / "s2")[0] != []
+    assert calls == [False, True]
+    g = cli.make_grid((-3.0, 3.0, -3.0, 3.0), (16, 16))
+    psi, zero = cli.named_spinor("catenoid", g), cli.constant_field(g, 0.0)
+    assert dirac_residual_norm(zero, psi, interior=1) == \
+        dirac_residual_norm(zero, psi, interior=1, vee=True)
 
 
 # SHA-256 of the mesh files (not the JSON sidecars) as written at commit 3b3a32b;

@@ -275,7 +275,7 @@ def test_gauge_rejects_nonholomorphic():
 def test_mat2field_inverse(grid):
     zm = grid.zmesh()
     M = Mat2Field.from_values(grid, zm, 0 * zm, 0 * zm, np.conj(zm))
-    prod = M @ M.inv(min_det=1e-6)
+    prod = M @ M.inv()
     vals = prod.values[0, 0][np.abs(zm) > 0.1]
     assert np.max(np.abs(vals - 1.0)) < 1e-10
 
@@ -304,8 +304,30 @@ def test_mat2field_ops_match_per_node_linalg():
     for X in (A, C):
         np.testing.assert_allclose(nodes(X.inv()), np.linalg.inv(nodes(X)), rtol=1e-9)
     assert np.array_equal(A.inv().mask, A.mask)
-    small = np.abs(A.det().values) < 1.0
-    assert small.any() and np.array_equal(A.inv(min_det=1.0).mask, A.mask | small)
+
+
+def test_mat2field_inv_masks_exactly_the_nodes_below_its_det_rule():
+    # SpinorField.inv's rule: |det| below 1e-12 max(|M|, 1)^2 over the unmasked
+    # nodes; here |M| = 4, and the masked node's 100 does not count
+    g = make_grid((-1, 1, -1, 1), (6, 5))
+    rng = np.random.default_rng(7)
+    shape = (2, 2, g.ny, g.nx)
+    v = rng.uniform(0.5, 1.0, shape) * np.exp(2j * np.pi * rng.random(shape))
+    v[0, 0, 0, 0], v[1, 1, 4, 5] = 4.0, 100.0
+    min_det = 1e-12 * 4.0 ** 2
+    v[:, :, 1, 2] = [[min_det * (1 - 1e-6), 0], [0, 1]]     # det just below
+    v[:, :, 3, 1] = [[min_det * (1 + 1e-6), 0], [0, 1]]     # det just above
+    masked = np.zeros((g.ny, g.nx), bool)
+    masked[4, 5] = True
+    inv = Mat2Field(g, v.copy(), masked).inv()
+    want = masked.copy()
+    want[1, 2] = True
+    assert np.array_equal(inv.mask, want)
+    # the masked node is its adjugate, divided by 1; the others are inverted
+    assert np.array_equal(inv.at(2, 1), [[1, 0], [0, min_det * (1 - 1e-6)]])
+    ok = ~want
+    np.testing.assert_allclose(np.moveaxis(inv.values, (0, 1), (2, 3))[ok],
+                               np.linalg.inv(np.moveaxis(v, (0, 1), (2, 3))[ok]), rtol=1e-12)
 
 
 # quaternion storage against the general 2x2 matrix field
@@ -363,15 +385,14 @@ def test_quat_inverse_is_exact(q):
     n2 = _norm2(q.values)
     small = n2 < 1e-12 * max(q.max_abs(), 1.0) ** 2   # inv's singular nodes
     ok = ~small
-    with np.errstate(invalid="ignore"):               # 0 / 0 at zero quaternions
-        qinv, general = q.inv(), quat_mat(q).inv()
+    qinv, general = q.inv(), quat_mat(q).inv()        # zero quaternions: divided by 1
     one = qmul(q.values, qinv.values)
     assert np.max(np.abs(one[0][ok] - 1.0), initial=0.0) <= 1e-15
     assert np.max(np.abs(one[1][ok]), initial=0.0) <= 1e-15
     np.testing.assert_allclose(quat_mat(qinv).values[..., ok], general.values[..., ok], rtol=1e-13)
     want = q.mask if not small.any() else small if q.mask is None else q.mask | small
-    got = qinv.mask
-    assert got is want is None or np.array_equal(got, want)
+    for got in (qinv.mask, general.mask):             # one singular-node rule
+        assert got is want is None or np.array_equal(got, want)
 
 
 def test_inv_masks_exactly_the_nodes_below_its_det_rule():

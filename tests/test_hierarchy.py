@@ -114,8 +114,8 @@ def test_constraint_inversion_matches_two_pass_form():
 def test_soliton_willmore_equalities():
     for N in (1, 2, 3):
         chk = willmore_bound_check(soliton_potential(N), N)
-        assert abs(chk.value - 4 * np.pi * N * N) <= 1e-6
-        assert chk.passed
+        assert abs(chk["value"] - 4 * np.pi * N * N) <= 1e-6
+        assert chk["pass"] is True
 
 
 def test_clifford_value_vs_quadrature_oracle():
@@ -124,9 +124,9 @@ def test_clifford_value_vs_quadrature_oracle():
     oracle, err = quad(lambda x: (np.sin(x) / (2 * s * (np.sin(x) - s))) ** 2,
                        0, 2 * np.pi, epsabs=1e-13)
     chk = willmore_bound_check(clifford_potential(), None)
-    assert chk.value == pytest.approx(4 * 2 * np.pi * oracle, rel=1e-10)
+    assert chk["value"] == pytest.approx(4 * 2 * np.pi * oracle, rel=1e-10)
     # reported (not asserted by the check itself): the expected 2 pi^2
-    assert chk.value == pytest.approx(2 * np.pi ** 2, rel=1e-12)
+    assert chk["value"] == pytest.approx(2 * np.pi ** 2, rel=1e-12)
 
 
 def test_clifford_closed_form_is_the_quadrature():
@@ -154,8 +154,9 @@ def test_clifford_potential_smooth():
 def test_willmore_check_bound_flag():
     # a potential strictly below the N=2 bound fails the check
     chk = willmore_bound_check(soliton_potential(1), 2)
-    assert not chk.passed
-    assert chk.bound == pytest.approx(16 * np.pi)
+    assert list(chk) == ["value", "bound", "pass", "N"] and chk["N"] == 2
+    assert chk["pass"] is False
+    assert chk["bound"] == pytest.approx(16 * np.pi)
 
 
 def test_potential1d_validation():

@@ -89,7 +89,7 @@ def _plane(n=5):
 
 
 def test_plane_triangle_count(tmp_path):
-    rec = export_mesh(_plane(5), tmp_path / "p.obj")
+    rec = export_mesh(_plane(5), tmp_path / "p.obj", "obj")
     assert rec["n_triangles"] == 32
     assert rec["n_vertices"] == 25
     nv, nf = read_obj_counts(tmp_path / "p.obj")
@@ -97,9 +97,12 @@ def test_plane_triangle_count(tmp_path):
 
 
 def test_obj_metadata_sidecar(tmp_path):
-    rec = export_mesh(_plane(5), tmp_path / "p.obj", metadata={"tag": "plane"})
+    # the sidecar's extra figures arrive through the map's diagnostics
+    S = _plane(5)
+    S.diagnostics["tag"] = "plane"
+    rec = export_mesh(S, tmp_path / "p.obj", "obj")
     meta = json.loads((tmp_path / "p.obj.json").read_text())
-    assert meta["tag"] == "plane"
+    assert meta["tag"] == "plane" and meta["path_defect"] == S.diagnostics["path_defect"]
     assert meta["n_triangles"] == 32
     assert meta["holes"] == 0
     assert json_text(rec) == json.dumps(meta)   # export_mesh returns the record it wrote
@@ -118,14 +121,14 @@ def test_catenoid_watertight_strip(tmp_path):
     psi = SpinorField(field_from_function(g, lambda z: s * np.exp(z / 2)),
                       field_from_function(g, lambda z: s * np.exp(-np.conj(z) / 2)))
     cat = integrate_surface_r3(psi)
-    rec = export_mesh(cat, tmp_path / "cat.ply", fmt="ply")
+    rec = export_mesh(cat, tmp_path / "cat.ply", "ply")
     assert rec["holes"] == 0
     tris, _ = grid_triangles(g, np.ones((g.ny, g.nx), bool))    # g is periodic in y
     assert euler_characteristic(tris) == 0       # cylinder
 
 
 def test_ply_binary_layout(tmp_path):
-    rec = export_mesh(_plane(5), tmp_path / "p.ply", fmt="ply")
+    rec = export_mesh(_plane(5), tmp_path / "p.ply", "ply")
     blob = (tmp_path / "p.ply").read_bytes()
     header_end = blob.index(b"end_header\n") + len(b"end_header\n")
     header = blob[:header_end].decode()
@@ -146,11 +149,11 @@ def test_inverted_singular_surface_has_hole(tmp_path):
     S = smatrix_to_surface(M)
     inv = invert_surface(S)
     assert inv.mask is not None and inv.mask[8, 8]
-    rec = export_mesh(inv, tmp_path / "inv.obj")
+    rec = export_mesh(inv, tmp_path / "inv.obj", "obj")
     assert rec["holes"] == 4                    # the four quads at the node
     meta = json.loads((tmp_path / "inv.obj.json").read_text())
     assert meta["holes"] == 4
-    export_mesh(inv, tmp_path / "inv.ply", fmt="ply")
+    export_mesh(inv, tmp_path / "inv.ply", "ply")
     tris, _ = loop_grid_triangles(17, 17, ~inv.mask)
     pts = inv.coords[:3].reshape(3, -1).T
     loop_write_obj(tmp_path / "ref.obj", pts, tris)
@@ -161,14 +164,14 @@ def test_inverted_singular_surface_has_hole(tmp_path):
 
 def test_unknown_format_rejected(tmp_path):
     with pytest.raises(MeshFormatError):
-        export_mesh(_plane(5), tmp_path / "p.stl", fmt="stl")
+        export_mesh(_plane(5), tmp_path / "p.stl", "stl")
 
 
 def test_r4_drop4_projection(tmp_path):
     g = make_grid((-1, 1, -1, 1), (9, 9))
     sol = catalog("s1", c=1.0)
     S = smatrix_to_surface(heat_smatrix_values(sol.f, g, 0.1))
-    rec = export_mesh(S, tmp_path / "g.obj")
+    rec = export_mesh(S, tmp_path / "g.obj", "obj")
     assert rec["n_triangles"] == 2 * 8 * 8
     meta = json.loads((tmp_path / "g.obj.json").read_text())
     assert meta["x4_range"] == [S.coords[3].min(), S.coords[3].max()]
@@ -206,7 +209,7 @@ def test_export_bytes_match_loop_writers(tmp_path, fmt):
     mask[6, 9] = mask[0, 5] = mask[61, 70] = True
     S = SurfaceMap(g, coords, mask)
     with np.errstate(over="ignore"):         # 1e300 does not fit a float32
-        rec = export_mesh(S, tmp_path / f"s.{fmt}", fmt=fmt)
+        rec = export_mesh(S, tmp_path / f"s.{fmt}", fmt)
         pts = coords.reshape(3, -1).T
         good = np.isfinite(coords).all(axis=0) & ~mask
         tris, holes = loop_grid_triangles(71, 62, good)
@@ -290,7 +293,7 @@ def test_obj_export_formats_one_block_at_a_time(tmp_path):
     S = SurfaceMap(g, rng.normal(size=(3, 128, 128)), None)
     tracemalloc.start()
     try:
-        export_mesh(S, tmp_path / "b.obj")
+        export_mesh(S, tmp_path / "b.obj", "obj")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -144,6 +144,13 @@ def test_sampling_a_symbolic_c_needs_a_value():
     assert np.array_equal(phi0.values, ref[1].values) and np.array_equal(psi0.values, ref[0].values)
 
 
+def test_heat_antiderivative_refuses_a_datum_that_is_not_heat():
+    # f = t: f_t = 1 but i f_zz = 0, so no heat F has F_z = f; the exact layer's
+    # one error for a bad datum, as heat_extend and exact_solution raise
+    with pytest.raises(InvalidDatumError, match="not a heat polynomial"):
+        heat_antiderivative(T)
+
+
 def test_omega1_vanishes_for_constants():
     g = make_grid((-1, 1, -1, 1), (16, 16))
     I2 = SpinorField(constant_field(g, 1.0), constant_field(g, 0.0))
@@ -659,15 +666,14 @@ def _oracle_moutard(psi0, phi0, C0, psi, phi):
     target = gm @ S0.transpose() @ gm
     CB = (target - SB).values.mean(axis=(2, 3))
     SB0 = SB + Mat2Field.constant(g, CB)
-    eps = 1e-12 * max(S0.max_abs(), 1.0) ** 2
-    K = Psi0 @ S0.inv(min_det=eps) @ gm @ Phi0.transpose() @ Mat2Field.constant(g, -GAMMA)
+    K = Psi0 @ S0.inv() @ gm @ Phi0.transpose() @ Mat2Field.constant(g, -GAMMA)
     Psi, Phi = quat_mat(psi), quat_mat(phi)
     constP = C0 @ np.linalg.solve(Psi0.at(*b), Psi.at(*b))
     constBP = CB @ np.linalg.solve(Phi0.at(*b), Phi.at(*b))
     SP, _ = _oracle_build_S(phi0, psi, constP)
     SBP, _ = _oracle_build_S(psi0, phi, constBP)
-    Psit = Psi - Psi0 @ S0.inv(min_det=eps) @ SP
-    Phit = Phi - Phi0 @ SB0.inv(min_det=eps) @ SBP
+    Psit = Psi - Psi0 @ S0.inv() @ SP
+    Phit = Phi - Phi0 @ SB0.inv() @ SBP
     return {"C": C0, "base_node": b, "S": S0.values,
             "W": 1j * K.values[1, 1], "a": K.values[0, 1],
             "psit": Psit.values[:, 0], "phit": Phit.values[:, 0]}

@@ -37,7 +37,7 @@ def test_named_spinors_are_the_closed_forms_bitwise():
 
 def test_plane_surface_coordinates():
     g = make_grid((-1, 1, -1, 1), (33, 33))
-    S = integrate_surface_r3(_plane_spinor(g), U=constant_field(g, 0.0))
+    S = integrate_surface_r3(_plane_spinor(g))
     zm = g.zmesh()
     assert np.max(np.abs(S.coords[0] + zm.imag)) < 1e-12   # x1 = -y
     assert np.max(np.abs(S.coords[1] + zm.real)) < 1e-12   # x2 = -x
