@@ -8,16 +8,16 @@ from .grid import (ComplexField, Grid2D, antiderivative,
                    make_grid, save_complexfield_csv, square_grid,
                    wirtinger_derivative)
 from .exactpoly import (BiPoly, C, RQuat, RationalFn, T, Z, ZBAR,
-                        heat_extend, heat_residual, poly_equal)
+                        heat_antiderivative, heat_extend, heat_residual, poly_equal)
 from .dirac import SpinorField, dirac_residual_norm
 from .surface import (SurfaceMap, discrete_mean_curvature, gauss_map,
                       integrate_surface_r3, integrate_surface_r4, invert_surface,
                       measured_e2alpha, named_spinor, smatrix_to_surface, spinor_metric,
                       weier_derivatives, willmore)
 from .meshio import export_mesh
-from .moutard import (KData, MoutardTransform, build_S, heat_antiderivative,
-                      heat_datum_fields, heat_datum_spinors, heat_smatrix_values,
-                      k_matrix, moutard_exact, omega, omega1, time_offset_integral)
+from .moutard import (KData, MoutardTransform, build_S, heat_datum_fields,
+                      heat_datum_spinors, heat_smatrix_values, k_matrix, moutard_exact,
+                      omega, omega1, time_offset_integral)
 from .dsii import (ExactSolution, NormResult, OzawaData, SingularEvent,
                    catalog, dsii_residual_exact, dsii_exact_identity_holds,
                    exact_solution, l2_norm_sq, re_v_from_u, singular_times,

@@ -4,9 +4,9 @@ DSII evolution and named verification suites.
 Each subcommand takes only the options it reads.  The values of a JSON object
 given by --config become option tokens ahead of the explicit flags, so argparse
 reads each as its flag's text and an explicit flag wins.  gen-surface, solution,
-evolve and verify write their resolved configuration into the output
-directory; willmore-check only prints.  All outputs are deterministic for a
-fixed configuration, but for the timings that verify records.
+evolve and verify write their resolved configuration into the output directory,
+gen-surface once its path-defect gate has passed; willmore-check only prints.
+All outputs are deterministic for a fixed configuration, but for verify's timings.
 """
 from __future__ import annotations
 
@@ -19,14 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from .dirac import dirac_residual_norm
-from .dsii import catalog, l2_norm_sq, singular_times
+from .dsii import OzawaData, catalog, l2_norm_sq, singular_times
 from .evolve import evolve, run_summary, step_count, write_trajectory
 from .grid import Grid2D, constant_field, json_text, make_grid, save_complexfield_csv, save_json
 from .meshio import FORMATS, export_mesh
 from .moutard import heat_datum_fields, heat_smatrix_values
-from .surface import (SPINORS, discrete_mean_curvature, gauss_map, integrate_surface_r3,
-                      integrate_surface_r4, invert_surface, named_spinor,
-                      smatrix_to_surface, willmore)
+from .surface import (SPINORS, SurfaceIntegrationError, discrete_mean_curvature, gauss_map,
+                      integrate_surface_r3, integrate_surface_r4, invert_surface,
+                      named_spinor, smatrix_to_surface, willmore)
 
 
 def _finite(value):
@@ -193,6 +193,7 @@ def cmd_gen_surface(args) -> int:
         "curvature_abs_mean": float(np.mean(np.abs(Hf))) if Hf.size else None,
         "curvature_abs_max": float(np.max(np.abs(Hf))) if Hf.size else None,
     })
+    _write_config(args)
     path = args.out / f"surface.{args.format}"
     rec = export_mesh(S, path, args.format)
     print(f"wrote {path}: {rec['n_vertices']} vertices, "
@@ -205,7 +206,7 @@ def cmd_solution(args) -> int:
     grid = _grid_from_args(args)
     outdir = args.out
     if args.solution == "ozawa":
-        oz = catalog("ozawa", a=args.a, b=args.b)
+        oz = OzawaData(args.a, args.b)
         U = oz.U0_field(grid)
     else:
         sol = catalog(args.solution, c=args.c)
@@ -235,7 +236,7 @@ def cmd_evolve(args) -> int:
         U0 = constant_field(grid, 0.0)
         exact = None
     elif args.source == "ozawa":
-        oz = catalog("ozawa", a=args.a, b=args.b)
+        oz = OzawaData(args.a, args.b)
         U0 = oz.U0_zside(grid)
         exact = None
         print(f"ozawa z-side blow-up time t = T/2 = {oz.blowup_time / 2:g}; "
@@ -359,12 +360,15 @@ def main(argv=None) -> int:
         if args.subcommand == "willmore-check" and args.n < 1:
             ap.error(f"--n must be >= 1, got {args.n}")
         if "ozawa" in (getattr(args, "solution", None), getattr(args, "source", None)):
-            catalog("ozawa", a=args.a, b=args.b)
+            OzawaData(args.a, args.b)
     except ValueError as exc:           # GridConfigError, InvalidDatumError too
         ap.error(str(exc))
-    if "out" in vars(args):
+    if "out" in vars(args) and args.func is not cmd_gen_surface:
         _write_config(args)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SurfaceIntegrationError as exc:     # gen-surface's path-defect gate
+        ap.error(str(exc))
 
 
 if __name__ == "__main__":

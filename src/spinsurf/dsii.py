@@ -26,10 +26,11 @@ dyadic spacing gives), U and V are even and half the rows are sampled: the other
 half is their reflection, which IEEE round to nearest gives to the bit up to the
 sign of a zero part, and nodes with a zero part are sampled directly
 (ExactSolution._sample).  The expanded U and a stay for the exact residual, which
-forms V's numerator itself.  The samplers and the singularity ledger follow
-exactpoly's one rule for c.  The ledger is exact: a singular instant is a real
-root t_s of f(0, t), and the blow-up coefficient is i a2 / (1 + |a1|^2), read off
-f(z, t_s) = a1 z + a2 z^2 + ...
+forms V's numerator itself.  The samplers and the singularity ledger read f
+through exactpoly's API alone (BiPoly.z_row, BiPoly.t_coefficients_at_origin),
+under its rules for c and for zbar.  The ledger is exact: a singular instant is
+a real root t_s of f(0, t), and the blow-up coefficient is i a2 / (1 + |a1|^2),
+read off f(z, t_s) = a1 z + a2 z^2 + ...
 
 Ozawa's blow-up datum W is stated in the physical variables X = 2y, Y = 2x,
 T = 2t of the focusing system; OzawaData.U0_zside is where it is relabelled to
@@ -41,9 +42,9 @@ import cmath
 
 import numpy as np
 
-from .exactpoly import (BiPoly, C, InvalidDatumError, RationalFn, Z, ZBAR, _horner,
-                        heat_extend, heat_residual)
-from .grid import ComplexField, Grid2D, MaskError, _axis_weights, mask_patches, row_blocks
+from .exactpoly import (BiPoly, C, InvalidDatumError, RationalFn, Z, ZBAR, heat_extend,
+                        heat_residual, horner)
+from .grid import ComplexField, Grid2D, MaskError, axis_weights, mask_patches, row_blocks
 
 
 class DecayError(RuntimeError):
@@ -78,8 +79,8 @@ class ExactSolution:
         grid.row_blocks.  rho = x^2 + y^2 + (Re f)^2 + (Im f)^2 is a sum of squares: it
         is exactly 0 where, and only where, z = 0 and f(0, t) specialises to exactly 0,
         and those nodes read 0 and form the mask.  1/rho multiplies through the float
-        view.  c follows exactpoly's one rule; InvalidDatumError for an f of zbar, which
-        has no z-row.
+        view.  c and zbar follow BiPoly.z_row's rules: InvalidDatumError for an f of
+        zbar, which has no z-row.
 
         When f's z-row has only even powers of z and the nodes are point-symmetric to
         the bit (xs[::-1] == -xs and ys[::-1] == -ys), U and V are even, U(-z) = U(z):
@@ -91,12 +92,10 @@ class ExactSolution:
         -0.  Such a sign reaches a field value only as the sign of a zero real or
         imaginary part, so the mirror of each node with a zero part is sampled
         directly."""
-        if self.f.depends_on("zbar"):
-            raise InvalidDatumError("the DSII fields are sampled from an f free of zbar")
         t = float(t)
         fp = self.f.wirtinger("z")
         polys = (self.f, fp, fp.wirtinger("z")) if v_field else (self.f, self.U.num)
-        f_row, *rows = (p._specialise(t, self.c)[0] for p in polys)
+        f_row, *rows = (p.z_row(t, self.c) for p in polys)
         xs, ys = grid.xs(), grid.ys()
         x2, y2 = xs * xs, ys * ys
         nx, ny = xs.size, ys.size
@@ -111,17 +110,17 @@ class ExactSolution:
             """The field at z[:n] into acc, with rho[:n] holding x^2 + y^2; returns the
             nodes where rho is exactly 0, or None."""
             zk, fk, rk = z[:n], f[:n], rho[:n]
-            _horner(f_row, zk, fk)
+            horner(f_row, zk, fk)
             sq = acc.view(np.float64)[:n]                  # acc is free until N or f''
             rk += np.square(fk.real, out=sq)
             rk += np.square(fk.imag, out=sq)
             pole = None if rk.all() else rk == 0
             if pole is not None:
                 rk[pole] = 1.0
-            _horner(rows[-1], zk, acc)                     # N for U, f'' for V
+            horner(rows[-1], zk, acc)                      # N for U, f'' for V
             if v_field:
                 wk = w[0][:n]
-                _horner(rows[0], zk, wk)                   # f'
+                horner(rows[0], zk, wk)                    # f'
                 np.conj(fk, out=fk)
                 acc *= fk
                 wk *= fk
@@ -173,7 +172,7 @@ class ExactSolution:
 def exact_solution(f: BiPoly, c=None) -> ExactSolution:
     """DSII solution built from a heat polynomial f (f_t = i f_zz exactly);
     InvalidDatumError for a non-finite coefficient of f or a non-finite c."""
-    if not all(map(cmath.isfinite, [*f.coef.values(), 0 if c is None else c])):
+    if not (f.is_finite() and cmath.isfinite(0 if c is None else c)):
         raise InvalidDatumError("the coefficients of f and c must be finite")
     hr = heat_residual(f)
     if not hr.is_zero(max(f.max_abs(), 1.0)):
@@ -225,17 +224,15 @@ class OzawaData:
         return ComplexField(grid, np.sqrt(2) * self._W(2 * zm.imag, 2 * zm.real))
 
 
-def catalog(name: str, c=1.0, a: float = 1.0, b: float = -1.0):
-    """Named exact data: 's1' (quadratic), 's2' (quartic), 'ozawa' (initial field);
-    c = "symbolic" keeps c a variable of f."""
-    if name in ("s1", "s2"):
-        c = None if isinstance(c, str) and c == "symbolic" else complex(c)
-        z_part = Z * Z if name == "s1" else Z ** 4
-        f = heat_extend(z_part + (C if c is None else c * BiPoly.const(1.0)))
-        return exact_solution(f, c=c)
-    if name == "ozawa":
-        return OzawaData(a, b)
-    raise KeyError(f"unknown catalog entry {name!r}")
+def catalog(name: str, c=1.0) -> ExactSolution:
+    """The named DSII solutions: 's1' (f = z^2 + c at t = 0) and 's2' (z^4 + c);
+    c = "symbolic" keeps c a variable of f.  KeyError for any other name."""
+    if name not in ("s1", "s2"):
+        raise KeyError(f"unknown catalog entry {name!r}")
+    c = None if isinstance(c, str) and c == "symbolic" else complex(c)
+    z_part = Z * Z if name == "s1" else Z ** 4
+    f = heat_extend(z_part + (C if c is None else c * BiPoly.const(1.0)))
+    return exact_solution(f, c=c)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +352,8 @@ def l2_norm_sq(U: ComplexField, require_decay: bool = True) -> NormResult:
     sy = np.flatnonzero(np.abs(ys) <= R2)
     inner = R1 > 0 and sx.size >= 8 and sy.size >= 8
     x0, x1, y0, y1 = (sx[0], sx[-1] + 1, sy[0], sy[-1] + 1) if inner else (0, 0, 0, 0)
-    wx = _axis_weights(nx, g.hx, g.periodic_x)
-    wx_in = _axis_weights(x1 - x0, g.hx, False) if inner else None
+    wx = axis_weights(nx, g.hx, g.periodic_x)
+    wx_in = axis_weights(x1 - x0, g.hx, False) if inner else None
     py, px, pv = ((np.empty(0, np.intp),) * 3 if mask is None
                   else mask_patches(vals, mask, lambda w: w.real**2 + w.imag**2))
 
@@ -394,7 +391,7 @@ def l2_norm_sq(U: ComplexField, require_decay: bool = True) -> NormResult:
     if bad:
         raise MaskError(f"|U|^2 is not finite on {bad} unmasked node(s)")
     peak = float(np.sqrt(top))
-    raw = float(_axis_weights(ny, g.hy, g.periodic_y) @ rows)
+    raw = float(axis_weights(ny, g.hy, g.periodic_y) @ rows)
 
     ring = np.sqrt(ring2)
     rb2 = np.concatenate([xs**2 + ys[0]**2, xs**2 + ys[-1]**2,
@@ -407,7 +404,7 @@ def l2_norm_sq(U: ComplexField, require_decay: bool = True) -> NormResult:
                          f"vs peak {peak:.3g}")
 
     if inner:
-        I1, I2 = raw, float(_axis_weights(y1 - y0, g.hy, False) @ rows_in)
+        I1, I2 = raw, float(axis_weights(y1 - y0, g.hy, False) @ rows_in)
         value = (I1 * R1**2 - I2 * R2**2) / (R1**2 - R2**2)
     else:
         value = raw
@@ -430,15 +427,6 @@ class SingularEvent:
 
     def as_dict(self):
         return {"t_sing": self.t_sing, "z": [0.0, 0.0], "coeff": self.coefficient}
-
-
-def _t_poly_at_origin(sol: ExactSolution):
-    """Coefficients of f(0, t) as a complex polynomial in t (ascending): the z-free
-    terms of f with t's exponent moved to z's place, specialised to sol.c."""
-    f0 = BiPoly({(dt_, 0, 0, dc, dcb): v for (dz_, dzb, dt_, dc, dcb), v in sol.f.coef.items()
-                 if not (dz_ or dzb)})
-    coeffs = f0._specialise(c=sol.c)[0]
-    return np.array([coeffs.get(k, 0.0) for k in range(max(coeffs) + 1)], dtype=complex)
 
 
 def _real_roots_of_complex_poly(coeffs: np.ndarray):
@@ -486,13 +474,11 @@ def singular_times(sol: ExactSolution) -> list[SingularEvent]:
     """All real (t, z=0) zeros of |z|^2 + |f|^2, each with the exact coefficient
     A = i a2 / (1 + |a1|^2) of U ~ A e^{2 i phi}: with f(z, t_s) = a1 z + a2 z^2 + ...,
     z f' - f = a2 z^2 + ... and rho = (1 + |a1|^2) |z|^2 + ...  a1, a2 are read off f
-    at t_s under the one rule for c.  InvalidDatumError for an f that depends on
-    zbar, whose z-Taylor coefficients do not give A."""
-    if sol.f.depends_on("zbar"):
-        raise InvalidDatumError("singular_times needs f free of zbar")
+    at t_s under the one rule for c.  InvalidDatumError, before any root is sought,
+    for an f of zbar (BiPoly.z_row's rule), whose z-Taylor coefficients do not give A."""
     events = []
-    for r in _real_roots_of_complex_poly(_t_poly_at_origin(sol)):
-        row = sol.f._specialise(r, sol.c)[0]
+    for r in _real_roots_of_complex_poly(sol.f.t_coefficients_at_origin(sol.c)):
+        row = sol.f.z_row(r, sol.c)
         a1, a2 = row.get(1, 0.0), row.get(2, 0.0)
         events.append(SingularEvent(float(r), 1j * a2 / (1 + abs(a1)**2)))
     return events

@@ -5,14 +5,15 @@ z <-> zbar and c <-> cbar and conjugates coefficients (t stays real).
 Coefficients are complex numbers; the catalog data are Gaussian integers,
 for which all arithmetic here is exact.
 
+Only this module reads how a polynomial is stored (BiPoly.coef and its keys).
 Evaluation specialises t, c and cbar = conj(c) first (BiPoly._specialise, which
 holds the one rule for c: None only for a polynomial free of c and cbar,
 InvalidDatumError otherwise), then runs nested Horner over the remaining
 (z, zbar = conj(z)) table, outer in zbar and inner in z.  RationalFn.on_grid and
 RQuat.on_grid take a closed form to a grid: they stream over blocks of grid rows
-and mask the exact zeros of the denominator; eval is for point sets.  The DSII
-fields U and V reach a grid from f's z-row instead (dsii.ExactSolution), through
-the one-variable _horner.
+and mask the exact zeros of the denominator; eval is for point sets, in one pass.
+dsii samples U and V from f's z-row (BiPoly.z_row: a polynomial of zbar has none)
+by the one-variable horner, and finds singular instants from f(0, t).
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import math
 import numpy as np
 
 from .dirac import SpinorField
-from .grid import _BLOCK, ComplexField, Grid2D, merged_mask, row_blocks
+from .grid import ComplexField, Grid2D, merged_mask, row_blocks
 
 VARS = ("z", "zbar", "t", "c", "cbar")
 _VAR_INDEX = {name: VARS.index(name) for name in VARS}
@@ -114,7 +115,7 @@ class BiPoly:
         # a factor 1 (a RationalFn's implicit denominator): for finite v the loop's
         # 0 + v * 1 is 0 + v, bit for bit (both set a zero part's sign to +)
         p = self if other.coef == _ONE else other if self.coef == _ONE else None
-        if p is not None and all(map(cmath.isfinite, p.coef.values())):
+        if p is not None and p.is_finite():
             res = BiPoly()
             res.coef = {k: 0 + v for k, v in p.coef.items() if v != 0}
             return res
@@ -174,19 +175,13 @@ class BiPoly:
 
     def eval(self, z=0.0, t=0.0, c=None):
         """Evaluate at z, its conjugate zbar, t, c and its conjugate cbar; c follows
-        _specialise's rule.  Specialises t, c, cbar once, then runs nested Horner over
-        cache-sized blocks of the flattened z.  Returns an array of z's shape, or a
-        complex for scalar z."""
-        table = self._specialise(t, c)
+        _specialise's rule.  Specialises t, c, cbar once, then runs nested Horner over all
+        of z in one pass.  Returns an array of z's shape, or a complex for scalar z."""
         z = np.asarray(z, dtype=np.complex128)
-        out = np.empty(z.shape, dtype=np.complex128)
-        flat, acc_flat = z.reshape(-1), out.reshape(-1)
-        part, zb = np.empty((2, min(_BLOCK, z.size)), dtype=np.complex128)
-        for s in range(0, z.size, _BLOCK):         # one cache-sized block at a time
-            zk = flat[s:s + _BLOCK]
-            zbk = np.conj(zk, out=zb[:zk.size])
-            _horner_block(table, zk, zbk, acc_flat[s:s + _BLOCK], part[:zk.size])
-        return out if out.ndim else complex(out)
+        flat = z.reshape(-1)
+        out = _horner_block(self._specialise(t, c), flat, np.conj(flat), np.empty_like(flat),
+                            np.empty_like(flat))
+        return out.reshape(z.shape) if z.ndim else complex(out[0])
 
     def _specialise(self, t=0.0, c=None) -> dict:
         """{zbar exponent: {z exponent: coefficient}} at fixed t, c, cbar = conj(c); summed
@@ -206,6 +201,24 @@ class BiPoly:
             row = table.setdefault(dzb, {})
             row[dz] = row.get(dz, 0.0) + v
         return table or {0: {0: 0j}}
+
+    def z_row(self, t, c) -> dict:
+        """{z exponent: coefficient} at fixed t, c, cbar = conj(c), as _specialise sums and
+        rules it; InvalidDatumError for a polynomial of zbar, which has no z-row."""
+        if self.depends_on("zbar"):
+            raise InvalidDatumError("a polynomial of zbar has no z-row")
+        return self._specialise(t, c)[0]
+
+    def t_coefficients_at_origin(self, c) -> np.ndarray:
+        """p(0, t)'s coefficients in t, ascending, at c: the z-row of p's z-free terms, z's
+        and t's exponents swapped.  The terms of zbar stay in, for z_row to refuse."""
+        swapped = BiPoly({(dt, dzb, dz, dc, dcb): v for (dz, dzb, dt, dc, dcb), v
+                          in self.coef.items() if dzb or not dz})
+        row = swapped.z_row(0.0, c)
+        return np.array([row.get(k, 0.0) for k in range(max(row) + 1)], dtype=complex)
+
+    def is_finite(self) -> bool:
+        return all(map(cmath.isfinite, self.coef.values()))
 
     def depends_on(self, var) -> bool:
         i = _VAR_INDEX[var]
@@ -238,7 +251,7 @@ class BiPoly:
         return "BiPoly(" + " + ".join(parts) + ")"
 
 
-def _horner(row: dict, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+def horner(row: dict, z: np.ndarray, out: np.ndarray) -> np.ndarray:
     """sum_k row[k] z^k by Horner's rule, in place into out."""
     n = max(row)
     if n:
@@ -256,38 +269,12 @@ def _horner(row: dict, z: np.ndarray, out: np.ndarray) -> np.ndarray:
 def _horner_block(table: dict, z, zbar, out, part) -> np.ndarray:
     """A table by nested Horner, outer in zbar, inner in z, into out; part is scratch."""
     top = max(table)
-    _horner(table[top], z, out)
+    horner(table[top], z, out)
     for b in range(top - 1, -1, -1):
         out *= zbar
         if b in table:
-            out += _horner(table[b], z, part)
+            out += horner(table[b], z, part)
     return out
-
-
-def _sample_mesh(xs, ys, num: dict, den: dict | None, out: np.ndarray | None = None):
-    """Table num, over the table den if given, on the mesh xs[None, :] + 1j * ys[:, None],
-    over grid.row_blocks, into out or a fresh array: no full-size mesh or denominator
-    exists.  Returns (values, mask): nodes where den is exactly 0 read 0 and form the
-    mask, or None."""
-    blocks = row_blocks(xs.size, ys.size)
-    out = np.empty((ys.size, xs.size), dtype=np.complex128) if out is None else out
-    buf = np.empty((4, blocks[0].stop * xs.size), dtype=np.complex128)
-    mask = None
-    for r in blocks:
-        rows = out[r]
-        z, zbar, d, part = buf[:, :rows.size]
-        acc = rows.reshape(-1)
-        np.add(xs[None, :], 1j * ys[r, None], out=z.reshape(rows.shape))
-        np.conj(z, out=zbar)
-        _horner_block(num, z, zbar, acc, part)
-        pole = None if den is None else _horner_block(den, z, zbar, d, part) == 0
-        if pole is not None and pole.any():
-            mask = np.zeros(out.shape, dtype=bool) if mask is None else mask
-            mask[r] = pole.reshape(rows.shape)
-            d[pole], acc[pole] = 1.0, 0.0
-        if den is not None:
-            np.divide(acc, d, out=acc)
-    return out, mask
 
 
 def _as_poly(x) -> BiPoly:
@@ -366,10 +353,31 @@ class RationalFn:
         return ComplexField(grid, *self._sample(grid, t, c))
 
     def _sample(self, grid: Grid2D, t: float, c, out: np.ndarray | None = None):
-        """(values, mask) of on_grid, the values into out or a fresh array."""
+        """(values, mask) of on_grid, the values into out or a fresh array, streamed
+        over grid.row_blocks: no full-size mesh or denominator exists.  Nodes where the
+        denominator is exactly 0 read 0 and form the mask, or it is None."""
         t = float(t)
-        den = None if self.den.coef == {_ZERO_KEY: 1} else self.den._specialise(t, c)
-        return _sample_mesh(grid.xs(), grid.ys(), self.num._specialise(t, c), den, out)
+        num = self.num._specialise(t, c)
+        den = None if self.den.coef == _ONE else self.den._specialise(t, c)
+        xs, ys = grid.xs(), grid.ys()
+        blocks = row_blocks(xs.size, ys.size)
+        out = np.empty((ys.size, xs.size), dtype=np.complex128) if out is None else out
+        buf, mask = np.empty((4, blocks[0].stop * xs.size), dtype=np.complex128), None
+        for r in blocks:
+            rows = out[r]
+            z, zbar, d, part = buf[:, :rows.size]
+            acc = rows.reshape(-1)
+            np.add(xs[None, :], 1j * ys[r, None], out=z.reshape(rows.shape))
+            np.conj(z, out=zbar)
+            _horner_block(num, z, zbar, acc, part)
+            pole = None if den is None else _horner_block(den, z, zbar, d, part) == 0
+            if pole is not None and pole.any():
+                mask = np.zeros(out.shape, dtype=bool) if mask is None else mask
+                mask[r] = pole.reshape(rows.shape)
+                d[pole], acc[pole] = 1.0, 0.0
+            if den is not None:
+                np.divide(acc, d, out=acc)
+        return out, mask
 
     def equals(self, other) -> bool:
         other = _as_rational(other)
@@ -404,6 +412,20 @@ def heat_extend(initial: BiPoly) -> BiPoly:
         deriv = deriv.wirtinger("z").wirtinger("z")
         m += 1
     return out
+
+
+def heat_antiderivative(f: BiPoly) -> BiPoly:
+    """The heat z-antiderivative: F' = f, F_t = i F_zz, F(0, 0) = 0.
+
+    The t-dependence is regenerated by heat_extend from f(., 0); InvalidDatumError
+    when f is not a heat polynomial."""
+    f0 = BiPoly({k: v for k, v in f.coef.items() if k[2] == 0})
+    prim = BiPoly({(k[0] + 1, 0, 0, k[3], k[4]): v / (k[0] + 1)
+                   for k, v in f0.coef.items()})
+    F = heat_extend(prim)
+    if not (F.wirtinger("z") - f).is_zero(max(f.max_abs(), 1.0)):
+        raise InvalidDatumError("datum was not a heat polynomial")
+    return F
 
 
 def heat_residual(f: BiPoly) -> BiPoly:

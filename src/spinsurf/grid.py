@@ -413,7 +413,7 @@ def real_wirtinger_z(grid: Grid2D, values: np.ndarray) -> np.ndarray:
 # quadrature
 
 
-def _axis_weights(n: int, h: float, periodic: bool) -> np.ndarray:
+def axis_weights(n: int, h: float, periodic: bool) -> np.ndarray:
     """Trapezoid weights of n nodes h apart; the rectangle rule's if periodic."""
     w = np.full(n, h)
     if not periodic:

@@ -33,6 +33,7 @@ Exact layer: for a heat-polynomial background, moutard_exact forms the chain
 in exactpoly.RQuat, and the closed-form spinors (heat_datum_spinors, the
 transformed and inverted spinors of ExactMoutardData) are RQuats that reach a
 grid through RQuat.on_grid; heat_datum_fields is the sampled heat_datum_spinors.
+The datum f is read through exactpoly's API alone (heat_antiderivative is there).
 
 Partner matrix: Phi~ is formed through S(Psi0, Phi0) = Gamma S0^T Gamma = -S0^*,
 the column (-conj(a), b) of S0's (a, b), with constant -C0^H and inverse
@@ -51,7 +52,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dirac import SpinorField, qconj, qmul, quaternion_defect
-from .exactpoly import BiPoly, InvalidDatumError, RQuat, RationalFn, T, Z, ZBAR, heat_extend
+from .exactpoly import BiPoly, RQuat, RationalFn, T, Z, ZBAR, heat_antiderivative
 from .grid import (ComplexField, Grid2D, antiderivative, closedness_defect, merged_mask,
                    row_blocks, wirtinger_derivative)
 
@@ -266,20 +267,6 @@ class MoutardTransform:
 
 # ---------------------------------------------------------------------------
 # exact (rational-arithmetic) layer for heat-polynomial backgrounds
-
-
-def heat_antiderivative(f: BiPoly) -> BiPoly:
-    """The heat z-antiderivative: F' = f, F_t = i F_zz, F(0, 0) = 0.
-
-    The t-dependence is regenerated by heat_extend from f(., 0); InvalidDatumError
-    when f is not a heat polynomial."""
-    f0 = BiPoly({k: v for k, v in f.coef.items() if k[2] == 0})
-    prim = BiPoly({(k[0] + 1, 0, 0, k[3], k[4]): v / (k[0] + 1)
-                   for k, v in f0.coef.items()})
-    F = heat_extend(prim)
-    if not (F.wirtinger("z") - f).is_zero(max(f.max_abs(), 1.0)):
-        raise InvalidDatumError("datum was not a heat polynomial")
-    return F
 
 
 class ExactMoutardData:

@@ -24,7 +24,7 @@ import warnings
 import numpy as np
 
 from .dirac import SpinorField
-from .grid import (ComplexField, Grid2D, _axis_weights, antiderivative, constant_field,
+from .grid import (ComplexField, Grid2D, antiderivative, axis_weights, constant_field,
                    field_from_function, grid_mask, masked_max_abs, real_wirtinger_z)
 
 
@@ -164,8 +164,8 @@ def willmore(U: ComplexField) -> float:
     field has not decayed at the open (non-periodic) edges; the edge and interior
     maxima skip masked nodes."""
     g, v, m = U.grid, U.values, U.mask
-    weighted = U.abs2().patched().values * _axis_weights(g.nx, g.hx, g.periodic_x)
-    weighted *= _axis_weights(g.ny, g.hy, g.periodic_y)[:, None]
+    weighted = U.abs2().patched().values * axis_weights(g.nx, g.hx, g.periodic_x)
+    weighted *= axis_weights(g.ny, g.hy, g.periodic_y)[:, None]
     val = 4.0 * float(np.sum(weighted).real)
 
     def side(s):

@@ -12,8 +12,8 @@ import time
 import numpy as np
 
 from .dirac import SpinorField, dirac_residual_norm
-from .dsii import (catalog, dsii_exact_identity_holds, exact_solution, l2_norm_sq,
-                   singular_times)
+from .dsii import (OzawaData, catalog, dsii_exact_identity_holds, exact_solution,
+                   l2_norm_sq, singular_times)
 from .evolve import evolve, run_summary
 from .exactpoly import C, T, Z, heat_extend, poly_equal
 from .grid import (ComplexField, constant_field, field_from_function, make_grid,
@@ -128,7 +128,7 @@ def suite_norms() -> list[CheckResult]:
     for t in (1.0, -1.0):
         nr = l2_norm_sq(s2.U_field(g10f, t))
         out.append(_near(f"norm s2 c=12 t={t} (singular)", nr.value, 3 * np.pi, 1e-2))
-    oz = catalog("ozawa", a=1.0, b=-1.0)
+    oz = OzawaData(1.0, -1.0)
     g40 = square_grid(40.0, 1025)
     nr = l2_norm_sq(oz.U0_field(g40))
     out.append(_near("norm ozawa (1,-1) at t=0", nr.value, TWO_PI, 1e-2))

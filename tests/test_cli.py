@@ -12,7 +12,6 @@ import pytest
 
 import spinsurf.cli as cli
 from spinsurf.cli import main
-from spinsurf.surface import SurfaceIntegrationError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -780,12 +779,14 @@ def test_gen_surface_keeps_periodic_and_tol(tmp_path):
 
 def _precheck(argv, out):
     """The Dirac pre-check's warning texts from one gen-surface run, and whether the
-    run went on to write its mesh (on a coarse grid the path defect refuses it)."""
+    run went on to write its mesh (on a coarse grid the path defect refuses it: exit
+    code 2, and no file written)."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             wrote = main(["gen-surface", *argv, "--out", str(out)]) == 0
-        except SurfaceIntegrationError:
+        except SystemExit as exc:
+            assert exc.code == 2 and not out.exists()
             wrote = False
     return [str(w.message) for w in caught if "Dirac" in str(w.message)], wrote
 
@@ -811,6 +812,22 @@ _CAT = ["--spinor", "catenoid"]
 def test_gen_surface_dirac_precheck_warns_above_its_level(argv, warned, wrote, tmp_path):
     want = [] if warned is None else [f"Dirac residuals large before integration: {warned}"]
     assert _precheck(argv, tmp_path / "m") == (want, wrote)
+
+
+@pytest.mark.parametrize("argv", [_CAT + ["--grid", "32x32"], _S2 + ["--grid", "16x16"]],
+                         ids=["catenoid-32", "s2-16"])
+def test_gen_surface_refuses_a_path_defect_like_any_bad_input(argv, tmp_path):
+    # the path-defect gate (0.02 max|x^k_z|) refuses both: argparse's exit code 2 and
+    # one error line naming the defect, not a traceback after resolved_config.json
+    out = tmp_path / "m"
+    run = subprocess.run([sys.executable, "-m", "spinsurf.cli", "gen-surface", *argv,
+                          "--out", str(out)], capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert run.returncode == 2, run.stderr
+    errors = [line for line in run.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].startswith("spinsurf: error: path-dependence defect ")
+    assert "Traceback" not in run.stderr
+    assert not out.exists()
 
 
 def test_gen_surface_measures_an_r3_datum_once(tmp_path, monkeypatch):

@@ -188,7 +188,7 @@ def test_catalog_s2_formula():
 
 
 def test_catalog_ozawa_norm():
-    oz = catalog("ozawa", a=1.0, b=-1.0)
+    oz = OzawaData(1.0, -1.0)
     g = square_grid(40.0, 1025)
     nr = l2_norm_sq(oz.U0_field(g))
     assert nr.value == pytest.approx(2 * np.pi, rel=1e-2)
@@ -197,7 +197,7 @@ def test_catalog_ozawa_norm():
 
 def test_ozawa_zside_datum_maps_the_physical_one():
     # U(x, y) = sqrt(2) W(2y, 2x), so the z-side norm is half the physical 2 pi
-    oz = catalog("ozawa", a=1.0, b=-1.0)
+    oz = OzawaData(1.0, -1.0)
     g = make_grid((-20.0, 20.0, -16.0, 16.0), (321, 257))
     U = oz.U0_zside(g)
     for ix, iy in ((3, 7), (200, 31), (160, 128)):
@@ -211,7 +211,7 @@ def test_ozawa_zside_datum_maps_the_physical_one():
     # grid's xs() to the bit, so the bytes agree, zero signs included
     boxes = ((-10.0, 10.0, -10.0, 10.0), (-3.0, 5.0, -2.0, 2.0), (1.5, 7.25, -6.0, 0.3))
     for a, b in ((1.0, -1.0), (0.7, 0.3), (-1.3, 2.0), (2.5, 0.0)):
-        oz = catalog("ozawa", a=a, b=b)
+        oz = OzawaData(a, b)
         for bounds in boxes:
             for nx, ny in ((64, 64), (33, 48), (48, 33), (21, 17)):
                 for periodic in (False, True):
@@ -223,8 +223,10 @@ def test_ozawa_zside_datum_maps_the_physical_one():
 
 
 def test_catalog_unknown_name():
-    with pytest.raises(KeyError):
-        catalog("s3")
+    # the catalog holds the DSII solutions only; Ozawa's datum is OzawaData(a, b)
+    for name in ("s3", "ozawa"):
+        with pytest.raises(KeyError):
+            catalog(name)
 
 
 def test_dsii_residual_zero_case():
@@ -567,6 +569,15 @@ def test_singular_times_refuses_an_f_of_zbar():
     f = Z * Z + 2j * T + 1j + 0.1 * ZBAR       # f_t = i f_zz, but f depends on zbar
     with pytest.raises(InvalidDatumError, match="zbar"):
         singular_times(exact_solution(f))
+
+
+def test_singular_times_refuses_an_f_of_zbar_before_seeking_a_root():
+    # f(0, t) = 2 i t + 1 has no real root, so only the zbar rule, run before any root
+    # is sought, refuses this f
+    f = Z * Z + 2j * T + 1 + 0.1 * ZBAR        # f_t = i f_zz, but f depends on zbar
+    with pytest.raises(InvalidDatumError, match="zbar"):
+        singular_times(exact_solution(f))
+    assert singular_times(exact_solution(Z * Z + 2j * T + 1)) == []
 
 
 def test_den_positive_away_from_origin():

@@ -74,7 +74,8 @@ def test_eval_scalar_z_matches_per_monomial_sum(p, z, t, c):
 
 
 def test_eval_across_blocks_matches_per_monomial_sum():
-    # more nodes than one Horner pass takes, in a shape that leaves a partial block
+    # a 2-D point set of more than two grid blocks' nodes, not a whole number of
+    # them: eval's one pass matches the per-monomial sum
     from spinsurf import catalog
     from spinsurf.grid import _BLOCK
     p = (2j * catalog("s2", c="symbolic").a.wirtinger("z")).den     # V's denominator
@@ -136,7 +137,7 @@ def test_eval_respects_product_and_conj(p, q, z, t, c):
 def test_eval_respects_product_and_conj_across_blocks(p, q, seed, t, c):
     from spinsurf.grid import _BLOCK
     rng = np.random.default_rng(seed)
-    n = 2 * _BLOCK + 37                    # three blocks, the last a partial one
+    n = 2 * _BLOCK + 37                    # more than two grid blocks' nodes
     z = rng.uniform(-1.5, 1.5, n) + 1j * rng.uniform(-1.5, 1.5, n)
     _assert_eval_respects_product_and_conj(p, q, z, t, c)
 
@@ -184,6 +185,26 @@ def test_heat_extend_stationary():
 def test_heat_extend_rejects_zbar():
     with pytest.raises(InvalidDatumError, match="polynomial in z"):
         heat_extend(ZBAR)
+
+
+def test_z_row_and_f_at_origin_read_the_specialised_polynomial():
+    f = heat_extend(Z ** 4 + C)                    # z^4 + 12 i t z^2 - 12 t^2 + c
+    assert f.z_row(1.0, 12.0) == {4: 1, 2: 12j, 0: 0}
+    got = f.t_coefficients_at_origin(12.0)
+    assert got.dtype == complex and got.tolist() == [12, 0, -12]
+    with pytest.raises(InvalidDatumError, match="numeric value"):
+        f.t_coefficients_at_origin(None)
+
+
+@pytest.mark.parametrize("p", [Z * Z + ZBAR, Z * Z + 1 + Z * ZBAR, 2 * T + T * Z * ZBAR],
+                         ids=["zbar", "z-zbar", "t-z-zbar"])
+def test_z_row_and_f_at_origin_refuse_every_polynomial_of_zbar(p):
+    # a term of zbar refuses whether or not it also holds z, so f(0, t) cannot drop it
+    # with the terms of z
+    with pytest.raises(InvalidDatumError, match="no z-row"):
+        p.z_row(0.5, None)
+    with pytest.raises(InvalidDatumError, match="no z-row"):
+        p.t_coefficients_at_origin(None)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

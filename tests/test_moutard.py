@@ -6,11 +6,11 @@ from spinsurf import (BiPoly, C, ComplexField, RationalFn, SpinorField, T, Z, ZB
                       dirac_residual_norm, exact_solution, field_from_function, heat_extend,
                       make_grid)
 from spinsurf.dirac import _norm2, qconj
-from spinsurf.exactpoly import InvalidDatumError
+from spinsurf.exactpoly import InvalidDatumError, heat_antiderivative
 from spinsurf.moutard import (ClosednessError, MoutardTransform, NormalizationError, _partner,
-                              build_S, heat_antiderivative, heat_datum_fields,
-                              heat_datum_spinors, heat_smatrix_values, k_matrix,
-                              moutard_exact, omega, omega1, time_offset_integral)
+                              build_S, heat_datum_fields, heat_datum_spinors,
+                              heat_smatrix_values, k_matrix, moutard_exact, omega, omega1,
+                              time_offset_integral)
 from test_dirac import GAMMA, quat_mat
 
 

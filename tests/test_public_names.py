@@ -280,6 +280,23 @@ def test_no_unused_module_imports():
     assert unused == []
 
 
+def test_no_module_reads_another_modules_private_names():
+    # each rule lives in one module: no src/ module imports a _-prefixed name from
+    # another, and only exactpoly reads how a polynomial is stored (BiPoly.coef and
+    # BiPoly._specialise); the others go through its public methods
+    found = []
+    for p in SRC:
+        for node in ast.walk(ast.parse(p.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "spinsurf"):
+                found += [f"{p.stem}:{node.lineno}: imports {a.name}" for a in node.names
+                          if a.name.startswith("_")]
+            elif (isinstance(node, ast.Attribute) and node.attr in ("coef", "_specialise")
+                  and p.stem != "exactpoly"):
+                found.append(f"{p.stem}:{node.lineno}: reads .{node.attr}")
+    assert found == []
+
+
 def test_import_builds_no_dataclasses():
     # building a dataclass execs its generated methods from source, the largest
     # runtime cost of importing the package; numpy and the stdlib modules the
