@@ -176,12 +176,13 @@ class BiPoly:
     def eval(self, z=0.0, t=0.0, c=None):
         """Evaluate at z, its conjugate zbar, t, c and its conjugate cbar; c follows
         _specialise's rule.  Specialises t, c, cbar once, then runs nested Horner over all
-        of z in one pass.  Returns an array of z's shape, or a complex for scalar z."""
+        of z in one pass.  Returns an array of z's shape, or a complex for scalar z.
+        One point runs as two copies, as numpy's vector loop rounds it in any set."""
         z = np.asarray(z, dtype=np.complex128)
-        flat = z.reshape(-1)
+        flat = np.repeat(z.reshape(-1), 2) if z.size == 1 else z.reshape(-1)
         out = _horner_block(self._specialise(t, c), flat, np.conj(flat), np.empty_like(flat),
                             np.empty_like(flat))
-        return out.reshape(z.shape) if z.ndim else complex(out[0])
+        return out[:z.size].reshape(z.shape) if z.ndim else complex(out[0])
 
     def _specialise(self, t=0.0, c=None) -> dict:
         """{zbar exponent: {z exponent: coefficient}} at fixed t, c, cbar = conj(c); summed

@@ -4,10 +4,10 @@ Conventions: z = x + i y, d = (d/dx - i d/dy)/2 (derivative with respect to z),
 db = (d/dx + i d/dy)/2 (with respect to zbar).  Field values are stored as
 arrays of shape (ny, nx) indexed values[iy, ix].
 
-One difference scheme: central differences, one-sided second order at open
-edges (Spectral holds the Fourier symbols that the evolver and the constraint
-solves apply themselves), but for surface.discrete_mean_curvature's np.gradient,
-whose figures are pinned (ROADMAP item 11 owns the merge).  One path integral and
+One difference scheme, which the surface figures read through partials: central
+differences, periodic along a periodic axis, one-sided second order at an open
+edge (Spectral holds the evolver's Fourier symbols; hierarchy.mkdv_rhs_1d keeps
+np.gradient as the independent 1-D side of its identity).  One path integral and
 one closedness test, both for a 1-form gx dx + gy dy with real or complex gx, gy
 of shape (..., ny, nx): the form p dz + q dzbar is gx = p + q, gy = i (p - q).
 
@@ -21,7 +21,7 @@ nodes, and writes into its result or reduces block by block (row_max_abs); each
 node sees the same operations in the same order as on the whole grid, so the
 values do not depend on the blocks, except dsii.l2_norm_sq's: its row sums are
 np.matmul (BLAS dgemv), which rounds by the rows a call gets.  Here closedness_defect
-and every field's max_abs follow it; wirtinger_derivative, real_wirtinger_z and
+and every field's max_abs follow it; wirtinger_derivative, partials and
 ComplexField.abs2 do not yet.
 """
 from __future__ import annotations
@@ -399,14 +399,10 @@ def wirtinger_derivative(f: ComplexField, direction: str) -> ComplexField:
     return f.like(wirtinger_rows(f.grid, f.values, direction))
 
 
-def real_wirtinger_z(grid: Grid2D, values: np.ndarray) -> np.ndarray:
-    """d f / dz = (f_x - i f_y) / 2 of a real (ny, nx) array f, from the central
-    differences of wirtinger_derivative taken in real arithmetic; every nonzero
-    value rounds as wirtinger_derivative of f as a complex field does."""
-    out = np.empty(values.shape, dtype=complex)
-    np.multiply(_ddx(values, grid.hx, grid.periodic_x), 0.5, out=out.real)
-    np.multiply(_ddy(values, grid.hy, grid.periodic_y), -0.5, out=out.imag)
-    return out
+def partials(grid: Grid2D, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d/dx, d/dy) of real or complex (..., ny, nx) values: the central differences
+    of wirtinger_derivative, so that (f_x - i f_y) / 2 of a real f is its d/dz."""
+    return (_ddx(values, grid.hx, grid.periodic_x), _ddy(values, grid.hy, grid.periodic_y))
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ case is phi = psi (then x4_z vanishes identically).
 
 The forms and the maps are real, so they are integrated and differentiated in
 real arithmetic: x^k = int_P0 (2 Re x^k_z dx - 2 Im x^k_z dy) by
-grid.antiderivative on real arrays, and x^k_z = (x^k_x - i x^k_y) / 2 by
-grid.real_wirtinger_z.  Every nonzero value rounds as it would in complex
-arithmetic.
+grid.antiderivative on real arrays.  e^{2 alpha}, the Gauss map and the mean
+curvature read one first fundamental form (fundamental_form, on grid.partials):
+x^k_z = (x^k_x - i x^k_y) / 2, so sum_k |x^k_z|^2 = (E + G) / 4.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ import numpy as np
 
 from .dirac import SpinorField
 from .grid import (ComplexField, Grid2D, antiderivative, axis_weights, constant_field,
-                   field_from_function, grid_mask, masked_max_abs, real_wirtinger_z)
+                   field_from_function, grid_mask, masked_max_abs, partials)
 
 
 class SurfaceIntegrationError(RuntimeError):
@@ -130,30 +130,31 @@ def spinor_metric(psi: SpinorField, phi: SpinorField | None = None) -> np.ndarra
     return a * b
 
 
-def surface_dz(S: SurfaceMap) -> np.ndarray:
-    """(dim, ny, nx) array of x^k_z, from the central differences of the map."""
-    return np.stack([real_wirtinger_z(S.grid, c) for c in S.coords])
+def fundamental_form(S: SurfaceMap):
+    """(P_x, P_y, E, F, G): the map's partials, (dim, ny, nx) each, from
+    grid.partials, and its first fundamental form E = P_x.P_x, F = P_x.P_y,
+    G = P_y.P_y, (ny, nx) each."""
+    Px, Py = partials(S.grid, S.coords)
+    return Px, Py, np.sum(Px * Px, axis=0), np.sum(Px * Py, axis=0), np.sum(Py * Py, axis=0)
 
 
 def measured_e2alpha(S: SurfaceMap) -> np.ndarray:
-    """Conformal factor from the map itself: 2 sum_k |x^k_z|^2."""
-    xz = surface_dz(S)
-    return 2.0 * np.sum(np.abs(xz) ** 2, axis=0)
+    """Conformal factor from the map itself: 2 sum_k |x^k_z|^2 = (E + G) / 2."""
+    _, _, E, _, G = fundamental_form(S)
+    return (E + G) / 2
 
 
 def gauss_map(S: SurfaceMap) -> float:
     """The quadric residual of the projective Gauss map (x^1_z : ... : x^n_z),
-    max |sum_k (x^k_z)^2| / sum_k |x^k_z|^2: zero for a conformal map.  Nodes
-    where x_z vanishes are left out.  The edge nodes are not, so the one-sided
-    differences that surface_dz takes there can set the maximum (on the README's
+    max |sum_k (x^k_z)^2| / sum_k |x^k_z|^2 = max |E - G - 2i F| / (E + G): zero
+    for a conformal map.  Nodes where E + G <= 1e-12 max(max(E + G), 4) (x_z
+    vanishes) are left out.  The edge nodes of an open axis are not, so the
+    one-sided differences taken there can set the maximum (on the README's
     surfaces they do)."""
-    xz = surface_dz(S)
-    norm2 = np.sum(np.abs(xz) ** 2, axis=0)
-    scale = float(norm2.max())
-    degenerate = norm2 <= 1e-12 * max(scale, 1.0)
-    quad = np.sum(xz * xz, axis=0)
-    ok = ~degenerate
-    return float(np.max(np.abs(quad)[ok] / norm2[ok])) if ok.any() else 0.0
+    _, _, E, F, G = fundamental_form(S)
+    norm = E + G
+    ok = ~(norm <= 1e-12 * max(float(norm.max()), 4.0))
+    return float(np.max(np.hypot(E - G, 2 * F)[ok] / norm[ok])) if ok.any() else 0.0
 
 
 def willmore(U: ComplexField) -> float:
@@ -192,21 +193,19 @@ def willmore(U: ComplexField) -> float:
 def discrete_mean_curvature(S: SurfaceMap) -> np.ndarray:
     """Mean curvature from the map alone, through its fundamental forms.
 
-    With P_x, P_y, P_xx, P_xy, P_yy from np.gradient (second order), E, F, G the
-    first fundamental form and W = EG - F^2, the mean curvature vector is the
-    normal part of A = (G P_xx - 2F P_xy + E P_yy) / (2W); the tangent part
-    a P_x + b P_y solves [[E, F], [F, G]] (a, b) = (A.P_x, A.P_y).  No conformal
-    parametrization is assumed.  R^3: the signed H.n with n = P_x x P_y / sqrt(W);
-    R^4: |H|.  NaN on a 2-node border (its stencils reach the one-sided edge
-    differences), at masked nodes and where W <= 1e-12 max W.
+    With P_x, P_y, E, F, G from fundamental_form, P_xx, P_xy, P_yy the partials
+    of P_x and P_y by the same differences and W = EG - F^2, the mean curvature
+    vector is the normal part of A = (G P_xx - 2F P_xy + E P_yy) / (2W); the
+    tangent part a P_x + b P_y solves [[E, F], [F, G]] (a, b) = (A.P_x, A.P_y).
+    No conformal parametrization is assumed.  R^3: the signed H.n with
+    n = P_x x P_y / sqrt(W); R^4: |H|.  NaN on a 2-node border along each open
+    axis (its stencils reach the one-sided edge differences), none along a
+    periodic one, at masked nodes and where W <= 1e-12 max W.
     """
-    g, P = S.grid, S.coords
-    Px = np.gradient(P, g.hx, axis=2, edge_order=2)
-    Py = np.gradient(P, g.hy, axis=1, edge_order=2)
-    Pxx = np.gradient(Px, g.hx, axis=2, edge_order=2)
-    Pxy = np.gradient(Px, g.hy, axis=1, edge_order=2)
-    Pyy = np.gradient(Py, g.hy, axis=1, edge_order=2)
-    E, F, G = np.sum(Px * Px, axis=0), np.sum(Px * Py, axis=0), np.sum(Py * Py, axis=0)
+    g = S.grid
+    Px, Py, E, F, G = fundamental_form(S)
+    Pxx, Pxy = partials(g, Px)
+    Pyy = partials(g, Py)[1]
     W = E * G - F * F
     bad = ~(W > 1e-12 * np.max(W, initial=0.0, where=np.isfinite(W)))
     W[bad] = 1.0
@@ -218,7 +217,10 @@ def discrete_mean_curvature(S: SurfaceMap) -> np.ndarray:
     else:
         H = np.linalg.norm(Hvec, axis=0)
     H[bad] = np.nan
-    H[:2, :] = H[-2:, :] = H[:, :2] = H[:, -2:] = np.nan
+    if not g.periodic_y:
+        H[:2, :] = H[-2:, :] = np.nan
+    if not g.periodic_x:
+        H[:, :2] = H[:, -2:] = np.nan
     if S.mask is not None:
         H[S.mask] = np.nan
     return H

@@ -87,6 +87,22 @@ def test_eval_across_blocks_matches_per_monomial_sum():
     _assert_close(p.eval(z=z, t=0.3, c=2 - 1j), *ref)
 
 
+def test_eval_of_one_point_gives_its_value_in_a_larger_set_bitwise():
+    # numpy rounds an in-place complex product on one element otherwise than its
+    # vector loop: a point evaluated alone, as a scalar or a length-1 array, must
+    # read the bits it has among 2,000 others
+    from spinsurf import catalog
+    p = catalog("s2", c=7 + 2j).a.num
+    rng = np.random.default_rng(1)
+    z = rng.normal(size=2000) + 1j * rng.normal(size=2000)
+    whole = p.eval(z=z, t=0.3, c=7 + 2j)
+    for k, w in enumerate(z.tolist()):
+        scalar = p.eval(z=w, t=0.3, c=7 + 2j)
+        one = p.eval(z=np.array([w]), t=0.3, c=7 + 2j)
+        assert type(scalar) is complex and one.shape == (1,)
+        assert np.array([scalar]).tobytes() == one.tobytes() == whole[k:k + 1].tobytes(), w
+
+
 _ring_polys = st.dictionaries(st.tuples(*[st.integers(0, 4)] * 5), _gaussian,
                               max_size=6).map(BiPoly)
 

@@ -9,10 +9,9 @@ from spinsurf import (ComplexField, SpinorField, SurfaceMap, catalog,
                       integrate_surface_r4, invert_surface, make_grid,
                       measured_e2alpha, named_spinor, smatrix_to_surface,
                       spinor_metric, weier_derivatives, willmore)
-from spinsurf.grid import wirtinger_derivative
+from spinsurf.grid import partials, wirtinger_derivative
 from spinsurf.hierarchy import soliton_potential
 from spinsurf.moutard import heat_datum_fields, heat_smatrix_values
-from spinsurf.surface import surface_dz
 
 
 def _plane_spinor(grid):
@@ -149,6 +148,83 @@ def test_willmore_ignores_what_a_masked_node_holds():
             warnings.simplefilter("error", RuntimeWarning)      # |1e300|^2 would overflow
             with pytest.warns(UserWarning, match=r"boundary is 0\.1; truncation tail est 1\.13$"):
                 assert willmore(ComplexField(g, vals, U.mask)) == 11.521698531117362
+
+
+# The arithmetic the surface figures had before they read surface.fundamental_form,
+# kept as the tests' oracle: x^k_z as complex fields by wirtinger_derivative, and the
+# mean curvature from np.gradient, NaN on a 2-node border along every axis.
+
+
+def surface_dz(S):
+    """(dim, ny, nx) array of x^k_z of the map, by wirtinger_derivative."""
+    return np.stack([wirtinger_derivative(ComplexField(S.grid, c.astype(complex)), "z").values
+                     for c in S.coords])
+
+
+def _gauss_map_reference(S):
+    xz = surface_dz(S)
+    norm2 = np.sum(np.abs(xz) ** 2, axis=0)
+    ok = ~(norm2 <= 1e-12 * max(float(norm2.max()), 1.0))
+    return float(np.max(np.abs(np.sum(xz * xz, axis=0))[ok] / norm2[ok])) if ok.any() else 0.0
+
+
+def _gradient_mean_curvature(S):
+    g, P = S.grid, S.coords
+    Px = np.gradient(P, g.hx, axis=2, edge_order=2)
+    Py = np.gradient(P, g.hy, axis=1, edge_order=2)
+    Pxx = np.gradient(Px, g.hx, axis=2, edge_order=2)
+    Pxy = np.gradient(Px, g.hy, axis=1, edge_order=2)
+    Pyy = np.gradient(Py, g.hy, axis=1, edge_order=2)
+    E, F, G = np.sum(Px * Px, axis=0), np.sum(Px * Py, axis=0), np.sum(Py * Py, axis=0)
+    W = E * G - F * F
+    bad = ~(W > 1e-12 * np.max(W, initial=0.0, where=np.isfinite(W)))
+    W[bad] = 1.0
+    A = (G * Pxx - 2 * F * Pxy + E * Pyy) / (2 * W)
+    ax, ay = np.sum(A * Px, axis=0), np.sum(A * Py, axis=0)
+    Hvec = A - (G * ax - F * ay) / W * Px - (E * ay - F * ax) / W * Py
+    if S.ambient_dim == 3:
+        H = np.sum(Hvec * np.cross(Px, Py, axis=0), axis=0) / np.sqrt(W)
+    else:
+        H = np.linalg.norm(Hvec, axis=0)
+    H[bad] = np.nan
+    H[:2, :] = H[-2:, :] = H[:, :2] = H[:, -2:] = np.nan
+    if S.mask is not None:
+        H[S.mask] = np.nan
+    return H
+
+
+def _open_grid_surfaces(n):
+    g = make_grid((-3, 3, -3, 3), (n, n))
+    f = catalog("s1", c=1.0).f
+    yield "enneper", integrate_surface_r3(named_spinor("enneper", g))
+    yield "s1", integrate_surface_r4(*heat_datum_fields(f, g, 0.0))
+    yield "s1-invert", invert_surface(smatrix_to_surface(heat_smatrix_values(f, g, 0.0)))
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_surface_figures_match_the_reference_arithmetic_on_open_grids(n):
+    # one difference scheme moves the figures by rounding alone
+    for name, S in _open_grid_surfaces(n):
+        H, ref = discrete_mean_curvature(S), _gradient_mean_curvature(S)
+        assert np.array_equal(np.isnan(H), np.isnan(ref)), name
+        finite = np.isfinite(ref)
+        assert np.max(np.abs(H[finite] - ref[finite])) <= 1e-12, name
+        assert gauss_map(S) == pytest.approx(_gauss_map_reference(S), rel=0, abs=1e-12), name
+        e2a_ref = 2.0 * np.sum(np.abs(surface_dz(S)) ** 2, axis=0)
+        assert np.max(np.abs(measured_e2alpha(S) - e2a_ref) / e2a_ref) <= 1e-14, name
+
+
+def test_curvature_covers_a_periodic_axis():
+    # the y-periodic catenoid: H at every node off the open x-axis's 2-node border,
+    # the seam rows included, converging at second order
+    means = []
+    for nx, ny in ((32, 64), (64, 128), (128, 256)):
+        g = make_grid((-1.2, 1.2, 0.0, 6.2831853), (nx, ny), (False, True))
+        H = discrete_mean_curvature(integrate_surface_r3(named_spinor("catenoid", g)))
+        assert np.isfinite(H[:, 2:nx - 2]).all()
+        assert np.isnan(H[:, :2]).all() and np.isnan(H[:, nx - 2:]).all()
+        means.append(np.mean(np.abs(H[:, 2:nx - 2])))
+    assert 3.5 <= means[0] / means[1] <= 4.6 and 3.5 <= means[1] / means[2] <= 4.6
 
 
 def _gauss_points(S):
@@ -381,8 +457,8 @@ def test_gauge_equivalent_data_give_same_surface():
     assert np.max(np.abs(S1.coords - S2.coords)) < 1e-12
 
 
-# the map derivative in real arithmetic against the complex-field operation it
-# replaces, to the bit, on open and singly periodic grids
+# the map's partials in real arithmetic give d/dz of the complex-field operation,
+# to the bit, on open and singly periodic grids
 _PERIODICITY = {"open": (False, False), "periodic-x": (True, False), "periodic-y": (False, True)}
 
 
@@ -390,7 +466,7 @@ _PERIODICITY = {"open": (False, False), "periodic-x": (True, False), "periodic-y
 def test_real_surface_dz_matches_wirtinger_derivative(per):
     g = make_grid((-1.0, 1.3, -0.8, 1.1), (37, 29), _PERIODICITY[per])
     coords = np.random.default_rng(11).normal(size=(4, 29, 37))
-    xz = surface_dz(SurfaceMap(g, coords))
+    Px, Py = partials(g, coords)
     for k in range(4):
         ref = wirtinger_derivative(ComplexField(g, coords[k].astype(complex)), "z").values
-        assert np.array_equal(xz[k], ref)
+        assert np.array_equal((Px[k] - 1j * Py[k]) / 2, ref)
