@@ -5,7 +5,7 @@ Each subcommand takes only the options it reads.  The values of a JSON object
 given by --config become option tokens ahead of the explicit flags, so argparse
 reads each as its flag's text and an explicit flag wins.  gen-surface, solution,
 evolve and verify write their resolved configuration into the output directory,
-gen-surface once its path-defect gate has passed; willmore-check only prints.
+gen-surface once its gates (path defect, seam) have passed; willmore-check only prints.
 All outputs are deterministic for a fixed configuration, but for verify's timings.
 """
 from __future__ import annotations
@@ -24,8 +24,8 @@ from .evolve import evolve, run_summary, step_count, write_trajectory
 from .grid import Grid2D, constant_field, json_text, make_grid, save_complexfield_csv, save_json
 from .meshio import FORMATS, export_mesh
 from .moutard import heat_datum_fields, heat_smatrix_values
-from .surface import (SPINORS, SurfaceIntegrationError, discrete_mean_curvature, gauss_map,
-                      integrate_surface_r3, integrate_surface_r4, invert_surface,
+from .surface import (SPINORS, SurfaceIntegrationError, check_seams, discrete_mean_curvature,
+                      gauss_map, integrate_surface_r3, integrate_surface_r4, invert_surface,
                       named_spinor, smatrix_to_surface, willmore)
 
 
@@ -177,14 +177,14 @@ def cmd_gen_surface(args) -> int:
             psi0, phi0 = heat_datum_fields(sol.f, grid, args.t)
             _dirac_precheck(psi0, phi0, tol)
             S = integrate_surface_r4(psi0, phi0)
-        wil = willmore(sol.U_field(grid, args.t))
     else:
         psi = named_spinor(args.spinor, grid)
         _dirac_precheck(psi, psi, tol)
         S = integrate_surface_r3(psi)
-        wil = 0.0
         if args.invert:
             S = invert_surface(S)
+    check_seams(S)
+    wil = willmore(sol.U_field(grid, args.t)) if args.from_dsii else 0.0
     H = discrete_mean_curvature(S)
     Hf = H[np.isfinite(H)]
     S.diagnostics.update({
@@ -367,7 +367,7 @@ def main(argv=None) -> int:
         _write_config(args)
     try:
         return args.func(args)
-    except SurfaceIntegrationError as exc:     # gen-surface's path-defect gate
+    except SurfaceIntegrationError as exc:     # gen-surface's path-defect and seam gates
         ap.error(str(exc))
 
 

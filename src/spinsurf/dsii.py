@@ -44,7 +44,7 @@ import numpy as np
 
 from .exactpoly import (BiPoly, C, InvalidDatumError, RationalFn, Z, ZBAR, heat_extend,
                         heat_residual, horner)
-from .grid import ComplexField, Grid2D, MaskError, axis_weights, mask_patches, row_blocks
+from .grid import ComplexField, Grid2D, abs2_quadrature, row_blocks
 
 
 class DecayError(RuntimeError):
@@ -91,7 +91,7 @@ class ExactSolution:
         of an exact 0: x - x is +0 at z and at -z, and on the axis x = +0 stands in for
         -0.  Such a sign reaches a field value only as the sign of a zero real or
         imaginary part, so the mirror of each node with a zero part is sampled
-        directly."""
+        directly, in chunks of the walk's size (one node as two copies, as BiPoly.eval)."""
         t = float(t)
         fp = self.f.wirtinger("z")
         polys = (self.f, fp, fp.wirtinger("z")) if v_field else (self.f, self.U.num)
@@ -160,6 +160,7 @@ class ExactSolution:
             k = out.size - 1 - np.concatenate(zeros)   # (i, j) -> (ny-1-i, nx-1-j)
             for s in range(0, k.size, z.size):
                 ks = k[s:s + z.size]
+                ks = np.repeat(ks, 2) if ks.size == 1 else ks
                 n, (iy, ix) = ks.size, np.divmod(ks, nx)
                 z[:n].real, z[:n].imag = xs[ix], ys[iy]
                 np.add(x2[ix], y2[iy], out=rho[:n])
@@ -336,64 +337,18 @@ def l2_norm_sq(U: ComplexField, require_decay: bool = True) -> NormResult:
     raw box integral, decay_ok is False (DecayError if require_decay) and
     tail_bound is inf.
 
-    One pass over grid.row_blocks forms |U|^2, its
-    maximum, its boundary ring and the trapezoid row sums of both boxes: no
-    full-size array exists.  Masked (singular) nodes are patched by mask_patches
-    with the 8-neighbour mean of |U|^2; it stays bounded at the catalog
-    singularities, so the patch is O(h^2) accurate.  The peak and the ring are
-    read from the patched blocks, so neither reads what a masked node holds.  A
-    non-finite |U|^2 on an unmasked node raises MaskError."""
-    g, vals, mask = U.grid, U.values, U.mask
-    ny, nx = vals.shape
+    Both integrals, the peak and the boundary ring are grid.abs2_quadrature's: a
+    masked (singular) node holds the 8-neighbour mean of |U|^2, which stays bounded at
+    the catalog singularities, so the patch is O(h^2) accurate."""
+    g = U.grid
     xs, ys = g.xs(), g.ys()
     R1 = min(g.x_max, -g.x_min, g.y_max, -g.y_min)
     R2 = 0.7 * R1
     sx = np.flatnonzero(np.abs(xs) <= R2)        # the sub-box: one index range per axis
     sy = np.flatnonzero(np.abs(ys) <= R2)
     inner = R1 > 0 and sx.size >= 8 and sy.size >= 8
-    x0, x1, y0, y1 = (sx[0], sx[-1] + 1, sy[0], sy[-1] + 1) if inner else (0, 0, 0, 0)
-    wx = axis_weights(nx, g.hx, g.periodic_x)
-    wx_in = axis_weights(x1 - x0, g.hx, False) if inner else None
-    py, px, pv = ((np.empty(0, np.intp),) * 3 if mask is None
-                  else mask_patches(vals, mask, lambda w: w.real**2 + w.imag**2))
-
-    blocks = row_blocks(nx, ny)
-    patched = np.searchsorted(py, [r.start for r in blocks] + [ny]).tolist()  # block k: [k:k + 2]
-    u2, sq = np.empty((2, blocks[0].stop, nx))
-    rows, rows_in = np.empty(ny), np.empty(y1 - y0)     # weighted row sums
-    ring2 = np.empty(2 * (nx + ny))                     # top, bottom, left, right sides
-    left, right = ring2[2 * nx:2 * nx + ny], ring2[2 * nx + ny:]
-    top, bad = 0.0, 0
-    for k, block in enumerate(blocks):
-        v, r = vals[block], block.start
-        n = len(v)
-        b, t = u2[:n], sq[:n]
-        np.multiply(v.real, v.real, out=b)
-        np.multiply(v.imag, v.imag, out=t)
-        b += t
-        lo, hi = patched[k], patched[k + 1]
-        if lo < hi:
-            b[py[lo:hi] - r, px[lo:hi]] = pv[lo:hi]
-        left[r:r + n], right[r:r + n] = b[:, 0], b[:, -1]
-        if r == 0:
-            ring2[:nx] = b[0]
-        if r + n == ny:
-            ring2[nx:2 * nx] = b[-1]
-        bmax = b.max()
-        if not np.isfinite(bmax):
-            bad += np.count_nonzero(~np.isfinite(b) if mask is None
-                                    else ~np.isfinite(b) & ~mask[block])
-        top = np.maximum(top, bmax)
-        np.matmul(b, wx, out=rows[r:r + n])
-        lo, hi = max(r, y0), min(r + n, y1)
-        if lo < hi:
-            np.matmul(b[lo - r:hi - r, x0:x1], wx_in, out=rows_in[lo - y0:hi - y0])
-    if bad:
-        raise MaskError(f"|U|^2 is not finite on {bad} unmasked node(s)")
-    peak = float(np.sqrt(top))
-    raw = float(axis_weights(ny, g.hy, g.periodic_y) @ rows)
-
-    ring = np.sqrt(ring2)
+    raw, I2, peak, ring = abs2_quadrature(U, (sx[0], sx[-1] + 1, sy[0], sy[-1] + 1)
+                                          if inner else None)
     rb2 = np.concatenate([xs**2 + ys[0]**2, xs**2 + ys[-1]**2,
                           xs[0]**2 + ys**2, xs[-1]**2 + ys**2])
     Cdec = float(np.max(ring * rb2))            # |U| <= C / r^2 on the boundary
@@ -403,11 +358,7 @@ def l2_norm_sq(U: ComplexField, require_decay: bool = True) -> NormResult:
                          f"no O(1/r^2) boundary decay: boundary max {np.max(ring):.3g} "
                          f"vs peak {peak:.3g}")
 
-    if inner:
-        I1, I2 = raw, float(axis_weights(y1 - y0, g.hy, False) @ rows_in)
-        value = (I1 * R1**2 - I2 * R2**2) / (R1**2 - R2**2)
-    else:
-        value = raw
+    value = (raw * R1**2 - I2 * R2**2) / (R1**2 - R2**2) if inner else raw
     tail = np.pi * Cdec**2 / R1**2 if R1 > 0 else np.inf
     return NormResult(float(value), float(raw), float(tail), bool(decay_ok))
 

@@ -34,8 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from .dsii import re_v_into
-from .grid import (ComplexField, Grid2D, MaskError, SchemeError, save_complexfield_csv, save_csv,
-                   save_json)
+from .grid import (ComplexField, Grid2D, MaskError, SchemeError, abs2_quadrature,
+                   save_complexfield_csv, save_csv, save_json)
 
 
 class BlowupAbort(RuntimeError):
@@ -58,27 +58,20 @@ class EvolverState:
 
     @cached_property
     def norm_sq(self) -> float:
-        """hx hy sum |U|^2, by Parseval from U_hat."""
-        g = self.grid
-        return g.hx * g.hy / (g.nx * g.ny) * _sum_abs2(self.U_hat)
+        """hx hy sum |U|^2, by Parseval from U_hat, summed over its float view without
+        BLAS: np.vdot's threaded zdotc rounds differently under each BLAS thread count."""
+        g, f = self.grid, self.U_hat.ravel().view(np.float64)
+        return g.hx * g.hy / (g.nx * g.ny) * float(np.einsum("i,i->", f, f))
 
 
 def grid_norm_sq(U: ComplexField) -> float:
-    """hx hy sum |U|^2, the rectangle rule of an evolver field: SchemeError unless
-    its grid is doubly periodic, MaskError on a masked node."""
-    g = U.grid
-    if not g.periodic:
+    """int |U|^2 dx dy of an evolver field, grid.abs2_quadrature's rectangle rule:
+    SchemeError unless its grid is doubly periodic, MaskError on a masked node."""
+    if not U.grid.periodic:
         raise SchemeError("grid_norm_sq is the rectangle rule of a doubly periodic grid")
     if U.mask is not None and U.mask.any():
         raise MaskError("the evolver's norm reads every node; the field has masked nodes")
-    return g.hx * g.hy * _sum_abs2(U.values)
-
-
-def _sum_abs2(a: np.ndarray) -> float:
-    """sum |a|^2 over the float view, without BLAS: np.vdot's threaded zdotc
-    rounds differently under each BLAS thread count."""
-    f = a.ravel().view(np.float64)
-    return float(np.einsum("i,i->", f, f))
+    return abs2_quadrature(U, None)[0]
 
 
 class DsiiEvolver:

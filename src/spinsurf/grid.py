@@ -19,10 +19,9 @@ One block rule: a full-grid reduction or product allocates no full-size
 temporary.  It streams over row_blocks, blocks of whole rows of about _BLOCK
 nodes, and writes into its result or reduces block by block (row_max_abs); each
 node sees the same operations in the same order as on the whole grid, so the
-values do not depend on the blocks, except dsii.l2_norm_sq's: its row sums are
-np.matmul (BLAS dgemv), which rounds by the rows a call gets.  Here closedness_defect
-and every field's max_abs follow it; wirtinger_derivative, partials and
-ComplexField.abs2 do not yet.
+values do not depend on the blocks.  Here closedness_defect, every field's max_abs and
+abs2_quadrature, the one |U|^2 quadrature (of willmore, l2_norm_sq and grid_norm_sq),
+follow it; wirtinger_derivative and partials do not yet.
 """
 from __future__ import annotations
 
@@ -202,11 +201,6 @@ class ComplexField:
     def conj(self) -> "ComplexField":
         return self.like(np.conj(self.values))
 
-    def abs2(self) -> "ComplexField":
-        """|values|^2; a masked node holds 0, so what it held is never squared."""
-        vals = self.values if self.mask is None else np.where(self.mask, 0, self.values)
-        return self.like(np.abs(vals) ** 2)
-
     def max_abs(self) -> float:
         return row_max_abs(lambda r: self.values[r], self.mask, range(self.grid.ny),
                            self.grid.nx)
@@ -337,7 +331,8 @@ def constant_field(grid: Grid2D, value) -> ComplexField:
 # so the "*= 1 / (2 h)" below is "/ (2 h)" to the bit, at a fraction of the cost.
 
 
-def _ddx(values: np.ndarray, h: float, periodic: bool) -> np.ndarray:
+def ddx(values: np.ndarray, h: float, periodic: bool) -> np.ndarray:
+    """d/dx of (..., ny, nx) values whose columns are h apart."""
     values = np.ascontiguousarray(values)
     out = np.empty_like(values)
     # one pass over the flattened rows; the two edge columns it gets wrong
@@ -353,7 +348,7 @@ def _ddx(values: np.ndarray, h: float, periodic: bool) -> np.ndarray:
     return out
 
 
-def _ddy(values: np.ndarray, h: float, periodic: bool, rows: slice = slice(None)) -> np.ndarray:
+def ddy(values: np.ndarray, h: float, periodic: bool, rows: slice = slice(None)) -> np.ndarray:
     """d/dy of (..., ny, nx) values on the rows `rows` (a step-1 slice), each row
     formed as it is when all rows are."""
     ny = values.shape[-2]
@@ -380,8 +375,8 @@ def _ddy(values: np.ndarray, h: float, periodic: bool, rows: slice = slice(None)
 def wirtinger_rows(grid: Grid2D, values: np.ndarray, direction: str,
                    rows: slice = slice(None)) -> np.ndarray:
     """d/dz (direction "z") or d/dzbar of (..., ny, nx) values on the rows `rows`."""
-    fx = _ddx(values[..., rows, :], grid.hx, grid.periodic_x)
-    fy = _ddy(values, grid.hy, grid.periodic_y, rows)
+    fx = ddx(values[..., rows, :], grid.hx, grid.periodic_x)
+    fy = ddy(values, grid.hy, grid.periodic_y, rows)
     if direction == "z":          # (fx - i fy) / 2, formed in place in fx
         fx.real += fy.imag
         fx.imag -= fy.real
@@ -402,7 +397,7 @@ def wirtinger_derivative(f: ComplexField, direction: str) -> ComplexField:
 def partials(grid: Grid2D, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(d/dx, d/dy) of real or complex (..., ny, nx) values: the central differences
     of wirtinger_derivative, so that (f_x - i f_y) / 2 of a real f is its d/dz."""
-    return (_ddx(values, grid.hx, grid.periodic_x), _ddy(values, grid.hy, grid.periodic_y))
+    return (ddx(values, grid.hx, grid.periodic_x), ddy(values, grid.hy, grid.periodic_y))
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +410,55 @@ def axis_weights(n: int, h: float, periodic: bool) -> np.ndarray:
     if not periodic:
         w[0] = w[-1] = h / 2
     return w
+
+
+def abs2_quadrature(U: ComplexField, box: tuple | None) -> tuple[float, float, float, np.ndarray]:
+    """The one quadrature of |U|^2: (I, I_box, peak, ring), I the trapezoid rule of
+    int |U|^2 dx dy (the rectangle rule along a periodic axis), I_box the trapezoid
+    rule over the nodes x0:x1, y0:y1 of box = (x0, x1, y0, y1) (0.0 for None), peak
+    the largest |U| and ring |U| on the top, bottom, left and right sides.  One
+    pass over row_blocks forms |U|^2 = re^2 + im^2, writes each masked node's
+    mask_patches mean and sums the rows by np.einsum, which rounds a row alike in any
+    block (BLAS does not).  MaskError on a non-finite |U|^2 at an unmasked node."""
+    g, vals, mask = U.grid, U.values, U.mask
+    ny, nx = vals.shape
+    x0, x1, y0, y1 = box or (0, 0, 0, 0)
+    wx, wy = axis_weights(nx, g.hx, g.periodic_x), axis_weights(ny, g.hy, g.periodic_y)
+    wx_in, wy_in = (axis_weights(x1 - x0, g.hx, False), axis_weights(y1 - y0, g.hy, False)
+                    ) if box else (None, np.empty(0))
+    blocks = row_blocks(nx, ny)
+    u2, sq = np.empty((2, blocks[0].stop, nx))
+    rows, rows_in, ring2 = np.empty(ny), np.empty(y1 - y0), np.empty(2 * (nx + ny))
+    left, right = ring2[2 * nx:2 * nx + ny], ring2[2 * nx + ny:]
+    peak2, bad = 0.0, 0
+    with np.errstate(over="ignore"):                    # an overflow is refused as a NaN is
+        py, px, pv = ((np.empty(0, np.intp),) * 3 if mask is None
+                      else mask_patches(vals, mask, lambda w: w.real**2 + w.imag**2))
+        patched = np.searchsorted(py, [r.start for r in blocks] + [ny]).tolist()
+        for k, r in enumerate(blocks):
+            v, b, t = vals[r], u2[:r.stop - r.start], sq[:r.stop - r.start]
+            np.multiply(v.real, v.real, out=b)
+            b += np.multiply(v.imag, v.imag, out=t)
+            lo, hi = patched[k], patched[k + 1]
+            if lo < hi:
+                b[py[lo:hi] - r.start, px[lo:hi]] = pv[lo:hi]
+            left[r], right[r] = b[:, 0], b[:, -1]
+            if r.start == 0:
+                ring2[:nx] = b[0]
+            if r.stop == ny:
+                ring2[nx:2 * nx] = b[-1]
+            if not np.isfinite(bmax := b.max()):
+                bad += np.count_nonzero(~np.isfinite(b) & (True if mask is None else ~mask[r]))
+            peak2 = np.maximum(peak2, bmax)
+            np.einsum("ij,j->i", b, wx, out=rows[r])
+            lo, hi = max(r.start, y0), min(r.stop, y1)
+            if lo < hi:
+                np.einsum("ij,j->i", b[lo - r.start:hi - r.start, x0:x1], wx_in,
+                          out=rows_in[lo - y0:hi - y0])
+    if bad:
+        raise MaskError(f"|U|^2 is not finite on {bad} unmasked node(s)")
+    return (float(np.einsum("i,i->", wy, rows)), float(np.einsum("i,i->", wy_in, rows_in)),
+            float(np.sqrt(peak2)), np.sqrt(ring2))
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +509,8 @@ def closedness_defect(grid: Grid2D, gx: np.ndarray, gy: np.ndarray, mask) -> flo
     exterior-derivative residual, which for p dz + q dzbar is max |d_zbar p - d_z q|.
     Formed and reduced one row block at a time."""
     def block(r):
-        d = _ddy(gx, grid.hy, grid.periodic_y, r)
-        d -= _ddx(gy[..., r, :], grid.hx, grid.periodic_x)
+        d = ddy(gx, grid.hy, grid.periodic_y, r)
+        d -= ddx(gy[..., r, :], grid.hx, grid.periodic_x)
         return d
 
     return 0.5 * row_max_abs(block, mask, range(grid.ny), grid.nx)

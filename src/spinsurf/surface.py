@@ -24,7 +24,7 @@ import warnings
 import numpy as np
 
 from .dirac import SpinorField
-from .grid import (ComplexField, Grid2D, antiderivative, axis_weights, constant_field,
+from .grid import (ComplexField, Grid2D, abs2_quadrature, antiderivative, constant_field, ddy,
                    field_from_function, grid_mask, masked_max_abs, partials)
 
 
@@ -158,32 +158,41 @@ def gauss_map(S: SurfaceMap) -> float:
 
 
 def willmore(U: ComplexField) -> float:
-    """Willmore value 4 * int |U|^2 dx dy over the grid, by the trapezoid rule (the
-    rectangle rule along periodic axes), each masked node holding its patch.
+    """Willmore value 4 * int |U|^2 dx dy over the grid: grid.abs2_quadrature's
+    integral, the one that dsii.l2_norm_sq reads as its raw value.
 
     A truncation warning with a |U| ~ C/r^2 tail estimate is issued when the
     field has not decayed at the open (non-periodic) edges; the edge and interior
     maxima skip masked nodes."""
     g, v, m = U.grid, U.values, U.mask
-    weighted = U.abs2().patched().values * axis_weights(g.nx, g.hx, g.periodic_x)
-    weighted *= axis_weights(g.ny, g.hy, g.periodic_y)[:, None]
-    val = 4.0 * float(np.sum(weighted).real)
-
-    def side(s):
-        return masked_max_abs(v[s], None if m is None else m[s])
-
-    edges = []
-    if not g.periodic_y:
-        edges += [side(np.s_[0, :]), side(np.s_[-1, :])]
-    if not g.periodic_x:
-        edges += [side(np.s_[:, 0]), side(np.s_[:, -1])]
-    boundary = max(edges) if edges else 0.0
+    val = 4.0 * abs2_quadrature(U, None)[0]
+    edges = ([np.s_[0, :], np.s_[-1, :]] * (not g.periodic_y)
+             + [np.s_[:, 0], np.s_[:, -1]] * (not g.periodic_x))
+    boundary = max((masked_max_abs(v[s], None if m is None else m[s]) for s in edges), default=0.0)
     interior = U.max_abs()
     if interior > 0 and boundary > 1e-3 * interior:
         r2 = max(g.x_max - g.x_min, g.y_max - g.y_min) / 2
         tail = 4 * np.pi * boundary**2 * r2**2
         warnings.warn(f"|U| at open boundary is {boundary:.3g}; truncation tail est {tail:.3g}")
     return val
+
+
+# A map that closes up steps across a periodic axis's seam as between neighbours, to
+# O(h); one that does not steps back across the box, about n - 1 steps of a uniform map
+_SEAM_STEPS = 2.0
+
+
+def check_seams(S: SurfaceMap):
+    """SurfaceIntegrationError unless the map's step from its last node to its first along
+    each periodic axis is at most _SEAM_STEPS times its largest step between neighbours."""
+    g, P = S.grid, S.coords
+    for name, c in [("x", P)] * g.periodic_x + [("y", P.swapaxes(1, 2))] * g.periodic_y:
+        step = np.linalg.norm(np.diff(c), axis=0).max()
+        seam = np.linalg.norm(c[..., -1] - c[..., 0], axis=0).max()
+        if not seam <= _SEAM_STEPS * step:
+            raise SurfaceIntegrationError(
+                f"the map does not close up across its {name} seam: a step of {seam:.3g} "
+                f"from its last node to its first, against at most {step:.3g} between neighbours")
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +214,7 @@ def discrete_mean_curvature(S: SurfaceMap) -> np.ndarray:
     g = S.grid
     Px, Py, E, F, G = fundamental_form(S)
     Pxx, Pxy = partials(g, Px)
-    Pyy = partials(g, Py)[1]
+    Pyy = ddy(Py, g.hy, g.periodic_y)
     W = E * G - F * F
     bad = ~(W > 1e-12 * np.max(W, initial=0.0, where=np.isfinite(W)))
     W[bad] = 1.0

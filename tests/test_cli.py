@@ -324,6 +324,25 @@ def test_gen_surface_catenoid_periodic_axis(tmp_path):
     assert meta["conformality_residual"] < 2e-2
 
 
+@pytest.mark.parametrize("periodic", ["both", "x", "y"])
+@pytest.mark.parametrize("source", [["--spinor", "enneper"], ["--from-dsii", "s1"]],
+                         ids=["enneper", "s1-graph"])
+def test_gen_surface_refuses_a_map_that_does_not_close_across_its_seam(source, periodic,
+                                                                        tmp_path, capsys):
+    # Enneper and the s1 graph do not close up along either axis: their last node
+    # steps back across the box to the first.  Like any bad input, one error line,
+    # exit 2 and no file, the resolved config included
+    out = tmp_path / "m"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-surface", *source, "--periodic", periodic, "--grid", "64x64",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    axis = "y" if periodic == "y" else "x"
+    assert len(errors) == 1 and f"does not close up across its {axis} seam" in errors[0]
+    assert not out.exists()
+
+
 def test_evolve_ozawa_short(tmp_path, capsys):
     out = tmp_path / "oz"
     rc = main(["evolve", "--from", "ozawa", "--a", "1", "--b", "-1",
@@ -870,13 +889,15 @@ _MESH_SHA256 = {
 # to read one first fundamental form from grid.partials: the Enneper and s1
 # curvature_abs_mean, the s1 and s1-invert conformality_residual and the s1-invert
 # curvature_abs_max moved by rounding alone (test_surface.py holds the earlier
-# arithmetic as its oracle)
+# arithmetic as its oracle).  Recorded again when willmore came to read the one |U|^2
+# quadrature (grid.abs2_quadrature): the s1 and s1-invert willmore moved by rounding
+# alone, 24.0541477385555 -> 24.054147738555493
 _SIDECAR_SHA256 = {
     ("enneper", "obj"): "b471112778f943bd5fa5f07fc120131e742cb820ea2fdebf857d30cbbb974d7c",
     ("enneper", "ply"): "3b5a09314b63b6b1aae1a2cca86a862ccb3531e1dd407356194dd37b7eae5620",
-    ("s1", "ply"): "3424ebaeff12a837085e3b1e37606c8911e491a2b6c2b136d6c2bb3590c5119b",
-    ("s1-invert", "obj"): "c3ca911d64ab387b110d8cd9fac97f0ee98d4654b4bcd7e763ceeae7fb1554bf",
-    ("s1-invert", "ply"): "94f93339a92e55a86d6f9f451b82cbd1ae09f165700ba20ff5a17c01f75de475",
+    ("s1", "ply"): "e0b6abd86904b36f4031ba1125d432a6cdb3abd93b88110494087d7d8a865e7f",
+    ("s1-invert", "obj"): "f6ec84120ea7a4c8e9b2011ba1a4bbc1af593a649b9fef71b30d2d4ea4ba5eb3",
+    ("s1-invert", "ply"): "79bc6e5f4289c949b2b08ef6bf1086d9bd9b9f408ba81de1cba4845e40475094",
 }
 
 _PINNED_SOURCES = {"enneper": ["--spinor", "enneper"], "s1": ["--from-dsii", "s1"],

@@ -96,16 +96,16 @@ def physical_form(U: ComplexField, V: ComplexField, U_stencil=None, dt=None):
     """
     gp = physical_grid_of(U.grid)
     Uz_phys = ComplexField(gp, _swap_scale(U.values))
-    n = Uz_phys.abs2()
+    n = np.abs(Uz_phys.values) ** 2
     sp = gp.spectral
     # RHS is d_X of a periodic field, so its mean vanishes and the Poisson
     # problem is always solvable in the zero-mean gauge.
-    phi_hat = sp.ikx * np.fft.fft2(n.values.real) * sp.lap_inv
+    phi_hat = sp.ikx * np.fft.fft2(n) * sp.lap_inv
     phi = np.fft.ifft2(phi_hat).real
     phi_X = np.fft.ifft2(sp.ikx * np.fft.fft2(phi)).real
     ReV_phys = _swap_scale(V.values).real
     ReV_phys = ReV_phys - ReV_phys.mean()        # match the zero-mean spectral gauge
-    target = 2 * n.values.real - 4 * phi_X
+    target = 2 * n - 4 * phi_X
     target = target - target.mean()
     rev_residual = float(np.max(np.abs(ReV_phys - target)))
 

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinsurf import (ComplexField, SpinorField, SurfaceMap, constant_field,
-                      field_from_function, make_grid, save_complexfield_csv, willmore,
-                      wirtinger_derivative)
+                      field_from_function, l2_norm_sq, make_grid, save_complexfield_csv,
+                      willmore, wirtinger_derivative)
 from spinsurf.grid import (_TEXT_VALUES, GridConfigError, MaskError, Spectral, _digits,
                            antiderivative, closedness_defect, json_text, mask_patches,
                            save_json, save_nodes_csv)
@@ -363,7 +363,8 @@ def test_real_antiderivative_is_the_real_part_of_antiderivative(name, order):
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_quadrature_sum_matches_two_temporary_form_bitwise(name, dtype):
     # the oracle on a real and a complex array, and willmore on a real-valued and a
-    # complex-valued field: four times the oracle's sum of the complex |U|^2
+    # complex-valued field: four times the one |U|^2 quadrature, the raw value of
+    # l2_norm_sq to the bit, and four times the oracle's sum to rounding
     g = _ORACLE_GRIDS[name]
     vals = _random_form(g, 5)[0].values
     vals = np.abs(vals) ** 2 if dtype is float else vals
@@ -380,8 +381,10 @@ def test_quadrature_sum_matches_two_temporary_form_bitwise(name, dtype):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)     # random values: no decay
         W = willmore(U)
+    assert W == 4 * l2_norm_sq(U, require_decay=False).raw
     abs2 = np.abs(U.values) ** 2 + 0j
-    assert W == 4.0 * float(np.sum((abs2 * wx[None, :]) * wy[:, None]).real)
+    assert W == pytest.approx(4.0 * float(np.sum((abs2 * wx[None, :]) * wy[:, None]).real),
+                              rel=1e-14, abs=0)
     assert type(W) is float
 
 

@@ -7,15 +7,17 @@ full-size temporaries.  So the streamed values must equal them to the bit on
 every grid shape, periodicity and mask, whatever the block boundaries.
 """
 import tracemalloc
+import warnings
 from functools import reduce
 
 import numpy as np
 import pytest
 
 from spinsurf import (ComplexField, SpinorField, catalog, constant_field, field_from_function,
-                      make_grid, save_complexfield_csv, wirtinger_derivative)
+                      grid_norm_sq, l2_norm_sq, make_grid, save_complexfield_csv, willmore,
+                      wirtinger_derivative)
 from spinsurf.dirac import dirac_residual_norm, qconj, qmul
-from spinsurf.grid import _BLOCK, _ddx, closedness_defect, masked_max_abs, merged_mask, row_blocks
+from spinsurf.grid import _BLOCK, closedness_defect, ddx, masked_max_abs, merged_mask, row_blocks
 from spinsurf.moutard import MoutardTransform, _partner, build_S, heat_datum_fields, omega
 
 
@@ -35,7 +37,7 @@ def oracle_ddy(values, h, periodic):
 
 def oracle_closedness_defect(grid, gx, gy, mask):
     r = oracle_ddy(gx, grid.hy, grid.periodic_y)
-    r -= _ddx(gy, grid.hx, grid.periodic_x)
+    r -= ddx(gy, grid.hx, grid.periodic_x)
     return 0.5 * masked_max_abs(r, mask)
 
 
@@ -276,3 +278,50 @@ def test_transform_writes_each_side_over_its_S(monkeypatch):
     monkeypatch.setattr(mo, "build_S", build_S)
     outs = ctx.transform(psi, phi)
     assert len(built) == 2 and all(out.values is S.values for out, S in zip(outs, built))
+
+
+# The block rule itself: a value does not depend on how the rows are split.  Each
+# case runs under three grid._BLOCK values: one row a block, seven rows (an odd
+# count) and the whole grid in one block, against the default.
+_BLOCK_CASES = {
+    # BLAS dgemv row sums rounded this norm by the rows a call got
+    "open": ("s2", 11 + 2j, 0.2, (-10, 10, -10, 10), (1025, 1025), False),
+    "periodic": ("s1", 1.0, 0.1, (-30, 30, -30, 30), (256, 256), True),
+    "masked": ("s1", 1j, -0.5, (-3, 3, -3, 3), (257, 125), False),
+    # 16 mirrored nodes with a zero part, re-sampled 5, 5, 5 and 1 at a time at one
+    # row a block: a one-node chunk
+    "one-node-chunk": ("s1", -1.0, 0.0, (-3, 3, -3, 3), (5, 33), False),
+}
+
+
+def _block_outputs(sol, g, t):
+    U, V = sol.U_field(g, t), sol.V_field(g, t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)         # the truncation warning
+        W = willmore(U)
+    nr = l2_norm_sq(U, require_decay=False)
+    out = {"U": U.values.tobytes(), "V": V.values.tobytes(), "willmore": W,
+           "value": nr.value, "raw": nr.raw, "tail_bound": nr.tail_bound,
+           "masks": [None if f.mask is None else f.mask.tobytes() for f in (U, V)]}
+    if g.periodic:
+        out["grid_norm_sq"] = grid_norm_sq(U)
+    return out
+
+
+@pytest.mark.parametrize("case", list(_BLOCK_CASES))
+def test_values_do_not_depend_on_the_blocks(case, monkeypatch):
+    name, c, t, bounds, n, periodic = _BLOCK_CASES[case]
+    g, sol = make_grid(bounds, n, periodic), catalog(name, c=c)
+    want = _block_outputs(sol, g, t)
+    # one |U|^2 quadrature: willmore and, on a doubly periodic unmasked grid, the
+    # evolver's norm are l2_norm_sq's raw integral to the bit
+    assert want["willmore"] == 4 * want["raw"]
+    assert want.get("grid_norm_sq", want["raw"]) == want["raw"]
+    assert (want["masks"][0] is not None) == (case == "masked")
+    if case == "one-node-chunk":             # 16 = 3 nx + 1 mirrored nodes with a zero part
+        for f in (sol.U_field(g, t), sol.V_field(g, t)):
+            parts = f.values[:g.ny // 2].view(np.float64).reshape(g.ny // 2, g.nx, 2)
+            assert np.count_nonzero((parts == 0).any(-1)) == 3 * g.nx + 1
+    for block in (g.nx, 7 * g.nx, g.nx * g.ny):
+        monkeypatch.setattr("spinsurf.grid._BLOCK", block)
+        assert _block_outputs(sol, g, t) == want, block

@@ -6,7 +6,7 @@ import pytest
 from spinsurf import (ComplexField, SpinorField, SurfaceMap, catalog,
                       constant_field, discrete_mean_curvature,
                       field_from_function, gauss_map, integrate_surface_r3,
-                      integrate_surface_r4, invert_surface, make_grid,
+                      integrate_surface_r4, invert_surface, l2_norm_sq, make_grid,
                       measured_e2alpha, named_spinor, smatrix_to_surface,
                       spinor_metric, weier_derivatives, willmore)
 from spinsurf.grid import partials, wirtinger_derivative
@@ -138,16 +138,19 @@ def test_willmore_phase_invariance():
 def test_willmore_ignores_what_a_masked_node_holds():
     # the sum patches the masked pole and the truncation check's maxima skip it, so
     # the value and the warning do not depend on what the node holds
+    # (the one |U|^2 quadrature to the bit, and the pairwise sum it replaced to rounding)
     g = make_grid((-3, 3, -3, 3), (129, 129))
     U = catalog("s1", c=1j).U_field(g, -0.5)
     assert U.mask is not None and U.mask.sum() == 1
+    want = 4 * l2_norm_sq(U, require_decay=False).raw
+    assert want == pytest.approx(11.521698531117362, rel=1e-14, abs=0)
     for junk in (0.0, np.nan, 1e300):
         vals = U.values.copy()
         vals[U.mask] = junk
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)      # |1e300|^2 would overflow
             with pytest.warns(UserWarning, match=r"boundary is 0\.1; truncation tail est 1\.13$"):
-                assert willmore(ComplexField(g, vals, U.mask)) == 11.521698531117362
+                assert willmore(ComplexField(g, vals, U.mask)) == want
 
 
 # The arithmetic the surface figures had before they read surface.fundamental_form,
