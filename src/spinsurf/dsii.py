@@ -292,18 +292,12 @@ def dsii_exact_identity_holds(sol: ExactSolution) -> bool:
 # the nonlocal constraint
 
 
-def re_v_from_u(U: ComplexField) -> np.ndarray:
-    """Re V directly: multiplier 2 (kx^2 - ky^2)/k^2 on |U|^2 (zero-mean gauge)."""
-    ny, nx = U.values.shape
-    return re_v_into(U.values, U.grid.spectral, np.empty((ny, nx // 2 + 1), complex),
-                     np.empty((ny, nx)))
-
-
-def re_v_into(u: np.ndarray, sp, scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """re_v_from_u on the array u into the real array out.  The complex array
-    scratch, of at least ny (nx // 2 + 1) elements, holds |Im u|^2 and then the
-    rfft2 half-spectrum in its leading elements; irfft2 runs as two in-place passes
-    (its out is ignored)."""
+def re_v_from_u(u: np.ndarray, sp, scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Re V of the field values u into the real array out, and returned: the multiplier
+    sp.re_v = 2 (kx^2 - ky^2)/k^2 (zero-mean gauge) of u's grid.spectral on |u|^2.
+    The complex array scratch, of at least ny (nx // 2 + 1) elements, holds |Im u|^2
+    and then the rfft2 half-spectrum in its leading elements; irfft2 runs as two
+    in-place passes (its out is ignored)."""
     (ny, nx), buf = u.shape, scratch.reshape(-1)
     n = np.multiply(u.real, u.real, out=out)
     n += np.square(u.imag, out=buf.view(np.float64)[: n.size].reshape(n.shape))

@@ -13,12 +13,13 @@ anyway; U itself costs one inverse FFT and is formed only when it is read (a
 snapshot, the final field, a callback that looks at it).  Norms come from U_hat
 by Parseval, so a run that reads no snapshot forms one field, the final one.
 
-A step works in a fixed set of arrays: the evolver's half_phase, the field w and
-the phase theta of DsiiEvolver.run, and one spectrum, the step's only fresh
-array.  It starts as U_hat times half_phase, holds |Im U|^2 and the constraint
-solve's half-spectrum while it is free, then exp(i theta), and ends as the next
-state's U_hat.  The state's Parseval norm, which the run records anyway,
-is the blow-up guard; only a non-finite norm costs a pass over the spectrum.
+DsiiEvolver.step is one Strang step and DsiiEvolver.run a loop over it.  A step
+works in a fixed set of arrays, all the evolver's but one: half_phase, the field
+w and the phase theta, and one spectrum, the step's only fresh array.  It starts
+as U_hat times half_phase, holds |Im U|^2 and the constraint solve's
+half-spectrum while it is free, then exp(i theta), and ends as the next state's
+U_hat.  The state's Parseval norm, which the run records anyway, is the blow-up
+guard; only a non-finite norm costs a pass over the spectrum.
 
 One run summary (run_summary): the step count, the norm drift and the error
 against an exact solution that `spinsurf evolve` writes as summary.json and
@@ -33,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsii import re_v_into
+from .dsii import re_v_from_u
 from .grid import (ComplexField, Grid2D, MaskError, SchemeError, abs2_quadrature,
                    save_complexfield_csv, save_csv, save_json)
 
@@ -87,39 +88,40 @@ class DsiiEvolver:
         half_phase /= 4.0
         self.half_phase = np.exp(half_phase, out=half_phase)
         sp.re_v                     # built now, before any step buffer exists
+        self.w, self.theta = np.empty((grid.ny, grid.nx), complex), np.empty((grid.ny, grid.nx))
+
+    def step(self, state: EvolverState, t: float) -> EvolverState:
+        """The state one Strang step after state, at time t (BlowupAbort on a non-finite
+        spectrum).  It writes the evolver's w and theta, which carry nothing between
+        steps, and one fresh spectrum: state.U_hat times half_phase, then the
+        constraint solve's scratch, then exp(i theta), then the new state's U_hat."""
+        w, theta, half_phase = self.w, self.theta, self.half_phase
+        # non-finite intermediates are tolerated here; the guard below aborts
+        with np.errstate(all="ignore"):
+            U_hat = state.U_hat * half_phase    # numpy's complex a*b and b*a round apart
+            np.fft.ifftn(U_hat, out=w)                  # np.fft.ifft2 ignores out
+            re_v_from_u(w, self.grid.spectral, U_hat, theta)    # U_hat, free, is its scratch
+            theta *= 2 * self.dt
+            np.cos(theta, out=U_hat.real)               # U_hat, still free until the
+            np.sin(theta, out=U_hat.imag)               # fftn below, holds exp(i theta)
+            w *= U_hat
+            np.fft.fftn(w, out=U_hat)
+            U_hat *= half_phase
+        new = EvolverState(U_hat, t, self.grid)
+        # a finite sum has finite terms; an overflowing sum of finite ones is no blow-up
+        if not math.isfinite(new.norm_sq) and not np.all(np.isfinite(U_hat)):
+            raise BlowupAbort(f"non-finite field at t={t:g}")
+        return new
 
     def run(self, state: EvolverState, n_steps: int):
-        """Yield the n_steps states after state (BlowupAbort on a non-finite
-        spectrum); the k-th is at state.t + k dt, not at a running sum of dt.
-
-        A step holds half_phase, the field w, the phase theta and one spectrum,
-        the step's one fresh array: the last state's U_hat times half_phase, then
-        the constraint solve's scratch, then exp(i theta), then the next state's
-        U_hat.  The generator lets go of each state, the first one too, when the
-        step after it ends, and computes nothing after its last yield."""
-        g, dt, t0, half_phase = self.grid, self.dt, state.t, self.half_phase
-        w, theta = np.empty((g.ny, g.nx), dtype=complex), np.empty((g.ny, g.nx))
+        """Yield the n_steps states after state, each by step; the k-th is at
+        state.t + k dt, not at a running sum of dt.  The generator lets go of each
+        state, the first one too, when the step after it ends, and computes nothing
+        after its last yield."""
+        t0 = state.t
         for k in range(1, n_steps + 1):
-            # non-finite intermediates are tolerated here; the guard below aborts
-            with np.errstate(all="ignore"):
-                U_hat = state.U_hat * half_phase    # numpy's complex a*b and b*a round apart
-                np.fft.ifftn(U_hat, out=w)                # np.fft.ifft2 ignores out
-                re_v_into(w, g.spectral, U_hat, theta)    # U_hat, free, is its scratch
-                theta *= 2 * dt
-                np.cos(theta, out=U_hat.real)             # U_hat, still free until the
-                np.sin(theta, out=U_hat.imag)             # fftn below, holds exp(i theta)
-                w *= U_hat
-                np.fft.fftn(w, out=U_hat)
-                U_hat *= half_phase
-            state = EvolverState(U_hat, t0 + k * dt, g)
-            # a finite sum has finite terms; an overflowing sum of finite ones is no blow-up
-            if not math.isfinite(state.norm_sq) and not np.all(np.isfinite(U_hat)):
-                raise BlowupAbort(f"non-finite field at t={state.t:g}")
+            state = self.step(state, t0 + k * self.dt)
             yield state
-
-    # one step of run; perfbench/spans.py traces the evolver by this name
-    def step(self, state: EvolverState) -> EvolverState:
-        return next(self.run(state, 1))
 
 
 class Trajectory:

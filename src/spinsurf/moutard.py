@@ -171,11 +171,6 @@ class KData:
         self.W, self.a = W, a
 
 
-def k_matrix(Psi: SpinorField, S: SpinorField, Phi: SpinorField) -> KData:
-    """Extract (W, a) from K = Psi S^-1 Phi^* = [[i conj(W), a], [-conj(a), -i W]]."""
-    return _kdata(Psi, S.inv(), Phi)
-
-
 def _partner(q: np.ndarray) -> np.ndarray:
     """-Q^* = Gamma Q^T Gamma: the column (-conj(a), b) of the quaternion columns
     q = (a, b), an array of shape (2, ...), in a fresh array."""
@@ -185,9 +180,10 @@ def _partner(q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kdata(Psi: SpinorField, Sinv: SpinorField, Phi: SpinorField) -> KData:
-    """(W, a) of K = Psi S^-1 Phi^* = (ka, kb) from S^-1: W = i conj(ka) and
-    a = -conj(kb), formed one row block of K at a time."""
+def k_matrix(Psi: SpinorField, Sinv: SpinorField, Phi: SpinorField) -> KData:
+    """(W, a) of K = Psi S^-1 Phi^* = [[i conj(W), a], [-conj(a), -i W]] from S^-1
+    (Sinv): W = i conj(ka) and a = -conj(kb) of K's column (ka, kb), formed one row
+    block of K at a time."""
     grid, mask = Sinv.grid, merged_mask(Psi, Sinv, Phi)
     W, a = np.empty((2, grid.ny, grid.nx), dtype=complex)
     for r in row_blocks(grid.nx, grid.ny):
@@ -225,7 +221,7 @@ class MoutardTransform:
         S0 = build_S(phi0, psi0, constant=constant0)
         S0_inv = S0.inv(out=S0.values)                 # S0 is ours: inverted in place
         return cls(psi0, phi0, np.asarray(constant0, dtype=complex),
-                   _kdata(psi0, S0_inv, phi0), S0_inv)
+                   k_matrix(psi0, S0_inv, phi0), S0_inv)
 
     def transform(self, psi: SpinorField, phi: SpinorField, constP=None,
                   constBP=None) -> tuple[SpinorField, SpinorField]:

@@ -183,16 +183,17 @@ _SEAM_STEPS = 2.0
 
 
 def check_seams(S: SurfaceMap):
-    """SurfaceIntegrationError unless the map's step from its last node to its first along
-    each periodic axis is at most _SEAM_STEPS times its largest step between neighbours."""
+    """SurfaceIntegrationError unless each row's step from its last node to its first along
+    each periodic axis is at most _SEAM_STEPS times the larger of its first and last steps."""
     g, P = S.grid, S.coords
     for name, c in [("x", P)] * g.periodic_x + [("y", P.swapaxes(1, 2))] * g.periodic_y:
-        step = np.linalg.norm(np.diff(c), axis=0).max()
-        seam = np.linalg.norm(c[..., -1] - c[..., 0], axis=0).max()
-        if not seam <= _SEAM_STEPS * step:
+        d = np.linalg.norm(c[..., [-1, 1, -1]] - c[..., [0, 0, -2]], axis=0)   # seam, first, last
+        seam, step = d[:, 0], d[:, 1:].max(axis=1)
+        i = np.argmin(seam <= _SEAM_STEPS * step)          # the first row that fails, or 0
+        if not seam[i] <= _SEAM_STEPS * step[i]:
             raise SurfaceIntegrationError(
-                f"the map does not close up across its {name} seam: a step of {seam:.3g} "
-                f"from its last node to its first, against at most {step:.3g} between neighbours")
+                f"the map does not close up across its {name} seam: a step of {seam[i]:.3g} from "
+                f"its last node to its first, against at most {step[i]:.3g} between neighbours")
 
 
 # ---------------------------------------------------------------------------

@@ -324,13 +324,25 @@ def test_gen_surface_catenoid_periodic_axis(tmp_path):
     assert meta["conformality_residual"] < 2e-2
 
 
+def test_gen_surface_accepts_the_inverted_catenoid_across_its_seam(tmp_path):
+    # inversion keeps a closed map closed: each row's seam step stays within its
+    # neighbours' (ratio 0.995-0.996 here), though the steps near the pole grow
+    out = tmp_path / "cat-inv"
+    rc = main(["gen-surface", "--spinor", "catenoid", "--periodic", "y", "--invert",
+               "--grid", "32x64", "--box=-1.2:1.2:0:6.2831853", "--out", str(out)])
+    assert rc == 0 and (out / "surface.obj").exists()
+
+
 @pytest.mark.parametrize("periodic", ["both", "x", "y"])
-@pytest.mark.parametrize("source", [["--spinor", "enneper"], ["--from-dsii", "s1"]],
-                         ids=["enneper", "s1-graph"])
+@pytest.mark.parametrize("source", [["--spinor", "enneper"], ["--from-dsii", "s1"],
+                                    ["--spinor", "enneper", "--invert"],
+                                    ["--from-dsii", "s1", "--invert"]],
+                         ids=["enneper", "s1-graph", "enneper-invert", "s1-graph-invert"])
 def test_gen_surface_refuses_a_map_that_does_not_close_across_its_seam(source, periodic,
                                                                         tmp_path, capsys):
     # Enneper and the s1 graph do not close up along either axis: their last node
-    # steps back across the box to the first.  Like any bad input, one error line,
+    # steps back across the box to the first.  Nor do their inversions, whose steps
+    # near the pole outgrow the seam's gap.  Like any bad input, one error line,
     # exit 2 and no file, the resolved config included
     out = tmp_path / "m"
     with pytest.raises(SystemExit) as exc:

@@ -15,7 +15,7 @@ import pytest
 from spinsurf import (ComplexField, SpinorField, catalog, constant_field,
                       evolve, field_from_function, grid_norm_sq, make_grid,
                       square_grid, wirtinger_derivative, write_trajectory)
-from spinsurf.dsii import re_v_into
+from spinsurf.dsii import re_v_from_u
 from spinsurf.evolve import (BlowupAbort, DsiiEvolver, EvolverState, Trajectory, run_summary,
                              step_count)
 from spinsurf.grid import MaskError, SchemeError
@@ -115,8 +115,8 @@ def test_blowup_abort():
     state = EvolverState(np.fft.fftn(U0.values), 0.0, g)
     ev = DsiiEvolver(g, 1e-3)
     with pytest.raises(BlowupAbort):
-        for _ in range(5):
-            state = ev.step(state)
+        for k in range(1, 6):
+            state = ev.step(state, k * 1e-3)
 
 
 @pytest.mark.parametrize("poison", ["overflow", "nan-node"])
@@ -172,8 +172,9 @@ def test_evolve_holds_under_six_grid_arrays():
 
 
 def test_run_retains_one_fresh_spectrum_per_state():
-    # between yields the generator keeps w, theta and the state's spectrum; a
-    # state the caller drops takes its spectrum with it
+    # between yields the generator keeps the state's spectrum alone (w and theta
+    # are the evolver's, made before); a state the caller drops takes its spectrum
+    # with it
     g = square_grid(30.0, 64, periodic=True)
     U0 = catalog("s1", c=1.0).U_field(g, 0.0)
     ev = DsiiEvolver(g, 1e-4)
@@ -186,7 +187,7 @@ def test_run_retains_one_fresh_spectrum_per_state():
     finally:
         tracemalloc.stop()
     assert len(held) == 8 and max(held) - min(held) < 4096
-    assert max(held) < 2.5 * grid_array + 16384             # w, theta and one spectrum
+    assert max(held) < 1.5 * grid_array + 16384             # one spectrum
 
 
 def test_evolver_state_is_its_spectrum():
@@ -421,8 +422,8 @@ def test_repeated_step_matches_evolve():
     dt, n_steps = 2e-4, 20
     ev = DsiiEvolver(g, dt)
     state = EvolverState(np.fft.fftn(U0.values), 0.0, g)
-    for _ in range(n_steps):
-        state = ev.step(state)
+    for k in range(1, n_steps + 1):
+        state = ev.step(state, k * dt)
     final = evolve(U0, n_steps * dt, dt).final.values
     assert np.max(np.abs(state.U.values - final)) / np.max(np.abs(final)) <= 1e-12
 
@@ -455,7 +456,7 @@ def _evolve_forming_U_every_step(U0, dt, n_steps):
     fields = [U0.values]
     for _ in range(n_steps):
         np.fft.ifftn(w_hat, out=w)
-        re_v_into(w, sp, n_hat, theta)
+        re_v_from_u(w, sp, n_hat, theta)
         theta *= 2 * dt
         np.cos(theta, out=w_hat.real)
         np.sin(theta, out=w_hat.imag)
@@ -499,7 +500,7 @@ def test_state_forms_U_once_and_only_when_read(monkeypatch):
     g = square_grid(30.0, 64, periodic=True)
     U0 = catalog("s1", c=1.0).U_field(g, 0.0)
     dt, n_steps = 2e-4, 20
-    state = DsiiEvolver(g, dt).step(EvolverState(np.fft.fftn(U0.values), 0.0, g))
+    state = DsiiEvolver(g, dt).step(EvolverState(np.fft.fftn(U0.values), 0.0, g), dt)
     first = state.U
     assert state.U is first
     assert np.array_equal(first.values, np.fft.ifftn(state.U_hat))
@@ -521,10 +522,15 @@ def test_state_forms_U_once_and_only_when_read(monkeypatch):
 
 def test_traced_evolve_benchmark_run():
     # the benchmark's tracer looks up DsiiEvolver.step, grid_norm_sq and
-    # write_trajectory by name, and the workload checks the evolver's output
+    # write_trajectory by name, and the workload checks the evolver's output; the
+    # evolver steps through step, and the step solves the constraint through
+    # re_v_from_u, so both layers read more than 0
     root = Path(__file__).resolve().parents[1]
     run = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "evolve",
                           "--seconds", "1", "--trace", "1"],
                          cwd=root, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr[-2000:]
-    assert json.loads(run.stdout.strip().splitlines()[-1])["correct"] is True
+    summary = json.loads(run.stdout.strip().splitlines()[-1])
+    assert summary["correct"] is True
+    assert summary["metrics"]["evolve.step_calls"]["value"] > 0
+    assert summary["metrics"]["dsii.re_v_from_u_ms"]["value"] > 0

@@ -370,7 +370,7 @@ def test_k_matrix_of_closed_form_S_reproduces_exact_potentials():
     Sm = heat_smatrix_values(sol.f, g, 0.15)
     U = sol.U_field(g, 0.15).values
     a = sol.a.eval(z=g.zmesh(), t=0.15, c=1.0)
-    kd = k_matrix(psi0, Sm, phi0)
+    kd = k_matrix(psi0, Sm.inv(), phi0)
     assert _rel(kd.W.values, U) < 1e-13
     assert _rel(kd.a.values, a) < 1e-13
 
@@ -466,7 +466,7 @@ def test_context_inverts_S0_and_SB0_once(monkeypatch):
     assert np.array_equal(ctx.transform(psi, psi)[1].values,
                           ctx.transform(psi, psi, constBP=constBP)[1].values)
     assert np.array_equal(_partner(ctx.S0_inv.values), SB0.inv().values)
-    kd = k_matrix(ctx.Psi0, S0, ctx.Phi0)
+    kd = k_matrix(ctx.Psi0, S0.inv(), ctx.Phi0)
     assert np.array_equal(kd.W.values, ctx.kdata.W.values)
     assert np.array_equal(kd.a.values, ctx.kdata.a.values)
 

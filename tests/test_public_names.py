@@ -43,9 +43,6 @@ KEEP = {
     # perfbench/spans.py traces them (ROADMAP item 6)
     "dirac.Mat2Field": "the tests' general-matrix oracle and the span tracer's target",
     "dirac._empty": "Mat2Field's allocator",
-    "evolve.DsiiEvolver.step": "the span tracer's evolve.step",
-    "dsii.re_v_from_u": "the span tracer's dsii.re_v_from_u",
-    "moutard.k_matrix": "the span tracer's moutard.k_matrix",
     # open items of ROADMAP
     "moutard.time_offset_integral": "the time-augmented Moutard route of item 4",
     "moutard.omega1": "the time-augmented Moutard route of item 4",

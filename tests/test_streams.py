@@ -18,7 +18,8 @@ from spinsurf import (ComplexField, SpinorField, catalog, constant_field, field_
                       wirtinger_derivative)
 from spinsurf.dirac import dirac_residual_norm, qconj, qmul
 from spinsurf.grid import _BLOCK, closedness_defect, ddx, masked_max_abs, merged_mask, row_blocks
-from spinsurf.moutard import MoutardTransform, _partner, build_S, heat_datum_fields, omega
+from spinsurf.moutard import (MoutardTransform, _partner, build_S, heat_datum_fields,
+                              heat_datum_spinors, omega)
 
 
 def oracle_ddy(values, h, periodic):
@@ -300,9 +301,20 @@ def _block_outputs(sol, g, t):
         warnings.simplefilter("ignore", UserWarning)         # the truncation warning
         W = willmore(U)
     nr = l2_norm_sq(U, require_decay=False)
+    # the exact layer's samplers: RationalFn.on_grid on U's expanded form and on a,
+    # RQuat.on_grid on the graph's spinor phi0 = (f', i), BiPoly.eval on 1, 2 and
+    # many points, and the streamed Dirac residual of phi0 against U
+    Ur, ar = (f.on_grid(g, t, sol.c) for f in (sol.U, sol.a))
+    phi = heat_datum_spinors(sol.f)[1].on_grid(g, t, sol.c)
+    z = g.zmesh()[g.ny // 3]
     out = {"U": U.values.tobytes(), "V": V.values.tobytes(), "willmore": W,
            "value": nr.value, "raw": nr.raw, "tail_bound": nr.tail_bound,
-           "masks": [None if f.mask is None else f.mask.tobytes() for f in (U, V)]}
+           "masks": [None if f.mask is None else f.mask.tobytes() for f in (U, V, Ur, ar, phi)],
+           "on_grid": [f.values.tobytes() for f in (Ur, ar, phi)],
+           "eval": [np.asarray(sol.f.eval(z=p, t=t, c=sol.c)).tobytes()
+                    for p in (z[0], z[:2], z)],
+           "dirac": [dirac_residual_norm(U, phi, interior, vee)
+                     for interior, vee in ((0, False), (2, True))]}
     if g.periodic:
         out["grid_norm_sq"] = grid_norm_sq(U)
     return out
