@@ -5,7 +5,8 @@ Each subcommand takes only the options it reads.  The values of a JSON object
 given by --config become option tokens ahead of the explicit flags, so argparse
 reads each as its flag's text and an explicit flag wins.  gen-surface, solution,
 evolve and verify write their resolved configuration into the output directory,
-gen-surface once its gates (path defect, seam) have passed; willmore-check only prints.
+once their data have passed their gates (gen-surface's path defect and seam, a finite
+rho of an exact datum); willmore-check only prints.
 All outputs are deterministic for a fixed configuration, but for verify's timings.
 """
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 from .dirac import dirac_residual_norm
 from .dsii import OzawaData, catalog, l2_norm_sq, singular_times
 from .evolve import evolve, run_summary, step_count, write_trajectory
+from .exactpoly import InvalidDatumError
 from .grid import Grid2D, constant_field, json_text, make_grid, save_complexfield_csv, save_json
 from .meshio import FORMATS, export_mesh
 from .moutard import heat_datum_fields, heat_smatrix_values
@@ -211,6 +213,8 @@ def cmd_solution(args) -> int:
     else:
         sol = catalog(args.solution, c=args.c)
         U = sol.U_field(grid, args.t)
+    _write_config(args)
+    if args.solution != "ozawa":
         save_complexfield_csv(sol.V_field(grid, args.t), outdir / "V.csv")
     save_complexfield_csv(U, outdir / "U.csv")
     nrm = l2_norm_sq(U, require_decay=False)    # a box too small for the decay: qualified
@@ -245,6 +249,7 @@ def cmd_evolve(args) -> int:
         sol = catalog(args.source, c=args.c)
         U0 = sol.U_field(grid, 0.0)
         exact = sol
+    _write_config(args)
     traj = evolve(U0, args.t_end, args.dt, snapshot_every=args.snapshot_every)
     write_trajectory(traj, outdir)
     summary = run_summary(traj, exact)
@@ -267,6 +272,7 @@ def cmd_willmore_check(args) -> int:
 
 def cmd_verify(args) -> int:
     from .verify import print_table, run_suite
+    _write_config(args)
     results = run_suite(args.suite)
     print_table(results)
     save_json(args.out / "verify.json", [r.as_dict() for r in results])
@@ -357,17 +363,19 @@ def main(argv=None) -> int:
             step_count(0.0, args.t_end, args.dt)
             if args.snapshot_every < 0:
                 ap.error(f"--snapshot-every must be >= 0, got {args.snapshot_every}")
-        if args.subcommand == "willmore-check" and args.n < 1:
-            ap.error(f"--n must be >= 1, got {args.n}")
+        if args.subcommand == "willmore-check":
+            if args.n < 1:
+                ap.error(f"--n must be >= 1, got {args.n}")
+            # from 2^512 on N^2 is past the float range (and N itself, later, too)
+            if args.n.bit_length() > 512 or not np.isfinite(4 * np.pi * args.n * args.n):
+                ap.error("--n is too large: its bound 4 pi N^2 is not a finite float")
         if "ozawa" in (getattr(args, "solution", None), getattr(args, "source", None)):
             OzawaData(args.a, args.b)
     except ValueError as exc:           # GridConfigError, InvalidDatumError too
         ap.error(str(exc))
-    if "out" in vars(args) and args.func is not cmd_gen_surface:
-        _write_config(args)
     try:
         return args.func(args)
-    except SurfaceIntegrationError as exc:     # gen-surface's path-defect and seam gates
+    except (SurfaceIntegrationError, InvalidDatumError) as exc:  # the gates on the data
         ap.error(str(exc))
 
 

@@ -78,9 +78,10 @@ class ExactSolution:
         from the one-variable z-rows of f and N, or of f, f' and f'', over
         grid.row_blocks.  rho = x^2 + y^2 + (Re f)^2 + (Im f)^2 is a sum of squares: it
         is exactly 0 where, and only where, z = 0 and f(0, t) specialises to exactly 0,
-        and those nodes read 0 and form the mask.  1/rho multiplies through the float
-        view.  c and zbar follow BiPoly.z_row's rules: InvalidDatumError for an f of
-        zbar, which has no z-row.
+        and those nodes read 0 and form the mask; InvalidDatumError where it is not
+        finite (it overflows).  1/rho multiplies through the float view.  c and zbar
+        follow BiPoly.z_row's rules: InvalidDatumError for an f of zbar, which has no
+        z-row.
 
         When f's z-row has only even powers of z and the nodes are point-symmetric to
         the bit (xs[::-1] == -xs and ys[::-1] == -ys), U and V are even, U(-z) = U(z):
@@ -112,8 +113,11 @@ class ExactSolution:
             zk, fk, rk = z[:n], f[:n], rho[:n]
             horner(f_row, zk, fk)
             sq = acc.view(np.float64)[:n]                  # acc is free until N or f''
-            rk += np.square(fk.real, out=sq)
-            rk += np.square(fk.imag, out=sq)
+            with np.errstate(over="ignore"):           # refused below
+                rk += np.square(fk.real, out=sq)
+                rk += np.square(fk.imag, out=sq)
+            if not np.isfinite(rk.max()):
+                raise InvalidDatumError(f"rho = |z|^2 + |f|^2 is not finite on the grid at t={t:g}")
             pole = None if rk.all() else rk == 0
             if pole is not None:
                 rk[pole] = 1.0

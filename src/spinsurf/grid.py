@@ -11,17 +11,17 @@ np.gradient as the independent 1-D side of its identity).  One path integral and
 one closedness test, both for a 1-form gx dx + gy dy with real or complex gx, gy
 of shape (..., ny, nx): the form p dz + q dzbar is gx = p + q, gy = i (p - q).
 
-One mask rule: a sum reads each masked node as the mean of its unmasked 8-neighbours
-(mask_patches), a maximum skips it (masked_max_abs), and the evolver's norm
-(evolve.grid_norm_sq) refuses it.
+One mask rule: a sum and its ring and peak read each masked node as the mean of its
+unmasked 8-neighbours (mask_patches), any other maximum skips it (masked_max_abs),
+and the evolver's norm (evolve.grid_norm_sq) refuses it.
 
 One block rule: a full-grid reduction or product allocates no full-size
 temporary.  It streams over row_blocks, blocks of whole rows of about _BLOCK
 nodes, and writes into its result or reduces block by block (row_max_abs); each
 node sees the same operations in the same order as on the whole grid, so the
-values do not depend on the blocks.  Here closedness_defect, every field's max_abs and
-abs2_quadrature, the one |U|^2 quadrature (of willmore, l2_norm_sq and grid_norm_sq),
-follow it; wirtinger_derivative and partials do not yet.
+values do not depend on the blocks.  Here closedness_defect, SpinorField.max_abs and
+abs2_quadrature, the one |U|^2 quadrature (of willmore, 1-D strips included, l2_norm_sq
+and grid_norm_sq), follow it; wirtinger_derivative and partials do not yet.
 """
 from __future__ import annotations
 
@@ -200,10 +200,6 @@ class ComplexField:
 
     def conj(self) -> "ComplexField":
         return self.like(np.conj(self.values))
-
-    def max_abs(self) -> float:
-        return row_max_abs(lambda r: self.values[r], self.mask, range(self.grid.ny),
-                           self.grid.nx)
 
     def patched(self) -> "ComplexField":
         """The field with no mask, each masked node holding its mask_patches mean."""
@@ -419,7 +415,8 @@ def abs2_quadrature(U: ComplexField, box: tuple | None) -> tuple[float, float, f
     the largest |U| and ring |U| on the top, bottom, left and right sides.  One
     pass over row_blocks forms |U|^2 = re^2 + im^2, writes each masked node's
     mask_patches mean and sums the rows by np.einsum, which rounds a row alike in any
-    block (BLAS does not).  MaskError on a non-finite |U|^2 at an unmasked node."""
+    block (BLAS does not).  MaskError on a non-finite |U|^2 at an unmasked node or
+    an integral that overflows."""
     g, vals, mask = U.grid, U.values, U.mask
     ny, nx = vals.shape
     x0, x1, y0, y1 = box or (0, 0, 0, 0)
@@ -455,10 +452,11 @@ def abs2_quadrature(U: ComplexField, box: tuple | None) -> tuple[float, float, f
             if lo < hi:
                 np.einsum("ij,j->i", b[lo - r.start:hi - r.start, x0:x1], wx_in,
                           out=rows_in[lo - y0:hi - y0])
-    if bad:
-        raise MaskError(f"|U|^2 is not finite on {bad} unmasked node(s)")
-    return (float(np.einsum("i,i->", wy, rows)), float(np.einsum("i,i->", wy_in, rows_in)),
-            float(np.sqrt(peak2)), np.sqrt(ring2))
+    total = float(np.einsum("i,i->", wy, rows))
+    if bad or not np.isfinite(total):
+        raise MaskError(f"|U|^2 is not finite on {bad} unmasked node(s)" if bad
+                        else "the integral of |U|^2 overflows")
+    return total, float(np.einsum("i,i->", wy_in, rows_in)), float(np.sqrt(peak2)), np.sqrt(ring2)
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,16 @@ identity, soliton and Clifford-torus potentials, and Willmore bound checks.
 
 x-only reduction convention: d = db = (1/2) d/dx, so U_zzz + U_zbzbzb =
 (1/4) U_xxx, which reproduces the mKdV form U_t = (1/4) U_xxx + 6 U_x U^2
-with V = U^2.  The reduction identity (criterion 9) runs mnv_rhs itself on
-x-only fields.
+with V = U^2.  A potential enters the 2-D code as Potential1D.strip, its x-only
+field over its x nodes times [0, 2 pi): the reduction identity (criterion 9) runs
+mnv_rhs itself on it, and the bound check's W is surface.willmore of it.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .grid import ComplexField, make_grid, wirtinger_derivative
+from .surface import willmore
 
 
 class Potential1D:
@@ -30,6 +32,14 @@ class Potential1D:
     @property
     def h(self) -> float:
         return float(self.x[1] - self.x[0])
+
+    def strip(self) -> ComplexField:
+        """U as an x-only field over its x nodes times [0, 2 pi): 4 rows, periodic in
+        y, and periodic in x (the range ending a step past the last node) when U is."""
+        x, n = self.x, self.x.size
+        g = make_grid((x[0], x[-1] + self.h if self.periodic else x[-1], 0, 2 * np.pi),
+                      (n, 4), (self.periodic, True))
+        return ComplexField(g, np.broadcast_to(self.u, (4, n)))
 
 
 def soliton_potential(N: int) -> Potential1D:
@@ -111,11 +121,9 @@ def mkdv_rhs_1d(u: np.ndarray, h: float) -> np.ndarray:
 
 def mkdv_reduction_identity(U: Potential1D) -> float:
     """max |mnv_rhs(U, V=U^2) - RHS_mKdV(U)| off 4 nodes at each end; vanishes up
-    to scheme error.  The mNV side is the library's own mnv_rhs, run on U as an
-    x-only field over a 4-row y-periodic strip (row 0 read)."""
-    x = U.x
-    g = make_grid((x[0], x[-1], 0, 1), (x.size, 4), (False, True))
-    Uf = ComplexField(g, np.broadcast_to(U.u, (4, x.size)))
+    to scheme error.  The mNV side is the library's own mnv_rhs, run on U.strip()
+    (row 0 read)."""
+    Uf = U.strip()
     a = mnv_rhs(Uf, Uf * Uf).values[0]
     b = mkdv_rhs_1d(U.u, U.h)
     d = np.abs(a - b)
@@ -126,24 +134,13 @@ def mkdv_reduction_identity(U: Potential1D) -> float:
 # Willmore bounds
 
 
-def willmore_value_1d(U: Potential1D) -> float:
-    """4 * int U^2 dx dy over the strip x-range x [0, 2 pi]: the rectangle rule on
-    periodic samples, the trapezoid otherwise."""
-    u2 = U.u.astype(float) ** 2
-    if U.periodic:
-        ix = float(np.sum(u2) * U.h)
-    else:
-        ix = float(np.trapezoid(u2, dx=U.h))
-    if not np.isfinite(ix):
-        raise ValueError("divergent integral")
-    return 4.0 * ix * (2 * np.pi)
-
-
 def willmore_bound_check(U: Potential1D, N: int | None = None) -> dict:
     """The sphere-bound check of U for N solitons (equality at soliton potentials):
-    {"value", "bound", "pass", "N"}, value = 4 int U^2 against the bound 4 pi N^2
-    (0 without a claimed N), passing at value >= bound - 1e-9 max(bound, 1)."""
-    value, bound = willmore_value_1d(U), 0.0 if N is None else 4 * np.pi * N * N
+    {"value", "bound", "pass", "N"}, value = surface.willmore(U.strip()), that is
+    4 int U^2 dx dy over the strip, against the bound 4 pi N^2 (0 without a claimed
+    N), passing at value >= bound - 1e-9 max(bound, 1).  MaskError (a ValueError)
+    for a potential whose U^2 is not finite."""
+    value, bound = willmore(U.strip()), 0.0 if N is None else 4 * np.pi * N * N
     return {"value": value, "bound": bound,
             "pass": value >= bound - 1e-9 * max(bound, 1.0), "N": N}
 

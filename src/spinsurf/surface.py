@@ -25,7 +25,7 @@ import numpy as np
 
 from .dirac import SpinorField
 from .grid import (ComplexField, Grid2D, abs2_quadrature, antiderivative, constant_field, ddy,
-                   field_from_function, grid_mask, masked_max_abs, partials)
+                   field_from_function, grid_mask, partials)
 
 
 class SurfaceIntegrationError(RuntimeError):
@@ -162,19 +162,17 @@ def willmore(U: ComplexField) -> float:
     integral, the one that dsii.l2_norm_sq reads as its raw value.
 
     A truncation warning with a |U| ~ C/r^2 tail estimate is issued when the
-    field has not decayed at the open (non-periodic) edges; the edge and interior
-    maxima skip masked nodes."""
-    g, v, m = U.grid, U.values, U.mask
-    val = 4.0 * abs2_quadrature(U, None)[0]
-    edges = ([np.s_[0, :], np.s_[-1, :]] * (not g.periodic_y)
-             + [np.s_[:, 0], np.s_[:, -1]] * (not g.periodic_x))
-    boundary = max((masked_max_abs(v[s], None if m is None else m[s]) for s in edges), default=0.0)
-    interior = U.max_abs()
+    field has not decayed at the open (non-periodic) edges: the edge and interior
+    maxima are the quadrature's ring and peak, where a masked node is its patch."""
+    g = U.grid
+    integral, _, interior, ring = abs2_quadrature(U, None)
+    edges = np.repeat([not g.periodic_y] * 2 + [not g.periodic_x] * 2, [g.nx] * 2 + [g.ny] * 2)
+    boundary = float(np.max(ring, where=edges, initial=0.0))
     if interior > 0 and boundary > 1e-3 * interior:
         r2 = max(g.x_max - g.x_min, g.y_max - g.y_min) / 2
         tail = 4 * np.pi * boundary**2 * r2**2
         warnings.warn(f"|U| at open boundary is {boundary:.3g}; truncation tail est {tail:.3g}")
-    return val
+    return 4.0 * integral
 
 
 # A map that closes up steps across a periodic axis's seam as between neighbours, to

@@ -365,6 +365,40 @@ def test_evolve_ozawa_short(tmp_path, capsys):
     assert "z-side blow-up time t = T/2 = 0.5" in text
 
 
+@pytest.mark.parametrize("n", [10**200, 10**400], ids=["1e200", "1e400"])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_willmore_check_refuses_a_soliton_count_whose_bound_overflows(via, n, tmp_path,
+                                                                      capsys):
+    # 4 pi N^2 is not a finite float: U_N^2 would overflow (a MaskError), or N would not
+    # convert to a float at all (an OverflowError)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": n}))
+    extra = ["--n", str(n)] if via == "flag" else ["--config", str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        main(["willmore-check", "--potential", "soliton"] + extra)
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == ["spinsurf: error: --n is too large: its bound 4 pi N^2 is not a finite "
+                      "float"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solution", "--solution", "s1", "--c", "1e300"],
+    ["evolve", "--from", "s1", "--c", "1e200", "--t-end", "1e-3", "--dt", "1e-3"],
+], ids=["solution", "evolve"])
+def test_an_exact_datum_whose_rho_overflows_is_refused_before_any_file(argv, tmp_path,
+                                                                        capsys):
+    # rho = |z|^2 + |f|^2 overflows on every node: not an all-zero U.csv with
+    # norm_sq=0, nor a ZeroDivisionError in run_summary after manifest.json
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--grid", "16x16", "--out", str(out)])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == ["spinsurf: error: rho = |z|^2 + |f|^2 is not finite on the grid at t=0"]
+    assert not out.exists()
+
+
 def test_willmore_check_cli(capsys):
     rc = main(["willmore-check", "--potential", "soliton", "--n", "2"])
     assert rc == 0

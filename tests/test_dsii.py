@@ -394,7 +394,7 @@ def test_physical_form_zero():
     g = square_grid(5.0, 32, periodic=True)
     zero = ComplexField(g, np.zeros((32, 32), complex))
     pf = physical_form(zero, zero)
-    assert pf.phi.max_abs() < 1e-14
+    assert np.max(np.abs(pf.phi.values)) < 1e-14
     assert pf.rev_residual < 1e-14
 
 
@@ -933,6 +933,23 @@ def test_library_refuses_non_finite_numbers(build, error):
     # a grid bound, a time step, a datum, t or c that is nan or infinite is refused by name
     with pytest.raises(error, match="finite"):
         build()
+
+
+@pytest.mark.parametrize("c, bounds", [(1e300, (-3, 3, -3, 3)), (1e200, (-3, 3, -3, 3)),
+                                       (1.0, (-2e77, 2e77, 0, 2e77))],
+                         ids=["c-1e300", "c-1e200", "last-row"])
+@pytest.mark.parametrize("field", ["U_field", "V_field"])
+def test_an_overflowing_rho_is_refused_not_sampled_as_zero(c, bounds, field, monkeypatch):
+    # finite data whose rho = |z|^2 + |f|^2 overflows on the grid would read U = 0 and
+    # V = 0 there; on the last grid only the far corners of the last row overflow, so
+    # at one row a block only the last block meets it
+    g = make_grid(bounds, (16, 16))
+    for block in (_BLOCK, g.nx):
+        monkeypatch.setattr("spinsurf.grid._BLOCK", block)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidDatumError, match=r"rho = \|z\|\^2 \+ \|f\|\^2 is not finite"):
+                getattr(catalog("s1", c=c), field)(g, 0.0)
 
 
 def _norm_fields(r: NormResult) -> tuple:

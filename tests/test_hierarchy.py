@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,8 @@ from spinsurf import (ComplexField, Potential1D, clifford_potential, make_grid,
                       mnv_residual, mnv_rhs, soliton_potential, square_grid,
                       v_from_constraint_mnv, willmore_bound_check,
                       wirtinger_derivative)
-from spinsurf import hierarchy, verify
+from spinsurf import hierarchy, verify, willmore
+from spinsurf.grid import MaskError
 from test_evolve import spectral_wirtinger
 
 
@@ -68,6 +71,20 @@ def test_mkdv_reduction_identity_order(profile):
     assert res[1601] < 1e-3
 
 
+@pytest.mark.parametrize("profile, n, want", [
+    ("sech", 801, "0.0004549991536284548"), ("sech", 1601, "0.00011438352919346251"),
+    ("soliton", 801, "0.00033744643498914706"), ("soliton", 1601, "8.469580151522493e-05"),
+    ("bump", 801, "0.00016881008540625686"), ("bump", 1601, "4.228911028036908e-05"),
+])
+def test_mkdv_reduction_identity_is_pinned(profile, n, want):
+    # the identity's values to the bit: a y-constant field has zero y-differences,
+    # so the strip's height does not enter them
+    fns = {"sech": lambda x: 1.0 / np.cosh(x), "soliton": mkdv_soliton,
+           "bump": lambda x: 0.8 * np.exp(-0.5 * x * x)}
+    x = np.linspace(-12.0, 12.0, n)
+    assert repr(mkdv_reduction_identity(Potential1D(x, fns[profile](x)))) == want
+
+
 def test_mkdv_reduction_identity_zero():
     x = np.linspace(-10, 10, 401)
     assert mkdv_reduction_identity(Potential1D(x, np.zeros_like(x))) == 0.0
@@ -116,6 +133,38 @@ def test_soliton_willmore_equalities():
         chk = willmore_bound_check(soliton_potential(N), N)
         assert abs(chk["value"] - 4 * np.pi * N * N) <= 1e-6
         assert chk["pass"] is True
+
+
+@pytest.mark.parametrize("pot, N", [(soliton_potential(1), 1), (soliton_potential(2), 2),
+                                    (soliton_potential(3), 3), (clifford_potential(), None)],
+                         ids=["soliton-1", "soliton-2", "soliton-3", "clifford"])
+def test_willmore_check_value_is_willmore_on_the_strip(pot, N):
+    # one Willmore value: the check's W is surface.willmore of the strip field, to the
+    # bit, and neither strip warns of truncation
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert willmore_bound_check(pot, N)["value"] == willmore(pot.strip())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200], ids=["nan", "inf", "u2-overflows"])
+@pytest.mark.parametrize("periodic", [False, True])
+def test_willmore_check_refuses_a_non_finite_potential(bad, periodic):
+    # a U^2 that is not finite at a node, so on each of the strip's 4 rows, is the
+    # quadrature's MaskError, a ValueError
+    x = np.linspace(-5.0, 5.0, 101)
+    u = 1 / np.cosh(x)
+    u[37] = bad
+    with np.errstate(over="ignore"):
+        with pytest.raises(MaskError, match=r"not finite on 4 unmasked node\(s\)"):
+            willmore_bound_check(Potential1D(x, u, periodic), None)
+    assert issubclass(MaskError, ValueError)
+
+
+def test_willmore_check_refuses_a_potential_whose_integral_overflows():
+    # every U^2 is finite, but their sum is not: refused, not a value of inf that passes
+    x = np.linspace(-25.0, 25.0, 2001)
+    with pytest.raises(MaskError, match=r"the integral of \|U\|\^2 overflows"):
+        willmore_bound_check(Potential1D(x, 1e154 / np.cosh(x)), None)
 
 
 def test_clifford_value_vs_quadrature_oracle():
@@ -170,10 +219,15 @@ def test_mkdv_soliton_is_soliton_potential_at_t0():
 
 
 def test_strip_grid_shape():
-    # the x-line times [0, 2 pi] strip of the sphere-bound checks
-    g = make_grid((-25.0, 25.0, 0.0, 2 * np.pi), (501, 32), periodicity=(False, True))
-    assert g.periodic_y and not g.periodic_x
-    assert g.y_max == pytest.approx(2 * np.pi)
+    # the x nodes times [0, 2 pi) strip of the sphere-bound checks: 4 rows, periodic
+    # in y, and in x for a periodic potential, whose x range ends a step past its nodes
+    for pot in (soliton_potential(1), clifford_potential()):
+        U = pot.strip()
+        g = U.grid
+        assert (g.nx, g.ny, g.periodic_x, g.periodic_y) == (pot.x.size, 4, pot.periodic, True)
+        assert np.array_equal(g.xs(), pot.x) and (g.y_min, g.y_max) == (0.0, 2 * np.pi)
+        assert np.array_equal(U.values, np.tile(pot.u, (4, 1))) and U.mask is None
+    assert clifford_potential().strip().grid.x_max == 2 * np.pi
 
 
 def test_criterion_9_rejects_a_sign_flipped_mnv_rhs(monkeypatch):

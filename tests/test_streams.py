@@ -8,14 +8,14 @@ every grid shape, periodicity and mask, whatever the block boundaries.
 """
 import tracemalloc
 import warnings
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 import pytest
 
-from spinsurf import (ComplexField, SpinorField, catalog, constant_field, field_from_function,
-                      grid_norm_sq, l2_norm_sq, make_grid, save_complexfield_csv, willmore,
-                      wirtinger_derivative)
+from spinsurf import (ComplexField, SpinorField, catalog, clifford_potential, constant_field,
+                      field_from_function, grid_norm_sq, l2_norm_sq, make_grid,
+                      save_complexfield_csv, soliton_potential, willmore, wirtinger_derivative)
 from spinsurf.dirac import dirac_residual_norm, qconj, qmul
 from spinsurf.grid import _BLOCK, closedness_defect, ddx, masked_max_abs, merged_mask, row_blocks
 from spinsurf.moutard import (MoutardTransform, _partner, build_S, heat_datum_fields,
@@ -320,20 +320,30 @@ def _block_outputs(sol, g, t):
     return out
 
 
-@pytest.mark.parametrize("case", list(_BLOCK_CASES))
+# the 1-D potentials' W: willmore on their 4-row strips, open and periodic in x
+_STRIPS = {"soliton-2-strip": lambda: soliton_potential(2), "clifford-strip": clifford_potential}
+
+
+@pytest.mark.parametrize("case", list(_BLOCK_CASES) + list(_STRIPS))
 def test_values_do_not_depend_on_the_blocks(case, monkeypatch):
-    name, c, t, bounds, n, periodic = _BLOCK_CASES[case]
-    g, sol = make_grid(bounds, n, periodic), catalog(name, c=c)
-    want = _block_outputs(sol, g, t)
-    # one |U|^2 quadrature: willmore and, on a doubly periodic unmasked grid, the
-    # evolver's norm are l2_norm_sq's raw integral to the bit
-    assert want["willmore"] == 4 * want["raw"]
-    assert want.get("grid_norm_sq", want["raw"]) == want["raw"]
-    assert (want["masks"][0] is not None) == (case == "masked")
+    if case in _STRIPS:
+        U = _STRIPS[case]().strip()
+        g, outputs = U.grid, partial(willmore, U)
+    else:
+        name, c, t, bounds, n, periodic = _BLOCK_CASES[case]
+        g, sol = make_grid(bounds, n, periodic), catalog(name, c=c)
+        outputs = partial(_block_outputs, sol, g, t)
+    want = outputs()
+    if case in _BLOCK_CASES:
+        # one |U|^2 quadrature: willmore and, on a doubly periodic unmasked grid, the
+        # evolver's norm are l2_norm_sq's raw integral to the bit
+        assert want["willmore"] == 4 * want["raw"]
+        assert want.get("grid_norm_sq", want["raw"]) == want["raw"]
+        assert (want["masks"][0] is not None) == (case == "masked")
     if case == "one-node-chunk":             # 16 = 3 nx + 1 mirrored nodes with a zero part
         for f in (sol.U_field(g, t), sol.V_field(g, t)):
             parts = f.values[:g.ny // 2].view(np.float64).reshape(g.ny // 2, g.nx, 2)
             assert np.count_nonzero((parts == 0).any(-1)) == 3 * g.nx + 1
     for block in (g.nx, 7 * g.nx, g.nx * g.ny):
         monkeypatch.setattr("spinsurf.grid._BLOCK", block)
-        assert _block_outputs(sol, g, t) == want, block
+        assert outputs() == want, block

@@ -153,6 +153,20 @@ def test_willmore_ignores_what_a_masked_node_holds():
                 assert willmore(ComplexField(g, vals, U.mask)) == want
 
 
+@pytest.mark.parametrize("periodic", [False, (True, False)], ids=["open", "periodic-x"])
+def test_willmore_reads_a_masked_edge_node_as_its_patch(periodic):
+    # the truncation check reads the quadrature's ring: a masked node on an open edge
+    # enters as its patch, the mean |U|^2 of its unmasked neighbours, not skipped
+    g = make_grid((-1, 1, -1, 1), (16, 16), periodic)
+    vals = np.zeros((16, 16), complex)
+    vals[1, 5] = 3.0                    # the only nonzero node, beside the masked one
+    mask = np.zeros((16, 16), bool)
+    mask[0, 5] = True                   # on the open bottom edge: its patch is 9 / 5
+    with pytest.warns(UserWarning, match=r"boundary is 1\.34; truncation tail est 22\.6$"):
+        W = willmore(ComplexField(g, vals, mask))
+    assert W == 4 * (9.0 * g.hx * g.hy + 9.0 / 5 * g.hx * g.hy / 2)
+
+
 # The arithmetic the surface figures had before they read surface.fundamental_form,
 # kept as the tests' oracle: x^k_z as complex fields by wirtinger_derivative, and the
 # mean curvature from np.gradient, NaN on a 2-node border along every axis.
