@@ -3,9 +3,8 @@ quaternionic Moutard transformation, and exact Davey-Stewartson II solutions
 from heat polynomials, with symbolic and numerical verification tooling.
 """
 
-from .grid import (ComplexField, Grid2D, antiderivative,
-                   closedness_defect, constant_field, field_from_function,
-                   make_grid, save_complexfield_csv, square_grid,
+from .grid import (ComplexField, Grid2D, antiderivative, constant_field,
+                   field_from_function, make_grid, save_complexfield_csv, square_grid,
                    wirtinger_derivative)
 from .exactpoly import (BiPoly, C, RQuat, RationalFn, T, Z, ZBAR,
                         heat_antiderivative, heat_extend, heat_residual, poly_equal)

@@ -23,11 +23,12 @@ from .dirac import dirac_residual_norm
 from .dsii import OzawaData, catalog, l2_norm_sq, singular_times
 from .evolve import evolve, run_summary, step_count, write_trajectory
 from .exactpoly import InvalidDatumError
-from .grid import Grid2D, constant_field, json_text, make_grid, save_complexfield_csv, save_json
+from .grid import (ClosednessError, Grid2D, constant_field, json_text, make_grid,
+                   save_complexfield_csv, save_json)
 from .meshio import FORMATS, export_mesh
 from .moutard import heat_datum_fields, heat_smatrix_values
-from .surface import (SPINORS, SurfaceIntegrationError, check_seams, discrete_mean_curvature,
-                      gauss_map, integrate_surface_r3, integrate_surface_r4, invert_surface,
+from .surface import (SPINORS, check_seams, discrete_mean_curvature, gauss_map,
+                      integrate_surface_r3, integrate_surface_r4, invert_surface,
                       named_spinor, smatrix_to_surface, willmore)
 
 
@@ -261,11 +262,9 @@ def cmd_evolve(args) -> int:
 def cmd_willmore_check(args) -> int:
     from .hierarchy import clifford_potential, soliton_potential, willmore_bound_check
     if args.potential == "soliton":
-        pot = soliton_potential(args.n)
-        chk = willmore_bound_check(pot, args.n)
-    else:                                   # clifford
-        pot = clifford_potential()
-        chk = willmore_bound_check(pot, None)
+        chk = willmore_bound_check(soliton_potential(args.n), args.n, 4 * np.pi * args.n * args.n)
+    else:                                   # clifford: a torus, Marques-Neves
+        chk = willmore_bound_check(clifford_potential(), None, 2 * np.pi ** 2)
     print(json_text(chk))
     return 0 if chk["pass"] else 1
 
@@ -375,7 +374,7 @@ def main(argv=None) -> int:
         ap.error(str(exc))
     try:
         return args.func(args)
-    except (SurfaceIntegrationError, InvalidDatumError) as exc:  # the gates on the data
+    except (ClosednessError, InvalidDatumError) as exc:  # the gates on the data
         ap.error(str(exc))
 
 

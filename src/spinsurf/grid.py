@@ -7,21 +7,29 @@ arrays of shape (ny, nx) indexed values[iy, ix].
 One difference scheme, which the surface figures read through partials: central
 differences, periodic along a periodic axis, one-sided second order at an open
 edge (Spectral holds the evolver's Fourier symbols; hierarchy.mkdv_rhs_1d keeps
-np.gradient as the independent 1-D side of its identity).  One path integral and
-one closedness test, both for a 1-form gx dx + gy dy with real or complex gx, gy
-of shape (..., ny, nx): the form p dz + q dzbar is gx = p + q, gy = i (p - q).
+np.gradient as the independent 1-D side of its identity).
+
+One path integral with one closedness rule, for a 1-form gx dx + gy dy with real or
+complex gx, gy of shape (..., ny, nx) (the form p dz + q dzbar is gx = p + q,
+gy = i (p - q)): antiderivative integrates it along x-first L-paths and raises
+ClosednessError when its path defect, the largest distance from the y-first
+integral, exceeds 0.01 max sqrt(|gx|^2 + |gy|^2).  Every Weierstrass surface and
+every Moutard S is integrated so, and surface.check_seams raises the same error for
+a map that does not close up along a periodic axis.
 
 One mask rule: a sum and its ring and peak read each masked node as the mean of its
 unmasked 8-neighbours (mask_patches), any other maximum skips it (masked_max_abs),
-and the evolver's norm (evolve.grid_norm_sq) refuses it.
+and the evolver's norm (evolve.grid_norm_sq) refuses it.  A path integral and its
+defect read every node, masked or not.
 
 One block rule: a full-grid reduction or product allocates no full-size
 temporary.  It streams over row_blocks, blocks of whole rows of about _BLOCK
 nodes, and writes into its result or reduces block by block (row_max_abs); each
 node sees the same operations in the same order as on the whole grid, so the
-values do not depend on the blocks.  Here closedness_defect, SpinorField.max_abs and
-abs2_quadrature, the one |U|^2 quadrature (of willmore, 1-D strips included, l2_norm_sq
-and grid_norm_sq), follow it; wirtinger_derivative and partials do not yet.
+values do not depend on the blocks.  Here antiderivative (beside its output),
+SpinorField.max_abs and abs2_quadrature, the one |U|^2 quadrature (of willmore, 1-D
+strips included, l2_norm_sq and grid_norm_sq), follow it; wirtinger_derivative and
+partials do not yet.
 """
 from __future__ import annotations
 
@@ -42,6 +50,10 @@ class SchemeError(ValueError):
 
 
 class MaskError(ValueError):
+    pass
+
+
+class ClosednessError(RuntimeError):
     pass
 
 
@@ -416,7 +428,9 @@ def abs2_quadrature(U: ComplexField, box: tuple | None) -> tuple[float, float, f
     pass over row_blocks forms |U|^2 = re^2 + im^2, writes each masked node's
     mask_patches mean and sums the rows by np.einsum, which rounds a row alike in any
     block (BLAS does not).  MaskError on a non-finite |U|^2 at an unmasked node or
-    an integral that overflows."""
+    an integral that overflows.  Where the squared peak is below the smallest normal
+    float, |U|^2 has underflowed, and the peak and ring are read again from U scaled
+    by the power of 2 that brings its largest unmasked |U| into [1/2, 1)."""
     g, vals, mask = U.grid, U.values, U.mask
     ny, nx = vals.shape
     x0, x1, y0, y1 = box or (0, 0, 0, 0)
@@ -456,62 +470,104 @@ def abs2_quadrature(U: ComplexField, box: tuple | None) -> tuple[float, float, f
     if bad or not np.isfinite(total):
         raise MaskError(f"|U|^2 is not finite on {bad} unmasked node(s)" if bad
                         else "the integral of |U|^2 overflows")
-    return total, float(np.einsum("i,i->", wy_in, rows_in)), float(np.sqrt(peak2)), np.sqrt(ring2)
+    peak, ring = float(np.sqrt(peak2)), np.sqrt(ring2)
+    if peak2 < np.finfo(float).tiny and (top := masked_max_abs(vals, mask)) > 0:
+        k, scaled = math.frexp(top)[1], np.empty_like(vals)
+        with np.errstate(over="ignore"):              # only a masked node can overflow
+            np.ldexp(vals.real, -k, out=scaled.real)
+            np.ldexp(vals.imag, -k, out=scaled.imag)
+        _, _, peak, ring = abs2_quadrature(ComplexField(g, scaled, mask), None)
+        peak, ring = math.ldexp(peak, k), np.ldexp(ring, k)
+    return total, float(np.einsum("i,i->", wy_in, rows_in)), peak, ring
 
 
 # ---------------------------------------------------------------------------
 # path integration
 
 
-def antiderivative(grid: Grid2D, gx: np.ndarray, gy: np.ndarray, order: str,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """F(P) = int_{P0}^{P} (gx dx + gy dy) along L-paths from P0 = grid.centre,
-    for real or complex gx, gy of shape (..., ny, nx), vectorised over all nodes
-    and leading axes, into out or a fresh array.
+_PATH_TOL = 0.01     # path defect allowed, relative to max sqrt(|gx|^2 + |gy|^2)
 
-    x_first runs along the centre row and then up/down each column; y_first the
-    other way round.  For p dz + q dzbar, gx = p + q and gy = i (p - q).  out may
-    be gx under x_first (gy under y_first): the centre row (column) is integrated
-    before out is written."""
+
+def antiderivative(grid: Grid2D, gx: np.ndarray, gy: np.ndarray) -> tuple[np.ndarray, float]:
+    """(F, defect) for the 1-form gx dx + gy dy, real or complex gx, gy of shape
+    (..., ny, nx): F(P) = int_{P0}^{P} (gx dx + gy dy) along the x-first L-path from
+    P0 = grid.centre (along the centre row, then up or down each column), written
+    over gy, and its path defect, max |F - G| over every node, G the y-first
+    integral (up or down the centre column, then along each row).  For
+    p dz + q dzbar, gx = p + q and gy = i (p - q).
+
+    The one closedness rule: ClosednessError unless the defect is at most
+    _PATH_TOL max sqrt(|gx|^2 + |gy|^2) over the nodes (a NaN fails too).  The
+    columns are integrated in place (_cumtrapz_columns); then, one row block at a
+    time, they are anchored at the centre row, the centre row's integral is added
+    and G, the row integrals of gx plus F's centre column, is compared.  So no
+    full-size temporary exists, and F and the defect are the whole-grid trapezoid
+    sums to the bit."""
     ix0, iy0 = grid.centre
-    if order == "x_first":
-        edge = _cumtrapz_from(gx[..., iy0, :], grid.hx, ix0)[..., None, :]
-        out = _cumtrapz_from(gy, grid.hy, iy0, axis=-2, out=out)
-    elif order == "y_first":
-        edge = _cumtrapz_from(gy[..., ix0], grid.hy, iy0)[..., None]
-        out = _cumtrapz_from(gx, grid.hx, ix0, axis=-1, out=out)
-    else:
-        raise ValueError(f"unknown order {order!r}")
-    out += edge
+    edge = _cumtrapz_from(gx[..., iy0, :], grid.hx, ix0)[..., None, :]
+    blocks = row_blocks(grid.nx, grid.ny)
+    work = np.empty(gy.shape[:-2] + (blocks[0].stop, grid.nx), complex)
+    tol = _PATH_TOL * _cumtrapz_columns(gx, gy, grid.hy, work)
+    anchor = gy[..., iy0:iy0 + 1, :].copy()
+    buf = work if gy.dtype == work.dtype else np.empty(work.shape, gy.dtype)
+    defect = 0.0
+    for r in blocks:
+        b = gy[..., r, :]
+        b -= anchor
+        b += edge
+        g = _cumtrapz_from(gx[..., r, :], grid.hx, ix0, out=buf[..., :r.stop - r.start, :])
+        g += b[..., ix0:ix0 + 1]
+        g -= b
+        defect = np.maximum(defect, masked_max_abs(g, None))
+    defect = float(defect)
+    if not defect <= tol:                             # NaN fails too
+        raise ClosednessError(
+            f"path-dependence defect {defect:.3g} exceeds {tol:.3g}; form not closed")
+    return gy, defect
+
+
+def _cumtrapz_columns(gx: np.ndarray, out: np.ndarray, h: float, mag: np.ndarray) -> float:
+    """The cumulative trapezoid down each column of out from row 0, in place, one
+    row block at a time, each block carrying the running sums and the last row of
+    values of the one before; returns max |(|gx|, |out|)| over the nodes, as np.abs
+    forms it in mag, a complex block buffer, read before out is written."""
+    ny, nx = out.shape[-2:]
+    scale, last = 0.0, None
+    for r in row_blocks(nx, ny):
+        b, m = out[..., r, :], mag[..., :r.stop - r.start, :]
+        np.abs(gx[..., r, :], out=m.real)
+        np.abs(b, out=m.imag)
+        scale = np.maximum(scale, np.max(np.abs(m)))
+        first, tail = b[..., :1, :], b[..., -1:, :].copy()
+        np.add(b[..., :-1, :], b[..., 1:, :], out=b[..., 1:, :])
+        if last is None:
+            first[...] = 0.0
+            seg = b[..., 1:, :]
+            seg *= h / 2
+        else:
+            np.add(last, first, out=first)
+            seg = b
+            seg *= h / 2
+            first += out[..., r.start - 1:r.start, :]
+        np.cumsum(seg, axis=-2, out=seg)
+        last = tail
+    return float(scale)
+
+
+def _cumtrapz_from(vals: np.ndarray, h: float, i0: int, out: np.ndarray | None = None
+                   ) -> np.ndarray:
+    """Cumulative trapezoid along the last axis, anchored to zero at index i0, into
+    out (not vals; its last two axes contiguous) or a fresh array.  The pair sums
+    run over the last two axes as one flat run, as ddx's differences do, and the
+    first column, which pairs across a row break, is zeroed before the scaling."""
+    out = np.empty(vals.shape, vals.dtype) if out is None else out
+    v, o = (a.reshape(a.shape[:-2] + (-1,)) for a in (vals, out))
+    np.add(v[..., :-1], v[..., 1:], out=o[..., 1:])
+    out[..., 0] = 0.0
+    o *= h / 2
+    np.cumsum(out[..., 1:], axis=-1, out=out[..., 1:])
+    out -= out[..., i0:i0 + 1].copy()
     return out
-
-
-def _cumtrapz_from(vals: np.ndarray, h: float, i0: int, axis: int = -1,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """Cumulative trapezoid along axis, anchored to zero at index i0, into out (not
-    vals) or a fresh array."""
-    out = np.empty_like(vals) if out is None else out
-    moved, cum = np.moveaxis(vals, axis, -1), np.moveaxis(out, axis, -1)
-    seg = cum[..., 1:]
-    np.add(moved[..., :-1], moved[..., 1:], out=seg)
-    seg *= h / 2
-    cum[..., 0] = 0.0
-    np.cumsum(seg, axis=-1, out=seg)
-    cum -= cum[..., i0:i0 + 1].copy()
-    return out
-
-
-def closedness_defect(grid: Grid2D, gx: np.ndarray, gy: np.ndarray, mask) -> float:
-    """Half the largest |d gx / dy - d gy / dx| over the unmasked nodes (mask may
-    be None) of gx dx + gy dy, gx, gy of shape (..., ny, nx): the discrete
-    exterior-derivative residual, which for p dz + q dzbar is max |d_zbar p - d_z q|.
-    Formed and reduced one row block at a time."""
-    def block(r):
-        d = ddy(gx, grid.hy, grid.periodic_y, r)
-        d -= ddx(gy[..., r, :], grid.hx, grid.periodic_x)
-        return d
-
-    return 0.5 * row_max_abs(block, mask, range(grid.ny), grid.nx)
 
 
 # ---------------------------------------------------------------------------

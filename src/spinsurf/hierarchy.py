@@ -134,13 +134,14 @@ def mkdv_reduction_identity(U: Potential1D) -> float:
 # Willmore bounds
 
 
-def willmore_bound_check(U: Potential1D, N: int | None = None) -> dict:
-    """The sphere-bound check of U for N solitons (equality at soliton potentials):
-    {"value", "bound", "pass", "N"}, value = surface.willmore(U.strip()), that is
-    4 int U^2 dx dy over the strip, against the bound 4 pi N^2 (0 without a claimed
-    N), passing at value >= bound - 1e-9 max(bound, 1).  MaskError (a ValueError)
-    for a potential whose U^2 is not finite."""
-    value, bound = willmore(U.strip()), 0.0 if N is None else 4 * np.pi * N * N
+def willmore_bound_check(U: Potential1D, N: int | None, bound: float) -> dict:
+    """The Willmore bound check of U: {"value", "bound", "pass", "N"}, value =
+    surface.willmore(U.strip()), that is 4 int U^2 dx dy over the strip, passing at
+    value >= bound - 1e-9 max(bound, 1).  The caller states the bound: 4 pi N^2 for
+    N solitons (the sphere bound, equality at soliton potentials), 2 pi^2 for a torus
+    (Marques-Neves, equality at the Clifford torus), where N is None.  MaskError (a
+    ValueError) for a potential whose U^2 is not finite."""
+    value = willmore(U.strip())
     return {"value": value, "bound": bound,
             "pass": value >= bound - 1e-9 * max(bound, 1.0), "N": N}
 

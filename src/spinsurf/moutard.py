@@ -24,7 +24,8 @@ SpinorField on the grid and an exactpoly.RQuat in the exact layer.  Gamma omega1
 is a quaternion.  Gamma omega = G dz + H dzbar = X dx + Y dy with X = G + H and
 Y = i (G - H); X and Y are quaternions, G and H alone are not.  omega returns
 column 0 of X and of Y, omega1 column 0 of Gamma omega1, each as a SpinorField,
-and build_S checks and integrates omega's two entries as one stacked 1-form.
+and build_S integrates omega's two entries as one stacked 1-form through
+grid.antiderivative, which refuses it by its path defect when it is not closed.
 The one general 2x2 value entering quaternion storage, build_S's integration
 constant, is checked for the quaternion pattern there, and a violation raises
 NormalizationError.
@@ -43,7 +44,7 @@ S(Psi0, Phi0) is -S0^* up to a constant (the tests integrate it to show so).
 
 Memory: a MoutardTransform holds S0^-1, K's (W, a), C0 (S0's value at
 grid.centre, where every S anchors) and the background spinors it was given.
-build_S returns S as one SpinorField over the buffer of omega's x part; S0 is
+build_S returns S as one SpinorField over the buffer of omega's y part; S0 is
 inverted in place, -(S0^-1)^* is formed one row block at a time where a
 transform reads it, and each transformed spinor is written over its S(A0, X).
 """
@@ -53,12 +54,8 @@ import numpy as np
 
 from .dirac import SpinorField, qconj, qmul, quaternion_defect
 from .exactpoly import BiPoly, RQuat, RationalFn, T, Z, ZBAR, heat_antiderivative
-from .grid import (ComplexField, Grid2D, antiderivative, closedness_defect, merged_mask,
-                   row_blocks, wirtinger_derivative)
-
-
-class ClosednessError(RuntimeError):
-    pass
+from .grid import (ComplexField, Grid2D, antiderivative, merged_mask, row_blocks,
+                   wirtinger_derivative)
 
 
 class NormalizationError(RuntimeError):
@@ -84,12 +81,13 @@ def omega(Phi: SpinorField, Psi: SpinorField) -> tuple[SpinorField, SpinorField]
     dzbar parts of column 0's entries (a, b) are
         p = (i conj(pb) sa, i pa sa),  q = (i conj(pa) sb, -i pb sb),
     and X = p + q, Y = i (p - q) (dz = dx + i dy).  X and Y are quaternions, so
-    their column 1s, and the closedness defects and integrals of those, follow
+    their column 1s, and the path defects and integrals of those, follow
     from column 0.  p is formed in X and q in a block buffer, one row block at a
     time."""
     grid, mask = Phi.grid, merged_mask(Phi, Psi)       # GridConfigError on a grid mismatch
     (pa, pb), (sa, sb) = Phi.values, Psi.values
-    X, Y = (np.empty((2, grid.ny, grid.nx), dtype=complex) for _ in range(2))
+    # Y first: build_S writes S over Y and frees X, which leaves no hole below S
+    Y, X = (np.empty((2, grid.ny, grid.nx), dtype=complex) for _ in range(2))
     blocks = row_blocks(grid.nx, grid.ny)
     buf = np.empty((2, blocks[0].stop, grid.nx), dtype=complex)
     for r in blocks:
@@ -128,23 +126,16 @@ def build_S(Phi: SpinorField, Psi: SpinorField, constant) -> SpinorField:
     it.  It must be a quaternion (NormalizationError otherwise).
 
     Only column 0 of Gamma omega's x and y parts X, Y (what omega returns) is
-    checked and integrated: ClosednessError unless the closedness defect of
-    X dx + Y dy is at most 100 max(hx, hy)^2 max(1, |X|, |Y|) over the unmasked
-    nodes.
+    integrated, by grid.antiderivative, whose path defect rule refuses a form
+    X dx + Y dy that is not closed (grid.ClosednessError); masked nodes enter it
+    as any other node.
     """
-    grid = Phi.grid
     C = np.asarray(constant, complex)
     _check_quaternion(C, "S constant")
     X, Y = omega(Phi, Psi)
-    defect = closedness_defect(grid, X.values, Y.values, X.mask)
-    scale = max(1.0, X.max_abs(), Y.max_abs())
-    defect_tol = 100.0 * max(grid.hx, grid.hy) ** 2
-    if not defect <= defect_tol * scale:              # NaN fails too
-        raise ClosednessError(f"omega not closed: defect {defect:.3g} (tol {defect_tol * scale:.3g})")
-    # into X's buffer: its centre row and the reductions above have read it
-    vals = antiderivative(grid, X.values, Y.values, "x_first", out=X.values)
+    vals, _ = antiderivative(Phi.grid, X.values, Y.values)
     vals += C[:, 0, None, None]
-    return SpinorField.from_values(grid, vals, X.mask)
+    return SpinorField.from_values(Phi.grid, vals, X.mask)
 
 
 def _product(c: complex, x: np.ndarray, y: np.ndarray, out: np.ndarray):

@@ -13,7 +13,9 @@ case is phi = psi (then x4_z vanishes identically).
 
 The forms and the maps are real, so they are integrated and differentiated in
 real arithmetic: x^k = int_P0 (2 Re x^k_z dx - 2 Im x^k_z dy) by
-grid.antiderivative on real arrays.  e^{2 alpha}, the Gauss map and the mean
+grid.antiderivative on real arrays, whose one closedness rule (grid.ClosednessError)
+refuses forms that are not closed, as check_seams refuses a map that does not close
+up along a periodic axis.  e^{2 alpha}, the Gauss map and the mean
 curvature read one first fundamental form (fundamental_form, on grid.partials):
 x^k_z = (x^k_x - i x^k_y) / 2, so sum_k |x^k_z|^2 = (E + G) / 4.
 """
@@ -24,12 +26,8 @@ import warnings
 import numpy as np
 
 from .dirac import SpinorField
-from .grid import (ComplexField, Grid2D, abs2_quadrature, antiderivative, constant_field, ddy,
-                   field_from_function, grid_mask, partials)
-
-
-class SurfaceIntegrationError(RuntimeError):
-    pass
+from .grid import (ClosednessError, ComplexField, Grid2D, abs2_quadrature, antiderivative,
+                   constant_field, ddy, field_from_function, grid_mask, partials)
 
 
 class SurfaceMap:
@@ -95,23 +93,17 @@ def weier_derivatives(psi: SpinorField, phi: SpinorField):
 def integrate_surface_r4(psi: SpinorField, phi: SpinorField) -> SurfaceMap:
     """Integrate the four closed forms to a surface in R^4, 0 at grid.centre.
 
-    The L-path defect (x-first vs y-first) is recorded; above 0.02 max|x^k_z| it
-    is an error.  Whether psi and phi solve the Dirac equations is not checked
-    here: gen-surface checks its spinors against the zero potential before it
-    integrates them.
+    The L-path defect (x-first vs y-first) of grid.antiderivative is recorded;
+    above 0.01 max |2 x^k_z| = 0.02 max |x^k_z| it is grid's ClosednessError.
+    Whether psi and phi solve the Dirac equations is not checked here: gen-surface
+    checks its spinors against the zero potential before it integrates them.
     """
     grid = psi.grid
     xz = weier_derivatives(psi, phi)
     gx, gy = 2.0 * xz.real, -2.0 * xz.imag          # the real forms x^k_z dz + c.c.
-    coords = antiderivative(grid, gx, gy, "x_first")
-    alt = antiderivative(grid, gx, gy, "y_first")
-    maxdef = float(np.max(np.abs(coords - alt)))
-    # valid spinor data sit orders of magnitude below this (O(h^2) defect)
-    defect_tol = 0.02 * max(float(np.max(np.abs(xz))), 1e-300)
-    if not maxdef <= defect_tol:                    # NaN fails too
-        raise SurfaceIntegrationError(
-            f"path-dependence defect {maxdef:.3g} exceeds {defect_tol:.3g}; form not closed")
-    return SurfaceMap(grid, coords, diagnostics={"path_defect": maxdef, "base_node": grid.centre})
+    del xz
+    coords, defect = antiderivative(grid, gx, gy)
+    return SurfaceMap(grid, coords, diagnostics={"path_defect": defect, "base_node": grid.centre})
 
 
 def integrate_surface_r3(psi: SpinorField) -> SurfaceMap:
@@ -181,15 +173,16 @@ _SEAM_STEPS = 2.0
 
 
 def check_seams(S: SurfaceMap):
-    """SurfaceIntegrationError unless each row's step from its last node to its first along
-    each periodic axis is at most _SEAM_STEPS times the larger of its first and last steps."""
+    """ClosednessError unless each row's step from its last node to its first along each
+    periodic axis is at most _SEAM_STEPS times the larger of its first and last steps: a
+    seam gap is a form that does not close up along the axis."""
     g, P = S.grid, S.coords
     for name, c in [("x", P)] * g.periodic_x + [("y", P.swapaxes(1, 2))] * g.periodic_y:
         d = np.linalg.norm(c[..., [-1, 1, -1]] - c[..., [0, 0, -2]], axis=0)   # seam, first, last
         seam, step = d[:, 0], d[:, 1:].max(axis=1)
         i = np.argmin(seam <= _SEAM_STEPS * step)          # the first row that fails, or 0
         if not seam[i] <= _SEAM_STEPS * step[i]:
-            raise SurfaceIntegrationError(
+            raise ClosednessError(
                 f"the map does not close up across its {name} seam: a step of {seam[i]:.3g} from "
                 f"its last node to its first, against at most {step[i]:.3g} between neighbours")
 

@@ -179,8 +179,8 @@ def suite_singularities() -> list[CheckResult]:
 def suite_willmore() -> list[CheckResult]:
     out = []
     for N in (1, 2, 3):
-        chk = willmore_bound_check(soliton_potential(N), N)
         target = 4 * np.pi * N * N
+        chk = willmore_bound_check(soliton_potential(N), N, target)
         out.append(CheckResult(f"soliton N={N} Willmore equality", chk["value"],
                                target - 1e-6, target + 1e-6, "4 int U^2 = 4 pi N^2 +- 1e-6"))
     # Closed form of int_0^{2 pi} U^2 dx for U = sin x / (2 s (sin x - s)), s = sqrt 2:
@@ -191,11 +191,11 @@ def suite_willmore() -> list[CheckResult]:
     # (a^2 - b^2 = 1) the three terms give 2 pi - 4 s pi + 2 s^3 pi = 2 pi, as s^3 = 2 s,
     # so int U^2 dx = 2 pi / 8 = pi / 4.
     oracle = np.pi / 4
-    chk = willmore_bound_check(clifford_potential(), None)
+    chk = willmore_bound_check(clifford_potential(), None, 2 * np.pi ** 2)
     out.append(_near("clifford grid vs closed form 8 pi int U^2 = 2 pi^2",
                      chk["value"], 4 * TWO_PI * oracle, 1e-10))
-    out.append(_near("clifford Willmore (reported vs 2 pi^2)", chk["value"], 2 * np.pi ** 2,
-                     1e-8, "reported, not asserted by the bound check"))
+    out.append(_near("clifford Willmore vs torus bound 2 pi^2", chk["value"], chk["bound"],
+                     1e-8, "Marques-Neves: the equality case of willmore-check's bound"))
     return out
 
 

@@ -6,6 +6,7 @@ import pytest
 from spinsurf import (SpinorField, antiderivative, build_S, constant_field,
                       integrate_surface_r3, integrate_surface_r4, invert_surface,
                       make_grid, smatrix_to_surface)
+from test_grid import _ref_antiderivative
 from test_streams import _same_bits         # equal bytes: signs of zero too
 from test_surface import _enneper_spinor as _enneper
 
@@ -25,12 +26,19 @@ def test_centre_is_the_middle_node(grid):
 
 @pytest.mark.parametrize("order", ["x_first", "y_first"])
 def test_antiderivative_reads_zero_at_the_centre(grid, order):
+    # the integral (x_first), and the y-first integral that its path defect measures
+    # against (y_first: the defect is that oracle's largest distance from it, to
+    # the bit), read +0 at the centre
     ix, iy = grid.centre
     rng = np.random.default_rng(3)
     shape = (2, grid.ny, grid.nx)
-    gx, gy = rng.normal(size=(2,) + shape) + 1j * rng.normal(size=(2,) + shape)
-    for F in (antiderivative(grid, gx, gy, order),
-              antiderivative(grid, gx.real, gy.real, order)):
+    gx, gy = 1 + 1e-3 * (rng.normal(size=(2,) + shape) + 1j * rng.normal(size=(2,) + shape))
+    for fx, fy in ((gx, gy), (gx.real, gy.real)):
+        F, defect = antiderivative(grid, fx, fy.copy())
+        if order == "y_first":
+            G = _ref_antiderivative(grid, fx, fy, grid.centre, order)
+            assert defect == np.max(np.abs(F - G))
+            F = G
         v = F[:, iy, ix]
         assert _same_bits(np.stack([v.real, np.imag(v)]), np.zeros((2, 2)))
 

@@ -5,10 +5,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from spinsurf import (BiPoly, C, ComplexField, Z, catalog, dsii_residual_exact,
+from spinsurf import (BiPoly, C, ComplexField, Z, catalog, constant_field, dsii_residual_exact,
                       exact_solution, field_from_function, heat_extend, l2_norm_sq,
                       make_grid, poly_equal, singular_times, square_grid,
-                      to_halved_v_form, wirtinger_derivative)
+                      to_halved_v_form, willmore, wirtinger_derivative)
 from spinsurf import dsii
 from spinsurf.dsii import (DecayError, ExactSolution, InvalidDatumError, NormResult, OzawaData,
                            re_v_from_u)
@@ -970,6 +970,25 @@ def test_l2_norm_peak_ignores_what_a_masked_node_holds():
                 got = l2_norm_sq(ComplexField(g, vals, U.mask), require_decay=require_decay)
             want = l2_norm_sq(U, require_decay=require_decay)
             assert _norm_fields(got) == _norm_fields(want) and got.decay_ok
+
+
+@pytest.mark.parametrize("value", [1e-170, 0.0])
+def test_a_field_whose_square_underflows_is_checked_for_decay(value):
+    # |U|^2 = 1e-340 underflows to 0: the quadrature reads the peak and ring again from
+    # U scaled by a power of 2, so the undecayed constant field fails the decay check
+    # and willmore warns of truncation; a zero field passes and does not warn
+    U = constant_field(square_grid(3.0, 32), value)
+    got = l2_norm_sq(U, require_decay=False)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        willmore(U)
+    if value:
+        assert not got.decay_ok
+        assert [str(w.message).split(";")[0] for w in caught] == ["|U| at open boundary is 1e-170"]
+        with pytest.raises(DecayError, match="boundary max 1e-170 vs peak 1e-170"):
+            l2_norm_sq(U)
+    else:
+        assert got.decay_ok and not caught
 
 
 @pytest.mark.parametrize("at", [(64, 0), (0, 0)], ids=["edge", "corner"])

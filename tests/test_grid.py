@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from spinsurf import (ComplexField, SpinorField, SurfaceMap, constant_field,
                       field_from_function, l2_norm_sq, make_grid, save_complexfield_csv,
                       willmore, wirtinger_derivative)
-from spinsurf.grid import (_TEXT_VALUES, GridConfigError, MaskError, Spectral, _digits,
-                           antiderivative, closedness_defect, json_text, mask_patches,
-                           save_json, save_nodes_csv)
+from spinsurf.grid import (_TEXT_VALUES, ClosednessError, GridConfigError, MaskError, Spectral,
+                           _digits, antiderivative, json_text, mask_patches, save_json,
+                           save_nodes_csv)
 
 
 def quadrature_sum(vals, hx, hy, periodic_x=False, periodic_y=False):
@@ -97,7 +97,7 @@ def rect_loop(ix0, iy0, ix1, iy1):
 
 def xy_parts(p, q):
     """(gx, gy) of the 1-form p dz + q dzbar = gx dx + gy dy, as antiderivative
-    and closedness_defect take it."""
+    takes it."""
     return p + q, 1j * (p - q)
 
 
@@ -247,6 +247,13 @@ def _random_form(g, seed, mask=None):
     return ComplexField(g, p, mask), ComplexField(g, q, mask)
 
 
+def _nearly_closed_form(g, seed):
+    """(p, q) arrays of a constant form plus 1e-4 of _random_form's values: every bit
+    below the fourth digit random, the path defect far below antiderivative's bound."""
+    p, q = (f.values for f in _random_form(g, seed))
+    return 1 + 0.5j + 1e-4 * p, -0.3 + 1e-4 * q
+
+
 _ORACLE_GRIDS = {
     "open": make_grid((-1, 1.5, -0.5, 1), (37, 23)),
     "periodic": make_grid((0, 2 * np.pi, 0, 2 * np.pi), (32, 32), True),
@@ -264,37 +271,17 @@ def test_wirtinger_matches_oracle_bitwise(name, direction):
     assert np.array_equal(got, _ref_wirtinger(g, f.values, direction))
 
 
-@pytest.mark.parametrize("name", list(_ORACLE_GRIDS) + ["masked"])
-def test_closedness_defect_matches_four_derivative_oracle(name):
-    # d_zbar p - d_z q from four Wirtinger derivatives, max over unmasked nodes
-    g = _ORACLE_GRIDS["open" if name == "masked" else name]
-    mask = None
-    if name == "masked":
-        mask = np.zeros((g.ny, g.nx), dtype=bool)
-        mask[4, 8:11] = mask[3:6, 9] = True
-    pf, qf = _random_form(g, 2, mask)
-    p, q = pf.values, qf.values
-    if name == "masked":
-        p[4, 9] = 1e6          # enters the defect at the four masked neighbours
-    r = np.abs(_ref_wirtinger(g, p, "zbar") - _ref_wirtinger(g, q, "z"))
-    ref = np.max(r if mask is None else r[~mask])
-    scale = max(np.max(np.abs(p)), np.max(np.abs(q))) / min(g.hx, g.hy)
-    assert abs(closedness_defect(g, *xy_parts(p, q), mask) - ref) <= 1e-14 * scale
-    if name == "masked":
-        assert np.max(r) > 2 * ref          # the mask decides the answer
-
-
 def test_closedness_defect_of_stacked_forms_is_the_largest():
-    # forms stacked on leading axes: the largest of their defects, to the bit
+    # forms stacked on leading axes: the path defect is the largest of theirs and
+    # each integral is the form's own, to the bit
     g = _ORACLE_GRIDS["periodic_y"]
-    mask = np.zeros((g.ny, g.nx), dtype=bool)
-    mask[5, 3] = True
-    forms = [xy_parts(*(f.values for f in _random_form(g, 10 + k))) for k in range(3)]
+    forms = [xy_parts(*_nearly_closed_form(g, 10 + k)) for k in range(3)]
+    each = [antiderivative(g, fx, fy.copy()) for fx, fy in forms]
     gx, gy = (np.stack(parts) for parts in zip(*forms))
-    each = [closedness_defect(g, fx, fy, mask) for fx, fy in forms]
-    assert closedness_defect(g, gx, gy, mask) == max(each)
-    assert closedness_defect(g, gx.reshape(3, 1, g.ny, g.nx), gy.reshape(3, 1, g.ny, g.nx),
-                             None) == max(closedness_defect(g, fx, fy, None) for fx, fy in forms)
+    for shape in ((3, g.ny, g.nx), (3, 1, g.ny, g.nx)):
+        F, defect = antiderivative(g, gx.reshape(shape), gy.copy().reshape(shape))
+        assert defect == max(d for _, d in each)
+        assert all(np.array_equal(F.reshape(gx.shape)[k], Fk) for k, (Fk, _) in enumerate(each))
 
 
 def _ref_cumtrapz_from(vals, h, i0, axis=-1):
@@ -307,56 +294,61 @@ def _ref_cumtrapz_from(vals, h, i0, axis=-1):
 
 
 def _ref_antiderivative(g, gx, gy, base, order):
+    """The x-first or y-first L-path integral from base of (..., ny, nx) forms, on
+    whole arrays."""
     ix0, iy0 = base
     if order == "x_first":
-        row = _ref_cumtrapz_from(gx[iy0, :], g.hx, ix0)
-        return row[None, :] + _ref_cumtrapz_from(gy, g.hy, iy0, 0)
-    col = _ref_cumtrapz_from(gy[:, ix0], g.hy, iy0)
-    return col[:, None] + _ref_cumtrapz_from(gx, g.hx, ix0, 1)
+        row = _ref_cumtrapz_from(gx[..., iy0, :], g.hx, ix0)
+        return row[..., None, :] + _ref_cumtrapz_from(gy, g.hy, iy0, -2)
+    col = _ref_cumtrapz_from(gy[..., ix0], g.hy, iy0)
+    return col[..., None] + _ref_cumtrapz_from(gx, g.hx, ix0, -1)
+
+
+def _ref_path_defect(g, gx, gy):
+    """The two-integral oracle of the path defect: max |x-first - y-first|."""
+    F, G = (_ref_antiderivative(g, gx, gy, g.centre, order) for order in ("x_first", "y_first"))
+    return np.max(np.abs(F - G))
 
 
 @pytest.mark.parametrize("order", ["x_first", "y_first"])
 @pytest.mark.parametrize("base", [(2, 2), (9, 4), (36, 22), (30, 11)])
 def test_antiderivative_matches_oracle_bitwise(order, base):
-    # real and complex forms, one alone and three stacked on a leading axis: each
-    # integral to the bit, from the centre node base of an odd or even grid
+    # real and complex forms, one alone and three stacked on a leading axis, from the
+    # centre node base of an odd or even grid, to the bit: the integral is the
+    # x-first oracle's (x_first), and the path defect is the oracle's largest
+    # distance between the x-first and y-first integrals (y_first)
     ix, iy = base
     g = make_grid((-1, 1.5, -0.5, 1), (2 * ix + ix % 2, 2 * iy + iy % 2))
     assert g.centre == base
-    pf, qf = _random_form(g, 4)
-    for gx, gy in ((pf.values, qf.values), (pf.values.real, qf.values.imag)):
-        got = antiderivative(g, gx, gy, order)
-        assert got.dtype == gx.dtype
-        assert np.array_equal(got, _ref_antiderivative(g, gx, gy, base, order))
-        # written over the part whose centre row (column) it reads first
-        parts = [gx.copy(), gy.copy()]
-        own = parts[0 if order == "x_first" else 1]
-        assert antiderivative(g, *parts, order, out=own) is own
-        assert np.array_equal(own, _ref_antiderivative(g, gx, gy, base, order))
-        stack = [np.stack([a, 2.0 * a, a[::-1]]) for a in (gx, gy)]
-        got = antiderivative(g, *stack, order)
-        for k in range(3):
-            assert np.array_equal(got[k], _ref_antiderivative(g, stack[0][k], stack[1][k],
-                                                              base, order))
+
+    p, q = _nearly_closed_form(g, 4)
+    for gx, gy in ((p, q), (p.real, q.imag)):
+        for fx, fy in ((gx, gy), [np.stack([a, 2.0 * a, a[::-1]]) for a in (gx, gy)]):
+            F, defect = antiderivative(g, fx, own := fy.copy())
+            assert F is own and F.dtype == fx.dtype          # written over gy
+            if order == "x_first":
+                assert np.array_equal(F, _ref_antiderivative(g, fx, fy, base, order))
+            else:
+                assert defect == _ref_path_defect(g, fx, fy)
 
 
 @pytest.mark.parametrize("order", ["x_first", "y_first"])
 @pytest.mark.parametrize("name", list(_ORACLE_GRIDS))
 def test_real_antiderivative_is_the_real_part_of_antiderivative(name, order):
     # the real form 2 Re p dx - 2 Im p dy of p dz + conj(p) dzbar, three forms at
-    # once, against the complex integral of each: equal to the bit, and so is the
-    # L-path defect
+    # once, against the complex integral of each: the integral is its real part to
+    # the bit (x_first), and the path defect, the largest distance from the y-first
+    # integral, is the largest of the complex forms' (y_first)
     g = _ORACLE_GRIDS[name]
-    ps = [_random_form(g, 6 + k)[0].values for k in range(3)]
+    ps = [_nearly_closed_form(g, 6 + k)[0] for k in range(3)]
     xz = np.stack(ps)
-    other_order = "y_first" if order == "x_first" else "x_first"
-    got = antiderivative(g, 2.0 * xz.real, -2.0 * xz.imag, order)
-    other = antiderivative(g, 2.0 * xz.real, -2.0 * xz.imag, other_order)
-    for k, p in enumerate(ps):
-        ref = antiderivative(g, *xy_parts(p, np.conj(p)), order)
-        alt = antiderivative(g, *xy_parts(p, np.conj(p)), other_order)
-        assert np.array_equal(got[k], ref.real)
-        assert np.max(np.abs(got[k] - other[k])) == np.max(np.abs(ref - alt))
+    got, defect = antiderivative(g, 2.0 * xz.real, -2.0 * xz.imag)
+    refs = [antiderivative(g, *xy_parts(p, np.conj(p))) for p in ps]
+    if order == "x_first":
+        for k, (ref, _) in enumerate(refs):
+            assert np.array_equal(got[k], ref.real)
+    else:
+        assert defect == max(d for _, d in refs)
 
 
 @pytest.mark.parametrize("name", list(_ORACLE_GRIDS))
@@ -521,24 +513,48 @@ def test_antiderivative_path_independence():
     p = field_from_function(g, lambda z: z)
     q = field_from_function(g, np.conj)
     gx, gy = xy_parts(p.values, q.values)
-    a1 = antiderivative(g, gx, gy, "x_first")
-    a2 = antiderivative(g, gx, gy, "y_first")
-    assert np.max(np.abs(a1 - a2)) < 1e-12
+    _, defect = antiderivative(g, gx, gy)
+    assert defect < 1e-12
 
 
 @pytest.mark.parametrize("order", ["x_first", "y_first"])
 def test_antiderivative_matches_lpath_integral(order):
-    # a form that is not closed, so the two path orders differ: each node of the
-    # vectorised antiderivative equals the line integral along its own L-path
+    # a form that is not closed but within the rule's bound, so the two path orders
+    # differ: each node of the vectorised integral equals the line integral along
+    # its own x-first L-path (x_first), and the path defect is the largest distance
+    # from the line integrals along the y-first ones (y_first)
     g = make_grid((-1, 1.5, -0.5, 1), (23, 17))
-    p = field_from_function(g, lambda z: np.exp(0.8 * z) + np.abs(z) ** 2)
-    q = field_from_function(g, lambda z: np.sin(np.conj(z)) * z)
+    p = field_from_function(g, lambda z: np.exp(0.8 * z) + 0.01 * np.abs(z) ** 2)
+    q = field_from_function(g, lambda z: 0.01 * np.sin(np.conj(z)) * z)
     base = g.centre
     assert base == (11, 8)
-    F = antiderivative(g, *xy_parts(p.values, q.values), order)
-    for node in [(0, 0), (22, 16), (11, 0), (0, 8), (15, 3), (11, 8)]:
-        ref = path_integrate((p, q), lpath(g, base, node, order))
-        assert abs(F[node[1], node[0]] - ref) < 1e-13
+    F, defect = antiderivative(g, *xy_parts(p.values, q.values))
+    if order == "x_first":
+        for node in [(0, 0), (22, 16), (11, 0), (0, 8), (15, 3), (11, 8)]:
+            ref = path_integrate((p, q), lpath(g, base, node, order))
+            assert abs(F[node[1], node[0]] - ref) < 1e-13
+    else:
+        G = np.array([[path_integrate((p, q), lpath(g, base, (ix, iy), order))
+                       for ix in range(g.nx)] for iy in range(g.ny)])
+        assert abs(defect - np.max(np.abs(F - G))) < 1e-13
+        assert defect > 0.02
+
+
+# x dy (curl 1) on the boxes of the README, the suites and the moutard benchmark
+XDY_BOXES = {"3": (-3, 3, -3, 3), "1": (-1, 1, -1, 1), "s1": (-1.5, 1.5, -1.2, 1.8),
+             "plane": (0.4, 2.4, 0.3, 2.3)}
+XDY_SIZES = [32, 48, 64, 96, 128, 256]
+
+
+@pytest.mark.parametrize("n", XDY_SIZES)
+@pytest.mark.parametrize("box", list(XDY_BOXES))
+def test_antiderivative_refuses_x_dy(box, n):
+    # its path defect is the box's largest |x - x0| |y - y0|, against 0.01 max |x|:
+    # refused by 42x to 320x
+    g = make_grid(XDY_BOXES[box], (n, n))
+    x = np.broadcast_to(g.xs(), (n, n)).copy()
+    with pytest.raises(ClosednessError, match="path-dependence defect .* exceeds"):
+        antiderivative(g, np.zeros_like(x), x)
 
 
 def test_complexfield_csv_roundtrip(tmp_path):

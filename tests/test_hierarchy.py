@@ -130,7 +130,7 @@ def test_constraint_inversion_matches_two_pass_form():
 
 def test_soliton_willmore_equalities():
     for N in (1, 2, 3):
-        chk = willmore_bound_check(soliton_potential(N), N)
+        chk = willmore_bound_check(soliton_potential(N), N, 4 * np.pi * N * N)
         assert abs(chk["value"] - 4 * np.pi * N * N) <= 1e-6
         assert chk["pass"] is True
 
@@ -143,7 +143,7 @@ def test_willmore_check_value_is_willmore_on_the_strip(pot, N):
     # bit, and neither strip warns of truncation
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert willmore_bound_check(pot, N)["value"] == willmore(pot.strip())
+        assert willmore_bound_check(pot, N, 0.0)["value"] == willmore(pot.strip())
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200], ids=["nan", "inf", "u2-overflows"])
@@ -156,7 +156,7 @@ def test_willmore_check_refuses_a_non_finite_potential(bad, periodic):
     u[37] = bad
     with np.errstate(over="ignore"):
         with pytest.raises(MaskError, match=r"not finite on 4 unmasked node\(s\)"):
-            willmore_bound_check(Potential1D(x, u, periodic), None)
+            willmore_bound_check(Potential1D(x, u, periodic), None, 0.0)
     assert issubclass(MaskError, ValueError)
 
 
@@ -164,7 +164,7 @@ def test_willmore_check_refuses_a_potential_whose_integral_overflows():
     # every U^2 is finite, but their sum is not: refused, not a value of inf that passes
     x = np.linspace(-25.0, 25.0, 2001)
     with pytest.raises(MaskError, match=r"the integral of \|U\|\^2 overflows"):
-        willmore_bound_check(Potential1D(x, 1e154 / np.cosh(x)), None)
+        willmore_bound_check(Potential1D(x, 1e154 / np.cosh(x)), None, 0.0)
 
 
 def test_clifford_value_vs_quadrature_oracle():
@@ -172,10 +172,11 @@ def test_clifford_value_vs_quadrature_oracle():
     s = np.sqrt(2.0)
     oracle, err = quad(lambda x: (np.sin(x) / (2 * s * (np.sin(x) - s))) ** 2,
                        0, 2 * np.pi, epsabs=1e-13)
-    chk = willmore_bound_check(clifford_potential(), None)
+    chk = willmore_bound_check(clifford_potential(), None, 2 * np.pi ** 2)
     assert chk["value"] == pytest.approx(4 * 2 * np.pi * oracle, rel=1e-10)
-    # reported (not asserted by the check itself): the expected 2 pi^2
+    # the Clifford torus is the equality case of Marques-Neves' bound W >= 2 pi^2
     assert chk["value"] == pytest.approx(2 * np.pi ** 2, rel=1e-12)
+    assert chk["bound"] == 2 * np.pi ** 2 and chk["pass"] is True
 
 
 def test_clifford_closed_form_is_the_quadrature():
@@ -202,10 +203,20 @@ def test_clifford_potential_smooth():
 
 def test_willmore_check_bound_flag():
     # a potential strictly below the N=2 bound fails the check
-    chk = willmore_bound_check(soliton_potential(1), 2)
+    chk = willmore_bound_check(soliton_potential(1), 2, 16 * np.pi)
     assert list(chk) == ["value", "bound", "pass", "N"] and chk["N"] == 2
     assert chk["pass"] is False
-    assert chk["bound"] == pytest.approx(16 * np.pi)
+    assert chk["bound"] == 16 * np.pi
+
+
+def test_willmore_check_torus_bound_can_fail():
+    # the Clifford potential meets 2 pi^2 within the 1e-9 slack; 0.999 of it, whose W
+    # is 0.998 of 2 pi^2, does not (the check used to compare it with 0)
+    pot = clifford_potential()
+    assert willmore_bound_check(pot, None, 2 * np.pi ** 2)["pass"] is True
+    low = willmore_bound_check(Potential1D(pot.x, 0.999 * pot.u, periodic=True), None,
+                               2 * np.pi ** 2)
+    assert low["pass"] is False and low["value"] < 0.999 * low["bound"]
 
 
 def test_potential1d_validation():

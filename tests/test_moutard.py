@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 from spinsurf import (BiPoly, C, ComplexField, RationalFn, SpinorField, T, Z, ZBAR,
-                      antiderivative, catalog, closedness_defect, constant_field,
-                      dirac_residual_norm, exact_solution, field_from_function, heat_extend,
-                      make_grid)
+                      antiderivative, catalog, constant_field, dirac_residual_norm,
+                      exact_solution, field_from_function, heat_extend, make_grid)
 from spinsurf.dirac import _norm2, qconj
 from spinsurf.exactpoly import InvalidDatumError, heat_antiderivative
-from spinsurf.moutard import (ClosednessError, MoutardTransform, NormalizationError, _partner,
-                              build_S, heat_datum_fields, heat_datum_spinors,
-                              heat_smatrix_values, k_matrix, moutard_exact, omega, omega1,
-                              time_offset_integral)
+from spinsurf.grid import ClosednessError
+from spinsurf.moutard import (MoutardTransform, NormalizationError, _partner, build_S,
+                              heat_datum_fields, heat_datum_spinors, heat_smatrix_values,
+                              k_matrix, moutard_exact, omega, omega1, time_offset_integral)
 from test_dirac import GAMMA, quat_mat
+from test_grid import XDY_BOXES, XDY_SIZES, _ref_antiderivative
 
 
 def _plane_ctx(n=48, lo=0.4, hi=2.4):
@@ -53,29 +53,30 @@ def test_omega_closed_for_solutions():
         aa = SpinorField(field_from_function(gg, a[0]), field_from_function(gg, a[1]))
         bb = SpinorField(field_from_function(gg, b[0]), field_from_function(gg, b[1]))
         X, Y = omega(aa, bb)
-        return closedness_defect(gg, X.values, Y.values, X.mask)
+        return antiderivative(gg, X.values, Y.values)[1]
 
     fns_psi = (lambda z: np.exp(0.5 * z), lambda z: np.conj(z) ** 2)
     fns_phi = (lambda z: z ** 2 + 1, lambda z: np.exp(-0.3 * np.conj(z)))
     for a, b in ((fns_phi, fns_psi), (fns_psi, fns_phi)):
         d64 = defect_at(64, a, b)
         d128 = defect_at(128, a, b)
-        assert d64 / d128 >= 3.3      # O(h^2) closedness for exact solutions
+        assert d64 / d128 >= 3.3      # an O(h^2) path defect for exact solutions
 
 
 def test_conj_transpose_convention_fails_closedness():
     # the alternative reading of the transpose is not closed on the
-    # quadratic-datum background, which is why omega uses the plain transpose
+    # quadratic-datum background, which is why omega uses the plain transpose:
+    # antiderivative refuses it by its path defect
     g = make_grid((-1, 1, -1, 1), (64, 64))
     sol = catalog("s1", c=1.0)
     psi0, phi0 = heat_datum_fields(sol.f, g, 0.2)
-    defects = {conj: _max_closedness_defect(*_oracle_gamma_omega(phi0, psi0, conj))
-               for conj in (False, True)}
-    assert defects[False] < 1e-10                # linear entries: exact
-    assert defects[True] > 0.5
+    plain = _max_path_defect(*_oracle_gamma_omega(phi0, psi0, False))
+    assert plain < 1e-10                         # linear entries: exact
+    with pytest.raises(ClosednessError, match="path-dependence defect"):
+        _max_path_defect(*_oracle_gamma_omega(phi0, psi0, True))
     X, Y = omega(phi0, psi0)
-    col0 = closedness_defect(g, X.values, Y.values, X.mask)
-    assert col0 == pytest.approx(defects[False], rel=1e-12, abs=1e-14)
+    _, col0 = antiderivative(g, X.values, Y.values)
+    assert col0 == pytest.approx(plain, rel=1e-12, abs=1e-14)
 
 
 @pytest.mark.parametrize("bounds, n, c", [((-1.5, 1.5, -1.2, 1.8), (256, 256), None),
@@ -183,32 +184,33 @@ def test_omega_column0_matches_general_matrix_oracle(name):
 def test_build_S_checks_and_integrates_once(monkeypatch):
     import spinsurf.moutard as mo
     calls = []
-    for name in ("omega", "closedness_defect", "antiderivative"):
+    for name in ("omega", "antiderivative"):
         fn = getattr(mo, name)
         monkeypatch.setattr(mo, name,
                             lambda *a, _fn=fn, _n=name, **k: calls.append(_n) or _fn(*a, **k))
     _, g, psi0, phi0, C0 = next(_backgrounds(32))
     build_S(phi0, psi0, constant=C0)
-    assert calls == ["omega", "closedness_defect", "antiderivative"]
+    assert calls == ["omega", "antiderivative"]
 
 
 def test_build_S_gate_scale_is_the_largest_dz_or_dzbar_part():
-    # the gate's scale max(|X|, |Y|) is max(|p|, |q|) over the dz and dzbar parts to
-    # the bit when either spinor has a vanishing component (one of p, q is then 0 in
-    # each entry), as on both backgrounds; otherwise it lies between that and twice it
+    # the gate's scale, max sqrt(|X|^2 + |Y|^2) = sqrt(2) max sqrt(|p|^2 + |q|^2), is
+    # sqrt(2) max(|p|, |q|) over the dz and dzbar parts, to rounding, when either
+    # spinor has a vanishing component (one of p, q is then 0 in each entry), as on
+    # both backgrounds; otherwise it lies between that and 2 max(|p|, |q|)
     def scales(Phi, Psi):
         gdz, gdzb = _oracle_gamma_omega(Phi, Psi)
         X, Y = omega(Phi, Psi)
-        return (max(X.max_abs(), Y.max_abs()),
+        return (np.max(np.hypot(np.abs(X.values), np.abs(Y.values))),
                 max(np.max(np.abs(gdz.values[:, 0])), np.max(np.abs(gdzb.values[:, 0]))))
 
     for _, g, psi0, phi0, _ in _backgrounds(32):
         for pair in ((phi0, psi0), (psi0, phi0)):
             xy, pq = scales(*pair)
-            assert xy == pq
+            assert xy == pytest.approx(np.sqrt(2) * pq, rel=4e-16)
     rng = np.random.default_rng(5)
     xy, pq = scales(_random_spinor(g, rng), _random_spinor(g, rng))
-    assert pq < xy <= 2 * pq
+    assert np.sqrt(2) * pq < xy <= 2 * pq
 
 
 def test_omega_column0_matches_oracle_on_non_solutions():
@@ -274,6 +276,21 @@ def test_build_S_rejects_non_solution():
         build_S(I2, bad, np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("n", XDY_SIZES)
+@pytest.mark.parametrize("box", list(XDY_BOXES))
+def test_build_S_refuses_x_dy(box, n):
+    # Phi = (1, 1), Psi = (-x/2, x/2): column 0 of Gamma omega is x dy and -i x dx,
+    # whose scale is max |x|, as for x dy alone
+    g = make_grid(XDY_BOXES[box], (n, n))
+    x = field_from_function(g, np.real)
+    Phi = SpinorField(constant_field(g, 1.0), constant_field(g, 1.0))
+    Psi = SpinorField(x * -0.5, x * 0.5)
+    X, Y = omega(Phi, Psi)
+    assert np.array_equal(X.values[0], 0 * x.values) and np.array_equal(Y.values[0], x.values)
+    with pytest.raises(ClosednessError, match="path-dependence defect .* exceeds"):
+        build_S(Phi, Psi, np.zeros((2, 2)))
+
+
 def _plane_spinor_masked_at(g, node, value):
     one = constant_field(g, 1.0)
     one.values[node[1], node[0]] = value
@@ -283,7 +300,7 @@ def _plane_spinor_masked_at(g, node, value):
 
 
 def test_build_S_rejects_a_masked_nan_node():
-    # the masked node is skipped, but its unmasked neighbours' defect is NaN
+    # the path defect reads every node, masked or not: NaN
     g = make_grid((0.4, 2.4, 0.3, 2.3), (32, 32))
     Psi = _plane_spinor_masked_at(g, (5, 7), np.nan)
     I2 = SpinorField(constant_field(g, 1.0), constant_field(g, 0.0))
@@ -341,14 +358,15 @@ def test_normalize_pair_random_solutions(seed):
     assert spread <= 1e-12 * scale
     assert np.max(np.abs(mean - C0.conj().T[:, 0])) <= 1e-12 * scale
     # the identity needs no Dirac equation: on random arrays omega is not closed,
-    # and its L-path integrals still pair up
+    # and its x-first L-path integrals (the oracle's: antiderivative refuses them)
+    # still pair up
     psi, phi = (SpinorField(*(ComplexField(g, rng.normal(size=(32, 32))
                                            + 1j * rng.normal(size=(32, 32)))
                               for _ in range(2))) for _ in range(2))
     with pytest.raises(ClosednessError):
         build_S(phi, psi, np.zeros((2, 2)))
 
-    SA, SB = (antiderivative(g, *(F.values for F in omega(*pair)), "x_first")
+    SA, SB = (_ref_antiderivative(g, *(F.values for F in omega(*pair)), g.centre, "x_first")
               for pair in ((phi, psi), (psi, phi)))
     mean, spread = _integrated_partner_offset(SA, SB)
     assert spread <= 1e-12 * np.max(np.abs(SA))
@@ -640,9 +658,10 @@ def _oracle_omega1(Phi, Psi):
     return left - right
 
 
-def _max_closedness_defect(gdz, gdzb):
-    """The largest closedness defect of the four entries of a matrix 1-form."""
-    return closedness_defect(gdz.grid, *_oracle_xy_parts(gdz, gdzb), gdz.mask)
+def _max_path_defect(gdz, gdzb):
+    """The largest path defect of the four entries of a matrix 1-form, or
+    ClosednessError."""
+    return antiderivative(gdz.grid, *_oracle_xy_parts(gdz, gdzb))[1]
 
 
 def _oracle_build_S(Phi, Psi, constant=None):
@@ -650,7 +669,7 @@ def _oracle_build_S(Phi, Psi, constant=None):
     from spinsurf.dirac import Mat2Field
     gx, gy = _oracle_xy_parts(*_oracle_gamma_omega(Phi, Psi))
     C = np.zeros((2, 2), dtype=complex) if constant is None else np.asarray(constant, complex)
-    vals = antiderivative(Phi.grid, gx, gy, "x_first") + C[:, :, None, None]
+    vals = _ref_antiderivative(Phi.grid, gx, gy, Phi.grid.centre, "x_first") + C[:, :, None, None]
     return Mat2Field(Phi.grid, vals), C
 
 

@@ -1,6 +1,6 @@
 """The row-block streams against their whole-grid oracles, bit for bit.
 
-closedness_defect, dirac_residual_norm, omega, the K chain and the transform
+antiderivative, dirac_residual_norm, omega, the K chain and the transform
 sides run one grid.row_blocks block at a time.  The oracles below are
 the whole-array forms they replaced: the same operations in the same order on
 full-size temporaries.  So the streamed values must equal them to the bit on
@@ -17,29 +17,11 @@ from spinsurf import (ComplexField, SpinorField, catalog, clifford_potential, co
                       field_from_function, grid_norm_sq, l2_norm_sq, make_grid,
                       save_complexfield_csv, soliton_potential, willmore, wirtinger_derivative)
 from spinsurf.dirac import dirac_residual_norm, qconj, qmul
-from spinsurf.grid import _BLOCK, closedness_defect, ddx, masked_max_abs, merged_mask, row_blocks
+from spinsurf.grid import (_BLOCK, ClosednessError, antiderivative, masked_max_abs, merged_mask,
+                           row_blocks)
 from spinsurf.moutard import (MoutardTransform, _partner, build_S, heat_datum_fields,
                               heat_datum_spinors, omega)
-
-
-def oracle_ddy(values, h, periodic):
-    """d/dy of the whole (..., ny, nx) array at once."""
-    out = np.empty_like(values)
-    np.subtract(values[..., 2:, :], values[..., :-2, :], out=out[..., 1:-1, :])
-    if periodic:
-        np.subtract(values[..., 1, :], values[..., -1, :], out=out[..., 0, :])
-        np.subtract(values[..., 0, :], values[..., -2, :], out=out[..., -1, :])
-    else:
-        out[..., 0, :] = -3 * values[..., 0, :] + 4 * values[..., 1, :] - values[..., 2, :]
-        out[..., -1, :] = 3 * values[..., -1, :] - 4 * values[..., -2, :] + values[..., -3, :]
-    out *= 1.0 / (2 * h)
-    return out
-
-
-def oracle_closedness_defect(grid, gx, gy, mask):
-    r = oracle_ddy(gx, grid.hy, grid.periodic_y)
-    r -= ddx(gy, grid.hx, grid.periodic_x)
-    return 0.5 * masked_max_abs(r, mask)
+from test_grid import _ref_antiderivative, _ref_path_defect
 
 
 def oracle_apply_D(U, psi):
@@ -123,12 +105,21 @@ def test_the_cases_cover_the_block_shapes():
 
 @pytest.mark.parametrize("name,kind", _CASES)
 def test_closedness_defect_equals_the_whole_grid_oracle(name, kind):
+    # antiderivative's integral and path defect against the two whole-grid L-path
+    # integrals, on a nearly closed form whose low bits are random; the rule reads
+    # every node, so a NaN at the mask's nodes is refused, as the oracle's defect is NaN
     g, vals, mask = _case(name, kind)
-    gx, gy = vals[0], vals[1]
-    assert _same_bits(closedness_defect(g, gx, gy, mask),
-                      oracle_closedness_defect(g, gx, gy, mask))
-    assert _same_bits(closedness_defect(g, gx[0], gy[0], mask),
-                      oracle_closedness_defect(g, gx[0], gy[0], mask))
+    gx, gy = 1.0 + 1e-6 * vals[0], 0.5j + 1e-6 * vals[1]
+    if mask is not None:
+        gy[:, mask] = np.nan
+        assert np.isnan(_ref_path_defect(g, gx, gy))
+        with pytest.raises(ClosednessError, match="defect nan"):
+            antiderivative(g, gx, gy)
+        return
+    for fx, fy in ((gx, gy), (gx[0], gy[0])):
+        F, defect = antiderivative(g, fx, fy.copy())
+        assert _same_bits(F, _ref_antiderivative(g, fx, fy, g.centre, "x_first"))
+        assert _same_bits(defect, _ref_path_defect(g, fx, fy))
 
 
 @pytest.mark.parametrize("name,kind", _CASES)
@@ -207,9 +198,9 @@ def test_streamed_reductions_allocate_no_full_size_temporary():
     mask = rng.random((256, 256)) < 0.01
     U = ComplexField(g, gx[0], mask)
     psi = SpinorField.from_values(g, p, None)
+    fx, fy = 1.0 + 1e-6 * gx, 0.5j + 1e-6 * gy               # nearly closed
     limit = g.ny * g.nx * np.dtype(complex).itemsize         # one (ny, nx) complex array
-    for fn in (lambda: closedness_defect(g, gx, gy, None),
-               lambda: closedness_defect(g, gx, gy, mask),
+    for fn in (lambda: antiderivative(g, fx, fy),
                lambda: dirac_residual_norm(U, psi, interior=1),
                lambda: dirac_residual_norm(U, psi, vee=True)):
         assert _peak_bytes(fn) < limit
@@ -302,10 +293,12 @@ def _block_outputs(sol, g, t):
         W = willmore(U)
     nr = l2_norm_sq(U, require_decay=False)
     # the exact layer's samplers: RationalFn.on_grid on U's expanded form and on a,
-    # RQuat.on_grid on the graph's spinor phi0 = (f', i), BiPoly.eval on 1, 2 and
-    # many points, and the streamed Dirac residual of phi0 against U
+    # RQuat.on_grid on the graph's spinors psi0 = (0, 1) and phi0 = (f', i),
+    # BiPoly.eval on 1, 2 and many points, the streamed Dirac residual of phi0
+    # against U, and antiderivative's S0 = Gamma int omega(phi0, psi0) and its defect
     Ur, ar = (f.on_grid(g, t, sol.c) for f in (sol.U, sol.a))
-    phi = heat_datum_spinors(sol.f)[1].on_grid(g, t, sol.c)
+    psi, phi = (q.on_grid(g, t, sol.c) for q in heat_datum_spinors(sol.f))
+    S0, defect = antiderivative(g, *(f.values for f in omega(phi, psi)))
     z = g.zmesh()[g.ny // 3]
     out = {"U": U.values.tobytes(), "V": V.values.tobytes(), "willmore": W,
            "value": nr.value, "raw": nr.raw, "tail_bound": nr.tail_bound,
@@ -314,7 +307,8 @@ def _block_outputs(sol, g, t):
            "eval": [np.asarray(sol.f.eval(z=p, t=t, c=sol.c)).tobytes()
                     for p in (z[0], z[:2], z)],
            "dirac": [dirac_residual_norm(U, phi, interior, vee)
-                     for interior, vee in ((0, False), (2, True))]}
+                     for interior, vee in ((0, False), (2, True))],
+           "S0": S0.tobytes(), "path_defect": defect}
     if g.periodic:
         out["grid_norm_sq"] = grid_norm_sq(U)
     return out

@@ -9,9 +9,11 @@ from spinsurf import (ComplexField, SpinorField, SurfaceMap, catalog,
                       integrate_surface_r4, invert_surface, l2_norm_sq, make_grid,
                       measured_e2alpha, named_spinor, smatrix_to_surface,
                       spinor_metric, weier_derivatives, willmore)
-from spinsurf.grid import partials, wirtinger_derivative
+from spinsurf.grid import ClosednessError, partials, wirtinger_derivative
 from spinsurf.hierarchy import soliton_potential
 from spinsurf.moutard import heat_datum_fields, heat_smatrix_values
+from spinsurf.surface import check_seams
+from test_grid import _ref_antiderivative
 
 
 def _plane_spinor(grid):
@@ -430,6 +432,30 @@ def test_path_independence_defect_small():
     assert S.diagnostics["path_defect"] < 1e-10   # polynomial integrands: exact
 
 
+@pytest.mark.parametrize("name", ["enneper", "catenoid", "s1"])
+def test_path_defect_is_the_two_integral_oracle(name):
+    # the surface and its path_defect, to the bit, against the two whole-grid L-path
+    # integrals of the real forms 2 Re x^k_z dx - 2 Im x^k_z dy
+    g = make_grid((-1, 1, -1, 1), (48, 48))
+    if name == "s1":
+        psi, phi = heat_datum_fields(catalog("s1", c=1.0).f, g, 0.2)
+    else:
+        psi = phi = named_spinor(name, g)
+    S = integrate_surface_r4(psi, phi)
+    xz = weier_derivatives(psi, phi)
+    gx, gy = 2.0 * xz.real, -2.0 * xz.imag
+    F, G = (_ref_antiderivative(g, gx, gy, g.centre, order) for order in ("x_first", "y_first"))
+    assert np.array_equal(S.coords, F)
+    assert S.diagnostics["path_defect"] == np.max(np.abs(F - G)) > 0
+
+
+def test_a_seam_gap_is_the_closedness_error():
+    # Enneper's map does not close up across the seams of a doubly periodic grid
+    g = make_grid((-1, 1, -1, 1), (32, 32), True)
+    with pytest.raises(ClosednessError, match="does not close up across its x seam"):
+        check_seams(integrate_surface_r3(_enneper_spinor(g)))
+
+
 def test_weier_derivatives_r3_fourth_component():
     g = make_grid((-1, 1, -1, 1), (16, 16))
     psi = _enneper_spinor(g)
@@ -438,24 +464,22 @@ def test_weier_derivatives_r3_fourth_component():
 
 
 def test_bad_spinor_raises_nonclosed_error():
-    from spinsurf.surface import SurfaceIntegrationError
     g = make_grid((-1, 1, -1, 1), (48, 48))
     rng = np.random.default_rng(2)
     bad = SpinorField(ComplexField(g, rng.normal(size=(48, 48)) * 3 + 0j),
                       ComplexField(g, rng.normal(size=(48, 48)) * 3 + 0j))
-    with pytest.raises(SurfaceIntegrationError):
+    with pytest.raises(ClosednessError):
         integrate_surface_r3(bad)
 
 
 def test_nonfinite_spinor_raises_nonclosed_error():
     # a NaN entry makes the path defect NaN, which the gate must refuse
-    from spinsurf.surface import SurfaceIntegrationError
     g = make_grid((-1, 1, -1, 1), (16, 16))
     psi = _enneper_spinor(g)
     psi.values[1, 5, 7] = np.nan
-    with pytest.raises(SurfaceIntegrationError):
+    with pytest.raises(ClosednessError):
         integrate_surface_r3(psi)
-    with pytest.raises(SurfaceIntegrationError):
+    with pytest.raises(ClosednessError):
         integrate_surface_r4(psi, psi)
 
 
