@@ -36,6 +36,13 @@ transformed and inverted spinors of ExactMoutardData) are RQuats that reach a
 grid through RQuat.on_grid; heat_datum_fields is the sampled heat_datum_spinors.
 The datum f is read through exactpoly's API alone (heat_antiderivative is there).
 
+Time augmentation: on a background that moves with t (heat_datum_fields at t), S at
+t takes the constant S(t0) + Gamma int_t0^t omega1 dt at grid.centre.
+time_offset_integral forms the offset by the trapezoid rule over the caller's t
+samples, reading omega1 on a 5x5 patch centred on grid.centre's node to the bit
+(_centre_patch), so its cost does not grow with the grid; verify.suite_moutard
+carries the s1 and s2 data through their singular instants by it.
+
 Partner matrix: Phi~ is formed through S(Psi0, Phi0) = Gamma S0^T Gamma = -S0^*,
 the column (-conj(a), b) of S0's (a, b), with constant -C0^H and inverse
 -(S0^-1)^*.  Both layers form it so and integrate nothing for it: for any spinor
@@ -50,12 +57,14 @@ transform reads it, and each transformed spinor is written over its S(A0, X).
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .dirac import SpinorField, qconj, qmul, quaternion_defect
 from .exactpoly import BiPoly, RQuat, RationalFn, T, Z, ZBAR, heat_antiderivative
-from .grid import (ComplexField, Grid2D, antiderivative, merged_mask, row_blocks,
-                   wirtinger_derivative)
+from .grid import (ComplexField, Grid2D, antiderivative, make_grid, merged_mask,
+                   row_blocks, wirtinger_derivative)
 
 
 class NormalizationError(RuntimeError):
@@ -144,12 +153,32 @@ def _product(c: complex, x: np.ndarray, y: np.ndarray, out: np.ndarray):
     out *= y
 
 
-def time_offset_integral(phi_of_t, psi_of_t, t_grid) -> np.ndarray:
-    """Gamma * int_0^T omega1 dt at grid.centre, where build_S adds its constant:
-    the trapezoid over the t samples.  phi_of_t / psi_of_t map a time to the
-    spinors."""
-    ws = (omega1(phi_of_t(t), psi_of_t(t)) for t in t_grid)
-    return np.trapezoid([w.at(*w.grid.centre) for w in ws], t_grid, axis=0)
+def _centre_patch(grid: Grid2D) -> Grid2D:
+    """The 5x5 grid whose centre node is grid.node_z(*grid.centre), c, to the bit, with
+    grid's spacing h to rounding.  Along each axis its bounds are c -+ d, d the odd
+    multiple of w nearest 2h, w the lower of c's lowest set bit and u = 2^-53 of the
+    binade above |c| + 4h.  When w >= u / 2, c -+ d are multiples of w (even ones if
+    w < u) below 2^53 u, so exact, and the centre node lo + 2 (hi - lo) / 4 is c; the
+    centre node of a grid of at least 16 nodes along the axis has w >= u / 2."""
+    zc = grid.node_z(*grid.centre)
+    bounds = []
+    for c, h in ((zc.real, grid.hx), (zc.imag, grid.hy)):
+        w = math.ldexp(1.0, math.frexp(abs(c) + 4 * h)[1] - 53)
+        p, q = abs(c).as_integer_ratio()
+        w = min(w, (p & -p) / q) if p else w
+        d = (2 * math.floor(h / w) + 1) * w
+        bounds += [c - d, c + d]
+    return make_grid(bounds, (5, 5))
+
+
+def time_offset_integral(fields, grid: Grid2D, t_grid) -> np.ndarray:
+    """Gamma * int omega1 dt over the t samples at grid.centre, where build_S adds its
+    constant: the trapezoid over t_grid of omega1 read at the centre of a 5x5 patch
+    around that node (_centre_patch), so its cost does not grow with the grid.
+    fields(grid, t) maps a grid and a time to the background spinors (psi, phi)."""
+    patch = _centre_patch(grid)
+    ws = [omega1(phi, psi).at(*patch.centre) for psi, phi in (fields(patch, t) for t in t_grid)]
+    return np.trapezoid(ws, t_grid, axis=0)
 
 
 class KData:

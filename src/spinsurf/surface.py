@@ -98,21 +98,21 @@ def integrate_surface_r4(psi: SpinorField, phi: SpinorField) -> SurfaceMap:
     Whether psi and phi solve the Dirac equations is not checked here: gen-surface
     checks its spinors against the zero potential before it integrates them.
     """
-    grid = psi.grid
-    xz = weier_derivatives(psi, phi)
-    gx, gy = 2.0 * xz.real, -2.0 * xz.imag          # the real forms x^k_z dz + c.c.
-    del xz
-    coords, defect = antiderivative(grid, gx, gy)
-    return SurfaceMap(grid, coords, diagnostics={"path_defect": defect, "base_node": grid.centre})
+    return _integrate(psi.grid, weier_derivatives(psi, phi))
 
 
 def integrate_surface_r3(psi: SpinorField) -> SurfaceMap:
-    """R^3 Weierstrass representation: the phi = psi reduction (x^4 is constant),
-    anchored to the origin at the centre node."""
-    s4 = integrate_surface_r4(psi, psi)
-    x4span = float(np.ptp(s4.coords[3]))
-    diag = dict(s4.diagnostics, x4_span=x4span)
-    return SurfaceMap(s4.grid, s4.coords[:3], s4.mask, diag)
+    """R^3 Weierstrass representation: the phi = psi reduction, where x4_z vanishes
+    identically, so only x^1..x^3 are integrated, 0 at grid.centre."""
+    return _integrate(psi.grid, weier_derivatives(psi, psi)[:3])
+
+
+def _integrate(grid: Grid2D, xz: np.ndarray) -> SurfaceMap:
+    """The surface of the closed forms x^k_z dz + c.c., xz (dim, ny, nx), 0 at grid.centre."""
+    gx, gy = 2.0 * xz.real, -2.0 * xz.imag
+    del xz
+    coords, defect = antiderivative(grid, gx, gy)
+    return SurfaceMap(grid, coords, diagnostics={"path_defect": defect, "base_node": grid.centre})
 
 
 def spinor_metric(psi: SpinorField, phi: SpinorField | None = None) -> np.ndarray:

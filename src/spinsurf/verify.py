@@ -8,6 +8,7 @@ scales; the test suite and the CLI both drive the functions below.
 from __future__ import annotations
 
 import time
+from functools import partial
 
 import numpy as np
 
@@ -17,12 +18,12 @@ from .dsii import (OzawaData, catalog, dsii_exact_identity_holds, exact_solution
 from .evolve import evolve, run_summary
 from .exactpoly import C, T, Z, heat_extend, poly_equal
 from .grid import (ComplexField, constant_field, field_from_function, make_grid,
-                   square_grid)
+                   masked_max_abs, merged_mask, square_grid)
 from .hierarchy import (clifford_potential, mkdv_reduction_identity,
                         mkdv_soliton, mnv_residual, Potential1D, soliton_potential,
                         v_from_constraint_mnv, willmore_bound_check)
 from .moutard import (MoutardTransform, heat_datum_fields, heat_smatrix_values,
-                      moutard_exact)
+                      moutard_exact, time_offset_integral)
 from .surface import (discrete_mean_curvature, gauss_map, integrate_surface_r3,
                       integrate_surface_r4, invert_surface, measured_e2alpha,
                       named_spinor, smatrix_to_surface, spinor_metric)
@@ -322,8 +323,7 @@ def suite_moutard() -> list[CheckResult]:
     n, t = 96, 0.2
     g = make_grid((-1.5, 1.5, -1.2, 1.8), (n, n))
     zb = g.node_z(*g.centre)
-    fb = complex(sol.f.eval(z=zb, t=t, c=1.0))
-    C0 = np.array([[1j * np.conj(fb), -zb], [np.conj(zb), -1j * fb]])
+    C0 = heat_smatrix_values(sol.f, g, t).at(*g.centre)
     ctx = MoutardTransform.from_background(*heat_datum_fields(sol.f, g, t), C0)
     _, phit = ctx.transform(SpinorField(field_from_function(g, lambda z: z), constant_field(g, 0.0)),
                             SpinorField(constant_field(g, 1.0), constant_field(g, 0.0)),
@@ -346,7 +346,36 @@ def suite_moutard() -> list[CheckResult]:
     scale = float(np.max(np.abs(S_inv.coords)))
     out.append(CheckResult("U~ surface equals inverted surface (rel)", diff / scale, 0, 5e-4,
                            f"abs diff {diff:.3g}, scale {scale:.3g}"))
+
+    # the time-augmented route across the singular instant t_s (s2: t_s = 1, s1 with
+    # c = i: t_s = -1/2): S0 at t from the closed form's constant at t0 and the offset
+    # Gamma int omega1 dt, and K's W against U at t
+    box = (-2.0, 2.0, -1.7, 2.3)
+    s2 = catalog("s2", c=12.0)
+    for t in (0.8, 0.98, 1.02, 1.2):
+        err = {n: _route_error(s2, make_grid(box, (n, n)), 0.7, t) for n in (128, 256)}
+        out.append(_order(f"s2 route 0.7 -> {t} W vs U O(h^2) ratio", err[128], err[256],
+                          3.0, 6.0))
+        out.append(CheckResult(f"s2 route 0.7 -> {t} W vs U 256^2 (rel)", err[256], 0, 5e-4))
+    s1i, g = catalog("s1", c=1j), make_grid(box, (128, 128))
+    err = max(_route_error(s1i, g, -0.7, t) for t in (-0.6, -0.52, -0.48, -0.3))
+    out.append(CheckResult("s1 c=i route across -1/2 W vs U (rel)", err, 0, 1e-12,
+                           "from t0 = -0.7, largest over t = -0.6, -0.52, -0.48, -0.3 at 128^2"))
     return out
+
+
+def _route_error(sol, g, t0: float, t: float) -> float:
+    """The time-augmented Moutard route from t0 to t on sol's heat datum: max |W - U|
+    at t over the nodes that neither field masks, relative to max |U| there.  S0's
+    constant is the closed-form S at grid.centre at t0 plus time_offset_integral over
+    81 samples of [t0, t]."""
+    fields = partial(heat_datum_fields, sol.f)
+    C = (heat_smatrix_values(sol.f, g, t0).at(*g.centre)
+         + time_offset_integral(fields, g, np.linspace(t0, t, 81)))
+    W = MoutardTransform.from_background(*fields(g, t), C).kdata.W
+    U = sol.U_field(g, t)
+    mask = merged_mask(U, W)
+    return masked_max_abs(W.values - U.values, mask) / masked_max_abs(U.values, mask)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,22 @@ def test_criterion_7_moutard_correctness():
     _report("7", verify.suite_moutard())
 
 
+@pytest.mark.parametrize("mutant", ["dropped", "sign-flipped"])
+def test_criterion_7_route_rejects_a_wrong_time_offset(mutant, monkeypatch):
+    # the time-augmented route's s2 records, each order ratio and each 256^2 bound,
+    # fail when verify's Gamma int omega1 dt is dropped or has its sign flipped:
+    # W then misses U by about the size of U
+    offset = verify.time_offset_integral
+    wrong = {"dropped": lambda *a: 0 * offset(*a), "sign-flipped": lambda *a: -offset(*a)}
+    monkeypatch.setattr(verify, "time_offset_integral", wrong[mutant])
+    route = [r for r in verify.suite_moutard() if r.name.startswith("s2 route")]
+    print()
+    for r in route:
+        print(f"  {mutant} offset | {_line(r)}")
+    assert len(route) == 8
+    assert not any(r.passed for r in route)
+
+
 def test_criterion_8_evolver_cross_check():
     # 256^2 on the half-width-30 box, dt = 1e-4, t in [0, 0.1]
     _report("8", verify.suite_evolver())

@@ -937,10 +937,11 @@ _MESH_SHA256 = {
 # curvature_abs_max moved by rounding alone (test_surface.py holds the earlier
 # arithmetic as its oracle).  Recorded again when willmore came to read the one |U|^2
 # quadrature (grid.abs2_quadrature): the s1 and s1-invert willmore moved by rounding
-# alone, 24.0541477385555 -> 24.054147738555493
+# alone, 24.0541477385555 -> 24.054147738555493.  The Enneper pins recorded again when
+# integrate_surface_r3 stopped integrating x^4 and its sidecars lost the x4_span key
 _SIDECAR_SHA256 = {
-    ("enneper", "obj"): "b471112778f943bd5fa5f07fc120131e742cb820ea2fdebf857d30cbbb974d7c",
-    ("enneper", "ply"): "3b5a09314b63b6b1aae1a2cca86a862ccb3531e1dd407356194dd37b7eae5620",
+    ("enneper", "obj"): "3df1f07f519fc682912c57e0575917c28a538a0cb971dd9f8e169f366b79e8fc",
+    ("enneper", "ply"): "89efce2fbd9df2a755d0a2aeee662fb1a2ec591bd4d37306a7eef7041610e874",
     ("s1", "ply"): "e0b6abd86904b36f4031ba1125d432a6cdb3abd93b88110494087d7d8a865e7f",
     ("s1-invert", "obj"): "f6ec84120ea7a4c8e9b2011ba1a4bbc1af593a649b9fef71b30d2d4ea4ba5eb3",
     ("s1-invert", "ply"): "79bc6e5f4289c949b2b08ef6bf1086d9bd9b9f408ba81de1cba4845e40475094",

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,10 @@ from spinsurf import (BiPoly, C, ComplexField, RationalFn, SpinorField, T, Z, ZB
 from spinsurf.dirac import _norm2, qconj
 from spinsurf.exactpoly import InvalidDatumError, heat_antiderivative
 from spinsurf.grid import ClosednessError
-from spinsurf.moutard import (MoutardTransform, NormalizationError, _partner, build_S,
-                              heat_datum_fields, heat_datum_spinors, heat_smatrix_values,
-                              k_matrix, moutard_exact, omega, omega1, time_offset_integral)
+from spinsurf.moutard import (MoutardTransform, NormalizationError, _centre_patch, _partner,
+                              build_S, heat_datum_fields, heat_datum_spinors,
+                              heat_smatrix_values, k_matrix, moutard_exact, omega, omega1,
+                              time_offset_integral)
 from test_dirac import GAMMA, quat_mat
 from test_grid import XDY_BOXES, XDY_SIZES, _ref_antiderivative
 
@@ -565,24 +568,39 @@ def test_numeric_pipeline_matches_exact_tilde():
 
 
 def test_time_offset_integral_matches_closed_form():
-    # Gamma int omega1 dt at the centre node reproduces the t-dependence of the
-    # closed-form S for the quadratic datum
-    sol = catalog("s1", c=1.0)
-    g = make_grid((-1.0, 1.0, -1.0, 1.0), (32, 32))
-    zb = g.node_z(*g.centre)
+    # Gamma int omega1 dt, read on the 5x5 patch centred on the grid's centre node to
+    # the bit, reproduces the t-dependence of the closed-form
+    # S = [[i conj(f), -z], [zbar, -i f]] there: 1.1e-16 (s1), 7.1e-15 and 1.2e-14
+    # (s2 at 128^2 and 256^2, |S| about 11.5), bounded at 1e-13
+    for name, c, box, n, t0, t1, samples in [
+            ("s1", 1.0, (-1.0, 1.0, -1.0, 1.0), 32, 0.0, 0.4, 161),
+            ("s2", 12.0, (-2.0, 2.0, -1.7, 2.3), 128, 0.7, 1.2, 81),
+            ("s2", 12.0, (-2.0, 2.0, -1.7, 2.3), 256, 0.7, 1.2, 81)]:
+        sol = catalog(name, c=c)
+        g = make_grid(box, (n, n))
+        patch = _centre_patch(g)
+        assert patch.node_z(*patch.centre) == g.node_z(*g.centre)
+        off = time_offset_integral(partial(heat_datum_fields, sol.f), g,
+                                   np.linspace(t0, t1, samples))
+        expect = (heat_smatrix_values(sol.f, g, t1).at(*g.centre)
+                  - heat_smatrix_values(sol.f, g, t0).at(*g.centre))
+        assert np.max(np.abs(off - expect)) < 1e-13, (name, n)
 
-    def phi_of(t):
-        return heat_datum_fields(sol.f, g, t)[1]
 
-    def psi_of(t):
-        return heat_datum_fields(sol.f, g, t)[0]
-
-    tgrid = np.linspace(0.0, 0.4, 161)
-    off = time_offset_integral(phi_of, psi_of, tgrid)
-    f0 = complex(sol.f.eval(z=zb, t=0.0, c=1.0))
-    f1 = complex(sol.f.eval(z=zb, t=0.4, c=1.0))
-    expect = np.array([[1j * np.conj(f1 - f0), 0], [0, -1j * (f1 - f0)]])
-    assert np.max(np.abs(off - expect)) < 1e-6
+@pytest.mark.parametrize("box", [(-2.0, 2.0, -1.7, 2.3), (-1.5, 1.5, -1.2, 1.8),
+                                 (0.3, 2.3, 0.2, 2.2), (-15.0, 15.0, -15.0, 15.0),
+                                 (1000.0, 1001.0, -3.3, -0.1)])
+def test_centre_patch_centre_node_is_the_grids(box):
+    # the patch that time_offset_integral reads omega1 on is centred on the grid's
+    # centre node to the bit, with the grid's spacing to rounding, at every size
+    # from 16 to 300 nodes and at the suites' sizes
+    for n in [*range(16, 301), 511, 512, 513, 769, 1025]:
+        for g in (make_grid(box, (n, n + 3)), make_grid(box, (n + 1, n), True)):
+            p = _centre_patch(g)
+            assert (p.nx, p.ny) == (5, 5)
+            assert p.node_z(*p.centre) == g.node_z(*g.centre)
+            assert p.xs()[2] + 1j * p.ys()[2] == g.node_z(*g.centre)
+            assert abs(p.hx / g.hx - 1) < 1e-9 and abs(p.hy / g.hy - 1) < 1e-9
 
 
 def test_plane_background_shares_one_quaternion_field():

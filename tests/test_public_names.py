@@ -43,12 +43,10 @@ KEEP = {
     # perfbench/spans.py traces them (ROADMAP item 6)
     "dirac.Mat2Field": "the tests' general-matrix oracle and the span tracer's target",
     "dirac._empty": "Mat2Field's allocator",
-    # open items of ROADMAP
-    "moutard.time_offset_integral": "the time-augmented Moutard route of item 4",
-    "moutard.omega1": "the time-augmented Moutard route of item 4",
     # run on paths that the README does not run
     "dsii.to_halved_v_form": "the halved-V convention; perfbench's checks use it",
     "exactpoly.RationalFn.eval": "point sets; perfbench/test_checks.py calls it",
+    "exactpoly.BiPoly.eval": "RationalFn.eval's polynomial side; perfbench/spans.py traces it",
     # Python's data model
     "exactpoly.BiPoly.__hash__": "BiPoly defines __eq__, so it is hashable only with it",
     "grid.Grid2D.__hash__": "Grid2D defines __eq__, so it is hashable only with it",

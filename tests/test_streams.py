@@ -237,7 +237,7 @@ def test_heat_datum_fields_sample_into_the_output():
 
 
 def test_from_background_keeps_S0_inv_and_K_only():
-    # build_S integrates over omega's x part and S0 is inverted in place; the
+    # build_S integrates over omega's y part and S0 is inverted in place; the
     # context keeps S0^-1 and K's (W, a), not S0 or the partner's inverse
     _, _, (psi0, phi0), C0 = _s1_background_256()
     tracemalloc.start()
